@@ -706,7 +706,15 @@ Matrix GuardedBackend::run_guarded(const Matrix& a, const BSource& bsrc,
   CodeMatrix qae;  // A-side int16 codes, staged only when the quant tier is live
   Matrix xsum;
   const std::size_t row_stripes = (m + cfg_.array_rows - 1) / cfg_.array_rows;
+  const std::size_t col_stripes = (n + cfg_.array_cols - 1) / cfg_.array_cols;
+  // Bank epoch each operand stripe's current-state encodes reflect: A row
+  // stripes are stamped when encode_a runs, B column stripes start at the
+  // prepared operand's epoch.  A stripe is re-encoded only when the epoch
+  // has moved past its stamp (refresh_tile below).
+  std::vector<std::uint64_t> a_epoch;
+  std::vector<std::uint64_t> b_epoch(col_stripes, pb->epoch);
   const auto encode_a = [&](const std::vector<std::size_t>& channels) {
+    a_epoch.assign(row_stripes, bank_.epoch());
     const std::size_t nl = channels.size();
     // qcodes may carry padded column capacity past the logical k
     // (rows-axis KV appends) — `>=` certifies the staged prefix.
@@ -751,38 +759,44 @@ Matrix GuardedBackend::run_guarded(const Matrix& a, const BSource& bsrc,
   outcome.enabled = true;
   outcome.tiles_checked = tiles.size();
 
-  // Data-side B encodings: the cached/prepared matrix on the fast path; a
-  // live copy is materialized only when a storm or a repair makes the
-  // prepared encodes stale.
+  // Data-side B encodings: the cached/prepared matrix until the epoch
+  // moves past a column stripe; only then are a live copy and the
+  // normalized Bᵀ it re-encodes from made.
   const Matrix* bdata = &pb->encoded;
   Matrix be_live;
-  Matrix bn;  // normalized B, lazily built for live re-encodes
-  const auto ensure_bn = [&] {
-    if (bn.size() != 0) return;
-    bn = bsrc.bt != nullptr ? *bsrc.bt : bsrc.b->transposed();
-    for (double& v : bn.data()) v /= pb->scale;
-  };
-  const auto reencode_b_cols = [&](std::size_t col0, std::size_t cols,
-                                   const std::vector<std::size_t>& channels) {
-    ensure_bn();
-    if (be_live.size() == 0) {
-      be_live = pb->encoded;
-      bdata = &be_live;
-    }
+  Matrix bn;
+  // Bring one tile's operand stripes up to the bank's current state
+  // through the live lanes.  An encode is a pure function of lane state
+  // and input, and every lane-state write bumps the epoch, so a stripe
+  // whose stamp equals the epoch already holds the bits a re-encode would
+  // write — only stale stripes are re-encoded.
+  const auto refresh_tile = [&](const ptc::Tile& tile) {
+    const std::uint64_t now = bank_.epoch();
+    const std::vector<std::size_t>& channels = pb->channels;
     const std::size_t nl = channels.size();
-    for (std::size_t j = col0; j < col0 + cols; ++j) {
-      const auto src = bn.row(j);
-      auto dst = be_live.row(j);
-      for (std::size_t p = 0; p < k; ++p) dst[p] = bank_.encode(1, channels[p % nl], src[p]);
+    std::uint64_t& ea = a_epoch[tile.row0 / cfg_.array_rows];
+    if (ea != now) {
+      for (std::size_t i = tile.row0; i < tile.row0 + tile.rows; ++i) {
+        const auto src = an.row(i);
+        auto dst = ae.row(i);
+        for (std::size_t p = 0; p < k; ++p) dst[p] = bank_.encode(0, channels[p % nl], src[p]);
+      }
+      ea = now;
     }
-  };
-  const auto reencode_a_rows = [&](std::size_t row0, std::size_t rows,
-                                   const std::vector<std::size_t>& channels) {
-    const std::size_t nl = channels.size();
-    for (std::size_t i = row0; i < row0 + rows; ++i) {
-      const auto src = an.row(i);
-      auto dst = ae.row(i);
-      for (std::size_t p = 0; p < k; ++p) dst[p] = bank_.encode(0, channels[p % nl], src[p]);
+    std::uint64_t& eb = b_epoch[tile.col0 / cfg_.array_cols];
+    if (eb != now) {
+      if (bdata != &be_live) {
+        bn = bsrc.bt != nullptr ? *bsrc.bt : bsrc.b->transposed();
+        for (double& v : bn.data()) v /= pb->scale;
+        be_live = pb->encoded;
+        bdata = &be_live;
+      }
+      for (std::size_t j = tile.col0; j < tile.col0 + tile.cols; ++j) {
+        const auto src = bn.row(j);
+        auto dst = be_live.row(j);
+        for (std::size_t p = 0; p < k; ++p) dst[p] = bank_.encode(1, channels[p % nl], src[p]);
+      }
+      eb = now;
     }
   };
 
@@ -796,15 +810,13 @@ Matrix GuardedBackend::run_guarded(const Matrix& a, const BSource& bsrc,
   const bool storm = storm_ != nullptr && storm_steps_per_tile_ > 0;
   if (storm) {
     // Serialized tile timeline: the injector's clock advances before
-    // every tile step, and each step re-encodes its operand slices
-    // through the live lanes (the hardware modulates per tile step
-    // anyway), so a fault landing between tiles corrupts exactly the
-    // tiles after it.
+    // every tile step, and each step sees its operand slices as the live
+    // lanes encode them now, so a fault landing between tiles corrupts
+    // exactly the tiles after it.
     for (std::size_t t = 0; t < tiles.size(); ++t) {
       storm_clock_ += storm_steps_per_tile_;
       storm_->advance_to(storm_clock_);
-      reencode_a_rows(tiles[t].row0, tiles[t].rows, pb->channels);
-      reencode_b_cols(tiles[t].col0, tiles[t].cols, pb->channels);
+      refresh_tile(tiles[t]);
       checks[t] = run_tile(tiles[t], t, ae, ae_gold, xsum, *bdata, *pb, rescale, c,
                            initial_upsets);
     }
@@ -935,22 +947,20 @@ Matrix GuardedBackend::run_guarded(const Matrix& a, const BSource& bsrc,
       }
       pb = rebuilt;
       encode_a(pb->channels);
+      b_epoch.assign(col_stripes, pb->epoch);
       be_live = Matrix();
       bn = Matrix();
       bdata = &pb->encoded;
     }
 
-    // Re-run the mismatching tiles through the live lanes.
+    // Re-run the mismatching tiles on their operand slices as the live
+    // lanes encode them now.  Only a storm step can leave a stripe stale
+    // here; after a repack every stripe is current.
     const std::size_t nl = pb->channels.size();
     const std::size_t chunks = (k + nl - 1) / nl;
     for (const std::size_t t : bad) {
       const ptc::Tile& tile = tiles[t];
-      if (!repacked) {
-        // Retry rung: re-encode just this tile's operand slices, the
-        // hardware cost the rung actually pays.
-        reencode_a_rows(tile.row0, tile.rows, pb->channels);
-        reencode_b_cols(tile.col0, tile.cols, pb->channels);
-      }
+      refresh_tile(tile);
       checks[t] = run_tile(tile, t, ae, ae_gold, xsum, *bdata, *pb, rescale, c);
       outcome.tiles_corrected += checks[t].corrected;
       const ptc::EventCounter ev = tile_events(tile, k, nl);

@@ -23,10 +23,15 @@
 // Mid-product fault storms: attach_storm() hooks a FaultInjector whose
 // clock advances `steps_per_tile` before every tile step, so faults land
 // between tiles of one product exactly like the hardware timeline.  With
-// a storm attached the tile loop serializes and re-encodes each tile's
-// operand slices through the live lanes per step (the hardware modulates
-// per tile step anyway); without one, operands are pre-encoded once per
-// product and the loop is tile-parallel — bit-identical, since lane
+// a storm attached the tile loop serializes, and each tile step sees its
+// operand slices as the live lanes encode them at that step.  Every A row
+// stripe and B column stripe carries the bank epoch its encodes reflect;
+// a step re-encodes a stripe through the live lanes only when the epoch
+// has moved past that stamp.  An encode is a pure function of lane state
+// and input, and every lane-state write bumps the epoch, so a skipped
+// re-encode would have written the same bits.  The retry rung refreshes
+// its tiles the same way.  Without a storm, operands are pre-encoded once
+// per product and the loop is tile-parallel — bit-identical, since lane
 // state cannot change mid-product.
 //
 // Recovery (escalation.hpp): mismatching tiles are re-run per the ladder
@@ -84,9 +89,10 @@ struct GuardedBackendConfig {
   /// Serve the product-level CURRENT-state encodes (prepare_b, encode_a)
   /// from an epoch-keyed coefficient table (lane_table.hpp) instead of
   /// evaluating lane models per element.  Bit-identical either way.
-  /// Per-tile storm/retry re-encodes always go through the live models:
-  /// under sustained mutation the table would rebuild per tile, costing
-  /// more than the handful of encodes it would serve.
+  /// Per-tile storm/retry re-encodes — only of stripes the epoch has
+  /// moved past — always go through the live models: under a bias walk
+  /// the epoch moves every tile step, and the table would rebuild per
+  /// tile, costing more than the stripes it would serve.
   bool use_lane_table{true};
   /// Numeric tier for the tile data dots (DESIGN.md §15).
   ///   kKernel      — serial scalar accumulation (default): bit-identical
@@ -97,7 +103,7 @@ struct GuardedBackendConfig {
   ///                  table's quant view when it is fresh AND every lane
   ///                  is on the quantizer grid; any tile the
   ///                  precondition cannot certify (off-grid lanes,
-  ///                  storm/retry live re-encodes, stale table) falls
+  ///                  storm and retry tiles, stale table) falls
   ///                  back to the blocked double dots — the tier
   ///                  degrades, the product stays live.
   /// Checksum references are double-precision golden dots in every tier,
@@ -295,9 +301,9 @@ class GuardedBackend final : public nn::GemmBackend {
   /// digitally in place when GuardConfig::sec_correction is on.
   /// `qae` (nullable) carries the A-side int16 codes matching `ae`; the
   /// integer tier runs only when it is non-null AND pb.qcodes matches
-  /// `bdata` — callers pass nullptr for any tile whose operands were
-  /// re-encoded live (storm/retry), dropping that tile to the double
-  /// tier of cfg_.path.
+  /// `bdata` — callers pass nullptr for storm and retry tiles, whose
+  /// operands may have been re-encoded live, dropping that tile to the
+  /// double tier of cfg_.path.
   [[nodiscard]] ptc::TileCheck run_tile(const ptc::Tile& tile, std::size_t t, const Matrix& ae,
                                         const Matrix& ae_gold, const Matrix& xsum,
                                         const Matrix& bdata, const ptc::PreparedOperand& pb,

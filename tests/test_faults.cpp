@@ -85,7 +85,11 @@ TEST(FaultInjector, HealthyTimelineIsBitIdentical) {
   faults::LaneBank untouched(small_bank_config());
   faults::FaultInjector injector(
       with_injector, faults::generate_fault_schedule(quiet_schedule(8)));
+  // A quiet timeline writes no lane state, so the encode-state epoch
+  // stays put: the guarded storm loop skips re-encodes on exactly this.
+  const std::uint64_t epoch = with_injector.epoch();
   injector.advance_to(64);
+  EXPECT_EQ(with_injector.epoch(), epoch);
   EXPECT_EQ(injector.events_applied(), 0u);
   EXPECT_DOUBLE_EQ(injector.laser_power_scale(), 1.0);
   for (std::size_t lane = 0; lane < with_injector.lanes(); ++lane) {
@@ -96,6 +100,25 @@ TEST(FaultInjector, HealthyTimelineIsBitIdentical) {
                 untouched.lane(lane).model.encode_code(c));
     }
   }
+}
+
+TEST(FaultInjector, EpochMovesOnlyOnTheStepThatAppliesAnEvent) {
+  faults::LaneBank bank(small_bank_config());
+  faults::FaultEvent ev;
+  ev.step = 5;
+  ev.lane = 6;
+  ev.kind = faults::FaultKind::kStuckMrr;
+  ev.magnitude = 0.4;
+  faults::FaultInjector injector(bank, one_event(bank.lanes(), ev));
+  const std::uint64_t before = bank.epoch();
+  injector.advance_to(4);  // every step before the event is quiet
+  EXPECT_EQ(bank.epoch(), before);
+  injector.advance_to(5);  // the step that applies it
+  EXPECT_EQ(injector.events_applied(), 1u);
+  const std::uint64_t after = bank.epoch();
+  EXPECT_GT(after, before);
+  injector.advance_to(8);  // quiet again
+  EXPECT_EQ(bank.epoch(), after);
 }
 
 TEST(FaultInjector, SeededReplayReproducesLaneStates) {

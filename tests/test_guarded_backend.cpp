@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "common/require.hpp"
 #include "common/stats.hpp"
@@ -63,6 +64,30 @@ void expect_events_equal(const ptc::EventCounter& a, const ptc::EventCounter& b)
   EXPECT_EQ(a.ddot_ops, b.ddot_ops);
   EXPECT_EQ(a.macs, b.macs);
   EXPECT_EQ(a.cycles, b.cycles);
+}
+
+void expect_snapshots_equal(const faults::HealthSnapshot& a, const faults::HealthSnapshot& b) {
+  EXPECT_EQ(a.products, b.products);
+  EXPECT_EQ(a.detections, b.detections);
+  EXPECT_EQ(a.tiles_checked, b.tiles_checked);
+  EXPECT_EQ(a.mismatched_tiles, b.mismatched_tiles);
+  EXPECT_EQ(a.sec_corrections, b.sec_corrections);
+  EXPECT_EQ(a.retries, b.retries);
+  EXPECT_EQ(a.retrims, b.retrims);
+  EXPECT_EQ(a.fences, b.fences);
+  EXPECT_EQ(a.unrecovered, b.unrecovered);
+  EXPECT_EQ(a.drift_tiles, b.drift_tiles);
+  EXPECT_EQ(a.drift_products, b.drift_products);
+  EXPECT_EQ(a.worst_drift_ratio, b.worst_drift_ratio);
+  EXPECT_EQ(a.proactive_retrims, b.proactive_retrims);
+  EXPECT_EQ(a.governed_retrims, b.governed_retrims);
+  EXPECT_EQ(a.probe_events, b.probe_events);
+  EXPECT_EQ(a.detection_latency_tiles, b.detection_latency_tiles);
+  EXPECT_EQ(a.worst_residual, b.worst_residual);
+  EXPECT_EQ(a.worst_tolerance, b.worst_tolerance);
+  expect_events_equal(a.checksum_events, b.checksum_events);
+  expect_events_equal(a.retry_events, b.retry_events);
+  EXPECT_EQ(a.lane_mismatches, b.lane_mismatches);
 }
 
 TEST(GuardedBackend, CleanBankBitIdenticalToDegradedBackend) {
@@ -290,34 +315,94 @@ TEST(GuardedBackend, StormDetectsMidProductFaultInAffectedTile) {
   // A storm advances the injector's clock before every tile step, so a
   // fault scheduled at step S strikes between tiles: every tile before
   // it verifies, detection fires exactly at the first tile encoded after
-  // the strike, and the ladder still recovers the product.
-  faults::LaneBank bank(small_bank_config());
-  faults::production_trim(bank);
-  faults::GuardedBackend backend(bank);
-  const std::uint64_t fault_step = 42;
-  faults::FaultInjector injector(bank,
-                                 one_event(bank.lanes(), stuck_mrr(3, fault_step), 256));
-  backend.attach_storm(&injector, 1);
-
+  // the strike, and the ladder still recovers the product.  The strike
+  // hits either rail — x lane 3 corrupts the A rows, y lane 5 the B
+  // columns — at steps on and beside the row-stripe edges of the 10×10
+  // tile grid, so a stale operand stripe on either side would let a
+  // corrupted tile verify.
   Rng rng(31);
   // 80×80 outputs on the 8×8 array: 100 serialized tile steps.
   const Matrix a = Matrix::random_gaussian(80, 16, rng, 0.0, 1.0);
   const Matrix b = Matrix::random_gaussian(16, 80, rng, 0.0, 1.0);
-  const Matrix got = backend.matmul(a, b);
+  const Matrix want = matmul_reference(a, b);
 
-  const faults::HealthSnapshot& snap = backend.monitor().snapshot();
-  EXPECT_EQ(snap.products, 1u);
-  EXPECT_EQ(snap.detections, 1u);
-  // The clock reads t+1 before tile t, so step 42 lands before tile 41 —
-  // detection latency is the 42 tiles scanned up to and including it.
-  EXPECT_DOUBLE_EQ(snap.mean_detection_latency(), static_cast<double>(fault_step));
-  // Tiles before the strike stayed clean; everything after mismatched.
-  EXPECT_EQ(snap.mismatched_tiles, 100u - (fault_step - 1));
-  EXPECT_EQ(snap.unrecovered, 0u);
-  EXPECT_TRUE(bank.lane(3).fenced);
+  for (const std::size_t lane : {std::size_t{3}, std::size_t{5}}) {
+    for (const std::uint64_t fault_step : {1u, 10u, 11u, 42u, 100u}) {
+      SCOPED_TRACE("lane " + std::to_string(lane) + ", step " + std::to_string(fault_step));
+      faults::LaneBank bank(small_bank_config());
+      faults::production_trim(bank);
+      faults::GuardedBackend backend(bank);
+      faults::FaultInjector injector(bank,
+                                     one_event(bank.lanes(), stuck_mrr(lane, fault_step), 256));
+      backend.attach_storm(&injector, 1);
+      const Matrix got = backend.matmul(a, b);
 
-  const auto err = stats::compare(got.data(), matmul_reference(a, b).data());
-  EXPECT_GT(err.cosine, 0.99);
+      const faults::HealthSnapshot& snap = backend.monitor().snapshot();
+      EXPECT_EQ(snap.products, 1u);
+      EXPECT_EQ(snap.detections, 1u);
+      // The clock reads t+1 before tile t, so step S lands before tile
+      // S−1 — detection latency is the S tiles scanned up to and
+      // including it.
+      EXPECT_DOUBLE_EQ(snap.mean_detection_latency(), static_cast<double>(fault_step));
+      // Tiles before the strike stayed clean; everything after mismatched.
+      EXPECT_EQ(snap.mismatched_tiles, 101u - fault_step);
+      EXPECT_EQ(snap.unrecovered, 0u);
+      EXPECT_TRUE(bank.lane(lane).fenced);
+
+      const auto err = stats::compare(got.data(), want.data());
+      EXPECT_GT(err.cosine, 0.99);
+    }
+  }
+}
+
+TEST(GuardedBackend, QuietStormProductEqualsStormFreeProduct) {
+  // A storm whose injector fires nothing inside the product must be pure
+  // observation: output, data-path events and the whole health snapshot
+  // match a storm-free backend bit for bit, on the scalar and SIMD tiers
+  // with the lane table on and off.  The pre-struck case strikes before
+  // the product on both banks, so the ladder's rungs run on both sides
+  // too.  (kKernelQuant is left out: storm tiles run the double tier.)
+  Rng rng(43);
+  const Matrix a = Matrix::random_gaussian(20, 24, rng, 0.0, 1.0);
+  const Matrix b = Matrix::random_gaussian(24, 28, rng, 0.0, 1.0);
+
+  for (const ptc::ExecutionPath path :
+       {ptc::ExecutionPath::kKernel, ptc::ExecutionPath::kKernelSimd}) {
+    for (const bool use_table : {true, false}) {
+      for (const bool pre_struck : {false, true}) {
+        SCOPED_TRACE("path " + std::to_string(static_cast<int>(path)) + ", table " +
+                     std::to_string(use_table) + ", pre-struck " + std::to_string(pre_struck));
+        faults::GuardedBackendConfig cfg;
+        cfg.path = path;
+        cfg.use_lane_table = use_table;
+        faults::LaneBank storm_bank(small_bank_config());
+        faults::production_trim(storm_bank);
+        // Strikes at step 1 when pre-struck; otherwise long after the
+        // product's 12 tile steps.
+        const faults::FaultSchedule sched =
+            one_event(storm_bank.lanes(), stuck_mrr(2, pre_struck ? 1 : 1000), 2048);
+        faults::GuardedBackend storm_backend(storm_bank, cfg);
+        faults::FaultInjector storm_injector(storm_bank, sched);
+        storm_injector.advance_to(1);
+        storm_backend.attach_storm(&storm_injector, 1);
+        const Matrix got = storm_backend.matmul(a, b);
+        ASSERT_EQ(storm_injector.events_applied(), pre_struck ? 1u : 0u);
+
+        faults::LaneBank free_bank(small_bank_config());
+        faults::production_trim(free_bank);
+        faults::GuardedBackend free_backend(free_bank, cfg);
+        faults::FaultInjector free_injector(free_bank, sched);
+        free_injector.advance_to(1);
+        const Matrix want = free_backend.matmul(a, b);
+
+        expect_matrices_equal(got, want);
+        expect_events_equal(storm_backend.events(), free_backend.events());
+        expect_snapshots_equal(storm_backend.monitor().snapshot(),
+                               free_backend.monitor().snapshot());
+        EXPECT_EQ(storm_backend.monitor().snapshot().detections, pre_struck ? 1u : 0u);
+      }
+    }
+  }
 }
 
 TEST(GuardedBackend, EpochBumpInvalidatesCachedOperandAndGuardStillFires) {
