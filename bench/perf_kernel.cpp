@@ -303,10 +303,9 @@ bool storm_identity() {
 }
 
 /// Guard-verdict consistency under the same storm when the quant tier is
-/// requested: the perturbed lanes are never on-grid, so the tier
-/// degrades per-product to the double fast path — and detection,
-/// mismatch counts and the (closed-form) event charges must be exactly
-/// those of the scalar path.  The tier ladder may change arithmetic, it
+/// requested: lanes are never on-grid, so the guarded path runs the
+/// double fast path — and detection, mismatch counts and the
+/// (closed-form) event charges must be exactly those of the scalar path.  The tier ladder may change arithmetic, it
 /// must never change what the guard sees.
 bool storm_verdicts_consistent() {
   Matrix c_k, c_q;

@@ -18,8 +18,11 @@ class Rng {
     return std::uniform_real_distribution<double>(lo, hi)(engine_);
   }
 
+  /// Scales a standard-normal draw, so stddev 0 returns `mean` exactly
+  /// (std::normal_distribution requires stddev > 0).  libstdc++ applies
+  /// the same z·stddev + mean to the same draw, so the stream is unchanged.
   double gaussian(double mean = 0.0, double stddev = 1.0) {
-    return std::normal_distribution<double>(mean, stddev)(engine_);
+    return std::normal_distribution<double>(0.0, 1.0)(engine_) * stddev + mean;
   }
 
   std::int64_t integer(std::int64_t lo, std::int64_t hi) {

@@ -1,7 +1,6 @@
 #include "faults/degraded_backend.hpp"
 
-#include <algorithm>
-#include <utility>
+#include <memory>
 #include <vector>
 
 #include "common/require.hpp"
@@ -19,82 +18,45 @@ DegradedBackend::DegradedBackend(const LaneBank& bank, DegradedBackendConfig cfg
                "DegradedBackend: array dimensions must be positive");
 }
 
-std::vector<std::size_t> DegradedBackend::surviving_channels() const {
-  // Snapshot the usable channels once per product: the self-test fences
-  // lanes between matmuls, not inside one.
-  std::vector<std::size_t> channels;
-  for (std::size_t ch = 0; ch < bank_.wavelengths(); ++ch) {
-    if (!bank_.lane(0, ch).fenced && !bank_.lane(1, ch).fenced) channels.push_back(ch);
-  }
-  return channels;
-}
-
-double DegradedBackend::encode_lane(std::size_t rail, std::size_t channel, double r) const {
-  // Stale table (epoch moved since the entry ensure()) falls back to the
-  // live model: a missed ensure() costs speed, never correctness.
-  if (cfg_.use_lane_table && table_.fresh(bank_)) return table_.encode(rail, channel, r);
-  return bank_.encode(rail, channel, r);
-}
-
 Matrix DegradedBackend::matmul(const Matrix& a, const Matrix& b) {
   PDAC_REQUIRE(a.cols() == b.rows(), "DegradedBackend: inner dimensions must agree");
   if (cfg_.use_lane_table) table_.ensure(bank_);
-  std::vector<std::size_t> channels = surviving_channels();
-  if (channels.empty()) return Matrix(a.rows(), b.cols());
-  const ptc::PreparedOperand pb = prepare_b(b, std::move(channels));
-  return run_prepared(a, pb);
+  if (bank_.usable_channels() == 0) return Matrix(a.rows(), b.cols());
+  return run_prepared(a, *obtain_b(b, nullptr));
 }
 
 Matrix DegradedBackend::matmul_cached(const Matrix& a, const Matrix& b,
                                       const nn::WeightHandle& weight) {
   PDAC_REQUIRE(a.cols() == b.rows(), "DegradedBackend: inner dimensions must agree");
   if (cfg_.use_lane_table) table_.ensure(bank_);
-  std::vector<std::size_t> channels = surviving_channels();
-  if (channels.empty()) return Matrix(a.rows(), b.cols());
+  if (bank_.usable_channels() == 0) return Matrix(a.rows(), b.cols());
+  return run_prepared(a, *obtain_b(b, &weight));
+}
 
+std::shared_ptr<const ptc::PreparedOperand> DegradedBackend::obtain_b(
+    const Matrix& b, const nn::WeightHandle* weight) {
+  // Snapshot the packing once per product: the self-test fences lanes
+  // between matmuls, not inside one.
+  const ptc::OperandSpec spec{.epoch = bank_.epoch(), .channels = bank_.surviving_channels()};
+  const auto prepare = [&] {
+    Matrix stage;
+    const LaneEncoder encode{bank_, spec.channels, 1, cfg_.use_lane_table ? &table_ : nullptr};
+    return std::make_shared<const ptc::PreparedOperand>(
+        ptc::prepare_operand(b, ptc::GrowAxis::kRows, spec, encode, *pool_, stage));
+  };
+  if (weight == nullptr) return prepare();
   std::shared_ptr<const ptc::PreparedOperand> pb =
-      cache_.lookup(weight.id, weight.version, bank_.epoch());
-  if (pb != nullptr && pb->channels != channels) {
+      cache_.lookup(weight->id, weight->version, spec.epoch);
+  if (pb != nullptr && pb->channels != spec.channels) {
     // The epoch matched but the packing did not — a fence was applied
     // directly to a lane without bump_epoch().  Refuse the entry.
-    cache_.erase(weight.id);
+    cache_.erase(weight->id);
     pb = nullptr;
   }
   if (pb == nullptr) {
-    pb = std::make_shared<const ptc::PreparedOperand>(prepare_b(b, std::move(channels)));
-    cache_.insert(weight.id, weight.version, pb);
+    pb = prepare();
+    cache_.insert(weight->id, weight->version, pb);
   }
-  return run_prepared(a, *pb);
-}
-
-ptc::PreparedOperand DegradedBackend::prepare_b(const Matrix& b,
-                                                std::vector<std::size_t> channels) {
-  ptc::PreparedOperand pb;
-  pb.rows = b.rows();
-  pb.cols = b.cols();
-  pb.scale = converters::max_abs_scale(b.data());
-  pb.epoch = bank_.epoch();
-  pb.channels = std::move(channels);
-
-  const std::size_t k = b.rows();
-  const std::size_t nl = pb.channels.size();
-
-  // Transpose + normalize, then encode through the *specific lane
-  // devices* that carry each element: position p in a reduction rides
-  // channel p mod nl on the y rail (B side).  Each column is encoded
-  // once and broadcast across every tile that uses it.
-  Matrix bt = b.transposed();
-  for (auto& v : bt.data()) v /= pb.scale;
-  pb.encoded = Matrix(bt.rows(), k);
-  pool_->parallel_for(bt.rows(), [&](std::size_t begin, std::size_t end, std::size_t) {
-    for (std::size_t r = begin; r < end; ++r) {
-      const auto src = bt.row(r);
-      auto dst = pb.encoded.row(r);
-      for (std::size_t p = 0; p < k; ++p) {
-        dst[p] = encode_lane(1, pb.channels[p % nl], src[p]);
-      }
-    }
-  });
   return pb;
 }
 
@@ -107,14 +69,9 @@ Matrix DegradedBackend::run_prepared(const Matrix& a, const ptc::PreparedOperand
   Matrix an(a.rows(), k);
   for (std::size_t i = 0; i < a.size(); ++i) an.data()[i] = a.data()[i] / a_scale;
   Matrix ae(a.rows(), k);
+  const LaneEncoder encode{bank_, pb.channels, 0, cfg_.use_lane_table ? &table_ : nullptr};
   pool_->parallel_for(a.rows(), [&](std::size_t begin, std::size_t end, std::size_t) {
-    for (std::size_t r = begin; r < end; ++r) {
-      const auto src = an.row(r);
-      auto dst = ae.row(r);
-      for (std::size_t p = 0; p < k; ++p) {
-        dst[p] = encode_lane(0, pb.channels[p % nl], src[p]);
-      }
-    }
+    for (std::size_t r = begin; r < end; ++r) encode(an.row(r), 0, ae.row(r), {});
   });
 
   Matrix c(a.rows(), pb.cols);
@@ -135,27 +92,8 @@ Matrix DegradedBackend::run_prepared(const Matrix& a, const ptc::PreparedOperand
       }
     }
   });
-  count_events(a.rows(), k, pb.cols, nl);
+  for (const ptc::Tile& tile : tiles) events_ += ptc::tile_step_events(tile.rows, tile.cols, k, nl);
   return c;
-}
-
-void DegradedBackend::count_events(std::size_t m, std::size_t k, std::size_t n,
-                                   std::size_t usable_channels) {
-  // Mirrors PhotonicGemm::count_events with the reduction chunked over
-  // the surviving wavelengths.
-  const std::size_t chunks = (k + usable_channels - 1) / usable_channels;
-  for (std::size_t i0 = 0; i0 < m; i0 += cfg_.array_rows) {
-    const std::size_t h = std::min(cfg_.array_rows, m - i0);
-    for (std::size_t j0 = 0; j0 < n; j0 += cfg_.array_cols) {
-      const std::size_t w = std::min(cfg_.array_cols, n - j0);
-      events_.modulation_events += (h + w) * k;
-      events_.ddot_ops += h * w * chunks;
-      events_.detection_events += h * w * chunks;
-      events_.macs += h * w * k;
-      events_.adc_events += h * w;
-      events_.cycles += chunks;
-    }
-  }
 }
 
 }  // namespace pdac::faults

@@ -15,6 +15,10 @@
 // between matmuls, so the degradation the model sees tracks the fault
 // timeline with no copying.
 //
+// Operands are built by ptc::prepare_operand with the faults lane
+// encoder (lane_table.hpp) as the encode source; A rows go through the
+// same encoder on the x rail.
+//
 // Weight-stationary reuse (DESIGN.md §10): matmul_cached keeps prepared
 // B-side encodings in an operand cache, validated against TWO freshness
 // signals — the bank's epoch (bumped by the injector, self-test re-trim
@@ -74,23 +78,14 @@ class DegradedBackend final : public nn::GemmBackend {
   [[nodiscard]] nn::OperandCache& cache() { return cache_; }
 
  private:
-  /// Usable channels under the current fence state, in packing order.
-  [[nodiscard]] std::vector<std::size_t> surviving_channels() const;
-
-  /// Per-lane encode through the coefficient table (when enabled and
-  /// fresh) or the lane model — bit-identical values either way.
-  [[nodiscard]] double encode_lane(std::size_t rail, std::size_t channel, double r) const;
-
-  /// B-side pipeline through the lane devices: scale, transpose,
-  /// normalize, per-lane encode.  `channels` fixes the packing.
-  [[nodiscard]] ptc::PreparedOperand prepare_b(const Matrix& b,
-                                               std::vector<std::size_t> channels);
+  /// Prepared B under the current packing: the cached entry while its
+  /// epoch and packing hold (nullptr weight = uncached), else a fresh
+  /// ptc::prepare_operand through the y-rail lanes.
+  [[nodiscard]] std::shared_ptr<const ptc::PreparedOperand> obtain_b(
+      const Matrix& b, const nn::WeightHandle* weight);
 
   /// A-side pipeline + tile-parallel reduction against a prepared B.
   [[nodiscard]] Matrix run_prepared(const Matrix& a, const ptc::PreparedOperand& pb);
-
-  void count_events(std::size_t m, std::size_t k, std::size_t n,
-                    std::size_t usable_channels);
 
   const LaneBank& bank_;
   DegradedBackendConfig cfg_;

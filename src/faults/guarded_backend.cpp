@@ -3,37 +3,16 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <span>
 #include <utility>
 
-#include "common/math_utils.hpp"
 #include "common/require.hpp"
 #include "common/simd.hpp"
 #include "converters/quantizer.hpp"
 
 namespace pdac::faults {
 
-namespace {
-
-/// Raw running max-abs (the fold inside converters::max_abs_scale,
-/// without the all-zero → 1.0 collapse), so appended deltas can be
-/// checked against the exact bound the scale was derived from.  The fold
-/// ignores NaN on either side, so it is order-independent — b and bᵀ
-/// storage orders yield the same bits.
-double raw_abs_max(std::span<const double> values) {
-  double m = 0.0;
-  for (const double v : values) m = std::max(m, std::abs(v));
-  return m;
-}
-
-}  // namespace
-
-ptc::ExecutionPath auto_execution_path(const LaneBank& bank) {
-  LaneEncodeTable table;
-  table.ensure(bank);
-  if (table.quant_available()) return ptc::ExecutionPath::kKernelQuant;
-  if (simd::has_fast_path()) return ptc::ExecutionPath::kKernelSimd;
-  return ptc::ExecutionPath::kKernel;
+ptc::ExecutionPath auto_execution_path(const LaneBank& /*bank*/) {
+  return simd::has_fast_path() ? ptc::ExecutionPath::kKernelSimd : ptc::ExecutionPath::kKernel;
 }
 
 GuardedBackend::GuardedBackend(LaneBank& bank, GuardedBackendConfig cfg,
@@ -54,17 +33,9 @@ GuardedBackend::GuardedBackend(LaneBank& bank, GuardedBackendConfig cfg,
 }
 
 void GuardedBackend::recalibrate() {
-  const std::int32_t max_code = bank_.quantizer().max_code();
-  const std::size_t codes = static_cast<std::size_t>(max_code) * 2 + 1;
-  golden_.assign(bank_.lanes(), std::vector<double>(codes, 0.0));
-  for (std::size_t l = 0; l < bank_.lanes(); ++l) {
-    const Lane& lane = bank_.lane(l);
-    for (std::size_t ci = 0; ci < codes; ++ci) {
-      const auto code = static_cast<std::int32_t>(static_cast<std::int64_t>(ci) - max_code);
-      golden_[l][ci] = lane.model.encode_code(code);
-    }
-  }
-  golden_epoch_ = bank_.epoch();
+  // Unconditional, never ensure(): a trusted point need not move the
+  // epoch (a clean self-test re-trims nothing), yet golden must re-pin.
+  golden_.rebuild(bank_);
   // Golden re-snapshot is a trusted point: residuals now measure
   // divergence from the NEW state, so the accumulated drift levels are
   // repaid — carrying them forward would re-trigger the proactive rung
@@ -128,7 +99,7 @@ void GuardedBackend::maybe_proactive_retrim() {
     return;
   }
   const SelfTestReport report =
-      run_self_test(bank_, implicated_lanes(surviving_channels()), e.self_test);
+      run_self_test(bank_, implicated_lanes(bank_.surviving_channels()), e.self_test);
   monitor_->record_self_test(report);
   monitor_->record_action(GuardAction::kRetrim);
   monitor_->record_proactive_retrim();
@@ -144,8 +115,8 @@ void GuardedBackend::product_entry() {
 }
 
 void GuardedBackend::force_retrim() {
-  const SelfTestReport report =
-      run_self_test(bank_, implicated_lanes(surviving_channels()), policy_.config().self_test);
+  const SelfTestReport report = run_self_test(bank_, implicated_lanes(bank_.surviving_channels()),
+                                              policy_.config().self_test);
   monitor_->record_self_test(report);
   monitor_->record_action(GuardAction::kRetrim);
   observe_probes(report);
@@ -159,32 +130,21 @@ void GuardedBackend::attach_storm(FaultInjector* injector, std::uint64_t steps_p
   storm_clock_ = injector != nullptr ? injector->step() : 0;
 }
 
-double GuardedBackend::golden_encode(std::size_t rail, std::size_t channel, double r) const {
-  const converters::Quantizer& quant = bank_.quantizer();
-  const std::int32_t code = quant.encode(math::clamp_unit(r));
-  return golden_[rail * bank_.wavelengths() + channel]
-                [static_cast<std::size_t>(code + quant.max_code())];
+LaneEncoder GuardedBackend::lane_encoder(std::size_t rail,
+                                         const std::vector<std::size_t>& channels) const {
+  return LaneEncoder{bank_, channels, rail, cfg_.use_lane_table ? &table_ : nullptr, &golden_};
 }
 
-double GuardedBackend::encode_current(std::size_t rail, std::size_t channel, double r) const {
-  // Falls back to the live model whenever the table is stale (a rung just
-  // moved the epoch and ensure() has not run yet), so a missed ensure()
-  // can cost speed but never correctness.
-  if (cfg_.use_lane_table && table_.fresh(bank_)) return table_.encode(rail, channel, r);
-  return bank_.encode(rail, channel, r);
-}
-
-bool GuardedBackend::quant_live() const {
-  return cfg_.path == ptc::ExecutionPath::kKernelQuant && cfg_.use_lane_table &&
-         table_.fresh(bank_) && table_.quant_available();
-}
-
-std::vector<std::size_t> GuardedBackend::surviving_channels() const {
-  std::vector<std::size_t> channels;
-  for (std::size_t ch = 0; ch < bank_.wavelengths(); ++ch) {
-    if (!bank_.lane(0, ch).fenced && !bank_.lane(1, ch).fenced) channels.push_back(ch);
-  }
-  return channels;
+ptc::OperandSpec GuardedBackend::operand_spec() const {
+  // Dual encode: data through the lanes' CURRENT state, references
+  // through the GOLDEN snapshot; on healthy hardware the two LUTs are
+  // bit-identical, so the guard's clean residual is pure reassociation.
+  // The column-only cheap mode never runs the row lanes the checksum
+  // stripes feed, so it skips building them.
+  return ptc::OperandSpec{.epoch = bank_.epoch(),
+                          .channels = bank_.surviving_channels(),
+                          .checksum_stripe = cfg_.guard.column_only ? 0 : cfg_.array_cols,
+                          .reference = true};
 }
 
 std::vector<std::size_t> GuardedBackend::implicated_lanes(
@@ -200,85 +160,18 @@ std::vector<std::size_t> GuardedBackend::implicated_lanes(
   return lanes;
 }
 
-ptc::PreparedOperand GuardedBackend::prepare_b(const Matrix& b,
-                                               std::vector<std::size_t> channels) const {
-  return prepare_b_src(BSource{&b, nullptr}, std::move(channels));
-}
-
-ptc::PreparedOperand GuardedBackend::prepare_b_src(const BSource& bsrc,
-                                                   std::vector<std::size_t> channels) const {
-  // Stage Bᵀ normalized whichever orientation the caller holds: the max
-  // fold is order-independent and transposition only reorders the same
-  // doubles, so both routes are bit-identical to prepare_b of B.
-  Matrix bt = bsrc.bt != nullptr ? *bsrc.bt : bsrc.b->transposed();
-  ptc::PreparedOperand pb;
-  pb.rows = bt.cols();
-  pb.cols = bt.rows();
-  pb.abs_max = raw_abs_max(bt.data());
-  pb.scale = pb.abs_max > 0.0 ? pb.abs_max : 1.0;
-  pb.epoch = bank_.epoch();
-  pb.channels = std::move(channels);
-
-  const std::size_t k = pb.rows;
-  const std::size_t nl = pb.channels.size();
-
-  // Dual encode: data through the lanes' CURRENT state, references
-  // through the GOLDEN snapshot.  On healthy hardware the two LUTs are
-  // bit-identical, so the guard's clean residual is pure reassociation.
-  for (double& v : bt.data()) v /= pb.scale;
-  pb.encoded = Matrix(bt.rows(), k);
-  pb.reference = Matrix(bt.rows(), k);
-  // Integer-tier staging: when the quant tier is live, the lane table
-  // also hands out the int16 code behind every current-state amplitude
-  // (decode(code) == encoded bitwise on an on-grid bank).
-  const bool quant = quant_live();
-  if (quant) pb.qcodes.resize(bt.rows(), k);
-  pool_->parallel_for(bt.rows(), [&](std::size_t begin, std::size_t end, std::size_t) {
-    for (std::size_t r = begin; r < end; ++r) {
-      const auto src = bt.row(r);
-      auto cur = pb.encoded.row(r);
-      auto gold = pb.reference.row(r);
-      for (std::size_t p = 0; p < k; ++p) {
-        const std::size_t ch = pb.channels[p % nl];
-        cur[p] = encode_current(1, ch, src[p]);
-        gold[p] = golden_encode(1, ch, src[p]);
-      }
-      if (quant) {
-        auto qrow = pb.qcodes.row(r);
-        for (std::size_t p = 0; p < k; ++p) {
-          qrow[p] = table_.encode_code(1, pb.channels[p % nl], src[p]);
-        }
-      }
-    }
-  });
-
-  // Checksum stripes over the golden reference (one row per array-width
-  // column stripe), cached with the operand.  The column-only cheap mode
-  // never runs the row lanes these stripes feed, so it skips building
-  // them — half the guard's prepare work and cache bytes.
-  pb.checksum_stripe = cfg_.array_cols;
-  if (!cfg_.guard.column_only) {
-    const std::size_t stripes = (pb.cols + cfg_.array_cols - 1) / cfg_.array_cols;
-    pb.checksum = Matrix(stripes, k);
-    std::fill(pb.checksum.data().begin(), pb.checksum.data().end(), 0.0);
-    for (std::size_t j = 0; j < pb.cols; ++j) {
-      const auto src = pb.reference.row(j);
-      const auto dst = pb.checksum.row(j / cfg_.array_cols);
-      for (std::size_t p = 0; p < k; ++p) dst[p] += src[p];
-    }
-  }
-  return pb;
-}
-
 std::shared_ptr<const ptc::PreparedOperand> GuardedBackend::obtain_b(
     const Matrix& b, const nn::WeightHandle* weight) {
-  std::vector<std::size_t> channels = surviving_channels();
-  if (weight == nullptr) {
-    return std::make_shared<const ptc::PreparedOperand>(prepare_b(b, std::move(channels)));
-  }
+  const ptc::OperandSpec spec = operand_spec();
+  const auto prepare = [&] {
+    Matrix stage;
+    return std::make_shared<const ptc::PreparedOperand>(ptc::prepare_operand(
+        b, ptc::GrowAxis::kRows, spec, lane_encoder(1, spec.channels), *pool_, stage));
+  };
+  if (weight == nullptr) return prepare();
   std::shared_ptr<const ptc::PreparedOperand> pb =
-      cache_.lookup(weight->id, weight->version, bank_.epoch());
-  if (pb != nullptr && pb->channels != channels) {
+      cache_.lookup(weight->id, weight->version, spec.epoch);
+  if (pb != nullptr && pb->channels != spec.channels) {
     // Epoch matched but the packing did not: a fence landed without a
     // bump_epoch().  Refuse the entry (same belt-and-braces check as
     // DegradedBackend).
@@ -286,185 +179,32 @@ std::shared_ptr<const ptc::PreparedOperand> GuardedBackend::obtain_b(
     pb = nullptr;
   }
   if (pb == nullptr) {
-    pb = std::make_shared<const ptc::PreparedOperand>(prepare_b(b, std::move(channels)));
+    pb = prepare();
     cache_.insert(weight->id, weight->version, pb);
   }
   return pb;
 }
 
-bool GuardedBackend::append_kv_cols(ptc::PreparedOperand& pb, const Matrix& kv) const {
-  // kv = Bᵀ source (n × k): rows [pb.cols, kv.rows()) are the new output
-  // columns.  This axis never pads, so every matrix must sit exactly at
-  // the logical shape; any structural surprise means the entry is not
-  // ours to extend.
-  if (pb.rows == 0 || pb.rows != kv.cols() || pb.cols > kv.rows()) return false;
-  const std::size_t k = pb.rows;
-  const std::size_t old_n = pb.cols;
-  const std::size_t new_n = kv.rows();
-  if (pb.encoded.rows() != old_n || pb.encoded.cols() != k) return false;
-  if (pb.reference.rows() != old_n || pb.reference.cols() != k) return false;
-  const bool quant = quant_live();
-  if (quant) {
-    if (pb.qcodes.rows() != old_n || pb.qcodes.cols() != k) return false;
-  } else if (pb.qcodes.size() > 0) {
-    return false;
-  }
-  const std::size_t old_stripes = (old_n + cfg_.array_cols - 1) / cfg_.array_cols;
-  if (cfg_.guard.column_only) {
-    if (pb.checksum.size() > 0) return false;
-  } else {
-    if (pb.checksum_stripe != cfg_.array_cols || pb.checksum.rows() != old_stripes ||
-        pb.checksum.cols() != k) {
-      return false;
-    }
-  }
-  if (new_n == old_n) return true;
-  // Scale stability: the resident scale must still bound the delta, or
-  // every already-encoded element would renormalize — a rebuild.
-  // `!(dmax <= abs_max)` keeps NaN on the rebuild side.
-  double dmax = 0.0;
-  for (std::size_t j = old_n; j < new_n; ++j) {
-    dmax = std::max(dmax, raw_abs_max(kv.row(j)));
-  }
-  if (!(dmax <= pb.abs_max)) return false;
-
-  const std::size_t nl = pb.channels.size();
-  pb.encoded.resize(new_n, k);
-  pb.reference.resize(new_n, k);
-  if (quant) pb.qcodes.resize(new_n, k);
-  for (std::size_t j = old_n; j < new_n; ++j) {
-    const auto src = kv.row(j);
-    auto cur = pb.encoded.row(j);
-    auto gold = pb.reference.row(j);
-    for (std::size_t p = 0; p < k; ++p) {
-      const double v = src[p] / pb.scale;
-      const std::size_t ch = pb.channels[p % nl];
-      cur[p] = encode_current(1, ch, v);
-      gold[p] = golden_encode(1, ch, v);
-    }
-    if (quant) {
-      auto qrow = pb.qcodes.row(j);
-      for (std::size_t p = 0; p < k; ++p) {
-        qrow[p] = table_.encode_code(1, pb.channels[p % nl], src[p] / pb.scale);
-      }
-    }
-  }
-  if (!cfg_.guard.column_only) {
-    // Continue the running stripe sums in the same ascending-j order a
-    // fresh prepare uses, so the accumulated doubles match bitwise.
-    const std::size_t new_stripes = (new_n + cfg_.array_cols - 1) / cfg_.array_cols;
-    pb.checksum.resize(new_stripes, k);
-    for (std::size_t s = old_stripes; s < new_stripes; ++s) {
-      const auto row = pb.checksum.row(s);
-      for (std::size_t p = 0; p < k; ++p) row[p] = 0.0;
-    }
-    for (std::size_t j = old_n; j < new_n; ++j) {
-      const auto src = pb.reference.row(j);
-      const auto dst = pb.checksum.row(j / cfg_.array_cols);
-      for (std::size_t p = 0; p < k; ++p) dst[p] += src[p];
-    }
-  }
-  pb.cols = new_n;
-  return true;
-}
-
-bool GuardedBackend::append_kv_rows(ptc::PreparedOperand& pb, const Matrix& kv) const {
-  // kv = B source (k × n): rows [pb.rows, kv.rows()) extend the
-  // reduction axis — one new COLUMN of every encoded/reference/checksum
-  // row, written into geometrically padded column capacity (the physical
-  // matrices may be wider than pb.rows; consumers read spans bounded by
-  // the logical k).
-  if (pb.cols == 0 || pb.cols != kv.cols() || pb.rows > kv.rows()) return false;
-  const std::size_t n = pb.cols;
-  const std::size_t old_k = pb.rows;
-  const std::size_t new_k = kv.rows();
-  if (pb.encoded.rows() != n || pb.encoded.cols() < old_k) return false;
-  if (pb.reference.rows() != n || pb.reference.cols() != pb.encoded.cols()) return false;
-  const bool quant = quant_live();
-  if (quant) {
-    if (pb.qcodes.rows() != n || pb.qcodes.cols() != pb.encoded.cols()) return false;
-  } else if (pb.qcodes.size() > 0) {
-    return false;
-  }
-  const std::size_t stripes = (n + cfg_.array_cols - 1) / cfg_.array_cols;
-  if (cfg_.guard.column_only) {
-    if (pb.checksum.size() > 0) return false;
-  } else {
-    if (pb.checksum_stripe != cfg_.array_cols || pb.checksum.rows() != stripes ||
-        pb.checksum.cols() != pb.encoded.cols()) {
-      return false;
-    }
-  }
-  if (new_k == old_k) return true;
-  double dmax = 0.0;
-  for (std::size_t r = old_k; r < new_k; ++r) {
-    dmax = std::max(dmax, raw_abs_max(kv.row(r)));
-  }
-  if (!(dmax <= pb.abs_max)) return false;
-
-  const std::size_t nl = pb.channels.size();
-  ptc::grow_col_capacity(pb.encoded, new_k);
-  ptc::grow_col_capacity(pb.reference, new_k);
-  if (quant) ptc::grow_col_capacity(pb.qcodes, new_k);
-  for (std::size_t j = 0; j < n; ++j) {
-    const auto cur = pb.encoded.row(j);
-    const auto gold = pb.reference.row(j);
-    for (std::size_t p = old_k; p < new_k; ++p) {
-      const double v = kv(p, j) / pb.scale;
-      // Channel packing is a function of the absolute reduction
-      // position p, so appended positions pack exactly as a fresh
-      // prepare would pack them.
-      const std::size_t ch = pb.channels[p % nl];
-      cur[p] = encode_current(1, ch, v);
-      gold[p] = golden_encode(1, ch, v);
-    }
-    if (quant) {
-      const auto qrow = pb.qcodes.row(j);
-      for (std::size_t p = old_k; p < new_k; ++p) {
-        qrow[p] = table_.encode_code(1, pb.channels[p % nl], kv(p, j) / pb.scale);
-      }
-    }
-  }
-  if (!cfg_.guard.column_only) {
-    ptc::grow_col_capacity(pb.checksum, new_k);
-    // Fresh stripe positions start from exact zero (capacity padding is
-    // unspecified), then accumulate in the fresh prepare's ascending-j
-    // order.
-    for (std::size_t s = 0; s < stripes; ++s) {
-      const auto row = pb.checksum.row(s);
-      for (std::size_t p = old_k; p < new_k; ++p) row[p] = 0.0;
-    }
-    for (std::size_t j = 0; j < n; ++j) {
-      const auto src = pb.reference.row(j);
-      const auto dst = pb.checksum.row(j / cfg_.array_cols);
-      for (std::size_t p = old_k; p < new_k; ++p) dst[p] += src[p];
-    }
-  }
-  pb.rows = new_k;
-  return true;
-}
-
 std::shared_ptr<const ptc::PreparedOperand> GuardedBackend::obtain_kv(
-    const BSource& src, const nn::KvHandle& handle) {
-  std::vector<std::size_t> channels = surviving_channels();
+    const Matrix& kv, const nn::KvHandle& handle) {
+  const ptc::OperandSpec spec = operand_spec();
+  const LaneEncoder encode = lane_encoder(1, spec.channels);
+  Matrix stage;
   std::shared_ptr<ptc::PreparedOperand> pb = kv_cache_.lookup(handle.id);
   if (pb != nullptr) {
-    // Epoch + packing must both hold (the same belt-and-braces pair as
-    // obtain_b): any re-trim, fence, or repack since the entry was
-    // stamped means its encodings and golden references describe a bank
-    // that no longer exists — appends must not bridge that.
-    const bool current = pb->epoch == bank_.epoch() && pb->channels == channels;
-    const bool appended =
-        current && (handle.axis == nn::KvAxis::kCols ? append_kv_cols(*pb, *src.bt)
-                                                     : append_kv_rows(*pb, *src.b));
-    if (appended) {
+    // The append refuses whenever the entry was stamped under another
+    // epoch or packing: any re-trim, fence or repack since means its
+    // encodings and golden references describe a bank that no longer
+    // exists, and appends must not bridge that.
+    if (ptc::append_operand(*pb, kv, handle.axis, spec, encode, *pool_, stage)) {
       kv_cache_.record_append();
       kv_cache_.updated(handle.id);
       return pb;
     }
     kv_cache_.record_rebuild();
   }
-  pb = std::make_shared<ptc::PreparedOperand>(prepare_b_src(src, std::move(channels)));
+  pb = std::make_shared<ptc::PreparedOperand>(
+      ptc::prepare_operand(kv, handle.axis, spec, encode, *pool_, stage));
   kv_cache_.insert(handle.id, pb);
   return pb;
 }
@@ -474,7 +214,7 @@ Matrix GuardedBackend::matmul(const Matrix& a, const Matrix& b) {
   if (bank_.usable_channels() == 0) return Matrix(a.rows(), b.cols());
   product_entry();  // may re-trim (and bump the epoch) before obtain_b
   if (cfg_.use_lane_table) table_.ensure(bank_);
-  return run_guarded(a, BSource{&b, nullptr}, obtain_b(b, nullptr), nullptr);
+  return run_guarded(a, b, ptc::GrowAxis::kRows, obtain_b(b, nullptr), nullptr);
 }
 
 Matrix GuardedBackend::matmul_cached(const Matrix& a, const Matrix& b,
@@ -483,7 +223,7 @@ Matrix GuardedBackend::matmul_cached(const Matrix& a, const Matrix& b,
   if (bank_.usable_channels() == 0) return Matrix(a.rows(), b.cols());
   product_entry();
   if (cfg_.use_lane_table) table_.ensure(bank_);
-  return run_guarded(a, BSource{&b, nullptr}, obtain_b(b, &weight), &weight);
+  return run_guarded(a, b, ptc::GrowAxis::kRows, obtain_b(b, &weight), &weight);
 }
 
 Matrix GuardedBackend::matmul_kv(const Matrix& a, const Matrix& kv,
@@ -495,36 +235,23 @@ Matrix GuardedBackend::matmul_kv(const Matrix& a, const Matrix& kv,
   if (bank_.usable_channels() == 0) return Matrix(a.rows(), n);
   product_entry();
   if (cfg_.use_lane_table) table_.ensure(bank_);
-  BSource src;
-  if (cols_axis) {
-    src.bt = &kv;  // the history IS Bᵀ — no transposed copy
-  } else {
-    src.b = &kv;
-  }
-  return run_guarded(a, src, obtain_kv(src, handle), nullptr, &handle);
+  // For the scores operand the history IS Bᵀ — no transposed copy.
+  return run_guarded(a, kv, handle.axis, obtain_kv(kv, handle), nullptr, &handle);
 }
 
 ptc::TileCheck GuardedBackend::run_tile(const ptc::Tile& tile, std::size_t t, const Matrix& ae,
                                         const Matrix& ae_gold, const Matrix& xsum,
                                         const Matrix& bdata, const ptc::PreparedOperand& pb,
                                         double rescale, Matrix& c,
-                                        const std::vector<DotUpset>* upsets,
-                                        const CodeMatrix* qae) const {
+                                        const std::vector<DotUpset>* upsets) const {
   const std::size_t k = ae.cols();
-  // Numeric tier for the data dots (cfg_.path).  The integer tier needs
-  // the staged codes on BOTH sides and the prepared (not live-re-encoded)
-  // B data — the caller certifies that by passing `qae`; `&bdata ==
-  // &pb.encoded` re-checks the B side.  Checksum references below always
-  // stay double-precision golden dots, whatever the data tier.
-  // `>= k` + physical-shape mirror rather than `== k`: rows-axis KV
-  // appends pad the column capacity, and the dots below take k
-  // explicitly, so the padded tail is never read.
-  const bool quant_tile = qae != nullptr && pb.qcodes.cols() >= k &&
-                          pb.qcodes.cols() == pb.encoded.cols() &&
-                          pb.qcodes.rows() == pb.encoded.rows() && &bdata == &pb.encoded;
-  const bool simd_tile = !quant_tile && cfg_.path != ptc::ExecutionPath::kKernel;
-  const std::int32_t mc = bank_.quantizer().max_code();
-  const double mc2 = static_cast<double>(mc) * static_cast<double>(mc);
+  // Numeric tier for the data dots (cfg_.path): blocked double dots on
+  // every fast tier — lanes are never on the quantizer grid, so
+  // kKernelQuant runs them too.  Checksum references below always stay
+  // double-precision golden dots, whatever the data tier.  The dots take
+  // k explicitly, so the padded tail of rows-axis KV appends is never
+  // read.
+  const bool simd_tile = cfg_.path != ptc::ExecutionPath::kKernel;
   std::vector<double> rsum(tile.rows, 0.0);
   std::vector<double> csum(tile.cols, 0.0);
   for (std::size_t i = tile.row0; i < tile.row0 + tile.rows; ++i) {
@@ -533,15 +260,10 @@ ptc::TileCheck GuardedBackend::run_tile(const ptc::Tile& tile, std::size_t t, co
       const auto y = bdata.row(j);
       // Ascending p matches the serial chunk order (and DegradedBackend),
       // so accumulation is bit-identical across thread counts and to a
-      // post-fence degraded re-run.  The fast tiers reassociate (SIMD)
-      // or round exactly once (quant: Σ codes / max_code², exact int64
-      // sum) — both inside the guard band the verdicts are judged by.
+      // post-fence degraded re-run.  The fast tier reassociates, inside
+      // the guard band the verdicts are judged by.
       double acc = 0.0;
-      if (quant_tile) {
-        acc = static_cast<double>(
-                  simd::dot_i16(qae->row(i).data(), pb.qcodes.row(j).data(), k, mc)) /
-              mc2;
-      } else if (simd_tile) {
+      if (simd_tile) {
         acc = simd::dot(x.data(), y.data(), k);
       } else {
         for (std::size_t p = 0; p < k; ++p) acc += x[p] * y[p];
@@ -646,18 +368,16 @@ std::size_t GuardedBackend::fence_diverged_lanes(const std::vector<std::size_t>&
   // fence decision exact — a lane is fenced iff its transfer diverged
   // from the state the references were calibrated under.
   const std::int32_t max_code = bank_.quantizer().max_code();
-  const std::size_t codes = static_cast<std::size_t>(max_code) * 2 + 1;
   std::size_t fenced = 0;
   std::size_t probes = 0;
   for (const std::size_t flat : implicated_lanes(channels)) {
     Lane& lane = bank_.lane(flat);
     if (lane.fenced) continue;
     bool diverged = false;
-    for (std::size_t ci = 0; ci < codes; ++ci) {
-      const auto code = static_cast<std::int32_t>(static_cast<std::int64_t>(ci) - max_code);
+    for (std::int32_t code = -max_code; code <= max_code; ++code) {
       const double out = lane.model.encode_code(code);
       ++probes;
-      if (!(out == golden_[flat][ci])) {  // NaN-safe inequality
+      if (!(out == golden_.at(flat, code))) {  // NaN-safe inequality
         diverged = true;
         break;
       }
@@ -673,22 +393,7 @@ std::size_t GuardedBackend::fence_diverged_lanes(const std::vector<std::size_t>&
   return fenced;
 }
 
-ptc::EventCounter GuardedBackend::tile_events(const ptc::Tile& tile, std::size_t k,
-                                              std::size_t usable_channels) const {
-  // Mirrors PhotonicGemm's broadcast-amortized tile-step contract with
-  // the reduction chunked over the surviving wavelengths.
-  ptc::EventCounter ev;
-  const std::size_t chunks = (k + usable_channels - 1) / usable_channels;
-  ev.modulation_events = (tile.rows + tile.cols) * k;
-  ev.ddot_ops = tile.rows * tile.cols * chunks;
-  ev.detection_events = tile.rows * tile.cols * chunks;
-  ev.macs = tile.rows * tile.cols * k;
-  ev.adc_events = tile.rows * tile.cols;
-  ev.cycles = chunks;
-  return ev;
-}
-
-Matrix GuardedBackend::run_guarded(const Matrix& a, const BSource& bsrc,
+Matrix GuardedBackend::run_guarded(const Matrix& a, const Matrix& bsrc, ptc::GrowAxis baxis,
                                    std::shared_ptr<const ptc::PreparedOperand> pb,
                                    const nn::WeightHandle* weight,
                                    const nn::KvHandle* kv) {
@@ -703,7 +408,6 @@ Matrix GuardedBackend::run_guarded(const Matrix& a, const BSource& bsrc,
   for (std::size_t i = 0; i < a.size(); ++i) an.data()[i] = a.data()[i] / a_scale;
   Matrix ae(m, k);
   Matrix ae_gold(m, k);
-  CodeMatrix qae;  // A-side int16 codes, staged only when the quant tier is live
   Matrix xsum;
   const std::size_t row_stripes = (m + cfg_.array_rows - 1) / cfg_.array_rows;
   const std::size_t col_stripes = (n + cfg_.array_cols - 1) / cfg_.array_cols;
@@ -715,28 +419,9 @@ Matrix GuardedBackend::run_guarded(const Matrix& a, const BSource& bsrc,
   std::vector<std::uint64_t> b_epoch(col_stripes, pb->epoch);
   const auto encode_a = [&](const std::vector<std::size_t>& channels) {
     a_epoch.assign(row_stripes, bank_.epoch());
-    const std::size_t nl = channels.size();
-    // qcodes may carry padded column capacity past the logical k
-    // (rows-axis KV appends) — `>=` certifies the staged prefix.
-    const bool quant = quant_live() && pb->qcodes.cols() >= k;
-    if (quant) qae.resize(m, k);
+    const LaneEncoder encode = lane_encoder(0, channels);
     pool_->parallel_for(m, [&](std::size_t begin, std::size_t end, std::size_t) {
-      for (std::size_t r = begin; r < end; ++r) {
-        const auto src = an.row(r);
-        auto cur = ae.row(r);
-        auto gold = ae_gold.row(r);
-        for (std::size_t p = 0; p < k; ++p) {
-          const std::size_t ch = channels[p % nl];
-          cur[p] = encode_current(0, ch, src[p]);
-          gold[p] = golden_encode(0, ch, src[p]);
-        }
-        if (quant) {
-          auto qrow = qae.row(r);
-          for (std::size_t p = 0; p < k; ++p) {
-            qrow[p] = table_.encode_code(0, channels[p % nl], src[p]);
-          }
-        }
-      }
+      for (std::size_t r = begin; r < end; ++r) encode(an.row(r), 0, ae.row(r), ae_gold.row(r));
     });
     // A row-stripe checksums over the golden encodes.
     xsum.resize(row_stripes, k);
@@ -772,29 +457,24 @@ Matrix GuardedBackend::run_guarded(const Matrix& a, const BSource& bsrc,
   // write — only stale stripes are re-encoded.
   const auto refresh_tile = [&](const ptc::Tile& tile) {
     const std::uint64_t now = bank_.epoch();
-    const std::vector<std::size_t>& channels = pb->channels;
-    const std::size_t nl = channels.size();
     std::uint64_t& ea = a_epoch[tile.row0 / cfg_.array_rows];
     if (ea != now) {
+      const LaneEncoder live{bank_, pb->channels, 0};
       for (std::size_t i = tile.row0; i < tile.row0 + tile.rows; ++i) {
-        const auto src = an.row(i);
-        auto dst = ae.row(i);
-        for (std::size_t p = 0; p < k; ++p) dst[p] = bank_.encode(0, channels[p % nl], src[p]);
+        live(an.row(i), 0, ae.row(i), {});
       }
       ea = now;
     }
     std::uint64_t& eb = b_epoch[tile.col0 / cfg_.array_cols];
     if (eb != now) {
       if (bdata != &be_live) {
-        bn = bsrc.bt != nullptr ? *bsrc.bt : bsrc.b->transposed();
-        for (double& v : bn.data()) v /= pb->scale;
+        ptc::stage_normalized_bt(bsrc, baxis, pb->scale, bn);
         be_live = pb->encoded;
         bdata = &be_live;
       }
+      const LaneEncoder live{bank_, pb->channels, 1};
       for (std::size_t j = tile.col0; j < tile.col0 + tile.cols; ++j) {
-        const auto src = bn.row(j);
-        auto dst = be_live.row(j);
-        for (std::size_t p = 0; p < k; ++p) dst[p] = bank_.encode(1, channels[p % nl], src[p]);
+        live(bn.row(j), 0, be_live.row(j).first(k), {});
       }
       eb = now;
     }
@@ -822,19 +502,15 @@ Matrix GuardedBackend::run_guarded(const Matrix& a, const BSource& bsrc,
     }
   } else {
     const Matrix& bd = *bdata;
-    // The staged codes ride along iff the quant tier certified this
-    // product (qae sized by encode_a); run_tile re-checks per tile.
-    const CodeMatrix* qa = qae.rows() == m ? &qae : nullptr;
     ptc::for_each_tile(*pool_, tiles, [&](std::size_t t, std::size_t) {
-      checks[t] = run_tile(tiles[t], t, ae, ae_gold, xsum, bd, *pb, rescale, c, initial_upsets,
-                           qa);
+      checks[t] = run_tile(tiles[t], t, ae, ae_gold, xsum, bd, *pb, rescale, c, initial_upsets);
     });
   }
   {
     const std::size_t nl = pb->channels.size();
     const std::size_t chunks = (k + nl - 1) / nl;
     for (const ptc::Tile& tile : tiles) {
-      events_ += tile_events(tile, k, nl);
+      events_ += ptc::tile_step_events(tile.rows, tile.cols, k, nl);
       outcome.checksum_events += ptc::checksum_lane_events(tile.rows, tile.cols, k, chunks,
                                                            cfg_.guard.column_only);
     }
@@ -921,8 +597,8 @@ Matrix GuardedBackend::run_guarded(const Matrix& a, const BSource& bsrc,
     }
 
     if (repacked) {
-      std::vector<std::size_t> channels = surviving_channels();
-      if (channels.empty()) {
+      const ptc::OperandSpec spec = operand_spec();
+      if (spec.channels.empty()) {
         // Every channel fenced mid-recovery: the accelerator is offline.
         // Zero result, mirroring DegradedBackend's outage contract.
         monitor_->record_action(GuardAction::kGiveUp);
@@ -936,8 +612,9 @@ Matrix GuardedBackend::run_guarded(const Matrix& a, const BSource& bsrc,
       // re-ensure the coefficient table first (we are between parallel
       // regions here).
       if (cfg_.use_lane_table) table_.ensure(bank_);
-      auto rebuilt =
-          std::make_shared<ptc::PreparedOperand>(prepare_b_src(bsrc, std::move(channels)));
+      Matrix stage;
+      auto rebuilt = std::make_shared<ptc::PreparedOperand>(ptc::prepare_operand(
+          bsrc, baxis, spec, lane_encoder(1, spec.channels), *pool_, stage));
       if (weight != nullptr) cache_.insert(weight->id, weight->version, rebuilt);
       if (kv != nullptr) {
         // The resident KV entry described the pre-escalation bank; the
@@ -963,7 +640,7 @@ Matrix GuardedBackend::run_guarded(const Matrix& a, const BSource& bsrc,
       refresh_tile(tile);
       checks[t] = run_tile(tile, t, ae, ae_gold, xsum, *bdata, *pb, rescale, c);
       outcome.tiles_corrected += checks[t].corrected;
-      const ptc::EventCounter ev = tile_events(tile, k, nl);
+      const ptc::EventCounter ev = ptc::tile_step_events(tile.rows, tile.cols, k, nl);
       events_ += ev;
       monitor_->record_retry_events(ev);
       outcome.checksum_events += ptc::checksum_lane_events(tile.rows, tile.cols, k, chunks,

@@ -9,8 +9,11 @@
 // Trust model (DESIGN.md §12).  The controller snapshots every lane's
 // full encode table at calibration time — construction, and again after
 // each escalation self-test, the only points hardware state is verified
-// trustworthy.  Data always encodes through the lanes' CURRENT state;
-// checksum references are digital predictions from the GOLDEN snapshot.
+// trustworthy — into a pinned LaneEncodeTable.  Data always encodes
+// through the lanes' CURRENT state; checksum references are digital
+// predictions from the GOLDEN snapshot.  Both come from one LaneEncoder
+// (lane_table.hpp), and every operand is built and grown by
+// ptc::prepare_operand / ptc::append_operand with that encoder.
 // On healthy hardware the two are bit-identical LUTs, so the residual is
 // pure floating-point reassociation and the noise-calibrated band
 // (ptc::guard_tolerance) yields provably ~0 false positives; any fault
@@ -86,9 +89,10 @@ struct GuardedBackendConfig {
   /// the clean / drifting / excursion classification the proactive
   /// re-trim rung and the serving quarantine policy read.
   DriftTrackerConfig drift{};
-  /// Serve the product-level CURRENT-state encodes (prepare_b, encode_a)
-  /// from an epoch-keyed coefficient table (lane_table.hpp) instead of
-  /// evaluating lane models per element.  Bit-identical either way.
+  /// Serve the product-level CURRENT-state encodes (prepares, appends and
+  /// A-side encodes) from an epoch-keyed coefficient table
+  /// (lane_table.hpp) instead of evaluating lane models per element.
+  /// Bit-identical either way.
   /// Per-tile storm/retry re-encodes — only of stripes the epoch has
   /// moved past — always go through the live models: under a bias walk
   /// the epoch moves every tile step, and the table would rebuild per
@@ -99,22 +103,17 @@ struct GuardedBackendConfig {
   ///                  to DegradedBackend's re-run, the reference contract.
   ///   kKernelSimd  — blocked double dots (common/simd.hpp): in-band
   ///                  reassociation, same verdict machinery.
-  ///   kKernelQuant — exact int16-code dots, served from the lane
-  ///                  table's quant view when it is fresh AND every lane
-  ///                  is on the quantizer grid; any tile the
-  ///                  precondition cannot certify (off-grid lanes,
-  ///                  storm and retry tiles, stale table) falls
-  ///                  back to the blocked double dots — the tier
-  ///                  degrades, the product stays live.
+  ///   kKernelQuant — runs the kKernelSimd dots: lanes are never on the
+  ///                  quantizer grid, so there are no exact codes to
+  ///                  carry.
   /// Checksum references are double-precision golden dots in every tier,
   /// so detection semantics never change.
   ptc::ExecutionPath path{ptc::ExecutionPath::kKernel};
 };
 
-/// The quant → simd → kernel ladder resolved against a live bank: the
-/// integer tier iff the bank's whole encode table sits on the quantizer
-/// grid (physical perturbed lanes practically never do), the SIMD tier
-/// iff the CPU has the wide path, the scalar kernel otherwise.  The
+/// The fastest numeric tier for a lane bank: the SIMD tier iff the CPU
+/// has the wide path, the scalar kernel otherwise.  Lanes are never on
+/// the quantizer grid, so the integer tier never applies.  The
 /// faults-layer mirror of nn::fastest_gemm_config.
 [[nodiscard]] ptc::ExecutionPath auto_execution_path(const LaneBank& bank);
 
@@ -151,13 +150,13 @@ class GuardedBackend final : public nn::GemmBackend {
 
   /// Guarded product against a GROWING operand (DESIGN.md §17).  While
   /// the bank's epoch and channel packing hold, the resident prepared
-  /// operand (current + golden encodings, qcodes, checksum stripes) is
-  /// extended in place with just the new kv rows; an epoch bump — any
-  /// re-trim or fence — or a packing/scale/tier change forces a full
-  /// rebuild, so appends can never bridge a recalibration.  Outputs,
-  /// events, and guard verdicts are bit-identical to the unprepared
-  /// matmul at every length; an escalation mid-product rebuilds the
-  /// resident entry like matmul_cached refreshes the weight cache.
+  /// operand (current + golden encodings, checksum stripes) is extended
+  /// in place with just the new kv rows; an epoch bump — any re-trim or
+  /// fence — or a packing/scale change forces a full rebuild, so appends
+  /// can never bridge a recalibration.  Outputs, events, and guard
+  /// verdicts are bit-identical to the unprepared matmul at every length;
+  /// an escalation mid-product rebuilds the resident entry like
+  /// matmul_cached refreshes the weight cache.
   [[nodiscard]] Matrix matmul_kv(const Matrix& a, const Matrix& kv,
                                  const nn::KvHandle& handle) override;
   void release_kv(std::uint64_t id) override { kv_cache_.erase(id); }
@@ -230,67 +229,36 @@ class GuardedBackend final : public nn::GemmBackend {
   /// leave graded evidence behind.
   void observe_probes(const SelfTestReport& report);
 
-  [[nodiscard]] std::vector<std::size_t> surviving_channels() const;
-  [[nodiscard]] double golden_encode(std::size_t rail, std::size_t channel, double r) const;
+  /// The faults lane encoder for `rail` under `channels`: current state
+  /// from the coefficient table when enabled (and fresh), golden state
+  /// from the snapshot.
+  [[nodiscard]] LaneEncoder lane_encoder(std::size_t rail,
+                                         const std::vector<std::size_t>& channels) const;
 
-  /// CURRENT-state encode for the product-level batch paths: the lane
-  /// table when enabled and fresh, the live lane model otherwise.
-  /// Bit-identical values either way.
-  [[nodiscard]] double encode_current(std::size_t rail, std::size_t channel, double r) const;
-
-  /// The B operand's source matrix in whichever orientation the caller
-  /// holds it: exactly one of `b` (B itself, k × n) or `bt` (Bᵀ, n × k —
-  /// the KV score path, where the history IS the transpose) is non-null.
-  /// run_guarded and the prepare/rebuild paths read through this so the
-  /// kv path never materializes a transposed copy of the history.
-  struct BSource {
-    const Matrix* b{nullptr};
-    const Matrix* bt{nullptr};
-  };
+  /// The spec every operand of this backend is prepared and appended
+  /// under: bank epoch, surviving packing, golden reference, checksum
+  /// stripes unless column-only.
+  [[nodiscard]] ptc::OperandSpec operand_spec() const;
 
   /// Full guarded pipeline for one product (shared by all matmul entry
-  /// points); `pb` must have been prepared against the current
+  /// points).  `bsrc` is the B operand's source in `baxis` orientation —
+  /// B itself, or Bᵀ for the KV scores path, whose history IS the
+  /// transpose.  `pb` must have been prepared against the current
   /// epoch/packing.  `kv` (nullable) names the resident KV entry to
   /// refresh should an escalation rung rebuild the operand.
-  [[nodiscard]] Matrix run_guarded(const Matrix& a, const BSource& src,
+  [[nodiscard]] Matrix run_guarded(const Matrix& a, const Matrix& bsrc, ptc::GrowAxis baxis,
                                    std::shared_ptr<const ptc::PreparedOperand> pb,
                                    const nn::WeightHandle* weight,
                                    const nn::KvHandle* kv = nullptr);
-
-  /// Prepare B: current-state encoding (data), golden encoding
-  /// (reference) and its checksum stripes, channel packing, epoch stamp.
-  [[nodiscard]] ptc::PreparedOperand prepare_b(const Matrix& b,
-                                               std::vector<std::size_t> channels) const;
-  /// Same pipeline reading through either orientation; bit-identical to
-  /// prepare_b of the equivalent B.
-  [[nodiscard]] ptc::PreparedOperand prepare_b_src(const BSource& src,
-                                                   std::vector<std::size_t> channels) const;
 
   /// Cache-aware prepare (nullptr weight = uncached).
   [[nodiscard]] std::shared_ptr<const ptc::PreparedOperand> obtain_b(
       const Matrix& b, const nn::WeightHandle* weight);
 
-  /// KV-cache-aware prepare: append to the resident entry when the
-  /// epoch/packing still hold and the engine-side preconditions pass,
-  /// rebuild (counted) otherwise.
+  /// KV-cache-aware prepare: ptc::append_operand onto the resident entry
+  /// when it accepts, rebuild (counted) otherwise.
   [[nodiscard]] std::shared_ptr<const ptc::PreparedOperand> obtain_kv(
-      const BSource& src, const nn::KvHandle& handle);
-
-  /// Guarded in-place appends (DESIGN.md §17): dual-encode only the new
-  /// kv rows, extend qcodes when the quant tier is live, and continue
-  /// the golden checksum stripes in the exact fp order of a fresh
-  /// prepare.  kCols = new output columns (kv = Bᵀ source); kRows = the
-  /// reduction axis grows (kv = B), into padded column capacity.
-  /// Return false when the entry cannot be extended — caller rebuilds.
-  [[nodiscard]] bool append_kv_cols(ptc::PreparedOperand& pb, const Matrix& kv) const;
-  [[nodiscard]] bool append_kv_rows(ptc::PreparedOperand& pb, const Matrix& kv) const;
-
-  /// True when the integer tier can serve this product right now:
-  /// quant path requested, lane table enabled + fresh, every lane
-  /// on-grid.  Evaluated per product (and re-evaluated after ladder
-  /// rungs), so the tier can only engage when its exactness
-  /// precondition is certified against the CURRENT bank state.
-  [[nodiscard]] bool quant_live() const;
+      const Matrix& kv, const nn::KvHandle& handle);
 
   /// Compute + verify one tile: data dots from `ae` (current A encodes)
   /// × `bdata` (current B encodes), references from `ae_gold` /
@@ -299,27 +267,17 @@ class GuardedBackend final : public nn::GemmBackend {
   /// the transient dot glitches of the initial pass; single-element
   /// corruptions whose row×column residuals intersect are corrected
   /// digitally in place when GuardConfig::sec_correction is on.
-  /// `qae` (nullable) carries the A-side int16 codes matching `ae`; the
-  /// integer tier runs only when it is non-null AND pb.qcodes matches
-  /// `bdata` — callers pass nullptr for storm and retry tiles, whose
-  /// operands may have been re-encoded live, dropping that tile to the
-  /// double tier of cfg_.path.
   [[nodiscard]] ptc::TileCheck run_tile(const ptc::Tile& tile, std::size_t t, const Matrix& ae,
                                         const Matrix& ae_gold, const Matrix& xsum,
                                         const Matrix& bdata, const ptc::PreparedOperand& pb,
                                         double rescale, Matrix& c,
-                                        const std::vector<DotUpset>* upsets = nullptr,
-                                        const CodeMatrix* qae = nullptr) const;
+                                        const std::vector<DotUpset>* upsets = nullptr) const;
 
   /// kFence rung: full calibration-table readback of the implicated
   /// lanes against the golden snapshot, fencing every lane that has
   /// diverged.  Returns the number of lanes fenced (epoch is bumped iff
   /// > 0); probe charges land in the health monitor.
-
   std::size_t fence_diverged_lanes(const std::vector<std::size_t>& channels);
-
-  [[nodiscard]] ptc::EventCounter tile_events(const ptc::Tile& tile, std::size_t k,
-                                              std::size_t usable_channels) const;
 
   /// Flat lane indices (both rails) of the channels in `channels`.
   [[nodiscard]] std::vector<std::size_t> implicated_lanes(
@@ -335,13 +293,13 @@ class GuardedBackend final : public nn::GemmBackend {
   HealthMonitor* monitor_{&own_monitor_};  ///< shared fleet monitor when set
   std::vector<DotUpset> pending_upsets_;   ///< consumed by the next product
 
-  /// Golden encode tables: per flat lane, output amplitude for every
-  /// signed quantizer code (index code + max_code).
-  std::vector<std::vector<double>> golden_;
-  std::uint64_t golden_epoch_{0};  ///< bank epoch golden_ was snapped at
+  /// Golden snapshot: every lane's amplitude at every code, pinned at
+  /// the last trusted calibration point (recalibrate()).
+  LaneEncodeTable golden_;
 
-  /// Current-state lane coefficients for prepare_b/encode_a; re-ensured
-  /// at product entry and after every ladder rung that moves the epoch.
+  /// Current-state lane coefficients for prepares, appends and A-side
+  /// encodes; re-ensured at product entry and after every ladder rung
+  /// that moves the epoch.
   LaneEncodeTable table_;
 
   FaultInjector* storm_{nullptr};

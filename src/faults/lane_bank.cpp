@@ -27,20 +27,12 @@ double LaneBank::encode(std::size_t rail, std::size_t channel, double r) const {
   return ln.model.encode_code(quant_.encode(math::clamp_unit(r)));
 }
 
-std::vector<std::uint8_t> LaneBank::channel_mask() const {
-  std::vector<std::uint8_t> mask(cfg_.wavelengths, 1u);
+std::vector<std::size_t> LaneBank::surviving_channels() const {
+  std::vector<std::size_t> channels;
   for (std::size_t ch = 0; ch < cfg_.wavelengths; ++ch) {
-    if (lane(0, ch).fenced || lane(1, ch).fenced) mask[ch] = 0u;
+    if (!lane(0, ch).fenced && !lane(1, ch).fenced) channels.push_back(ch);
   }
-  return mask;
-}
-
-std::size_t LaneBank::usable_channels() const {
-  std::size_t n = 0;
-  for (std::size_t ch = 0; ch < cfg_.wavelengths; ++ch) {
-    if (!lane(0, ch).fenced && !lane(1, ch).fenced) ++n;
-  }
-  return n;
+  return channels;
 }
 
 std::size_t LaneBank::fenced_lanes() const {

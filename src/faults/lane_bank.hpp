@@ -64,19 +64,20 @@ class LaneBank {
   /// bit width, then run the (possibly faulty) device.
   [[nodiscard]] double encode(std::size_t rail, std::size_t channel, double r) const;
 
-  /// Channel usability mask: channel ch is usable iff neither rail lane
-  /// is fenced.  Shape matches ptc::DotEngineConfig::lane_mask.
-  [[nodiscard]] std::vector<std::uint8_t> channel_mask() const;
-  [[nodiscard]] std::size_t usable_channels() const;
+  /// The usable channels in packing order: channel ch is usable iff
+  /// neither of its rail lanes is fenced.  Reduction position p of a
+  /// product rides channel surviving_channels()[p % size].
+  [[nodiscard]] std::vector<std::size_t> surviving_channels() const;
+  [[nodiscard]] std::size_t usable_channels() const { return surviving_channels().size(); }
   [[nodiscard]] std::size_t fenced_lanes() const;
 
   /// Encode-state epoch: a monotonic stamp every mutator of lane state
   /// (fault injection, re-trim/recalibration, production trim, fencing)
   /// bumps, so prepared-operand caches built against this bank can
   /// detect stale encodings (DESIGN.md §10).  Code that mutates lanes
-  /// directly through lane() must call bump_epoch() afterwards; the
-  /// degraded backend additionally snapshots channel packing per product
-  /// as a belt-and-braces check against missed fence bumps.
+  /// directly through lane() must call bump_epoch() afterwards; prepared
+  /// operands additionally carry their channel packing as a
+  /// belt-and-braces check against missed fence bumps.
   [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
   void bump_epoch() { ++epoch_; }
 

@@ -1,28 +1,37 @@
-// lane_table.hpp — epoch-keyed flat coefficient table over a LaneBank's
-// encoders (the faults-layer counterpart of ptc/kernel.hpp's snapshot).
+// lane_table.hpp — the faults layer's encode source: an epoch-keyed flat
+// coefficient table over a LaneBank's encoders (the faults-layer
+// counterpart of ptc/kernel.hpp's snapshot) and the one lane encoder
+// every faults-layer operand is encoded through.
 //
 // LaneBank::encode is a pure function of the quantized code: it clamps,
 // quantizes, and evaluates the lane's PerturbedPdacModel transfer at that
 // code.  A bank with W wavelengths therefore collapses into a flat
-// (2W · codes) table of doubles — the same closed form GuardedBackend's
-// golden snapshot already exploits — turning every hot-path encode from a
+// (2W · codes) table of doubles, turning every hot-path encode from a
 // multi-segment model evaluation into one LUT load, bit-identical by
 // construction.
 //
-// Unlike the golden snapshot (which must stay pinned at the last trusted
-// calibration point), this table tracks the bank's CURRENT state: it is
+// The table serves two roles.  Kept CURRENT through ensure(), it is
 // rebuilt whenever the bank's epoch moves, so injected faults, re-trims
 // and recalibrations are never served stale.  The same caveat as every
 // epoch consumer applies (lane_bank.hpp): code that mutates lanes
-// directly through lane() must bump_epoch() afterwards.
+// directly through lane() must bump_epoch() afterwards.  PINNED through
+// rebuild() at a trusted calibration point, it is GuardedBackend's golden
+// snapshot, which must not follow the bank.
 //
-// Thread safety: ensure() mutates and must be called between parallel
-// regions (backends call it at product entry and after every in-product
-// mutation point); encode() is const and safe to call concurrently once
-// the table is fresh.
+// Lanes are never on the quantizer grid: the P-DAC transfer is a
+// piecewise-linear arccos approximation, so no lane amplitude table is
+// an integer code scaled by 1/max_code (a test pins this across bit
+// widths, trim, variation and encodings).  The table therefore carries
+// doubles only, and faults-layer execution stays on the double tiers.
+//
+// Thread safety: ensure() and rebuild() mutate and must be called between
+// parallel regions (backends call them at product entry and after every
+// in-product mutation point); reads are const and safe to call
+// concurrently.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "converters/quantizer.hpp"
@@ -35,51 +44,57 @@ class LaneEncodeTable {
   /// Rebuild from `bank` iff stale (never built, epoch moved, or bank
   /// geometry changed).  O(lanes · codes) when it rebuilds, O(1) when
   /// fresh — one decode token amortizes it after a single epoch bump.
-  void ensure(const LaneBank& bank);
+  void ensure(const LaneBank& bank) {
+    if (!fresh(bank)) rebuild(bank);
+  }
+
+  /// Snapshot every lane's transfer at every code now, whatever the
+  /// epoch says.
+  void rebuild(const LaneBank& bank);
 
   [[nodiscard]] bool fresh(const LaneBank& bank) const {
     return built_ && epoch_ == bank.epoch() && wavelengths_ == bank.wavelengths() &&
            table_.size() == bank.lanes() * codes_;
   }
 
+  /// Amplitude of quantizer code `code` through flat lane `flat`.
+  [[nodiscard]] double at(std::size_t flat, std::int32_t code) const {
+    return table_[flat * codes_ + static_cast<std::size_t>(code + max_code_)];
+  }
+
   /// LUT-backed equivalent of LaneBank::encode(rail, channel, r) —
   /// bit-identical to the model evaluation it caches.
   [[nodiscard]] double encode(std::size_t rail, std::size_t channel, double r) const;
 
-  /// Integer-tier view (DESIGN.md §15), rebuilt with the double table on
-  /// every epoch move: each lane column is additionally snapped onto the
-  /// quantizer grid where possible (amplitude == decode(code) bit for
-  /// bit) and stored as int16 codes.  quant_available() reports whether
-  /// EVERY lane is on-grid — the precondition for serving integer-dot
-  /// execution from this table.  Perturbed physical lanes (fabrication
-  /// variation, analog faults) are never exactly on-grid, so guarded and
-  /// degraded paths simply see `false` and stay on the double tables —
-  /// the tier degrades to the double path, never goes stale.
-  [[nodiscard]] bool quant_available() const { return built_ && quant_ok_; }
-
-  /// Per-lane grid verdict (flat lane index), for diagnostics/tests.
-  [[nodiscard]] bool lane_on_grid(std::size_t flat) const {
-    return built_ && lane_on_grid_[flat] != 0u;
-  }
-
-  /// int16-code equivalent of encode(): the code whose decode is the
-  /// amplitude encode() returns.  Only valid when quant_available().
-  [[nodiscard]] std::int16_t encode_code(std::size_t rail, std::size_t channel,
-                                         double r) const;
-
-  [[nodiscard]] const converters::Quantizer& quantizer() const { return quant_; }
-  [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
-
  private:
   std::vector<double> table_;  ///< lane-major: flat_lane · codes + (code + max_code)
-  std::vector<std::int16_t> qtable_;      ///< int16 snap of table_ (valid per-lane)
-  std::vector<std::uint8_t> lane_on_grid_;  ///< per flat lane: whole column on-grid
   converters::Quantizer quant_{8};
   std::size_t wavelengths_{0};
   std::size_t codes_{0};
+  std::int32_t max_code_{0};
   std::uint64_t epoch_{0};
   bool built_{false};
-  bool quant_ok_{false};
+};
+
+/// Encodes normalized values through the lanes that carry them: reduction
+/// position p rides channel channels[p % channels.size()] of `rail` (x
+/// rail 0 for A, y rail 1 for B).  The CURRENT amplitude comes from
+/// `table` while it is fresh and from the live lane model otherwise (no
+/// table, or a stale one), bit-identical either way, so a missed ensure()
+/// can cost speed but never correctness.  When a reference span is asked
+/// for, the GOLDEN amplitude comes from the pinned `golden` snapshot.
+/// Serves as the ptc::RowEncoder of every faults-layer prepare and
+/// append, and encodes A rows the same way.  Never stages codes: lanes
+/// are never on the quantizer grid.
+struct LaneEncoder {
+  const LaneBank& bank;
+  const std::vector<std::size_t>& channels;
+  std::size_t rail{0};
+  const LaneEncodeTable* table{nullptr};
+  const LaneEncodeTable* golden{nullptr};
+
+  void operator()(std::span<const double> norm, std::size_t p0, std::span<double> current,
+                  std::span<double> reference, std::span<std::int16_t> codes = {}) const;
 };
 
 }  // namespace pdac::faults

@@ -7,9 +7,9 @@
 // from scratch every step re-normalizes, re-encodes and re-checksums the
 // whole history — O(t) redundant work per token, O(t²) per sequence.
 // This cache keeps each sequence's ptc::PreparedOperand resident and
-// MUTABLE so backends extend it in place with PhotonicGemm::append_* /
-// GuardedBackend's guarded appends: O(1) prepare work per token,
-// bit-identical to the from-scratch build at every length.
+// MUTABLE so backends extend it in place through ptc::append_operand:
+// O(1) prepare work per token, bit-identical to the from-scratch build at
+// every length.
 //
 // Keying: a KvHandle names one growing operand — a process-unique id
 // (next_kv_id) plus the growth axis.  The append-only contract is the
@@ -40,11 +40,10 @@
 
 namespace pdac::nn {
 
-/// Which axis of the prepared operand grows as the sequence extends.
-enum class KvAxis {
-  kCols,  ///< B = kvᵀ: C = a·kvᵀ, new kv rows are new OUTPUT columns (scores)
-  kRows,  ///< B = kv:  C = a·kv,  new kv rows extend the REDUCTION axis (context)
-};
+/// Which axis of the prepared operand grows as the sequence extends:
+/// kCols — B = kvᵀ, C = a·kvᵀ, new kv rows are new OUTPUT columns (scores);
+/// kRows — B = kv,  C = a·kv,  new kv rows extend the REDUCTION axis (context).
+using KvAxis = ptc::GrowAxis;
 
 /// Identity of one growing KV operand (sequence × head × product role).
 /// id 0 is reserved for uncacheable products.

@@ -6,6 +6,7 @@
 // evaluated under DAC-based and P-DAC-based cost models.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 namespace pdac::ptc {
@@ -29,5 +30,24 @@ struct EventCounter {
   }
   friend EventCounter operator+(EventCounter a, const EventCounter& b) { return a += b; }
 };
+
+/// One h×w tile step on the Lightening-Transformer array with the
+/// reduction of length k chunked over `lanes` usable wavelengths
+/// (gemm_engine.hpp, broadcast amortization): the h A-rows and w
+/// B-columns are modulated once each, every DDot runs ⌈k/lanes⌉ chunk
+/// operations and detections, all h·w outputs are digitized, and the
+/// concurrent DDots occupy the array for ⌈k/lanes⌉ cycles.
+[[nodiscard]] inline EventCounter tile_step_events(std::size_t h, std::size_t w, std::size_t k,
+                                                   std::size_t lanes) {
+  const std::size_t chunks = (k + lanes - 1) / lanes;
+  EventCounter ev;
+  ev.modulation_events = (h + w) * k;
+  ev.ddot_ops = h * w * chunks;
+  ev.detection_events = h * w * chunks;
+  ev.macs = h * w * k;
+  ev.adc_events = h * w;
+  ev.cycles = chunks;
+  return ev;
+}
 
 }  // namespace pdac::ptc

@@ -37,240 +37,231 @@ namespace {
 /// fallback — the raw running maximum PreparedOperand::abs_max records so
 /// appends can prove the fresh scale would come out bitwise identical.
 /// std::max ignores NaN whichever side it lands on, so the fold is
-/// order-independent — prepare_b and prepare_bt see the same value over
-/// the transposed element order.
+/// order-independent — B and Bᵀ sources see the same value over the
+/// transposed element order.
 double raw_abs_max(std::span<const double> values) {
   double m = 0.0;
   for (const double v : values) m = std::max(m, std::abs(v));
   return m;
 }
 
+std::size_t stripe_count(std::size_t n, std::size_t stripe) { return (n + stripe - 1) / stripe; }
+
+/// Encode the staged rows into operand rows [row0, row0 + stage.rows()),
+/// reduction positions [p0, p0 + stage.cols()).  Rows are disjoint, so
+/// the sweep is parallel; every encoder is a pure lookup, so the
+/// partitioning cannot change a single bit.
+void encode_rows(PreparedOperand& pb, const OperandSpec& spec, const Matrix& stage,
+                 std::size_t row0, std::size_t p0, const RowEncoder& encode, ThreadPool& pool) {
+  const std::size_t len = stage.cols();
+  pool.parallel_for(stage.rows(), [&](std::size_t begin, std::size_t end, std::size_t) {
+    for (std::size_t r = begin; r < end; ++r) {
+      const std::size_t j = row0 + r;
+      encode(stage.row(r), p0, pb.encoded.row(j).subspan(p0, len),
+             spec.reference ? pb.reference.row(j).subspan(p0, len) : std::span<double>{},
+             spec.qcodes ? pb.qcodes.row(j).subspan(p0, len) : std::span<std::int16_t>{});
+    }
+  });
+}
+
+/// Fold golden columns [j0, j1) over reduction positions [p0, p1) into
+/// their checksum stripes.  Ascending j is the fresh prepare's order, so
+/// an append continuing the running sums lands on the same doubles.
+void fold_stripes(PreparedOperand& pb, std::size_t j0, std::size_t j1, std::size_t p0,
+                  std::size_t p1) {
+  const Matrix& golden = pb.reference.size() > 0 ? pb.reference : pb.encoded;
+  for (std::size_t j = j0; j < j1; ++j) {
+    const auto src = golden.row(j);
+    const auto dst = pb.checksum.row(j / pb.checksum_stripe);
+    for (std::size_t p = p0; p < p1; ++p) dst[p] += src[p];
+  }
+}
+
 }  // namespace
 
-void PhotonicGemm::finish_prepare(PreparedOperand& pb) const {
-  // Amortized encoding: every B column goes through the shared encode
-  // LUT exactly once, the software mirror of the hardware broadcasting
-  // one modulated operand across a whole tile.  Rows are disjoint, so
-  // the encode sweep is tile-parallel; encode() is a pure LUT lookup,
-  // so the partitioning cannot change a single bit.
-  pb.encoded = Matrix(norm_scratch_.rows(), norm_scratch_.cols());
-  const bool quant = cfg_.path == ExecutionPath::kKernelQuant;
-  if (quant) pb.qcodes.resize(norm_scratch_.rows(), norm_scratch_.cols());
-  pool_->parallel_for(norm_scratch_.rows(),
-                      [&](std::size_t begin, std::size_t end, std::size_t) {
-                        for (std::size_t r = begin; r < end; ++r) {
-                          if (quant) {
-                            engine_.encode_span(norm_scratch_.row(r), pb.encoded.row(r),
-                                                pb.qcodes.row(r));
-                          } else {
-                            engine_.encode_span(norm_scratch_.row(r), pb.encoded.row(r));
-                          }
-                        }
-                      });
+void stage_normalized_bt(const Matrix& src, GrowAxis axis, double scale, Matrix& out) {
+  if (axis == GrowAxis::kCols) {
+    out.resize(src.rows(), src.cols());
+    for (std::size_t i = 0; i < src.size(); ++i) out.data()[i] = src.data()[i] / scale;
+    return;
+  }
+  out.resize(src.cols(), src.rows());
+  for (std::size_t r = 0; r < src.rows(); ++r) {
+    for (std::size_t c = 0; c < src.cols(); ++c) out(c, r) = src(r, c) / scale;
+  }
+}
 
-  // ABFT column checksums (abft.hpp): one digital sum of the encoded
+PreparedOperand prepare_operand(const Matrix& src, GrowAxis axis, const OperandSpec& spec,
+                                const RowEncoder& encode, ThreadPool& pool, Matrix& stage) {
+  PreparedOperand pb;
+  pb.rows = axis == GrowAxis::kCols ? src.cols() : src.rows();
+  pb.cols = axis == GrowAxis::kCols ? src.rows() : src.cols();
+  pb.abs_max = raw_abs_max(src.data());
+  pb.scale = pb.abs_max > 0.0 ? pb.abs_max : 1.0;  // == converters::max_abs_scale
+  pb.epoch = spec.epoch;
+  pb.channels = spec.channels;
+
+  // Amortized encoding: every B column is encoded exactly once, the
+  // software mirror of the hardware broadcasting one modulated operand
+  // across a whole tile.
+  stage_normalized_bt(src, axis, pb.scale, stage);
+  pb.encoded = Matrix(pb.cols, pb.rows);
+  if (spec.reference) pb.reference = Matrix(pb.cols, pb.rows);
+  if (spec.qcodes) pb.qcodes.resize(pb.cols, pb.rows);
+  encode_rows(pb, spec, stage, 0, 0, encode, pool);
+
+  // ABFT column checksums (abft.hpp): one digital sum of the golden
   // columns per array-width stripe, cached with the operand so guarded
   // runs pay the O(n·k) sums once per prepare, not once per product.
-  // Accumulation runs in ascending column order — the order the append
-  // paths continue, which is what makes incremental checksum extension
-  // floating-point-identical to this fresh build.
-  if (cfg_.guard.enabled) {
-    pb.checksum_stripe = cfg_.array_cols;
-    const std::size_t stripes = (pb.cols + cfg_.array_cols - 1) / cfg_.array_cols;
-    pb.checksum = Matrix(stripes, pb.rows);
-    std::fill(pb.checksum.data().begin(), pb.checksum.data().end(), 0.0);
-    for (std::size_t j = 0; j < pb.cols; ++j) {
-      const auto src = pb.encoded.row(j);
-      const auto dst = pb.checksum.row(j / cfg_.array_cols);
-      for (std::size_t p = 0; p < pb.rows; ++p) dst[p] += src[p];
-    }
+  if (spec.checksum_stripe > 0) {
+    pb.checksum_stripe = spec.checksum_stripe;
+    pb.checksum = Matrix(stripe_count(pb.cols, pb.checksum_stripe), pb.rows);
+    fold_stripes(pb, 0, pb.cols, 0, pb.rows);
   }
-}
-
-PreparedOperand PhotonicGemm::prepare_b(const Matrix& b, std::uint64_t epoch) const {
-  PreparedOperand pb;
-  pb.rows = b.rows();
-  pb.cols = b.cols();
-  pb.abs_max = raw_abs_max(b.data());
-  pb.scale = pb.abs_max > 0.0 ? pb.abs_max : 1.0;  // == converters::max_abs_scale
-  pb.epoch = epoch;
-
-  // Keep B column-major-friendly by transposing once, then normalize
-  // into the modulators' (−1, 1) domain.
-  norm_scratch_.resize(b.cols(), b.rows());
-  for (std::size_t r = 0; r < b.rows(); ++r) {
-    for (std::size_t c = 0; c < b.cols(); ++c) norm_scratch_(c, r) = b(r, c) / pb.scale;
-  }
-  finish_prepare(pb);
   return pb;
 }
 
-PreparedOperand PhotonicGemm::prepare_bt(const Matrix& bt, std::uint64_t epoch) const {
-  PreparedOperand pb;
-  pb.rows = bt.cols();
-  pb.cols = bt.rows();
-  pb.abs_max = raw_abs_max(bt.data());
-  pb.scale = pb.abs_max > 0.0 ? pb.abs_max : 1.0;
-  pb.epoch = epoch;
-
-  // Already in Bᵀ orientation: normalize straight into the staging
-  // buffer.  Same per-element divide as prepare_b, same multiset under
-  // the max-abs fold, so the result is bitwise the prepare_b of the
-  // transposed source.
-  norm_scratch_.resize(bt.rows(), bt.cols());
-  for (std::size_t i = 0; i < bt.size(); ++i) {
-    norm_scratch_.data()[i] = bt.data()[i] / pb.scale;
-  }
-  finish_prepare(pb);
-  return pb;
-}
-
-bool PhotonicGemm::append_bt_rows(PreparedOperand& pb, const Matrix& bt,
-                                  std::uint64_t epoch) const {
-  const bool quant = cfg_.path == ExecutionPath::kKernelQuant;
-  // Refuse anything the bit-identity proof does not cover: stale epoch,
-  // shrunk/mismatched source, faults-layer operands (channel packing and
-  // golden references are GuardedBackend's to extend), an operand whose
-  // reduction axis was ever padded (mixed-axis growth), or tier/guard
-  // staging that disagrees with this engine's config.
-  if (pb.epoch != epoch || !pb.channels.empty() || pb.reference.size() > 0) return false;
-  if (pb.rows == 0 || pb.rows != bt.cols() || pb.cols > bt.rows()) return false;
-  if (pb.encoded.rows() != pb.cols || pb.encoded.cols() != pb.rows) return false;
-  if (quant) {
-    if (pb.qcodes.rows() != pb.cols || pb.qcodes.cols() != pb.rows) return false;
-  } else if (pb.qcodes.size() > 0) {
+bool append_operand(PreparedOperand& pb, const Matrix& src, GrowAxis axis,
+                    const OperandSpec& spec, const RowEncoder& encode, ThreadPool& pool,
+                    Matrix& stage) {
+  const bool cols_axis = axis == GrowAxis::kCols;
+  // Refuse anything the bit-identity proof does not cover.  Stamps: the
+  // encoder state and lane packing the operand was encoded under.
+  if (pb.epoch != spec.epoch || pb.channels != spec.channels) return false;
+  // Shape: the source's columns are the fixed dimension, its rows the
+  // growing one, and it may not shrink.
+  const std::size_t fixed = cols_axis ? pb.rows : pb.cols;
+  const std::size_t old_len = cols_axis ? pb.cols : pb.rows;
+  const std::size_t new_len = src.rows();
+  if (pb.rows == 0 || pb.cols == 0 || fixed != src.cols() || old_len > new_len) return false;
+  // Physical layout: exactly `cols` rows; the output axis never pads, so
+  // an operand whose reduction axis was ever padded cannot grow columns.
+  const std::size_t cap = pb.encoded.cols();
+  if (pb.encoded.rows() != pb.cols || cap < pb.rows || (cols_axis && cap != pb.rows)) {
     return false;
   }
-  if (cfg_.guard.enabled) {
-    if (pb.checksum_stripe != cfg_.array_cols || pb.checksum.cols() != pb.rows) return false;
-  } else if (pb.checksum.size() > 0) {
+  // Staging must mirror the spec: every staged part shaped like
+  // `encoded`, every unstaged part empty.
+  if (spec.reference ? (pb.reference.rows() != pb.cols || pb.reference.cols() != cap)
+                     : pb.reference.size() > 0) {
     return false;
   }
-  const std::size_t old_n = pb.cols;
-  const std::size_t new_n = bt.rows();
-  if (new_n == old_n) return true;
-
+  if (spec.qcodes ? (pb.qcodes.rows() != pb.cols || pb.qcodes.cols() != cap)
+                  : pb.qcodes.size() > 0) {
+    return false;
+  }
+  if (spec.checksum_stripe > 0
+          ? (pb.checksum_stripe != spec.checksum_stripe ||
+             pb.checksum.rows() != stripe_count(pb.cols, spec.checksum_stripe) ||
+             pb.checksum.cols() != cap)
+          : pb.checksum.size() > 0) {
+    return false;
+  }
+  if (new_len == old_len) return true;
   // Scale stability: the fresh prepare of the full source folds the new
   // elements into the max — bit-identity needs them at or under the
   // recorded raw max.  NaN-safe: !(x <= y) also rejects NaN deltas.
   double dmax = 0.0;
-  for (std::size_t j = old_n; j < new_n; ++j) {
-    dmax = std::max(dmax, raw_abs_max(bt.row(j)));
-  }
+  for (std::size_t r = old_len; r < new_len; ++r) dmax = std::max(dmax, raw_abs_max(src.row(r)));
   if (!(dmax <= pb.abs_max)) return false;
 
-  const std::size_t k = pb.rows;
-  const std::size_t delta = new_n - old_n;
-  norm_scratch_.resize(delta, k);
-  for (std::size_t r = 0; r < delta; ++r) {
-    const auto src = bt.row(old_n + r);
-    const auto dst = norm_scratch_.row(r);
-    for (std::size_t p = 0; p < k; ++p) dst[p] = src[p] / pb.scale;
-  }
-
-  // Row append: Matrix::resize preserves every existing row when the
-  // column count is unchanged, so only the new rows are encoded.
-  pb.encoded.resize(new_n, k);
-  if (quant) pb.qcodes.resize(new_n, k);
-  pool_->parallel_for(delta, [&](std::size_t begin, std::size_t end, std::size_t) {
-    for (std::size_t r = begin; r < end; ++r) {
-      if (quant) {
-        engine_.encode_span(norm_scratch_.row(r), pb.encoded.row(old_n + r),
-                            pb.qcodes.row(old_n + r));
-      } else {
-        engine_.encode_span(norm_scratch_.row(r), pb.encoded.row(old_n + r));
+  const std::size_t delta = new_len - old_len;
+  if (cols_axis) {
+    // New output columns = new Bᵀ rows.  Matrix::resize preserves every
+    // existing row when the column count is unchanged.
+    const std::size_t k = pb.rows;
+    stage.resize(delta, k);
+    for (std::size_t r = 0; r < delta; ++r) {
+      const auto from = src.row(old_len + r);
+      const auto to = stage.row(r);
+      for (std::size_t p = 0; p < k; ++p) to[p] = from[p] / pb.scale;
+    }
+    pb.encoded.resize(new_len, k);
+    if (spec.reference) pb.reference.resize(new_len, k);
+    if (spec.qcodes) pb.qcodes.resize(new_len, k);
+    encode_rows(pb, spec, stage, old_len, 0, encode, pool);
+    if (spec.checksum_stripe > 0) {
+      // Existing stripe rows already hold the ascending-j partial sums
+      // through old_len; new stripe rows start from zero.
+      const std::size_t old_stripes = pb.checksum.rows();
+      pb.checksum.resize(stripe_count(new_len, pb.checksum_stripe), k);
+      for (std::size_t s = old_stripes; s < pb.checksum.rows(); ++s) {
+        const auto row = pb.checksum.row(s);
+        std::fill(row.begin(), row.end(), 0.0);
       }
+      fold_stripes(pb, old_len, new_len, 0, k);
     }
-  });
-
-  if (cfg_.guard.enabled) {
-    // Continue the per-stripe running sums exactly where the fresh build
-    // would: existing stripe rows already hold the ascending-j partial
-    // sums through old_n, new stripe rows start from zero.
-    const std::size_t stripes = (new_n + cfg_.array_cols - 1) / cfg_.array_cols;
-    const std::size_t old_stripes = pb.checksum.rows();
-    pb.checksum.resize(stripes, k);
-    for (std::size_t s = old_stripes; s < stripes; ++s) {
-      const auto row = pb.checksum.row(s);
-      std::fill(row.begin(), row.end(), 0.0);
+    pb.cols = new_len;
+  } else {
+    // New reduction positions = one new column of every Bᵀ row, written
+    // into geometrically padded column capacity.
+    const std::size_t n = pb.cols;
+    grow_col_capacity(pb.encoded, new_len);
+    if (spec.reference) grow_col_capacity(pb.reference, new_len);
+    if (spec.qcodes) grow_col_capacity(pb.qcodes, new_len);
+    stage.resize(n, delta);
+    for (std::size_t j = 0; j < n; ++j) {
+      const auto to = stage.row(j);
+      for (std::size_t p = 0; p < delta; ++p) to[p] = src(old_len + p, j) / pb.scale;
     }
-    for (std::size_t j = old_n; j < new_n; ++j) {
-      const auto src = pb.encoded.row(j);
-      const auto dst = pb.checksum.row(j / cfg_.array_cols);
-      for (std::size_t p = 0; p < k; ++p) dst[p] += src[p];
+    encode_rows(pb, spec, stage, 0, old_len, encode, pool);
+    if (spec.checksum_stripe > 0) {
+      // Fresh stripe positions start from exact zero (capacity padding is
+      // unspecified), then accumulate in ascending j.
+      grow_col_capacity(pb.checksum, new_len);
+      for (std::size_t s = 0; s < pb.checksum.rows(); ++s) {
+        const auto row = pb.checksum.row(s);
+        std::fill(row.begin() + static_cast<std::ptrdiff_t>(old_len),
+                  row.begin() + static_cast<std::ptrdiff_t>(new_len), 0.0);
+      }
+      fold_stripes(pb, 0, n, old_len, new_len);
     }
+    pb.rows = new_len;
   }
-  pb.cols = new_n;
   return true;
+}
+
+OperandSpec PhotonicGemm::operand_spec(std::uint64_t epoch) const {
+  return OperandSpec{.epoch = epoch,
+                     .channels = {},
+                     .checksum_stripe = cfg_.guard.enabled ? cfg_.array_cols : 0,
+                     .reference = false,
+                     .qcodes = cfg_.path == ExecutionPath::kKernelQuant};
+}
+
+RowEncoder PhotonicGemm::lut_encoder() const {
+  // The LUT is position-independent (p0 unused) and the healthy path
+  // stages no golden reference.
+  return [this](std::span<const double> norm, std::size_t, std::span<double> encoded,
+                std::span<double>, std::span<std::int16_t> codes) {
+    if (codes.empty()) {
+      engine_.encode_span(norm, encoded);
+    } else {
+      engine_.encode_span(norm, encoded, codes);
+    }
+  };
+}
+
+PreparedOperand PhotonicGemm::prepare_b(const Matrix& b, std::uint64_t epoch) const {
+  return prepare_operand(b, GrowAxis::kRows, operand_spec(epoch), lut_encoder(), *pool_,
+                         norm_scratch_);
+}
+
+PreparedOperand PhotonicGemm::prepare_bt(const Matrix& bt, std::uint64_t epoch) const {
+  return prepare_operand(bt, GrowAxis::kCols, operand_spec(epoch), lut_encoder(), *pool_,
+                         norm_scratch_);
+}
+
+bool PhotonicGemm::append_bt_rows(PreparedOperand& pb, const Matrix& bt,
+                                  std::uint64_t epoch) const {
+  return append_operand(pb, bt, GrowAxis::kCols, operand_spec(epoch), lut_encoder(), *pool_,
+                        norm_scratch_);
 }
 
 bool PhotonicGemm::append_b_rows(PreparedOperand& pb, const Matrix& b,
                                  std::uint64_t epoch) const {
-  const bool quant = cfg_.path == ExecutionPath::kKernelQuant;
-  if (pb.epoch != epoch || !pb.channels.empty() || pb.reference.size() > 0) return false;
-  if (pb.rows == 0 || pb.cols == 0 || pb.cols != b.cols() || pb.rows > b.rows()) return false;
-  if (pb.encoded.rows() != pb.cols || pb.encoded.cols() < pb.rows) return false;
-  if (quant && (pb.qcodes.rows() != pb.cols || pb.qcodes.cols() != pb.encoded.cols())) {
-    return false;
-  }
-  if (!quant && pb.qcodes.size() > 0) return false;
-  if (cfg_.guard.enabled &&
-      (pb.checksum_stripe != cfg_.array_cols || pb.checksum.cols() != pb.encoded.cols())) {
-    return false;
-  }
-  if (!cfg_.guard.enabled && pb.checksum.size() > 0) return false;
-  const std::size_t old_k = pb.rows;
-  const std::size_t new_k = b.rows();
-  if (new_k == old_k) return true;
-
-  double dmax = 0.0;
-  for (std::size_t r = old_k; r < new_k; ++r) {
-    dmax = std::max(dmax, raw_abs_max(b.row(r)));
-  }
-  if (!(dmax <= pb.abs_max)) return false;
-
-  const std::size_t n = pb.cols;
-  const std::size_t delta = new_k - old_k;
-  // The reduction axis lives along matrix columns: appends land in
-  // physical column capacity grown geometrically, with consumers bounded
-  // by the logical length (PreparedOperand shape contract).
-  grow_col_capacity(pb.encoded, new_k);
-  if (quant) grow_col_capacity(pb.qcodes, new_k);
-
-  // Stage the new elements of each Bᵀ row (n rows × delta new columns).
-  norm_scratch_.resize(n, delta);
-  for (std::size_t j = 0; j < n; ++j) {
-    const auto dst = norm_scratch_.row(j);
-    for (std::size_t p = 0; p < delta; ++p) dst[p] = b(old_k + p, j) / pb.scale;
-  }
-  pool_->parallel_for(n, [&](std::size_t begin, std::size_t end, std::size_t) {
-    for (std::size_t r = begin; r < end; ++r) {
-      const auto enc = pb.encoded.row(r).subspan(old_k, delta);
-      if (quant) {
-        engine_.encode_span(norm_scratch_.row(r), enc, pb.qcodes.row(r).subspan(old_k, delta));
-      } else {
-        engine_.encode_span(norm_scratch_.row(r), enc);
-      }
-    }
-  });
-
-  if (cfg_.guard.enabled) {
-    // New checksum columns only: each is a fresh ascending-j sum over its
-    // stripe, the exact order finish_prepare uses — the old columns'
-    // sums are untouched.
-    grow_col_capacity(pb.checksum, new_k);
-    for (std::size_t s = 0; s < pb.checksum.rows(); ++s) {
-      const auto row = pb.checksum.row(s);
-      for (std::size_t p = old_k; p < new_k; ++p) row[p] = 0.0;
-    }
-    for (std::size_t j = 0; j < n; ++j) {
-      const auto src = pb.encoded.row(j);
-      const auto dst = pb.checksum.row(j / cfg_.array_cols);
-      for (std::size_t p = old_k; p < new_k; ++p) dst[p] += src[p];
-    }
-  }
-  pb.rows = new_k;
-  return true;
+  return append_operand(pb, b, GrowAxis::kRows, operand_spec(epoch), lut_encoder(), *pool_,
+                        norm_scratch_);
 }
 
 GemmResult PhotonicGemm::multiply_prepared(const Matrix& a, const PreparedOperand& b) const {
@@ -392,11 +383,13 @@ GemmResult PhotonicGemm::multiply_prepared(const Matrix& a, const PreparedOperan
     // Broadcast-amortization contract (see header): modulation, ADC and
     // cycle occupancy are tile-step quantities, not per-dot ones.  The
     // hardware modulates B columns per tile step even when the simulator
-    // reuses a prepared encoding, so the charge is unconditional.
-    reduction.modulation_events = (tile.rows + tile.cols) * k;
-    reduction.adc_events = tile.rows * tile.cols;
-    reduction.cycles = chunks;
-    event_scratch_[t] = reduction;
+    // reuses a prepared encoding, so the charge is unconditional;
+    // detections, DDot ops and MACs stay those of the dots actually run.
+    EventCounter step = tile_step_events(tile.rows, tile.cols, k, engine_.active_wavelengths());
+    step.detection_events = reduction.detection_events;
+    step.ddot_ops = reduction.ddot_ops;
+    step.macs = reduction.macs;
+    event_scratch_[t] = step;
 
     if (guarded) {
       TileCheck check;
@@ -461,20 +454,11 @@ EventCounter PhotonicGemm::count_events(std::size_t m, std::size_t k, std::size_
   EventCounter ev;
   // Chunking follows the *usable* wavelengths: dead lanes fenced off by
   // the lane mask stretch every reduction over more cycles.
-  const std::size_t nl = engine_.active_wavelengths();
-  const std::size_t chunks = (k + nl - 1) / nl;
   for (std::size_t i0 = 0; i0 < m; i0 += cfg_.array_rows) {
     const std::size_t h = std::min(cfg_.array_rows, m - i0);
     for (std::size_t j0 = 0; j0 < n; j0 += cfg_.array_cols) {
-      const std::size_t w = std::min(cfg_.array_cols, n - j0);
-      // One tile step: h A-rows and w B-columns are modulated once each
-      // and broadcast across the tile; every DDot reduces k elements.
-      ev.modulation_events += (h + w) * k;
-      ev.ddot_ops += h * w * chunks;
-      ev.detection_events += h * w * chunks;
-      ev.macs += h * w * k;
-      ev.adc_events += h * w;
-      ev.cycles += chunks;
+      ev += tile_step_events(h, std::min(cfg_.array_cols, n - j0), k,
+                             engine_.active_wavelengths());
     }
   }
   return ev;

@@ -37,6 +37,9 @@
 // bit-identical to multiply() — numerics AND event counts — while
 // skipping every B-side pass.  LLM weights are static across tokens, so
 // decode loops prepare each weight matrix once and run it many times.
+// Every PreparedOperand in the repository — this engine's and the faults
+// layer's — is built by prepare_operand() and grown by append_operand()
+// (DESIGN.md §17); executors differ only in the RowEncoder they hand in.
 //
 // ABFT guard (DESIGN.md §12, abft.hpp): with GemmConfig::guard enabled,
 // prepare_b additionally builds one checksum column per array-width
@@ -50,7 +53,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -104,11 +109,12 @@ enum class ExecutionPath { kKernel, kDeviceGraph, kKernelSimd, kKernelQuant };
 /// Logical vs physical shape (KV appends, DESIGN.md §17): `rows`/`cols`
 /// are the LOGICAL source dimensions.  `encoded`/`reference`/`qcodes`
 /// always hold exactly `cols` rows, but may carry more physical columns
-/// than `rows` — append_b_rows pads column capacity geometrically so a
-/// growing reduction axis (the KV context operand, one V row per decode
-/// token) re-lays-out O(log t) times instead of every token.  Every
-/// consumer reads row spans bounded by the logical reduction length, so
-/// the padding is never touched by numerics, events or guard verdicts.
+/// than `rows` — a reduction-axis append pads column capacity
+/// geometrically so a growing reduction axis (the KV context operand, one
+/// V row per decode token) re-lays-out O(log t) times instead of every
+/// token.  Every consumer reads row spans bounded by the logical
+/// reduction length, so the padding is never touched by numerics, events
+/// or guard verdicts.
 struct PreparedOperand {
   Matrix encoded;         ///< (n × ≥k) encoded, normalized Bᵀ
   double scale{1.0};      ///< max-abs scale divided out before encoding
@@ -127,10 +133,11 @@ struct PreparedOperand {
   std::vector<std::size_t> channels;
 
   /// ABFT checksum stripes (abft.hpp): row s is the digital sum of the
-  /// encoded columns in column-stripe s, Σ_j encoded.row(j), where
+  /// golden columns in column-stripe s — Σ_j reference.row(j) when the
+  /// operand carries a reference, Σ_j encoded.row(j) otherwise — where
   /// stripes are `checksum_stripe` columns wide (the preparing config's
-  /// array_cols).  Built by prepare_b under a guarded config and cached
-  /// with the operand; empty when prepared unguarded.
+  /// array_cols).  Built under a guarded spec and cached with the
+  /// operand; empty (stripe 0) when prepared unguarded.
   Matrix checksum;
   std::size_t checksum_stripe{0};
   /// Golden (calibration-state) encoding of the operand for guarded
@@ -171,6 +178,60 @@ void grow_col_capacity(M& m, std::size_t cols) {
   }
   m = std::move(wide);
 }
+
+/// Orientation of the source an operand is prepared from, which also
+/// fixes the axis an append grows (DESIGN.md §17).  Either way the
+/// source's columns are the fixed dimension and its rows the growing one.
+enum class GrowAxis {
+  kCols,  ///< source is Bᵀ (n × k): new source rows are new OUTPUT columns
+  kRows,  ///< source is B (k × n): new source rows extend the REDUCTION axis
+};
+
+/// Encodes one normalized Bᵀ row segment: `norm[i]` sits at reduction
+/// position `p0 + i`.  Writes the data amplitudes into `encoded` and, when
+/// the operand stages them, the golden amplitudes into `reference` and the
+/// quantizer codes into `codes` (both spans are empty otherwise).  Called
+/// once per row segment, possibly from several pool workers at once.
+using RowEncoder =
+    std::function<void(std::span<const double> norm, std::size_t p0, std::span<double> encoded,
+                       std::span<double> reference, std::span<std::int16_t> codes)>;
+
+/// What an operand is stamped with and which optional parts it stages.
+/// An append must be handed the spec the operand was prepared under, or
+/// it refuses.
+struct OperandSpec {
+  std::uint64_t epoch{0};             ///< encoder-state stamp
+  std::vector<std::size_t> channels;  ///< lane packing (faults layer); empty when fixed
+  std::size_t checksum_stripe{0};     ///< checksum stripe width; 0 = no stripes
+  bool reference{false};              ///< stage a golden `reference` encoding
+  bool qcodes{false};                 ///< stage int16 `qcodes` (integer tier)
+};
+
+/// Normalize a B-side source into Bᵀ orientation: out(j, p) = Bᵀ(j, p) / scale.
+void stage_normalized_bt(const Matrix& src, GrowAxis axis, double scale, Matrix& out);
+
+/// Build an operand from `src` (B for kRows, Bᵀ for kCols): the raw
+/// max-abs and scale, the normalized Bᵀ (staged in `stage`), one
+/// `encode` call per Bᵀ row on `pool`, and — per `spec` — the golden
+/// reference, the codes and the checksum stripes (ascending-column sums).
+[[nodiscard]] PreparedOperand prepare_operand(const Matrix& src, GrowAxis axis,
+                                              const OperandSpec& spec, const RowEncoder& encode,
+                                              ThreadPool& pool, Matrix& stage);
+
+/// Grow `pb` to the longer source `src` (same orientation as it was
+/// prepared from) by encoding only the new rows, continuing the checksum
+/// stripes in fresh-prepare order: the result is bit-identical to
+/// prepare_operand(src, axis, spec, …), and so is every output, event
+/// count and guard verdict computed from it.  Returns false, leaving `pb`
+/// untouched, whenever that identity cannot hold — epoch or channel
+/// packing differ from `spec`, the source shrank or changed its fixed
+/// dimension, the new elements' max-abs exceeds pb.abs_max (the fresh
+/// scale would differ), the staged parts disagree with `spec`, or a
+/// padded reduction axis would have to grow along the output axis.  The
+/// caller then rebuilds.  A same-length source is an accepted no-op.
+[[nodiscard]] bool append_operand(PreparedOperand& pb, const Matrix& src, GrowAxis axis,
+                                  const OperandSpec& spec, const RowEncoder& encode,
+                                  ThreadPool& pool, Matrix& stage);
 
 struct GemmConfig {
   DotEngineConfig dot{};
@@ -222,26 +283,17 @@ class PhotonicGemm {
   [[nodiscard]] PreparedOperand prepare_bt(const Matrix& bt, std::uint64_t epoch = 0) const;
 
   /// Append-only extension of a prepared operand along the OUTPUT axis
-  /// (new B columns = new rows of Bᵀ): encodes only rows
-  /// [pb.cols, bt.rows()) of `bt` and extends the checksum stripes and
-  /// quant staging in the exact accumulation order a fresh prepare uses,
-  /// so the result is bit-identical to prepare_bt(bt, epoch) — including
-  /// every downstream output, event count and guard verdict.  Returns
-  /// false (operand untouched) whenever that identity cannot be
-  /// guaranteed — epoch moved, shape shrank or mismatched, the new
-  /// elements' max-abs exceeds pb.abs_max (the fresh scale would differ),
-  /// or the operand carries faults-layer state (channel packing /
-  /// golden reference, which GuardedBackend extends itself) — and the
-  /// caller must rebuild from scratch.
+  /// (new B columns = new rows of Bᵀ): append_operand with this engine's
+  /// spec, so the result is bit-identical to prepare_bt(bt, epoch), or
+  /// false (operand untouched) and the caller rebuilds.  Operands carrying
+  /// faults-layer state (channel packing, golden reference) never match
+  /// this engine's spec.
   [[nodiscard]] bool append_bt_rows(PreparedOperand& pb, const Matrix& bt,
                                     std::uint64_t epoch = 0) const;
 
   /// Append-only extension along the REDUCTION axis (new B rows = new
-  /// rows of `b`, the KV context operand growing one V row per token):
-  /// encodes rows [pb.rows, b.rows()) into padded column capacity
-  /// (grow_col_capacity) and extends each checksum stripe's new columns
-  /// in fresh-prepare order.  Same bit-identity contract and rebuild
-  /// triggers as append_bt_rows.
+  /// rows of `b`, the KV context operand growing one V row per token),
+  /// into padded column capacity.  Same contract as append_bt_rows.
   [[nodiscard]] bool append_b_rows(PreparedOperand& pb, const Matrix& b,
                                    std::uint64_t epoch = 0) const;
 
@@ -265,10 +317,11 @@ class PhotonicGemm {
   [[nodiscard]] const PhotonicDotEngine& engine() const { return engine_; }
 
  private:
-  /// Shared tail of prepare_b/prepare_bt: LUT-encode norm_scratch_ (the
-  /// normalized Bᵀ staged by the caller) into pb and build the checksum
-  /// stripes under a guarded config.
-  void finish_prepare(PreparedOperand& pb) const;
+  /// The operand spec this engine prepares and appends under: no packing
+  /// or golden reference, stripes when guarded, codes on the quant path.
+  [[nodiscard]] OperandSpec operand_spec(std::uint64_t epoch) const;
+  /// Encodes Bᵀ rows through the engine's memoized driver LUT.
+  [[nodiscard]] RowEncoder lut_encoder() const;
 
   GemmConfig cfg_;
   PhotonicDotEngine engine_;

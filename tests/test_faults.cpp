@@ -3,6 +3,7 @@
 // degraded GEMM backend.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/require.hpp"
@@ -175,8 +176,8 @@ TEST(SelfTest, StuckMrrIsDetectedAndFenced) {
   EXPECT_TRUE(bank.lane(3).fenced);
   EXPECT_GT(report.probe_events, 0u);
   // Rail 0 spans lanes [0, W), so lane 3 is the x rail of channel 3.
-  const auto mask = bank.channel_mask();
-  EXPECT_EQ(mask[3], 0u);
+  const auto survivors = bank.surviving_channels();
+  EXPECT_EQ(std::count(survivors.begin(), survivors.end(), std::size_t{3}), 0);
   EXPECT_EQ(bank.usable_channels(), bank.wavelengths() - 1);
 }
 
@@ -288,9 +289,10 @@ TEST(LaneBank, ChannelMaskRequiresBothRails) {
   faults::LaneBank bank(small_bank_config());
   EXPECT_EQ(bank.lanes(), 2 * bank.wavelengths());
   bank.lane(1, 0).fenced = true;  // y rail of channel 0
-  const auto mask = bank.channel_mask();
-  EXPECT_EQ(mask[0], 0u);
-  for (std::size_t ch = 1; ch < bank.wavelengths(); ++ch) EXPECT_EQ(mask[ch], 1u);
+  // Channel 0 drops out; the rest keep their packing order.
+  const auto survivors = bank.surviving_channels();
+  ASSERT_EQ(survivors.size(), bank.wavelengths() - 1);
+  for (std::size_t i = 0; i < survivors.size(); ++i) EXPECT_EQ(survivors[i], i + 1);
   EXPECT_EQ(bank.fenced_lanes(), 1u);
 }
 

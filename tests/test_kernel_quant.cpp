@@ -11,10 +11,10 @@
 #include "common/require.hpp"
 #include "common/rng.hpp"
 #include "common/simd.hpp"
+#include "converters/quantizer.hpp"
 #include "core/modulator_driver.hpp"
 #include "faults/guarded_backend.hpp"
 #include "faults/lane_bank.hpp"
-#include "faults/lane_table.hpp"
 #include "nn/backend.hpp"
 #include "ptc/abft.hpp"
 #include "ptc/gemm_engine.hpp"
@@ -232,15 +232,44 @@ faults::LaneBank perturbed_bank() {
 }
 
 TEST(KernelQuant, PerturbedLanesAreOffGrid) {
-  faults::LaneBank bank = perturbed_bank();
-  faults::production_trim(bank);
-  faults::LaneEncodeTable table;
-  table.ensure(bank);
-  // Physical analog transfers never land bitwise on the quantizer grid,
-  // so the quant view reports unavailable and the ladder resolves to a
-  // double tier.
-  EXPECT_FALSE(table.quant_available());
-  const ptc::ExecutionPath path = faults::auto_execution_path(bank);
+  // The P-DAC's piecewise-linear arccos transfer never lands a lane's
+  // whole code table bitwise on the quantizer grid — nominal or varied,
+  // trimmed or not, in either bit encoding — which is why the faults
+  // layer carries no integer tier.
+  for (int bits = 2; bits <= 12; ++bits) {
+    const converters::Quantizer quant(bits);
+    for (const core::BitEncoding encoding :
+         {core::BitEncoding::kTwosComplement, core::BitEncoding::kSignMagnitude}) {
+      for (const bool varied : {false, true}) {
+        for (const bool trimmed : {false, true}) {
+          faults::LaneBankConfig bc;
+          bc.pdac.bits = bits;
+          bc.pdac.encoding = encoding;
+          bc.wavelengths = 2;
+          if (varied) {
+            bc.variation.tia_gain_sigma = 0.01;
+            bc.variation.bias_sigma = 0.002;
+            bc.variation.seed = 9;
+          }
+          faults::LaneBank bank(bc);
+          if (trimmed) faults::production_trim(bank);
+          for (std::size_t l = 0; l < bank.lanes(); ++l) {
+            const core::PerturbedPdacModel& model = bank.lane(l).model;
+            bool on_grid = true;
+            for (std::int32_t c = -quant.max_code(); c <= quant.max_code() && on_grid; ++c) {
+              on_grid = model.encode_code(c) == quant.decode(c);
+            }
+            EXPECT_FALSE(on_grid) << "bits " << bits << " sign-magnitude "
+                                  << (encoding == core::BitEncoding::kSignMagnitude)
+                                  << " varied " << varied << " trimmed " << trimmed
+                                  << " lane " << l;
+          }
+        }
+      }
+    }
+  }
+  // So the ladder resolves to a double tier.
+  const ptc::ExecutionPath path = faults::auto_execution_path(perturbed_bank());
   EXPECT_NE(path, ptc::ExecutionPath::kKernelQuant);
   EXPECT_EQ(path, simd::has_fast_path() ? ptc::ExecutionPath::kKernelSimd
                                         : ptc::ExecutionPath::kKernel);

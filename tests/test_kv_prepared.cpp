@@ -3,20 +3,23 @@
 // prepare at every sequence length — encoded/reference/qcodes payloads,
 // checksum stripes, product outputs, event counts and guard verdicts —
 // across the scalar, SIMD and quant tiers and at any thread count; every
-// refusal trigger (scale outgrown, epoch moved, shape shrank) must leave
-// the operand untouched; the KvPreparedCache must account bytes exactly;
-// and decode attention plus the serving engine must be bit-identical
-// between prepared and unprepared execution, including across a
-// mid-sequence re-trim epoch bump.
+// refusal trigger (scale outgrown, epoch moved, packing changed, shape
+// shrank) must leave the operand untouched; the KvPreparedCache must
+// account bytes exactly; and decode attention plus the serving engine
+// must be bit-identical between prepared and unprepared execution,
+// including across a mid-sequence re-trim epoch bump.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/matrix.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "core/modulator_driver.hpp"
 #include "faults/guarded_backend.hpp"
 #include "faults/lane_bank.hpp"
@@ -252,6 +255,33 @@ TEST(KvPrepared, AppendRefusesWheneverIdentityCannotHold) {
   // Same length is a valid no-op append.
   EXPECT_TRUE(gemm.append_bt_rows(pb, base, 3));
   expect_same_operand(pb, snapshot);
+
+  // Channel packing: an operand stamped under one lane packing must not
+  // append under another at the same epoch — neither through the faults
+  // layer's packing nor through the engine, whose packing is fixed — on
+  // either axis; under its own packing it appends.
+  const RowEncoder copy_encoder = [](std::span<const double> norm, std::size_t,
+                                     std::span<double> encoded, std::span<double>,
+                                     std::span<std::int16_t>) {
+    std::copy(norm.begin(), norm.end(), encoded.begin());
+  };
+  ThreadPool pool(1);
+  Matrix stage;
+  const OperandSpec packed{.epoch = 3, .channels = {0, 1, 2}, .checksum_stripe = 4};
+  OperandSpec repacked = packed;
+  repacked.channels = {0, 2};
+  for (const GrowAxis axis : {GrowAxis::kCols, GrowAxis::kRows}) {
+    const Matrix longer = prefix_rows(full, 3);
+    PreparedOperand pk = prepare_operand(base, axis, packed, copy_encoder, pool, stage);
+    const PreparedOperand ksnap = pk;
+    EXPECT_FALSE(append_operand(pk, longer, axis, repacked, copy_encoder, pool, stage));
+    expect_same_operand(pk, ksnap);
+    EXPECT_FALSE(axis == GrowAxis::kCols ? gemm.append_bt_rows(pk, longer, 3)
+                                         : gemm.append_b_rows(pk, longer, 3));
+    expect_same_operand(pk, ksnap);
+    EXPECT_TRUE(append_operand(pk, longer, axis, packed, copy_encoder, pool, stage));
+    expect_same_operand(pk, prepare_operand(longer, axis, packed, copy_encoder, pool, stage));
+  }
 
   // The rows axis enforces the same triggers.
   PreparedOperand pr = gemm.prepare_b(base, 3);
@@ -503,8 +533,9 @@ faults::LaneBankConfig kv_bank_config(std::uint64_t seed = 5) {
 // A mid-sequence epoch bump (what a real re-trim or fence emits): the
 // guarded backend must refuse the stale resident entries, rebuild them
 // from the full history, and stay bit-identical to the unprepared
-// replay throughout.
-TEST(KvAttention, GuardedEpochBumpRebuildsMidSequence) {
+// replay throughout — on the scalar and SIMD tiers, with the full guard
+// and with the column-only cheap mode (which stages no checksum stripes).
+void guarded_epoch_bump_case(ExecutionPath path, bool column_only) {
   const std::size_t d_model = 16;
   const std::size_t heads = 2;
   const std::size_t steps = 6;
@@ -522,6 +553,8 @@ TEST(KvAttention, GuardedEpochBumpRebuildsMidSequence) {
   faults::GuardedBackendConfig gcfg;
   gcfg.array_rows = 4;
   gcfg.array_cols = 4;
+  gcfg.path = path;
+  gcfg.guard.column_only = column_only;
   faults::GuardedBackend gp(bank_p, gcfg);
   faults::GuardedBackend gu(bank_u, gcfg);
 
@@ -555,6 +588,16 @@ TEST(KvAttention, GuardedEpochBumpRebuildsMidSequence) {
 
   nn::MultiHeadAttention::release_kv_state(kvp, gp);
   EXPECT_EQ(gp.kv_cache()->stats().entries, 0u);
+}
+
+TEST(KvAttention, GuardedEpochBumpRebuildsMidSequence) {
+  for (const ExecutionPath path : {ExecutionPath::kKernel, ExecutionPath::kKernelSimd}) {
+    for (const bool column_only : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "simd " << (path == ExecutionPath::kKernelSimd)
+                                      << " column_only " << column_only);
+      guarded_epoch_bump_case(path, column_only);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
