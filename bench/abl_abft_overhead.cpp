@@ -3,7 +3,7 @@
 //
 // Four measurements, each with its own PASS/FAIL gate:
 //
-//   1. Clean-hardware tax — a guarded and an unguarded (DegradedBackend)
+//   1. Clean-hardware tax — a guarded and an unguarded GuardedBackend
 //      product stream over identical healthy banks must stay bit-identical
 //      while the guard verifies ≥ 10k tiles with ZERO false positives;
 //      the checksum-lane charge is priced with arch::event_energy at the
@@ -40,7 +40,6 @@
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "eval/report.hpp"
-#include "faults/degraded_backend.hpp"
 #include "faults/fault_injector.hpp"
 #include "faults/guarded_backend.hpp"
 #include "faults/self_test.hpp"
@@ -95,13 +94,13 @@ double price_uj(const ptc::EventCounter& ev, const arch::LtConfig& lt,
 /// Advances a fault injector by a fixed step count before every product
 /// and (optionally) runs a periodic BIST screen — the "unguarded" and
 /// "BIST-only" storm controllers the ABFT guard is compared against.
-/// The data path underneath is the honest DegradedBackend.
+/// The data path underneath is the unguarded lane executor.
 class StormBackend final : public nn::GemmBackend {
  public:
   StormBackend(faults::LaneBank& bank, faults::FaultInjector& injector,
                std::uint64_t steps_per_matmul, std::size_t bist_period)
       : bank_(bank),
-        inner_(bank),
+        inner_(bank, {.guard = {.enabled = false}}),
         injector_(injector),
         steps_(steps_per_matmul),
         bist_period_(bist_period) {}
@@ -132,7 +131,7 @@ class StormBackend final : public nn::GemmBackend {
   }
 
   faults::LaneBank& bank_;
-  faults::DegradedBackend inner_;
+  faults::GuardedBackend inner_;
   faults::FaultInjector& injector_;
   std::uint64_t steps_{1};
   std::size_t bist_period_{0};  ///< 0 = never screen
@@ -216,7 +215,7 @@ int main(int argc, char** argv) {
   faults::LaneBank plain_bank(bank_config(4, kSeed));  // same fabrication draw
   faults::production_trim(plain_bank);
   faults::GuardedBackend guarded(clean_bank);
-  faults::DegradedBackend unguarded(plain_bank);
+  faults::GuardedBackend unguarded(plain_bank, {.guard = {.enabled = false}});
 
   bool identical = true;
   Rng clean_rng(17);

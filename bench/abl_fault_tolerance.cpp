@@ -30,7 +30,6 @@
 #include "arch/power_params.hpp"
 #include "common/stats.hpp"
 #include "eval/report.hpp"
-#include "faults/degraded_backend.hpp"
 #include "faults/fault_injector.hpp"
 #include "faults/guarded_backend.hpp"
 #include "faults/self_test.hpp"
@@ -82,8 +81,9 @@ faults::LaneBankConfig bank_config(std::size_t wavelengths, std::uint64_t seed) 
   return cfg;
 }
 
-/// Encoder-layer accuracy through one (possibly degraded) lane bank.
-double layer_cosine(const faults::LaneBank& bank) {
+/// Encoder-layer accuracy through one (possibly degraded) lane bank, on
+/// the unguarded lane executor.
+double layer_cosine(faults::LaneBank& bank) {
   const auto cfg = nn::tiny_transformer(12, 48, 4, 1);
   nn::EncoderLayer layer(cfg.d_model, cfg.heads, cfg.d_ff);
   Rng rng(7);
@@ -93,7 +93,7 @@ double layer_cosine(const faults::LaneBank& bank) {
 
   nn::ReferenceBackend ref;
   const Matrix exact = layer.forward(x, ref);
-  faults::DegradedBackend photonic(bank);
+  faults::GuardedBackend photonic(bank, {.guard = {.enabled = false}});
   const Matrix approx = layer.forward(x, photonic);
   return stats::compare(approx.data(), exact.data()).cosine;
 }
@@ -140,7 +140,7 @@ ModeRow evaluate_point(double fault_rate, Mode mode, const arch::LtConfig& lt,
   arch::RecalibrationCost recal;
   std::size_t healthy_arrays = 0;
   double availability_sum = 0.0;
-  std::vector<const faults::LaneBank*> accuracy_banks;
+  std::vector<faults::LaneBank*> accuracy_banks;
   std::vector<faults::LaneBank> banks;
   banks.reserve(lt.arrays());
 
@@ -182,7 +182,7 @@ ModeRow evaluate_point(double fault_rate, Mode mode, const arch::LtConfig& lt,
   // identical, so this just tames sampling noise); a fully fenced pool is
   // an outage.
   double cosine_sum = 0.0;
-  for (const faults::LaneBank* b : accuracy_banks) cosine_sum += layer_cosine(*b);
+  for (faults::LaneBank* b : accuracy_banks) cosine_sum += layer_cosine(*b);
   out.accuracy_lane0 =
       accuracy_banks.empty()
           ? 0.0

@@ -26,7 +26,9 @@ GuardedBackend::GuardedBackend(LaneBank& bank, GuardedBackendConfig cfg,
       tracker_(cfg.drift) {
   PDAC_REQUIRE(cfg_.array_rows >= 1 && cfg_.array_cols >= 1,
                "GuardedBackend: array dimensions must be positive");
-  cfg_.guard.enabled = true;  // detection is the point of this backend
+  PDAC_REQUIRE(cfg_.path != ptc::ExecutionPath::kDeviceGraph,
+               "GuardedBackend: path must be kKernel, kKernelSimd or kKernelQuant (a lane bank "
+               "has no device graph)");
   if (shared_monitor != nullptr) monitor_ = shared_monitor;
   tracker_.resize(bank_.lanes());
   recalibrate();  // construction is a trusted calibration point
@@ -132,19 +134,21 @@ void GuardedBackend::attach_storm(FaultInjector* injector, std::uint64_t steps_p
 
 LaneEncoder GuardedBackend::lane_encoder(std::size_t rail,
                                          const std::vector<std::size_t>& channels) const {
-  return LaneEncoder{bank_, channels, rail, cfg_.use_lane_table ? &table_ : nullptr, &golden_};
+  return LaneEncoder{bank_, channels, rail, &table_, &golden_};
 }
 
 ptc::OperandSpec GuardedBackend::operand_spec() const {
-  // Dual encode: data through the lanes' CURRENT state, references
-  // through the GOLDEN snapshot; on healthy hardware the two LUTs are
-  // bit-identical, so the guard's clean residual is pure reassociation.
-  // The column-only cheap mode never runs the row lanes the checksum
-  // stripes feed, so it skips building them.
-  return ptc::OperandSpec{.epoch = bank_.epoch(),
-                          .channels = bank_.surviving_channels(),
-                          .checksum_stripe = cfg_.guard.column_only ? 0 : cfg_.array_cols,
-                          .reference = true};
+  // Guarded, dual encode: data through the lanes' CURRENT state,
+  // references through the GOLDEN snapshot; on healthy hardware the two
+  // LUTs are bit-identical, so the guard's clean residual is pure
+  // reassociation.  The column-only cheap mode never runs the row lanes
+  // the checksum stripes feed, so it skips building them.
+  const bool guarded = cfg_.guard.enabled;
+  return ptc::OperandSpec{
+      .epoch = bank_.epoch(),
+      .channels = bank_.surviving_channels(),
+      .checksum_stripe = guarded && !cfg_.guard.column_only ? cfg_.array_cols : 0,
+      .reference = guarded};
 }
 
 std::vector<std::size_t> GuardedBackend::implicated_lanes(
@@ -173,8 +177,7 @@ std::shared_ptr<const ptc::PreparedOperand> GuardedBackend::obtain_b(
       cache_.lookup(weight->id, weight->version, spec.epoch);
   if (pb != nullptr && pb->channels != spec.channels) {
     // Epoch matched but the packing did not: a fence landed without a
-    // bump_epoch().  Refuse the entry (same belt-and-braces check as
-    // DegradedBackend).
+    // bump_epoch().  Refuse the entry.
     cache_.erase(weight->id);
     pb = nullptr;
   }
@@ -213,8 +216,8 @@ Matrix GuardedBackend::matmul(const Matrix& a, const Matrix& b) {
   PDAC_REQUIRE(a.cols() == b.rows(), "GuardedBackend: inner dimensions must agree");
   if (bank_.usable_channels() == 0) return Matrix(a.rows(), b.cols());
   product_entry();  // may re-trim (and bump the epoch) before obtain_b
-  if (cfg_.use_lane_table) table_.ensure(bank_);
-  return run_guarded(a, b, ptc::GrowAxis::kRows, obtain_b(b, nullptr), nullptr);
+  table_.ensure(bank_);
+  return run_product(a, b, ptc::GrowAxis::kRows, obtain_b(b, nullptr), nullptr);
 }
 
 Matrix GuardedBackend::matmul_cached(const Matrix& a, const Matrix& b,
@@ -222,8 +225,8 @@ Matrix GuardedBackend::matmul_cached(const Matrix& a, const Matrix& b,
   PDAC_REQUIRE(a.cols() == b.rows(), "GuardedBackend: inner dimensions must agree");
   if (bank_.usable_channels() == 0) return Matrix(a.rows(), b.cols());
   product_entry();
-  if (cfg_.use_lane_table) table_.ensure(bank_);
-  return run_guarded(a, b, ptc::GrowAxis::kRows, obtain_b(b, &weight), &weight);
+  table_.ensure(bank_);
+  return run_product(a, b, ptc::GrowAxis::kRows, obtain_b(b, &weight), &weight);
 }
 
 Matrix GuardedBackend::matmul_kv(const Matrix& a, const Matrix& kv,
@@ -234,9 +237,9 @@ Matrix GuardedBackend::matmul_kv(const Matrix& a, const Matrix& kv,
   const std::size_t n = cols_axis ? kv.rows() : kv.cols();
   if (bank_.usable_channels() == 0) return Matrix(a.rows(), n);
   product_entry();
-  if (cfg_.use_lane_table) table_.ensure(bank_);
+  table_.ensure(bank_);
   // For the scores operand the history IS Bᵀ — no transposed copy.
-  return run_guarded(a, kv, handle.axis, obtain_kv(kv, handle), nullptr, &handle);
+  return run_product(a, kv, handle.axis, obtain_kv(kv, handle), nullptr, &handle);
 }
 
 ptc::TileCheck GuardedBackend::run_tile(const ptc::Tile& tile, std::size_t t, const Matrix& ae,
@@ -247,7 +250,7 @@ ptc::TileCheck GuardedBackend::run_tile(const ptc::Tile& tile, std::size_t t, co
   const std::size_t k = ae.cols();
   // Numeric tier for the data dots (cfg_.path): blocked double dots on
   // every fast tier — lanes are never on the quantizer grid, so
-  // kKernelQuant runs them too.  Checksum references below always stay
+  // kKernelQuant runs them too.  Checksum references always stay
   // double-precision golden dots, whatever the data tier.  The dots take
   // k explicitly, so the padded tail of rows-axis KV appends is never
   // read.
@@ -258,10 +261,10 @@ ptc::TileCheck GuardedBackend::run_tile(const ptc::Tile& tile, std::size_t t, co
     const auto x = ae.row(i);
     for (std::size_t j = tile.col0; j < tile.col0 + tile.cols; ++j) {
       const auto y = bdata.row(j);
-      // Ascending p matches the serial chunk order (and DegradedBackend),
-      // so accumulation is bit-identical across thread counts and to a
-      // post-fence degraded re-run.  The fast tier reassociates, inside
-      // the guard band the verdicts are judged by.
+      // Ascending p is the serial chunk order, so accumulation is
+      // bit-identical across thread counts and to a post-fence re-run.
+      // The fast tier reassociates, inside the guard band the verdicts
+      // are judged by.
       double acc = 0.0;
       if (simd_tile) {
         acc = simd::dot(x.data(), y.data(), k);
@@ -280,82 +283,17 @@ ptc::TileCheck GuardedBackend::run_tile(const ptc::Tile& tile, std::size_t t, co
       csum[j - tile.col0] += acc;
     }
   }
+  if (!cfg_.guard.enabled) return {};
 
-  ptc::TileCheck check;
-  check.tile = t;
-  const double mag = static_cast<double>(k);
-  const double tol_row = ptc::guard_tolerance(cfg_.guard, k, tile.cols, mag);
-  const double tol_col = ptc::guard_tolerance(cfg_.guard, k, tile.rows, mag);
-  // Hysteresis band (DESIGN.md §16): three verdict zones per comparison.
-  //   res ≤ tol             clean
-  //   tol < res ≤ band·tol  drift — absorbed (recorded, no escalation)
-  //   res > band·tol        excursion — mismatch, the ladder fires
-  // band == 1 collapses the middle zone and reproduces the pre-drift
-  // verdicts bit-for-bit.  NaN is always a mismatch, never "in band".
-  const double band = std::max(1.0, cfg_.guard.drift_band);
-  const auto note = [&check, band](double residual, double tol) {
-    if (std::isnan(residual) || residual > check.worst_residual) {
-      check.worst_residual = residual;
-      check.tolerance = tol;
-    }
-    if (std::isnan(residual) || residual > band * tol) {
-      check.ok = false;
-    } else if (residual > tol) {
-      check.drift_ratio = std::max(check.drift_ratio, residual / tol);
-    }
-  };
-  // Out-of-band lane bookkeeping for single-error correction: one bad
-  // row lane × one bad column lane pinpoints the corrupted element.
-  // "Bad" is judged at the *outer* band edge, so lanes drifting inside
-  // the band cannot blur a hard strike's single-error signature.
-  std::size_t bad_rows = 0, bad_cols = 0;
-  std::size_t sec_row = 0, sec_col = 0;
-  double row_delta = 0.0, col_delta = 0.0;
-  // Row lanes: Σ_j tile(i,j) vs ⟨golden x′_i, cached golden Σ_j y′_j⟩.
-  // The column-only cheap mode skips them (and their spare-lane charge).
-  if (!cfg_.guard.column_only) {
-    const auto ysum = pb.checksum.row(tile.col0 / pb.checksum_stripe);
-    for (std::size_t i = tile.row0; i < tile.row0 + tile.rows; ++i) {
-      const auto xr = ae_gold.row(i);
-      double ref = 0.0;
-      for (std::size_t p = 0; p < k; ++p) ref += xr[p] * ysum[p];
-      const double res = rsum[i - tile.row0] - ref;
-      note(std::abs(res), tol_row);
-      if (std::isnan(res) || std::abs(res) > band * tol_row) {
-        ++bad_rows;
-        sec_row = i;
-        row_delta = res;
-      }
-    }
-  }
-  // Column lanes: Σ_i tile(i,j) vs ⟨golden Σ_i x′_i, golden y′_j⟩.
-  const auto xs = xsum.row(tile.row0 / cfg_.array_rows);
-  for (std::size_t j = tile.col0; j < tile.col0 + tile.cols; ++j) {
-    const auto yr = pb.reference.row(j);
-    double ref = 0.0;
-    for (std::size_t p = 0; p < k; ++p) ref += xs[p] * yr[p];
-    const double res = csum[j - tile.col0] - ref;
-    note(std::abs(res), tol_col);
-    if (std::isnan(res) || std::abs(res) > band * tol_col) {
-      ++bad_cols;
-      sec_col = j;
-      col_delta = res;
-    }
-  }
-
-  // Single-error correction: both residuals estimate the same raw
-  // accumulator error, so when they agree (within both bands) the
-  // element at the intersection is corrected digitally and no escalation
-  // rung fires.  Lane-class faults corrupt whole encode rows/columns and
-  // never present this signature, so they still escalate.  The agreement
-  // window widens with the hysteresis band: a strike landing on lanes
-  // drifting mid-band sees each delta contaminated by up to band·tol of
-  // absorbed wander, and the correction may carry that much of it into
-  // the element — bounded by exactly the error the band already admits.
-  if (!check.ok && cfg_.guard.sec_correction && !cfg_.guard.column_only && bad_rows == 1 &&
-      bad_cols == 1 && std::isfinite(row_delta) && std::isfinite(col_delta) &&
-      std::abs(row_delta - col_delta) <= band * (tol_row + tol_col)) {
-    c(sec_row, sec_col) -= row_delta * rescale;
+  ptc::TileCheck check = ptc::verify_tile(cfg_.guard, tile, t, rsum, csum, ae_gold,
+                                          xsum.row(tile.row0 / cfg_.array_rows), pb);
+  // Single-error correction: the element at the located site is
+  // corrected digitally from its residual and no escalation rung fires.
+  // The correction may carry up to band·tol of absorbed drift into the
+  // element — bounded by exactly the error the band already admits.
+  if (cfg_.guard.sec_correction && check.single_error) {
+    const ptc::ErrorSite& site = *check.single_error;
+    c(site.row, site.col) -= site.delta * rescale;
     check.ok = true;
     check.corrected = 1;
   }
@@ -393,21 +331,22 @@ std::size_t GuardedBackend::fence_diverged_lanes(const std::vector<std::size_t>&
   return fenced;
 }
 
-Matrix GuardedBackend::run_guarded(const Matrix& a, const Matrix& bsrc, ptc::GrowAxis baxis,
+Matrix GuardedBackend::run_product(const Matrix& a, const Matrix& bsrc, ptc::GrowAxis baxis,
                                    std::shared_ptr<const ptc::PreparedOperand> pb,
                                    const nn::WeightHandle* weight,
                                    const nn::KvHandle* kv) {
+  const bool guarded = cfg_.guard.enabled;
   const std::size_t m = a.rows();
   const std::size_t k = a.cols();
   const std::size_t n = pb->cols;
 
-  // A-side pipeline: normalize once, then dual-encode (current + golden)
-  // under the operand's channel packing.
+  // A-side pipeline: normalize once, then encode under the operand's
+  // channel packing — current state, plus golden when guarded.
   const double a_scale = converters::max_abs_scale(a.data());
   Matrix an(m, k);
   for (std::size_t i = 0; i < a.size(); ++i) an.data()[i] = a.data()[i] / a_scale;
   Matrix ae(m, k);
-  Matrix ae_gold(m, k);
+  Matrix ae_gold(guarded ? m : 0, k);
   Matrix xsum;
   const std::size_t row_stripes = (m + cfg_.array_rows - 1) / cfg_.array_rows;
   const std::size_t col_stripes = (n + cfg_.array_cols - 1) / cfg_.array_cols;
@@ -421,16 +360,11 @@ Matrix GuardedBackend::run_guarded(const Matrix& a, const Matrix& bsrc, ptc::Gro
     a_epoch.assign(row_stripes, bank_.epoch());
     const LaneEncoder encode = lane_encoder(0, channels);
     pool_->parallel_for(m, [&](std::size_t begin, std::size_t end, std::size_t) {
-      for (std::size_t r = begin; r < end; ++r) encode(an.row(r), 0, ae.row(r), ae_gold.row(r));
+      for (std::size_t r = begin; r < end; ++r) {
+        encode(an.row(r), 0, ae.row(r), guarded ? ae_gold.row(r) : std::span<double>{});
+      }
     });
-    // A row-stripe checksums over the golden encodes.
-    xsum.resize(row_stripes, k);
-    std::fill(xsum.data().begin(), xsum.data().end(), 0.0);
-    for (std::size_t i = 0; i < m; ++i) {
-      const auto src = ae_gold.row(i);
-      const auto dst = xsum.row(i / cfg_.array_rows);
-      for (std::size_t p = 0; p < k; ++p) dst[p] += src[p];
-    }
+    if (guarded) ptc::stripe_sums(ae_gold, cfg_.array_rows, xsum);
   };
   encode_a(pb->channels);
 
@@ -515,6 +449,9 @@ Matrix GuardedBackend::run_guarded(const Matrix& a, const Matrix& bsrc, ptc::Gro
                                                            cfg_.guard.column_only);
     }
   }
+  // Unguarded, the product ends here: no verdicts to fold, drift to
+  // feed, ladder to climb or outcome to record.
+  if (!guarded) return c;
 
   std::vector<std::size_t> bad;
   for (std::size_t t = 0; t < tiles.size(); ++t) {
@@ -599,8 +536,8 @@ Matrix GuardedBackend::run_guarded(const Matrix& a, const Matrix& bsrc, ptc::Gro
     if (repacked) {
       const ptc::OperandSpec spec = operand_spec();
       if (spec.channels.empty()) {
-        // Every channel fenced mid-recovery: the accelerator is offline.
-        // Zero result, mirroring DegradedBackend's outage contract.
+        // Every channel fenced mid-recovery: the accelerator is offline,
+        // so the product gets the outage's zero result.
         monitor_->record_action(GuardAction::kGiveUp);
         tally_drift();
         monitor_->record_product(outcome);
@@ -611,7 +548,7 @@ Matrix GuardedBackend::run_guarded(const Matrix& a, const Matrix& bsrc, ptc::Gro
       // next product starts warm again.  The rung moved the epoch, so
       // re-ensure the coefficient table first (we are between parallel
       // regions here).
-      if (cfg_.use_lane_table) table_.ensure(bank_);
+      table_.ensure(bank_);
       Matrix stage;
       auto rebuilt = std::make_shared<ptc::PreparedOperand>(ptc::prepare_operand(
           bsrc, baxis, spec, lane_encoder(1, spec.channels), *pool_, stage));

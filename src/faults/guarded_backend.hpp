@@ -1,9 +1,12 @@
-// guarded_backend.hpp — ABFT checksum-guarded GEMM execution over a
-// live (mutable, possibly mid-product-faulting) lane bank.
+// guarded_backend.hpp — GEMM through a live (mutable, possibly
+// mid-product-faulting) lane bank: each operand element is encoded by the
+// lane that carries it (x rail for A, y rail for B), reductions are packed
+// onto the surviving WDM channels, and fewer survivors charge more chunks
+// per reduction.  The bank is referenced, not owned.
 //
-// DegradedBackend runs honestly on a *known*-degraded bank; this backend
-// closes the window before the knowing: it detects silent corruption
-// in-band, at tile granularity, and drives the faults::EscalationPolicy
+// With GuardConfig::enabled off this is the plain lane executor.  On (the
+// default) it detects silent corruption in-band, at tile granularity,
+// through ptc::verify_tile, and drives the faults::EscalationPolicy
 // ladder until the product verifies or the ladder is exhausted.
 //
 // Trust model (DESIGN.md §12).  The controller snapshots every lane's
@@ -78,9 +81,10 @@ struct GuardedBackendConfig {
   /// (DESIGN.md §17): per-sequence growing operands, appended in place
   /// while the bank's epoch and packing hold, rebuilt otherwise.
   nn::KvPreparedCacheConfig kv_cache{};
-  /// Checksum guard band; `enabled` is forced on (that is the point of
-  /// this backend).  Leave noise_sigma 0 on the deterministic lane path.
-  ptc::GuardConfig guard{};
+  /// Checksum guard band.  Off, the backend is the plain lane executor:
+  /// no golden reference, checksum stripes, verdicts, ladder or monitor
+  /// record.  Leave noise_sigma 0 on the deterministic lane path.
+  ptc::GuardConfig guard{.enabled = true};
   /// Recovery ladder bounds + the targeted self-test's BIST config —
   /// including the drift-hysteresis governor knobs (proactive_retrim,
   /// retrim_cooldown_products, window_retrims/window_products).
@@ -89,25 +93,19 @@ struct GuardedBackendConfig {
   /// the clean / drifting / excursion classification the proactive
   /// re-trim rung and the serving quarantine policy read.
   DriftTrackerConfig drift{};
-  /// Serve the product-level CURRENT-state encodes (prepares, appends and
-  /// A-side encodes) from an epoch-keyed coefficient table
-  /// (lane_table.hpp) instead of evaluating lane models per element.
-  /// Bit-identical either way.
-  /// Per-tile storm/retry re-encodes — only of stripes the epoch has
-  /// moved past — always go through the live models: under a bias walk
-  /// the epoch moves every tile step, and the table would rebuild per
-  /// tile, costing more than the stripes it would serve.
-  bool use_lane_table{true};
   /// Numeric tier for the tile data dots (DESIGN.md §15).
-  ///   kKernel      — serial scalar accumulation (default): bit-identical
-  ///                  to DegradedBackend's re-run, the reference contract.
+  ///   kKernel      — serial scalar accumulation in ascending reduction
+  ///                  position (default): the reference contract, equal
+  ///                  to Σₚ of the per-lane encodes bit for bit.
   ///   kKernelSimd  — blocked double dots (common/simd.hpp): in-band
   ///                  reassociation, same verdict machinery.
   ///   kKernelQuant — runs the kKernelSimd dots: lanes are never on the
   ///                  quantizer grid, so there are no exact codes to
   ///                  carry.
-  /// Checksum references are double-precision golden dots in every tier,
-  /// so detection semantics never change.
+  /// kDeviceGraph is rejected at construction: a lane bank has no device
+  /// graph to stage chunks through.  Checksum references are
+  /// double-precision golden dots in every tier, so detection semantics
+  /// never change.
   ptc::ExecutionPath path{ptc::ExecutionPath::kKernel};
 };
 
@@ -136,15 +134,14 @@ class GuardedBackend final : public nn::GemmBackend {
   explicit GuardedBackend(LaneBank& bank, GuardedBackendConfig cfg = {},
                           HealthMonitor* shared_monitor = nullptr);
 
-  /// Guarded product: every tile verified against the golden references,
-  /// mismatches recovered through the escalation ladder.  With every
-  /// channel fenced the accelerator is offline (all-zero result, no
-  /// events), mirroring DegradedBackend.
+  /// Product through the surviving lanes, when guarded verified tile by
+  /// tile against the golden references and recovered through the
+  /// escalation ladder.  With every channel fenced the accelerator is
+  /// offline: all-zero result, no events, no product recorded.
   [[nodiscard]] Matrix matmul(const Matrix& a, const Matrix& b) override;
 
-  /// Same product with the prepared B side (current + golden encodings
-  /// and checksum stripes) cached across calls, invalidated by the
-  /// bank's epoch and by channel-packing changes.
+  /// Same product with the prepared B side cached across calls,
+  /// invalidated by the bank's epoch and by channel-packing changes.
   [[nodiscard]] Matrix matmul_cached(const Matrix& a, const Matrix& b,
                                      const nn::WeightHandle& weight) override;
 
@@ -230,23 +227,23 @@ class GuardedBackend final : public nn::GemmBackend {
   void observe_probes(const SelfTestReport& report);
 
   /// The faults lane encoder for `rail` under `channels`: current state
-  /// from the coefficient table when enabled (and fresh), golden state
-  /// from the snapshot.
+  /// from the coefficient table (the live lanes when it is stale), golden
+  /// state from the snapshot.
   [[nodiscard]] LaneEncoder lane_encoder(std::size_t rail,
                                          const std::vector<std::size_t>& channels) const;
 
   /// The spec every operand of this backend is prepared and appended
-  /// under: bank epoch, surviving packing, golden reference, checksum
-  /// stripes unless column-only.
+  /// under: bank epoch, surviving packing and, when guarded, the golden
+  /// reference and the checksum stripes unless column-only.
   [[nodiscard]] ptc::OperandSpec operand_spec() const;
 
-  /// Full guarded pipeline for one product (shared by all matmul entry
-  /// points).  `bsrc` is the B operand's source in `baxis` orientation —
-  /// B itself, or Bᵀ for the KV scores path, whose history IS the
-  /// transpose.  `pb` must have been prepared against the current
+  /// Full pipeline for one product (shared by all matmul entry points);
+  /// unguarded it stops after the data pass.  `bsrc` is the B operand's
+  /// source in `baxis` orientation — B itself, or Bᵀ for the KV scores
+  /// path, whose history IS the transpose.  `pb` must have been prepared against the current
   /// epoch/packing.  `kv` (nullable) names the resident KV entry to
   /// refresh should an escalation rung rebuild the operand.
-  [[nodiscard]] Matrix run_guarded(const Matrix& a, const Matrix& bsrc, ptc::GrowAxis baxis,
+  [[nodiscard]] Matrix run_product(const Matrix& a, const Matrix& bsrc, ptc::GrowAxis baxis,
                                    std::shared_ptr<const ptc::PreparedOperand> pb,
                                    const nn::WeightHandle* weight,
                                    const nn::KvHandle* kv = nullptr);
@@ -260,13 +257,11 @@ class GuardedBackend final : public nn::GemmBackend {
   [[nodiscard]] std::shared_ptr<const ptc::PreparedOperand> obtain_kv(
       const Matrix& kv, const nn::KvHandle& handle);
 
-  /// Compute + verify one tile: data dots from `ae` (current A encodes)
-  /// × `bdata` (current B encodes), references from `ae_gold` /
-  /// `pb.reference` / the cached checksum stripes.  Writes the rescaled
-  /// outputs into `c` and returns the verdict.  `upsets` (nullable) are
-  /// the transient dot glitches of the initial pass; single-element
-  /// corruptions whose row×column residuals intersect are corrected
-  /// digitally in place when GuardConfig::sec_correction is on.
+  /// Compute one tile: data dots from `ae` (current A encodes) × `bdata`
+  /// (current B encodes), rescaled into `c`; `upsets` (nullable) are the
+  /// transient dot glitches of the initial pass.  Guarded, returns
+  /// ptc::verify_tile's verdict against `ae_gold` / `xsum` / `pb`, with
+  /// its single-error site corrected in place when sec_correction is on.
   [[nodiscard]] ptc::TileCheck run_tile(const ptc::Tile& tile, std::size_t t, const Matrix& ae,
                                         const Matrix& ae_gold, const Matrix& xsum,
                                         const Matrix& bdata, const ptc::PreparedOperand& pb,

@@ -6,6 +6,7 @@
 
 #include "common/require.hpp"
 #include "ptc/dot_engine.hpp"
+#include "ptc/gemm_engine.hpp"
 #include "ptc/noise_analysis.hpp"
 
 namespace pdac::ptc {
@@ -47,6 +48,89 @@ double calibrate_guard_sigma(const DotEngineConfig& dot, std::size_t k) {
   }
 
   return std::sqrt(variance);
+}
+
+void stripe_sums(const Matrix& rows, std::size_t stripe, Matrix& out) {
+  out.resize((rows.rows() + stripe - 1) / stripe, rows.cols());
+  std::fill(out.data().begin(), out.data().end(), 0.0);
+  for (std::size_t i = 0; i < rows.rows(); ++i) {
+    const auto src = rows.row(i);
+    const auto dst = out.row(i / stripe);
+    for (std::size_t p = 0; p < src.size(); ++p) dst[p] += src[p];
+  }
+}
+
+TileCheck verify_tile(const GuardConfig& cfg, const Tile& tile, std::size_t t,
+                      std::span<const double> rsum, std::span<const double> csum,
+                      const Matrix& a_golden, std::span<const double> xsum,
+                      const PreparedOperand& b) {
+  const std::size_t k = a_golden.cols();
+  TileCheck check;
+  check.tile = t;
+  // The deterministic band scales with the raw dot magnitudes, which
+  // |x′·y′| ≤ 1 per element bounds by k.
+  const double mag = static_cast<double>(k);
+  const double tol_row = guard_tolerance(cfg, k, tile.cols, mag);
+  const double tol_col = guard_tolerance(cfg, k, tile.rows, mag);
+  // Hysteresis band (DESIGN.md §16): band == 1 collapses the drift zone.
+  // Returns true on an excursion.
+  const double band = std::max(1.0, cfg.drift_band);
+  const auto excursion = [&check, band](double res, double tol) {
+    const double r = std::abs(res);
+    if (std::isnan(r) || r > check.worst_residual) {
+      check.worst_residual = r;
+      check.tolerance = tol;
+    }
+    if (std::isnan(r) || r > band * tol) {
+      check.ok = false;
+      return true;
+    }
+    if (r > tol) check.drift_ratio = std::max(check.drift_ratio, r / tol);
+    return false;
+  };
+  // Out-of-band lanes locate the single-error site.  "Bad" is judged at
+  // the outer band edge, so lanes drifting inside the band cannot blur a
+  // hard strike's signature.
+  std::size_t bad_rows = 0, bad_cols = 0;
+  ErrorSite site;
+  double col_delta = 0.0;
+  // Row lanes: Σ_j tile(i,j) vs ⟨golden x′_i, cached golden Σ_j y′_j⟩.
+  // The column-only cheap mode skips them (and their spare-lane charge).
+  if (!cfg.column_only) {
+    const auto ysum = b.checksum.row(tile.col0 / b.checksum_stripe);
+    for (std::size_t i = tile.row0; i < tile.row0 + tile.rows; ++i) {
+      const auto xr = a_golden.row(i);
+      double ref = 0.0;
+      for (std::size_t p = 0; p < k; ++p) ref += xr[p] * ysum[p];
+      const double res = rsum[i - tile.row0] - ref;
+      if (excursion(res, tol_row)) {
+        ++bad_rows;
+        site.row = i;
+        site.delta = res;
+      }
+    }
+  }
+  // Column lanes: Σ_i tile(i,j) vs ⟨golden Σ_i x′_i, golden y′_j⟩.
+  const Matrix& bref = b.reference.size() > 0 ? b.reference : b.encoded;
+  for (std::size_t j = tile.col0; j < tile.col0 + tile.cols; ++j) {
+    const auto yr = bref.row(j);
+    double ref = 0.0;
+    for (std::size_t p = 0; p < k; ++p) ref += xsum[p] * yr[p];
+    const double res = csum[j - tile.col0] - ref;
+    if (excursion(res, tol_col)) {
+      ++bad_cols;
+      site.col = j;
+      col_delta = res;
+    }
+  }
+  // Both residuals estimate the same raw accumulator error.  The
+  // agreement window widens with the band: a strike on lanes drifting
+  // mid-band sees each delta carry up to band·tol of absorbed wander.
+  if (bad_rows == 1 && bad_cols == 1 && std::isfinite(site.delta) && std::isfinite(col_delta) &&
+      std::abs(site.delta - col_delta) <= band * (tol_row + tol_col)) {
+    check.single_error = site;
+  }
+  return check;
 }
 
 EventCounter checksum_lane_events(std::size_t h, std::size_t w, std::size_t k,

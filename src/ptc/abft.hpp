@@ -41,8 +41,12 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
+#include <span>
 
+#include "common/matrix.hpp"
 #include "ptc/event_counter.hpp"
+#include "ptc/tile_scheduler.hpp"
 
 namespace pdac::converters {
 class Quantizer;
@@ -51,6 +55,7 @@ class Quantizer;
 namespace pdac::ptc {
 
 struct DotEngineConfig;
+struct PreparedOperand;
 
 /// Guard knobs; aggregate-initializable so configs stay declarative.
 struct GuardConfig {
@@ -77,11 +82,13 @@ struct GuardConfig {
   /// price of losing row localization — and with it single-error
   /// correction, which needs the row×column intersection.
   bool column_only{false};
-  /// Single-error correction (faults::GuardedBackend): when exactly one
-  /// row lane and exactly one column lane mismatch and their residuals
-  /// agree, the corrupted element is pinpointed at the intersection and
-  /// corrected digitally from the checksum residual — no escalation rung
-  /// fires.  Ignored under column_only (no row lanes to intersect).
+  /// Single-error correction: when exactly one row lane and exactly one
+  /// column lane mismatch and their residuals agree, verify_tile locates
+  /// the corrupted element at the intersection (TileCheck::single_error)
+  /// and faults::GuardedBackend corrects it digitally from the checksum
+  /// residual — no escalation rung fires.  PhotonicGemm never corrects:
+  /// its cache repair depends on seeing the mismatch.  Ignored under
+  /// column_only (no row lanes to intersect).
   bool sec_correction{true};
   /// Hysteresis band for continuous drift (DESIGN.md §16): a residual in
   /// (tolerance, drift_band·tolerance] is *absorbed* — recorded as a
@@ -114,6 +121,13 @@ struct GuardConfig {
 /// floating-point term and the comparison is exact to reassociation.
 [[nodiscard]] double calibrate_guard_sigma(const DotEngineConfig& dot, std::size_t k);
 
+/// A corrupted output element: global coordinates, raw (pre-rescale) error.
+struct ErrorSite {
+  std::size_t row{0};
+  std::size_t col{0};
+  double delta{0.0};
+};
+
 /// Verdict for one guarded tile.
 struct TileCheck {
   std::size_t tile{0};        ///< tile index in scheduler order
@@ -128,7 +142,28 @@ struct TileCheck {
   /// 0 when every comparison was inside the base tolerance.  A tile with
   /// drift_ratio > 0 and ok == true was absorbed, not escalated.
   double drift_ratio{0.0};
+  /// Set when the only excursions are one row lane and one column lane
+  /// whose finite residuals agree: one corrupted element at their
+  /// intersection.  Lane-class faults never present this signature.
+  std::optional<ErrorSite> single_error;
 };
+
+/// The A side's row-stripe checksums: out.row(s) = Σ rows [s·stripe,
+/// (s+1)·stripe) in ascending row order.
+void stripe_sums(const Matrix& rows, std::size_t stripe, Matrix& out);
+
+/// The checksum verdict of one guarded tile, shared by every executor.
+/// `rsum`/`csum` are the tile's raw analog row and column sums.  Row lane
+/// i compares against ⟨a_golden.row(i), b's checksum stripe⟩ (skipped
+/// under column_only); column lane j against ⟨xsum, b's golden column
+/// j⟩ — b.reference when staged, else b.encoded — where `xsum` is the
+/// tile's golden A stripe sum.  Each residual is clean up to the
+/// tolerance, absorbed drift up to drift_band·tolerance, an excursion
+/// beyond; a NaN is always an excursion.  Correction is the caller's.
+[[nodiscard]] TileCheck verify_tile(const GuardConfig& cfg, const Tile& tile, std::size_t t,
+                                    std::span<const double> rsum, std::span<const double> csum,
+                                    const Matrix& a_golden, std::span<const double> xsum,
+                                    const PreparedOperand& b);
 
 /// Aggregated guard outcome of one product (GemmResult::guard).  The
 /// checksum-lane charge is kept in its own counter so the data-path

@@ -222,9 +222,11 @@ bool append_operand(PreparedOperand& pb, const Matrix& src, GrowAxis axis,
 }
 
 OperandSpec PhotonicGemm::operand_spec(std::uint64_t epoch) const {
+  // The column-only guard never runs the row lanes the stripes feed.
   return OperandSpec{.epoch = epoch,
                      .channels = {},
-                     .checksum_stripe = cfg_.guard.enabled ? cfg_.array_cols : 0,
+                     .checksum_stripe =
+                         cfg_.guard.enabled && !cfg_.guard.column_only ? cfg_.array_cols : 0,
                      .reference = false,
                      .qcodes = cfg_.path == ExecutionPath::kKernelQuant};
 }
@@ -267,7 +269,7 @@ bool PhotonicGemm::append_b_rows(PreparedOperand& pb, const Matrix& b,
 GemmResult PhotonicGemm::multiply_prepared(const Matrix& a, const PreparedOperand& b) const {
   PDAC_REQUIRE(a.cols() == b.rows, "PhotonicGemm: inner dimensions must agree");
   const bool guarded = cfg_.guard.enabled;
-  if (guarded) {
+  if (guarded && !cfg_.guard.column_only) {
     PDAC_REQUIRE(b.checksum_stripe == cfg_.array_cols &&
                      b.checksum.rows() == (b.cols + cfg_.array_cols - 1) / cfg_.array_cols,
                  "PhotonicGemm: guarded execution needs an operand prepared under the same "
@@ -318,21 +320,11 @@ GemmResult PhotonicGemm::multiply_prepared(const Matrix& a, const PreparedOperan
   // count (the numerics are deterministic element-wise anyway).
   event_scratch_.assign(tiles.size(), EventCounter{});
 
-  // Guard setup: build the A row-stripe checksums (Σ_i x′_i per
-  // array_rows-high stripe) once per product.  References compare
-  // against the *golden* encodings — b.reference when the operand
-  // carries a calibration-state snapshot (faults layer), b.encoded
-  // otherwise (the immutable healthy path, where they coincide).
-  const Matrix& bref = (guarded && b.reference.size() > 0) ? b.reference : b.encoded;
+  // Guard setup: the A row-stripe checksums (Σ_i x′_i per array_rows-high
+  // stripe), once per product.  The engine's encoder is immutable, so
+  // the A encodes double as their own golden reference.
   if (guarded) {
-    const std::size_t row_stripes = (a.rows() + cfg_.array_rows - 1) / cfg_.array_rows;
-    xsum_scratch_.resize(row_stripes, k);
-    std::fill(xsum_scratch_.data().begin(), xsum_scratch_.data().end(), 0.0);
-    for (std::size_t i = 0; i < a.rows(); ++i) {
-      const auto src = ae.row(i);
-      const auto dst = xsum_scratch_.row(i / cfg_.array_rows);
-      for (std::size_t p = 0; p < k; ++p) dst[p] += src[p];
-    }
+    stripe_sums(ae, cfg_.array_rows, xsum_scratch_);
     check_scratch_.assign(tiles.size(), TileCheck{});
   }
 
@@ -392,38 +384,10 @@ GemmResult PhotonicGemm::multiply_prepared(const Matrix& a, const PreparedOperan
     event_scratch_[t] = step;
 
     if (guarded) {
-      TileCheck check;
-      check.tile = t;
-      // The deterministic band scales with the raw dot magnitudes, which
-      // |x′·y′| ≤ 1 per element bounds by k.
-      const double mag = static_cast<double>(k);
-      const double tol_row = guard_tolerance(cfg_.guard, k, tile.cols, mag);
-      const double tol_col = guard_tolerance(cfg_.guard, k, tile.rows, mag);
-      const auto note = [&check](double residual, double tol) {
-        // NaN residuals must read as mismatches, never as "in band".
-        if (std::isnan(residual) || residual > check.worst_residual) {
-          check.worst_residual = residual;
-          check.tolerance = tol;
-        }
-        if (std::isnan(residual) || residual > tol) check.ok = false;
-      };
-      // Row lanes: Σ_j tile(i,j) vs ⟨golden x′_i, cached Σ_j y′_j⟩.
-      const auto ysum = b.checksum.row(tile.col0 / cfg_.array_cols);
-      for (std::size_t i = tile.row0; i < tile.row0 + tile.rows; ++i) {
-        const auto xr = ae.row(i);
-        double ref = 0.0;
-        for (std::size_t p = 0; p < k; ++p) ref += xr[p] * ysum[p];
-        note(std::abs(rsum[i - tile.row0] - ref), tol_row);
-      }
-      // Column lanes: Σ_i tile(i,j) vs ⟨Σ_i x′_i, golden y′_j⟩.
-      const auto xsum = xsum_scratch_.row(tile.row0 / cfg_.array_rows);
-      for (std::size_t j = tile.col0; j < tile.col0 + tile.cols; ++j) {
-        const auto yr = bref.row(j);
-        double ref = 0.0;
-        for (std::size_t p = 0; p < k; ++p) ref += xsum[p] * yr[p];
-        note(std::abs(csum[j - tile.col0] - ref), tol_col);
-      }
-      check_scratch_[t] = check;
+      // The single-error site is never applied here: a mismatch is how
+      // callers learn a cached operand was corrupted.
+      check_scratch_[t] = verify_tile(cfg_.guard, tile, t, rsum, csum, ae,
+                                      xsum_scratch_.row(tile.row0 / cfg_.array_rows), b);
     }
   });
 
@@ -444,7 +408,10 @@ GemmResult PhotonicGemm::multiply_prepared(const Matrix& a, const PreparedOperan
         res.guard.worst_residual = check.worst_residual;
         res.guard.worst_tolerance = check.tolerance;
       }
-      res.guard.checksum_events += checksum_lane_events(tiles[t].rows, tiles[t].cols, k, chunks);
+      if (check.drift_ratio > 0.0) ++res.guard.drift_tiles;
+      res.guard.worst_drift_ratio = std::max(res.guard.worst_drift_ratio, check.drift_ratio);
+      res.guard.checksum_events += checksum_lane_events(tiles[t].rows, tiles[t].cols, k, chunks,
+                                                        cfg_.guard.column_only);
     }
   }
   return res;

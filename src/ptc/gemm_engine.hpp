@@ -43,12 +43,15 @@
 //
 // ABFT guard (DESIGN.md §12, abft.hpp): with GemmConfig::guard enabled,
 // prepare_b additionally builds one checksum column per array-width
-// column stripe (cached with the operand) and multiply_prepared runs the
-// checksum lanes alongside every tile, comparing the digitized tile sums
-// against the digital references inside a noise-calibrated band.  The
-// data path is untouched — numerics and EventCounter stay bit-identical
-// to the unguarded product — and the checksum-lane charge is reported
-// separately in GemmResult::guard.checksum_events.
+// column stripe (cached with the operand; none under column_only, which
+// runs no row lanes) and multiply_prepared runs the checksum lanes
+// alongside every tile, judged by ptc::verify_tile — the one tile
+// verdict every guarded executor shares, drift band included.  The
+// engine never applies the verdict's single-error correction: a
+// mismatch is how PhotonicBackend learns a cached operand was corrupted.
+// The data path is untouched — numerics and EventCounter stay
+// bit-identical to the unguarded product — and the checksum-lane charge
+// is reported separately in GemmResult::guard.checksum_events.
 #pragma once
 
 #include <algorithm>
@@ -137,7 +140,7 @@ struct PreparedOperand {
   /// operand carries a reference, Σ_j encoded.row(j) otherwise — where
   /// stripes are `checksum_stripe` columns wide (the preparing config's
   /// array_cols).  Built under a guarded spec and cached with the
-  /// operand; empty (stripe 0) when prepared unguarded.
+  /// operand; empty (stripe 0) when prepared unguarded or column-only.
   Matrix checksum;
   std::size_t checksum_stripe{0};
   /// Golden (calibration-state) encoding of the operand for guarded
@@ -318,7 +321,8 @@ class PhotonicGemm {
 
  private:
   /// The operand spec this engine prepares and appends under: no packing
-  /// or golden reference, stripes when guarded, codes on the quant path.
+  /// or golden reference, stripes when guarded with row lanes, codes on
+  /// the quant path.
   [[nodiscard]] OperandSpec operand_spec(std::uint64_t epoch) const;
   /// Encodes Bᵀ rows through the engine's memoized driver LUT.
   [[nodiscard]] RowEncoder lut_encoder() const;

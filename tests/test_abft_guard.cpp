@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "common/require.hpp"
 #include "nn/backend.hpp"
@@ -246,49 +247,77 @@ TEST(AbftGuard, NoisyReadoutPathStaysCleanWithCalibratedBand) {
 }
 
 TEST(AbftGuard, CorruptedPreparedColumnIsDetectedAndLocalized) {
-  // Corrupt one cached encoded column after prepare: the row checksum
-  // lanes (whose reference stripes were summed at prepare time) flag
-  // exactly the tiles whose column range covers the corrupted column.
+  // Corrupt one cached encoded column after prepare.  Under the full
+  // guard the row checksum lanes (whose reference stripes were summed at
+  // prepare time) flag exactly the tiles whose column range covers the
+  // corrupted column.  The column-only guard prepares no stripes and
+  // runs no row lanes; its column lanes compare against the operand's
+  // golden columns, so that run keeps a golden copy in `reference` (the
+  // faults layer's dual encode) and must flag the same tiles at half the
+  // full guard's checksum modulations.
   const auto drv = core::make_pdac_driver(8);
-  GemmConfig cfg;
-  cfg.array_rows = 8;
-  cfg.array_cols = 8;
-  cfg.guard.enabled = true;
-  const PhotonicGemm gemm(*drv, cfg);
   Rng rng(21);
   const Matrix a = Matrix::random_gaussian(24, 16, rng);  // 3 row stripes
   const Matrix b = Matrix::random_gaussian(16, 24, rng);  // 3 col stripes
+  std::uint64_t full_modulations = 0;
+  for (const bool column_only : {false, true}) {
+    SCOPED_TRACE(column_only ? "column-only" : "full guard");
+    GemmConfig cfg;
+    cfg.array_rows = 8;
+    cfg.array_cols = 8;
+    cfg.guard.enabled = true;
+    cfg.guard.column_only = column_only;
+    const PhotonicGemm gemm(*drv, cfg);
 
-  PreparedOperand pb = gemm.prepare_b(b);
-  const std::size_t bad_col = 13;  // column stripe 1
-  pb.encoded.row(bad_col)[3] += 0.25;  // one flipped amplitude
+    PreparedOperand pb = gemm.prepare_b(b);
+    EXPECT_EQ(pb.checksum.size() == 0, column_only);
+    if (column_only) pb.reference = pb.encoded;
+    const std::size_t bad_col = 13;  // column stripe 1
+    pb.encoded.row(bad_col)[3] += 0.25;  // one flipped amplitude
 
-  const GemmResult res = gemm.multiply_prepared(a, pb);
-  EXPECT_FALSE(res.guard.clean());
-  // Tiles are row-major over a 3×3 grid; column stripe 1 owns tile
-  // indices {1, 4, 7}, so detection fires at tile 1 and nowhere outside
-  // the stripe.
-  EXPECT_EQ(res.guard.mismatched_tiles, 3u);
-  EXPECT_EQ(res.guard.first_mismatch, 1u);
-  // A genuine corruption lands far outside the band, not marginally.
-  EXPECT_GT(res.guard.worst_residual, 100.0 * res.guard.worst_tolerance);
+    const GemmResult res = gemm.multiply_prepared(a, pb);
+    EXPECT_FALSE(res.guard.clean());
+    // Tiles are row-major over a 3×3 grid; column stripe 1 owns tile
+    // indices {1, 4, 7}, so detection fires at tile 1 and nowhere outside
+    // the stripe.
+    EXPECT_EQ(res.guard.mismatched_tiles, 3u);
+    EXPECT_EQ(res.guard.first_mismatch, 1u);
+    // A genuine corruption lands far outside the band, not marginally.
+    EXPECT_GT(res.guard.worst_residual, 100.0 * res.guard.worst_tolerance);
+    if (column_only) {
+      EXPECT_EQ(res.guard.checksum_events.modulation_events * 2, full_modulations);
+    } else {
+      full_modulations = res.guard.checksum_events.modulation_events;
+    }
+  }
 }
 
 TEST(AbftGuard, NanInCorruptedOperandIsNeverInBand) {
   // A dead PD can NaN an analog sum; NaN must read as a mismatch (a
-  // plain residual > tol comparison would silently pass it).
+  // plain residual > tol comparison would silently pass it) — even under
+  // a hysteresis band wide enough to absorb a finite corruption as drift.
   const auto drv = core::make_pdac_driver(8);
-  GemmConfig cfg;
-  cfg.guard.enabled = true;
-  const PhotonicGemm gemm(*drv, cfg);
-  Rng rng(5);
-  const Matrix a = Matrix::random_gaussian(8, 12, rng);
-  const Matrix b = Matrix::random_gaussian(12, 8, rng);
-  PreparedOperand pb = gemm.prepare_b(b);
-  pb.encoded.row(2)[0] = std::numeric_limits<double>::quiet_NaN();
-  const GemmResult res = gemm.multiply_prepared(a, pb);
-  EXPECT_FALSE(res.guard.clean());
-  EXPECT_TRUE(std::isnan(res.guard.worst_residual));
+  for (const double band : {1.0, 1e12}) {
+    SCOPED_TRACE("drift band " + std::to_string(band));
+    GemmConfig cfg;
+    cfg.guard.enabled = true;
+    cfg.guard.drift_band = band;
+    const PhotonicGemm gemm(*drv, cfg);
+    Rng rng(5);
+    const Matrix a = Matrix::random_gaussian(8, 12, rng);
+    const Matrix b = Matrix::random_gaussian(12, 8, rng);
+    PreparedOperand pb = gemm.prepare_b(b);
+    PreparedOperand finite = pb;
+    pb.encoded.row(2)[0] = std::numeric_limits<double>::quiet_NaN();
+    const GemmResult res = gemm.multiply_prepared(a, pb);
+    EXPECT_FALSE(res.guard.clean());
+    EXPECT_TRUE(std::isnan(res.guard.worst_residual));
+
+    finite.encoded.row(2)[0] += 0.25;
+    const GemmResult drift = gemm.multiply_prepared(a, finite);
+    EXPECT_EQ(drift.guard.clean(), band > 1.0);
+    EXPECT_EQ(drift.guard.drift_tiles, band > 1.0 ? 1u : 0u);
+  }
 }
 
 TEST(AbftGuard, PhotonicBackendSurfacesGuardStats) {

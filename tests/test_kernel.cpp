@@ -2,8 +2,8 @@
 // supporting coefficient tables: the kernel must match the device-graph
 // path BIT FOR BIT — outputs and event counts — across custom device
 // chains, ragged edges, fenced lanes, derated detectors, ADC settings,
-// guard on/off, any thread count, and (for the faults-layer table)
-// mid-product fault storms.
+// guard on/off and any thread count — and the faults-layer lane table and
+// encoder must match the live lane models across fault injection.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,9 +15,7 @@
 #include "common/rng.hpp"
 #include "common/simd.hpp"
 #include "converters/electrical_adc.hpp"
-#include "faults/degraded_backend.hpp"
 #include "faults/fault_injector.hpp"
-#include "faults/guarded_backend.hpp"
 #include "faults/lane_table.hpp"
 #include "ptc/ddot.hpp"
 #include "ptc/dot_engine.hpp"
@@ -511,6 +509,8 @@ TEST(LaneEncodeTable, MatchesBankEncodesAcrossMutations) {
   faults::LaneEncodeTable table;
   table.ensure(bank);
   ASSERT_TRUE(table.fresh(bank));
+  faults::LaneEncodeTable golden;
+  golden.rebuild(bank);  // pinned before the fault below
 
   const auto sweep = [&] {
     for (std::size_t rail = 0; rail < faults::LaneBank::kRails; ++rail) {
@@ -522,72 +522,59 @@ TEST(LaneEncodeTable, MatchesBankEncodesAcrossMutations) {
       }
     }
   };
-  sweep();
 
-  // An injected fault bumps the epoch: the table must report stale, and
-  // after re-ensure() serve the *faulted* transfer.
+  // One row covering every quantizer code, pushed through LaneEncoder on
+  // every lane: the current amplitudes are the live lane's whatever the
+  // table's state (fresh, stale or absent), and the golden ones come
+  // from the pinned snapshot.
+  const converters::Quantizer& quant = bank.quantizer();
+  std::vector<double> row;
+  std::vector<std::int32_t> codes;
+  for (std::int32_t code = -quant.max_code(); code <= quant.max_code(); ++code) {
+    row.push_back(quant.decode(code));
+    codes.push_back(code);
+    ASSERT_EQ(quant.encode(row.back()), code);
+  }
+  const auto encoder_sweep = [&](const faults::LaneEncodeTable* current) {
+    std::vector<double> cur(row.size());
+    std::vector<double> ref(row.size());
+    for (std::size_t rail = 0; rail < faults::LaneBank::kRails; ++rail) {
+      for (std::size_t ch = 0; ch < bank.wavelengths(); ++ch) {
+        const std::vector<std::size_t> channels{ch};
+        const faults::LaneEncoder encode{bank, channels, rail, current, &golden};
+        encode(row, 0, cur, ref);
+        for (std::size_t i = 0; i < row.size(); ++i) {
+          ASSERT_EQ(cur[i], bank.encode(rail, ch, row[i]))
+              << "rail=" << rail << " ch=" << ch << " code=" << codes[i];
+          ASSERT_EQ(ref[i], golden.at(rail * bank.wavelengths() + ch, codes[i]))
+              << "rail=" << rail << " ch=" << ch << " code=" << codes[i];
+        }
+      }
+    }
+  };
+  sweep();
+  encoder_sweep(&table);
+  encoder_sweep(nullptr);
+
+  // An injected fault bumps the epoch: the table must report stale, the
+  // encoder must fall back to the live lanes until it is re-ensured, and
+  // after ensure() the table serves the *faulted* transfer.
   faults::FaultInjector injector(bank, storm_schedule(bank.lanes()));
   injector.advance_to(6);
   EXPECT_FALSE(table.fresh(bank));
+  encoder_sweep(&table);
+  encoder_sweep(nullptr);
   table.ensure(bank);
   ASSERT_TRUE(table.fresh(bank));
   sweep();
-}
+  encoder_sweep(&table);
 
-TEST(LaneEncodeTable, DegradedBackendTableOnOffBitIdentical) {
-  faults::LaneBank bank(bank_config());
-  faults::production_trim(bank);
-  // Degrade the bank first (fault + a fence) so the packing has a hole.
-  faults::FaultInjector injector(bank, storm_schedule(bank.lanes()));
-  injector.advance_to(4);
-  bank.lane(0, 3).fenced = true;
-  bank.bump_epoch();
-
-  faults::DegradedBackendConfig on;
-  faults::DegradedBackendConfig off;
-  off.use_lane_table = false;
-  faults::DegradedBackend with_table(bank, on);
-  faults::DegradedBackend without(bank, off);
-
-  Rng rng(3);
-  const Matrix a = Matrix::random_gaussian(12, 19, rng, 0.0, 1.0);
-  const Matrix b = Matrix::random_gaussian(19, 10, rng, 0.0, 1.0);
-  expect_bit_identical(with_table.matmul(a, b), without.matmul(a, b));
-  const nn::WeightHandle w{3, 1};
-  expect_bit_identical(with_table.matmul_cached(a, b, w), without.matmul_cached(a, b, w));
-  expect_events_equal(with_table.events(), without.events());
-}
-
-TEST(LaneEncodeTable, GuardedStormTableOnOffBitIdentical) {
-  // Two identically seeded banks under the same mid-product storm: the
-  // guarded pipeline (detection, escalation ladder, re-prepares) must
-  // behave bit-identically whether current-state encodes come from the
-  // table or the live models.
-  Rng rng(9);
-  const Matrix a = Matrix::random_gaussian(14, 22, rng, 0.0, 1.0);
-  const Matrix b = Matrix::random_gaussian(22, 12, rng, 0.0, 1.0);
-
-  const auto run = [&](bool use_table, Matrix* out) {
-    faults::LaneBank bank(bank_config());
-    faults::production_trim(bank);
-    faults::GuardedBackendConfig cfg;
-    cfg.use_lane_table = use_table;
-    faults::GuardedBackend backend(bank, cfg);
-    faults::FaultInjector injector(bank, storm_schedule(bank.lanes()));
-    backend.attach_storm(&injector, 1);
-    *out = backend.matmul(a, b);
-    return std::make_pair(backend.events(), backend.monitor().snapshot());
-  };
-
-  Matrix with_table, without;
-  const auto [ev_on, snap_on] = run(true, &with_table);
-  const auto [ev_off, snap_off] = run(false, &without);
-  expect_bit_identical(with_table, without);
-  expect_events_equal(ev_on, ev_off);
-  EXPECT_EQ(snap_on.products, snap_off.products);
-  EXPECT_EQ(snap_on.detections, snap_off.detections);
-  EXPECT_EQ(snap_on.mismatched_tiles, snap_off.mismatched_tiles);
-  EXPECT_EQ(snap_on.worst_residual, snap_off.worst_residual);
+  // Golden stayed pinned: the stuck lane now encodes differently from it.
+  bool diverged = false;
+  for (const std::int32_t code : codes) {
+    diverged = diverged || golden.at(2, code) != bank.lane(2).model.encode_code(code);
+  }
+  EXPECT_TRUE(diverged);
 }
 
 }  // namespace

@@ -1,15 +1,14 @@
 // Property tests for the tile-parallel GEMM execution engine: results
 // must be BIT-identical to serial execution at any thread count — for
 // random shapes, ragged tiles, fenced-lane masks and the full-optics
-// path — and the degraded fault backend must hold the same property.
+// path.  (The lane-bank backend's thread-count identity is pinned in
+// test_guarded_backend.cpp.)
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <vector>
 
 #include "common/rng.hpp"
-#include "faults/degraded_backend.hpp"
-#include "faults/lane_bank.hpp"
 #include "ptc/gemm_engine.hpp"
 #include "ptc/tile_scheduler.hpp"
 
@@ -147,31 +146,6 @@ TEST(ParallelGemm, BitIdenticalFullOpticsPath) {
   const GemmResult rp = PhotonicGemm(*drv, cfg).multiply(a, b);
   expect_bit_identical(rp.c, rs.c, "full optics");
   expect_same_events(rp.events, rs.events);
-}
-
-TEST(ParallelGemm, DegradedBackendBitIdenticalToSerial) {
-  faults::LaneBankConfig bank_cfg;
-  bank_cfg.wavelengths = 8;
-  bank_cfg.variation.seed = 7;
-  faults::LaneBank bank(bank_cfg);
-  faults::production_trim(bank);
-  bank.lane(0, 2).fenced = true;  // kill one channel on the x rail
-  bank.lane(1, 5).fenced = true;  // and another on the y rail
-
-  faults::DegradedBackendConfig serial_cfg;
-  serial_cfg.threads = 1;
-  faults::DegradedBackendConfig par_cfg;
-  par_cfg.threads = 4;
-  faults::DegradedBackend serial(bank, serial_cfg);
-  faults::DegradedBackend parallel(bank, par_cfg);
-
-  Rng rng(606);
-  const Matrix a = Matrix::random_gaussian(11, 26, rng);
-  const Matrix b = Matrix::random_gaussian(26, 7, rng);
-  const Matrix cs = serial.matmul(a, b);
-  const Matrix cp = parallel.matmul(a, b);
-  expect_bit_identical(cp, cs, "degraded backend");
-  expect_same_events(parallel.events(), serial.events());
 }
 
 }  // namespace

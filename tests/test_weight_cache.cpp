@@ -3,7 +3,7 @@
 // thread count, bit width and tile shape; the operand cache must account
 // hits/misses/evictions/invalidations exactly; and no stale encoding may
 // survive a fault-injection, re-trim or fence epoch bump in the
-// degraded backend.
+// unguarded lane-bank backend.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -11,8 +11,8 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "faults/degraded_backend.hpp"
 #include "faults/fault_injector.hpp"
+#include "faults/guarded_backend.hpp"
 #include "faults/lane_bank.hpp"
 #include "faults/self_test.hpp"
 #include "nn/backend.hpp"
@@ -301,6 +301,12 @@ TEST(LinearHandles, CopiesGetFreshIdentity) {
   EXPECT_EQ(a.weight_handle().id, nn::Linear(std::move(a)).weight_handle().id);
 }
 
+faults::GuardedBackendConfig unguarded() {
+  faults::GuardedBackendConfig cfg;
+  cfg.guard.enabled = false;
+  return cfg;
+}
+
 faults::LaneBankConfig varied_bank_config(std::size_t wavelengths) {
   faults::LaneBankConfig cfg;
   cfg.pdac.bits = 8;
@@ -312,11 +318,11 @@ faults::LaneBankConfig varied_bank_config(std::size_t wavelengths) {
   return cfg;
 }
 
-TEST(DegradedBackendCache, WarmMatchesColdAndUncached) {
+TEST(UnguardedBackendCache, WarmMatchesColdAndUncached) {
   faults::LaneBank bank(varied_bank_config(6));
   faults::production_trim(bank);
-  faults::DegradedBackend cached(bank);
-  faults::DegradedBackend uncached(bank);
+  faults::GuardedBackend cached(bank, unguarded());
+  faults::GuardedBackend uncached(bank, unguarded());
 
   nn::Linear layer(10, 7);
   Rng rng(13);
@@ -334,9 +340,9 @@ TEST(DegradedBackendCache, WarmMatchesColdAndUncached) {
 // bumps the bank epoch and forces a re-encode, so the cached path stays
 // bit-identical to a cache-free backend on the post-trim bank.  (The
 // pre-trim encoding differs — serving it stale WOULD change the output.)
-TEST(DegradedBackendCache, RetrimBetweenStepsForcesReencode) {
+TEST(UnguardedBackendCache, RetrimBetweenStepsForcesReencode) {
   faults::LaneBank bank(varied_bank_config(6));  // untrimmed: variation in play
-  faults::DegradedBackend cached(bank);
+  faults::GuardedBackend cached(bank, unguarded());
 
   nn::Linear layer(12, 8);
   Rng rng(29);
@@ -357,7 +363,7 @@ TEST(DegradedBackendCache, RetrimBetweenStepsForcesReencode) {
 
   // Fresh backend on the *post-trim* bank = ground truth without any
   // cache history; a stale encoding could not match it.
-  faults::DegradedBackend fresh(bank);
+  faults::GuardedBackend fresh(bank, unguarded());
   expect_bit_identical(after, layer.forward(x, fresh), "post-trim vs fresh backend");
 
   // And the trim genuinely changed the encoding, so reuse would have
@@ -369,7 +375,7 @@ TEST(DegradedBackendCache, RetrimBetweenStepsForcesReencode) {
   EXPECT_TRUE(any_diff) << "trim should alter lane transfer curves";
 }
 
-TEST(DegradedBackendCache, FaultInjectionInvalidatesBetweenSteps) {
+TEST(UnguardedBackendCache, FaultInjectionInvalidatesBetweenSteps) {
   faults::LaneBank bank(varied_bank_config(4));
   faults::production_trim(bank);
 
@@ -382,7 +388,7 @@ TEST(DegradedBackendCache, FaultInjectionInvalidatesBetweenSteps) {
   sched.seed = 5;
   faults::FaultInjector injector(bank, faults::generate_fault_schedule(sched));
 
-  faults::DegradedBackend cached(bank);
+  faults::GuardedBackend cached(bank, unguarded());
   nn::Linear layer(9, 6);
   Rng rng(31);
   layer.init_random(rng);
@@ -393,16 +399,16 @@ TEST(DegradedBackendCache, FaultInjectionInvalidatesBetweenSteps) {
 
   const Matrix after = layer.forward(x, cached);
   EXPECT_GE(cached.operand_cache()->stats().invalidations, 1u);
-  faults::DegradedBackend fresh(bank);
+  faults::GuardedBackend fresh(bank, unguarded());
   expect_bit_identical(after, layer.forward(x, fresh), "post-fault vs fresh backend");
 }
 
 // A fence applied directly to a lane (no epoch bump) is still caught by
 // the per-product channel-packing snapshot.
-TEST(DegradedBackendCache, DirectFenceIsCaughtByChannelSnapshot) {
+TEST(UnguardedBackendCache, DirectFenceIsCaughtByChannelSnapshot) {
   faults::LaneBank bank(varied_bank_config(5));
   faults::production_trim(bank);
-  faults::DegradedBackend cached(bank);
+  faults::GuardedBackend cached(bank, unguarded());
 
   nn::Linear layer(8, 5);
   Rng rng(41);
@@ -414,11 +420,11 @@ TEST(DegradedBackendCache, DirectFenceIsCaughtByChannelSnapshot) {
 
   const Matrix after = layer.forward(x, cached);
   EXPECT_GE(cached.operand_cache()->stats().invalidations, 1u);
-  faults::DegradedBackend fresh(bank);
+  faults::GuardedBackend fresh(bank, unguarded());
   expect_bit_identical(after, layer.forward(x, fresh), "post-fence vs fresh backend");
 }
 
-TEST(DegradedBackendCache, SelfTestEpochBump) {
+TEST(UnguardedBackendCache, SelfTestEpochBump) {
   faults::LaneBank bank(varied_bank_config(6));
   // Untrimmed + wide variation: the screen will flag lanes and re-trim.
   const std::uint64_t before = bank.epoch();
