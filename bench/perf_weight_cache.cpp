@@ -196,7 +196,7 @@ int main(int argc, char** argv) {
 
   // Bit-identity: warm == cold == a backend that never caches.
   nn::OperandCacheConfig no_cache;
-  no_cache.enabled = false;
+  no_cache.capacity_bytes = 0;
   nn::PhotonicBackend uncached(core::make_pdac_driver(8), ptc::GemmConfig{}, no_cache);
   const Matrix uncached_out = decode_token(x0, layers, shapes, uncached);
   const bool identical =

@@ -164,82 +164,39 @@ std::vector<std::size_t> GuardedBackend::implicated_lanes(
   return lanes;
 }
 
-std::shared_ptr<const ptc::PreparedOperand> GuardedBackend::obtain_b(
-    const Matrix& b, const nn::WeightHandle* weight) {
-  const ptc::OperandSpec spec = operand_spec();
-  const auto prepare = [&] {
-    Matrix stage;
-    return std::make_shared<const ptc::PreparedOperand>(ptc::prepare_operand(
-        b, ptc::GrowAxis::kRows, spec, lane_encoder(1, spec.channels), *pool_, stage));
-  };
-  if (weight == nullptr) return prepare();
-  std::shared_ptr<const ptc::PreparedOperand> pb =
-      cache_.lookup(weight->id, weight->version, spec.epoch);
-  if (pb != nullptr && pb->channels != spec.channels) {
-    // Epoch matched but the packing did not: a fence landed without a
-    // bump_epoch().  Refuse the entry.
-    cache_.erase(weight->id);
-    pb = nullptr;
-  }
-  if (pb == nullptr) {
-    pb = prepare();
-    cache_.insert(weight->id, weight->version, pb);
-  }
-  return pb;
-}
-
-std::shared_ptr<const ptc::PreparedOperand> GuardedBackend::obtain_kv(
-    const Matrix& kv, const nn::KvHandle& handle) {
+std::shared_ptr<const ptc::PreparedOperand> GuardedBackend::obtain(nn::OperandCache& cache,
+                                                                   std::uint64_t id,
+                                                                   std::uint64_t version,
+                                                                   const Matrix& src,
+                                                                   ptc::GrowAxis axis) {
+  // Any re-trim or fence since the entry was stamped moved the epoch, so
+  // the lookup already missed: its encodings and golden references
+  // describe a bank that no longer exists.  A fence that landed without a
+  // bump_epoch() changes only the packing, and the append refuses that.
   const ptc::OperandSpec spec = operand_spec();
   const LaneEncoder encode = lane_encoder(1, spec.channels);
   Matrix stage;
-  std::shared_ptr<ptc::PreparedOperand> pb = kv_cache_.lookup(handle.id);
-  if (pb != nullptr) {
-    // The append refuses whenever the entry was stamped under another
-    // epoch or packing: any re-trim, fence or repack since means its
-    // encodings and golden references describe a bank that no longer
-    // exists, and appends must not bridge that.
-    if (ptc::append_operand(*pb, kv, handle.axis, spec, encode, *pool_, stage)) {
-      kv_cache_.record_append();
-      kv_cache_.updated(handle.id);
-      return pb;
-    }
-    kv_cache_.record_rebuild();
-  }
-  pb = std::make_shared<ptc::PreparedOperand>(
-      ptc::prepare_operand(kv, handle.axis, spec, encode, *pool_, stage));
-  kv_cache_.insert(handle.id, pb);
-  return pb;
+  return cache.obtain(
+      id, version, spec.epoch,
+      [&](ptc::PreparedOperand& pb) {
+        return ptc::append_operand(pb, src, axis, spec, encode, *pool_, stage);
+      },
+      [&] { return ptc::prepare_operand(src, axis, spec, encode, *pool_, stage); });
 }
 
 Matrix GuardedBackend::matmul(const Matrix& a, const Matrix& b) {
-  PDAC_REQUIRE(a.cols() == b.rows(), "GuardedBackend: inner dimensions must agree");
-  if (bank_.usable_channels() == 0) return Matrix(a.rows(), b.cols());
-  product_entry();  // may re-trim (and bump the epoch) before obtain_b
-  table_.ensure(bank_);
-  return run_product(a, b, ptc::GrowAxis::kRows, obtain_b(b, nullptr), nullptr);
+  return run_product(a, b, ptc::GrowAxis::kRows, cache_, 0, 0);
 }
 
 Matrix GuardedBackend::matmul_cached(const Matrix& a, const Matrix& b,
                                      const nn::WeightHandle& weight) {
-  PDAC_REQUIRE(a.cols() == b.rows(), "GuardedBackend: inner dimensions must agree");
-  if (bank_.usable_channels() == 0) return Matrix(a.rows(), b.cols());
-  product_entry();
-  table_.ensure(bank_);
-  return run_product(a, b, ptc::GrowAxis::kRows, obtain_b(b, &weight), &weight);
+  return run_product(a, b, ptc::GrowAxis::kRows, cache_, weight.id, weight.version);
 }
 
 Matrix GuardedBackend::matmul_kv(const Matrix& a, const Matrix& kv,
                                  const nn::KvHandle& handle) {
-  const bool cols_axis = handle.axis == nn::KvAxis::kCols;
-  PDAC_REQUIRE(a.cols() == (cols_axis ? kv.cols() : kv.rows()),
-               "GuardedBackend: inner dimensions must agree");
-  const std::size_t n = cols_axis ? kv.rows() : kv.cols();
-  if (bank_.usable_channels() == 0) return Matrix(a.rows(), n);
-  product_entry();
-  table_.ensure(bank_);
   // For the scores operand the history IS Bᵀ — no transposed copy.
-  return run_product(a, kv, handle.axis, obtain_kv(kv, handle), nullptr, &handle);
+  return run_product(a, kv, handle.axis, kv_cache_, handle.id, 0);
 }
 
 ptc::TileCheck GuardedBackend::run_tile(const ptc::Tile& tile, std::size_t t, const Matrix& ae,
@@ -332,13 +289,19 @@ std::size_t GuardedBackend::fence_diverged_lanes(const std::vector<std::size_t>&
 }
 
 Matrix GuardedBackend::run_product(const Matrix& a, const Matrix& bsrc, ptc::GrowAxis baxis,
-                                   std::shared_ptr<const ptc::PreparedOperand> pb,
-                                   const nn::WeightHandle* weight,
-                                   const nn::KvHandle* kv) {
-  const bool guarded = cfg_.guard.enabled;
+                                   nn::OperandCache& cache, std::uint64_t id,
+                                   std::uint64_t version) {
+  const bool cols_axis = baxis == ptc::GrowAxis::kCols;
+  PDAC_REQUIRE(a.cols() == (cols_axis ? bsrc.cols() : bsrc.rows()),
+               "GuardedBackend: inner dimensions must agree");
   const std::size_t m = a.rows();
   const std::size_t k = a.cols();
-  const std::size_t n = pb->cols;
+  const std::size_t n = cols_axis ? bsrc.rows() : bsrc.cols();
+  if (bank_.usable_channels() == 0) return Matrix(m, n);
+  product_entry();  // may re-trim (and bump the epoch) before obtain
+  table_.ensure(bank_);
+  std::shared_ptr<const ptc::PreparedOperand> pb = obtain(cache, id, version, bsrc, baxis);
+  const bool guarded = cfg_.guard.enabled;
 
   // A-side pipeline: normalize once, then encode under the operand's
   // channel packing — current state, plus golden when guarded.
@@ -552,12 +515,11 @@ Matrix GuardedBackend::run_product(const Matrix& a, const Matrix& bsrc, ptc::Gro
       Matrix stage;
       auto rebuilt = std::make_shared<ptc::PreparedOperand>(ptc::prepare_operand(
           bsrc, baxis, spec, lane_encoder(1, spec.channels), *pool_, stage));
-      if (weight != nullptr) cache_.insert(weight->id, weight->version, rebuilt);
-      if (kv != nullptr) {
-        // The resident KV entry described the pre-escalation bank; the
-        // next decode step appends onto this rebuilt one instead.
-        kv_cache_.insert(kv->id, rebuilt);
-        kv_cache_.record_rebuild();
+      if (id != 0) {
+        // The resident entry described the pre-escalation bank; the next
+        // product reuses (or, for KV, appends onto) this rebuilt one.
+        cache.insert(id, version, rebuilt);
+        cache.record_rebuild();
       }
       pb = rebuilt;
       encode_a(pb->channels);

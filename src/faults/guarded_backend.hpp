@@ -75,12 +75,13 @@ struct GuardedBackendConfig {
   /// as ptc::GemmConfig::threads); results are bit-identical at any
   /// value.  Storm runs serialize regardless.
   std::size_t threads{1};
-  /// Weight-stationary operand cache for matmul_cached products.
+  /// Weight-stationary operand cache for matmul_cached products: an
+  /// entry is served while the bank's epoch and channel packing hold.
   nn::OperandCacheConfig cache{};
-  /// KV-stationary prepared-operand cache for matmul_kv products
-  /// (DESIGN.md §17): per-sequence growing operands, appended in place
-  /// while the bank's epoch and packing hold, rebuilt otherwise.
-  nn::KvPreparedCacheConfig kv_cache{};
+  /// KV-history operand cache for matmul_kv products (DESIGN.md §17):
+  /// per-sequence growing operands, appended in place while the bank's
+  /// epoch and packing hold; an epoch move makes the entry a miss.
+  nn::OperandCacheConfig kv_cache{nn::kKvCacheCapacityBytes};
   /// Checksum guard band.  Off, the backend is the plain lane executor:
   /// no golden reference, checksum stripes, verdicts, ladder or monitor
   /// record.  Leave noise_sigma 0 on the deterministic lane path.
@@ -149,11 +150,11 @@ class GuardedBackend final : public nn::GemmBackend {
   /// the bank's epoch and channel packing hold, the resident prepared
   /// operand (current + golden encodings, checksum stripes) is extended
   /// in place with just the new kv rows; an epoch bump — any re-trim or
-  /// fence — or a packing/scale change forces a full rebuild, so appends
-  /// can never bridge a recalibration.  Outputs, events, and guard
-  /// verdicts are bit-identical to the unprepared matmul at every length;
-  /// an escalation mid-product rebuilds the resident entry like
-  /// matmul_cached refreshes the weight cache.
+  /// fence — makes the entry a miss, and a packing or scale change forces
+  /// a rebuild, so appends can never bridge a recalibration.  Outputs,
+  /// events, and guard verdicts are bit-identical to the unprepared
+  /// matmul at every length; an escalation mid-product rebuilds the
+  /// resident entry like matmul_cached refreshes the weight cache.
   [[nodiscard]] Matrix matmul_kv(const Matrix& a, const Matrix& kv,
                                  const nn::KvHandle& handle) override;
   void release_kv(std::uint64_t id) override { kv_cache_.erase(id); }
@@ -161,7 +162,7 @@ class GuardedBackend final : public nn::GemmBackend {
   [[nodiscard]] std::string name() const override { return "photonic-guarded"; }
   [[nodiscard]] const nn::OperandCache* operand_cache() const override { return &cache_; }
   [[nodiscard]] nn::OperandCache& cache() { return cache_; }
-  [[nodiscard]] const nn::KvPreparedCache* kv_cache() const override { return &kv_cache_; }
+  [[nodiscard]] const nn::OperandCache* kv_cache() const override { return &kv_cache_; }
 
   /// Re-snapshot the golden encode tables from the bank's current state.
   /// Call after any *trusted* recalibration (production trim, scheduled
@@ -237,25 +238,26 @@ class GuardedBackend final : public nn::GemmBackend {
   /// reference and the checksum stripes unless column-only.
   [[nodiscard]] ptc::OperandSpec operand_spec() const;
 
-  /// Full pipeline for one product (shared by all matmul entry points);
-  /// unguarded it stops after the data pass.  `bsrc` is the B operand's
-  /// source in `baxis` orientation — B itself, or Bᵀ for the KV scores
-  /// path, whose history IS the transpose.  `pb` must have been prepared against the current
-  /// epoch/packing.  `kv` (nullable) names the resident KV entry to
-  /// refresh should an escalation rung rebuild the operand.
+  /// Full pipeline for one product (shared by all matmul entry points):
+  /// the outage check, governor entry, obtain, data pass and, when
+  /// guarded, verdicts and the ladder.  `bsrc` is the B operand's source
+  /// in `baxis` orientation — B itself, or Bᵀ for the KV scores path,
+  /// whose history IS the transpose.  The operand comes from `cache`
+  /// under (id, version) (id 0 = uncached); an escalation rung that
+  /// rebuilds it refreshes that entry.
   [[nodiscard]] Matrix run_product(const Matrix& a, const Matrix& bsrc, ptc::GrowAxis baxis,
-                                   std::shared_ptr<const ptc::PreparedOperand> pb,
-                                   const nn::WeightHandle* weight,
-                                   const nn::KvHandle* kv = nullptr);
+                                   nn::OperandCache& cache, std::uint64_t id,
+                                   std::uint64_t version);
 
-  /// Cache-aware prepare (nullptr weight = uncached).
-  [[nodiscard]] std::shared_ptr<const ptc::PreparedOperand> obtain_b(
-      const Matrix& b, const nn::WeightHandle* weight);
-
-  /// KV-cache-aware prepare: ptc::append_operand onto the resident entry
-  /// when it accepts, rebuild (counted) otherwise.
-  [[nodiscard]] std::shared_ptr<const ptc::PreparedOperand> obtain_kv(
-      const Matrix& kv, const nn::KvHandle& handle);
+  /// The prepared operand of `src` (`axis` orientation) from `cache`
+  /// under (id, version) and the bank epoch: ptc::append_operand grows
+  /// or confirms a fresh entry, ptc::prepare_operand builds otherwise;
+  /// id 0 builds uncached.
+  [[nodiscard]] std::shared_ptr<const ptc::PreparedOperand> obtain(nn::OperandCache& cache,
+                                                                   std::uint64_t id,
+                                                                   std::uint64_t version,
+                                                                   const Matrix& src,
+                                                                   ptc::GrowAxis axis);
 
   /// Compute one tile: data dots from `ae` (current A encodes) × `bdata`
   /// (current B encodes), rescaled into `c`; `upsets` (nullable) are the
@@ -282,7 +284,7 @@ class GuardedBackend final : public nn::GemmBackend {
   GuardedBackendConfig cfg_;
   std::unique_ptr<ThreadPool> pool_;
   nn::OperandCache cache_;
-  nn::KvPreparedCache kv_cache_;
+  nn::OperandCache kv_cache_;
   EscalationPolicy policy_;
   HealthMonitor own_monitor_;
   HealthMonitor* monitor_{&own_monitor_};  ///< shared fleet monitor when set

@@ -37,7 +37,7 @@ Matrix ReferenceBackend::matmul(const Matrix& a, const Matrix& b) {
 
 PhotonicBackend::PhotonicBackend(std::unique_ptr<core::ModulatorDriver> driver,
                                  ptc::GemmConfig cfg, OperandCacheConfig cache_cfg,
-                                 KvPreparedCacheConfig kv_cfg)
+                                 OperandCacheConfig kv_cfg)
     : driver_(std::move(driver)), gemm_(*driver_, cfg), cache_(cache_cfg),
       kv_cache_(kv_cfg) {}
 
@@ -62,14 +62,27 @@ Matrix PhotonicBackend::matmul(const Matrix& a, const Matrix& b) {
 
 Matrix PhotonicBackend::matmul_cached(const Matrix& a, const Matrix& b,
                                       const WeightHandle& weight) {
-  // The driver (and therefore the encode LUT and lane mask) is fixed at
-  // construction, so the encoder epoch is a constant 0 here — entries
-  // only go stale when the weight's contents change.
-  std::shared_ptr<const ptc::PreparedOperand> pb = cache_.lookup(weight.id, weight.version, 0);
-  if (pb == nullptr) {
-    pb = std::make_shared<const ptc::PreparedOperand>(gemm_.prepare_b(b));
-    cache_.insert(weight.id, weight.version, pb);
-  }
+  return run_cached(
+      a, cache_, weight.id, weight.version,
+      [&](ptc::PreparedOperand& pb) { return gemm_.append_b_rows(pb, b); },
+      [&] { return gemm_.prepare_b(b); });
+}
+
+Matrix PhotonicBackend::matmul_kv(const Matrix& a, const Matrix& kv,
+                                  const KvHandle& handle) {
+  const bool cols_axis = handle.axis == KvAxis::kCols;
+  return run_cached(
+      a, kv_cache_, handle.id, 0,
+      [&](ptc::PreparedOperand& pb) {
+        return cols_axis ? gemm_.append_bt_rows(pb, kv) : gemm_.append_b_rows(pb, kv);
+      },
+      [&] { return cols_axis ? gemm_.prepare_bt(kv) : gemm_.prepare_b(kv); });
+}
+
+Matrix PhotonicBackend::run_cached(const Matrix& a, OperandCache& cache, std::uint64_t id,
+                                   std::uint64_t version, const OperandCache::Grow& grow,
+                                   const OperandCache::Build& build) {
+  std::shared_ptr<ptc::PreparedOperand> pb = cache.obtain(id, version, 0, grow, build);
   ptc::GemmResult r = gemm_.multiply_prepared(a, *pb);
   events_ += r.events;
   fold_guard(r.guard);
@@ -77,54 +90,11 @@ Matrix PhotonicBackend::matmul_cached(const Matrix& a, const Matrix& b,
     // The driver is immutable, so current and golden encodings coincide
     // and a guarded mismatch can only mean the cached operand's memory
     // was corrupted after insertion.  Repair: drop the entry, re-prepare
-    // from the source weight and rerun once (honestly re-charged).
+    // from the source and rerun once (honestly re-charged).
     ++guard_.cache_repairs;
-    cache_.erase(weight.id);
-    pb = std::make_shared<const ptc::PreparedOperand>(gemm_.prepare_b(b));
-    cache_.insert(weight.id, weight.version, pb);
-    r = gemm_.multiply_prepared(a, *pb);
-    events_ += r.events;
-    fold_guard(r.guard);
-  }
-  return std::move(r.c);
-}
-
-std::shared_ptr<ptc::PreparedOperand> PhotonicBackend::obtain_kv(
-    const Matrix& kv, const KvHandle& handle) {
-  // Driver immutable → encoder epoch is a constant 0, exactly as in
-  // matmul_cached; residency only goes stale through the engine-side
-  // append preconditions (scale outgrown, shrink, tier mismatch).
-  std::shared_ptr<ptc::PreparedOperand> pb = kv_cache_.lookup(handle.id);
-  if (pb != nullptr) {
-    const bool appended = handle.axis == KvAxis::kCols
-                              ? gemm_.append_bt_rows(*pb, kv)
-                              : gemm_.append_b_rows(*pb, kv);
-    if (appended) {
-      kv_cache_.record_append();
-      kv_cache_.updated(handle.id);
-      return pb;
-    }
-    kv_cache_.record_rebuild();
-  }
-  pb = std::make_shared<ptc::PreparedOperand>(
-      handle.axis == KvAxis::kCols ? gemm_.prepare_bt(kv) : gemm_.prepare_b(kv));
-  kv_cache_.insert(handle.id, pb);
-  return pb;
-}
-
-Matrix PhotonicBackend::matmul_kv(const Matrix& a, const Matrix& kv,
-                                  const KvHandle& handle) {
-  std::shared_ptr<ptc::PreparedOperand> pb = obtain_kv(kv, handle);
-  ptc::GemmResult r = gemm_.multiply_prepared(a, *pb);
-  events_ += r.events;
-  fold_guard(r.guard);
-  if (r.guard.enabled && !r.guard.clean()) {
-    // Same repair as matmul_cached: the driver is immutable, so a
-    // guarded mismatch can only mean the resident operand's memory was
-    // corrupted — drop it, rebuild from the source history, rerun once.
-    ++guard_.cache_repairs;
-    kv_cache_.erase(handle.id);
-    pb = obtain_kv(kv, handle);
+    cache.erase(id);
+    pb = std::make_shared<ptc::PreparedOperand>(build());
+    cache.insert(id, version, pb);
     r = gemm_.multiply_prepared(a, *pb);
     events_ += r.events;
     fold_guard(r.guard);

@@ -23,9 +23,10 @@
 // dynamic operands (K, V) are not static, but they only ever GROW —
 // one row per token.  matmul_kv takes a KvHandle naming the growing
 // operand and its axis; caching backends keep the prepared encoding
-// resident (KvPreparedCache) and extend it in place with the ptc
-// append operations, turning the per-token prepare cost from O(t) to
-// O(1) while staying bit-identical to the from-scratch build.
+// resident and extend it in place with the ptc append operations,
+// turning the per-token prepare cost from O(t) to O(1) while staying
+// bit-identical to the from-scratch build.  Weights and KV history sit
+// in two instances of one nn::OperandCache and share its obtain() flow.
 #pragma once
 
 #include <memory>
@@ -33,7 +34,6 @@
 
 #include "common/matrix.hpp"
 #include "core/modulator_driver.hpp"
-#include "nn/kv_cache.hpp"
 #include "nn/operand_cache.hpp"
 #include "ptc/event_counter.hpp"
 #include "ptc/gemm_engine.hpp"
@@ -93,9 +93,9 @@ class GemmBackend {
   /// backend does not cache).
   [[nodiscard]] virtual const OperandCache* operand_cache() const { return nullptr; }
 
-  /// The backend's KV prepared-operand cache (nullptr when the backend
+  /// The backend's KV-history operand cache (nullptr when the backend
   /// serves matmul_kv without caching).
-  [[nodiscard]] virtual const KvPreparedCache* kv_cache() const { return nullptr; }
+  [[nodiscard]] virtual const OperandCache* kv_cache() const { return nullptr; }
 
   /// Aggregated ABFT guard verdicts (nullptr when the backend never
   /// guards — the reference backend, or a photonic one with guard off).
@@ -116,14 +116,15 @@ class ReferenceBackend final : public GemmBackend {
 };
 
 /// Execution through the simulated photonic tensor core; owns its
-/// modulator driver and an operand cache for weight-stationary reuse
-/// (the driver is immutable after construction, so cached encodings
-/// only go stale when a weight's contents change).
+/// modulator driver and two operand caches, one for weight-stationary
+/// reuse and one for KV history (the driver is immutable after
+/// construction, so the encoder epoch is a constant 0 and cached
+/// encodings only go stale when a weight's contents change).
 class PhotonicBackend final : public GemmBackend {
  public:
   PhotonicBackend(std::unique_ptr<core::ModulatorDriver> driver, ptc::GemmConfig cfg,
                   OperandCacheConfig cache_cfg = {},
-                  KvPreparedCacheConfig kv_cfg = {});
+                  OperandCacheConfig kv_cfg = {kKvCacheCapacityBytes});
 
   [[nodiscard]] Matrix matmul(const Matrix& a, const Matrix& b) override;
   [[nodiscard]] Matrix matmul_cached(const Matrix& a, const Matrix& b,
@@ -142,20 +143,25 @@ class PhotonicBackend final : public GemmBackend {
   [[nodiscard]] const core::ModulatorDriver& driver() const { return *driver_; }
   [[nodiscard]] const OperandCache* operand_cache() const override { return &cache_; }
   [[nodiscard]] OperandCache& cache() { return cache_; }
-  [[nodiscard]] const KvPreparedCache* kv_cache() const override { return &kv_cache_; }
+  [[nodiscard]] const OperandCache* kv_cache() const override { return &kv_cache_; }
   [[nodiscard]] const GuardStats* guard_stats() const override {
     return gemm_.config().guard.enabled ? &guard_ : nullptr;
   }
 
  private:
   void fold_guard(const ptc::GuardOutcome& outcome);
-  [[nodiscard]] std::shared_ptr<ptc::PreparedOperand> obtain_kv(
-      const Matrix& kv, const KvHandle& handle);
+  /// C = A·B with B obtained from `cache` under (id, version).  Guarded,
+  /// a mismatch can only mean the resident operand's memory was
+  /// corrupted (the driver is immutable), so the entry is replaced by a
+  /// fresh build and the product rerun once.
+  [[nodiscard]] Matrix run_cached(const Matrix& a, OperandCache& cache, std::uint64_t id,
+                                  std::uint64_t version, const OperandCache::Grow& grow,
+                                  const OperandCache::Build& build);
 
   std::unique_ptr<core::ModulatorDriver> driver_;
   ptc::PhotonicGemm gemm_;
   OperandCache cache_;
-  KvPreparedCache kv_cache_;
+  OperandCache kv_cache_;
   GuardStats guard_;
 };
 

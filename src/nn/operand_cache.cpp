@@ -1,42 +1,76 @@
 #include "nn/operand_cache.hpp"
 
+#include <atomic>
 #include <utility>
 
 #include "common/require.hpp"
 
 namespace pdac::nn {
 
+std::uint64_t next_kv_id() {
+  static std::atomic<std::uint64_t> counter{1};
+  return counter.fetch_add(1, std::memory_order_relaxed);
+}
+
 OperandCache::OperandCache(OperandCacheConfig cfg) : cfg_(cfg) {}
 
-std::shared_ptr<const ptc::PreparedOperand> OperandCache::lookup(std::uint64_t id,
-                                                                 std::uint64_t version,
-                                                                 std::uint64_t epoch) {
-  if (!cfg_.enabled || id == 0) {
-    ++stats_.misses;
-    return nullptr;
+std::shared_ptr<ptc::PreparedOperand> OperandCache::obtain(std::uint64_t id,
+                                                           std::uint64_t version,
+                                                           std::uint64_t epoch, const Grow& grow,
+                                                           const Build& build) {
+  if (id == 0) return std::make_shared<ptc::PreparedOperand>(build());
+  if (std::shared_ptr<ptc::PreparedOperand> op = lookup(id, version, epoch)) {
+    const std::size_t rows = op->rows;
+    const std::size_t cols = op->cols;
+    if (grow(*op)) {
+      if (op->rows != rows || op->cols != cols) {
+        // Grown in place: re-account the entry lookup() just moved to
+        // the front, then run the same eviction sweep as an insert.
+        ++stats_.appends;
+        Entry& e = lru_.front();
+        stats_.resident_bytes -= e.bytes;
+        e.bytes = op->bytes();
+        stats_.resident_bytes += e.bytes;
+        if (e.bytes > cfg_.capacity_bytes) {
+          // Grown past the whole cache: drop it like an oversized
+          // insert — keeping it would pin the cache at one entry forever.
+          ++stats_.oversized_rejects;
+          drop(lru_.begin());
+        } else {
+          evict_over_capacity();
+        }
+      }
+      return op;
+    }
+    ++stats_.rebuilds;
   }
+  auto op = std::make_shared<ptc::PreparedOperand>(build());
+  insert(id, version, op);
+  return op;
+}
+
+std::shared_ptr<ptc::PreparedOperand> OperandCache::lookup(std::uint64_t id,
+                                                           std::uint64_t version,
+                                                           std::uint64_t epoch) {
   const auto it = index_.find(id);
-  if (it == index_.end()) {
-    ++stats_.misses;
-    return nullptr;
-  }
-  Entry& e = *it->second;
-  if (e.version != version || e.op->epoch != epoch) {
+  if (it != index_.end()) {
+    Entry& e = *it->second;
+    if (e.version == version && e.op->epoch == epoch) {
+      lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency
+      ++stats_.hits;
+      return e.op;
+    }
     // Stale contents or stale encoder state: the entry must never be
     // served again, so erase it on the spot.
     ++stats_.invalidations;
     drop(it->second);
-    ++stats_.misses;
-    return nullptr;
   }
-  lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency
-  ++stats_.hits;
-  return e.op;
+  ++stats_.misses;
+  return nullptr;
 }
 
 bool OperandCache::contains(std::uint64_t id, std::uint64_t version,
                             std::uint64_t epoch) const {
-  if (!cfg_.enabled || id == 0) return false;
   const auto it = index_.find(id);
   if (it == index_.end()) return false;
   const Entry& e = *it->second;
@@ -44,31 +78,25 @@ bool OperandCache::contains(std::uint64_t id, std::uint64_t version,
 }
 
 void OperandCache::insert(std::uint64_t id, std::uint64_t version,
-                          std::shared_ptr<const ptc::PreparedOperand> op) {
+                          std::shared_ptr<ptc::PreparedOperand> op) {
   PDAC_REQUIRE(op != nullptr, "OperandCache: cannot insert a null operand");
-  if (!cfg_.enabled || id == 0) return;
+  if (id == 0) return;
+  const auto it = index_.find(id);
+  if (it != index_.end()) drop(it->second);  // one live entry per id
 
   // An operand that exceeds the whole capacity can never survive the
-  // eviction loop below — admitting it would flush every resident entry
-  // and then drop the newcomer itself, a full cache wipe for nothing.
-  // Reject it before touching any resident state.
+  // eviction sweep — admitting it would flush every other resident and
+  // then drop the newcomer itself, a full cache wipe for nothing.
   const std::size_t bytes = op->bytes();
   if (bytes > cfg_.capacity_bytes) {
     ++stats_.oversized_rejects;
     return;
   }
-
-  const auto it = index_.find(id);
-  if (it != index_.end()) drop(it->second);  // one live version per weight
   lru_.push_front(Entry{id, version, std::move(op), bytes});
   index_[id] = lru_.begin();
   stats_.resident_bytes += bytes;
   stats_.entries = lru_.size();
-
-  while (stats_.resident_bytes > cfg_.capacity_bytes && !lru_.empty()) {
-    ++stats_.evictions;
-    drop(std::prev(lru_.end()));
-  }
+  evict_over_capacity();
 }
 
 void OperandCache::erase(std::uint64_t id) {
@@ -90,6 +118,13 @@ void OperandCache::drop(std::list<Entry>::iterator it) {
   index_.erase(it->id);
   lru_.erase(it);
   stats_.entries = lru_.size();
+}
+
+void OperandCache::evict_over_capacity() {
+  while (stats_.resident_bytes > cfg_.capacity_bytes && !lru_.empty()) {
+    ++stats_.evictions;
+    drop(std::prev(lru_.end()));
+  }
 }
 
 }  // namespace pdac::nn

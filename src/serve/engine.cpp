@@ -398,7 +398,7 @@ ServingReport ServingEngine::run(const std::vector<Request>& requests) {
     bs.events = pool_.backend(b).events();
     bs.health = pool_.backend(b).monitor().snapshot();
     bs.drift = pool_.backend(b).drift().snapshot();
-    if (const nn::KvPreparedCache* kv = pool_.backend(b).kv_cache(); kv != nullptr) {
+    if (const nn::OperandCache* kv = pool_.backend(b).kv_cache(); kv != nullptr) {
       bs.kv = kv->stats();
     }
   }

@@ -84,7 +84,7 @@ struct BackendServeStats {
   ptc::EventCounter events;          ///< data-path events (incl. recovery re-runs)
   faults::HealthSnapshot health;     ///< final monitor snapshot
   faults::DriftSnapshot drift;       ///< final drift-tracker snapshot
-  nn::KvPreparedCacheStats kv;       ///< KV prepared-operand residency/appends
+  nn::OperandCacheStats kv;          ///< KV-history operand residency/appends
 };
 
 struct ServingReport {

@@ -4,10 +4,10 @@
 // checksum stripes, product outputs, event counts and guard verdicts —
 // across the scalar, SIMD and quant tiers and at any thread count; every
 // refusal trigger (scale outgrown, epoch moved, packing changed, shape
-// shrank) must leave the operand untouched; the KvPreparedCache must
-// account bytes exactly; and decode attention plus the serving engine
-// must be bit-identical between prepared and unprepared execution,
-// including across a mid-sequence re-trim epoch bump.
+// shrank) must leave the operand untouched; and decode attention plus
+// the serving engine must be bit-identical between prepared and
+// unprepared execution, including across a mid-sequence re-trim epoch
+// bump.  The cache's own accounting is pinned in test_weight_cache.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,7 +26,7 @@
 #include "faults/self_test.hpp"
 #include "nn/attention.hpp"
 #include "nn/backend.hpp"
-#include "nn/kv_cache.hpp"
+#include "nn/operand_cache.hpp"
 #include "ptc/gemm_engine.hpp"
 #include "serve/engine.hpp"
 #include "serve/workload.hpp"
@@ -329,111 +329,6 @@ TEST(KvPrepared, AppendThreadCountInvariance) {
 }
 
 // ---------------------------------------------------------------------------
-// KvCache: byte-capacity LRU accounting over mutable entries.
-// ---------------------------------------------------------------------------
-
-std::shared_ptr<PreparedOperand> kv_operand(std::size_t elems) {
-  auto op = std::make_shared<PreparedOperand>();
-  op->encoded = Matrix(1, elems);
-  return op;
-}
-
-TEST(KvCache, LruEvictionAndExactByteAccounting) {
-  const std::size_t unit = kv_operand(64)->bytes();
-  nn::KvPreparedCacheConfig cfg;
-  cfg.capacity_bytes = 3 * unit;
-  nn::KvPreparedCache cache(cfg);
-
-  EXPECT_EQ(cache.lookup(1), nullptr);
-  EXPECT_EQ(cache.stats().misses, 1u);
-
-  cache.insert(1, kv_operand(64));
-  cache.insert(2, kv_operand(64));
-  cache.insert(3, kv_operand(64));
-  EXPECT_EQ(cache.stats().entries, 3u);
-  EXPECT_EQ(cache.stats().resident_bytes, 3 * unit);
-
-  // Touch 1 so 2 becomes LRU, then overflow: 2 must be the eviction.
-  EXPECT_NE(cache.lookup(1), nullptr);
-  EXPECT_EQ(cache.stats().hits, 1u);
-  cache.insert(4, kv_operand(64));
-  EXPECT_EQ(cache.stats().evictions, 1u);
-  EXPECT_EQ(cache.lookup(2), nullptr);
-  EXPECT_NE(cache.lookup(1), nullptr);
-  EXPECT_NE(cache.lookup(3), nullptr);
-  EXPECT_NE(cache.lookup(4), nullptr);
-
-  // id 0 is reserved and refused.
-  cache.insert(0, kv_operand(8));
-  EXPECT_EQ(cache.lookup(0), nullptr);
-
-  // Oversized entries never become resident.
-  const auto before = cache.stats().oversized_rejects;
-  cache.insert(9, kv_operand(4096));
-  EXPECT_EQ(cache.stats().oversized_rejects, before + 1);
-  EXPECT_EQ(cache.lookup(9), nullptr);
-}
-
-TEST(KvCache, UpdatedReaccountsGrownEntries) {
-  const std::size_t unit = kv_operand(64)->bytes();
-  nn::KvPreparedCacheConfig cfg;
-  cfg.capacity_bytes = 3 * unit;
-  nn::KvPreparedCache cache(cfg);
-
-  auto grows = kv_operand(64);
-  cache.insert(1, grows);
-  cache.insert(2, kv_operand(64));
-  const std::uint64_t resident = cache.stats().resident_bytes;
-
-  // The operand grew in place (an append): updated() must re-account the
-  // bytes and evict the LRU victim to get back under capacity.
-  grows->encoded = Matrix(1, 64 + 2 * 64);
-  cache.updated(1);
-  EXPECT_GT(cache.stats().resident_bytes, resident);
-  EXPECT_LE(cache.stats().resident_bytes, cfg.capacity_bytes);
-  EXPECT_EQ(cache.stats().evictions, 1u);
-  EXPECT_EQ(cache.lookup(2), nullptr);
-  EXPECT_NE(cache.lookup(1), nullptr);
-
-  // Growing past the whole capacity drops the entry outright.
-  grows->encoded = Matrix(1, 4096);
-  cache.updated(1);
-  EXPECT_EQ(cache.lookup(1), nullptr);
-  EXPECT_GT(cache.stats().oversized_rejects, 0u);
-  EXPECT_EQ(cache.stats().entries, 0u);
-  EXPECT_EQ(cache.stats().resident_bytes, 0u);
-}
-
-TEST(KvCache, EraseClearAndDisabledMode) {
-  nn::KvPreparedCache cache;
-  cache.insert(1, kv_operand(8));
-  cache.insert(2, kv_operand(8));
-  cache.erase(1);
-  EXPECT_EQ(cache.stats().invalidations, 1u);
-  EXPECT_EQ(cache.lookup(1), nullptr);
-  cache.clear();
-  EXPECT_EQ(cache.stats().invalidations, 2u);
-  EXPECT_EQ(cache.stats().entries, 0u);
-  EXPECT_EQ(cache.stats().resident_bytes, 0u);
-
-  nn::KvPreparedCacheConfig off;
-  off.enabled = false;
-  nn::KvPreparedCache disabled(off);
-  disabled.insert(1, kv_operand(8));
-  EXPECT_EQ(disabled.lookup(1), nullptr);
-  EXPECT_EQ(disabled.stats().entries, 0u);
-  EXPECT_EQ(disabled.stats().misses, 1u);
-}
-
-TEST(KvCache, HandleIdsAreUniqueAndNonzero) {
-  const std::uint64_t a = nn::next_kv_id();
-  const std::uint64_t b = nn::next_kv_id();
-  EXPECT_NE(a, 0u);
-  EXPECT_NE(b, 0u);
-  EXPECT_NE(a, b);
-}
-
-// ---------------------------------------------------------------------------
 // KvAttention: MultiHeadAttention::forward_decode over a caching backend.
 // ---------------------------------------------------------------------------
 
@@ -476,7 +371,7 @@ TEST(KvAttention, DecodePreparedBitIdenticalToUnprepared) {
   }
   EXPECT_EQ(kvp.tokens, steps);
 
-  const nn::KvPreparedCacheStats& st = bp->kv_cache()->stats();
+  const nn::OperandCacheStats& st = bp->kv_cache()->stats();
   // Two handles per head; each serves one miss then steps-1 hits, and
   // with the loud first token every hit extends in place.
   EXPECT_EQ(st.misses, 2 * heads);
@@ -490,8 +385,8 @@ TEST(KvAttention, DecodePreparedBitIdenticalToUnprepared) {
   EXPECT_EQ(bp->kv_cache()->stats().invalidations, 2 * heads);
 }
 
-// With the prepared cache disabled every product re-prepares from
-// scratch — the from-scratch bench mode — and must still be bit-identical.
+// With a zero-capacity KV cache every product re-prepares from scratch —
+// the from-scratch bench mode — and must still be bit-identical.
 TEST(KvAttention, DisabledCacheStillBitIdentical) {
   const std::size_t d_model = 16;
   nn::MultiHeadAttention mha(d_model, 2);
@@ -501,9 +396,7 @@ TEST(KvAttention, DisabledCacheStillBitIdentical) {
   GemmConfig cfg;
   cfg.array_rows = 4;
   cfg.array_cols = 4;
-  nn::KvPreparedCacheConfig off;
-  off.enabled = false;
-  nn::PhotonicBackend cold(core::make_pdac_driver(8), cfg, {}, off);
+  nn::PhotonicBackend cold(core::make_pdac_driver(8), cfg, {}, {.capacity_bytes = 0});
   auto warm = attention_backend();
 
   nn::AttentionKvState kvc = mha.make_kv_state();
@@ -531,8 +424,8 @@ faults::LaneBankConfig kv_bank_config(std::uint64_t seed = 5) {
 }
 
 // A mid-sequence epoch bump (what a real re-trim or fence emits): the
-// guarded backend must refuse the stale resident entries, rebuild them
-// from the full history, and stay bit-identical to the unprepared
+// guarded backend must drop the stale resident entries at lookup, prepare
+// them afresh from the full history, and stay bit-identical to the unprepared
 // replay throughout — on the scalar and SIMD tiers, with the full guard
 // and with the column-only cheap mode (which stages no checksum stripes).
 void guarded_epoch_bump_case(ExecutionPath path, bool column_only) {
@@ -561,7 +454,7 @@ void guarded_epoch_bump_case(ExecutionPath path, bool column_only) {
   nn::AttentionKvState kvp = mha.make_kv_state();
   nn::AttentionKvState kvu = mha.make_kv_state();
   Rng xrng(8);
-  std::uint64_t rebuilds_before_bump = 0;
+  nn::OperandCacheStats before_bump;
   for (std::size_t t = 0; t < steps; ++t) {
     Matrix x(1, d_model);
     for (std::size_t c = 0; c < d_model; ++c) {
@@ -571,7 +464,7 @@ void guarded_epoch_bump_case(ExecutionPath path, bool column_only) {
       // A healthy-bank force_retrim() leaves the epoch alone (nothing was
       // re-trimmed or fenced), so bump the epoch directly — the exact
       // signal a real re-trim/fence emits — on both replicas.
-      rebuilds_before_bump = gp.kv_cache()->stats().rebuilds;
+      before_bump = gp.kv_cache()->stats();
       bank_p.bump_epoch();
       bank_u.bump_epoch();
     }
@@ -580,11 +473,14 @@ void guarded_epoch_bump_case(ExecutionPath path, bool column_only) {
     expect_bit_identical(yp, yu, "guarded decode step");
     expect_same_events(gp.events(), gu.events());
   }
-  // Every resident entry (two per head) went stale at the bump and was
-  // rebuilt exactly once; appends resumed afterwards.
-  const nn::KvPreparedCacheStats& st = gp.kv_cache()->stats();
-  EXPECT_EQ(st.rebuilds, rebuilds_before_bump + 2 * heads);
-  EXPECT_GT(st.appends, 0u);
+  // Every resident entry (two per head) went stale at the bump: each was
+  // invalidated and missed exactly once, nothing was rebuilt, and appends
+  // resumed afterwards.
+  const nn::OperandCacheStats& st = gp.kv_cache()->stats();
+  EXPECT_EQ(st.invalidations, before_bump.invalidations + 2 * heads);
+  EXPECT_EQ(st.misses, before_bump.misses + 2 * heads);
+  EXPECT_EQ(st.rebuilds, before_bump.rebuilds);
+  EXPECT_GT(st.appends, before_bump.appends);
 
   nn::MultiHeadAttention::release_kv_state(kvp, gp);
   EXPECT_EQ(gp.kv_cache()->stats().entries, 0u);

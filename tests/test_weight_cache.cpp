@@ -1,16 +1,21 @@
-// Weight-stationary operand cache (DESIGN.md §10): multiply_prepared
-// must be bit-identical to multiply — numerics AND event counts — at any
-// thread count, bit width and tile shape; the operand cache must account
-// hits/misses/evictions/invalidations exactly; and no stale encoding may
-// survive a fault-injection, re-trim or fence epoch bump in the
-// unguarded lane-bank backend.
+// Prepared-operand cache (DESIGN.md §10, §17): multiply_prepared must be
+// bit-identical to multiply — numerics AND event counts — at any thread
+// count, bit width and tile shape; the one operand cache must account
+// hits/misses/appends/rebuilds/evictions/invalidations and resident bytes
+// exactly, for weights and growing KV history alike; and no stale
+// encoding may survive a fault-injection, re-trim or fence epoch bump in
+// the unguarded lane-bank backend.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "faults/fault_injector.hpp"
 #include "faults/guarded_backend.hpp"
 #include "faults/lane_bank.hpp"
@@ -43,7 +48,7 @@ void expect_same_events(const EventCounter& a, const EventCounter& b) {
   EXPECT_EQ(a.cycles, b.cycles);
 }
 
-std::shared_ptr<const PreparedOperand> dummy_operand(std::size_t elems, std::uint64_t epoch) {
+std::shared_ptr<PreparedOperand> dummy_operand(std::size_t elems, std::uint64_t epoch = 0) {
   auto op = std::make_shared<PreparedOperand>();
   op->encoded = Matrix(1, elems);
   op->epoch = epoch;
@@ -195,16 +200,23 @@ TEST(OperandCache, LruEvictionByBytes) {
   cache.insert(2, 1, dummy_operand(64, 0));
   cache.insert(3, 1, dummy_operand(64, 0));
   EXPECT_EQ(cache.stats().entries, 3u);
+  EXPECT_EQ(cache.stats().resident_bytes, 3 * one);
   EXPECT_NE(cache.lookup(1, 1, 0), nullptr);  // refresh 1 → LRU order 1,3,2
 
   cache.insert(4, 1, dummy_operand(64, 0));  // evicts 2, the least recent
   EXPECT_EQ(cache.stats().evictions, 1u);
   EXPECT_EQ(cache.stats().entries, 3u);
+  EXPECT_EQ(cache.stats().resident_bytes, 3 * one);
   EXPECT_EQ(cache.lookup(2, 1, 0), nullptr);
   EXPECT_NE(cache.lookup(1, 1, 0), nullptr);
   EXPECT_NE(cache.lookup(3, 1, 0), nullptr);
   EXPECT_NE(cache.lookup(4, 1, 0), nullptr);
-  EXPECT_LE(cache.stats().resident_bytes, cfg.capacity_bytes);
+
+  // id 0 is reserved for uncacheable products and never stored.
+  cache.insert(0, 1, dummy_operand(8, 0));
+  EXPECT_EQ(cache.lookup(0, 1, 0), nullptr);
+  EXPECT_EQ(cache.stats().entries, 3u);
+  EXPECT_EQ(cache.stats().resident_bytes, 3 * one);
 }
 
 TEST(OperandCache, OversizedOperandIsRejectedUpFront) {
@@ -241,12 +253,185 @@ TEST(OperandCache, OversizedInsertLeavesResidentsUntouched) {
 }
 
 TEST(OperandCache, DisabledCacheStoresNothing) {
+  // Capacity 0 is the disabled cache: every operand is oversized, so
+  // nothing becomes resident and every lookup misses.
   nn::OperandCacheConfig cfg;
-  cfg.enabled = false;
+  cfg.capacity_bytes = 0;
   nn::OperandCache cache(cfg);
   cache.insert(1, 1, dummy_operand(8, 0));
   EXPECT_EQ(cache.lookup(1, 1, 0), nullptr);
   EXPECT_EQ(cache.stats().entries, 0u);
+  EXPECT_EQ(cache.stats().resident_bytes, 0u);
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().oversized_rejects, 1u);
+}
+
+TEST(OperandCache, EraseAndClear) {
+  nn::OperandCache cache;
+  cache.insert(1, 0, dummy_operand(8));
+  cache.insert(2, 0, dummy_operand(8));
+  cache.erase(1);
+  EXPECT_EQ(cache.stats().invalidations, 1u);
+  EXPECT_EQ(cache.lookup(1, 0, 0), nullptr);
+  // clear() drops everything but counts no invalidations.
+  cache.clear();
+  EXPECT_EQ(cache.stats().invalidations, 1u);
+  EXPECT_EQ(cache.stats().entries, 0u);
+  EXPECT_EQ(cache.stats().resident_bytes, 0u);
+}
+
+TEST(OperandCache, HandleIdsAreUniqueAndNonzero) {
+  const std::uint64_t a = nn::next_kv_id();
+  const std::uint64_t b = nn::next_kv_id();
+  EXPECT_NE(a, 0u);
+  EXPECT_NE(b, 0u);
+  EXPECT_NE(a, b);
+}
+
+TEST(OperandCache, ObtainReaccountsGrownEntries) {
+  const std::size_t unit = dummy_operand(64)->bytes();
+  nn::OperandCacheConfig cfg;
+  cfg.capacity_bytes = 3 * unit;
+  nn::OperandCache cache(cfg);
+  const auto build = [] { return *dummy_operand(64); };
+  const auto keep = [](PreparedOperand&) { return true; };
+  const auto grow_to = [](std::size_t elems) {
+    return [elems](PreparedOperand& op) {
+      op.encoded = Matrix(1, elems);
+      op.rows = elems;
+      return true;
+    };
+  };
+
+  const std::shared_ptr<PreparedOperand> grows = cache.obtain(1, 0, 0, keep, build);
+  (void)cache.obtain(2, 0, 0, keep, build);
+  const std::uint64_t resident = cache.stats().resident_bytes;
+
+  // The fresh entry grew in place (an append): obtain must re-account
+  // the bytes and evict the LRU victim to get back under capacity.
+  EXPECT_EQ(cache.obtain(1, 0, 0, grow_to(3 * 64), build), grows);
+  EXPECT_EQ(cache.stats().appends, 1u);
+  EXPECT_GT(cache.stats().resident_bytes, resident);
+  EXPECT_EQ(cache.stats().resident_bytes, grows->bytes());
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_FALSE(cache.contains(2, 0, 0));
+  EXPECT_TRUE(cache.contains(1, 0, 0));
+
+  // Growing past the whole capacity drops the entry outright.
+  (void)cache.obtain(1, 0, 0, grow_to(4096), build);
+  EXPECT_FALSE(cache.contains(1, 0, 0));
+  EXPECT_EQ(cache.stats().oversized_rejects, 1u);
+  EXPECT_EQ(cache.stats().entries, 0u);
+  EXPECT_EQ(cache.stats().resident_bytes, 0u);
+}
+
+// One cache, one obtain flow, one accounting rule: a weight (versioned,
+// confirmed by a same-length append) and a growing KV history (version
+// 0, extended by appends) taken through every branch, with the resident
+// bytes reconciled after each step.
+TEST(OperandCache, ObtainLifecycleForWeightsAndKv) {
+  const RowEncoder copy_encoder = [](std::span<const double> norm, std::size_t,
+                                     std::span<double> encoded, std::span<double>,
+                                     std::span<std::int16_t>) {
+    std::copy(norm.begin(), norm.end(), encoded.begin());
+  };
+  ThreadPool pool(1);
+  Matrix stage;
+  OperandSpec spec{.epoch = 1, .channels = {0, 1, 2}};
+  std::size_t builds = 0;
+  nn::OperandCache cache;
+  const auto obtain = [&](std::uint64_t id, std::uint64_t version, const Matrix& src,
+                          GrowAxis axis) {
+    return cache.obtain(
+        id, version, spec.epoch,
+        [&](PreparedOperand& op) {
+          return append_operand(op, src, axis, spec, copy_encoder, pool, stage);
+        },
+        [&] {
+          ++builds;
+          return prepare_operand(src, axis, spec, copy_encoder, pool, stage);
+        });
+  };
+
+  Rng rng(12);
+  const Matrix weight = Matrix::random_gaussian(6, 4, rng);
+  // KV history in Bᵀ orientation (scores): a loud first row keeps the
+  // recorded max-abs, so later quiet rows append.
+  Matrix history(8, 4);
+  for (std::size_t c = 0; c < 4; ++c) history(0, c) = c % 2 == 0 ? 1.0 : -1.0;
+  for (std::size_t r = 1; r < 8; ++r) {
+    for (std::size_t c = 0; c < 4; ++c) history(r, c) = 0.1 * rng.gaussian();
+  }
+  const auto rows = [&](std::size_t n) {
+    Matrix m(n, history.cols());
+    std::copy(history.data().begin(),
+              history.data().begin() + static_cast<std::ptrdiff_t>(m.size()), m.data().begin());
+    return m;
+  };
+  const std::uint64_t kWeight = 7;
+  const std::uint64_t kKv = nn::next_kv_id();
+  const nn::OperandCacheStats& st = cache.stats();
+
+  // Absent: a miss and a build each.
+  std::shared_ptr<PreparedOperand> w = obtain(kWeight, 1, weight, GrowAxis::kRows);
+  std::shared_ptr<PreparedOperand> kv = obtain(kKv, 0, rows(3), GrowAxis::kCols);
+  EXPECT_EQ(st.misses, 2u);
+  EXPECT_EQ(st.hits, 0u);
+  EXPECT_EQ(builds, 2u);
+  EXPECT_EQ(st.entries, 2u);
+  EXPECT_EQ(st.resident_bytes, w->bytes() + kv->bytes());
+
+  // Fresh: the weight is a hit the same-length append only confirms; the
+  // KV history is a hit that appends and re-accounts its grown bytes.
+  const std::uint64_t kv_bytes = kv->bytes();
+  EXPECT_EQ(obtain(kWeight, 1, weight, GrowAxis::kRows), w);
+  EXPECT_EQ(st.hits, 1u);
+  EXPECT_EQ(st.appends, 0u);
+  EXPECT_EQ(obtain(kKv, 0, rows(5), GrowAxis::kCols), kv);
+  EXPECT_EQ(st.hits, 2u);
+  EXPECT_EQ(st.appends, 1u);
+  EXPECT_EQ(kv->cols, 5u);
+  EXPECT_GT(kv->bytes(), kv_bytes);
+  EXPECT_EQ(builds, 2u);
+  EXPECT_EQ(st.resident_bytes, w->bytes() + kv->bytes());
+
+  // Stale epoch (a re-trim or fence): each entry is invalidated at
+  // lookup, misses and is built afresh — nothing counts as a rebuild.
+  spec.epoch = 2;
+  w = obtain(kWeight, 1, weight, GrowAxis::kRows);
+  kv = obtain(kKv, 0, rows(5), GrowAxis::kCols);
+  EXPECT_EQ(st.invalidations, 2u);
+  EXPECT_EQ(st.misses, 4u);
+  EXPECT_EQ(st.rebuilds, 0u);
+  EXPECT_EQ(builds, 4u);
+  EXPECT_EQ(w->epoch, 2u);
+  EXPECT_EQ(kv->epoch, 2u);
+  EXPECT_EQ(st.resident_bytes, w->bytes() + kv->bytes());
+
+  // Changed packing at the same epoch (a fence without a bump): each
+  // entry is a fresh hit whose append refuses, so obtain rebuilds it.
+  spec.channels = {0, 2};
+  w = obtain(kWeight, 1, weight, GrowAxis::kRows);
+  kv = obtain(kKv, 0, rows(6), GrowAxis::kCols);
+  EXPECT_EQ(st.hits, 4u);
+  EXPECT_EQ(st.rebuilds, 2u);
+  EXPECT_EQ(st.invalidations, 2u);
+  EXPECT_EQ(st.appends, 1u);
+  EXPECT_EQ(builds, 6u);
+  EXPECT_EQ(w->channels, spec.channels);
+  EXPECT_EQ(kv->channels, spec.channels);
+  EXPECT_EQ(kv->cols, 6u);
+  EXPECT_EQ(st.entries, 2u);
+  EXPECT_EQ(st.resident_bytes, w->bytes() + kv->bytes());
+
+  // id 0 builds without touching the cache or its counters.
+  const nn::OperandCacheStats before = st;
+  (void)obtain(0, 0, weight, GrowAxis::kRows);
+  EXPECT_EQ(builds, 7u);
+  EXPECT_EQ(st.hits, before.hits);
+  EXPECT_EQ(st.misses, before.misses);
+  EXPECT_EQ(st.entries, before.entries);
+  EXPECT_EQ(st.resident_bytes, before.resident_bytes);
 }
 
 TEST(PhotonicBackendCache, WarmForwardBitIdenticalAndAccounted) {
@@ -418,8 +603,11 @@ TEST(UnguardedBackendCache, DirectFenceIsCaughtByChannelSnapshot) {
   (void)layer.forward(x, cached);   // warm
   bank.lane(0, 2).fenced = true;    // direct mutation, deliberately no bump
 
+  // Same epoch, so the entry is a fresh hit; its append refuses the
+  // changed packing and obtain rebuilds it.
   const Matrix after = layer.forward(x, cached);
-  EXPECT_GE(cached.operand_cache()->stats().invalidations, 1u);
+  EXPECT_EQ(cached.operand_cache()->stats().rebuilds, 1u);
+  EXPECT_EQ(cached.operand_cache()->stats().invalidations, 0u);
   faults::GuardedBackend fresh(bank, unguarded());
   expect_bit_identical(after, layer.forward(x, fresh), "post-fence vs fresh backend");
 }
