@@ -4,10 +4,11 @@
 // checksum stripes, product outputs, event counts and guard verdicts —
 // across the scalar, SIMD and quant tiers and at any thread count; every
 // refusal trigger (scale outgrown, epoch moved, packing changed, shape
-// shrank) must leave the operand untouched; and decode attention plus
-// the serving engine must be bit-identical between prepared and
-// unprepared execution, including across a mid-sequence re-trim epoch
-// bump.  The cache's own accounting is pinned in test_weight_cache.cpp.
+// shrank) must leave the operand untouched; the KV-history cache must
+// account bytes exactly; and decode attention plus the serving engine
+// must be bit-identical between prepared and unprepared execution,
+// including across a mid-sequence re-trim epoch bump.  The rest of the
+// cache's own accounting is pinned in test_weight_cache.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -326,6 +327,53 @@ TEST(KvPrepared, AppendThreadCountInvariance) {
     expect_same_events(r3.events, r1.events);
     expect_same_guard(r3.guard, r1.guard);
   }
+}
+
+// ---------------------------------------------------------------------------
+// KvCache: byte-capacity LRU accounting of KV-history entries (version 0).
+// ---------------------------------------------------------------------------
+
+std::shared_ptr<PreparedOperand> kv_operand(std::size_t elems) {
+  auto op = std::make_shared<PreparedOperand>();
+  op->encoded = Matrix(1, elems);
+  return op;
+}
+
+TEST(KvCache, LruEvictionAndExactByteAccounting) {
+  const std::size_t unit = kv_operand(64)->bytes();
+  nn::OperandCache cache({.capacity_bytes = 3 * unit});
+
+  EXPECT_EQ(cache.lookup(1, 0, 0), nullptr);
+  EXPECT_EQ(cache.stats().misses, 1u);
+
+  cache.insert(1, 0, kv_operand(64));
+  cache.insert(2, 0, kv_operand(64));
+  cache.insert(3, 0, kv_operand(64));
+  EXPECT_EQ(cache.stats().entries, 3u);
+  EXPECT_EQ(cache.stats().resident_bytes, 3 * unit);
+
+  // Touch 1 so 2 becomes LRU, then overflow: 2 must be the eviction.
+  EXPECT_NE(cache.lookup(1, 0, 0), nullptr);
+  EXPECT_EQ(cache.stats().hits, 1u);
+  cache.insert(4, 0, kv_operand(64));
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(cache.stats().resident_bytes, 3 * unit);
+  EXPECT_EQ(cache.lookup(2, 0, 0), nullptr);
+  EXPECT_NE(cache.lookup(1, 0, 0), nullptr);
+  EXPECT_NE(cache.lookup(3, 0, 0), nullptr);
+  EXPECT_NE(cache.lookup(4, 0, 0), nullptr);
+
+  // id 0 is reserved and refused.
+  cache.insert(0, 0, kv_operand(8));
+  EXPECT_EQ(cache.lookup(0, 0, 0), nullptr);
+  EXPECT_EQ(cache.stats().resident_bytes, 3 * unit);
+
+  // Oversized entries never become resident.
+  const auto before = cache.stats().oversized_rejects;
+  cache.insert(9, 0, kv_operand(4096));
+  EXPECT_EQ(cache.stats().oversized_rejects, before + 1);
+  EXPECT_EQ(cache.lookup(9, 0, 0), nullptr);
+  EXPECT_EQ(cache.stats().resident_bytes, 3 * unit);
 }
 
 // ---------------------------------------------------------------------------
