@@ -282,10 +282,9 @@ int main(int argc, char** argv) {
   pool_cfg.bank = bank_config();
   pool_cfg.bank.wavelengths = 8;
   pool_cfg.guarded = guarded_config(kBand, true);
-  {
-    faults::LaneBank probe(pool_cfg.bank);
-    pool_cfg.guarded.path = faults::auto_execution_path(probe);
-  }
+  // Lanes are never on the quantizer grid: the SIMD tier on wide hosts,
+  // the scalar kernel otherwise.
+  pool_cfg.guarded.path = ptc::fastest_path(false);
   pool_cfg.retrim_budget = 4;
   pool_cfg.retrim_window = 1024;
   pool_cfg.quarantine.enabled = true;

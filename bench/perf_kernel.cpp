@@ -19,7 +19,9 @@
 //   * end-to-end decode output stays within a model-accuracy gate
 //     (cosine vs the scalar kernel) so low-bit ADC-code straddles cannot
 //     compound into a real accuracy change;
-//   * guarded decode reports the same guard verdict counts as scalar.
+//   * guarded decode reports the same guard verdict counts as scalar;
+//   * a GuardedBackend product under a mid-product fault storm reports
+//     the scalar tier's detections, mismatches and events.
 // The integer quant tier (kKernelQuant, DESIGN.md §15) carries the same
 // banded-identity/event/guard/cosine contract vs the scalar kernel, runs
 // on the bit-true DAC chain (its on-grid precondition), and must
@@ -281,20 +283,19 @@ void storm_run(ptc::ExecutionPath path, Matrix* out, ptc::EventCounter* ev,
   *snap = backend.monitor().snapshot();
 }
 
-/// Guard-verdict consistency under the same storm when the quant tier is
-/// requested: lanes are never on-grid, so the guarded path runs the
-/// double fast path — and detection, mismatch counts and the
-/// (closed-form) event charges must be exactly those of the scalar path.  The tier ladder may change arithmetic, it
+/// Guard-verdict consistency under the same storm on the SIMD tier:
+/// detection, mismatch counts and the (closed-form) event charges must be
+/// exactly those of the scalar tier.  The tier may change arithmetic, it
 /// must never change what the guard sees.
 bool storm_verdicts_consistent() {
-  Matrix c_k, c_q;
-  ptc::EventCounter ev_k, ev_q;
-  faults::HealthSnapshot snap_k, snap_q;
+  Matrix c_k, c_s;
+  ptc::EventCounter ev_k, ev_s;
+  faults::HealthSnapshot snap_k, snap_s;
   storm_run(ptc::ExecutionPath::kKernel, &c_k, &ev_k, &snap_k);
-  storm_run(ptc::ExecutionPath::kKernelQuant, &c_q, &ev_q, &snap_q);
-  return events_equal(ev_k, ev_q) && snap_k.detections == snap_q.detections &&
-         snap_k.mismatched_tiles == snap_q.mismatched_tiles &&
-         cosine(c_q, c_k) >= 1.0 - 1e-9;
+  storm_run(ptc::ExecutionPath::kKernelSimd, &c_s, &ev_s, &snap_s);
+  return events_equal(ev_k, ev_s) && snap_k.detections == snap_s.detections &&
+         snap_k.mismatched_tiles == snap_s.mismatched_tiles &&
+         cosine(c_s, c_k) >= 1.0 - 1e-9;
 }
 
 }  // namespace
@@ -467,8 +468,8 @@ int main(int argc, char** argv) {
   const double bytes_ratio = static_cast<double>(bytes_quant) / static_cast<double>(bytes_simd);
   const bool bytes_ok = bytes_ratio <= 0.55;
 
-  // ---- fault storm (GuardedBackend, scalar vs quant tier) ------------
-  const bool quant_storm_ok = storm_verdicts_consistent();
+  // ---- fault storm (GuardedBackend, scalar vs SIMD tier) -------------
+  const bool simd_storm_ok = storm_verdicts_consistent();
 
   std::printf("device graph per-token: %.2f ms  (%.2f tok/s)\n", device_ms, 1000.0 / device_ms);
   std::printf("fused kernel per-token: %.2f ms  (%.2f tok/s)\n", kernel_ms, 1000.0 / kernel_ms);
@@ -487,11 +488,11 @@ int main(int argc, char** argv) {
   std::printf("SIMD within guard band: %s\n", simd_band_ok ? "yes" : "NO");
   std::printf("SIMD events == scalar:  %s\n", simd_events_ok ? "yes" : "NO");
   std::printf("SIMD guard verdicts ==: %s\n", simd_guard_ok ? "yes" : "NO");
+  std::printf("SIMD storm verdicts ==: %s\n", simd_storm_ok ? "yes" : "NO");
   std::printf("SIMD decode cosine:     %.12f\n", simd_cosine);
   std::printf("quant within guard band:%s\n", quant_band_ok ? "yes" : "NO");
   std::printf("quant events == scalar: %s\n", quant_events_ok ? "yes" : "NO");
   std::printf("quant guard verdicts ==:%s\n", quant_guard_ok ? "yes" : "NO");
-  std::printf("quant storm verdicts ==:%s\n", quant_storm_ok ? "yes" : "NO");
   std::printf("quant auto-path ladder: %s\n", auto_path_ok ? "yes" : "NO");
   std::printf("quant decode cosine:    %.15f\n\n", quant_cosine);
 
@@ -527,11 +528,11 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  \"simd_within_guard_band\": %s,\n", simd_band_ok ? "true" : "false");
   std::fprintf(f, "  \"simd_events_equal\": %s,\n", simd_events_ok ? "true" : "false");
   std::fprintf(f, "  \"simd_guard_consistent\": %s,\n", simd_guard_ok ? "true" : "false");
+  std::fprintf(f, "  \"simd_storm_consistent\": %s,\n", simd_storm_ok ? "true" : "false");
   std::fprintf(f, "  \"simd_decode_cosine\": %.15f,\n", simd_cosine);
   std::fprintf(f, "  \"quant_within_guard_band\": %s,\n", quant_band_ok ? "true" : "false");
   std::fprintf(f, "  \"quant_events_equal\": %s,\n", quant_events_ok ? "true" : "false");
   std::fprintf(f, "  \"quant_guard_consistent\": %s,\n", quant_guard_ok ? "true" : "false");
-  std::fprintf(f, "  \"quant_storm_consistent\": %s,\n", quant_storm_ok ? "true" : "false");
   std::fprintf(f, "  \"quant_auto_path_ok\": %s,\n", auto_path_ok ? "true" : "false");
   std::fprintf(f, "  \"quant_decode_cosine\": %.15f\n}\n", quant_cosine);
   std::fclose(f);
@@ -541,21 +542,22 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "FAIL: kernel path diverged from the device-graph/model baseline\n");
     return 1;
   }
-  if (!simd_band_ok || !simd_events_ok || !simd_guard_ok || !simd_accuracy_ok) {
+  if (!simd_band_ok || !simd_events_ok || !simd_guard_ok || !simd_storm_ok ||
+      !simd_accuracy_ok) {
     std::fprintf(stderr,
-                 "FAIL: SIMD tier broke its contract (band=%d events=%d guard=%d "
+                 "FAIL: SIMD tier broke its contract (band=%d events=%d guard=%d storm=%d "
                  "cosine=%.12f)\n",
                  simd_band_ok ? 1 : 0, simd_events_ok ? 1 : 0, simd_guard_ok ? 1 : 0,
-                 simd_cosine);
+                 simd_storm_ok ? 1 : 0, simd_cosine);
     return 1;
   }
-  if (!quant_band_ok || !quant_events_ok || !quant_guard_ok || !quant_storm_ok ||
-      !quant_accuracy_ok || !auto_path_ok || !bytes_ok) {
+  if (!quant_band_ok || !quant_events_ok || !quant_guard_ok || !quant_accuracy_ok ||
+      !auto_path_ok || !bytes_ok) {
     std::fprintf(stderr,
-                 "FAIL: quant tier broke its contract (band=%d events=%d guard=%d storm=%d "
+                 "FAIL: quant tier broke its contract (band=%d events=%d guard=%d "
                  "auto=%d bytes_ratio=%.3f cosine=%.15f)\n",
                  quant_band_ok ? 1 : 0, quant_events_ok ? 1 : 0, quant_guard_ok ? 1 : 0,
-                 quant_storm_ok ? 1 : 0, auto_path_ok ? 1 : 0, bytes_ratio, quant_cosine);
+                 auto_path_ok ? 1 : 0, bytes_ratio, quant_cosine);
     return 1;
   }
   // >=3x tokens/s is the acceptance bar at full BERT-base shapes; smoke

@@ -142,21 +142,34 @@ double dot_self_avx2(const double* x, std::size_t n) {
   return acc;
 }
 
+/// dot_avx2's blocking run for four columns at once: each column keeps its
+/// own two FMA chains, 4-element step, fold and tail, so out[b] equals
+/// dot_avx2(x, y[b], n) bit for bit; only the loads of x are shared.
 __attribute__((target("avx2,fma")))
 void dot4_avx2(const double* x, const double* const y[4], std::size_t n,
                double out[4]) {
-  __m256d acc[4] = {_mm256_setzero_pd(), _mm256_setzero_pd(),
-                    _mm256_setzero_pd(), _mm256_setzero_pd()};
+  __m256d acc0[4] = {_mm256_setzero_pd(), _mm256_setzero_pd(),
+                     _mm256_setzero_pd(), _mm256_setzero_pd()};
+  __m256d acc1[4] = {_mm256_setzero_pd(), _mm256_setzero_pd(),
+                     _mm256_setzero_pd(), _mm256_setzero_pd()};
   std::size_t p = 0;
-  for (; p + 4 <= n; p += 4) {
-    const __m256d xv = _mm256_loadu_pd(x + p);
-    acc[0] = _mm256_fmadd_pd(xv, _mm256_loadu_pd(y[0] + p), acc[0]);
-    acc[1] = _mm256_fmadd_pd(xv, _mm256_loadu_pd(y[1] + p), acc[1]);
-    acc[2] = _mm256_fmadd_pd(xv, _mm256_loadu_pd(y[2] + p), acc[2]);
-    acc[3] = _mm256_fmadd_pd(xv, _mm256_loadu_pd(y[3] + p), acc[3]);
+  for (; p + 8 <= n; p += 8) {
+    const __m256d x0 = _mm256_loadu_pd(x + p);
+    const __m256d x1 = _mm256_loadu_pd(x + p + 4);
+    for (int b = 0; b < 4; ++b) {
+      acc0[b] = _mm256_fmadd_pd(x0, _mm256_loadu_pd(y[b] + p), acc0[b]);
+      acc1[b] = _mm256_fmadd_pd(x1, _mm256_loadu_pd(y[b] + p + 4), acc1[b]);
+    }
+  }
+  if (p + 4 <= n) {
+    const __m256d x0 = _mm256_loadu_pd(x + p);
+    for (int b = 0; b < 4; ++b) {
+      acc0[b] = _mm256_fmadd_pd(x0, _mm256_loadu_pd(y[b] + p), acc0[b]);
+    }
+    p += 4;
   }
   for (int b = 0; b < 4; ++b) {
-    double s = hfold(acc[b]);
+    double s = hfold(_mm256_add_pd(acc0[b], acc1[b]));
     for (std::size_t q = p; q < n; ++q) s += x[q] * y[b][q];
     out[b] = s;
   }

@@ -1,5 +1,6 @@
 // simd.hpp — feature-detected SIMD dot-product primitives for the fused
-// kernel's fast tier (DESIGN.md §13).
+// kernel's fast tier (DESIGN.md §13), which both photonic executors run:
+// ptc::PhotonicGemm and the faults-layer lane executor.
 //
 // The fused kernel's scalar tier is bit-exact against the device graph
 // and therefore pinned to its exact floating-point operation sequence —
@@ -11,11 +12,17 @@
 //
 //   * on x86-64 with AVX2+FMA (detected at runtime, compiled via
 //     per-function target attributes so the base build stays portable):
-//     two 4-wide fused-multiply-add chains, horizontally folded as
-//     (l0+l1)+(l2+l3) after the main loop, scalar tail;
+//     two 4-wide fused-multiply-add chains over 8-element steps, one more
+//     4-element step into the first chain when 4 elements remain,
+//     horizontally folded as (l0+l1)+(l2+l3) over the chains' sum, scalar
+//     tail;
 //   * everywhere else: an explicitly 4-way-unrolled scalar loop with
 //     four independent partial sums — the shape autovectorizers take at
 //     -O2/-O3 with baseline SSE2/NEON — folded the same way.
+//
+// dot4 is four dot calls, bit for bit, on every ISA: it only shares the
+// loads of x.  So one output's value never depends on which column block
+// of a tile it falls in, and a tile of any width folds in one fixed order.
 //
 // Either way the result differs from the single-chain reference only by
 // floating-point reassociation (and FMA's skipped intermediate
@@ -52,8 +59,9 @@ namespace pdac::simd {
 /// Blocked Σ_p x[p]² — the quadratic-form row/column terms.
 [[nodiscard]] double dot_self(const double* x, std::size_t n);
 
-/// Four dots sharing one x row: out[b] = Σ_p x[p]·y[b][p].  One load of
-/// x feeds all four columns, the fast tier's tile-blocking shape.
+/// Four dots sharing one x row: out[b] == dot(x, y[b], n) bit for bit on
+/// every ISA.  One load of x feeds all four columns, the fast tier's
+/// tile-blocking shape.
 void dot4(const double* x, const double* const y[4], std::size_t n, double out[4]);
 
 /// Exact integer dot Σ_p x[p]·y[p] over int16 codes.  `max_abs` bounds

@@ -6,19 +6,19 @@
 #include <utility>
 
 #include "common/require.hpp"
-#include "common/simd.hpp"
 #include "converters/quantizer.hpp"
 
 namespace pdac::faults {
 
 ptc::ExecutionPath auto_execution_path(const LaneBank& /*bank*/) {
-  return simd::has_fast_path() ? ptc::ExecutionPath::kKernelSimd : ptc::ExecutionPath::kKernel;
+  return ptc::fastest_path(false);
 }
 
 GuardedBackend::GuardedBackend(LaneBank& bank, GuardedBackendConfig cfg,
                                HealthMonitor* shared_monitor)
     : bank_(bank),
       cfg_(cfg),
+      kernel_(ptc::Ddot{}, ptc::DotEngineConfig{.wavelengths = bank.wavelengths()}),
       pool_(std::make_unique<ThreadPool>(cfg.threads)),
       cache_(cfg.cache),
       kv_cache_(cfg.kv_cache),
@@ -26,9 +26,10 @@ GuardedBackend::GuardedBackend(LaneBank& bank, GuardedBackendConfig cfg,
       tracker_(cfg.drift) {
   PDAC_REQUIRE(cfg_.array_rows >= 1 && cfg_.array_cols >= 1,
                "GuardedBackend: array dimensions must be positive");
-  PDAC_REQUIRE(cfg_.path != ptc::ExecutionPath::kDeviceGraph,
-               "GuardedBackend: path must be kKernel, kKernelSimd or kKernelQuant (a lane bank "
-               "has no device graph)");
+  PDAC_REQUIRE(cfg_.path == ptc::ExecutionPath::kKernel ||
+                   cfg_.path == ptc::ExecutionPath::kKernelSimd,
+               "GuardedBackend: path must be kKernel or kKernelSimd (a lane bank has no device "
+               "graph, and its lanes are never on the quantizer grid)");
   if (shared_monitor != nullptr) monitor_ = shared_monitor;
   tracker_.resize(bank_.lanes());
   recalibrate();  // construction is a trusted calibration point
@@ -204,30 +205,21 @@ ptc::TileCheck GuardedBackend::run_tile(const ptc::Tile& tile, std::size_t t, co
                                         const Matrix& bdata, const ptc::PreparedOperand& pb,
                                         double rescale, Matrix& c,
                                         const std::vector<DotUpset>* upsets) const {
-  const std::size_t k = ae.cols();
-  // Numeric tier for the data dots (cfg_.path): blocked double dots on
-  // every fast tier — lanes are never on the quantizer grid, so
-  // kKernelQuant runs them too.  Checksum references always stay
-  // double-precision golden dots, whatever the data tier.  The dots take
-  // k explicitly, so the padded tail of rows-axis KV appends is never
-  // read.
-  const bool simd_tile = cfg_.path != ptc::ExecutionPath::kKernel;
+  // The kernel writes the tile's raw dots into c (rescale 1.0, no tile
+  // sums): ascending p on the scalar tier, one blocked dot per output
+  // (common/simd.hpp) on the SIMD tier, bit-identical at any thread count
+  // and to a post-fence re-run.  Checksum references stay
+  // double-precision golden dots on either tier.
+  if (cfg_.path == ptc::ExecutionPath::kKernelSimd) {
+    kernel_.run_tile_fast(tile, ae, bdata, 1.0, c);
+  } else {
+    kernel_.run_tile(tile, ae, bdata, 1.0, c);
+  }
   std::vector<double> rsum(tile.rows, 0.0);
   std::vector<double> csum(tile.cols, 0.0);
   for (std::size_t i = tile.row0; i < tile.row0 + tile.rows; ++i) {
-    const auto x = ae.row(i);
     for (std::size_t j = tile.col0; j < tile.col0 + tile.cols; ++j) {
-      const auto y = bdata.row(j);
-      // Ascending p is the serial chunk order, so accumulation is
-      // bit-identical across thread counts and to a post-fence re-run.
-      // The fast tier reassociates, inside the guard band the verdicts
-      // are judged by.
-      double acc = 0.0;
-      if (simd_tile) {
-        acc = simd::dot(x.data(), y.data(), k);
-      } else {
-        for (std::size_t p = 0; p < k; ++p) acc += x[p] * y[p];
-      }
+      double acc = c(i, j);
       if (upsets != nullptr) {
         // Transient detector glitches land on the raw accumulator, so
         // the checksum lanes see the corrupted value too.

@@ -4,6 +4,13 @@
 // onto the surviving WDM channels, and fewer survivors charge more chunks
 // per reduction.  The bank is referenced, not owned.
 //
+// The lane bank is the only encoder and carries every fault hook; the
+// tile reductions run on ptc::FusedKernel, the kernel PhotonicGemm runs,
+// snapshotted once from a nominal amplitude-domain chain (full optics and
+// ADC off).  The backend folds transient upsets, the rescale and the tile
+// sums over the kernel's raw dots, and charges ptc::tile_step_events over
+// the surviving packing.
+//
 // With GuardConfig::enabled off this is the plain lane executor.  On (the
 // default) it detects silent corruption in-band, at tile granularity,
 // through ptc::verify_tile, and drives the faults::EscalationPolicy
@@ -63,6 +70,7 @@
 #include "faults/lane_table.hpp"
 #include "nn/backend.hpp"
 #include "ptc/abft.hpp"
+#include "ptc/kernel.hpp"
 #include "ptc/tile_scheduler.hpp"
 
 namespace pdac::faults {
@@ -94,26 +102,24 @@ struct GuardedBackendConfig {
   /// the clean / drifting / excursion classification the proactive
   /// re-trim rung and the serving quarantine policy read.
   DriftTrackerConfig drift{};
-  /// Numeric tier for the tile data dots (DESIGN.md §15).
-  ///   kKernel      — serial scalar accumulation in ascending reduction
-  ///                  position (default): the reference contract, equal
-  ///                  to Σₚ of the per-lane encodes bit for bit.
-  ///   kKernelSimd  — blocked double dots (common/simd.hpp): in-band
-  ///                  reassociation, same verdict machinery.
-  ///   kKernelQuant — runs the kKernelSimd dots: lanes are never on the
-  ///                  quantizer grid, so there are no exact codes to
-  ///                  carry.
-  /// kDeviceGraph is rejected at construction: a lane bank has no device
-  /// graph to stage chunks through.  Checksum references are
-  /// double-precision golden dots in every tier, so detection semantics
-  /// never change.
+  /// Numeric tier for the tile data dots (DESIGN.md §15), one of two:
+  ///   kKernel     — FusedKernel::run_tile, serial accumulation in
+  ///                 ascending reduction position (default): the
+  ///                 reference contract, equal to Σₚ of the per-lane
+  ///                 encodes bit for bit.
+  ///   kKernelSimd — FusedKernel::run_tile_fast, one blocked dot per
+  ///                 output (common/simd.hpp): in-band reassociation,
+  ///                 same verdict machinery.
+  /// kDeviceGraph and kKernelQuant are rejected at construction: a lane
+  /// bank has no device graph to stage chunks through, and its lanes are
+  /// never on the quantizer grid.  ptc::fastest_path(false) resolves the
+  /// faster of the two.  Checksum references are double-precision golden
+  /// dots on either tier, so detection semantics never change.
   ptc::ExecutionPath path{ptc::ExecutionPath::kKernel};
 };
 
-/// The fastest numeric tier for a lane bank: the SIMD tier iff the CPU
-/// has the wide path, the scalar kernel otherwise.  Lanes are never on
-/// the quantizer grid, so the integer tier never applies.  The
-/// faults-layer mirror of nn::fastest_gemm_config.
+/// ptc::fastest_path(false): lanes are never on the quantizer grid.  Kept
+/// only for perfbench/src/serve.cpp; new callers use ptc::fastest_path.
 [[nodiscard]] ptc::ExecutionPath auto_execution_path(const LaneBank& bank);
 
 /// A transient single-dot upset: an SEU-class glitch that corrupts one
@@ -259,11 +265,12 @@ class GuardedBackend final : public nn::GemmBackend {
                                                                    const Matrix& src,
                                                                    ptc::GrowAxis axis);
 
-  /// Compute one tile: data dots from `ae` (current A encodes) × `bdata`
-  /// (current B encodes), rescaled into `c`; `upsets` (nullable) are the
-  /// transient dot glitches of the initial pass.  Guarded, returns
-  /// ptc::verify_tile's verdict against `ae_gold` / `xsum` / `pb`, with
-  /// its single-error site corrected in place when sec_correction is on.
+  /// Compute one tile: the kernel's data dots from `ae` (current A
+  /// encodes) × `bdata` (current B encodes), plus `upsets` (nullable, the
+  /// transient dot glitches of the initial pass), rescaled into `c`.
+  /// Guarded, returns ptc::verify_tile's verdict against `ae_gold` /
+  /// `xsum` / `pb`, with its single-error site corrected in place when
+  /// sec_correction is on.
   [[nodiscard]] ptc::TileCheck run_tile(const ptc::Tile& tile, std::size_t t, const Matrix& ae,
                                         const Matrix& ae_gold, const Matrix& xsum,
                                         const Matrix& bdata, const ptc::PreparedOperand& pb,
@@ -282,6 +289,9 @@ class GuardedBackend final : public nn::GemmBackend {
 
   LaneBank& bank_;
   GuardedBackendConfig cfg_;
+  /// Amplitude-domain tile kernel: a nominal Ddot with full optics and
+  /// ADC off, so its tiles reduce the lane encodes and nothing else.
+  ptc::FusedKernel kernel_;
   std::unique_ptr<ThreadPool> pool_;
   nn::OperandCache cache_;
   nn::OperandCache kv_cache_;

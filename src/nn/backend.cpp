@@ -2,31 +2,10 @@
 
 #include <cmath>
 
-#include "common/simd.hpp"
-#include "converters/quantizer.hpp"
-
 namespace pdac::nn {
 
 ptc::GemmConfig fastest_gemm_config(const core::ModulatorDriver& driver, ptc::GemmConfig cfg) {
-  // Quant precondition: the driver's encode transfer must land EXACTLY on
-  // the quantizer grid for every representable code — the bitwise test
-  // PhotonicDotEngine::encode_on_quant_grid runs at construction, probed
-  // here without building an engine.  Transcendental transfers (ideal-DAC
-  // sin², P-DAC) fail on the first code and fall through to the double
-  // tiers.
-  const converters::Quantizer quant(driver.bits());
-  bool on_grid = true;
-  for (std::int32_t c = -quant.max_code(); c <= quant.max_code() && on_grid; ++c) {
-    const double v = quant.decode(c);
-    if (driver.encode(v) != v) on_grid = false;
-  }
-  if (on_grid) {
-    cfg.path = ptc::ExecutionPath::kKernelQuant;
-  } else if (simd::has_fast_path()) {
-    cfg.path = ptc::ExecutionPath::kKernelSimd;
-  } else {
-    cfg.path = ptc::ExecutionPath::kKernel;
-  }
+  cfg.path = ptc::fastest_path(ptc::PhotonicDotEngine(driver, cfg.dot).encode_on_quant_grid());
   return cfg;
 }
 

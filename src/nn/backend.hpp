@@ -222,11 +222,9 @@ std::unique_ptr<GemmBackend> make_photonic_ideal_dac_backend(int bits,
 }
 
 /// Resolve the fastest execution path this (driver, config) pair can
-/// legally run — the quant → simd → kernel ladder of DESIGN.md §15:
-/// kKernelQuant iff the driver's encode transfer lies bitwise on the
-/// quantizer grid at cfg.dot.bits (probed code-by-code, the same
-/// precondition PhotonicGemm enforces), else kKernelSimd iff the CPU has
-/// the wide path, else the scalar kernel.  The returned config is
+/// legally run — ptc::fastest_path over the engine's own grid probe
+/// (PhotonicDotEngine::encode_on_quant_grid, the precondition
+/// PhotonicGemm enforces for kKernelQuant).  The returned config is
 /// `cfg` with only `path` rewritten, so guard/threads/array knobs pass
 /// through untouched.
 [[nodiscard]] ptc::GemmConfig fastest_gemm_config(const core::ModulatorDriver& driver,

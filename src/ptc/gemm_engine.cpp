@@ -5,9 +5,15 @@
 #include <span>
 
 #include "common/require.hpp"
+#include "common/simd.hpp"
 #include "converters/quantizer.hpp"
 
 namespace pdac::ptc {
+
+ExecutionPath fastest_path(bool encode_on_quant_grid) {
+  if (encode_on_quant_grid) return ExecutionPath::kKernelQuant;
+  return simd::has_fast_path() ? ExecutionPath::kKernelSimd : ExecutionPath::kKernel;
+}
 
 PhotonicGemm::PhotonicGemm(const core::ModulatorDriver& driver, GemmConfig cfg)
     : cfg_(cfg),
@@ -331,7 +337,13 @@ GemmResult PhotonicGemm::multiply_prepared(const Matrix& a, const PreparedOperan
   const ExecutionPath path = cfg_.path;
   for_each_tile(*pool_, tiles, [&](std::size_t t, std::size_t worker) {
     const Tile& tile = tiles[t];
-    EventCounter reduction;  // detection / ddot_ops / macs from the dots run
+    // Broadcast-amortization contract (see header): modulation, ADC and
+    // cycle occupancy are tile-step quantities, not per-dot ones.  The
+    // hardware modulates B columns per tile step even when the simulator
+    // reuses a prepared encoding, so the charge is unconditional.  The
+    // kernel tiers charge the closed form whole; the device graph below
+    // keeps the detections, DDot ops and MACs of the dots it ran.
+    EventCounter step = tile_step_events(tile.rows, tile.cols, k, engine_.active_wavelengths());
     // Raw (pre-rescale) tile sums for the checksum comparison; tiny and
     // tile-local, so the allocation stays off the unguarded path.
     std::vector<double> rsum, csum;
@@ -342,22 +354,23 @@ GemmResult PhotonicGemm::multiply_prepared(const Matrix& a, const PreparedOperan
     if (path == ExecutionPath::kKernel) {
       // Fused flat-array kernel: the whole tile in one pass, raw sums
       // accumulated in the same order as the device-graph loop below.
-      kernel_.run_tile(tile, ae, b.encoded, rescale, res.c, &reduction,
-                       guarded ? rsum.data() : nullptr, guarded ? csum.data() : nullptr);
+      kernel_.run_tile(tile, ae, b.encoded, rescale, res.c, guarded ? rsum.data() : nullptr,
+                       guarded ? csum.data() : nullptr);
     } else if (path == ExecutionPath::kKernelSimd) {
       // SIMD fast tier: tolerance-banded vs the scalar kernel, event
       // charges identical; the guard below runs on it unchanged.
-      kernel_.run_tile_fast(tile, ae, b.encoded, rescale, res.c, &reduction,
+      kernel_.run_tile_fast(tile, ae, b.encoded, rescale, res.c,
                             guarded ? rsum.data() : nullptr, guarded ? csum.data() : nullptr);
     } else if (path == ExecutionPath::kKernelQuant) {
       // Integer tier: the same quadratic form over exact int16 code dots
       // (run_tile_quant); the guard below still compares the raw sums
       // against the double references, band unchanged.
-      kernel_.run_tile_quant(tile, qcode_scratch_, b.qcodes, rescale, res.c, &reduction,
+      kernel_.run_tile_quant(tile, qcode_scratch_, b.qcodes, rescale, res.c,
                              guarded ? rsum.data() : nullptr, guarded ? csum.data() : nullptr);
     } else {
       const Ddot& ddot = worker_ddots_[worker];
       DdotScratch& scratch = worker_scratch_[worker];
+      EventCounter reduction;
       for (std::size_t i = tile.row0; i < tile.row0 + tile.rows; ++i) {
         for (std::size_t j = tile.col0; j < tile.col0 + tile.cols; ++j) {
           // first(k) strips any column-capacity padding off the prepared
@@ -371,16 +384,10 @@ GemmResult PhotonicGemm::multiply_prepared(const Matrix& a, const PreparedOperan
           }
         }
       }
+      step.detection_events = reduction.detection_events;
+      step.ddot_ops = reduction.ddot_ops;
+      step.macs = reduction.macs;
     }
-    // Broadcast-amortization contract (see header): modulation, ADC and
-    // cycle occupancy are tile-step quantities, not per-dot ones.  The
-    // hardware modulates B columns per tile step even when the simulator
-    // reuses a prepared encoding, so the charge is unconditional;
-    // detections, DDot ops and MACs stay those of the dots actually run.
-    EventCounter step = tile_step_events(tile.rows, tile.cols, k, engine_.active_wavelengths());
-    step.detection_events = reduction.detection_events;
-    step.ddot_ops = reduction.ddot_ops;
-    step.macs = reduction.macs;
     event_scratch_[t] = step;
 
     if (guarded) {

@@ -102,6 +102,12 @@ namespace pdac::ptc {
 ///                  (Ddot); the authoritative physical reference.
 enum class ExecutionPath { kKernel, kDeviceGraph, kKernelSimd, kKernelQuant };
 
+/// The fastest tier an executor can legally run (DESIGN.md §15), the one
+/// resolver of both executors: kKernelQuant when its encodes lie bitwise
+/// on the quantizer grid, else kKernelSimd when the CPU has the wide path
+/// (simd::has_fast_path), else the scalar kernel.
+[[nodiscard]] ExecutionPath fastest_path(bool encode_on_quant_grid);
+
 /// The B operand of C = A·B, fully prepared for the photonic array:
 /// transposed into row-major columns, max-abs-normalized and pushed
 /// through the encode LUT.  Reusing one across products is valid only

@@ -185,8 +185,7 @@ double FusedKernel::dot(std::span<const double> xe, std::span<const double> ye,
 }
 
 void FusedKernel::run_tile(const Tile& tile, const Matrix& ae, const Matrix& be,
-                           double rescale, Matrix& c, EventCounter* ev, double* rsum,
-                           double* csum) const {
+                           double rescale, Matrix& c, double* rsum, double* csum) const {
   const std::size_t k = ae.cols();
   // >=: prepared operands may pad the reduction axis with physical
   // column capacity (PreparedOperand shape contract); every loop here
@@ -230,22 +229,10 @@ void FusedKernel::run_tile(const Tile& tile, const Matrix& ae, const Matrix& be,
       if (csum != nullptr) csum[j - tile.col0] += raw;
     }
   }
-  if (ev != nullptr) {
-    // Closed form for the reduction events the device-graph loop counts
-    // dot by dot — equal because every dot charges the same chunk count.
-    const std::size_t nl = lanes_.size();
-    const std::uint64_t chunks = (k + nl - 1) / nl;
-    const std::uint64_t dots =
-        static_cast<std::uint64_t>(tile.rows) * static_cast<std::uint64_t>(tile.cols);
-    ev->detection_events += dots * chunks;
-    ev->ddot_ops += dots * chunks;
-    ev->macs += dots * static_cast<std::uint64_t>(k);
-  }
 }
 
 void FusedKernel::run_tile_fast(const Tile& tile, const Matrix& ae, const Matrix& be,
-                                double rescale, Matrix& c, EventCounter* ev, double* rsum,
-                                double* csum) const {
+                                double rescale, Matrix& c, double* rsum, double* csum) const {
   const std::size_t k = ae.cols();
   // >=: prepared operands may pad the reduction axis with physical
   // column capacity (PreparedOperand shape contract); every loop here
@@ -328,21 +315,10 @@ void FusedKernel::run_tile_fast(const Tile& tile, const Matrix& ae, const Matrix
       if (csum != nullptr) csum[j - tile.col0] += r;
     }
   }
-  if (ev != nullptr) {
-    // Field-for-field identical to run_tile: the tier changes arithmetic
-    // order, not device semantics — the analog machine still performs
-    // dots·chunks detections and dots·k MACs.
-    const std::uint64_t dots =
-        static_cast<std::uint64_t>(tile.rows) * static_cast<std::uint64_t>(tile.cols);
-    ev->detection_events += dots * chunks;
-    ev->ddot_ops += dots * chunks;
-    ev->macs += dots * static_cast<std::uint64_t>(k);
-  }
 }
 
 void FusedKernel::run_tile_quant(const Tile& tile, const CodeMatrix& aq, const CodeMatrix& bq,
-                                 double rescale, Matrix& c, EventCounter* ev, double* rsum,
-                                 double* csum) const {
+                                 double rescale, Matrix& c, double* rsum, double* csum) const {
   PDAC_REQUIRE(quant_ready_,
                "FusedKernel: run_tile_quant needs an on-grid encode LUT (quant_ready)");
   const std::size_t k = aq.cols();
@@ -415,16 +391,6 @@ void FusedKernel::run_tile_quant(const Tile& tile, const CodeMatrix& aq, const C
       if (rsum != nullptr) rsum[i - tile.row0] += r;
       if (csum != nullptr) csum[j - tile.col0] += r;
     }
-  }
-  if (ev != nullptr) {
-    // Field-for-field identical to run_tile: the tier changes the number
-    // representation, not device semantics — the analog machine still
-    // performs dots·chunks detections and dots·k MACs.
-    const std::uint64_t dots =
-        static_cast<std::uint64_t>(tile.rows) * static_cast<std::uint64_t>(tile.cols);
-    ev->detection_events += dots * chunks;
-    ev->ddot_ops += dots * chunks;
-    ev->macs += dots * static_cast<std::uint64_t>(k);
   }
 }
 

@@ -27,9 +27,11 @@
 // non-negative, so skipping them cannot change a single bit.
 //
 // Staleness: a kernel is a snapshot.  PhotonicGemm's engine is immutable
-// after construction, so its kernel never goes stale; the faults layer,
-// whose lane transfers mutate, keys its own coefficient tables on the
-// LaneBank epoch instead (faults/lane_table.hpp).
+// after construction, so its kernel never goes stale.  The faults-layer
+// lane executor snapshots a nominal amplitude-domain chain (full optics
+// and ADC off), which has no lane state to go stale; its lanes' encodes,
+// which do mutate, live in coefficient tables keyed on the LaneBank
+// epoch (faults/lane_table.hpp).
 #pragma once
 
 #include <cstddef>
@@ -83,23 +85,27 @@ class FusedKernel {
   /// ae[tile rows] × be[tile cols], ADC-rounded, rescaled into `c`.
   /// When `rsum`/`csum` are non-null (ABFT-guarded products) the raw
   /// post-ADC dot values are accumulated per tile row/column in the same
-  /// order as the device-graph loop.  `ev` receives the reduction events
-  /// of every dot executed.
+  /// order as the device-graph loop.  The tile functions charge no
+  /// events: a tile step's charge is the closed form ptc::tile_step_events
+  /// over the caller's packing.  Callers: PhotonicGemm::multiply_prepared
+  /// and the faults-layer lane executor (GuardedBackend), which runs the
+  /// tile at rescale 1.0 with no tile sums and folds upsets, rescale and
+  /// sums itself.
   void run_tile(const Tile& tile, const Matrix& ae, const Matrix& be, double rescale,
-                Matrix& c, EventCounter* ev = nullptr, double* rsum = nullptr,
-                double* csum = nullptr) const;
+                Matrix& c, double* rsum = nullptr, double* csum = nullptr) const;
 
   /// SIMD fast tier of run_tile (ExecutionPath::kKernelSimd).  Same
-  /// signature, same event charges field for field, same rsum/csum
-  /// accumulation order — but tolerance-banded instead of bit-exact:
-  /// the reduction is reassociated through common/simd.hpp blocking and,
-  /// under full optics, the per-element physics is collapsed into its
-  /// closed quadratic form (see the derivation in kernel.cpp), so raw
-  /// values differ from the scalar tier by O(ε·k·|x||y|) — inside the
-  /// ABFT guard band that multiply_prepared applies unchanged.
+  /// signature and rsum/csum accumulation order — but tolerance-banded
+  /// instead of bit-exact: the reduction is reassociated through
+  /// common/simd.hpp blocking and, under full optics, the per-element
+  /// physics is collapsed into its closed quadratic form (see the
+  /// derivation in kernel.cpp), so raw values differ from the scalar tier
+  /// by O(ε·k·|x||y|) — inside the ABFT guard band that multiply_prepared
+  /// applies unchanged.  With
+  /// full optics off each raw value is simd::dot(x, y, k), whatever the
+  /// tile width (simd::dot4 is four dot calls, bit for bit).
   void run_tile_fast(const Tile& tile, const Matrix& ae, const Matrix& be, double rescale,
-                     Matrix& c, EventCounter* ev = nullptr, double* rsum = nullptr,
-                     double* csum = nullptr) const;
+                     Matrix& c, double* rsum = nullptr, double* csum = nullptr) const;
 
   /// Integer tier of run_tile (ExecutionPath::kKernelQuant, DESIGN.md
   /// §15).  Operands are int16 quantizer codes; valid only when
@@ -110,13 +116,13 @@ class FusedKernel {
   /// 1/max_code² and the dark-current term are applied once in double at
   /// readout, so each raw value carries a single rounding instead of the
   /// double tiers' per-element chains — the same O(ε·k) reassociation
-  /// family the guard band absorbs.  Event charges, ADC round-trip and
-  /// rsum/csum order are field-for-field identical to run_tile; the
-  /// integer sums themselves are ISA-independent (exact), so this tier's
-  /// raw values are identical bits on every machine.
+  /// family the guard band absorbs.  ADC round-trip and rsum/csum order
+  /// are identical to run_tile; the integer sums themselves are
+  /// ISA-independent (exact), so this tier's raw values are identical
+  /// bits on every machine.
   void run_tile_quant(const Tile& tile, const CodeMatrix& aq, const CodeMatrix& bq,
-                      double rescale, Matrix& c, EventCounter* ev = nullptr,
-                      double* rsum = nullptr, double* csum = nullptr) const;
+                      double rescale, Matrix& c, double* rsum = nullptr,
+                      double* csum = nullptr) const;
 
   /// True when run_tile_quant is usable: the kernel was snapshotted from
   /// an engine whose encode LUT is exactly the quantizer grid (e.g. a

@@ -260,11 +260,4 @@ TEST(DriftHysteresis, HardStrikeMidBandIsCaughtOnSimdTier) {
   run_hard_strike_mid_band(ptc::ExecutionPath::kKernelSimd);
 }
 
-TEST(DriftHysteresis, HardStrikeMidBandIsCaughtOnQuantTier) {
-  // Physical perturbed lanes are never on the quantizer grid, so the
-  // integer tier degrades to the blocked double dots — the tier request
-  // must stay live and the guard semantics must be unchanged.
-  run_hard_strike_mid_band(ptc::ExecutionPath::kKernelQuant);
-}
-
 }  // namespace

@@ -8,9 +8,11 @@
 
 #include <cmath>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/require.hpp"
+#include "common/simd.hpp"
 #include "common/stats.hpp"
 #include "converters/quantizer.hpp"
 #include "faults/fault_injector.hpp"
@@ -69,21 +71,33 @@ void expect_events_equal(const ptc::EventCounter& a, const ptc::EventCounter& b)
   EXPECT_EQ(a.cycles, b.cycles);
 }
 
-/// Independent per-lane reference for a product through `bank`: output
-/// (i, j) = Σₚ encode(x rail, ch, aᵢₚ/a_s) · encode(y rail, ch, bₚⱼ/b_s)
-/// in ascending p, times a_s·b_s, where ch = surviving[p % n] — straight
-/// from LaneBank::encode, with no table, prepared operand or tiles.
-Matrix lane_reference(const faults::LaneBank& bank, const Matrix& a, const Matrix& b) {
+/// Independent per-lane reference for a product through `bank` on tier
+/// `path`: every element is encoded straight from LaneBank::encode (x
+/// rail for A, y rail for B) on channel ch = surviving[p % n], with no
+/// table, prepared operand or tiles.  Output (i, j) folds encoded row i
+/// of A with encoded column j of B — in ascending p on kKernel, with one
+/// simd::dot on kKernelSimd — times a_s·b_s.
+Matrix lane_reference(const faults::LaneBank& bank, const Matrix& a, const Matrix& b,
+                      ptc::ExecutionPath path = ptc::ExecutionPath::kKernel) {
   const std::vector<std::size_t> surviving = bank.surviving_channels();
   const double a_s = converters::max_abs_scale(a.data());
   const double b_s = converters::max_abs_scale(b.data());
+  const std::size_t k = a.cols();
+  Matrix ae(a.rows(), k);
+  Matrix bte(b.cols(), k);
+  for (std::size_t p = 0; p < k; ++p) {
+    const std::size_t ch = surviving[p % surviving.size()];
+    for (std::size_t i = 0; i < a.rows(); ++i) ae(i, p) = bank.encode(0, ch, a(i, p) / a_s);
+    for (std::size_t j = 0; j < b.cols(); ++j) bte(j, p) = bank.encode(1, ch, b(p, j) / b_s);
+  }
   Matrix c(a.rows(), b.cols());
   for (std::size_t i = 0; i < a.rows(); ++i) {
     for (std::size_t j = 0; j < b.cols(); ++j) {
       double acc = 0.0;
-      for (std::size_t p = 0; p < a.cols(); ++p) {
-        const std::size_t ch = surviving[p % surviving.size()];
-        acc += bank.encode(0, ch, a(i, p) / a_s) * bank.encode(1, ch, b(p, j) / b_s);
+      if (path == ptc::ExecutionPath::kKernelSimd) {
+        acc = simd::dot(ae.row(i).data(), bte.row(j).data(), k);
+      } else {
+        for (std::size_t p = 0; p < k; ++p) acc += ae(i, p) * bte(j, p);
       }
       c(i, j) = acc * (a_s * b_s);
     }
@@ -130,9 +144,9 @@ TEST(GuardedBackend, UnguardedMatchesLaneReferenceAtAnyThreadCount) {
   // Guard off, the backend is the plain lane executor: on a bank with
   // injected faults and a fenced channel every entry point — matmul,
   // matmul_cached (cold and warm) and matmul_kv on both axes as the
-  // history grows — equals the independent lane reference bit for bit at
-  // any thread count, charges exactly the tile-step events over the
-  // survivors, and records nothing in the monitor.
+  // history grows — equals the independent lane reference of its tier bit
+  // for bit at any thread count, charges exactly the tile-step events
+  // over the survivors, and records nothing in the monitor.
   faults::FaultSchedule sched = one_event(8, stuck_mrr(2), 16);
   faults::FaultEvent tia;
   tia.step = 3;
@@ -142,8 +156,12 @@ TEST(GuardedBackend, UnguardedMatchesLaneReferenceAtAnyThreadCount) {
   tia.bit = 2;
   sched.events.push_back(tia);
 
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    SCOPED_TRACE("threads " + std::to_string(threads));
+  for (const auto& [path, threads] : {std::pair{ptc::ExecutionPath::kKernel, std::size_t{1}},
+                                      std::pair{ptc::ExecutionPath::kKernel, std::size_t{4}},
+                                      std::pair{ptc::ExecutionPath::kKernelSimd, std::size_t{1}},
+                                      std::pair{ptc::ExecutionPath::kKernelSimd, std::size_t{4}}}) {
+    SCOPED_TRACE("path " + std::to_string(static_cast<int>(path)) + ", threads " +
+                 std::to_string(threads));
     faults::LaneBank bank(small_bank_config());
     faults::production_trim(bank);
     faults::FaultInjector injector(bank, sched);
@@ -157,13 +175,14 @@ TEST(GuardedBackend, UnguardedMatchesLaneReferenceAtAnyThreadCount) {
     faults::GuardedBackendConfig cfg;
     cfg.guard.enabled = false;
     cfg.threads = threads;
+    cfg.path = path;
     faults::GuardedBackend backend(bank, cfg);
     ptc::EventCounter want_events;
 
     Rng rng(3);
     const Matrix a = Matrix::random_gaussian(13, 18, rng, 0.0, 1.0);
     const Matrix b = Matrix::random_gaussian(18, 11, rng, 0.0, 1.0);
-    const Matrix want = lane_reference(bank, a, b);
+    const Matrix want = lane_reference(bank, a, b, path);
     expect_matrices_equal(backend.matmul(a, b), want);
     const nn::WeightHandle w{3, 1};
     expect_matrices_equal(backend.matmul_cached(a, b, w), want);
@@ -184,10 +203,10 @@ TEST(GuardedBackend, UnguardedMatchesLaneReferenceAtAnyThreadCount) {
       keys = grown;
       const Matrix q = Matrix::random_gaussian(2, d, rng, 0.0, 1.0);
       expect_matrices_equal(backend.matmul_kv(q, keys, {1, nn::KvAxis::kCols}),
-                            lane_reference(bank, q, keys.transposed()));
+                            lane_reference(bank, q, keys.transposed(), path));
       const Matrix probs = Matrix::random_gaussian(2, t, rng, 0.0, 1.0);
       expect_matrices_equal(backend.matmul_kv(probs, keys, {2, nn::KvAxis::kRows}),
-                            lane_reference(bank, probs, keys));
+                            lane_reference(bank, probs, keys, path));
       want_events += product_events(2, d, t, lanes);
       want_events += product_events(2, t, d, lanes);
     }
@@ -200,29 +219,52 @@ TEST(GuardedBackend, UnguardedMatchesLaneReferenceAtAnyThreadCount) {
 }
 
 TEST(GuardedBackend, CleanBankBitIdenticalToLaneReference) {
-  // On healthy hardware the guard must be pure observation: the data
-  // path equals the independent lane reference bit for bit, the
-  // data-path events match the unguarded backend's field for field, and
-  // every tile verifies.
-  faults::LaneBank bank(small_bank_config());
-  faults::production_trim(bank);
-  faults::GuardedBackend guarded(bank);
-  faults::GuardedBackend unguarded(bank, {.guard = {.enabled = false}});
+  // On healthy hardware the guard must be pure observation, on either
+  // tier: the data path equals the tier's independent lane reference bit
+  // for bit, the data-path events match the unguarded backend's field for
+  // field, and every tile verifies.  The SIMD tier also charges the
+  // scalar tier's events field for field and lands within the guard band
+  // of the scalar tier's outputs.
   Rng rng(3);
   const Matrix a = Matrix::random_gaussian(13, 18, rng, 0.0, 1.0);
   const Matrix b = Matrix::random_gaussian(18, 11, rng, 0.0, 1.0);
 
-  expect_matrices_equal(guarded.matmul(a, b), lane_reference(bank, a, b));
-  (void)unguarded.matmul(a, b);
-  expect_events_equal(guarded.events(), unguarded.events());
+  Matrix scalar_out;
+  ptc::EventCounter scalar_events;
+  for (const ptc::ExecutionPath path :
+       {ptc::ExecutionPath::kKernel, ptc::ExecutionPath::kKernelSimd}) {
+    SCOPED_TRACE("path " + std::to_string(static_cast<int>(path)));
+    faults::LaneBank bank(small_bank_config());
+    faults::production_trim(bank);
+    faults::GuardedBackend guarded(bank, {.path = path});
+    faults::GuardedBackend unguarded(bank, {.guard = {.enabled = false}, .path = path});
 
-  const faults::HealthSnapshot& snap = guarded.monitor().snapshot();
-  EXPECT_EQ(snap.products, 1u);
-  EXPECT_EQ(snap.detections, 0u);
-  EXPECT_EQ(snap.mismatched_tiles, 0u);
-  EXPECT_GT(snap.tiles_checked, 0u);
-  EXPECT_GT(snap.checksum_events.modulation_events, 0u);
-  EXPECT_LT(snap.worst_residual, snap.worst_tolerance);
+    const Matrix got = guarded.matmul(a, b);
+    expect_matrices_equal(got, lane_reference(bank, a, b, path));
+    (void)unguarded.matmul(a, b);
+    expect_events_equal(guarded.events(), unguarded.events());
+
+    const faults::HealthSnapshot& snap = guarded.monitor().snapshot();
+    EXPECT_EQ(snap.products, 1u);
+    EXPECT_EQ(snap.detections, 0u);
+    EXPECT_EQ(snap.mismatched_tiles, 0u);
+    EXPECT_GT(snap.tiles_checked, 0u);
+    EXPECT_GT(snap.checksum_events.modulation_events, 0u);
+    EXPECT_LT(snap.worst_residual, snap.worst_tolerance);
+
+    if (path == ptc::ExecutionPath::kKernel) {
+      scalar_out = got;
+      scalar_events = guarded.events();
+      continue;
+    }
+    expect_events_equal(guarded.events(), scalar_events);
+    ASSERT_EQ(got.size(), scalar_out.size());
+    const double band = ptc::guard_tolerance(ptc::GuardConfig{}, a.cols(), 1,
+                                             static_cast<double>(a.cols()));
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_NEAR(got.data()[i], scalar_out.data()[i], band) << "element " << i;
+    }
+  }
 }
 
 TEST(GuardedBackend, CleanRunBitIdenticalAtAnyThreadCount) {
@@ -466,8 +508,8 @@ TEST(GuardedBackend, QuietStormProductEqualsStormFreeProduct) {
   // observation: output, data-path events and the whole health snapshot
   // match a storm-free backend bit for bit, on the scalar and SIMD tiers.
   // The pre-struck case strikes before the product on both banks, so the
-  // ladder's rungs run on both sides too.  (kKernelQuant is left out:
-  // storm tiles run the double tier.)
+  // ladder's rungs run on both sides too.  (These are the two tiers a
+  // lane bank accepts.)
   Rng rng(43);
   const Matrix a = Matrix::random_gaussian(20, 24, rng, 0.0, 1.0);
   const Matrix b = Matrix::random_gaussian(24, 28, rng, 0.0, 1.0);
@@ -706,15 +748,18 @@ TEST(GuardedBackend, FullyFencedBankIsAnOutage) {
 }
 
 TEST(GuardedBackend, RejectsTheDeviceGraphPath) {
-  // A lane bank has no device graph to stage chunks through, so a request
-  // for that tier must fail loudly instead of running the SIMD dots.
+  // A lane bank has no device graph to stage chunks through, and its
+  // lanes are never on the quantizer grid, so a request for either tier
+  // must fail loudly instead of running the SIMD dots.
   faults::LaneBank bank(small_bank_config());
   faults::GuardedBackendConfig cfg;
-  cfg.path = ptc::ExecutionPath::kDeviceGraph;
-  EXPECT_THROW(faults::GuardedBackend(bank, cfg), PreconditionError);
-  for (const ptc::ExecutionPath path : {ptc::ExecutionPath::kKernel,
-                                        ptc::ExecutionPath::kKernelSimd,
-                                        ptc::ExecutionPath::kKernelQuant}) {
+  for (const ptc::ExecutionPath path :
+       {ptc::ExecutionPath::kDeviceGraph, ptc::ExecutionPath::kKernelQuant}) {
+    cfg.path = path;
+    EXPECT_THROW(faults::GuardedBackend(bank, cfg), PreconditionError);
+  }
+  for (const ptc::ExecutionPath path :
+       {ptc::ExecutionPath::kKernel, ptc::ExecutionPath::kKernelSimd}) {
     cfg.path = path;
     EXPECT_NO_THROW(faults::GuardedBackend(bank, cfg));
   }

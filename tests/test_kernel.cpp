@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -310,9 +311,11 @@ void expect_within_band(const Matrix& simd, const Matrix& scalar, double band,
 
 TEST(KernelSimdTier, PrimitivesMatchNaiveReduction) {
   // The simd wrapper's blocked dots vs single-chain references, across
-  // lengths hitting every tail shape (0, sub-block, block+tail).
+  // lengths hitting every tail shape (0, sub-block, block+tail) and the
+  // BERT-base reduction lengths; dot4 is four dot calls, bit for bit.
   Rng rng(57);
-  for (const std::size_t n : {0u, 1u, 3u, 4u, 5u, 7u, 8u, 9u, 16u, 33u, 100u}) {
+  for (const std::size_t n :
+       {0u, 1u, 3u, 4u, 5u, 7u, 8u, 9u, 16u, 33u, 100u, 768u, 3072u}) {
     const auto x = rng.uniform_vector(n, -1.0, 1.0);
     std::vector<std::vector<double>> ys;
     for (int b = 0; b < 4; ++b) ys.push_back(rng.uniform_vector(n, -1.0, 1.0));
@@ -332,7 +335,35 @@ TEST(KernelSimdTier, PrimitivesMatchNaiveReduction) {
     const double* yp[4] = {ys[0].data(), ys[1].data(), ys[2].data(), ys[3].data()};
     double out[4];
     simd::dot4(x.data(), yp, n, out);
-    for (int b = 0; b < 4; ++b) EXPECT_NEAR(out[b], naive(ys[b]), band) << "n=" << n;
+    for (int b = 0; b < 4; ++b) {
+      EXPECT_NEAR(out[b], naive(ys[b]), band) << "n=" << n;
+      const double single = simd::dot(x.data(), ys[b].data(), n);
+      EXPECT_EQ(std::memcmp(&out[b], &single, sizeof(double)), 0)
+          << "n=" << n << " b=" << b << ": dot4 " << out[b] << " vs dot " << single;
+    }
+  }
+}
+
+TEST(KernelSimdTier, OutputsIndependentOfTileWidth) {
+  // Each SIMD output is one simd::dot whether it falls in a 4-wide column
+  // block or a column tail, so the array width cannot move a single bit
+  // of a product, with full optics off or on.
+  const auto drv = core::make_pdac_driver(8);
+  Rng rng(29);
+  const Matrix a = Matrix::random_gaussian(12, 768, rng, 0.0, 1.0);
+  const Matrix b = Matrix::random_gaussian(768, 40, rng, 0.0, 1.0);
+  for (const bool full_optics : {false, true}) {
+    GemmConfig cfg;
+    cfg.dot.use_full_optics = full_optics;
+    cfg.path = ExecutionPath::kKernelSimd;
+    cfg.array_cols = 4;
+    const GemmResult want = PhotonicGemm(*drv, cfg).multiply(a, b);
+    for (const std::size_t cols : {5u, 8u}) {
+      SCOPED_TRACE("full optics " + std::to_string(full_optics) + ", array_cols " +
+                   std::to_string(cols));
+      cfg.array_cols = cols;
+      expect_bit_identical(PhotonicGemm(*drv, cfg).multiply(a, b).c, want.c);
+    }
   }
 }
 

@@ -1,7 +1,7 @@
 // Integer quant tier (ExecutionPath::kKernelQuant, DESIGN.md §15):
 // exact int16-code dot kernels, the on-grid precondition machinery, the
-// banded-identity contract vs the scalar kernel, and the faults-layer
-// fallback that keeps guarded execution live on off-grid lanes.
+// banded-identity contract vs the scalar kernel, and the off-grid lanes
+// that keep the faults layer off the integer tier.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -273,46 +273,6 @@ TEST(KernelQuant, PerturbedLanesAreOffGrid) {
   EXPECT_NE(path, ptc::ExecutionPath::kKernelQuant);
   EXPECT_EQ(path, simd::has_fast_path() ? ptc::ExecutionPath::kKernelSimd
                                         : ptc::ExecutionPath::kKernel);
-}
-
-TEST(KernelQuant, GuardedBackendStaysLiveWhenQuantUnavailable) {
-  // Requesting the quant tier on an off-grid bank must not fail, stall
-  // or trip the guard: the product runs on the double fallback with
-  // clean verdicts and the same closed-form event charges as scalar.
-  Rng rng(61);
-  const Matrix a = Matrix::random_gaussian(16, 40, rng, 0.0, 1.0);
-  const Matrix b = Matrix::random_gaussian(40, 12, rng, 0.0, 1.0);
-
-  const auto run = [&](ptc::ExecutionPath path, Matrix* out, ptc::EventCounter* ev,
-                       std::size_t* mismatched) {
-    faults::LaneBank bank = perturbed_bank();
-    faults::production_trim(bank);
-    faults::GuardedBackendConfig cfg;
-    cfg.path = path;
-    faults::GuardedBackend backend(bank, cfg);
-    *out = backend.matmul(a, b);
-    *ev = backend.events();
-    *mismatched = backend.monitor().snapshot().mismatched_tiles;
-  };
-
-  Matrix c_scalar, c_quant;
-  ptc::EventCounter ev_scalar, ev_quant;
-  std::size_t mm_scalar = 0, mm_quant = 0;
-  run(ptc::ExecutionPath::kKernel, &c_scalar, &ev_scalar, &mm_scalar);
-  run(ptc::ExecutionPath::kKernelQuant, &c_quant, &ev_quant, &mm_quant);
-
-  EXPECT_EQ(mm_scalar, 0u);
-  EXPECT_EQ(mm_quant, 0u);
-  EXPECT_EQ(ev_quant.macs, ev_scalar.macs);
-  EXPECT_EQ(ev_quant.adc_events, ev_scalar.adc_events);
-  EXPECT_EQ(ev_quant.cycles, ev_scalar.cycles);
-  ASSERT_EQ(c_quant.size(), c_scalar.size());
-  // The fallback runs blocked double dots — banded, not bit-exact.
-  ptc::GuardConfig g;
-  const double band = ptc::guard_tolerance(g, a.cols(), 1, static_cast<double>(a.cols()));
-  for (std::size_t i = 0; i < c_scalar.size(); ++i) {
-    EXPECT_NEAR(c_quant.data()[i], c_scalar.data()[i], band) << "i=" << i;
-  }
 }
 
 }  // namespace
