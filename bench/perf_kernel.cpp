@@ -33,6 +33,11 @@
 // kernel (2x is the target; the gate leaves headroom for CI hosts), and
 // the quant tier the >=1.3x bar vs the SIMD tier on the same driver.
 //
+// Each tier's ms/token is the median of 5 tokens timed round-robin across
+// all six timed backends (device graph, scalar kernel, SIMD; bit-true
+// scalar, SIMD and quant), each with a warm operand cache; the quartiles
+// are printed and written beside it.
+//
 // Writes machine-readable BENCH_kernel.json (default: repository root).
 //
 // Usage:
@@ -135,21 +140,54 @@ Matrix decode_token(const Matrix& x0, const std::vector<DecodeLayer>& layers,
   return x;
 }
 
-/// Median-of-N per-token wall time with a warm operand cache (one
-/// untimed warmup token fills it and pages the weights in).
-double time_tokens(const Matrix& x0, const std::vector<DecodeLayer>& layers,
-                   const DecodeShapes& s, nn::GemmBackend& backend, std::size_t iters,
-                   Matrix* out) {
-  (void)decode_token(x0, layers, s, backend);  // warmup + cache fill
-  std::vector<double> ms(iters);
-  for (std::size_t i = 0; i < iters; ++i) {
-    const auto t0 = std::chrono::steady_clock::now();
-    *out = decode_token(x0, layers, s, backend);
-    const auto t1 = std::chrono::steady_clock::now();
-    ms[i] = std::chrono::duration<double, std::milli>(t1 - t0).count();
-  }
+/// Median and quartiles (nearest rank) of one tier's per-token samples.
+struct Spread {
+  double median{0.0};
+  double q1{0.0};
+  double q3{0.0};
+};
+
+Spread spread_of(std::vector<double> ms) {
   std::sort(ms.begin(), ms.end());
-  return ms[ms.size() / 2];
+  const auto rank = [&](double q) {
+    return ms[static_cast<std::size_t>(q * static_cast<double>(ms.size() - 1) + 0.5)];
+  };
+  return {rank(0.5), rank(0.25), rank(0.75)};
+}
+
+/// One decode tier under timing: its backend (released once measured, so
+/// the warm operand caches of all tiers are never resident alongside the
+/// guarded runs), its last decode output, its per-token wall times and the
+/// events of one token.
+struct TimedTier {
+  std::unique_ptr<nn::PhotonicBackend> backend;
+  Matrix out;
+  std::vector<double> ms;
+  ptc::EventCounter events;
+};
+
+/// `reps` per-token samples of every tier, taken round-robin — one token
+/// of each tier, then the next round — so host drift during the run lands
+/// on all tiers alike instead of on whichever ran last.  Each tier first
+/// decodes one untimed token that fills its operand cache and pages its
+/// weights in, and afterwards one more with fresh counters for its events.
+void time_interleaved(const Matrix& x0, const std::vector<DecodeLayer>& layers,
+                      const DecodeShapes& s, std::vector<TimedTier>& tiers, std::size_t reps) {
+  for (TimedTier& t : tiers) (void)decode_token(x0, layers, s, *t.backend);
+  for (std::size_t r = 0; r < reps; ++r) {
+    for (TimedTier& t : tiers) {
+      const auto t0 = std::chrono::steady_clock::now();
+      t.out = decode_token(x0, layers, s, *t.backend);
+      const auto t1 = std::chrono::steady_clock::now();
+      t.ms.push_back(std::chrono::duration<double, std::milli>(t1 - t0).count());
+    }
+  }
+  for (TimedTier& t : tiers) {
+    t.backend->reset_events();
+    (void)decode_token(x0, layers, s, *t.backend);
+    t.events = t.backend->events();
+    t.backend.reset();
+  }
 }
 
 bool bit_identical(const Matrix& a, const Matrix& b) {
@@ -223,8 +261,9 @@ bool band_identity(bool bit_true, ptc::ExecutionPath fast_path) {
 
 /// Operand bytes one 8×8 tile step moves at reduction length k, computed
 /// from the element sizes the tier actually touches: (h+w)·k operand
-/// loads, h·w double output stores, plus the fast tiers' per-column
-/// cached Σy² scratch.  The quant tier streams int16 codes where the
+/// loads, h·w double output stores, plus the fast tiers' w column
+/// energies Σy², read from the prepared operand where they were summed
+/// once at prepare/append.  The quant tier streams int16 codes where the
 /// double tiers stream 8-byte amplitudes — the "halves memory traffic"
 /// claim, derived from sizeof rather than asserted.
 std::size_t tier_bytes_per_tile(ptc::ExecutionPath path, std::size_t k) {
@@ -233,7 +272,7 @@ std::size_t tier_bytes_per_tile(ptc::ExecutionPath path, std::size_t k) {
                                                                     : sizeof(double);
   std::size_t bytes = (h + w) * k * elem + h * w * sizeof(double);
   if (path == ptc::ExecutionPath::kKernelSimd || path == ptc::ExecutionPath::kKernelQuant) {
-    bytes += w * sizeof(double);  // run_tile_fast/_quant column Σy² scratch
+    bytes += w * sizeof(double);  // PreparedOperand::energy of the tile's columns
   }
   return bytes;
 }
@@ -317,7 +356,7 @@ int main(int argc, char** argv) {
   const DecodeShapes shapes = smoke ? DecodeShapes{64, 4, 256, 16}
                                     : DecodeShapes{768, 12, 3072, 128};
   const std::size_t n_layers = layer_override != 0 ? layer_override : (smoke ? 2 : 12);
-  const std::size_t iters = 3;
+  const std::size_t reps = 5;
 
   std::printf("perf_kernel — fused kernel vs device graph, %s mode\n", smoke ? "smoke" : "full");
   std::printf("model: d_model=%zu heads=%zu d_ff=%zu context=%zu layers=%zu "
@@ -333,45 +372,52 @@ int main(int argc, char** argv) {
   nn::OperandCacheConfig cache_cfg;
   cache_cfg.capacity_bytes = 2ull << 30;
 
+  // ---- timed decode: every tier, interleaved -------------------------
+  // The device graph, scalar kernel and SIMD tier run the physical P-DAC
+  // transfer.  The quant tier's precondition is an encode LUT that sits
+  // bitwise on the quantizer grid, which the physical P-DAC/ideal-DAC
+  // transfers never satisfy — so the last trio runs on
+  // core::BitTrueDacDriver and the quant speedup bar is judged
+  // like-for-like vs the SIMD tier on that driver.
+  std::vector<TimedTier> timed;
+  const auto add_tier = [&](std::unique_ptr<core::ModulatorDriver> driver,
+                            ptc::ExecutionPath path) {
+    timed.emplace_back().backend =
+        std::make_unique<nn::PhotonicBackend>(std::move(driver), hot_config(path), cache_cfg);
+    return timed.size() - 1;
+  };
+  const std::size_t device = add_tier(core::make_pdac_driver(8), ptc::ExecutionPath::kDeviceGraph);
+  const std::size_t kernel = add_tier(core::make_pdac_driver(8), ptc::ExecutionPath::kKernel);
+  const std::size_t simd = add_tier(core::make_pdac_driver(8), ptc::ExecutionPath::kKernelSimd);
+  const std::size_t bt_kernel =
+      add_tier(core::make_bit_true_driver(8), ptc::ExecutionPath::kKernel);
+  const std::size_t bt_simd =
+      add_tier(core::make_bit_true_driver(8), ptc::ExecutionPath::kKernelSimd);
+  const std::size_t quant =
+      add_tier(core::make_bit_true_driver(8), ptc::ExecutionPath::kKernelQuant);
+  time_interleaved(x0, layers, shapes, timed, reps);
+  const Spread device_t = spread_of(timed[device].ms);
+  const Spread kernel_t = spread_of(timed[kernel].ms);
+  const Spread simd_t = spread_of(timed[simd].ms);
+  const Spread bt_kernel_t = spread_of(timed[bt_kernel].ms);
+  const Spread bt_simd_t = spread_of(timed[bt_simd].ms);
+  const Spread quant_t = spread_of(timed[quant].ms);
+
   // ---- clean decode: device graph vs kernel -------------------------
-  nn::PhotonicBackend device_backend(core::make_pdac_driver(8),
-                                     hot_config(ptc::ExecutionPath::kDeviceGraph), cache_cfg);
-  nn::PhotonicBackend kernel_backend(core::make_pdac_driver(8),
-                                     hot_config(ptc::ExecutionPath::kKernel), cache_cfg);
-
-  Matrix device_out, kernel_out;
-  const double device_ms = time_tokens(x0, layers, shapes, device_backend, iters, &device_out);
-  device_backend.reset_events();
-  (void)decode_token(x0, layers, shapes, device_backend);
-  const ptc::EventCounter device_ev = device_backend.events();
-
-  const double kernel_ms = time_tokens(x0, layers, shapes, kernel_backend, iters, &kernel_out);
-  kernel_backend.reset_events();
-  (void)decode_token(x0, layers, shapes, kernel_backend);
-  const ptc::EventCounter kernel_ev = kernel_backend.events();
-
-  const double speedup = kernel_ms > 0.0 ? device_ms / kernel_ms : 0.0;
-  const bool clean_identical =
-      bit_identical(kernel_out, device_out) && events_equal(kernel_ev, device_ev);
+  const double speedup = kernel_t.median > 0.0 ? device_t.median / kernel_t.median : 0.0;
+  const bool clean_identical = bit_identical(timed[kernel].out, timed[device].out) &&
+                               events_equal(timed[kernel].events, timed[device].events);
 
   // ---- SIMD fast tier: tolerance-banded identity + speedup ----------
-  nn::PhotonicBackend simd_backend(core::make_pdac_driver(8),
-                                   hot_config(ptc::ExecutionPath::kKernelSimd), cache_cfg);
-  Matrix simd_out;
-  const double simd_ms = time_tokens(x0, layers, shapes, simd_backend, iters, &simd_out);
-  simd_backend.reset_events();
-  (void)decode_token(x0, layers, shapes, simd_backend);
-  const ptc::EventCounter simd_ev = simd_backend.events();
-
-  const double simd_speedup = simd_ms > 0.0 ? kernel_ms / simd_ms : 0.0;
-  const bool simd_events_ok = events_equal(simd_ev, kernel_ev);
+  const double simd_speedup = simd_t.median > 0.0 ? kernel_t.median / simd_t.median : 0.0;
+  const bool simd_events_ok = events_equal(timed[simd].events, timed[kernel].events);
   const bool simd_band_ok = band_identity(false, ptc::ExecutionPath::kKernelSimd);
   // Model-accuracy gate: 12 layers of full-optics + ADC decode may
   // straddle single ADC codes differently under the fast tier's
   // reassociation, but those last-bit flips must never compound into a
   // real accuracy change.  Measured cosine is ~1 - 1e-12; the gate
   // leaves six orders of magnitude of headroom.
-  const double simd_cosine = cosine(simd_out, kernel_out);
+  const double simd_cosine = cosine(timed[simd].out, timed[kernel].out);
   const bool simd_accuracy_ok = simd_cosine >= 1.0 - 1e-6;
 
   // ---- ABFT-guarded decode ------------------------------------------
@@ -404,33 +450,13 @@ int main(int argc, char** argv) {
                              cosine(sg_out, kg_out) >= 1.0 - 1e-6;
 
   // ---- integer quant tier (bit-true DAC chain) ----------------------
-  // The quant tier's precondition is an encode LUT that sits bitwise on
-  // the quantizer grid, which the physical P-DAC/ideal-DAC transfers
-  // never satisfy — so this trio runs on core::BitTrueDacDriver and the
-  // speedup bar is judged like-for-like vs the SIMD tier on that driver.
-  nn::PhotonicBackend bt_kernel_backend(core::make_bit_true_driver(8),
-                                        hot_config(ptc::ExecutionPath::kKernel), cache_cfg);
-  nn::PhotonicBackend bt_simd_backend(core::make_bit_true_driver(8),
-                                      hot_config(ptc::ExecutionPath::kKernelSimd), cache_cfg);
-  nn::PhotonicBackend quant_backend(core::make_bit_true_driver(8),
-                                    hot_config(ptc::ExecutionPath::kKernelQuant), cache_cfg);
-  Matrix bt_kernel_out, bt_simd_out, quant_out;
-  const double bt_kernel_ms =
-      time_tokens(x0, layers, shapes, bt_kernel_backend, iters, &bt_kernel_out);
-  const double bt_simd_ms = time_tokens(x0, layers, shapes, bt_simd_backend, iters, &bt_simd_out);
-  const double quant_ms = time_tokens(x0, layers, shapes, quant_backend, iters, &quant_out);
-  bt_kernel_backend.reset_events();
-  (void)decode_token(x0, layers, shapes, bt_kernel_backend);
-  quant_backend.reset_events();
-  (void)decode_token(x0, layers, shapes, quant_backend);
-
-  const double quant_speedup = quant_ms > 0.0 ? bt_simd_ms / quant_ms : 0.0;
-  const bool quant_events_ok = events_equal(quant_backend.events(), bt_kernel_backend.events());
+  const double quant_speedup = quant_t.median > 0.0 ? bt_simd_t.median / quant_t.median : 0.0;
+  const bool quant_events_ok = events_equal(timed[quant].events, timed[bt_kernel].events);
   const bool quant_band_ok = band_identity(true, ptc::ExecutionPath::kKernelQuant);
   // Same model-accuracy gate as the SIMD tier, against the scalar kernel
   // on the same driver: the integer dots are exact and rounded once, so
   // the only divergence left is the scalar kernel's own fp accumulation.
-  const double quant_cosine = cosine(quant_out, bt_kernel_out);
+  const double quant_cosine = cosine(timed[quant].out, timed[bt_kernel].out);
   const bool quant_accuracy_ok = quant_cosine >= 1.0 - 1e-12;
 
   // Quant tier under the guard: same tiles, same verdicts.
@@ -471,13 +497,19 @@ int main(int argc, char** argv) {
   // ---- fault storm (GuardedBackend, scalar vs SIMD tier) -------------
   const bool simd_storm_ok = storm_verdicts_consistent();
 
-  std::printf("device graph per-token: %.2f ms  (%.2f tok/s)\n", device_ms, 1000.0 / device_ms);
-  std::printf("fused kernel per-token: %.2f ms  (%.2f tok/s)\n", kernel_ms, 1000.0 / kernel_ms);
-  std::printf("SIMD tier per-token:    %.2f ms  (%.2f tok/s)  [isa: %s]\n", simd_ms,
-              1000.0 / simd_ms, simd::active_isa());
-  std::printf("quant tier per-token:   %.2f ms  (%.2f tok/s)  [bit-true chain: "
-              "scalar %.2f ms, simd %.2f ms]\n",
-              quant_ms, 1000.0 / quant_ms, bt_kernel_ms, bt_simd_ms);
+  // Medians of the interleaved samples, with their quartiles.
+  const auto print_tier = [](const char* label, const Spread& t, const char* note) {
+    std::printf("%-23s %.2f ms [q1 %.2f, q3 %.2f]  (%.2f tok/s)%s\n", label, t.median, t.q1,
+                t.q3, 1000.0 / t.median, note);
+  };
+  const std::string isa_note = std::string("  [isa: ") + simd::active_isa() + "]";
+  std::printf("per-token wall time, median of %zu interleaved repetitions:\n", reps);
+  print_tier("device graph:", device_t, "");
+  print_tier("fused kernel:", kernel_t, "");
+  print_tier("SIMD tier:", simd_t, isa_note.c_str());
+  print_tier("bit-true scalar kernel:", bt_kernel_t, "");
+  print_tier("bit-true SIMD tier:", bt_simd_t, "");
+  print_tier("quant tier:", quant_t, "  [bit-true chain]");
   std::printf("kernel speedup:         %.2fx (vs device graph)\n", speedup);
   std::printf("SIMD speedup:           %.2fx (vs scalar kernel)\n", simd_speedup);
   std::printf("quant speedup:          %.2fx (vs SIMD tier, same driver)\n", quant_speedup);
@@ -505,20 +537,25 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  \"model\": {\"d_model\": %zu, \"heads\": %zu, \"d_ff\": %zu, "
                "\"context\": %zu, \"layers\": %zu},\n",
                shapes.d_model, shapes.heads, shapes.d_ff, shapes.context, n_layers);
+  std::fprintf(f, "  \"timing\": {\"reps\": %zu, \"order\": \"interleaved\", "
+               "\"statistic\": \"median\"},\n",
+               reps);
   std::fprintf(f, "  \"tiers\": [\n");
-  std::fprintf(f, "    {\"path\": \"device_graph\", \"ms_per_token\": %.3f, "
-               "\"tokens_per_s\": %.3f, \"bytes_per_tile\": %zu},\n",
-               device_ms, 1000.0 / device_ms, bytes_kernel);
-  std::fprintf(f, "    {\"path\": \"kernel\", \"ms_per_token\": %.3f, "
-               "\"tokens_per_s\": %.3f, \"bytes_per_tile\": %zu},\n",
-               kernel_ms, 1000.0 / kernel_ms, bytes_kernel);
-  std::fprintf(f, "    {\"path\": \"kernel_simd\", \"ms_per_token\": %.3f, "
-               "\"tokens_per_s\": %.3f, \"isa\": \"%s\", \"bytes_per_tile\": %zu},\n",
-               simd_ms, 1000.0 / simd_ms, simd::active_isa(), bytes_simd);
-  std::fprintf(f, "    {\"path\": \"kernel_quant\", \"ms_per_token\": %.3f, "
-               "\"tokens_per_s\": %.3f, \"isa\": \"%s\", \"bytes_per_tile\": %zu, "
-               "\"driver\": \"bit-true-dac\"}\n  ],\n",
-               quant_ms, 1000.0 / quant_ms, simd::active_isa(), bytes_quant);
+  const auto emit_tier = [&](const char* path, const Spread& t, std::size_t bytes,
+                             const char* extra, bool last) {
+    std::fprintf(f, "    {\"path\": \"%s\", \"ms_per_token\": %.3f, \"ms_q1\": %.3f, "
+                 "\"ms_q3\": %.3f, \"tokens_per_s\": %.3f, \"bytes_per_tile\": %zu%s}%s\n",
+                 path, t.median, t.q1, t.q3, 1000.0 / t.median, bytes, extra, last ? "" : ",");
+  };
+  const std::string isa = std::string(", \"isa\": \"") + simd::active_isa() + "\"";
+  const std::string bit_true = ", \"driver\": \"bit-true-dac\"";
+  emit_tier("device_graph", device_t, bytes_kernel, "", false);
+  emit_tier("kernel", kernel_t, bytes_kernel, "", false);
+  emit_tier("kernel_simd", simd_t, bytes_simd, isa.c_str(), false);
+  emit_tier("kernel_bit_true", bt_kernel_t, bytes_kernel, bit_true.c_str(), false);
+  emit_tier("kernel_simd_bit_true", bt_simd_t, bytes_simd, (isa + bit_true).c_str(), false);
+  emit_tier("kernel_quant", quant_t, bytes_quant, (isa + bit_true).c_str(), true);
+  std::fprintf(f, "  ],\n");
   std::fprintf(f, "  \"speedup\": %.3f,\n", speedup);
   std::fprintf(f, "  \"simd_speedup_vs_scalar\": %.3f,\n", simd_speedup);
   std::fprintf(f, "  \"quant_speedup_vs_simd\": %.3f,\n", quant_speedup);

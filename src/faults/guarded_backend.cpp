@@ -211,7 +211,7 @@ ptc::TileCheck GuardedBackend::run_tile(const ptc::Tile& tile, std::size_t t, co
   // and to a post-fence re-run.  Checksum references stay
   // double-precision golden dots on either tier.
   if (cfg_.path == ptc::ExecutionPath::kKernelSimd) {
-    kernel_.run_tile_fast(tile, ae, bdata, 1.0, c);
+    kernel_.run_tile_fast(tile, ae, bdata, {}, {}, 1.0, c);
   } else {
     kernel_.run_tile(tile, ae, bdata, 1.0, c);
   }

@@ -91,9 +91,18 @@ void stage_normalized_bt(const Matrix& src, GrowAxis axis, double scale, Matrix&
     for (std::size_t i = 0; i < src.size(); ++i) out.data()[i] = src.data()[i] / scale;
     return;
   }
+  // Transpose in square blocks so both the rows read and the rows written
+  // stay cache-resident; every element still takes the same one division.
+  constexpr std::size_t kBlock = 32;
   out.resize(src.cols(), src.rows());
-  for (std::size_t r = 0; r < src.rows(); ++r) {
-    for (std::size_t c = 0; c < src.cols(); ++c) out(c, r) = src(r, c) / scale;
+  for (std::size_t r0 = 0; r0 < src.rows(); r0 += kBlock) {
+    const std::size_t r1 = std::min(r0 + kBlock, src.rows());
+    for (std::size_t c0 = 0; c0 < src.cols(); c0 += kBlock) {
+      const std::size_t c1 = std::min(c0 + kBlock, src.cols());
+      for (std::size_t r = r0; r < r1; ++r) {
+        for (std::size_t c = c0; c < c1; ++c) out(c, r) = src(r, c) / scale;
+      }
+    }
   }
 }
 
@@ -250,26 +259,74 @@ RowEncoder PhotonicGemm::lut_encoder() const {
   };
 }
 
+bool PhotonicGemm::reads_energy() const {
+  return cfg_.dot.use_full_optics &&
+         (cfg_.path == ExecutionPath::kKernelSimd || cfg_.path == ExecutionPath::kKernelQuant);
+}
+
+void PhotonicGemm::sum_energy(const PreparedOperand& b, std::size_t j0,
+                              std::vector<double>& out) const {
+  // The tile's own Σy² rule, bounded by the logical reduction length:
+  // capacity padding is never summed.  Columns are independent, so the
+  // sweep is parallel without moving a bit.
+  const bool quant = cfg_.path == ExecutionPath::kKernelQuant;
+  out.resize(b.cols);
+  pool_->parallel_for(b.cols - j0, [&](std::size_t begin, std::size_t end, std::size_t) {
+    for (std::size_t j = j0 + begin; j < j0 + end; ++j) {
+      out[j] = quant ? kernel_.energy(b.qcodes.row(j).first(b.rows))
+                     : kernel_.energy(b.encoded.row(j).first(b.rows));
+    }
+  });
+}
+
+PreparedOperand PhotonicGemm::prepare(const Matrix& src, GrowAxis axis,
+                                      std::uint64_t epoch) const {
+  PreparedOperand pb =
+      prepare_operand(src, axis, operand_spec(epoch), lut_encoder(), *pool_, norm_scratch_);
+  if (reads_energy()) stage_energy(pb, 0);
+  return pb;
+}
+
+bool PhotonicGemm::append(PreparedOperand& pb, const Matrix& src, GrowAxis axis,
+                          std::uint64_t epoch) const {
+  // Only this tier's sums at the current length can be extended.
+  const bool extend = pb.has_energy(cfg_.path);
+  const std::size_t old_rows = pb.rows;
+  const std::size_t old_cols = pb.cols;
+  if (!append_operand(pb, src, axis, operand_spec(epoch), lut_encoder(), *pool_,
+                      norm_scratch_)) {
+    return false;
+  }
+  if (!reads_energy() || (pb.rows == old_rows && pb.cols == old_cols)) return true;
+  // Output axis: sum only the new columns.  Reduction axis: the blocked
+  // sum is not prefix-stable, so every column is re-summed at the new
+  // length.
+  stage_energy(pb, axis == GrowAxis::kCols && extend ? old_cols : 0);
+  return true;
+}
+
+void PhotonicGemm::stage_energy(PreparedOperand& pb, std::size_t j0) const {
+  sum_energy(pb, j0, pb.energy);
+  pb.energy_path = cfg_.path;
+  pb.energy_rows = pb.rows;
+}
+
 PreparedOperand PhotonicGemm::prepare_b(const Matrix& b, std::uint64_t epoch) const {
-  return prepare_operand(b, GrowAxis::kRows, operand_spec(epoch), lut_encoder(), *pool_,
-                         norm_scratch_);
+  return prepare(b, GrowAxis::kRows, epoch);
 }
 
 PreparedOperand PhotonicGemm::prepare_bt(const Matrix& bt, std::uint64_t epoch) const {
-  return prepare_operand(bt, GrowAxis::kCols, operand_spec(epoch), lut_encoder(), *pool_,
-                         norm_scratch_);
+  return prepare(bt, GrowAxis::kCols, epoch);
 }
 
 bool PhotonicGemm::append_bt_rows(PreparedOperand& pb, const Matrix& bt,
                                   std::uint64_t epoch) const {
-  return append_operand(pb, bt, GrowAxis::kCols, operand_spec(epoch), lut_encoder(), *pool_,
-                        norm_scratch_);
+  return append(pb, bt, GrowAxis::kCols, epoch);
 }
 
 bool PhotonicGemm::append_b_rows(PreparedOperand& pb, const Matrix& b,
                                  std::uint64_t epoch) const {
-  return append_operand(pb, b, GrowAxis::kRows, operand_spec(epoch), lut_encoder(), *pool_,
-                        norm_scratch_);
+  return append(pb, b, GrowAxis::kRows, epoch);
 }
 
 GemmResult PhotonicGemm::multiply_prepared(const Matrix& a, const PreparedOperand& b) const {
@@ -295,11 +352,15 @@ GemmResult PhotonicGemm::multiply_prepared(const Matrix& a, const PreparedOperan
 
   // A-side pipeline (normalize + encode), into per-engine scratch; the
   // quant path captures each element's code alongside its amplitude.
+  // Under the fast tiers' quadratic form each row's energy Σx² is summed
+  // here, once per product, instead of once per tile.
+  const bool energies = reads_energy();
   norm_scratch_.resize(a.rows(), k);
   for (std::size_t i = 0; i < a.size(); ++i) norm_scratch_.data()[i] = a.data()[i] / a_scale;
   encode_scratch_.resize(a.rows(), k);
   const Matrix& ae = encode_scratch_;
   if (quant) qcode_scratch_.resize(a.rows(), k);
+  if (energies) xx_scratch_.resize(a.rows());
   pool_->parallel_for(a.rows(), [&](std::size_t begin, std::size_t end, std::size_t) {
     for (std::size_t r = begin; r < end; ++r) {
       if (quant) {
@@ -308,8 +369,23 @@ GemmResult PhotonicGemm::multiply_prepared(const Matrix& a, const PreparedOperan
       } else {
         engine_.encode_span(norm_scratch_.row(r), encode_scratch_.row(r));
       }
+      if (energies) {
+        xx_scratch_[r] = quant ? kernel_.energy(qcode_scratch_.row(r))
+                               : kernel_.energy(encode_scratch_.row(r));
+      }
     }
   });
+  // Column energies Σy²: the operand's own when this tier staged them at
+  // this length, else summed here once for the whole product.
+  std::span<const double> yy;
+  if (energies) {
+    if (b.has_energy(cfg_.path)) {
+      yy = b.energy;
+    } else {
+      sum_energy(b, 0, yy_scratch_);
+      yy = yy_scratch_;
+    }
+  }
 
   GemmResult res;
   res.a_scale = a_scale;
@@ -359,13 +435,13 @@ GemmResult PhotonicGemm::multiply_prepared(const Matrix& a, const PreparedOperan
     } else if (path == ExecutionPath::kKernelSimd) {
       // SIMD fast tier: tolerance-banded vs the scalar kernel, event
       // charges identical; the guard below runs on it unchanged.
-      kernel_.run_tile_fast(tile, ae, b.encoded, rescale, res.c,
+      kernel_.run_tile_fast(tile, ae, b.encoded, xx_scratch_, yy, rescale, res.c,
                             guarded ? rsum.data() : nullptr, guarded ? csum.data() : nullptr);
     } else if (path == ExecutionPath::kKernelQuant) {
       // Integer tier: the same quadratic form over exact int16 code dots
       // (run_tile_quant); the guard below still compares the raw sums
       // against the double references, band unchanged.
-      kernel_.run_tile_quant(tile, qcode_scratch_, b.qcodes, rescale, res.c,
+      kernel_.run_tile_quant(tile, qcode_scratch_, b.qcodes, xx_scratch_, yy, rescale, res.c,
                              guarded ? rsum.data() : nullptr, guarded ? csum.data() : nullptr);
     } else {
       const Ddot& ddot = worker_ddots_[worker];

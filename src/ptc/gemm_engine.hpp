@@ -40,6 +40,10 @@
 // Every PreparedOperand in the repository — this engine's and the faults
 // layer's — is built by prepare_operand() and grown by append_operand()
 // (DESIGN.md §17); executors differ only in the RowEncoder they hand in.
+// An engine whose tier reads the full-optics quadratic form (kKernelSimd
+// or kKernelQuant with use_full_optics) also sums each column's energy
+// Σy² once when it prepares or appends, and each A row's Σx² once per
+// product, so the tiles sum only Σxy (kernel.hpp).
 //
 // ABFT guard (DESIGN.md §12, abft.hpp): with GemmConfig::guard enabled,
 // prepare_b additionally builds one checksum column per array-width
@@ -162,11 +166,31 @@ struct PreparedOperand {
   /// prepared under a double-tier config.
   CodeMatrix qcodes;
 
+  /// Quadratic-form column energies (kernel.hpp): energy[j] =
+  /// FusedKernel::energy of column j over the LOGICAL reduction length
+  /// `rows` — never the padded capacity — summed by the rule of
+  /// `energy_path` (encoded doubles for kKernelSimd, qcodes for
+  /// kKernelQuant) at `energy_rows` = rows.  Staged only by a PhotonicGemm
+  /// whose tier reads them (fast tier with full optics) and empty
+  /// otherwise; a product whose path or length does not match the stamp
+  /// sums its own.  Like the checksum stripes they are built from the
+  /// payload at prepare/append time: a write to `encoded` behind the API
+  /// leaves them at their prepared values.
+  std::vector<double> energy;
+  ExecutionPath energy_path{ExecutionPath::kKernel};
+  std::size_t energy_rows{0};
+
+  /// True when `energy` holds this length's sums by `path`'s rule.
+  [[nodiscard]] bool has_energy(ExecutionPath path) const {
+    return energy_path == path && energy_rows == rows && energy.size() == cols;
+  }
+
   /// Resident size, for byte-capacity cache accounting.  Counts physical
   /// storage, so column-capacity padding is charged to the caches too.
   [[nodiscard]] std::size_t bytes() const {
     return sizeof(PreparedOperand) +
-           (encoded.size() + checksum.size() + reference.size()) * sizeof(double) +
+           (encoded.size() + checksum.size() + reference.size() + energy.size()) *
+               sizeof(double) +
            qcodes.size() * sizeof(std::int16_t) + channels.size() * sizeof(std::size_t);
   }
 };
@@ -332,6 +356,20 @@ class PhotonicGemm {
   [[nodiscard]] OperandSpec operand_spec(std::uint64_t epoch) const;
   /// Encodes Bᵀ rows through the engine's memoized driver LUT.
   [[nodiscard]] RowEncoder lut_encoder() const;
+  /// prepare_operand / append_operand under this engine's spec, plus the
+  /// column energies when the tier reads them.
+  [[nodiscard]] PreparedOperand prepare(const Matrix& src, GrowAxis axis,
+                                        std::uint64_t epoch) const;
+  [[nodiscard]] bool append(PreparedOperand& pb, const Matrix& src, GrowAxis axis,
+                            std::uint64_t epoch) const;
+  /// True when the tier reads quadratic-form energies (a fast tier under
+  /// full optics) — the only engines that stage them.
+  [[nodiscard]] bool reads_energy() const;
+  /// Σy² of b's columns [j0, b.cols) by this tier's rule into out[j0..);
+  /// `out` is resized to b.cols.
+  void sum_energy(const PreparedOperand& b, std::size_t j0, std::vector<double>& out) const;
+  /// sum_energy into pb.energy from column j0 on, then stamp it.
+  void stage_energy(PreparedOperand& pb, std::size_t j0) const;
 
   GemmConfig cfg_;
   PhotonicDotEngine engine_;
@@ -352,6 +390,8 @@ class PhotonicGemm {
   mutable std::vector<Tile> tile_scratch_;
   mutable std::vector<EventCounter> event_scratch_;
   mutable Matrix xsum_scratch_;               // guarded path: A row-stripe checksums
+  mutable std::vector<double> xx_scratch_;    // fast tiers: Σx² per A row
+  mutable std::vector<double> yy_scratch_;    // fast tiers: Σy² of unstaged operands
   mutable std::vector<TileCheck> check_scratch_;
 };
 

@@ -1,7 +1,6 @@
 #include "ptc/kernel.hpp"
 
 #include <algorithm>
-#include <vector>
 
 #include "common/require.hpp"
 #include "common/simd.hpp"
@@ -231,21 +230,7 @@ void FusedKernel::run_tile(const Tile& tile, const Matrix& ae, const Matrix& be,
   }
 }
 
-void FusedKernel::run_tile_fast(const Tile& tile, const Matrix& ae, const Matrix& be,
-                                double rescale, Matrix& c, double* rsum, double* csum) const {
-  const std::size_t k = ae.cols();
-  // >=: prepared operands may pad the reduction axis with physical
-  // column capacity (PreparedOperand shape contract); every loop here
-  // is bounded by the A-side k, so padding is never read.
-  PDAC_REQUIRE(be.cols() >= k, "FusedKernel: operand reduction lengths must agree");
-  converters::ElectricalAdcConfig ac;
-  ac.bits = adc_bits_;
-  ac.v_ref = adc_full_scale_ > 0.0 ? adc_full_scale_
-                                   : static_cast<double>(std::max<std::size_t>(k, 1));
-  const converters::ElectricalAdc adc(ac);
-  const std::size_t nl = lanes_.size();
-  const std::uint64_t chunks = (k + nl - 1) / nl;
-
+FusedKernel::QuadraticForm FusedKernel::quadratic_form(std::size_t k) const {
   // Closed quadratic form of the full-optics physics.  Every lane shares
   // one coefficient row (the constructor assigns the same LaneTransfer to
   // all active wavelengths — a class invariant), so the per-element rail
@@ -259,36 +244,54 @@ void FusedKernel::run_tile_fast(const Tile& tile, const Matrix& ae, const Matrix
   //
   // with cxx = ½(g₊t² − g₋κ²), cyy = ½|f|²(g₊κ² − g₋t²),
   // cxy = −tκ·ps_im·(g₊ + g₋), dark = chunks·(d₊ − d₋).  The whole tile
-  // then reduces to plain dot products: Σx² once per row, Σy² once per
-  // column, Σxy per output — all vectorized through common/simd.hpp.
-  double cxx = 0.0;
-  double cyy = 0.0;
-  double cxy = 0.0;
-  double dark = 0.0;
-  // Σy² per tile column, hoisted once per tile (full optics only).  The
-  // tiny tile-local allocation (≤ array_cols doubles) is the price of
-  // not recomputing column norms per row.
-  std::vector<double> syy;
-  if (full_optics_) {
-    const LaneTransfer& ln = lanes_.front();
-    const double f2 = ln.ps_re * ln.ps_re + ln.ps_im * ln.ps_im;
-    const double t2 = ln.t * ln.t;
-    const double k2 = ln.jk_im * ln.jk_im;
-    cxx = 0.5 * (det_.gain_plus * t2 - det_.gain_minus * k2);
-    cyy = 0.5 * f2 * (det_.gain_plus * k2 - det_.gain_minus * t2);
-    cxy = -ln.t * ln.jk_im * ln.ps_im * (det_.gain_plus + det_.gain_minus);
-    dark = static_cast<double>(chunks) * (det_.dark_plus - det_.dark_minus);
-    syy.resize(tile.cols);
-    for (std::size_t j = 0; j < tile.cols; ++j) {
-      syy[j] = simd::dot_self(be.row(tile.col0 + j).data(), k);
-    }
-  }
+  // then reduces to plain dot products: Σxy per output, plus the row and
+  // column energies Σx² and Σy², which depend on one operand row each and
+  // are therefore summed by the caller once (see energy()), not per tile.
+  const LaneTransfer& ln = lanes_.front();
+  const double f2 = ln.ps_re * ln.ps_re + ln.ps_im * ln.ps_im;
+  const double t2 = ln.t * ln.t;
+  const double k2 = ln.jk_im * ln.jk_im;
+  const std::uint64_t chunks = (k + lanes_.size() - 1) / lanes_.size();
+  return {.cxx = 0.5 * (det_.gain_plus * t2 - det_.gain_minus * k2),
+          .cyy = 0.5 * f2 * (det_.gain_plus * k2 - det_.gain_minus * t2),
+          .cxy = -ln.t * ln.jk_im * ln.ps_im * (det_.gain_plus + det_.gain_minus),
+          .dark = static_cast<double>(chunks) * (det_.dark_plus - det_.dark_minus)};
+}
+
+double FusedKernel::energy(std::span<const double> y) const {
+  return simd::dot_self(y.data(), y.size());
+}
+
+double FusedKernel::energy(std::span<const std::int16_t> codes) const {
+  // Exact Σc² over ℤ, then one division: on-grid y = c/mc bitwise.
+  const double mc2 = static_cast<double>(max_code_) * static_cast<double>(max_code_);
+  return static_cast<double>(simd::dot_self_i16(codes.data(), codes.size(), max_code_)) / mc2;
+}
+
+void FusedKernel::run_tile_fast(const Tile& tile, const Matrix& ae, const Matrix& be,
+                                std::span<const double> xx, std::span<const double> yy,
+                                double rescale, Matrix& c, double* rsum, double* csum) const {
+  const std::size_t k = ae.cols();
+  // >=: prepared operands may pad the reduction axis with physical
+  // column capacity (PreparedOperand shape contract); every loop here
+  // is bounded by the A-side k, so padding is never read.
+  PDAC_REQUIRE(be.cols() >= k, "FusedKernel: operand reduction lengths must agree");
+  PDAC_REQUIRE(!full_optics_ || (xx.size() >= tile.row0 + tile.rows &&
+                                 yy.size() >= tile.col0 + tile.cols),
+               "FusedKernel: full optics needs row and column energies covering the tile");
+  converters::ElectricalAdcConfig ac;
+  ac.bits = adc_bits_;
+  ac.v_ref = adc_full_scale_ > 0.0 ? adc_full_scale_
+                                   : static_cast<double>(std::max<std::size_t>(k, 1));
+  const converters::ElectricalAdc adc(ac);
+  // Full optics: the closed form over the caller's energies, indexed by
+  // absolute row i and column j; off, each raw value is simd::dot(x, y, k).
+  const QuadraticForm q = full_optics_ ? quadratic_form(k) : QuadraticForm{};
 
   constexpr std::size_t kBlock = 4;
   const std::size_t col_end = tile.col0 + tile.cols;
   for (std::size_t i = tile.row0; i < tile.row0 + tile.rows; ++i) {
     const double* x = ae.row(i).data();
-    const double sxx = full_optics_ ? simd::dot_self(x, k) : 0.0;
     std::size_t j = tile.col0;
     for (; j + kBlock <= col_end; j += kBlock) {
       const double* ys[kBlock];
@@ -296,9 +299,8 @@ void FusedKernel::run_tile_fast(const Tile& tile, const Matrix& ae, const Matrix
       double sxy[kBlock];
       simd::dot4(x, ys, k, sxy);
       for (std::size_t b = 0; b < kBlock; ++b) {
-        double r = full_optics_
-                       ? cxx * sxx + cyy * syy[j + b - tile.col0] + cxy * sxy[b] + dark
-                       : sxy[b];
+        double r = full_optics_ ? q.cxx * xx[i] + q.cyy * yy[j + b] + q.cxy * sxy[b] + q.dark
+                                : sxy[b];
         if (adc_) r = adc.sample_to_voltage(r);
         c(i, j + b) = r * rescale;
         if (rsum != nullptr) rsum[i - tile.row0] += r;
@@ -307,8 +309,7 @@ void FusedKernel::run_tile_fast(const Tile& tile, const Matrix& ae, const Matrix
     }
     for (; j < col_end; ++j) {
       const double sxy = simd::dot(x, be.row(j).data(), k);
-      double r = full_optics_ ? cxx * sxx + cyy * syy[j - tile.col0] + cxy * sxy + dark
-                              : sxy;
+      double r = full_optics_ ? q.cxx * xx[i] + q.cyy * yy[j] + q.cxy * sxy + q.dark : sxy;
       if (adc_) r = adc.sample_to_voltage(r);
       c(i, j) = r * rescale;
       if (rsum != nullptr) rsum[i - tile.row0] += r;
@@ -318,55 +319,37 @@ void FusedKernel::run_tile_fast(const Tile& tile, const Matrix& ae, const Matrix
 }
 
 void FusedKernel::run_tile_quant(const Tile& tile, const CodeMatrix& aq, const CodeMatrix& bq,
+                                 std::span<const double> xx, std::span<const double> yy,
                                  double rescale, Matrix& c, double* rsum, double* csum) const {
   PDAC_REQUIRE(quant_ready_,
                "FusedKernel: run_tile_quant needs an on-grid encode LUT (quant_ready)");
   const std::size_t k = aq.cols();
   PDAC_REQUIRE(bq.cols() >= k, "FusedKernel: operand reduction lengths must agree");
+  PDAC_REQUIRE(!full_optics_ || (xx.size() >= tile.row0 + tile.rows &&
+                                 yy.size() >= tile.col0 + tile.cols),
+               "FusedKernel: full optics needs row and column energies covering the tile");
   converters::ElectricalAdcConfig ac;
   ac.bits = adc_bits_;
   ac.v_ref = adc_full_scale_ > 0.0 ? adc_full_scale_
                                    : static_cast<double>(std::max<std::size_t>(k, 1));
   const converters::ElectricalAdc adc(ac);
-  const std::size_t nl = lanes_.size();
-  const std::uint64_t chunks = (k + nl - 1) / nl;
 
-  // Same quadratic form as run_tile_fast (see the derivation there), but
-  // with the amplitude sums carried as exact integer sums over codes:
-  // on-grid, x = cx/mc and y = cy/mc bitwise, so
+  // Same quadratic form as run_tile_fast, but with the amplitude sums
+  // carried as exact integer sums over codes: on-grid, x = cx/mc and
+  // y = cy/mc bitwise, so
   //   Σx² = Σcx²/mc², Σy² = Σcy²/mc², Σxy = Σcx·cy/mc²
   // with the integer numerators computed exactly (|Σcx·cy| ≤ k·mc² ≪ 2⁵³
   // also makes the int64→double conversion exact) — each sum then costs
-  // ONE division instead of a k-term floating accumulation chain.
+  // ONE division instead of a k-term floating accumulation chain.  The
+  // caller's energies are the first two, summed by energy(codes).
   const std::int32_t mc = max_code_;
   const double mc2 = static_cast<double>(mc) * static_cast<double>(mc);
-  double cxx = 0.0;
-  double cyy = 0.0;
-  double cxy = 0.0;
-  double dark = 0.0;
-  std::vector<double> syy;  // Σy² per tile column, hoisted (full optics)
-  if (full_optics_) {
-    const LaneTransfer& ln = lanes_.front();
-    const double f2 = ln.ps_re * ln.ps_re + ln.ps_im * ln.ps_im;
-    const double t2 = ln.t * ln.t;
-    const double k2 = ln.jk_im * ln.jk_im;
-    cxx = 0.5 * (det_.gain_plus * t2 - det_.gain_minus * k2);
-    cyy = 0.5 * f2 * (det_.gain_plus * k2 - det_.gain_minus * t2);
-    cxy = -ln.t * ln.jk_im * ln.ps_im * (det_.gain_plus + det_.gain_minus);
-    dark = static_cast<double>(chunks) * (det_.dark_plus - det_.dark_minus);
-    syy.resize(tile.cols);
-    for (std::size_t j = 0; j < tile.cols; ++j) {
-      syy[j] =
-          static_cast<double>(simd::dot_self_i16(bq.row(tile.col0 + j).data(), k, mc)) / mc2;
-    }
-  }
+  const QuadraticForm q = full_optics_ ? quadratic_form(k) : QuadraticForm{};
 
   constexpr std::size_t kBlock = 4;
   const std::size_t col_end = tile.col0 + tile.cols;
   for (std::size_t i = tile.row0; i < tile.row0 + tile.rows; ++i) {
     const std::int16_t* x = aq.row(i).data();
-    const double sxx =
-        full_optics_ ? static_cast<double>(simd::dot_self_i16(x, k, mc)) / mc2 : 0.0;
     std::size_t j = tile.col0;
     for (; j + kBlock <= col_end; j += kBlock) {
       const std::int16_t* ys[kBlock];
@@ -375,7 +358,7 @@ void FusedKernel::run_tile_quant(const Tile& tile, const CodeMatrix& aq, const C
       simd::dot4_i16(x, ys, k, mc, ixy);
       for (std::size_t b = 0; b < kBlock; ++b) {
         const double sxy = static_cast<double>(ixy[b]) / mc2;
-        double r = full_optics_ ? cxx * sxx + cyy * syy[j + b - tile.col0] + cxy * sxy + dark
+        double r = full_optics_ ? q.cxx * xx[i] + q.cyy * yy[j + b] + q.cxy * sxy + q.dark
                                 : sxy;
         if (adc_) r = adc.sample_to_voltage(r);
         c(i, j + b) = r * rescale;
@@ -385,7 +368,7 @@ void FusedKernel::run_tile_quant(const Tile& tile, const CodeMatrix& aq, const C
     }
     for (; j < col_end; ++j) {
       const double sxy = static_cast<double>(simd::dot_i16(x, bq.row(j).data(), k, mc)) / mc2;
-      double r = full_optics_ ? cxx * sxx + cyy * syy[j - tile.col0] + cxy * sxy + dark : sxy;
+      double r = full_optics_ ? q.cxx * xx[i] + q.cyy * yy[j] + q.cxy * sxy + q.dark : sxy;
       if (adc_) r = adc.sample_to_voltage(r);
       c(i, j) = r * rescale;
       if (rsum != nullptr) rsum[i - tile.row0] += r;

@@ -26,6 +26,13 @@
 // photocurrents in the device graph, and every partial intensity sum is
 // non-negative, so skipping them cannot change a single bit.
 //
+// Energies: the fast tiers reduce full optics to the closed quadratic
+// form cxx·Σx² + cyy·Σy² + cxy·Σxy + dark.  Σx² depends on one A row and
+// Σy² on one B column only, so the tile functions sum just Σxy and take
+// both energies from the caller (spans indexed by absolute row/column);
+// energy() is the one rule that sums them.  PhotonicGemm sums Σx² once
+// per A row per product and caches Σy² in the PreparedOperand.
+//
 // Staleness: a kernel is a snapshot.  PhotonicGemm's engine is immutable
 // after construction, so its kernel never goes stale.  The faults-layer
 // lane executor snapshots a nominal amplitude-domain chain (full optics
@@ -95,16 +102,24 @@ class FusedKernel {
                 Matrix& c, double* rsum = nullptr, double* csum = nullptr) const;
 
   /// SIMD fast tier of run_tile (ExecutionPath::kKernelSimd).  Same
-  /// signature and rsum/csum accumulation order — but tolerance-banded
-  /// instead of bit-exact: the reduction is reassociated through
-  /// common/simd.hpp blocking and, under full optics, the per-element
-  /// physics is collapsed into its closed quadratic form (see the
-  /// derivation in kernel.cpp), so raw values differ from the scalar tier
-  /// by O(ε·k·|x||y|) — inside the ABFT guard band that multiply_prepared
-  /// applies unchanged.  With
-  /// full optics off each raw value is simd::dot(x, y, k), whatever the
-  /// tile width (simd::dot4 is four dot calls, bit for bit).
-  void run_tile_fast(const Tile& tile, const Matrix& ae, const Matrix& be, double rescale,
+  /// rsum/csum accumulation order — but tolerance-banded instead of
+  /// bit-exact: the reduction is reassociated through common/simd.hpp
+  /// blocking and, under full optics, the per-element physics is collapsed
+  /// into its closed quadratic form cxx·Σx² + cyy·Σy² + cxy·Σxy + dark (see
+  /// the derivation in kernel.cpp), so raw values differ from the scalar
+  /// tier by O(ε·k·|x||y|) — inside the ABFT guard band that
+  /// multiply_prepared applies unchanged.  The tile sums only Σxy; the
+  /// energies are the caller's, indexed by ABSOLUTE row and column:
+  /// `xx[i]` = energy(ae.row(i) over k) for every tile row i and `yy[j]` =
+  /// energy(be.row(j) over k) for every tile column j.  PhotonicGemm sums
+  /// Σx² once per A row per product and reads Σy² from the prepared
+  /// operand, where it was summed once at prepare/append.  With full optics
+  /// on, both spans must cover the tile (PDAC_REQUIRE); off, they are
+  /// never read (the lane executor passes empty spans) and each raw value
+  /// is simd::dot(x, y, k), whatever the tile width (simd::dot4 is four dot
+  /// calls, bit for bit).
+  void run_tile_fast(const Tile& tile, const Matrix& ae, const Matrix& be,
+                     std::span<const double> xx, std::span<const double> yy, double rescale,
                      Matrix& c, double* rsum = nullptr, double* csum = nullptr) const;
 
   /// Integer tier of run_tile (ExecutionPath::kKernelQuant, DESIGN.md
@@ -116,13 +131,24 @@ class FusedKernel {
   /// 1/max_code² and the dark-current term are applied once in double at
   /// readout, so each raw value carries a single rounding instead of the
   /// double tiers' per-element chains — the same O(ε·k) reassociation
-  /// family the guard band absorbs.  ADC round-trip and rsum/csum order
-  /// are identical to run_tile; the integer sums themselves are
-  /// ISA-independent (exact), so this tier's raw values are identical
-  /// bits on every machine.
+  /// family the guard band absorbs.  `xx`/`yy` follow run_tile_fast's
+  /// absolute-index contract, summed by energy(codes).  ADC round-trip and
+  /// rsum/csum order are identical to run_tile; the integer sums
+  /// themselves are ISA-independent (exact), so this tier's raw values are
+  /// identical bits on every machine.
   void run_tile_quant(const Tile& tile, const CodeMatrix& aq, const CodeMatrix& bq,
-                      double rescale, Matrix& c, double* rsum = nullptr,
-                      double* csum = nullptr) const;
+                      std::span<const double> xx, std::span<const double> yy, double rescale,
+                      Matrix& c, double* rsum = nullptr, double* csum = nullptr) const;
+
+  /// Energy Σ_p y_p² of one encoded operand row, by the SIMD tier's rule
+  /// (simd::dot_self): the quadratic form's Σx²/Σy² term for run_tile_fast.
+  [[nodiscard]] double energy(std::span<const double> y) const;
+
+  /// The integer tier's energy of one code row: the exact Σ_p c_p² over ℤ
+  /// divided once by max_code² — run_tile_quant's Σx²/Σy² term.  Its last
+  /// bits can differ from energy() of the decoded amplitudes, so a tier
+  /// never reads energies summed by the other's rule.
+  [[nodiscard]] double energy(std::span<const std::int16_t> codes) const;
 
   /// True when run_tile_quant is usable: the kernel was snapshotted from
   /// an engine whose encode LUT is exactly the quantizer grid (e.g. a
@@ -135,6 +161,14 @@ class FusedKernel {
   [[nodiscard]] const DetectorTransfer& detector() const { return det_; }
 
  private:
+  /// Full-optics closed-form coefficients at reduction length k.
+  struct QuadraticForm {
+    double cxx{};
+    double cyy{};
+    double cxy{};
+    double dark{};
+  };
+  [[nodiscard]] QuadraticForm quadratic_form(std::size_t k) const;
   [[nodiscard]] double reduce(std::span<const double> xe, std::span<const double> ye) const;
   [[nodiscard]] double apply_adc(double acc, std::size_t n) const;
 

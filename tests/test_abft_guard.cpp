@@ -9,6 +9,7 @@
 #include <string>
 
 #include "common/require.hpp"
+#include "common/simd.hpp"
 #include "nn/backend.hpp"
 #include "ptc/abft.hpp"
 #include "ptc/gemm_engine.hpp"
@@ -343,31 +344,54 @@ TEST(AbftGuard, PhotonicBackendAutoRepairsCorruptedCacheEntry) {
   // On the immutable driver a guarded mismatch can only mean the cached
   // operand's memory was corrupted after insertion; matmul_cached must
   // detect it, drop the entry, re-prepare and return the clean result.
-  nn::PhotonicBackend backend(core::make_pdac_driver(8), nn::guarded_gemm_config());
-  Rng rng(17);
-  const Matrix a = Matrix::random_gaussian(8, 16, rng);
-  const Matrix b = Matrix::random_gaussian(16, 8, rng);
-  const nn::WeightHandle w{42, 1};
+  // The SIMD tier with full optics also caches column energies Σy², which
+  // a write behind the API leaves stale: Σxy still carries the corruption,
+  // so the guard flags the product and the re-prepare restores both.
+  ptc::GemmConfig simd_optics = nn::guarded_gemm_config();
+  simd_optics.path = ptc::ExecutionPath::kKernelSimd;
+  simd_optics.dot.use_full_optics = true;
+  for (const ptc::GemmConfig& cfg : {nn::guarded_gemm_config(), simd_optics}) {
+    SCOPED_TRACE(cfg.dot.use_full_optics ? "simd, full optics" : "default config");
+    nn::PhotonicBackend backend(core::make_pdac_driver(8), cfg);
+    Rng rng(17);
+    const Matrix a = Matrix::random_gaussian(8, 16, rng);
+    const Matrix b = Matrix::random_gaussian(16, 8, rng);
+    const nn::WeightHandle w{42, 1};
 
-  const Matrix clean = backend.matmul_cached(a, b, w);
+    const Matrix clean = backend.matmul_cached(a, b, w);
 
-  // Flip a bit in the cached operand behind the backend's back.
-  auto pb = backend.cache().lookup(w.id, w.version, 0);
-  ASSERT_NE(pb, nullptr);
-  const_cast<ptc::PreparedOperand*>(pb.get())->encoded.row(4)[2] += 0.5;
+    // Flip a bit in the cached operand behind the backend's back.
+    auto pb = backend.cache().lookup(w.id, w.version, 0);
+    ASSERT_NE(pb, nullptr);
+    const_cast<ptc::PreparedOperand*>(pb.get())->encoded.row(4)[2] += 0.5;
+    const auto energy_is_fresh = [](const ptc::PreparedOperand& op, std::size_t j) {
+      return op.energy[j] == simd::dot_self(op.encoded.row(j).data(), op.rows);
+    };
+    if (cfg.dot.use_full_optics) {
+      ASSERT_EQ(pb->energy.size(), pb->cols);
+      EXPECT_FALSE(energy_is_fresh(*pb, 4));  // still the prepared column's Σy²
+    } else {
+      EXPECT_TRUE(pb->energy.empty());
+    }
 
-  const Matrix repaired = backend.matmul_cached(a, b, w);
-  const nn::GuardStats* stats = backend.guard_stats();
-  ASSERT_NE(stats, nullptr);
-  EXPECT_EQ(stats->cache_repairs, 1u);
-  EXPECT_GT(stats->mismatched_tiles, 0u);
-  for (std::size_t i = 0; i < clean.size(); ++i) {
-    EXPECT_EQ(repaired.data()[i], clean.data()[i]) << "element " << i;
+    const Matrix repaired = backend.matmul_cached(a, b, w);
+    const nn::GuardStats* stats = backend.guard_stats();
+    ASSERT_NE(stats, nullptr);
+    EXPECT_EQ(stats->cache_repairs, 1u);
+    EXPECT_GT(stats->mismatched_tiles, 0u);
+    for (std::size_t i = 0; i < clean.size(); ++i) {
+      EXPECT_EQ(repaired.data()[i], clean.data()[i]) << "element " << i;
+    }
+    if (cfg.dot.use_full_optics) {
+      const auto fresh = backend.cache().lookup(w.id, w.version, 0);
+      ASSERT_NE(fresh, nullptr);
+      EXPECT_TRUE(energy_is_fresh(*fresh, 4));
+    }
+    // The repaired entry serves the next product cleanly with no new repair.
+    const Matrix again = backend.matmul_cached(a, b, w);
+    EXPECT_EQ(backend.guard_stats()->cache_repairs, 1u);
+    for (std::size_t i = 0; i < clean.size(); ++i) EXPECT_EQ(again.data()[i], clean.data()[i]);
   }
-  // The repaired entry serves the next product cleanly with no new repair.
-  const Matrix again = backend.matmul_cached(a, b, w);
-  EXPECT_EQ(backend.guard_stats()->cache_repairs, 1u);
-  for (std::size_t i = 0; i < clean.size(); ++i) EXPECT_EQ(again.data()[i], clean.data()[i]);
 }
 
 }  // namespace

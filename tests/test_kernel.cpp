@@ -16,6 +16,7 @@
 #include "common/rng.hpp"
 #include "common/simd.hpp"
 #include "converters/electrical_adc.hpp"
+#include "core/modulator_driver.hpp"
 #include "faults/fault_injector.hpp"
 #include "faults/lane_table.hpp"
 #include "ptc/ddot.hpp"
@@ -114,6 +115,151 @@ TEST(FusedKernel, MatchesCustomDeviceChainBitForBit) {
         const auto ye = rng.uniform_vector(n, -1.0, 1.0);
         EXPECT_EQ(kernel.dot(xe, ye), device_dot(ddot, cfg, xe, ye))
             << "n=" << n << " adc=" << adc << " fs=" << fs;
+      }
+    }
+  }
+}
+
+/// The fast tiers' full-optics closed form cxx·Σx² + cyy·Σy² + cxy·Σxy +
+/// dark, with its coefficients re-derived from the kernel's lane table and
+/// detector (the derivation in kernel.cpp) in the kernel's operation order.
+struct ClosedForm {
+  double cxx, cyy, cxy, dark;
+
+  ClosedForm(const FusedKernel& kernel, std::size_t k) {
+    const LaneTransfer& ln = kernel.lane_table().front();
+    const DetectorTransfer& det = kernel.detector();
+    const double f2 = ln.ps_re * ln.ps_re + ln.ps_im * ln.ps_im;
+    const double t2 = ln.t * ln.t;
+    const double k2 = ln.jk_im * ln.jk_im;
+    const std::size_t nl = kernel.active_wavelengths();
+    cxx = 0.5 * (det.gain_plus * t2 - det.gain_minus * k2);
+    cyy = 0.5 * f2 * (det.gain_plus * k2 - det.gain_minus * t2);
+    cxy = -ln.t * ln.jk_im * ln.ps_im * (det.gain_plus + det.gain_minus);
+    dark = static_cast<double>((k + nl - 1) / nl) * (det.dark_plus - det.dark_minus);
+  }
+  [[nodiscard]] double operator()(double xx, double yy, double xy) const {
+    return cxx * xx + cyy * yy + cxy * xy + dark;
+  }
+};
+
+/// Ragged tiles at every offset combination against an m × n = 9 × 11
+/// output: 4-wide column blocks plus tails, nonzero row0/col0.
+constexpr Tile kOffsetTiles[] = {{0, 0, 3, 6}, {2, 3, 5, 7}, {7, 1, 2, 9}, {4, 10, 5, 1}};
+
+bool inside(const Tile& tile, std::size_t i, std::size_t j) {
+  return i >= tile.row0 && i < tile.row0 + tile.rows && j >= tile.col0 &&
+         j < tile.col0 + tile.cols;
+}
+
+TEST(FusedKernel, FastTileReadsAbsoluteEnergiesOnImbalancedChain) {
+  // run_tile_fast on the imbalanced custom chain (t = 0.6), where cxx and
+  // cyy are O(1): every output must be the closed form evaluated from the
+  // caller's energies at its ABSOLUTE row and column.  Ragged tiles at
+  // nonzero row0/col0 make a tile-relative read land on another row's or
+  // column's energy.
+  const Ddot ddot = custom_ddot();
+  const std::size_t m = 9;
+  const std::size_t n = 11;
+  const std::size_t k = 23;
+  Rng rng(61);
+  Matrix ae(m, k);
+  Matrix be(n, k);
+  for (double& v : ae.data()) v = rng.uniform(-1.0, 1.0);
+  for (double& v : be.data()) v = rng.uniform(-1.0, 1.0);
+  std::vector<double> xx(m);
+  std::vector<double> yy(n);
+  for (std::size_t i = 0; i < m; ++i) xx[i] = simd::dot_self(ae.row(i).data(), k);
+  for (std::size_t j = 0; j < n; ++j) yy[j] = simd::dot_self(be.row(j).data(), k);
+
+  for (const bool adc : {false, true}) {
+    SCOPED_TRACE(adc ? "adc on" : "adc off");
+    DotEngineConfig cfg;
+    cfg.wavelengths = 5;
+    cfg.use_full_optics = true;
+    cfg.adc_readout = adc;
+    const FusedKernel kernel(ddot, cfg);
+    const ClosedForm form(kernel, k);
+    ASSERT_GT(std::abs(form.cxx), 0.01);
+    ASSERT_GT(std::abs(form.cyy), 0.01);
+    converters::ElectricalAdcConfig ac;
+    ac.bits = cfg.adc_bits;
+    ac.v_ref = static_cast<double>(k);
+    const converters::ElectricalAdc converter(ac);
+
+    for (const Tile& tile : kOffsetTiles) {
+      SCOPED_TRACE(testing::Message() << "tile at " << tile.row0 << "," << tile.col0);
+      const double rescale = 0.5;
+      Matrix c(m, n);
+      kernel.run_tile_fast(tile, ae, be, xx, yy, rescale, c);
+      for (std::size_t i = 0; i < m; ++i) {
+        for (std::size_t j = 0; j < n; ++j) {
+          if (!inside(tile, i, j)) {
+            EXPECT_EQ(c(i, j), 0.0);
+            continue;
+          }
+          double r = form(xx[i], yy[j], simd::dot(ae.row(i).data(), be.row(j).data(), k));
+          if (adc) r = converter.sample_to_voltage(r);
+          EXPECT_EQ(c(i, j), r * rescale) << "output " << i << "," << j;
+        }
+      }
+    }
+  }
+}
+
+TEST(FusedKernel, QuantTileReadsAbsoluteEnergies) {
+  // run_tile_quant's half of the span contract.  Its kernel must come from
+  // an on-grid engine, whose chain is the balanced default (cxx, cyy ≈
+  // ±1e-16), so the rows and columns span widely different code ranges
+  // and the ADC is off: a misread energy then moves output bits.
+  const auto drv = core::make_bit_true_driver(8);
+  DotEngineConfig cfg;
+  cfg.wavelengths = 5;
+  cfg.use_full_optics = true;
+  const PhotonicDotEngine engine(*drv, cfg);
+  const FusedKernel kernel(engine);
+  ASSERT_TRUE(kernel.quant_ready());
+  const std::int32_t mc = engine.quantizer().max_code();
+  const double mc2 = static_cast<double>(mc) * static_cast<double>(mc);
+
+  const std::size_t m = 9;
+  const std::size_t n = 11;
+  const std::size_t k = 23;
+  Rng rng(67);
+  const auto fill = [&](CodeMatrix& q, std::size_t r) {
+    const auto reach = static_cast<std::int64_t>((r + 1) * static_cast<std::size_t>(mc) / 12);
+    for (std::int16_t& c : q.row(r)) c = static_cast<std::int16_t>(rng.integer(-reach, reach));
+  };
+  const auto exact = [&](std::span<const std::int16_t> x, std::span<const std::int16_t> y) {
+    std::int64_t acc = 0;
+    for (std::size_t p = 0; p < k; ++p) acc += std::int64_t{x[p]} * std::int64_t{y[p]};
+    return static_cast<double>(acc) / mc2;
+  };
+  CodeMatrix aq(m, k);
+  CodeMatrix bq(n, k);
+  std::vector<double> xx(m);
+  std::vector<double> yy(n);
+  for (std::size_t i = 0; i < m; ++i) {
+    fill(aq, i);
+    xx[i] = kernel.energy(aq.row(i));
+    EXPECT_EQ(xx[i], exact(aq.row(i), aq.row(i)));
+  }
+  for (std::size_t j = 0; j < n; ++j) {
+    fill(bq, j);
+    yy[j] = kernel.energy(bq.row(j));
+    EXPECT_EQ(yy[j], exact(bq.row(j), bq.row(j)));
+  }
+
+  const ClosedForm form(kernel, k);
+  for (const Tile& tile : kOffsetTiles) {
+    SCOPED_TRACE(testing::Message() << "tile at " << tile.row0 << "," << tile.col0);
+    Matrix c(m, n);
+    kernel.run_tile_quant(tile, aq, bq, xx, yy, 1.0, c);
+    for (std::size_t i = 0; i < m; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        const double want = inside(tile, i, j) ? form(xx[i], yy[j], exact(aq.row(i), bq.row(j)))
+                                               : 0.0;
+        EXPECT_EQ(c(i, j), want) << "output " << i << "," << j;
       }
     }
   }

@@ -29,6 +29,7 @@
 #include "nn/backend.hpp"
 #include "nn/operand_cache.hpp"
 #include "ptc/gemm_engine.hpp"
+#include "ptc/kernel.hpp"
 #include "serve/engine.hpp"
 #include "serve/workload.hpp"
 
@@ -99,6 +100,15 @@ void expect_same_operand(const PreparedOperand& got, const PreparedOperand& want
       }
     }
   }
+  // Column energies and their stamp, bit for bit: with the balanced DDot's
+  // ±1e-16 energy coefficients and an 8-bit ADC, output identity alone
+  // cannot see a stale or mis-summed energy.
+  EXPECT_EQ(got.energy_path, want.energy_path);
+  EXPECT_EQ(got.energy_rows, want.energy_rows);
+  ASSERT_EQ(got.energy.size(), want.energy.size());
+  for (std::size_t j = 0; j < want.energy.size(); ++j) {
+    EXPECT_EQ(got.energy[j], want.energy[j]) << "energy " << j;
+  }
 }
 
 struct TierCase {
@@ -117,14 +127,52 @@ std::unique_ptr<core::ModulatorDriver> tier_driver(const TierCase& tier) {
   return tier.bit_true ? core::make_bit_true_driver(8) : core::make_pdac_driver(8);
 }
 
-GemmConfig tier_config(const TierCase& tier, std::size_t threads = 1) {
+/// `optics` turns on full optics and ADC readout, under which the fast
+/// tiers stage column energies with the operand.
+GemmConfig tier_config(const TierCase& tier, std::size_t threads = 1, bool optics = false) {
   GemmConfig cfg;
   cfg.array_rows = 4;
   cfg.array_cols = 4;
   cfg.threads = threads;
   cfg.guard.enabled = true;  // checksum stripes ride every append
   cfg.path = tier.path;
+  cfg.dot.use_full_optics = optics;
+  cfg.dot.adc_readout = optics;
   return cfg;
+}
+
+/// Every staged energy is FusedKernel's sum of its column over the
+/// logical reduction length — never the padded capacity — by the engine's
+/// tier rule; engines whose tier reads no energies stage none.
+void expect_staged_energies(const PhotonicGemm& gemm, const PreparedOperand& pb) {
+  const GemmConfig& cfg = gemm.config();
+  const bool quant = cfg.path == ExecutionPath::kKernelQuant;
+  if (!cfg.dot.use_full_optics || !(quant || cfg.path == ExecutionPath::kKernelSimd)) {
+    EXPECT_TRUE(pb.energy.empty());
+    return;
+  }
+  ASSERT_TRUE(pb.has_energy(cfg.path));
+  const FusedKernel kernel(gemm.engine());
+  for (std::size_t j = 0; j < pb.cols; ++j) {
+    EXPECT_EQ(pb.energy[j], quant ? kernel.energy(pb.qcodes.row(j).first(pb.rows))
+                                  : kernel.energy(pb.encoded.row(j).first(pb.rows)))
+        << "energy " << j;
+  }
+}
+
+/// The append-contract sweep: every tier at 1 and 3 workers, amplitude
+/// domain and with full optics + ADC.
+template <typename Body>
+void for_each_tier_config(const Body& body) {
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+    for (const bool optics : {false, true}) {
+      for (const TierCase& tier : kTiers) {
+        SCOPED_TRACE(testing::Message() << tier.name << ", threads " << threads << ", optics "
+                                        << optics);
+        body(tier, tier_config(tier, threads, optics));
+      }
+    }
+  }
 }
 
 /// T gaussian rows with the global max-abs pinned into row 0, so every
@@ -158,9 +206,9 @@ Matrix prefix_rows(const Matrix& m, std::size_t t) {
 // every tier, including the ragged d=13 width against the 4×4 array.
 TEST(KvPrepared, AppendBtRowsBitIdenticalToFreshAcrossTiers) {
   const std::size_t lengths[] = {1, 2, 4, 7};  // single- and multi-row appends
-  for (const TierCase& tier : kTiers) {
+  for_each_tier_config([&](const TierCase& tier, const GemmConfig& cfg) {
     const auto drv = tier_driver(tier);
-    const PhotonicGemm gemm(*drv, tier_config(tier));
+    const PhotonicGemm gemm(*drv, cfg);
     for (std::size_t d : {std::size_t{8}, std::size_t{13}}) {
       const Matrix full = history_rows(7, d, 101 + d);
       Rng arng(7 * d);
@@ -176,6 +224,7 @@ TEST(KvPrepared, AppendBtRowsBitIdenticalToFreshAcrossTiers) {
         }
         const PreparedOperand fresh = gemm.prepare_bt(k_hist);
         expect_same_operand(inc, fresh);
+        expect_staged_energies(gemm, inc);
 
         const Matrix a = Matrix::random_gaussian(1, d, arng);
         const GemmResult got = gemm.multiply_prepared(a, inc);
@@ -186,17 +235,18 @@ TEST(KvPrepared, AppendBtRowsBitIdenticalToFreshAcrossTiers) {
         expect_same_guard(got.guard, want.guard);
       }
     }
-  }
+  });
 }
 
 // Reduction-axis growth (B = V, the context operand): append_b_rows
-// extends into padded column capacity; numerics, events and verdicts
-// must never see the padding.
+// extends into padded column capacity; numerics, events, verdicts and the
+// re-summed column energies must never see the padding.
 TEST(KvPrepared, AppendBRowsBitIdenticalToFreshAcrossTiers) {
   const std::size_t lengths[] = {1, 3, 4, 7};
-  for (const TierCase& tier : kTiers) {
+  for_each_tier_config([&](const TierCase& tier, const GemmConfig& cfg) {
     const auto drv = tier_driver(tier);
-    const PhotonicGemm gemm(*drv, tier_config(tier));
+    const PhotonicGemm gemm(*drv, cfg);
+    bool padded = false;
     for (std::size_t d : {std::size_t{8}, std::size_t{13}}) {
       const Matrix full = history_rows(7, d, 211 + d);
       Rng arng(11 * d);
@@ -210,8 +260,10 @@ TEST(KvPrepared, AppendBRowsBitIdenticalToFreshAcrossTiers) {
         } else {
           ASSERT_TRUE(gemm.append_b_rows(inc, v_hist)) << tier.name << " t=" << t;
         }
+        padded = padded || inc.encoded.cols() > inc.rows;
         const PreparedOperand fresh = gemm.prepare_b(v_hist);
         expect_same_operand(inc, fresh);
+        expect_staged_energies(gemm, inc);
 
         const Matrix a = Matrix::random_gaussian(1, t, arng);
         const GemmResult got = gemm.multiply_prepared(a, inc);
@@ -222,84 +274,137 @@ TEST(KvPrepared, AppendBRowsBitIdenticalToFreshAcrossTiers) {
         expect_same_guard(got.guard, want.guard);
       }
     }
-  }
+    EXPECT_TRUE(padded) << "no append ran into padded capacity";
+  });
+}
+
+// A product reads an operand's energies only when its own tier summed them
+// at the operand's current length.  Otherwise — energies summed by the
+// other tier's rule, or left behind by an engine that stages none and grew
+// the reduction axis — it sums its own, and the output is bit-identical to
+// the tier's own prepare.  ADC off, so a wrong energy can move last bits.
+TEST(KvPrepared, ProductsResumForeignOrStaleEnergies) {
+  const auto drv = core::make_bit_true_driver(8);
+  GemmConfig cfg = tier_config(kTiers[1], 1, true);
+  cfg.dot.adc_readout = false;
+  const PhotonicGemm simd(*drv, cfg);
+  cfg.path = ExecutionPath::kKernelQuant;
+  const PhotonicGemm quant(*drv, cfg);
+  cfg.path = ExecutionPath::kKernel;
+  const PhotonicGemm scalar(*drv, cfg);
+
+  const Matrix full = history_rows(7, 13, 57);
+  Rng arng(13);
+  const Matrix a = Matrix::random_gaussian(3, 7, arng);
+
+  // Energies summed by the quant rule are never read by the SIMD tier.
+  const PreparedOperand by_quant = quant.prepare_b(full);
+  ASSERT_TRUE(by_quant.has_energy(ExecutionPath::kKernelQuant));
+  EXPECT_FALSE(by_quant.has_energy(ExecutionPath::kKernelSimd));
+  expect_bit_identical(simd.multiply_prepared(a, by_quant).c,
+                       simd.multiply_prepared(a, simd.prepare_b(full)).c, "quant-staged");
+
+  // A reduction-axis append by the scalar engine leaves the SIMD energies
+  // at the old length; the SIMD product must not read them.
+  PreparedOperand grown = simd.prepare_b(prefix_rows(full, 4));
+  ASSERT_TRUE(scalar.append_b_rows(grown, full));
+  EXPECT_FALSE(grown.has_energy(ExecutionPath::kKernelSimd));
+  expect_bit_identical(simd.multiply_prepared(a, grown).c, simd.multiply(a, full).c,
+                       "stale length");
+  // A same-length confirm sums nothing, so products keep summing their own.
+  ASSERT_TRUE(simd.append_b_rows(grown, full));
+  EXPECT_FALSE(grown.has_energy(ExecutionPath::kKernelSimd));
+
+  // An output-axis append can extend only energies of its own tier: onto
+  // an operand that carries none it sums every column.
+  PreparedOperand keys = scalar.prepare_bt(prefix_rows(full, 4));
+  ASSERT_TRUE(keys.energy.empty());
+  ASSERT_TRUE(simd.append_bt_rows(keys, prefix_rows(full, 6)));
+  expect_staged_energies(simd, keys);
+  expect_same_operand(keys, simd.prepare_bt(prefix_rows(full, 6)));
 }
 
 // Every condition under which an append cannot be bit-identical must
 // refuse and leave the operand untouched; a same-length "append" is an
 // accepted no-op.
 TEST(KvPrepared, AppendRefusesWheneverIdentityCannotHold) {
+  // Scalar engine, and the SIMD tier under full optics, whose operands
+  // carry column energies that a refusal must leave untouched too.
   const auto drv = core::make_pdac_driver(8);
-  const PhotonicGemm gemm(*drv, tier_config(kTiers[0]));
-  const Matrix full = history_rows(4, 6, 31);
-  const Matrix base = prefix_rows(full, 2);
+  for (const GemmConfig& cfg : {tier_config(kTiers[0]), tier_config(kTiers[1], 1, true)}) {
+    SCOPED_TRACE(cfg.dot.use_full_optics ? "simd, full optics" : "scalar");
+    const PhotonicGemm gemm(*drv, cfg);
+    const Matrix full = history_rows(4, 6, 31);
+    const Matrix base = prefix_rows(full, 2);
 
-  PreparedOperand pb = gemm.prepare_bt(base, /*epoch=*/3);
-  const PreparedOperand snapshot = pb;
+    PreparedOperand pb = gemm.prepare_bt(base, /*epoch=*/3);
+    const PreparedOperand snapshot = pb;
+    EXPECT_EQ(snapshot.energy.empty(), !cfg.dot.use_full_optics);
 
-  // Scale outgrown: a new row whose max-abs exceeds the recorded one
-  // would change the fresh scale, so the append must refuse.
-  Matrix louder = prefix_rows(full, 3);
-  louder(2, 0) = 10.0 * pb.abs_max;
-  EXPECT_FALSE(gemm.append_bt_rows(pb, louder, 3));
-  expect_same_operand(pb, snapshot);
+    // Scale outgrown: a new row whose max-abs exceeds the recorded one
+    // would change the fresh scale, so the append must refuse.
+    Matrix louder = prefix_rows(full, 3);
+    louder(2, 0) = 10.0 * pb.abs_max;
+    EXPECT_FALSE(gemm.append_bt_rows(pb, louder, 3));
+    expect_same_operand(pb, snapshot);
 
-  // Epoch moved: the encoder state stamp no longer matches.
-  EXPECT_FALSE(gemm.append_bt_rows(pb, prefix_rows(full, 3), 4));
-  expect_same_operand(pb, snapshot);
+    // Epoch moved: the encoder state stamp no longer matches.
+    EXPECT_FALSE(gemm.append_bt_rows(pb, prefix_rows(full, 3), 4));
+    expect_same_operand(pb, snapshot);
 
-  // Shrink and width mismatch are structural violations, not appends.
-  EXPECT_FALSE(gemm.append_bt_rows(pb, prefix_rows(full, 1), 3));
-  EXPECT_FALSE(gemm.append_bt_rows(pb, Matrix(3, 7), 3));
-  expect_same_operand(pb, snapshot);
+    // Shrink and width mismatch are structural violations, not appends.
+    EXPECT_FALSE(gemm.append_bt_rows(pb, prefix_rows(full, 1), 3));
+    EXPECT_FALSE(gemm.append_bt_rows(pb, Matrix(3, 7), 3));
+    expect_same_operand(pb, snapshot);
 
-  // Same length is a valid no-op append.
-  EXPECT_TRUE(gemm.append_bt_rows(pb, base, 3));
-  expect_same_operand(pb, snapshot);
+    // Same length is a valid no-op append.
+    EXPECT_TRUE(gemm.append_bt_rows(pb, base, 3));
+    expect_same_operand(pb, snapshot);
 
-  // Channel packing: an operand stamped under one lane packing must not
-  // append under another at the same epoch — neither through the faults
-  // layer's packing nor through the engine, whose packing is fixed — on
-  // either axis; under its own packing it appends.
-  const RowEncoder copy_encoder = [](std::span<const double> norm, std::size_t,
-                                     std::span<double> encoded, std::span<double>,
-                                     std::span<std::int16_t>) {
-    std::copy(norm.begin(), norm.end(), encoded.begin());
-  };
-  ThreadPool pool(1);
-  Matrix stage;
-  const OperandSpec packed{.epoch = 3, .channels = {0, 1, 2}, .checksum_stripe = 4};
-  OperandSpec repacked = packed;
-  repacked.channels = {0, 2};
-  for (const GrowAxis axis : {GrowAxis::kCols, GrowAxis::kRows}) {
-    const Matrix longer = prefix_rows(full, 3);
-    PreparedOperand pk = prepare_operand(base, axis, packed, copy_encoder, pool, stage);
-    const PreparedOperand ksnap = pk;
-    EXPECT_FALSE(append_operand(pk, longer, axis, repacked, copy_encoder, pool, stage));
-    expect_same_operand(pk, ksnap);
-    EXPECT_FALSE(axis == GrowAxis::kCols ? gemm.append_bt_rows(pk, longer, 3)
-                                         : gemm.append_b_rows(pk, longer, 3));
-    expect_same_operand(pk, ksnap);
-    EXPECT_TRUE(append_operand(pk, longer, axis, packed, copy_encoder, pool, stage));
-    expect_same_operand(pk, prepare_operand(longer, axis, packed, copy_encoder, pool, stage));
+    // Channel packing: an operand stamped under one lane packing must not
+    // append under another at the same epoch — neither through the faults
+    // layer's packing nor through the engine, whose packing is fixed — on
+    // either axis; under its own packing it appends.
+    const RowEncoder copy_encoder = [](std::span<const double> norm, std::size_t,
+                                       std::span<double> encoded, std::span<double>,
+                                       std::span<std::int16_t>) {
+      std::copy(norm.begin(), norm.end(), encoded.begin());
+    };
+    ThreadPool pool(1);
+    Matrix stage;
+    const OperandSpec packed{.epoch = 3, .channels = {0, 1, 2}, .checksum_stripe = 4};
+    OperandSpec repacked = packed;
+    repacked.channels = {0, 2};
+    for (const GrowAxis axis : {GrowAxis::kCols, GrowAxis::kRows}) {
+      const Matrix longer = prefix_rows(full, 3);
+      PreparedOperand pk = prepare_operand(base, axis, packed, copy_encoder, pool, stage);
+      const PreparedOperand ksnap = pk;
+      EXPECT_FALSE(append_operand(pk, longer, axis, repacked, copy_encoder, pool, stage));
+      expect_same_operand(pk, ksnap);
+      EXPECT_FALSE(axis == GrowAxis::kCols ? gemm.append_bt_rows(pk, longer, 3)
+                                           : gemm.append_b_rows(pk, longer, 3));
+      expect_same_operand(pk, ksnap);
+      EXPECT_TRUE(append_operand(pk, longer, axis, packed, copy_encoder, pool, stage));
+      expect_same_operand(pk, prepare_operand(longer, axis, packed, copy_encoder, pool, stage));
+    }
+
+    // The rows axis enforces the same triggers.
+    PreparedOperand pr = gemm.prepare_b(base, 3);
+    const PreparedOperand rsnap = pr;
+    EXPECT_FALSE(gemm.append_b_rows(pr, louder, 3));
+    EXPECT_FALSE(gemm.append_b_rows(pr, prefix_rows(full, 3), 4));
+    EXPECT_FALSE(gemm.append_b_rows(pr, prefix_rows(full, 1), 3));
+    EXPECT_TRUE(gemm.append_b_rows(pr, base, 3));
+    expect_same_operand(pr, rsnap);
+
+    // After the refusals a fresh rebuild still lands bit-identical to the
+    // direct product — the caller's fallback is always sound.
+    Rng arng(9);
+    const Matrix a = Matrix::random_gaussian(1, 6, arng);
+    const PreparedOperand rebuilt = gemm.prepare_bt(louder, 4);
+    expect_bit_identical(gemm.multiply_prepared(a, rebuilt).c,
+                         gemm.multiply(a, louder.transposed()).c, "rebuild fallback");
   }
-
-  // The rows axis enforces the same triggers.
-  PreparedOperand pr = gemm.prepare_b(base, 3);
-  const PreparedOperand rsnap = pr;
-  EXPECT_FALSE(gemm.append_b_rows(pr, louder, 3));
-  EXPECT_FALSE(gemm.append_b_rows(pr, prefix_rows(full, 3), 4));
-  EXPECT_FALSE(gemm.append_b_rows(pr, prefix_rows(full, 1), 3));
-  EXPECT_TRUE(gemm.append_b_rows(pr, base, 3));
-  expect_same_operand(pr, rsnap);
-
-  // After the refusals a fresh rebuild still lands bit-identical to the
-  // direct product — the caller's fallback is always sound.
-  Rng arng(9);
-  const Matrix a = Matrix::random_gaussian(1, 6, arng);
-  const PreparedOperand rebuilt = gemm.prepare_bt(louder, 4);
-  expect_bit_identical(gemm.multiply_prepared(a, rebuilt).c,
-                       gemm.multiply(a, louder.transposed()).c, "rebuild fallback");
 }
 
 // Appended operands are engine-thread-count invariant, like every other
