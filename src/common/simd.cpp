@@ -32,15 +32,23 @@ double dot_portable(const double* x, const double* y, std::size_t n) {
   return acc;
 }
 
-double dot_self_portable(const double* x, std::size_t n) {
-  double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
-  std::size_t p = 0;
+/// dot_self's portable body, resumable: state[0..3] are the four partial
+/// sums over x[0, m − m mod 4).  The 4-element steps continue from there;
+/// the fold and the tail work on copies, so the state stays at the last
+/// whole block.
+double dot_self_portable(const double* x, std::size_t m, std::size_t n, double* state) {
+  double a0 = state[0], a1 = state[1], a2 = state[2], a3 = state[3];
+  std::size_t p = m - m % 4;
   for (; p + 4 <= n; p += 4) {
     a0 += x[p + 0] * x[p + 0];
     a1 += x[p + 1] * x[p + 1];
     a2 += x[p + 2] * x[p + 2];
     a3 += x[p + 3] * x[p + 3];
   }
+  state[0] = a0;
+  state[1] = a1;
+  state[2] = a2;
+  state[3] = a3;
   double acc = (a0 + a1) + (a2 + a3);
   for (; p < n; ++p) acc += x[p] * x[p];
   return acc;
@@ -121,17 +129,23 @@ double dot_avx2(const double* x, const double* y, std::size_t n) {
   return acc;
 }
 
+/// dot_self's AVX2 body, resumable: state holds the two FMA chains over
+/// x[0, m − m mod 8).  The 8-element steps continue from there; the
+/// 4-element step, the fold and the tail work on copies, so the state
+/// stays at the last whole block.
 __attribute__((target("avx2,fma")))
-double dot_self_avx2(const double* x, std::size_t n) {
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  std::size_t p = 0;
+double dot_self_avx2(const double* x, std::size_t m, std::size_t n, double* state) {
+  __m256d acc0 = _mm256_loadu_pd(state);
+  __m256d acc1 = _mm256_loadu_pd(state + 4);
+  std::size_t p = m - m % 8;
   for (; p + 8 <= n; p += 8) {
     const __m256d v0 = _mm256_loadu_pd(x + p);
     const __m256d v1 = _mm256_loadu_pd(x + p + 4);
     acc0 = _mm256_fmadd_pd(v0, v0, acc0);
     acc1 = _mm256_fmadd_pd(v1, v1, acc1);
   }
+  _mm256_storeu_pd(state, acc0);
+  _mm256_storeu_pd(state + 4, acc1);
   if (p + 4 <= n) {
     const __m256d v0 = _mm256_loadu_pd(x + p);
     acc0 = _mm256_fmadd_pd(v0, v0, acc0);
@@ -237,6 +251,44 @@ void dot4_i16_avx2(const std::int16_t* x, const std::int16_t* const y[4], std::s
   }
 }
 
+/// quantize_code over the whole 4-element blocks of in[0, n); returns how
+/// many elements it wrote (the caller finishes the tail with the
+/// reference).  Targets AVX2 without FMA so the compiler cannot fuse
+/// y − trunc(y) with the product y (see header).
+__attribute__((target("avx2")))
+std::size_t quantize_avx2(const double* in, std::size_t n, double divisor,
+                          std::int32_t max_code, std::int32_t* codes) {
+  const __m256d lo = _mm256_set1_pd(-1.0);
+  const __m256d hi = _mm256_set1_pd(1.0);
+  const __m256d scale = _mm256_set1_pd(static_cast<double>(max_code));
+  const __m256d div = _mm256_set1_pd(divisor);
+  const __m256d half = _mm256_set1_pd(0.5);
+  const __m256d minus_half = _mm256_set1_pd(-0.5);
+  const __m256d one = _mm256_set1_pd(1.0);
+  const bool divide = divisor != 1.0;
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    __m256d r = _mm256_loadu_pd(in + i);
+    if (divide) r = _mm256_div_pd(r, div);
+    // std::clamp(r, −1, 1): max/min return their SECOND operand when
+    // either is NaN, so r goes second and a NaN passes through both.
+    r = _mm256_min_pd(hi, _mm256_max_pd(lo, r));
+    const __m256d y = _mm256_mul_pd(r, scale);
+    const __m256d t = _mm256_round_pd(y, _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
+    const __m256d f = _mm256_sub_pd(y, t);  // exact: |y| ≤ 32767
+    // lround: one step away from zero when |f| ≥ ½.  NaN compares false.
+    const __m256d up = _mm256_and_pd(_mm256_cmp_pd(f, half, _CMP_GE_OQ), one);
+    const __m256d down = _mm256_and_pd(_mm256_cmp_pd(f, minus_half, _CMP_LE_OQ), one);
+    __m256d code = _mm256_add_pd(t, _mm256_sub_pd(up, down));
+    // NaN → +0.0, the reference's code 0; the conversion then only ever
+    // sees integral values in [−max_code, max_code], where the int32
+    // clamp is a no-op.
+    code = _mm256_and_pd(code, _mm256_cmp_pd(y, y, _CMP_ORD_Q));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(codes + i), _mm256_cvttpd_epi32(code));
+  }
+  return i;
+}
+
 bool detect_avx2_fma() {
   return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
 }
@@ -263,10 +315,15 @@ double dot(const double* x, const double* y, std::size_t n) {
 }
 
 double dot_self(const double* x, std::size_t n) {
+  double state[kDotSelfState] = {};
+  return dot_self_resume(x, 0, n, state);
+}
+
+double dot_self_resume(const double* x, std::size_t m, std::size_t n, double* state) {
 #if PDAC_SIMD_X86
-  if (g_avx2) return dot_self_avx2(x, n);
+  if (g_avx2) return dot_self_avx2(x, m, n, state);
 #endif
-  return dot_self_portable(x, n);
+  return dot_self_portable(x, m, n, state);
 }
 
 void dot4(const double* x, const double* const y[4], std::size_t n, double out[4]) {
@@ -303,6 +360,15 @@ void dot4_i16(const std::int16_t* x, const std::int16_t* const y[4], std::size_t
 #endif
   (void)max_abs;
   dot4_i16_portable(x, y, n, out);
+}
+
+void quantize(const double* in, std::size_t n, double divisor, std::int32_t max_code,
+              std::int32_t* codes) {
+  std::size_t i = 0;
+#if PDAC_SIMD_X86
+  if (g_avx2) i = quantize_avx2(in, n, divisor, max_code, codes);
+#endif
+  for (; i < n; ++i) codes[i] = quantize_code(in[i] / divisor, max_code);
 }
 
 }  // namespace pdac::simd

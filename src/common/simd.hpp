@@ -39,8 +39,24 @@
 // overflow; the drain cadence is derived from the caller-supplied
 // max_abs bound (one madd lane adds ≤ 2·max_abs², so
 // ⌊(2³¹−1)/(2·max_abs²)⌋ iterations are provably safe).
+//
+// quantize is the quantizer's rounding rule over a whole span, exact on
+// every ISA (DESIGN.md §18).  The rule itself is quantize_code, the one
+// reference line converters::Quantizer::encode runs: clamp to [−1, 1]
+// (NaN passes), scale by max_code, std::lround, narrow to int32, clamp.
+// After the clamp |y| ≤ max_code ≤ 32767, so trunc(y) and y − trunc(y)
+// are exact, and lround(y) is trunc(y) moved one step away from zero
+// exactly when |y − trunc(y)| ≥ ½: two compares instead of a libm call.
+// The AVX2 body evaluates that with truncation (never the ties-to-even
+// rounding mode) and no FMA, which could fuse y − trunc(y) with the
+// product y and see the unrounded value.  Non-finite inputs keep the
+// reference's bits: lround(NaN) is LONG_MIN here, which the narrowing
+// makes code 0, and ±Inf clamps to ±max_code.  The scalar tail and the
+// portable body call quantize_code itself, so no second rule exists.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 
@@ -58,6 +74,20 @@ namespace pdac::simd {
 
 /// Blocked Σ_p x[p]² — the quadratic-form row/column terms.
 [[nodiscard]] double dot_self(const double* x, std::size_t n);
+
+/// Doubles of dot_self's resumable state: its blocked accumulators (the
+/// two 4-wide chains on AVX2, the four partial sums of the portable path
+/// in the first four).
+inline constexpr std::size_t kDotSelfState = 8;
+
+/// dot_self(x, n) resumed from an earlier length m ≤ n: `state` holds the
+/// accumulators a previous call left for x[0, m) (all zero for m = 0).
+/// Advances them over the whole blocks of x up to n, then finishes with the
+/// 4-step, the fold and the tail as dot_self does, so the result equals
+/// dot_self(x, n) bit for bit while reading only x[m − m mod block, n).
+/// Blocks are 8 elements on AVX2 and 4 on the portable path.
+[[nodiscard]] double dot_self_resume(const double* x, std::size_t m, std::size_t n,
+                                     double* state);
 
 /// Four dots sharing one x row: out[b] == dot(x, y[b], n) bit for bit on
 /// every ISA.  One load of x feeds all four columns, the fast tier's
@@ -78,5 +108,19 @@ void dot4(const double* x, const double* const y[4], std::size_t n, double out[4
 /// Four exact integer dots sharing one x row (tile-blocking shape).
 void dot4_i16(const std::int16_t* x, const std::int16_t* const y[4], std::size_t n,
               std::int32_t max_abs, std::int64_t out[4]);
+
+/// The quantizer's rounding rule for one value (see header): the code of
+/// r ∈ [−1, 1] on the symmetric grid of ±max_code, saturating outside.
+[[nodiscard]] inline std::int32_t quantize_code(double r, std::int32_t max_code) {
+  const double clamped = std::clamp(r, -1.0, 1.0);
+  const auto code = static_cast<std::int32_t>(std::lround(clamped * max_code));
+  return std::clamp(code, -max_code, max_code);
+}
+
+/// codes[i] = quantize_code(in[i] / divisor, max_code) for every i < n, bit
+/// for bit on every ISA.  A divisor of 1 skips the division (x / 1 == x
+/// for every non-NaN x).  in and codes may not overlap.
+void quantize(const double* in, std::size_t n, double divisor, std::int32_t max_code,
+              std::int32_t* codes);
 
 }  // namespace pdac::simd

@@ -18,6 +18,17 @@ double ElectricalAdc::sample_to_voltage(double volts) const {
   return quant_.decode(sample(volts)) * cfg_.v_ref;
 }
 
+void ElectricalAdc::sample_to_voltage(std::span<const double> volts, std::span<double> out) const {
+  PDAC_REQUIRE(volts.size() == out.size(), "ElectricalAdc: sample span size mismatch");
+  // decode(code) · V_ref: the same two roundings as the scalar readout.
+  // encode_each reads each chunk whole first, so `out` may alias `volts`.
+  const double mc = static_cast<double>(quant_.max_code());
+  const double v_ref = cfg_.v_ref;
+  quant_.encode_each(volts, v_ref, [&](std::size_t i, std::int32_t code) {
+    out[i] = static_cast<double>(code) / mc * v_ref;
+  });
+}
+
 units::Power ElectricalAdc::power() const {
   return power_model(cfg_.bits, cfg_.sample_rate, cfg_.power_per_bit_watts,
                      cfg_.reference_rate);

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "common/units.hpp"
 #include "converters/quantizer.hpp"
@@ -32,8 +33,13 @@ class ElectricalAdc {
   [[nodiscard]] std::int32_t sample(double volts) const;
 
   /// Round-trip a voltage through the converter (what software reads back,
-  /// expressed in volts again).
+  /// expressed in volts again).  The scalar reference of the span form.
   [[nodiscard]] double sample_to_voltage(double volts) const;
+
+  /// out[i] = sample_to_voltage(volts[i]) for a whole readout span, bit for
+  /// bit: one span quantize (Quantizer::encode with divisor V_ref), then
+  /// the same code / max_code · V_ref decode.  `out` may be `volts` itself.
+  void sample_to_voltage(std::span<const double> volts, std::span<double> out) const;
 
   [[nodiscard]] units::Power power() const;
   [[nodiscard]] units::Energy energy_per_conversion() const;

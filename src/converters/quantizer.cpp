@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/require.hpp"
+#include "common/simd.hpp"
 
 namespace pdac::converters {
 
@@ -12,10 +13,12 @@ Quantizer::Quantizer(int bits) : bits_(bits) {
   max_code_ = static_cast<std::int32_t>((1 << (bits - 1)) - 1);
 }
 
-std::int32_t Quantizer::encode(double r) const {
-  const double clamped = std::clamp(r, -1.0, 1.0);
-  const auto code = static_cast<std::int32_t>(std::lround(clamped * max_code_));
-  return std::clamp(code, -max_code_, max_code_);
+std::int32_t Quantizer::encode(double r) const { return simd::quantize_code(r, max_code_); }
+
+void Quantizer::encode(std::span<const double> r, std::span<std::int32_t> codes,
+                       double divisor) const {
+  PDAC_REQUIRE(r.size() == codes.size(), "Quantizer: encode span size mismatch");
+  simd::quantize(r.data(), r.size(), divisor, max_code_, codes.data());
 }
 
 double Quantizer::decode(std::int32_t code) const {
@@ -44,7 +47,7 @@ std::vector<std::int32_t> quantize_vector(std::span<const double> values, const 
   const double scale = max_abs_scale(values);
   if (scale_out != nullptr) *scale_out = scale;
   std::vector<std::int32_t> codes(values.size());
-  for (std::size_t i = 0; i < values.size(); ++i) codes[i] = q.encode(values[i] / scale);
+  q.encode(values, codes, scale);
   return codes;
 }
 

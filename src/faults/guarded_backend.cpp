@@ -339,29 +339,50 @@ Matrix GuardedBackend::run_product(const Matrix& a, const Matrix& bsrc, ptc::Gro
   const Matrix* bdata = &pb->encoded;
   Matrix be_live;
   Matrix bn;
-  // Bring one tile's operand stripes up to the bank's current state
-  // through the live lanes.  An encode is a pure function of lane state
-  // and input, and every lane-state write bumps the epoch, so a stripe
-  // whose stamp equals the epoch already holds the bits a re-encode would
-  // write — only stale stripes are re-encoded.
+  // Bring one tile's operand stripes up to the bank's current state.  An
+  // encode is a pure function of lane state and input, and every
+  // lane-state write bumps the epoch, so a stripe whose stamp equals the
+  // epoch already holds the bits a re-encode would write — only stale
+  // stripes are re-encoded.  They read the current coefficient table
+  // when it is fresh and the live lane models otherwise, the same bits
+  // either way.  A rebuild costs lanes · codes model evaluations and a
+  // live re-encode one per element, so a stale table is rebuilt only
+  // once the stale elements met at the current epoch (this step's
+  // included) reach that count: a discrete fault's steps soon pay for
+  // the table and share it, while a bias walk, which moves the epoch
+  // every step, keeps narrow stripes on the live models.  Storm steps
+  // and retries run serially, so the table may be rebuilt here.
+  const std::size_t table_evals =
+      bank_.lanes() * (2 * static_cast<std::size_t>(bank_.quantizer().max_code()) + 1);
+  std::uint64_t live_epoch = bank_.epoch();
+  std::size_t live_evals = 0;
   const auto refresh_tile = [&](const ptc::Tile& tile) {
     const std::uint64_t now = bank_.epoch();
     std::uint64_t& ea = a_epoch[tile.row0 / cfg_.array_rows];
+    std::uint64_t& eb = b_epoch[tile.col0 / cfg_.array_cols];
+    if (ea == now && eb == now) return;
+    if (!table_.fresh(bank_)) {
+      if (live_epoch != now) {
+        live_epoch = now;
+        live_evals = 0;
+      }
+      live_evals += ((ea != now ? tile.rows : 0) + (eb != now ? tile.cols : 0)) * k;
+      if (live_evals >= table_evals) table_.rebuild(bank_);
+    }
     if (ea != now) {
-      const LaneEncoder live{bank_, pb->channels, 0};
+      const LaneEncoder live{bank_, pb->channels, 0, &table_};
       for (std::size_t i = tile.row0; i < tile.row0 + tile.rows; ++i) {
         live(an.row(i), 0, ae.row(i), {});
       }
       ea = now;
     }
-    std::uint64_t& eb = b_epoch[tile.col0 / cfg_.array_cols];
     if (eb != now) {
       if (bdata != &be_live) {
         ptc::stage_normalized_bt(bsrc, baxis, pb->scale, bn);
         be_live = pb->encoded;
         bdata = &be_live;
       }
-      const LaneEncoder live{bank_, pb->channels, 1};
+      const LaneEncoder live{bank_, pb->channels, 1, &table_};
       for (std::size_t j = tile.col0; j < tile.col0 + tile.cols; ++j) {
         live(bn.row(j), 0, be_live.row(j).first(k), {});
       }

@@ -39,13 +39,18 @@
 // a storm attached the tile loop serializes, and each tile step sees its
 // operand slices as the live lanes encode them at that step.  Every A row
 // stripe and B column stripe carries the bank epoch its encodes reflect;
-// a step re-encodes a stripe through the live lanes only when the epoch
-// has moved past that stamp.  An encode is a pure function of lane state
-// and input, and every lane-state write bumps the epoch, so a skipped
-// re-encode would have written the same bits.  The retry rung refreshes
-// its tiles the same way.  Without a storm, operands are pre-encoded once
-// per product and the loop is tile-parallel — bit-identical, since lane
-// state cannot change mid-product.
+// a step re-encodes a stripe only when the epoch has moved past that
+// stamp.  The re-encode reads the current coefficient table when it is
+// fresh and the live lane models otherwise; both give the same bits.  A
+// stale table is rebuilt once the stale elements met at the current
+// epoch reach its entry count, so a bias walk, which moves the epoch
+// every step, keeps narrow stripes on the live models.  An encode is a
+// pure function of lane state and input, and every lane-state write
+// bumps the epoch, so a skipped re-encode would have written the same
+// bits.  The retry rung refreshes its tiles the same way.  Without a
+// storm, operands are pre-encoded once per product and the loop is
+// tile-parallel — bit-identical, since lane state cannot change
+// mid-product.
 //
 // Recovery (escalation.hpp): mismatching tiles are re-run per the ladder
 // — retry (re-encode + re-run), targeted self-test + re-trim of the
@@ -304,9 +309,12 @@ class GuardedBackend final : public nn::GemmBackend {
   /// the last trusted calibration point (recalibrate()).
   LaneEncodeTable golden_;
 
-  /// Current-state lane coefficients for prepares, appends and A-side
-  /// encodes; re-ensured at product entry and after every ladder rung
-  /// that moves the epoch.
+  /// Current-state lane coefficients for prepares, appends, A-side
+  /// encodes and storm re-encodes; re-ensured at product entry and after
+  /// every ladder rung that moves the epoch, and rebuilt by a storm or
+  /// retry tile step once the stale elements met at the current epoch
+  /// reach lanes · codes (until then stale stripes re-encode through the
+  /// live lanes).
   LaneEncodeTable table_;
 
   FaultInjector* storm_{nullptr};

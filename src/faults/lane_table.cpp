@@ -28,16 +28,19 @@ double LaneEncodeTable::encode(std::size_t rail, std::size_t channel, double r) 
 void LaneEncoder::operator()(std::span<const double> norm, std::size_t p0,
                              std::span<double> current, std::span<double> reference,
                              std::span<std::int16_t> /*codes*/) const {
-  const converters::Quantizer& quant = bank.quantizer();
   const LaneEncodeTable* fresh = table != nullptr && table->fresh(bank) ? table : nullptr;
   const std::size_t nl = channels.size();
-  for (std::size_t i = 0; i < norm.size(); ++i) {
-    const std::int32_t code = quant.encode(math::clamp_unit(norm[i]));
-    const std::size_t flat = rail * bank.wavelengths() + channels[(p0 + i) % nl];
+  const std::size_t rail0 = rail * bank.wavelengths();
+  // One span quantize (clamp_unit's clamp included), then both amplitudes
+  // by code; position p0 + i rides channels[(p0 + i) % nl], advanced with i.
+  std::size_t ch = p0 % nl;
+  bank.quantizer().encode_each(norm, 1.0, [&](std::size_t i, std::int32_t code) {
+    const std::size_t flat = rail0 + channels[ch];
+    if (++ch == nl) ch = 0;
     current[i] =
         fresh != nullptr ? fresh->at(flat, code) : bank.lane(flat).model.encode_code(code);
     if (!reference.empty()) reference[i] = golden->at(flat, code);
-  }
+  });
 }
 
 }  // namespace pdac::faults

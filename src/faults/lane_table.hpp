@@ -83,9 +83,12 @@ class LaneEncodeTable {
 /// table, or a stale one), bit-identical either way, so a missed ensure()
 /// can cost speed but never correctness.  When a reference span is asked
 /// for, the GOLDEN amplitude comes from the pinned `golden` snapshot.
-/// Serves as the ptc::RowEncoder of every faults-layer prepare and
-/// append, and encodes A rows the same way.  Never stages codes: lanes
-/// are never on the quantizer grid.
+/// Each call quantizes its span once through the span rule
+/// (Quantizer::encode_each, DESIGN.md §18) and reads both amplitudes by
+/// code, advancing the channel index with the position.  Serves as the
+/// ptc::RowEncoder of every faults-layer prepare and append, encodes A
+/// rows the same way, and re-encodes stale stripes under a storm.  Never
+/// stages codes: lanes are never on the quantizer grid.
 struct LaneEncoder {
   const LaneBank& bank;
   const std::vector<std::size_t>& channels;

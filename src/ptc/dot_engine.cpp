@@ -54,21 +54,24 @@ double PhotonicDotEngine::encode(double r) const {
   return encode_lut_[static_cast<std::size_t>(code + quant_.max_code())];
 }
 
+// Both span encoders quantize through the span rule, then read the LUT at
+// each code.  Quantizer::encode clamps exactly as clamp_unit does, so the
+// divisor-1 span encode equals encode(in[i]) bit for bit.
 void PhotonicDotEngine::encode_span(std::span<const double> in, std::span<double> out) const {
   PDAC_REQUIRE(in.size() == out.size(), "PhotonicDotEngine: encode_span size mismatch");
-  for (std::size_t i = 0; i < in.size(); ++i) out[i] = encode(in[i]);
+  const double* const lut = encode_lut_.data() + quant_.max_code();
+  quant_.encode_each(in, 1.0, [&](std::size_t i, std::int32_t code) { out[i] = lut[code]; });
 }
 
 void PhotonicDotEngine::encode_span(std::span<const double> in, std::span<double> out,
                                     std::span<std::int16_t> codes) const {
   PDAC_REQUIRE(in.size() == out.size() && in.size() == codes.size(),
                "PhotonicDotEngine: encode_span size mismatch");
-  const std::int32_t mc = quant_.max_code();
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    const std::int32_t code = quant_.encode(math::clamp_unit(in[i]));
-    out[i] = encode_lut_[static_cast<std::size_t>(code + mc)];
+  const double* const lut = encode_lut_.data() + quant_.max_code();
+  quant_.encode_each(in, 1.0, [&](std::size_t i, std::int32_t code) {
+    out[i] = lut[code];
     codes[i] = static_cast<std::int16_t>(code);
-  }
+  });
 }
 
 double PhotonicDotEngine::apply_adc(double acc, std::size_t n, EventCounter* ev) const {

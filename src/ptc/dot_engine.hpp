@@ -80,7 +80,9 @@ class PhotonicDotEngine {
                                       DdotScratch* scratch = nullptr) const;
 
   /// Encode a span of normalized values through the memoized driver LUT
-  /// (out.size() must equal in.size()).  Pure and safe to call from
+  /// (out.size() must equal in.size()): one span quantize
+  /// (Quantizer::encode_each, DESIGN.md §18), then a LUT read per code —
+  /// bit-identical to encode() per element.  Pure and safe to call from
   /// multiple threads: the LUT is immutable after construction.
   void encode_span(std::span<const double> in, std::span<double> out) const;
 

@@ -298,15 +298,43 @@ bool PhotonicGemm::append(PreparedOperand& pb, const Matrix& src, GrowAxis axis,
     return false;
   }
   if (!reads_energy() || (pb.rows == old_rows && pb.cols == old_cols)) return true;
-  // Output axis: sum only the new columns.  Reduction axis: the blocked
-  // sum is not prefix-stable, so every column is re-summed at the new
-  // length.
-  stage_energy(pb, axis == GrowAxis::kCols && extend ? old_cols : 0);
+  // Output axis: sum only the new columns.  Reduction axis: continue each
+  // column's sum over its new rows.
+  if (axis == GrowAxis::kCols) {
+    stage_energy(pb, extend ? old_cols : 0);
+  } else {
+    resume_energy(pb, old_rows, extend);
+  }
   return true;
 }
 
 void PhotonicGemm::stage_energy(PreparedOperand& pb, std::size_t j0) const {
   sum_energy(pb, j0, pb.energy);
+  pb.energy_path = cfg_.path;
+  pb.energy_rows = pb.rows;
+  pb.energy_acc = {};
+  pb.energy_isum = {};
+}
+
+void PhotonicGemm::resume_energy(PreparedOperand& pb, std::size_t old_rows, bool extend) const {
+  const bool quant = cfg_.path == ExecutionPath::kKernelQuant;
+  const bool staged = quant ? pb.energy_isum.size() == pb.cols
+                            : pb.energy_acc.size() == pb.cols * simd::kDotSelfState;
+  const std::size_t from = extend && staged ? old_rows : 0;
+  if (from == 0) {
+    pb.energy_acc.assign(quant ? 0 : pb.cols * simd::kDotSelfState, 0.0);
+    pb.energy_isum.assign(quant ? pb.cols : 0, 0);
+  }
+  pb.energy.resize(pb.cols);
+  pool_->parallel_for(pb.cols, [&](std::size_t begin, std::size_t end, std::size_t) {
+    for (std::size_t j = begin; j < end; ++j) {
+      pb.energy[j] =
+          quant ? kernel_.energy(pb.qcodes.row(j).first(pb.rows), from, pb.energy_isum[j])
+                : kernel_.energy(pb.encoded.row(j).first(pb.rows), from,
+                                 std::span<double>(pb.energy_acc)
+                                     .subspan(j * simd::kDotSelfState, simd::kDotSelfState));
+    }
+  });
   pb.energy_path = cfg_.path;
   pb.energy_rows = pb.rows;
 }

@@ -42,8 +42,11 @@
 // (DESIGN.md §17); executors differ only in the RowEncoder they hand in.
 // An engine whose tier reads the full-optics quadratic form (kKernelSimd
 // or kKernelQuant with use_full_optics) also sums each column's energy
-// Σy² once when it prepares or appends, and each A row's Σx² once per
-// product, so the tiles sum only Σxy (kernel.hpp).
+// Σy² once when it prepares or appends — a reduction-axis append resumes
+// each column's sum over just its new rows — and each A row's Σx² once
+// per product, so the tiles sum only Σxy (kernel.hpp).  Every encode and
+// readout quantizes whole spans through one exact span rule (DESIGN.md
+// §18).
 //
 // ABFT guard (DESIGN.md §12, abft.hpp): with GemmConfig::guard enabled,
 // prepare_b additionally builds one checksum column per array-width
@@ -179,6 +182,16 @@ struct PreparedOperand {
   std::vector<double> energy;
   ExecutionPath energy_path{ExecutionPath::kKernel};
   std::size_t energy_rows{0};
+  /// Where each column's energy sum stopped, so a reduction-axis append
+  /// continues it instead of re-summing the column (FusedKernel's resumed
+  /// energy overloads): the kKernelSimd rule's blocked accumulators,
+  /// simd::kDotSelfState doubles per column in `energy_acc`, or the
+  /// kKernelQuant rule's exact Σc² per column in `energy_isum`, both over
+  /// the first `energy_rows` positions.  Only a reduction-axis append
+  /// stages them (the first one sums from zero), so prepared weights carry
+  /// none; every other energy write drops them.
+  std::vector<double> energy_acc;
+  std::vector<std::int64_t> energy_isum;
 
   /// True when `energy` holds this length's sums by `path`'s rule.
   [[nodiscard]] bool has_energy(ExecutionPath path) const {
@@ -189,9 +202,11 @@ struct PreparedOperand {
   /// storage, so column-capacity padding is charged to the caches too.
   [[nodiscard]] std::size_t bytes() const {
     return sizeof(PreparedOperand) +
-           (encoded.size() + checksum.size() + reference.size() + energy.size()) *
+           (encoded.size() + checksum.size() + reference.size() + energy.size() +
+            energy_acc.size()) *
                sizeof(double) +
-           qcodes.size() * sizeof(std::int16_t) + channels.size() * sizeof(std::size_t);
+           qcodes.size() * sizeof(std::int16_t) + energy_isum.size() * sizeof(std::int64_t) +
+           channels.size() * sizeof(std::size_t);
   }
 };
 
@@ -368,8 +383,14 @@ class PhotonicGemm {
   /// Σy² of b's columns [j0, b.cols) by this tier's rule into out[j0..);
   /// `out` is resized to b.cols.
   void sum_energy(const PreparedOperand& b, std::size_t j0, std::vector<double>& out) const;
-  /// sum_energy into pb.energy from column j0 on, then stamp it.
+  /// sum_energy into pb.energy from column j0 on, then stamp it; drops
+  /// any resume state.
   void stage_energy(PreparedOperand& pb, std::size_t j0) const;
+  /// Reduction-axis append: continue every column's energy from the resume
+  /// state it left at `old_rows` when `extend` (this tier's sums at that
+  /// length) and the state is staged, else sum from zero and stage the
+  /// state; then stamp.
+  void resume_energy(PreparedOperand& pb, std::size_t old_rows, bool extend) const;
 
   GemmConfig cfg_;
   PhotonicDotEngine engine_;

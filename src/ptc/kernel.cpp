@@ -157,15 +157,30 @@ double FusedKernel::reduce(std::span<const double> xe, std::span<const double> y
   return acc;
 }
 
-double FusedKernel::apply_adc(double acc, std::size_t n) const {
-  if (!adc_) return acc;
-  const double fs = adc_full_scale_ > 0.0
-                        ? adc_full_scale_
-                        : static_cast<double>(std::max<std::size_t>(n, 1));
+converters::ElectricalAdc FusedKernel::make_adc(std::size_t n) const {
   converters::ElectricalAdcConfig ac;
   ac.bits = adc_bits_;
-  ac.v_ref = fs;
-  return converters::ElectricalAdc(ac).sample_to_voltage(acc);
+  ac.v_ref = adc_full_scale_ > 0.0 ? adc_full_scale_
+                                   : static_cast<double>(std::max<std::size_t>(n, 1));
+  return converters::ElectricalAdc(ac);
+}
+
+double FusedKernel::apply_adc(double acc, std::size_t n) const {
+  return adc_ ? make_adc(n).sample_to_voltage(acc) : acc;
+}
+
+void FusedKernel::readout(const converters::ElectricalAdc& adc, std::span<double> raw,
+                          double rescale, double* rsum, double* csum) const {
+  // One span ADC call per tile row (bit-identical to sampling each value),
+  // then the rescale and the tile sums in ascending j: the device-graph
+  // loop's order, which the guard's bit-identity needs.
+  if (adc_) adc.sample_to_voltage(raw, raw);
+  for (std::size_t b = 0; b < raw.size(); ++b) {
+    const double r = raw[b];
+    raw[b] = r * rescale;
+    if (rsum != nullptr) *rsum += r;
+    if (csum != nullptr) csum[b] += r;
+  }
 }
 
 double FusedKernel::dot(std::span<const double> xe, std::span<const double> ye,
@@ -193,40 +208,26 @@ void FusedKernel::run_tile(const Tile& tile, const Matrix& ae, const Matrix& be,
   // The reduction length is fixed across the tile, so the ADC (whose
   // behavior depends only on bits and full scale) is built once instead
   // of per dot — identical round-trip, hoisted construction.
-  converters::ElectricalAdcConfig ac;
-  ac.bits = adc_bits_;
-  ac.v_ref = adc_full_scale_ > 0.0 ? adc_full_scale_
-                                   : static_cast<double>(std::max<std::size_t>(k, 1));
-  const converters::ElectricalAdc adc(ac);
+  const converters::ElectricalAdc adc = make_adc(k);
   constexpr std::size_t kBlock = 4;
   const std::size_t col_end = tile.col0 + tile.cols;
   for (std::size_t i = tile.row0; i < tile.row0 + tile.rows; ++i) {
     const auto x = ae.row(i);
+    // Raw values land in the output row first; readout() converts them in
+    // place.
+    double* const raw = c.row(i).data() + tile.col0;
     std::size_t j = tile.col0;
     // Blocked main loop: four dots per pass for ILP (see reduce_block);
-    // the raw values and their rsum/csum accumulation order match the
-    // scalar loop exactly — j still ascends within the row.
+    // the raw values match the scalar loop exactly.
     for (; j + kBlock <= col_end; j += kBlock) {
       const double* ys[kBlock];
       for (std::size_t b = 0; b < kBlock; ++b) ys[b] = be.row(j + b).data();
-      double raw[kBlock];
       reduce_block<kBlock>(lanes_.data(), lanes_.size(), det_, full_optics_, x.data(), ys, k,
-                           raw);
-      for (std::size_t b = 0; b < kBlock; ++b) {
-        double r = raw[b];
-        if (adc_) r = adc.sample_to_voltage(r);
-        c(i, j + b) = r * rescale;
-        if (rsum != nullptr) rsum[i - tile.row0] += r;
-        if (csum != nullptr) csum[j + b - tile.col0] += r;
-      }
+                           raw + (j - tile.col0));
     }
-    for (; j < col_end; ++j) {
-      double raw = reduce(x, be.row(j));
-      if (adc_) raw = adc.sample_to_voltage(raw);
-      c(i, j) = raw * rescale;
-      if (rsum != nullptr) rsum[i - tile.row0] += raw;
-      if (csum != nullptr) csum[j - tile.col0] += raw;
-    }
+    for (; j < col_end; ++j) raw[j - tile.col0] = reduce(x, be.row(j));
+    readout(adc, {raw, tile.cols}, rescale, rsum != nullptr ? rsum + (i - tile.row0) : nullptr,
+            csum);
   }
 }
 
@@ -263,9 +264,24 @@ double FusedKernel::energy(std::span<const double> y) const {
 }
 
 double FusedKernel::energy(std::span<const std::int16_t> codes) const {
+  std::int64_t sum = 0;
+  return energy(codes, 0, sum);
+}
+
+double FusedKernel::energy(std::span<const double> y, std::size_t m,
+                           std::span<double> state) const {
+  PDAC_REQUIRE(m <= y.size() && state.size() == simd::kDotSelfState,
+               "FusedKernel: energy resume state must cover a prefix");
+  return simd::dot_self_resume(y.data(), m, y.size(), state.data());
+}
+
+double FusedKernel::energy(std::span<const std::int16_t> codes, std::size_t m,
+                           std::int64_t& sum) const {
+  PDAC_REQUIRE(m <= codes.size(), "FusedKernel: energy resume state must cover a prefix");
   // Exact Σc² over ℤ, then one division: on-grid y = c/mc bitwise.
+  sum += simd::dot_self_i16(codes.data() + m, codes.size() - m, max_code_);
   const double mc2 = static_cast<double>(max_code_) * static_cast<double>(max_code_);
-  return static_cast<double>(simd::dot_self_i16(codes.data(), codes.size(), max_code_)) / mc2;
+  return static_cast<double>(sum) / mc2;
 }
 
 void FusedKernel::run_tile_fast(const Tile& tile, const Matrix& ae, const Matrix& be,
@@ -279,11 +295,7 @@ void FusedKernel::run_tile_fast(const Tile& tile, const Matrix& ae, const Matrix
   PDAC_REQUIRE(!full_optics_ || (xx.size() >= tile.row0 + tile.rows &&
                                  yy.size() >= tile.col0 + tile.cols),
                "FusedKernel: full optics needs row and column energies covering the tile");
-  converters::ElectricalAdcConfig ac;
-  ac.bits = adc_bits_;
-  ac.v_ref = adc_full_scale_ > 0.0 ? adc_full_scale_
-                                   : static_cast<double>(std::max<std::size_t>(k, 1));
-  const converters::ElectricalAdc adc(ac);
+  const converters::ElectricalAdc adc = make_adc(k);
   // Full optics: the closed form over the caller's energies, indexed by
   // absolute row i and column j; off, each raw value is simd::dot(x, y, k).
   const QuadraticForm q = full_optics_ ? quadratic_form(k) : QuadraticForm{};
@@ -292,6 +304,7 @@ void FusedKernel::run_tile_fast(const Tile& tile, const Matrix& ae, const Matrix
   const std::size_t col_end = tile.col0 + tile.cols;
   for (std::size_t i = tile.row0; i < tile.row0 + tile.rows; ++i) {
     const double* x = ae.row(i).data();
+    double* const raw = c.row(i).data() + tile.col0;
     std::size_t j = tile.col0;
     for (; j + kBlock <= col_end; j += kBlock) {
       const double* ys[kBlock];
@@ -299,22 +312,17 @@ void FusedKernel::run_tile_fast(const Tile& tile, const Matrix& ae, const Matrix
       double sxy[kBlock];
       simd::dot4(x, ys, k, sxy);
       for (std::size_t b = 0; b < kBlock; ++b) {
-        double r = full_optics_ ? q.cxx * xx[i] + q.cyy * yy[j + b] + q.cxy * sxy[b] + q.dark
-                                : sxy[b];
-        if (adc_) r = adc.sample_to_voltage(r);
-        c(i, j + b) = r * rescale;
-        if (rsum != nullptr) rsum[i - tile.row0] += r;
-        if (csum != nullptr) csum[j + b - tile.col0] += r;
+        raw[j + b - tile.col0] =
+            full_optics_ ? q.cxx * xx[i] + q.cyy * yy[j + b] + q.cxy * sxy[b] + q.dark : sxy[b];
       }
     }
     for (; j < col_end; ++j) {
       const double sxy = simd::dot(x, be.row(j).data(), k);
-      double r = full_optics_ ? q.cxx * xx[i] + q.cyy * yy[j] + q.cxy * sxy + q.dark : sxy;
-      if (adc_) r = adc.sample_to_voltage(r);
-      c(i, j) = r * rescale;
-      if (rsum != nullptr) rsum[i - tile.row0] += r;
-      if (csum != nullptr) csum[j - tile.col0] += r;
+      raw[j - tile.col0] =
+          full_optics_ ? q.cxx * xx[i] + q.cyy * yy[j] + q.cxy * sxy + q.dark : sxy;
     }
+    readout(adc, {raw, tile.cols}, rescale, rsum != nullptr ? rsum + (i - tile.row0) : nullptr,
+            csum);
   }
 }
 
@@ -328,11 +336,7 @@ void FusedKernel::run_tile_quant(const Tile& tile, const CodeMatrix& aq, const C
   PDAC_REQUIRE(!full_optics_ || (xx.size() >= tile.row0 + tile.rows &&
                                  yy.size() >= tile.col0 + tile.cols),
                "FusedKernel: full optics needs row and column energies covering the tile");
-  converters::ElectricalAdcConfig ac;
-  ac.bits = adc_bits_;
-  ac.v_ref = adc_full_scale_ > 0.0 ? adc_full_scale_
-                                   : static_cast<double>(std::max<std::size_t>(k, 1));
-  const converters::ElectricalAdc adc(ac);
+  const converters::ElectricalAdc adc = make_adc(k);
 
   // Same quadratic form as run_tile_fast, but with the amplitude sums
   // carried as exact integer sums over codes: on-grid, x = cx/mc and
@@ -350,6 +354,7 @@ void FusedKernel::run_tile_quant(const Tile& tile, const CodeMatrix& aq, const C
   const std::size_t col_end = tile.col0 + tile.cols;
   for (std::size_t i = tile.row0; i < tile.row0 + tile.rows; ++i) {
     const std::int16_t* x = aq.row(i).data();
+    double* const raw = c.row(i).data() + tile.col0;
     std::size_t j = tile.col0;
     for (; j + kBlock <= col_end; j += kBlock) {
       const std::int16_t* ys[kBlock];
@@ -358,22 +363,17 @@ void FusedKernel::run_tile_quant(const Tile& tile, const CodeMatrix& aq, const C
       simd::dot4_i16(x, ys, k, mc, ixy);
       for (std::size_t b = 0; b < kBlock; ++b) {
         const double sxy = static_cast<double>(ixy[b]) / mc2;
-        double r = full_optics_ ? q.cxx * xx[i] + q.cyy * yy[j + b] + q.cxy * sxy + q.dark
-                                : sxy;
-        if (adc_) r = adc.sample_to_voltage(r);
-        c(i, j + b) = r * rescale;
-        if (rsum != nullptr) rsum[i - tile.row0] += r;
-        if (csum != nullptr) csum[j + b - tile.col0] += r;
+        raw[j + b - tile.col0] =
+            full_optics_ ? q.cxx * xx[i] + q.cyy * yy[j + b] + q.cxy * sxy + q.dark : sxy;
       }
     }
     for (; j < col_end; ++j) {
       const double sxy = static_cast<double>(simd::dot_i16(x, bq.row(j).data(), k, mc)) / mc2;
-      double r = full_optics_ ? q.cxx * xx[i] + q.cyy * yy[j] + q.cxy * sxy + q.dark : sxy;
-      if (adc_) r = adc.sample_to_voltage(r);
-      c(i, j) = r * rescale;
-      if (rsum != nullptr) rsum[i - tile.row0] += r;
-      if (csum != nullptr) csum[j - tile.col0] += r;
+      raw[j - tile.col0] =
+          full_optics_ ? q.cxx * xx[i] + q.cyy * yy[j] + q.cxy * sxy + q.dark : sxy;
     }
+    readout(adc, {raw, tile.cols}, rescale, rsum != nullptr ? rsum + (i - tile.row0) : nullptr,
+            csum);
   }
 }
 

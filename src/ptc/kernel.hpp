@@ -20,7 +20,9 @@
 // (including the ps_re·0.0-style terms that keep signed zeros honest),
 // per-chunk intensity sums in ascending channel order, detector affine
 // transfer, per-chunk differential accumulation, and the same ADC
-// round-trip — so outputs AND event counts equal the device-graph path
+// round-trip (the tiles read each row out through the ADC's span form,
+// one exact span quantizer, DESIGN.md §18) — so outputs AND event counts
+// equal the device-graph path
 // bit for bit at any thread count, clean or degraded.  Inactive (fenced
 // or past-the-ragged-edge) channels contribute exactly +0.0 to both
 // photocurrents in the device graph, and every partial intensity sum is
@@ -30,8 +32,10 @@
 // form cxx·Σx² + cyy·Σy² + cxy·Σxy + dark.  Σx² depends on one A row and
 // Σy² on one B column only, so the tile functions sum just Σxy and take
 // both energies from the caller (spans indexed by absolute row/column);
-// energy() is the one rule that sums them.  PhotonicGemm sums Σx² once
-// per A row per product and caches Σy² in the PreparedOperand.
+// energy() is the one rule that sums them, fresh or resumed from the
+// state an earlier length left (reduction-axis appends, DESIGN.md §17).
+// PhotonicGemm sums Σx² once per A row per product and caches Σy² in the
+// PreparedOperand.
 //
 // Staleness: a kernel is a snapshot.  PhotonicGemm's engine is immutable
 // after construction, so its kernel never goes stale.  The faults-layer
@@ -89,7 +93,9 @@ class FusedKernel {
                            EventCounter* ev = nullptr) const;
 
   /// One whole output tile in a single pass: every (i, j) dot of
-  /// ae[tile rows] × be[tile cols], ADC-rounded, rescaled into `c`.
+  /// ae[tile rows] × be[tile cols], rescaled into `c`.  With the ADC on,
+  /// each tile row's raw values are read out through one span ADC call,
+  /// bit-identical to sampling each output (all three tile functions).
   /// When `rsum`/`csum` are non-null (ABFT-guarded products) the raw
   /// post-ADC dot values are accumulated per tile row/column in the same
   /// order as the device-graph loop.  The tile functions charge no
@@ -150,6 +156,19 @@ class FusedKernel {
   /// never reads energies summed by the other's rule.
   [[nodiscard]] double energy(std::span<const std::int16_t> codes) const;
 
+  /// energy(y) resumed from an earlier length m ≤ y.size(): `state`
+  /// (simd::kDotSelfState doubles) holds what the call at length m left
+  /// (zeros for m = 0) and is advanced to y.size().  Equals energy(y) bit
+  /// for bit, reading only y's last m mod 8 + (y.size() − m) elements.
+  [[nodiscard]] double energy(std::span<const double> y, std::size_t m,
+                              std::span<double> state) const;
+
+  /// energy(codes) resumed: `sum` holds the exact Σc² over codes[0, m) and
+  /// gains the rest.  Equals energy(codes) bit for bit, since integer sums
+  /// are associative.
+  [[nodiscard]] double energy(std::span<const std::int16_t> codes, std::size_t m,
+                              std::int64_t& sum) const;
+
   /// True when run_tile_quant is usable: the kernel was snapshotted from
   /// an engine whose encode LUT is exactly the quantizer grid (e.g. a
   /// core::BitTrueDacDriver engine).  Off-grid drivers (ideal DAC,
@@ -170,7 +189,15 @@ class FusedKernel {
   };
   [[nodiscard]] QuadraticForm quadratic_form(std::size_t k) const;
   [[nodiscard]] double reduce(std::span<const double> xe, std::span<const double> ye) const;
+  /// The readout ADC at reduction length n (full scale = n when auto).
+  [[nodiscard]] converters::ElectricalAdc make_adc(std::size_t n) const;
   [[nodiscard]] double apply_adc(double acc, std::size_t n) const;
+  /// Read out one tile row in place: `raw` holds the row's raw dot values
+  /// (in the output matrix); the span ADC when on, then each value becomes
+  /// value · rescale, and the post-ADC values are folded into *rsum and
+  /// csum[0..) when non-null, in ascending column order.
+  void readout(const converters::ElectricalAdc& adc, std::span<double> raw, double rescale,
+               double* rsum, double* csum) const;
 
   /// One coefficient row per active (un-fenced) wavelength, in packing
   /// order — the flat table the inner loop streams.

@@ -1,8 +1,15 @@
 // Unit tests for the electrical ADC (shared by both system variants).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <span>
+#include <vector>
+
 #include "common/require.hpp"
+#include "common/rng.hpp"
 #include "converters/electrical_adc.hpp"
+#include "span_rule_cases.hpp"
 
 namespace {
 
@@ -42,6 +49,54 @@ TEST(ElectricalAdc, RoundTripWithinHalfLsb) {
   for (double v = -2.0; v <= 2.0; v += 0.137) {
     EXPECT_NEAR(adc.sample_to_voltage(v), v, 0.5 * lsb + 1e-12) << "v=" << v;
   }
+}
+
+/// First index where got[i] and sample_to_voltage(in[off + i]) differ in
+/// any bit (−0.0 against +0.0 included), or got.size() when none.
+std::size_t first_mismatch(const ElectricalAdc& adc, const std::vector<double>& in,
+                           std::size_t off, const std::vector<double>& got) {
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (std::bit_cast<std::uint64_t>(got[i]) !=
+        std::bit_cast<std::uint64_t>(adc.sample_to_voltage(in[off + i]))) {
+      return i;
+    }
+  }
+  return got.size();
+}
+
+TEST(ElectricalAdc, SpanReadoutEqualsScalarBitForBit) {
+  // The span readout must equal the scalar round trip bit for bit at every
+  // bit width and V_ref — on every rounding tie and its neighbours, ±0,
+  // the extremes, ±Inf and NaN — whole, in place, and in spans ending at
+  // every tail position.
+  Rng rng(93);
+  for (int bits = 2; bits <= 16; ++bits) {
+    for (const double v_ref : {1.0, 0.7, 3.0, 768.0}) {
+      SCOPED_TRACE(testing::Message() << "bits " << bits << ", V_ref " << v_ref);
+      const ElectricalAdc adc(cfg_bits(bits, v_ref));
+      const std::vector<double> in = span_rule::inputs((1 << (bits - 1)) - 1, v_ref, rng);
+      std::vector<double> out(in.size());
+      adc.sample_to_voltage(in, out);
+      std::size_t bad = first_mismatch(adc, in, 0, out);
+      ASSERT_EQ(bad, out.size()) << "input " << in[bad] << " read " << out[bad];
+      std::vector<double> inplace = in;
+      adc.sample_to_voltage(inplace, inplace);
+      bad = first_mismatch(adc, in, 0, inplace);
+      ASSERT_EQ(bad, inplace.size()) << "in place, input " << in[bad];
+      for (std::size_t off = 0; off < 4; ++off) {
+        for (const std::size_t len : span_rule::lengths()) {
+          std::vector<double> part(len, -1.0);
+          adc.sample_to_voltage(std::span<const double>(in).subspan(off, len), part);
+          bad = first_mismatch(adc, in, off, part);
+          ASSERT_EQ(bad, part.size()) << "offset " << off << ", length " << len << ", input "
+                                      << in[off + bad];
+        }
+      }
+    }
+  }
+  const ElectricalAdc adc(cfg_bits(8));
+  std::vector<double> out(2);
+  EXPECT_THROW(adc.sample_to_voltage(std::vector<double>(3, 0.0), out), PreconditionError);
 }
 
 TEST(ElectricalAdc, PowerLinearInBits) {

@@ -503,6 +503,68 @@ TEST(GuardedBackend, StormDetectsMidProductFaultInAffectedTile) {
   }
 }
 
+TEST(GuardedBackend, UnguardedStormTilesMatchLaneReferenceOfTheirStep) {
+  // A storm step re-encodes its stale stripes through the live lane
+  // models until the stale elements met at the current epoch reach
+  // lanes · codes (8 · 255 = 2040 here), then rebuilds the current lane
+  // table and reads it.  Every route must give the bits of the lanes as
+  // they stand at that step: with the guard off, every tile before the
+  // strike equals the clean bank's lane reference and every tile from it
+  // on the struck bank's, bit for bit.  On the 3 × 3 tile grid one
+  // strike makes at most 6 stripes stale: k = 16 stays on the live models
+  // (6 · 8 · 16 = 768 elements), k = 96 re-encodes the first stale step
+  // live (1536) and rebuilds at the second (2304), and k = 320 rebuilds
+  // at the first.
+  Rng rng(59);
+  for (const ptc::ExecutionPath path :
+       {ptc::ExecutionPath::kKernel, ptc::ExecutionPath::kKernelSimd}) {
+    for (const std::size_t k : {std::size_t{16}, std::size_t{96}, std::size_t{320}}) {
+      const Matrix a = Matrix::random_gaussian(24, k, rng, 0.0, 1.0);
+      const Matrix b = Matrix::random_gaussian(k, 24, rng, 0.0, 1.0);
+      // x lane 3 corrupts A rows, y lane 5 B columns; step 2 lands before
+      // tile 1 (mid row stripe), step 5 before tile 4 (a fresh one).
+      for (const std::size_t lane : {std::size_t{3}, std::size_t{5}}) {
+        for (const std::uint64_t step : {2u, 5u}) {
+          SCOPED_TRACE("path " + std::to_string(static_cast<int>(path)) + ", k " +
+                       std::to_string(k) + ", lane " + std::to_string(lane) + ", step " +
+                       std::to_string(step));
+          const faults::FaultSchedule sched = one_event(8, stuck_mrr(lane, step), 64);
+          faults::LaneBank clean(small_bank_config());
+          faults::production_trim(clean);
+          faults::LaneBank struck(small_bank_config());
+          faults::production_trim(struck);
+          faults::FaultInjector(struck, sched).advance_to(step);
+          const Matrix before = lane_reference(clean, a, b, path);
+          const Matrix after = lane_reference(struck, a, b, path);
+
+          faults::LaneBank bank(small_bank_config());
+          faults::production_trim(bank);
+          faults::GuardedBackendConfig cfg;
+          cfg.guard.enabled = false;
+          cfg.path = path;
+          faults::GuardedBackend backend(bank, cfg);
+          faults::FaultInjector injector(bank, sched);
+          backend.attach_storm(&injector, 1);
+          const Matrix got = backend.matmul(a, b);
+          ASSERT_EQ(injector.events_applied(), 1u);
+
+          // The clock reads t + 1 before tile t, so the strike at `step`
+          // lands before tile step − 1.
+          const std::vector<ptc::Tile> tiles = ptc::partition_tiles(24, 24, 8, 8);
+          for (std::size_t t = 0; t < tiles.size(); ++t) {
+            const Matrix& want = t + 1 < step ? before : after;
+            for (std::size_t i = tiles[t].row0; i < tiles[t].row0 + tiles[t].rows; ++i) {
+              for (std::size_t j = tiles[t].col0; j < tiles[t].col0 + tiles[t].cols; ++j) {
+                ASSERT_EQ(got(i, j), want(i, j)) << "tile " << t << " (" << i << ", " << j << ")";
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(GuardedBackend, QuietStormProductEqualsStormFreeProduct) {
   // A storm whose injector fires nothing inside the product must be pure
   // observation: output, data-path events and the whole health snapshot

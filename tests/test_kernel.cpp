@@ -23,6 +23,7 @@
 #include "ptc/dot_engine.hpp"
 #include "ptc/gemm_engine.hpp"
 #include "ptc/kernel.hpp"
+#include "readout_check.hpp"
 
 namespace {
 
@@ -260,6 +261,59 @@ TEST(FusedKernel, QuantTileReadsAbsoluteEnergies) {
         const double want = inside(tile, i, j) ? form(xx[i], yy[j], exact(aq.row(i), bq.row(j)))
                                                : 0.0;
         EXPECT_EQ(c(i, j), want) << "output " << i << "," << j;
+      }
+    }
+  }
+}
+
+TEST(FusedKernel, SpanReadoutEqualsScalarAdcOnDoubleTiers) {
+  // run_tile and run_tile_fast read each tile row out through the span
+  // ADC: every output must be the scalar round trip of the ADC-off raw
+  // value, rescaled, and the tile sums must fold the post-ADC values in
+  // ascending order.  Full optics on the imbalanced chain and the
+  // amplitude domain, at auto and fixed full scale.
+  const Ddot ddot = custom_ddot();
+  const std::size_t k = 23;
+  Rng rng(71);
+  Matrix ae(readout_check::kRows, k);
+  Matrix be(readout_check::kCols, k);
+  for (double& v : ae.data()) v = rng.uniform(-1.0, 1.0);
+  for (double& v : be.data()) v = rng.uniform(-1.0, 1.0);
+  for (const bool optics : {false, true}) {
+    for (const double fs : {0.0, 1.5}) {
+      SCOPED_TRACE(testing::Message() << "optics " << optics << ", full scale " << fs);
+      DotEngineConfig cfg;
+      cfg.wavelengths = 5;
+      cfg.use_full_optics = optics;
+      cfg.adc_full_scale = fs;
+      const FusedKernel off(ddot, cfg);
+      cfg.adc_readout = true;
+      const FusedKernel on(ddot, cfg);
+      std::vector<double> xx(ae.rows());
+      std::vector<double> yy(be.rows());
+      for (std::size_t i = 0; i < xx.size(); ++i) xx[i] = on.energy(ae.row(i));
+      for (std::size_t j = 0; j < yy.size(); ++j) yy[j] = on.energy(be.row(j));
+      converters::ElectricalAdcConfig ac;
+      ac.bits = cfg.adc_bits;
+      ac.v_ref = fs > 0.0 ? fs : static_cast<double>(k);
+      const converters::ElectricalAdc adc(ac);
+      {
+        SCOPED_TRACE("run_tile");
+        readout_check::expect_span_readout(
+            on, off, adc,
+            [&](const FusedKernel& kernel, const Tile& tile, double rescale, Matrix& c,
+                double* rsum, double* csum) {
+              kernel.run_tile(tile, ae, be, rescale, c, rsum, csum);
+            });
+      }
+      {
+        SCOPED_TRACE("run_tile_fast");
+        readout_check::expect_span_readout(
+            on, off, adc,
+            [&](const FusedKernel& kernel, const Tile& tile, double rescale, Matrix& c,
+                double* rsum, double* csum) {
+              kernel.run_tile_fast(tile, ae, be, xx, yy, rescale, c, rsum, csum);
+            });
       }
     }
   }

@@ -4,6 +4,7 @@
 // that keep the faults layer off the integer tier.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -18,6 +19,8 @@
 #include "nn/backend.hpp"
 #include "ptc/abft.hpp"
 #include "ptc/gemm_engine.hpp"
+#include "ptc/kernel.hpp"
+#include "readout_check.hpp"
 
 namespace {
 
@@ -148,6 +151,55 @@ TEST(KernelQuant, MultiplyPreparedRejectsDoubleTierOperand) {
   const Matrix b = Matrix::random_gaussian(20, 6, rng, 0.0, 1.0);
   const ptc::PreparedOperand pb = scalar_gemm.prepare_b(b);  // no codes staged
   EXPECT_THROW((void)quant_gemm.multiply_prepared(a, pb), PreconditionError);
+}
+
+TEST(KernelQuant, SpanReadoutEqualsScalarAdc) {
+  // run_tile_quant's half of the readout contract: each ADC-on output is
+  // the scalar round trip of the ADC-off raw value, rescaled, and the tile
+  // sums fold the post-ADC values in ascending order.  Full optics and the
+  // amplitude domain, at auto and fixed full scale.
+  const auto drv = core::make_bit_true_driver(8);
+  const std::size_t k = 23;
+  Rng rng(73);
+  const std::int32_t mc = converters::Quantizer(8).max_code();
+  CodeMatrix aq(readout_check::kRows, k);
+  CodeMatrix bq(readout_check::kCols, k);
+  for (std::size_t i = 0; i < aq.rows(); ++i) {
+    const auto row = random_codes(k, mc, rng);
+    std::copy(row.begin(), row.end(), aq.row(i).begin());
+  }
+  for (std::size_t j = 0; j < bq.rows(); ++j) {
+    const auto row = random_codes(k, mc, rng);
+    std::copy(row.begin(), row.end(), bq.row(j).begin());
+  }
+  for (const bool optics : {false, true}) {
+    for (const double fs : {0.0, 0.4}) {
+      SCOPED_TRACE(testing::Message() << "optics " << optics << ", full scale " << fs);
+      ptc::DotEngineConfig cfg;
+      cfg.wavelengths = 5;
+      cfg.use_full_optics = optics;
+      cfg.adc_full_scale = fs;
+      const ptc::PhotonicDotEngine engine_off(*drv, cfg);
+      cfg.adc_readout = true;
+      const ptc::PhotonicDotEngine engine_on(*drv, cfg);
+      const ptc::FusedKernel off(engine_off);
+      const ptc::FusedKernel on(engine_on);
+      ASSERT_TRUE(on.quant_ready());
+      std::vector<double> xx(aq.rows());
+      std::vector<double> yy(bq.rows());
+      for (std::size_t i = 0; i < xx.size(); ++i) xx[i] = on.energy(aq.row(i));
+      for (std::size_t j = 0; j < yy.size(); ++j) yy[j] = on.energy(bq.row(j));
+      converters::ElectricalAdcConfig ac;
+      ac.bits = cfg.adc_bits;
+      ac.v_ref = fs > 0.0 ? fs : static_cast<double>(k);
+      readout_check::expect_span_readout(
+          on, off, converters::ElectricalAdc(ac),
+          [&](const ptc::FusedKernel& kernel, const ptc::Tile& tile, double rescale, Matrix& c,
+              double* rsum, double* csum) {
+            kernel.run_tile_quant(tile, aq, bq, xx, yy, rescale, c, rsum, csum);
+          });
+    }
+  }
 }
 
 // --- banded identity vs the scalar kernel ----------------------------------

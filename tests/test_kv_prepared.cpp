@@ -20,6 +20,7 @@
 
 #include "common/matrix.hpp"
 #include "common/rng.hpp"
+#include "common/simd.hpp"
 #include "common/thread_pool.hpp"
 #include "core/modulator_driver.hpp"
 #include "faults/guarded_backend.hpp"
@@ -276,6 +277,43 @@ TEST(KvPrepared, AppendBRowsBitIdenticalToFreshAcrossTiers) {
     }
     EXPECT_TRUE(padded) << "no append ran into padded capacity";
   });
+
+  // Resumed energies: on the tiers that stage them (full optics), grow one
+  // row at a time from 1 to 40 rows, then by 13 rows at once, at 1 and 3
+  // workers.  Every append continues each column's sum from where the last
+  // one stopped; the energies must equal a fresh prepare's bit for bit
+  // whatever the length mod the SIMD block, and the state is counted.
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+    for (const TierCase& tier : {kTiers[1], kTiers[2]}) {
+      SCOPED_TRACE(testing::Message() << tier.name << " resumed, threads " << threads);
+      const auto drv = tier_driver(tier);
+      const PhotonicGemm gemm(*drv, tier_config(tier, threads, true));
+      for (std::size_t d : {std::size_t{8}, std::size_t{13}}) {
+        const Matrix full = history_rows(53, d, 307 + d);
+        PreparedOperand inc = gemm.prepare_b(prefix_rows(full, 1));
+        EXPECT_TRUE(inc.energy_acc.empty() && inc.energy_isum.empty());
+        std::vector<std::size_t> growth;
+        for (std::size_t t = 2; t <= 40; ++t) growth.push_back(t);
+        growth.push_back(53);
+        for (const std::size_t t : growth) {
+          SCOPED_TRACE(testing::Message() << "d " << d << ", t " << t);
+          const Matrix v_hist = prefix_rows(full, t);
+          ASSERT_TRUE(gemm.append_b_rows(inc, v_hist));
+          expect_same_operand(inc, gemm.prepare_b(v_hist));
+          expect_staged_energies(gemm, inc);
+          const std::size_t state = inc.energy_acc.size() * sizeof(double) +
+                                    inc.energy_isum.size() * sizeof(std::int64_t);
+          EXPECT_EQ(state, tier.path == ExecutionPath::kKernelQuant
+                               ? d * sizeof(std::int64_t)
+                               : d * simd::kDotSelfState * sizeof(double));
+          PreparedOperand bare = inc;
+          bare.energy_acc = {};
+          bare.energy_isum = {};
+          EXPECT_EQ(inc.bytes() - bare.bytes(), state);
+        }
+      }
+    }
+  }
 }
 
 // A product reads an operand's energies only when its own tier summed them
@@ -396,6 +434,20 @@ TEST(KvPrepared, AppendRefusesWheneverIdentityCannotHold) {
     EXPECT_FALSE(gemm.append_b_rows(pr, prefix_rows(full, 1), 3));
     EXPECT_TRUE(gemm.append_b_rows(pr, base, 3));
     expect_same_operand(pr, rsnap);
+
+    // Once a reduction-axis append has staged the energies' resume state,
+    // refusals leave that untouched too.
+    ASSERT_TRUE(gemm.append_b_rows(pr, prefix_rows(full, 3), 3));
+    EXPECT_EQ(pr.energy_acc.empty(), !cfg.dot.use_full_optics);
+    const PreparedOperand ssnap = pr;
+    Matrix louder4 = prefix_rows(full, 4);
+    louder4(3, 0) = 10.0 * pr.abs_max;
+    EXPECT_FALSE(gemm.append_b_rows(pr, louder4, 3));
+    EXPECT_FALSE(gemm.append_b_rows(pr, prefix_rows(full, 4), 4));
+    EXPECT_FALSE(gemm.append_b_rows(pr, prefix_rows(full, 2), 3));
+    expect_same_operand(pr, ssnap);
+    EXPECT_EQ(pr.energy_acc, ssnap.energy_acc);
+    EXPECT_EQ(pr.energy_isum, ssnap.energy_isum);
 
     // After the refusals a fresh rebuild still lands bit-identical to the
     // direct product — the caller's fallback is always sound.

@@ -2,10 +2,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <span>
+#include <vector>
 
 #include "common/require.hpp"
 #include "common/rng.hpp"
+#include "common/simd.hpp"
 #include "converters/quantizer.hpp"
+#include "span_rule_cases.hpp"
 
 namespace {
 
@@ -124,6 +130,71 @@ TEST(Quantizer, SnapToCodeAcceptsExactlyTheGrid) {
   EXPECT_EQ(code, q.max_code());
   EXPECT_TRUE(q.snap_to_code(-0.0, &code));
   EXPECT_EQ(code, 0);
+}
+
+// --- the span rule -----------------------------------------------------------
+
+/// First index where codes[i] != want(off + i), or codes.size() when none.
+template <typename Want>
+std::size_t first_mismatch(const std::vector<std::int32_t>& codes, std::size_t off,
+                           const Want& want) {
+  for (std::size_t i = 0; i < codes.size(); ++i) {
+    if (codes[i] != want(off + i)) return i;
+  }
+  return codes.size();
+}
+
+TEST(Quantizer, SpanEncodeEqualsScalarCodeByCode) {
+  // The span encode (simd::quantize: AVX2 when the CPU has it) must equal
+  // encode(r / divisor) code by code at every bit width and divisor: on
+  // every rounding tie and its neighbours, on ±0, the extremes, ±Inf and
+  // NaN, whole and in spans that end at every tail position.
+  Rng rng(91);
+  for (int bits = 2; bits <= 16; ++bits) {
+    const Quantizer q(bits);
+    for (const double d : {1.0, 0.7, 3.0, 768.0}) {
+      SCOPED_TRACE(testing::Message() << "bits " << bits << ", divisor " << d);
+      const std::vector<double> in = span_rule::inputs(q.max_code(), d, rng);
+      const auto want = [&](std::size_t i) { return q.encode(in[i] / d); };
+      std::vector<std::int32_t> codes(in.size());
+      q.encode(in, codes, d);
+      std::size_t bad = first_mismatch(codes, 0, want);
+      ASSERT_EQ(bad, codes.size()) << "input " << in[bad] << " gave " << codes[bad];
+      for (std::size_t off = 0; off < 4; ++off) {
+        for (const std::size_t len : span_rule::lengths()) {
+          std::vector<std::int32_t> part(len, -1);
+          q.encode(std::span<const double>(in).subspan(off, len), part, d);
+          bad = first_mismatch(part, off, want);
+          ASSERT_EQ(bad, part.size()) << "offset " << off << ", length " << len << ", input "
+                                      << in[off + bad];
+        }
+      }
+    }
+  }
+  // A one-bit grid ({0}) is below the Quantizer's range; the routine still
+  // follows the reference line there.
+  const std::vector<double> in = span_rule::inputs(1, 3.0, rng);
+  std::vector<std::int32_t> codes(in.size(), -1);
+  simd::quantize(in.data(), in.size(), 3.0, 0, codes.data());
+  EXPECT_EQ(first_mismatch(codes, 0,
+                           [&](std::size_t i) { return simd::quantize_code(in[i] / 3.0, 0); }),
+            codes.size());
+}
+
+TEST(Quantizer, NonFiniteInputsKeepTheirCodesInSpans) {
+  // The reference's non-finite behavior, pinned: NaN → 0 (lround's
+  // LONG_MIN narrowed), ±Inf → ±max_code, −0 → 0.
+  const Quantizer q(8);
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(q.encode(nan), 0);
+  EXPECT_EQ(q.encode(inf), 127);
+  EXPECT_EQ(q.encode(-inf), -127);
+  const std::vector<double> in = {nan, inf, -inf, -0.0, nan, 0.5, -0.5, nan};
+  std::vector<std::int32_t> codes(in.size());
+  q.encode(in, codes);
+  EXPECT_EQ(codes, (std::vector<std::int32_t>{0, 127, -127, 0, 0, 64, -64, 0}));
+  EXPECT_THROW(q.encode(in, std::span<std::int32_t>(codes).first(3)), PreconditionError);
 }
 
 // --- property sweep over bit widths -----------------------------------------
