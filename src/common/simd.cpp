@@ -59,6 +59,14 @@ void dot4_portable(const double* x, const double* const y[4], std::size_t n,
   for (int b = 0; b < 4; ++b) out[b] = dot_portable(x, y[b], n);
 }
 
+/// serial_dots' reference loop, continued from position p with running
+/// sum a: the portable body and the AVX2 body's tail.
+double serial_dot_from(const double* x, const double* y, std::size_t p, std::size_t n,
+                       double a) {
+  for (; p < n; ++p) a += x[p] * y[p];
+  return a;
+}
+
 // ---------------------------------------------------------------------------
 // Integer tier (exact).  Every path computes the mathematical sum over ℤ
 // — no rounding, no reassociation sensitivity — so portable and AVX2
@@ -187,6 +195,45 @@ void dot4_avx2(const double* x, const double* const y[4], std::size_t n,
     for (std::size_t q = p; q < n; ++q) s += x[q] * y[b][q];
     out[b] = s;
   }
+}
+
+/// serial_dots over 4·kGroups chains, one chain per lane of kGroups
+/// accumulators.  Per 4-position step, one multiply forms four consecutive
+/// products of one chain; a 4×4 transpose puts them in position order
+/// across the group's chains, and the adds go one position at a time, so
+/// each lane repeats its chain's scalar sequence.  Targets AVX2 without
+/// FMA so the multiply and the add cannot fuse.  The tail continues the
+/// first `live` lanes in the reference loop; the others are dropped.
+template <std::size_t kGroups>
+__attribute__((target("avx2")))
+void serial_dots_avx2(const double* const* x, const double* const* y, std::size_t n,
+                      std::size_t live, double* out) {
+  __m256d acc[kGroups];
+  for (std::size_t g = 0; g < kGroups; ++g) acc[g] = _mm256_setzero_pd();
+  std::size_t p = 0;
+  for (; p + 4 <= n; p += 4) {
+    for (std::size_t g = 0; g < kGroups; ++g) {
+      const double* const* gx = x + 4 * g;
+      const double* const* gy = y + 4 * g;
+      // Row c: chain c's products at positions p..p+3.
+      const __m256d r0 = _mm256_mul_pd(_mm256_loadu_pd(gx[0] + p), _mm256_loadu_pd(gy[0] + p));
+      const __m256d r1 = _mm256_mul_pd(_mm256_loadu_pd(gx[1] + p), _mm256_loadu_pd(gy[1] + p));
+      const __m256d r2 = _mm256_mul_pd(_mm256_loadu_pd(gx[2] + p), _mm256_loadu_pd(gy[2] + p));
+      const __m256d r3 = _mm256_mul_pd(_mm256_loadu_pd(gx[3] + p), _mm256_loadu_pd(gy[3] + p));
+      // Column q: position p+q of chains 0..3.
+      const __m256d e01 = _mm256_unpacklo_pd(r0, r1);  // r0[0] r1[0] r0[2] r1[2]
+      const __m256d o01 = _mm256_unpackhi_pd(r0, r1);  // r0[1] r1[1] r0[3] r1[3]
+      const __m256d e23 = _mm256_unpacklo_pd(r2, r3);
+      const __m256d o23 = _mm256_unpackhi_pd(r2, r3);
+      acc[g] = _mm256_add_pd(acc[g], _mm256_permute2f128_pd(e01, e23, 0x20));
+      acc[g] = _mm256_add_pd(acc[g], _mm256_permute2f128_pd(o01, o23, 0x20));
+      acc[g] = _mm256_add_pd(acc[g], _mm256_permute2f128_pd(e01, e23, 0x31));
+      acc[g] = _mm256_add_pd(acc[g], _mm256_permute2f128_pd(o01, o23, 0x31));
+    }
+  }
+  alignas(32) double lane[4 * kGroups] = {};
+  for (std::size_t g = 0; g < kGroups; ++g) _mm256_store_pd(lane + 4 * g, acc[g]);
+  for (std::size_t c = 0; c < live; ++c) out[c] = serial_dot_from(x[c], y[c], p, n, lane[c]);
 }
 
 /// Fold a 8×int32 accumulator into the running 4×int64 accumulator.
@@ -360,6 +407,33 @@ void dot4_i16(const std::int16_t* x, const std::int16_t* const y[4], std::size_t
 #endif
   (void)max_abs;
   dot4_i16_portable(x, y, n, out);
+}
+
+void serial_dots(const double* const* x, const double* const* y, std::size_t chains,
+                 std::size_t n, double* out) {
+#if PDAC_SIMD_X86
+  if (g_avx2) {
+    std::size_t c = 0;
+    for (; c + 8 <= chains; c += 8) serial_dots_avx2<2>(x + c, y + c, n, 8, out + c);
+    const std::size_t left = chains - c;
+    if (left == 0) return;
+    // Leftover chains fill a group of 4 or 8; spare lanes repeat the last
+    // real chain and their results are dropped.
+    const double* px[8] = {};
+    const double* py[8] = {};
+    for (std::size_t l = 0; l < 8; ++l) {
+      px[l] = x[c + std::min(l, left - 1)];
+      py[l] = y[c + std::min(l, left - 1)];
+    }
+    if (left <= 4) {
+      serial_dots_avx2<1>(px, py, n, left, out + c);
+    } else {
+      serial_dots_avx2<2>(px, py, n, left, out + c);
+    }
+    return;
+  }
+#endif
+  for (std::size_t c = 0; c < chains; ++c) out[c] = serial_dot_from(x[c], y[c], 0, n, 0.0);
 }
 
 void quantize(const double* in, std::size_t n, double divisor, std::int32_t max_code,

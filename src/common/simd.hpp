@@ -53,6 +53,20 @@
 // reference's bits: lround(NaN) is LONG_MIN here, which the narrowing
 // makes code 0, and ±Inf clamps to ±max_code.  The scalar tail and the
 // portable body call quantize_code itself, so no second rule exists.
+//
+// serial_dots is the ABFT guard's reference side (ptc::verify_tile),
+// exact on every ISA like quantize: each chain is one serial add chain in
+// ascending position, not a blocked dot.  The AVX2 body runs up to eight
+// chains at once, one chain per vector lane, so the serial order is kept
+// inside each lane and only independent chains share an instruction.
+// One multiply forms four consecutive products of one chain, a 4×4
+// transpose puts them in position order across four chains, and the adds
+// go one position at a time: every lane executes the scalar loop's exact
+// IEEE multiply and add sequence.  No FMA (it would skip the product's
+// rounding).  Eight chains run in two accumulators; leftover chains fill
+// a padded group of 4 or 8 whose spare lanes repeat a real chain and are
+// dropped, so no chain runs alone.  Tail positions and the portable body
+// are the scalar loop itself.
 #pragma once
 
 #include <algorithm>
@@ -108,6 +122,13 @@ void dot4(const double* x, const double* const y[4], std::size_t n, double out[4
 /// Four exact integer dots sharing one x row (tile-blocking shape).
 void dot4_i16(const std::int16_t* x, const std::int16_t* const y[4], std::size_t n,
               std::int32_t max_abs, std::int64_t out[4]);
+
+/// `chains` serial dots: out[c] is what `a = 0.0; for p ascending:
+/// a += x[c][p] * y[c][p];` returns — bit for bit for every non-NaN result,
+/// and NaN exactly where that loop gives NaN (payloads may differ).  The
+/// chains may share pointers (the ABFT column lanes share one x).
+void serial_dots(const double* const* x, const double* const* y, std::size_t chains,
+                 std::size_t n, double* out);
 
 /// The quantizer's rounding rule for one value (see header): the code of
 /// r ∈ [−1, 1] on the symmetric grid of ±max_code, saturating outside.

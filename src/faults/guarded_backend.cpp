@@ -20,6 +20,7 @@ GuardedBackend::GuardedBackend(LaneBank& bank, GuardedBackendConfig cfg,
       cfg_(cfg),
       kernel_(ptc::Ddot{}, ptc::DotEngineConfig{.wavelengths = bank.wavelengths()}),
       pool_(std::make_unique<ThreadPool>(cfg.threads)),
+      tile_sums_(pool_->size() * (cfg.array_rows + cfg.array_cols)),
       cache_(cfg.cache),
       kv_cache_(cfg.kv_cache),
       policy_(cfg.escalation),
@@ -140,16 +141,19 @@ LaneEncoder GuardedBackend::lane_encoder(std::size_t rail,
 
 ptc::OperandSpec GuardedBackend::operand_spec() const {
   // Guarded, dual encode: data through the lanes' CURRENT state,
-  // references through the GOLDEN snapshot; on healthy hardware the two
-  // LUTs are bit-identical, so the guard's clean residual is pure
-  // reassociation.  The column-only cheap mode never runs the row lanes
-  // the checksum stripes feed, so it skips building them.
+  // references through the GOLDEN snapshot.  A golden snapshot pinned at
+  // the bank's current epoch holds the bits the current table holds
+  // (every lane-state write moves the epoch), so `encoded` is then the
+  // golden copy too and no second one is staged; a fault or fence moves
+  // the epoch past golden, and operands built after it stage one.  The
+  // column-only cheap mode never runs the row lanes the checksum stripes
+  // feed, so it skips building them.
   const bool guarded = cfg_.guard.enabled;
   return ptc::OperandSpec{
       .epoch = bank_.epoch(),
       .channels = bank_.surviving_channels(),
       .checksum_stripe = guarded && !cfg_.guard.column_only ? cfg_.array_cols : 0,
-      .reference = guarded};
+      .reference = guarded && !golden_.fresh(bank_)};
 }
 
 std::vector<std::size_t> GuardedBackend::implicated_lanes(
@@ -180,7 +184,16 @@ std::shared_ptr<const ptc::PreparedOperand> GuardedBackend::obtain(nn::OperandCa
   return cache.obtain(
       id, version, spec.epoch,
       [&](ptc::PreparedOperand& pb) {
-        return ptc::append_operand(pb, src, axis, spec, encode, *pool_, stage);
+        // An entry that carries a golden copy keeps growing one: a golden
+        // re-pin that leaves the epoch where it was (a re-trim that
+        // re-trims nothing) drops the copy from the spec, yet the entry's
+        // existing rows still hold the earlier golden's bits.
+        if (spec.reference || pb.reference.size() == 0) {
+          return ptc::append_operand(pb, src, axis, spec, encode, *pool_, stage);
+        }
+        ptc::OperandSpec with_copy = spec;
+        with_copy.reference = true;
+        return ptc::append_operand(pb, src, axis, with_copy, encode, *pool_, stage);
       },
       [&] { return ptc::prepare_operand(src, axis, spec, encode, *pool_, stage); });
 }
@@ -203,7 +216,7 @@ Matrix GuardedBackend::matmul_kv(const Matrix& a, const Matrix& kv,
 ptc::TileCheck GuardedBackend::run_tile(const ptc::Tile& tile, std::size_t t, const Matrix& ae,
                                         const Matrix& ae_gold, const Matrix& xsum,
                                         const Matrix& bdata, const ptc::PreparedOperand& pb,
-                                        double rescale, Matrix& c,
+                                        double rescale, Matrix& c, std::span<double> sums,
                                         const std::vector<DotUpset>* upsets) const {
   // The kernel writes the tile's raw dots into c (rescale 1.0, no tile
   // sums): ascending p on the scalar tier, one blocked dot per output
@@ -215,8 +228,10 @@ ptc::TileCheck GuardedBackend::run_tile(const ptc::Tile& tile, std::size_t t, co
   } else {
     kernel_.run_tile(tile, ae, bdata, 1.0, c);
   }
-  std::vector<double> rsum(tile.rows, 0.0);
-  std::vector<double> csum(tile.cols, 0.0);
+  const std::span<double> rsum = sums.first(tile.rows);
+  const std::span<double> csum = sums.subspan(tile.rows, tile.cols);
+  std::fill(rsum.begin(), rsum.end(), 0.0);
+  std::fill(csum.begin(), csum.end(), 0.0);
   for (std::size_t i = tile.row0; i < tile.row0 + tile.rows; ++i) {
     for (std::size_t j = tile.col0; j < tile.col0 + tile.cols; ++j) {
       double acc = c(i, j);
@@ -278,6 +293,11 @@ std::size_t GuardedBackend::fence_diverged_lanes(const std::vector<std::size_t>&
   monitor_->record_probe_events(probes);
   if (fenced > 0) bank_.bump_epoch();
   return fenced;
+}
+
+std::span<double> GuardedBackend::worker_sums(std::size_t worker) {
+  const std::size_t slot = cfg_.array_rows + cfg_.array_cols;
+  return std::span<double>(tile_sums_).subspan(worker * slot, slot);
 }
 
 Matrix GuardedBackend::run_product(const Matrix& a, const Matrix& bsrc, ptc::GrowAxis baxis,
@@ -408,12 +428,13 @@ Matrix GuardedBackend::run_product(const Matrix& a, const Matrix& bsrc, ptc::Gro
       storm_->advance_to(storm_clock_);
       refresh_tile(tiles[t]);
       checks[t] = run_tile(tiles[t], t, ae, ae_gold, xsum, *bdata, *pb, rescale, c,
-                           initial_upsets);
+                           worker_sums(0), initial_upsets);
     }
   } else {
     const Matrix& bd = *bdata;
-    ptc::for_each_tile(*pool_, tiles, [&](std::size_t t, std::size_t) {
-      checks[t] = run_tile(tiles[t], t, ae, ae_gold, xsum, bd, *pb, rescale, c, initial_upsets);
+    ptc::for_each_tile(*pool_, tiles, [&](std::size_t t, std::size_t worker) {
+      checks[t] = run_tile(tiles[t], t, ae, ae_gold, xsum, bd, *pb, rescale, c,
+                           worker_sums(worker), initial_upsets);
     });
   }
   {
@@ -519,8 +540,9 @@ Matrix GuardedBackend::run_product(const Matrix& a, const Matrix& bsrc, ptc::Gro
         monitor_->record_product(outcome);
         return Matrix(m, n);
       }
-      // Re-prepare against the repaired/repacked bank: fresh current +
-      // golden encodings and checksum stripes; refresh the cache so the
+      // Re-prepare against the repaired/repacked bank: fresh current
+      // encodings, a golden copy if golden still differs (a fence does
+      // not re-pin it) and checksum stripes; refresh the cache so the
       // next product starts warm again.  The rung moved the epoch, so
       // re-ensure the coefficient table first (we are between parallel
       // regions here).
@@ -550,7 +572,7 @@ Matrix GuardedBackend::run_product(const Matrix& a, const Matrix& bsrc, ptc::Gro
     for (const std::size_t t : bad) {
       const ptc::Tile& tile = tiles[t];
       refresh_tile(tile);
-      checks[t] = run_tile(tile, t, ae, ae_gold, xsum, *bdata, *pb, rescale, c);
+      checks[t] = run_tile(tile, t, ae, ae_gold, xsum, *bdata, *pb, rescale, c, worker_sums(0));
       outcome.tiles_corrected += checks[t].corrected;
       const ptc::EventCounter ev = ptc::tile_step_events(tile.rows, tile.cols, k, nl);
       events_ += ev;

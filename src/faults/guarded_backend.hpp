@@ -32,6 +32,15 @@
 // outside the band in the first tile it touches.  Crucially this also
 // catches faults striking BEFORE a product starts: re-deriving the
 // reference from the live state would corrupt both sides identically.
+// While golden is pinned at the bank's current epoch, the golden and
+// current tables hold the same bits (every lane-state write moves the
+// epoch), so a B operand stages its golden copy (`reference`) only when
+// golden is not pinned there; otherwise `encoded` is the golden copy
+// too.  A fault or fence moves the epoch, the cached entry misses, and
+// the operand rebuilt after it stages a copy again; an entry that
+// carries one keeps growing it across a re-pin that leaves the epoch
+// where it was.  The A side always encodes golden into its own matrix,
+// since storm steps re-encode the current one in place.
 //
 // Mid-product fault storms: attach_storm() hooks a FaultInjector whose
 // clock advances `steps_per_tile` before every tile step, so faults land
@@ -64,6 +73,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -159,13 +169,14 @@ class GuardedBackend final : public nn::GemmBackend {
 
   /// Guarded product against a GROWING operand (DESIGN.md §17).  While
   /// the bank's epoch and channel packing hold, the resident prepared
-  /// operand (current + golden encodings, checksum stripes) is extended
-  /// in place with just the new kv rows; an epoch bump — any re-trim or
-  /// fence — makes the entry a miss, and a packing or scale change forces
-  /// a rebuild, so appends can never bridge a recalibration.  Outputs,
-  /// events, and guard verdicts are bit-identical to the unprepared
-  /// matmul at every length; an escalation mid-product rebuilds the
-  /// resident entry like matmul_cached refreshes the weight cache.
+  /// operand (current encodings, the golden copy when staged, checksum
+  /// stripes) is extended in place with just the new kv rows; an epoch
+  /// bump — any re-trim or fence — makes the entry a miss, and a packing
+  /// or scale change forces a rebuild, so appends can never bridge a
+  /// recalibration.  Outputs, events, and guard verdicts are
+  /// bit-identical to the unprepared matmul at every length; an
+  /// escalation mid-product rebuilds the resident entry like
+  /// matmul_cached refreshes the weight cache.
   [[nodiscard]] Matrix matmul_kv(const Matrix& a, const Matrix& kv,
                                  const nn::KvHandle& handle) override;
   void release_kv(std::uint64_t id) override { kv_cache_.erase(id); }
@@ -245,8 +256,9 @@ class GuardedBackend final : public nn::GemmBackend {
                                          const std::vector<std::size_t>& channels) const;
 
   /// The spec every operand of this backend is prepared and appended
-  /// under: bank epoch, surviving packing and, when guarded, the golden
-  /// reference and the checksum stripes unless column-only.
+  /// under: bank epoch, surviving packing and, when guarded, the checksum
+  /// stripes unless column-only, and the golden reference while golden is
+  /// not pinned at the bank's epoch.
   [[nodiscard]] ptc::OperandSpec operand_spec() const;
 
   /// Full pipeline for one product (shared by all matmul entry points):
@@ -262,8 +274,9 @@ class GuardedBackend final : public nn::GemmBackend {
 
   /// The prepared operand of `src` (`axis` orientation) from `cache`
   /// under (id, version) and the bank epoch: ptc::append_operand grows
-  /// or confirms a fresh entry, ptc::prepare_operand builds otherwise;
-  /// id 0 builds uncached.
+  /// or confirms a fresh entry (one that carries a golden reference keeps
+  /// growing it), ptc::prepare_operand builds otherwise; id 0 builds
+  /// uncached.
   [[nodiscard]] std::shared_ptr<const ptc::PreparedOperand> obtain(nn::OperandCache& cache,
                                                                    std::uint64_t id,
                                                                    std::uint64_t version,
@@ -272,15 +285,20 @@ class GuardedBackend final : public nn::GemmBackend {
 
   /// Compute one tile: the kernel's data dots from `ae` (current A
   /// encodes) × `bdata` (current B encodes), plus `upsets` (nullable, the
-  /// transient dot glitches of the initial pass), rescaled into `c`.
+  /// transient dot glitches of the initial pass), rescaled into `c`, with
+  /// the raw row and column sums staged in `sums` (a worker_sums slot).
   /// Guarded, returns ptc::verify_tile's verdict against `ae_gold` /
   /// `xsum` / `pb`, with its single-error site corrected in place when
   /// sec_correction is on.
   [[nodiscard]] ptc::TileCheck run_tile(const ptc::Tile& tile, std::size_t t, const Matrix& ae,
                                         const Matrix& ae_gold, const Matrix& xsum,
                                         const Matrix& bdata, const ptc::PreparedOperand& pb,
-                                        double rescale, Matrix& c,
+                                        double rescale, Matrix& c, std::span<double> sums,
                                         const std::vector<DotUpset>* upsets = nullptr) const;
+
+  /// Pool worker `worker`'s tile-sum scratch: array_rows + array_cols
+  /// doubles of tile_sums_.
+  [[nodiscard]] std::span<double> worker_sums(std::size_t worker);
 
   /// kFence rung: full calibration-table readback of the implicated
   /// lanes against the golden snapshot, fencing every lane that has
@@ -298,6 +316,9 @@ class GuardedBackend final : public nn::GemmBackend {
   /// ADC off, so its tiles reduce the lane encodes and nothing else.
   ptc::FusedKernel kernel_;
   std::unique_ptr<ThreadPool> pool_;
+  /// Raw tile row and column sums, one array_rows + array_cols slot per
+  /// pool worker, sized once so no tile allocates.
+  std::vector<double> tile_sums_;
   nn::OperandCache cache_;
   nn::OperandCache kv_cache_;
   EscalationPolicy policy_;

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "common/require.hpp"
+#include "common/simd.hpp"
 #include "ptc/dot_engine.hpp"
 #include "ptc/gemm_engine.hpp"
 #include "ptc/noise_analysis.hpp"
@@ -94,33 +95,48 @@ TileCheck verify_tile(const GuardConfig& cfg, const Tile& tile, std::size_t t,
   std::size_t bad_rows = 0, bad_cols = 0;
   ErrorSite site;
   double col_delta = 0.0;
-  // Row lanes: Σ_j tile(i,j) vs ⟨golden x′_i, cached golden Σ_j y′_j⟩.
-  // The column-only cheap mode skips them (and their spare-lane charge).
-  if (!cfg.column_only) {
-    const auto ysum = b.checksum.row(tile.col0 / b.checksum_stripe);
-    for (std::size_t i = tile.row0; i < tile.row0 + tile.rows; ++i) {
-      const auto xr = a_golden.row(i);
-      double ref = 0.0;
-      for (std::size_t p = 0; p < k; ++p) ref += xr[p] * ysum[p];
-      const double res = rsum[i - tile.row0] - ref;
-      if (excursion(res, tol_row)) {
-        ++bad_rows;
-        site.row = i;
-        site.delta = res;
-      }
-    }
-  }
-  // Column lanes: Σ_i tile(i,j) vs ⟨golden Σ_i x′_i, golden y′_j⟩.
+  // Lanes in verdict order: the row lanes, Σ_j tile(i,j) vs ⟨golden x′_i,
+  // cached golden Σ_j y′_j⟩ (skipped, with their spare-lane charge, in the
+  // column-only cheap mode), then the column lanes, Σ_i tile(i,j) vs
+  // ⟨golden Σ_i x′_i, golden y′_j⟩.  Each reference is one serial chain in
+  // ascending p; simd::serial_dots runs a batch of them side by side with
+  // each chain's exact bits, and the residuals are then judged in order.
+  const std::size_t row_lanes = cfg.column_only ? 0 : tile.rows;
+  const std::size_t lanes = row_lanes + tile.cols;
+  const double* ysum =
+      row_lanes > 0 ? b.checksum.row(tile.col0 / b.checksum_stripe).data() : nullptr;
   const Matrix& bref = b.reference.size() > 0 ? b.reference : b.encoded;
-  for (std::size_t j = tile.col0; j < tile.col0 + tile.cols; ++j) {
-    const auto yr = bref.row(j);
-    double ref = 0.0;
-    for (std::size_t p = 0; p < k; ++p) ref += xsum[p] * yr[p];
-    const double res = csum[j - tile.col0] - ref;
-    if (excursion(res, tol_col)) {
-      ++bad_cols;
-      site.col = j;
-      col_delta = res;
+  constexpr std::size_t kBatch = 32;
+  const double* xs[kBatch] = {};
+  const double* ys[kBatch] = {};
+  double refs[kBatch] = {};
+  for (std::size_t l0 = 0; l0 < lanes; l0 += kBatch) {
+    const std::size_t count = std::min(kBatch, lanes - l0);
+    for (std::size_t l = 0; l < count; ++l) {
+      const std::size_t lane = l0 + l;
+      const bool row = lane < row_lanes;
+      xs[l] = row ? a_golden.row(tile.row0 + lane).data() : xsum.data();
+      ys[l] = row ? ysum : bref.row(tile.col0 + lane - row_lanes).data();
+    }
+    simd::serial_dots(xs, ys, count, k, refs);
+    for (std::size_t l = 0; l < count; ++l) {
+      const std::size_t lane = l0 + l;
+      if (lane < row_lanes) {
+        const double res = rsum[lane] - refs[l];
+        if (excursion(res, tol_row)) {
+          ++bad_rows;
+          site.row = tile.row0 + lane;
+          site.delta = res;
+        }
+      } else {
+        const std::size_t c = lane - row_lanes;
+        const double res = csum[c] - refs[l];
+        if (excursion(res, tol_col)) {
+          ++bad_cols;
+          site.col = tile.col0 + c;
+          col_delta = res;
+        }
+      }
     }
   }
   // Both residuals estimate the same raw accumulator error.  The

@@ -157,9 +157,13 @@ void stripe_sums(const Matrix& rows, std::size_t stripe, Matrix& out);
 /// i compares against ⟨a_golden.row(i), b's checksum stripe⟩ (skipped
 /// under column_only); column lane j against ⟨xsum, b's golden column
 /// j⟩ — b.reference when staged, else b.encoded — where `xsum` is the
-/// tile's golden A stripe sum.  Each residual is clean up to the
-/// tolerance, absorbed drift up to drift_band·tolerance, an excursion
-/// beyond; a NaN is always an excursion.  Correction is the caller's.
+/// tile's golden A stripe sum.  Each reference is one serial chain in
+/// ascending position; the chains run side by side in SIMD lanes
+/// (simd::serial_dots), each with the serial loop's exact bits, gathered
+/// in stack batches so nothing is allocated per tile.  Each residual is
+/// then judged in lane order: clean up to the tolerance, absorbed drift
+/// up to drift_band·tolerance, an excursion beyond; a NaN is always an
+/// excursion.  Correction is the caller's.
 [[nodiscard]] TileCheck verify_tile(const GuardConfig& cfg, const Tile& tile, std::size_t t,
                                     std::span<const double> rsum, std::span<const double> csum,
                                     const Matrix& a_golden, std::span<const double> xsum,

@@ -31,6 +31,7 @@ PhotonicGemm::PhotonicGemm(const core::ModulatorDriver& driver, GemmConfig cfg)
     worker_ddots_.push_back(engine_.make_worker_ddot());
   }
   worker_scratch_.resize(pool_->size());
+  sum_scratch_.resize(pool_->size() * (cfg_.array_rows + cfg_.array_cols));
 }
 
 GemmResult PhotonicGemm::multiply(const Matrix& a, const Matrix& b) const {
@@ -439,6 +440,7 @@ GemmResult PhotonicGemm::multiply_prepared(const Matrix& a, const PreparedOperan
   }
 
   const ExecutionPath path = cfg_.path;
+  const std::size_t slot = cfg_.array_rows + cfg_.array_cols;
   for_each_tile(*pool_, tiles, [&](std::size_t t, std::size_t worker) {
     const Tile& tile = tiles[t];
     // Broadcast-amortization contract (see header): modulation, ADC and
@@ -448,12 +450,15 @@ GemmResult PhotonicGemm::multiply_prepared(const Matrix& a, const PreparedOperan
     // kernel tiers charge the closed form whole; the device graph below
     // keeps the detections, DDot ops and MACs of the dots it ran.
     EventCounter step = tile_step_events(tile.rows, tile.cols, k, engine_.active_wavelengths());
-    // Raw (pre-rescale) tile sums for the checksum comparison; tiny and
-    // tile-local, so the allocation stays off the unguarded path.
-    std::vector<double> rsum, csum;
+    // Raw (pre-rescale) tile sums for the checksum comparison, in the
+    // worker's slot of the engine scratch; the unguarded path never
+    // touches them.
+    const std::span<double> sums = std::span<double>(sum_scratch_).subspan(worker * slot, slot);
+    const std::span<double> rsum = sums.first(tile.rows);
+    const std::span<double> csum = sums.subspan(tile.rows, tile.cols);
     if (guarded) {
-      rsum.assign(tile.rows, 0.0);
-      csum.assign(tile.cols, 0.0);
+      std::fill(rsum.begin(), rsum.end(), 0.0);
+      std::fill(csum.begin(), csum.end(), 0.0);
     }
     if (path == ExecutionPath::kKernel) {
       // Fused flat-array kernel: the whole tile in one pass, raw sums

@@ -157,9 +157,13 @@ struct PreparedOperand {
   Matrix checksum;
   std::size_t checksum_stripe{0};
   /// Golden (calibration-state) encoding of the operand for guarded
-  /// execution when the live encoder may have drifted from the state the
-  /// references were calibrated under (faults::GuardedBackend).  Empty on
-  /// the healthy ptc path, where `encoded` doubles as the reference.
+  /// execution, staged only while the live encoder may differ from the
+  /// state the references were calibrated under: faults::GuardedBackend
+  /// stages it when its golden snapshot is not pinned at the bank's
+  /// current epoch, and an entry that has one keeps growing it.  Empty
+  /// otherwise — always on PhotonicGemm, whose encoder is immutable, and
+  /// on a lane operand built while golden was current — and then
+  /// `encoded` is the golden copy too.
   Matrix reference;
 
   /// Integer-tier operand form (ExecutionPath::kKernelQuant): the
@@ -414,6 +418,9 @@ class PhotonicGemm {
   mutable std::vector<double> xx_scratch_;    // fast tiers: Σx² per A row
   mutable std::vector<double> yy_scratch_;    // fast tiers: Σy² of unstaged operands
   mutable std::vector<TileCheck> check_scratch_;
+  // Guarded path: raw tile row and column sums, one array_rows +
+  // array_cols slot per worker.
+  mutable std::vector<double> sum_scratch_;
 };
 
 }  // namespace pdac::ptc

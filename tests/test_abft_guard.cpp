@@ -4,11 +4,15 @@
 // corrupted prepared operands (the PhotonicBackend cache-repair story).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "common/require.hpp"
+#include "common/rng.hpp"
 #include "common/simd.hpp"
 #include "nn/backend.hpp"
 #include "ptc/abft.hpp"
@@ -85,6 +89,181 @@ TEST(ChecksumLaneEvents, MatchesDocumentedContract) {
   EXPECT_EQ(ev.detection_events, 12u * 8u);
   EXPECT_EQ(ev.macs, 12u * 64u);
   EXPECT_EQ(ev.cycles, 0u);
+}
+
+/// verify_tile with one serial reference loop per lane, lane after lane:
+/// the verdict the SIMD-lane references must reproduce field for field.
+TileCheck scalar_verify_tile(const GuardConfig& cfg, const Tile& tile, std::size_t t,
+                             std::span<const double> rsum, std::span<const double> csum,
+                             const Matrix& a_golden, std::span<const double> xsum,
+                             const PreparedOperand& b) {
+  const std::size_t k = a_golden.cols();
+  TileCheck check;
+  check.tile = t;
+  const double mag = static_cast<double>(k);
+  const double tol_row = guard_tolerance(cfg, k, tile.cols, mag);
+  const double tol_col = guard_tolerance(cfg, k, tile.rows, mag);
+  const double band = std::max(1.0, cfg.drift_band);
+  const auto excursion = [&check, band](double res, double tol) {
+    const double r = std::abs(res);
+    if (std::isnan(r) || r > check.worst_residual) {
+      check.worst_residual = r;
+      check.tolerance = tol;
+    }
+    if (std::isnan(r) || r > band * tol) {
+      check.ok = false;
+      return true;
+    }
+    if (r > tol) check.drift_ratio = std::max(check.drift_ratio, r / tol);
+    return false;
+  };
+  std::size_t bad_rows = 0, bad_cols = 0;
+  ErrorSite site;
+  double col_delta = 0.0;
+  if (!cfg.column_only) {
+    const auto ysum = b.checksum.row(tile.col0 / b.checksum_stripe);
+    for (std::size_t i = tile.row0; i < tile.row0 + tile.rows; ++i) {
+      const auto xr = a_golden.row(i);
+      double ref = 0.0;
+      for (std::size_t p = 0; p < k; ++p) ref += xr[p] * ysum[p];
+      const double res = rsum[i - tile.row0] - ref;
+      if (excursion(res, tol_row)) {
+        ++bad_rows;
+        site.row = i;
+        site.delta = res;
+      }
+    }
+  }
+  const Matrix& bref = b.reference.size() > 0 ? b.reference : b.encoded;
+  for (std::size_t j = tile.col0; j < tile.col0 + tile.cols; ++j) {
+    const auto yr = bref.row(j);
+    double ref = 0.0;
+    for (std::size_t p = 0; p < k; ++p) ref += xsum[p] * yr[p];
+    const double res = csum[j - tile.col0] - ref;
+    if (excursion(res, tol_col)) {
+      ++bad_cols;
+      site.col = j;
+      col_delta = res;
+    }
+  }
+  if (bad_rows == 1 && bad_cols == 1 && std::isfinite(site.delta) && std::isfinite(col_delta) &&
+      std::abs(site.delta - col_delta) <= band * (tol_row + tol_col)) {
+    check.single_error = site;
+  }
+  return check;
+}
+
+/// Equal bits, or NaN on both sides.
+bool same_bits(double a, double b) {
+  return std::isnan(a) ? std::isnan(b) : std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+TEST(AbftGuard, VerifyTileEqualsScalarReferences) {
+  // verify_tile computes its references in SIMD lanes; each must keep its
+  // serial chain's bits, so every TileCheck field equals the one-loop-per-
+  // lane verdict's.  Tiles of 1–8 × 1–8 at a nonzero corner, reduction
+  // lengths 1–800, both guard modes, drift bands 1 and 4, a golden copy
+  // staged or not, over four tile states: clean (reassociation-scale
+  // residuals, since the data sums are blocked dots), one corrupted
+  // element (the single-error signature), lanes pushed into the drift
+  // band, and a NaN.
+  SCOPED_TRACE(std::string("isa ") + simd::active_isa());
+  constexpr std::size_t kStripe = 8;
+  Rng rng(83);
+  std::size_t singles = 0, drifting = 0, nans = 0, clean = 0;
+  for (const std::size_t k : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 13u, 31u, 64u, 257u, 768u, 800u}) {
+    for (std::size_t h = 1; h <= 8; ++h) {
+      for (std::size_t w = 1; w <= 8; ++w) {
+        const Tile tile{.row0 = 3, .col0 = kStripe, .rows = h, .cols = w};
+        Matrix a_golden(tile.row0 + h, k);
+        for (double& v : a_golden.data()) v = rng.uniform(-1.0, 1.0);
+        PreparedOperand b;
+        b.rows = k;
+        b.cols = tile.col0 + w;
+        b.encoded = Matrix(b.cols, k);
+        for (double& v : b.encoded.data()) v = rng.uniform(-1.0, 1.0);
+        b.checksum_stripe = kStripe;
+        b.checksum = Matrix(2, k);
+        for (std::size_t j = 0; j < b.cols; ++j) {
+          for (std::size_t p = 0; p < k; ++p) b.checksum(j / kStripe, p) += b.encoded(j, p);
+        }
+        std::vector<double> xsum(k, 0.0);
+        for (std::size_t i = tile.row0; i < tile.row0 + h; ++i) {
+          for (std::size_t p = 0; p < k; ++p) xsum[p] += a_golden(i, p);
+        }
+        std::vector<double> rsum(h, 0.0), csum(w, 0.0);
+        for (std::size_t i = 0; i < h; ++i) {
+          for (std::size_t j = 0; j < w; ++j) {
+            const double dot = simd::dot(a_golden.row(tile.row0 + i).data(),
+                                         b.encoded.row(tile.col0 + j).data(), k);
+            rsum[i] += dot;
+            csum[j] += dot;
+          }
+        }
+        // A golden copy equal to `encoded` except its first tile column.
+        Matrix copy = b.encoded;
+        for (std::size_t p = 0; p < k; ++p) copy(tile.col0, p) *= 1.001;
+
+        for (int state = 0; state < 4; ++state) {
+          std::vector<double> r = rsum, c = csum;
+          const double tol_row = guard_tolerance(GuardConfig{}, k, w, static_cast<double>(k));
+          const double tol_col = guard_tolerance(GuardConfig{}, k, h, static_cast<double>(k));
+          if (state == 1) {
+            r[h / 2] += 0.25;
+            c[w / 2] += 0.25;
+          } else if (state == 2) {
+            r[0] += 2.5 * tol_row;
+            c[w - 1] -= 3.0 * tol_col;
+          } else if (state == 3) {
+            c[w - 1] = std::numeric_limits<double>::quiet_NaN();
+          }
+          for (const bool column_only : {false, true}) {
+            for (const double band : {1.0, 4.0}) {
+              for (const bool staged : {false, true}) {
+                b.reference = staged ? copy : Matrix();
+                GuardConfig cfg;
+                cfg.enabled = true;
+                cfg.column_only = column_only;
+                cfg.drift_band = band;
+                const TileCheck want =
+                    scalar_verify_tile(cfg, tile, 5, r, c, a_golden, xsum, b);
+                const TileCheck got = verify_tile(cfg, tile, 5, r, c, a_golden, xsum, b);
+                const std::string where =
+                    "k " + std::to_string(k) + " tile " + std::to_string(h) + "x" +
+                    std::to_string(w) + " state " + std::to_string(state) + " column_only " +
+                    std::to_string(column_only) + " band " + std::to_string(band) +
+                    " staged " + std::to_string(staged);
+                EXPECT_EQ(got.tile, want.tile) << where;
+                EXPECT_EQ(got.ok, want.ok) << where;
+                EXPECT_TRUE(same_bits(got.worst_residual, want.worst_residual))
+                    << where << ": " << got.worst_residual << " vs " << want.worst_residual;
+                EXPECT_TRUE(same_bits(got.tolerance, want.tolerance)) << where;
+                EXPECT_EQ(got.corrected, want.corrected) << where;
+                EXPECT_TRUE(same_bits(got.drift_ratio, want.drift_ratio))
+                    << where << ": " << got.drift_ratio << " vs " << want.drift_ratio;
+                ASSERT_EQ(got.single_error.has_value(), want.single_error.has_value()) << where;
+                if (want.single_error) {
+                  ++singles;
+                  EXPECT_EQ(got.single_error->row, want.single_error->row) << where;
+                  EXPECT_EQ(got.single_error->col, want.single_error->col) << where;
+                  EXPECT_TRUE(same_bits(got.single_error->delta, want.single_error->delta))
+                      << where;
+                }
+                if (want.drift_ratio > 0.0) ++drifting;
+                if (std::isnan(want.worst_residual)) ++nans;
+                if (want.ok && want.worst_residual > 0.0) ++clean;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  // Every verdict shape was reached.
+  EXPECT_GT(singles, 0u);
+  EXPECT_GT(drifting, 0u);
+  EXPECT_GT(nans, 0u);
+  EXPECT_GT(clean, 0u);
 }
 
 TEST(AbftGuard, GuardedMultiplyIsBitIdenticalToUnguarded) {

@@ -116,6 +116,22 @@ ptc::EventCounter product_events(std::size_t m, std::size_t k, std::size_t n,
   return ev;
 }
 
+/// Resident bytes of a guarded operand with `n` columns of reduction
+/// length `k` prepared whole (no capacity padding) on the 8-wide array
+/// over `lanes` channels: encodings, checksum stripes and packing, plus
+/// a golden copy when `with_copy`.
+std::size_t operand_bytes(std::size_t n, std::size_t k, std::size_t lanes, bool with_copy) {
+  const std::size_t stripes = (n + 7) / 8;
+  return sizeof(ptc::PreparedOperand) +
+         ((with_copy ? 2 : 1) * n * k + stripes * k) * sizeof(double) +
+         lanes * sizeof(std::size_t);
+}
+
+/// A ladder that may only give up: a detected product stays unrecovered
+/// and its operand stays resident as it was built.
+const faults::EscalationConfig kGiveUpAtOnce{
+    .max_retries = 0, .max_retrims = 0, .allow_fence = false};
+
 void expect_snapshots_equal(const faults::HealthSnapshot& a, const faults::HealthSnapshot& b) {
   EXPECT_EQ(a.products, b.products);
   EXPECT_EQ(a.detections, b.detections);
@@ -251,6 +267,26 @@ TEST(GuardedBackend, CleanBankBitIdenticalToLaneReference) {
     EXPECT_GT(snap.tiles_checked, 0u);
     EXPECT_GT(snap.checksum_events.modulation_events, 0u);
     EXPECT_LT(snap.worst_residual, snap.worst_tolerance);
+
+    // Golden is pinned at the bank's epoch, so it holds the current
+    // table's bits and no operand stages a second golden copy: the cached
+    // weight and both KV operands carry none, and the caches' resident
+    // bytes are the encodings, stripes and packing alone.
+    const nn::WeightHandle w{21, 1};
+    expect_matrices_equal(guarded.matmul_cached(a, b, w), got);
+    const auto weight = guarded.cache().lookup(w.id, w.version, bank.epoch());
+    ASSERT_NE(weight, nullptr);
+    EXPECT_EQ(weight->reference.size(), 0u);
+    EXPECT_EQ(guarded.cache().stats().resident_bytes, operand_bytes(11, 18, 4, false));
+    const Matrix keys = Matrix::random_gaussian(9, 18, rng, 0.0, 1.0);
+    const Matrix probs = Matrix::random_gaussian(13, 9, rng, 0.0, 1.0);
+    expect_matrices_equal(guarded.matmul_kv(a, keys, {1, nn::KvAxis::kCols}),
+                          lane_reference(bank, a, keys.transposed(), path));
+    expect_matrices_equal(guarded.matmul_kv(probs, keys, {2, nn::KvAxis::kRows}),
+                          lane_reference(bank, probs, keys, path));
+    EXPECT_EQ(guarded.kv_cache()->stats().resident_bytes,
+              operand_bytes(9, 18, 4, false) + operand_bytes(18, 9, 4, false));
+    EXPECT_EQ(guarded.monitor().snapshot().detections, 0u);
 
     if (path == ptc::ExecutionPath::kKernel) {
       scalar_out = got;
@@ -632,14 +668,26 @@ TEST(GuardedBackend, EpochBumpInvalidatesCachedOperandAndGuardStillFires) {
 
   faults::FaultInjector injector(bank, one_event(bank.lanes(), stuck_mrr(1)));
   injector.advance_to(8);  // mutates lanes AND bumps the bank epoch
+  const std::uint64_t struck_epoch = bank.epoch();
 
   const Matrix recovered = backend.matmul_cached(a, b, w);
   EXPECT_GE(backend.cache().stats().invalidations, 1u);
   const faults::HealthSnapshot& snap = backend.monitor().snapshot();
   EXPECT_EQ(snap.detections, 1u);
+  EXPECT_DOUBLE_EQ(snap.mean_detection_latency(), 1.0);  // the strike precedes tile 0
   EXPECT_EQ(snap.unrecovered, 0u);
   const auto err = stats::compare(recovered.data(), matmul_reference(a, b).data());
   EXPECT_GT(err.cosine, 0.99);
+
+  // The re-trim's self-test moved the epoch and golden was re-pinned
+  // there, so the operand the rung re-prepared and cached stages no
+  // golden copy.
+  EXPECT_EQ(snap.retrims, 1u);
+  EXPECT_EQ(snap.fences, 0u);
+  EXPECT_GT(bank.epoch(), struck_epoch);
+  const auto repinned = backend.cache().lookup(w.id, w.version, bank.epoch());
+  ASSERT_NE(repinned, nullptr);
+  EXPECT_EQ(repinned->reference.size(), 0u);
 
   // Recovery re-warmed the cache against the repaired bank: the next
   // product hits and verifies cleanly.
@@ -648,6 +696,65 @@ TEST(GuardedBackend, EpochBumpInvalidatesCachedOperandAndGuardStillFires) {
   EXPECT_EQ(backend.cache().stats().hits, hits_before + 1);
   EXPECT_EQ(backend.monitor().snapshot().detections, 1u);
   expect_matrices_equal(again, recovered);
+
+  // The operand the strike's miss builds: golden predates the epoch, so
+  // it stages its golden copy, and the guard fires at the first tile.  A
+  // ladder that may only give up leaves it resident to be looked at.
+  faults::LaneBank held_bank(small_bank_config());
+  faults::production_trim(held_bank);
+  faults::GuardedBackend held(held_bank, {.escalation = kGiveUpAtOnce});
+  (void)held.matmul_cached(a, b, w);
+  faults::FaultInjector held_injector(held_bank, one_event(held_bank.lanes(), stuck_mrr(1)));
+  held_injector.advance_to(8);
+  (void)held.matmul_cached(a, b, w);
+  const faults::HealthSnapshot& held_snap = held.monitor().snapshot();
+  EXPECT_EQ(held_snap.detections, 1u);
+  EXPECT_DOUBLE_EQ(held_snap.mean_detection_latency(), 1.0);
+  EXPECT_EQ(held_snap.unrecovered, 1u);
+  const auto struck = held.cache().lookup(w.id, w.version, held_bank.epoch());
+  ASSERT_NE(struck, nullptr);
+  EXPECT_EQ(struck->reference.rows(), struck->encoded.rows());
+  EXPECT_EQ(struck->reference.cols(), struck->encoded.cols());
+}
+
+TEST(GuardedBackend, GoldenRepinAtTheSameEpochKeepsGrowingTheGoldenCopy) {
+  // A strike leaves golden behind the epoch, so the KV entry built next
+  // stages a golden copy.  recalibrate() then re-pins golden without
+  // moving the epoch: the spec stages no copy any more, yet the entry's
+  // rows hold the earlier golden's bits, so it keeps growing its copy —
+  // the next product appends (no rebuild, no miss) and the entry still
+  // carries the copy, new row included.
+  faults::LaneBank bank(small_bank_config());
+  faults::production_trim(bank);
+  faults::GuardedBackend backend(bank, {.escalation = kGiveUpAtOnce});
+  Rng rng(41);
+  const std::size_t d = 12;
+  const Matrix q = Matrix::random_gaussian(3, d, rng, 0.0, 1.0);
+  const Matrix keys = Matrix::random_gaussian(10, d, rng, 0.0, 1.0);
+  Matrix grown(11, d);
+  for (std::size_t r = 0; r < 10; ++r) {
+    for (std::size_t c = 0; c < d; ++c) grown(r, c) = keys(r, c);
+  }
+  for (std::size_t c = 0; c < d; ++c) grown(10, c) = 0.5 * keys(0, c);  // within the scale
+  const nn::KvHandle handle{5, nn::KvAxis::kCols};
+
+  faults::FaultInjector injector(bank, one_event(bank.lanes(), stuck_mrr(1)));
+  injector.advance_to(8);
+  (void)backend.matmul_kv(q, keys, handle);
+  const nn::OperandCacheStats built = backend.kv_cache()->stats();
+  EXPECT_EQ(built.misses, 1u);
+  EXPECT_EQ(built.resident_bytes, operand_bytes(10, d, 4, true));
+
+  const std::uint64_t epoch = bank.epoch();
+  backend.recalibrate();
+  ASSERT_EQ(bank.epoch(), epoch);
+  (void)backend.matmul_kv(q, grown, handle);
+  const nn::OperandCacheStats& st = backend.kv_cache()->stats();
+  EXPECT_EQ(st.appends, built.appends + 1);
+  EXPECT_EQ(st.rebuilds, built.rebuilds);
+  EXPECT_EQ(st.misses, built.misses);
+  EXPECT_EQ(st.hits, built.hits + 1);
+  EXPECT_EQ(st.resident_bytes, operand_bytes(11, d, 4, true));
 }
 
 TEST(GuardedBackend, SecCorrectsSingleDotUpsetWithoutSpendingARung) {

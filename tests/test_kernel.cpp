@@ -544,6 +544,90 @@ TEST(KernelSimdTier, PrimitivesMatchNaiveReduction) {
   }
 }
 
+TEST(KernelSimdTier, SerialDotsEqualTheScalarLoop) {
+  // simd::serial_dots is the guard's reference side, so each chain must
+  // be the scalar loop's result bit for bit, NaN exactly where the loop
+  // gives NaN, on whichever ISA is live.  Chain counts 0–19 reach whole
+  // groups of eight, every padded leftover and none; lengths reach every
+  // tail; one x may feed every chain, as the column lanes' xsum does.
+  // Three value regimes: plain values in [−1, 1]; tiny ones whose
+  // products and sums are subnormal, with ±0; and ±DBL_MAX, ±Inf and NaN
+  // sprinkled into plain values, so chains overflow, cancel to NaN or
+  // stay finite.
+  SCOPED_TRACE(std::string("isa ") + simd::active_isa());
+  const auto loop = [](const double* x, const double* y, std::size_t n) {
+    double a = 0.0;
+    for (std::size_t p = 0; p < n; ++p) a += x[p] * y[p];
+    return a;
+  };
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kMax = std::numeric_limits<double>::max();
+  constexpr double kTrue = std::numeric_limits<double>::denorm_min();
+  const double tiny_specials[] = {0.0, -0.0, kTrue, -kTrue, 3.0 * kTrue, -0x1p-1030};
+  const double wide_specials[] = {kMax, -kMax, kInf, -kInf,
+                                  std::numeric_limits<double>::quiet_NaN()};
+  Rng rng(73);
+  const auto draw = [&](int regime) {
+    const double u = rng.uniform(-1.0, 1.0);
+    const double pick = rng.uniform(0.0, 1.0);
+    if (regime == 1) {
+      if (pick < 0.25) return tiny_specials[static_cast<std::size_t>(pick * 24.0)];
+      return u * 0x1p-520;
+    }
+    if (regime == 2 && pick < 0.05) return wide_specials[static_cast<std::size_t>(pick * 100.0)];
+    return u;
+  };
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n < 20; ++n) lengths.push_back(n);
+  for (const std::size_t n : {31u, 768u, 771u}) lengths.push_back(n);
+  std::size_t nan_results = 0, subnormal_results = 0, inf_results = 0;
+  for (int regime = 0; regime < 3; ++regime) {
+    for (const bool shared_x : {false, true}) {
+      for (const std::size_t n : lengths) {
+        std::vector<std::vector<double>> xs(19), ys(19);
+        for (std::size_t c = 0; c < 19; ++c) {
+          for (std::size_t p = 0; p < n; ++p) {
+            xs[c].push_back(draw(regime));
+            ys[c].push_back(draw(regime));
+          }
+        }
+        std::vector<const double*> xp, yp;
+        for (std::size_t c = 0; c < 19; ++c) {
+          xp.push_back(xs[shared_x ? 0 : c].data());
+          yp.push_back(ys[c].data());
+        }
+        for (std::size_t chains = 0; chains <= 19; ++chains) {
+          std::vector<double> out(chains + 1, -1.0);
+          simd::serial_dots(xp.data(), yp.data(), chains, n, out.data());
+          for (std::size_t c = 0; c < chains; ++c) {
+            const double want = loop(xp[c], yp[c], n);
+            const std::string where = "regime " + std::to_string(regime) + " shared " +
+                                      std::to_string(shared_x) + " n " + std::to_string(n) +
+                                      " chains " + std::to_string(chains) + " chain " +
+                                      std::to_string(c);
+            if (std::isnan(want)) {
+              ++nan_results;
+              EXPECT_TRUE(std::isnan(out[c])) << where << ": " << out[c];
+              continue;
+            }
+            if (std::isinf(want)) ++inf_results;
+            if (want != 0.0 && std::abs(want) < std::numeric_limits<double>::min()) {
+              ++subnormal_results;
+            }
+            EXPECT_EQ(std::memcmp(&out[c], &want, sizeof(double)), 0)
+                << where << ": " << out[c] << " vs " << want;
+          }
+          EXPECT_EQ(out[chains], -1.0) << "wrote past chain " << chains;
+        }
+      }
+    }
+  }
+  // Every special case was reached.
+  EXPECT_GT(nan_results, 0u);
+  EXPECT_GT(inf_results, 0u);
+  EXPECT_GT(subnormal_results, 0u);
+}
+
 TEST(KernelSimdTier, OutputsIndependentOfTileWidth) {
   // Each SIMD output is one simd::dot whether it falls in a 4-wide column
   // block or a column tail, so the array width cannot move a single bit
