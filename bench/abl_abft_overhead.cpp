@@ -22,50 +22,29 @@
 //
 // Writes machine-readable BENCH_abft.json (default: the repository root).
 //
-// Usage:
+// Usage (bench/harness.hpp):
 //   abl_abft_overhead            # full shapes (~10k verified tiles)
 //   abl_abft_overhead --smoke    # CI smoke: same code paths, small counts
 //   abl_abft_overhead --out FILE # JSON destination
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
-#include "arch/energy_model.hpp"
-#include "arch/lt_config.hpp"
-#include "arch/power_params.hpp"
-#include "common/matrix.hpp"
-#include "common/rng.hpp"
 #include "common/stats.hpp"
-#include "eval/report.hpp"
 #include "faults/fault_injector.hpp"
 #include "faults/guarded_backend.hpp"
 #include "faults/self_test.hpp"
+#include "harness.hpp"
 #include "nn/encoder_layer.hpp"
 #include "nn/model_config.hpp"
-
-#ifndef PDAC_REPO_ROOT
-#define PDAC_REPO_ROOT "."
-#endif
 
 namespace {
 
 using namespace pdac;
+using bench::bank_config;
+using bench::price_uj;
 
 constexpr std::uint64_t kSeed = 2027;
-
-faults::LaneBankConfig bank_config(std::size_t wavelengths, std::uint64_t seed) {
-  faults::LaneBankConfig cfg;
-  cfg.pdac.bits = 8;
-  cfg.wavelengths = wavelengths;
-  cfg.variation.tia_gain_sigma = 0.01;
-  cfg.variation.bias_sigma = 0.002;
-  cfg.variation.vpi_drift_sigma = 0.005;
-  cfg.variation.seed = seed;
-  return cfg;
-}
 
 faults::FaultScheduleConfig schedule_config(std::size_t lanes, double fault_rate,
                                             std::uint64_t horizon, std::uint64_t seed) {
@@ -79,16 +58,6 @@ faults::FaultScheduleConfig schedule_config(std::size_t lanes, double fault_rate
   cfg.laser_droop_per_step = 0.0003;
   cfg.seed = seed;
   return cfg;
-}
-
-bool bit_identical(const Matrix& a, const Matrix& b) {
-  if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
-  return std::memcmp(a.data().data(), b.data().data(), a.size() * sizeof(double)) == 0;
-}
-
-double price_uj(const ptc::EventCounter& ev, const arch::LtConfig& lt,
-                const arch::PowerParams& params) {
-  return arch::event_energy(ev, lt, params, 8, arch::SystemVariant::kPdacBased).joules() * 1e6;
 }
 
 /// Advances a fault injector by a fixed step count before every product
@@ -193,15 +162,10 @@ struct StormPoint {
 int main(int argc, char** argv) {
   using namespace pdac;
 
-  bool smoke = false;
-  std::string out_path = std::string(PDAC_REPO_ROOT) + "/BENCH_abft.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) out_path = argv[++i];
-  }
+  const bench::Args args = bench::parse_args(argc, argv, "BENCH_abft.json");
 
   std::printf("Ablation A22 — ABFT guard: overhead, detection latency, storm accuracy (%s)\n\n",
-              smoke ? "smoke" : "full");
+              args.smoke ? "smoke" : "full");
 
   const arch::LtConfig lt = arch::lt_base();
   const arch::PowerParams params = arch::lt_power_params();
@@ -209,7 +173,7 @@ int main(int argc, char** argv) {
 
   // --- 1. clean-hardware tax + zero false positives -------------------------
   // 64×24×64 products on the 8×8 tile grid: 64 verified tiles each.
-  const std::size_t tile_target = smoke ? 2000 : 10000;
+  const std::size_t tile_target = args.smoke ? 2000 : 10000;
   faults::LaneBank clean_bank(bank_config(4, kSeed));
   faults::production_trim(clean_bank);
   faults::LaneBank plain_bank(bank_config(4, kSeed));  // same fabrication draw
@@ -222,7 +186,7 @@ int main(int argc, char** argv) {
   while (guarded.monitor().snapshot().tiles_checked < tile_target) {
     const Matrix a = Matrix::random_gaussian(64, 24, clean_rng, 0.0, 1.0);
     const Matrix b = Matrix::random_gaussian(24, 64, clean_rng, 0.0, 1.0);
-    identical = identical && bit_identical(guarded.matmul(a, b), unguarded.matmul(a, b));
+    identical = identical && bench::bit_identical(guarded.matmul(a, b), unguarded.matmul(a, b));
   }
   const faults::HealthSnapshot& clean_snap = guarded.monitor().snapshot();
 
@@ -259,7 +223,7 @@ int main(int argc, char** argv) {
 
   // --- 2. detection latency: fault at tile step S, caught at tile S ---------
   const std::vector<std::uint64_t> fault_steps =
-      smoke ? std::vector<std::uint64_t>{8, 24} : std::vector<std::uint64_t>{8, 24, 48, 80};
+      args.smoke ? std::vector<std::uint64_t>{8, 24} : std::vector<std::uint64_t>{8, 24, 48, 80};
   struct LatencyRow {
     std::uint64_t step;
     double latency;
@@ -319,9 +283,9 @@ int main(int argc, char** argv) {
   const std::uint64_t horizon = counter.calls();  // one storm step per product
   const std::size_t bist_period = std::max<std::size_t>(1, counter.calls() / 4);
 
-  const std::vector<double> rates = smoke ? std::vector<double>{0.3}
+  const std::vector<double> rates = args.smoke ? std::vector<double>{0.3}
                                           : std::vector<double>{0.1, 0.3, 0.6};
-  const std::size_t n_seeds = smoke ? 2 : 3;
+  const std::size_t n_seeds = args.smoke ? 2 : 3;
   const std::size_t wavelengths = 8;
 
   std::vector<StormPoint> storm_points;
@@ -416,43 +380,30 @@ int main(int argc, char** argv) {
                                    csv)
                           .c_str());
 
-  std::FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", out_path.c_str());
-    return 1;
+  bench::Json json;
+  json.field("bench", "abft_overhead").field("mode", args.smoke ? "smoke" : "full");
+  json.object("clean").field("tiles_checked", clean_snap.tiles_checked);
+  json.field("false_positives", clean_snap.mismatched_tiles).field("bit_identical", identical);
+  json.field("checksum_energy_uj", clean_sum.checksum_energy_uj, "%.4f");
+  json.field("data_energy_uj", clean_sum.data_energy_uj, "%.4f");
+  json.field("overhead", overhead, "%.5f").end();
+  json.array("detection_latency");
+  for (const LatencyRow& row : latency_rows) {
+    json.object().field("fault_step", row.step).field("latency_tiles", row.latency, "%.1f").end();
   }
-  std::fprintf(f, "{\n  \"bench\": \"abft_overhead\",\n  \"mode\": \"%s\",\n",
-               smoke ? "smoke" : "full");
-  std::fprintf(f, "  \"clean\": {\"tiles_checked\": %zu, \"false_positives\": %zu, "
-               "\"bit_identical\": %s,\n",
-               clean_snap.tiles_checked, clean_snap.mismatched_tiles,
-               identical ? "true" : "false");
-  std::fprintf(f, "            \"checksum_energy_uj\": %.4f, \"data_energy_uj\": %.4f, "
-               "\"overhead\": %.5f},\n",
-               clean_sum.checksum_energy_uj, clean_sum.data_energy_uj, overhead);
-  std::fprintf(f, "  \"detection_latency\": [");
-  for (std::size_t i = 0; i < latency_rows.size(); ++i) {
-    std::fprintf(f, "%s{\"fault_step\": %llu, \"latency_tiles\": %.1f}",
-                 i == 0 ? "" : ", ",
-                 static_cast<unsigned long long>(latency_rows[i].step), latency_rows[i].latency);
+  json.end().array("storm_accuracy");
+  for (const StormPoint& pt : storm_points) {
+    json.object().field("fault_rate", pt.fault_rate, "%.2f");
+    json.field("unguarded", pt.unguarded, "%.4f").field("bist_only", pt.bist_only, "%.4f");
+    json.field("guarded", pt.guarded, "%.4f").end();
   }
-  std::fprintf(f, "],\n  \"storm_accuracy\": [");
-  for (std::size_t i = 0; i < storm_points.size(); ++i) {
-    const StormPoint& pt = storm_points[i];
-    std::fprintf(f, "%s{\"fault_rate\": %.2f, \"unguarded\": %.4f, \"bist_only\": %.4f, "
-                 "\"guarded\": %.4f}",
-                 i == 0 ? "" : ", ", pt.fault_rate, pt.unguarded, pt.bist_only, pt.guarded);
-  }
-  std::fprintf(f, "],\n  \"storm_guard\": {\"detections\": %zu, \"retries\": %zu, "
-               "\"retrims\": %zu, \"fences\": %zu, \"unrecovered\": %zu,\n"
-               "                  \"mean_detection_latency_tiles\": %.2f, "
-               "\"retry_energy_uj\": %.4f},\n",
-               storm_sum.detections, storm_sum.retries, storm_sum.retrims, storm_sum.fences,
-               storm_sum.unrecovered, storm_sum.mean_detection_latency,
-               storm_sum.retry_energy_uj);
-  std::fprintf(f, "  \"pass\": %s\n}\n", all_pass ? "true" : "false");
-  std::fclose(f);
-  std::printf("wrote %s\n", out_path.c_str());
+  json.end().object("storm_guard").field("detections", storm_sum.detections);
+  json.field("retries", storm_sum.retries).field("retrims", storm_sum.retrims);
+  json.field("fences", storm_sum.fences).field("unrecovered", storm_sum.unrecovered);
+  json.field("mean_detection_latency_tiles", storm_sum.mean_detection_latency, "%.2f");
+  json.field("retry_energy_uj", storm_sum.retry_energy_uj, "%.4f").end();
+  json.field("pass", all_pass);
+  if (!json.write(args.out)) return 1;
 
   std::printf(
       "\nFindings: on healthy hardware the guard is pure observation — the\n"

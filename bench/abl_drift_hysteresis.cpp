@@ -31,36 +31,25 @@
 //
 // Writes machine-readable BENCH_drift.json (default: repository root).
 //
-// Usage:
+// Usage (bench/harness.hpp):
 //   abl_drift_hysteresis            # full sweep
 //   abl_drift_hysteresis --smoke    # CI smoke: same code paths, small counts
 //   abl_drift_hysteresis --out FILE # JSON destination
 #include <algorithm>
-#include <cstdio>
-#include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
-#include "arch/energy_model.hpp"
-#include "arch/lt_config.hpp"
-#include "arch/power_params.hpp"
-#include "common/matrix.hpp"
-#include "common/rng.hpp"
 #include "common/stats.hpp"
-#include "eval/report.hpp"
 #include "faults/fault_injector.hpp"
 #include "faults/guarded_backend.hpp"
-#include "nn/backend.hpp"
-#include "serve/engine.hpp"
+#include "harness.hpp"
 #include "serve/workload.hpp"
-
-#ifndef PDAC_REPO_ROOT
-#define PDAC_REPO_ROOT "."
-#endif
 
 namespace {
 
 using namespace pdac;
+using bench::price_uj;
 
 constexpr std::uint64_t kSeed = 2035;
 
@@ -69,17 +58,6 @@ constexpr std::uint64_t kSeed = 2035;
 constexpr std::size_t kRows = 16;
 constexpr std::size_t kInner = 24;
 constexpr std::size_t kCols = 32;
-
-faults::LaneBankConfig bank_config() {
-  faults::LaneBankConfig cfg;
-  cfg.pdac.bits = 8;
-  cfg.wavelengths = 4;
-  cfg.variation.tia_gain_sigma = 0.01;
-  cfg.variation.bias_sigma = 0.002;
-  cfg.variation.vpi_drift_sigma = 0.005;
-  cfg.variation.seed = kSeed;  // one fabrication draw for every run
-  return cfg;
-}
 
 /// One policy under test: the hysteresis band plus the §16 governor.
 /// Both sides of every comparison share the identical ladder bounds and
@@ -109,11 +87,6 @@ struct DecodeRun {
   std::vector<Matrix> outputs;  ///< kept only for the identity gate
 };
 
-double price_uj(const ptc::EventCounter& ev, const arch::LtConfig& lt,
-                const arch::PowerParams& params) {
-  return arch::event_energy(ev, lt, params, 8, arch::SystemVariant::kPdacBased).joules() * 1e6;
-}
-
 /// Decode `products` products through one guarded backend with a
 /// bias-walk storm of `walk_sigma` rad/step advancing one step per tile
 /// (0 = no storm attached).  Identical seeds everywhere, so two calls
@@ -122,7 +95,7 @@ double price_uj(const ptc::EventCounter& ev, const arch::LtConfig& lt,
 DecodeRun run_decode(double band, bool proactive, double walk_sigma, std::size_t products,
                      bool keep_outputs, const arch::LtConfig& lt,
                      const arch::PowerParams& params) {
-  faults::LaneBank bank(bank_config());
+  faults::LaneBank bank(bench::bank_config(4, kSeed));  // one fabrication draw
   faults::production_trim(bank);
   faults::GuardedBackend backend(bank, guarded_config(band, proactive));
 
@@ -164,11 +137,6 @@ DecodeRun run_decode(double band, bool proactive, double walk_sigma, std::size_t
   return run;
 }
 
-bool bit_identical(const Matrix& a, const Matrix& b) {
-  if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
-  return std::memcmp(a.data().data(), b.data().data(), a.size() * sizeof(double)) == 0;
-}
-
 struct SweepCell {
   double walk_sigma{};
   double band{};
@@ -180,19 +148,14 @@ struct SweepCell {
 int main(int argc, char** argv) {
   using namespace pdac;
 
-  bool smoke = false;
-  std::string out_path = std::string(PDAC_REPO_ROOT) + "/BENCH_drift.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) out_path = argv[++i];
-  }
+  const bench::Args args = bench::parse_args(argc, argv, "BENCH_drift.json");
 
   std::printf("Ablation A26 — drift-adaptive hysteresis recovery (%s)\n\n",
-              smoke ? "smoke" : "full");
+              args.smoke ? "smoke" : "full");
 
   const arch::LtConfig lt = arch::lt_base();
   const arch::PowerParams params = arch::lt_power_params();
-  const std::size_t products = smoke ? 32 : 96;
+  const std::size_t products = args.smoke ? 32 : 96;
   const double kBand = 14.0;  // headline hysteresis band (drift_band)
   bool all_pass = true;
 
@@ -204,7 +167,7 @@ int main(int argc, char** argv) {
   const DecodeRun id_band = run_decode(kBand, true, 0.0, products, true, lt, params);
   bool identity = id_base.outputs.size() == id_band.outputs.size();
   for (std::size_t t = 0; identity && t < id_base.outputs.size(); ++t) {
-    identity = bit_identical(id_base.outputs[t], id_band.outputs[t]);
+    identity = bench::bit_identical(id_base.outputs[t], id_band.outputs[t]);
   }
   const bool events_identical =
       id_base.snap.tiles_checked == id_band.snap.tiles_checked &&
@@ -226,7 +189,7 @@ int main(int argc, char** argv) {
   // reassociation-scale (fp_slack·eps·k·(fan+1)·mag), so "drift" here is
   // wander *below the accuracy budget* — exactly the class the paper's
   // periodic re-calibration overpays for.
-  const std::vector<double> rates = smoke ? std::vector<double>{2e-13, 8e-13}
+  const std::vector<double> rates = args.smoke ? std::vector<double>{2e-13, 8e-13}
                                           : std::vector<double>{5e-14, 2e-13, 8e-13};
   const std::vector<double> bands = {1.0, 4.0, kBand};
 
@@ -279,8 +242,7 @@ int main(int argc, char** argv) {
   // it (the probe path force-re-trims until the canary verifies).
   serve::BackendPoolConfig pool_cfg;
   pool_cfg.backends = 2;
-  pool_cfg.bank = bank_config();
-  pool_cfg.bank.wavelengths = 8;
+  pool_cfg.bank = bench::bank_config(8, kSeed);
   pool_cfg.guarded = guarded_config(kBand, true);
   // Lanes are never on the quantizer grid: the SIMD tier on wide hosts,
   // the scalar kernel otherwise.
@@ -310,7 +272,7 @@ int main(int argc, char** argv) {
     models.back().init_random(mrng);
   }
   serve::WorkloadConfig wl;
-  wl.requests = smoke ? 16 : 32;
+  wl.requests = args.smoke ? 16 : 32;
   wl.mean_interarrival = 24.0;
   wl.d_model = d_model;
   wl.models = 1;
@@ -324,45 +286,7 @@ int main(int argc, char** argv) {
   serve::ServingEngine engine(pool, models, scfg);
   const serve::ServingReport rep = engine.run(reqs);
 
-  eval::ServingSummary ss;
-  ss.requests = reqs.size();
-  ss.completed = rep.completed;
-  ss.shed = rep.shed;
-  ss.failed = rep.failed;
-  ss.tokens = rep.tokens_emitted;
-  ss.goodput_tokens = rep.goodput_tokens;
-  ss.makespan_cycles = rep.makespan;
-  ss.p50_token_gap = serve::percentile(rep.token_gaps, 50.0);
-  ss.p99_token_gap = serve::percentile(rep.token_gaps, 99.0);
-  ss.p50_request_latency = serve::percentile(rep.request_latencies, 50.0);
-  ss.p99_request_latency = serve::percentile(rep.request_latencies, 99.0);
-  ss.throttled_products = rep.throttled_products;
-  for (const serve::BackendServeStats& b : rep.backends) {
-    ss.energy_uj += price_uj(b.events, lt, params);
-    ss.energy_uj += price_uj(b.health.checksum_events, lt, params);
-  }
-  ss.goodput_per_joule = ss.energy_uj > 0.0
-                             ? static_cast<double>(rep.goodput_tokens) / (ss.energy_uj * 1e-6)
-                             : 0.0;
-  ss.quarantines = rep.quarantines;
-  ss.readmissions = rep.readmissions;
-  ss.canary_probes = rep.canary_probes;
-  for (const serve::BackendServeStats& b : rep.backends) {
-    eval::ServingBackendRow row;
-    row.tokens = b.tokens;
-    row.products = b.products;
-    row.utilization = rep.makespan > 0
-                          ? static_cast<double>(b.busy_cycles) / static_cast<double>(rep.makespan)
-                          : 0.0;
-    row.final_health = b.final_health;
-    row.alive = b.alive;
-    row.quarantined = b.quarantined;
-    row.fences = b.health.fences;
-    row.unrecovered = b.health.unrecovered;
-    row.drifting_lanes = b.drift.drifting;
-    row.excursion_lanes = b.drift.excursions;
-    ss.backends.push_back(row);
-  }
+  const eval::ServingSummary ss = bench::serving_summary(rep, reqs.size(), lt, params);
   std::printf("%s\n", eval::render_serving("drift-stormed pool (quarantine live)", ss).c_str());
 
   const bool quarantine_pass = rep.quarantines >= 1 && rep.failed == 0 &&
@@ -375,46 +299,34 @@ int main(int argc, char** argv) {
   all_pass = all_pass && quarantine_pass;
 
   // --- JSON -------------------------------------------------------------------
-  std::FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", out_path.c_str());
-    return 1;
+  bench::Json json;
+  json.field("bench", "drift_hysteresis").field("mode", args.smoke ? "smoke" : "full");
+  json.object("zero_drift").field("products", products).field("bit_identical", identity);
+  json.field("events_identical", events_identical).end();
+  json.array("sweep");
+  for (const SweepCell& cell : sweep) {
+    json.object().field("walk_sigma", cell.walk_sigma, "%.1e").field("band", cell.band, "%.1f");
+    json.field("retrims", cell.run.snap.retrims);
+    json.field("proactive_retrims", cell.run.snap.proactive_retrims);
+    json.field("governed_retrims", cell.run.snap.governed_retrims);
+    json.field("drift_tiles", cell.run.snap.drift_tiles);
+    json.field("unrecovered", cell.run.snap.unrecovered);
+    json.field("cosine", cell.run.cosine, "%.9f");
+    json.field("recovery_uj", cell.run.recovery_uj, "%.4f").end();
   }
-  std::fprintf(f, "{\n  \"bench\": \"drift_hysteresis\",\n  \"mode\": \"%s\",\n",
-               smoke ? "smoke" : "full");
-  std::fprintf(f, "  \"zero_drift\": {\"products\": %zu, \"bit_identical\": %s, "
-               "\"events_identical\": %s},\n",
-               products, identity ? "true" : "false", events_identical ? "true" : "false");
-  std::fprintf(f, "  \"sweep\": [");
-  for (std::size_t i = 0; i < sweep.size(); ++i) {
-    const SweepCell& cell = sweep[i];
-    std::fprintf(f,
-                 "%s{\"walk_sigma\": %.1e, \"band\": %.1f, \"retrims\": %zu, "
-                 "\"proactive_retrims\": %zu,\n            \"governed_retrims\": %zu, "
-                 "\"drift_tiles\": %zu, \"unrecovered\": %zu,\n            "
-                 "\"cosine\": %.9f, \"recovery_uj\": %.4f}",
-                 i == 0 ? "" : ",\n            ", cell.walk_sigma, cell.band,
-                 cell.run.snap.retrims, cell.run.snap.proactive_retrims,
-                 cell.run.snap.governed_retrims, cell.run.snap.drift_tiles,
-                 cell.run.snap.unrecovered, cell.run.cosine, cell.run.recovery_uj);
-  }
-  std::fprintf(f, "],\n");
-  std::fprintf(f,
-               "  \"headline\": {\"walk_sigma\": %.1e, \"retrims_baseline\": %zu, "
-               "\"retrims_banded\": %zu,\n               \"recovery_uj_baseline\": %.4f, "
-               "\"recovery_uj_banded\": %.4f,\n               \"cosine_baseline\": %.9f, "
-               "\"cosine_banded\": %.9f},\n",
-               high, base->run.snap.retrims, banded->run.snap.retrims, base->run.recovery_uj,
-               banded->run.recovery_uj, base->run.cosine, banded->run.cosine);
-  std::fprintf(f,
-               "  \"serving\": {\"requests\": %zu, \"completed\": %zu, \"shed\": %zu, "
-               "\"failed\": %zu,\n              \"goodput_tokens\": %zu, \"quarantines\": %zu, "
-               "\"readmissions\": %zu, \"canary_probes\": %zu},\n",
-               reqs.size(), rep.completed, rep.shed, rep.failed, rep.goodput_tokens,
-               rep.quarantines, rep.readmissions, rep.canary_probes);
-  std::fprintf(f, "  \"pass\": %s\n}\n", all_pass ? "true" : "false");
-  std::fclose(f);
-  std::printf("wrote %s\n", out_path.c_str());
+  json.end().object("headline").field("walk_sigma", high, "%.1e");
+  json.field("retrims_baseline", base->run.snap.retrims);
+  json.field("retrims_banded", banded->run.snap.retrims);
+  json.field("recovery_uj_baseline", base->run.recovery_uj, "%.4f");
+  json.field("recovery_uj_banded", banded->run.recovery_uj, "%.4f");
+  json.field("cosine_baseline", base->run.cosine, "%.9f");
+  json.field("cosine_banded", banded->run.cosine, "%.9f").end();
+  json.object("serving").field("requests", reqs.size()).field("completed", rep.completed);
+  json.field("shed", rep.shed).field("failed", rep.failed);
+  json.field("goodput_tokens", rep.goodput_tokens).field("quarantines", rep.quarantines);
+  json.field("readmissions", rep.readmissions).field("canary_probes", rep.canary_probes).end();
+  json.field("pass", all_pass);
+  if (!json.write(args.out)) return 1;
 
   std::printf(
       "\nFindings: an always-re-trim guard pays a full recovery ladder for\n"

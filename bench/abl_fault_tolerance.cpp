@@ -33,6 +33,7 @@
 #include "faults/fault_injector.hpp"
 #include "faults/guarded_backend.hpp"
 #include "faults/self_test.hpp"
+#include "harness.hpp"
 #include "nn/encoder_layer.hpp"
 #include "nn/model_config.hpp"
 #include "nn/workload_trace.hpp"
@@ -40,6 +41,7 @@
 namespace {
 
 using namespace pdac;
+using bench::bank_config;
 
 enum class Mode { kNoDetect, kDetectOnly, kDetectRecover };
 
@@ -67,17 +69,6 @@ faults::FaultScheduleConfig schedule_config(std::size_t lanes, double fault_rate
   cfg.bias_walk_sigma_per_step = 0.012 * fault_rate;
   cfg.laser_droop_per_step = 0.0003;
   cfg.seed = seed;
-  return cfg;
-}
-
-faults::LaneBankConfig bank_config(std::size_t wavelengths, std::uint64_t seed) {
-  faults::LaneBankConfig cfg;
-  cfg.pdac.bits = 8;
-  cfg.wavelengths = wavelengths;
-  cfg.variation.tia_gain_sigma = 0.01;
-  cfg.variation.bias_sigma = 0.002;
-  cfg.variation.vpi_drift_sigma = 0.005;
-  cfg.variation.seed = seed;
   return cfg;
 }
 

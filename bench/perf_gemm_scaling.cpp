@@ -4,84 +4,27 @@
 // Runs the full-optics photonic GEMM at a sweep of thread counts and
 // matrix shapes, verifies every parallel result is BIT-identical to the
 // serial baseline, and writes machine-readable BENCH_gemm.json
-// (threads × shape × wall-time × speedup) next to the working directory
-// so CI can archive a perf point per build.
+// (threads × shape × wall-time × speedup) so CI can archive a perf point
+// per build.  Per shape, the thread counts are timed round-robin after
+// one warmup round, and each reports its median.
 //
-// Usage:
+// Usage (bench/harness.hpp):
 //   perf_gemm_scaling            # full shapes (256³ and 768³)
 //   perf_gemm_scaling --smoke    # tiny shapes for CI smoke coverage
 //   perf_gemm_scaling --out FILE # JSON destination (default:
-//                                # BENCH_gemm.json in the repository root,
-//                                # so the perf trajectory is tracked)
-#include <algorithm>
-#include <chrono>
-#include <cstdio>
-#include <cstring>
+//                                # BENCH_gemm.json in the repository root)
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "common/matrix.hpp"
-#include "common/rng.hpp"
 #include "common/table.hpp"
-#include "ptc/gemm_engine.hpp"
-
-#ifndef PDAC_REPO_ROOT
-#define PDAC_REPO_ROOT "."
-#endif
-
-namespace {
-
-struct Shape {
-  std::size_t m, k, n;
-};
-
-struct Sample {
-  Shape shape;
-  std::size_t threads;
-  double wall_ms;
-  double speedup;
-  bool bit_identical;
-};
-
-double time_multiply(const pdac::ptc::PhotonicGemm& gemm, const pdac::Matrix& a,
-                     const pdac::Matrix& b, pdac::ptc::GemmResult* out) {
-  const auto t0 = std::chrono::steady_clock::now();
-  *out = gemm.multiply(a, b);
-  const auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::milli>(t1 - t0).count();
-}
-
-/// Median-of-N wall time after one untimed warmup run.  The warmup pays
-/// the pool spin-up, scratch growth and cache faults once; the median is
-/// robust to a single scheduler hiccup where best-of-two was not, which
-/// kept the smoke-mode threads=2 point from flaking below threads=1.
-double measured_multiply(const pdac::ptc::PhotonicGemm& gemm, const pdac::Matrix& a,
-                         const pdac::Matrix& b, std::size_t iters, pdac::ptc::GemmResult* out) {
-  pdac::ptc::GemmResult warmup;
-  (void)time_multiply(gemm, a, b, &warmup);
-  std::vector<double> ms(iters);
-  for (std::size_t i = 0; i < iters; ++i) ms[i] = time_multiply(gemm, a, b, out);
-  std::sort(ms.begin(), ms.end());
-  return ms[ms.size() / 2];
-}
-
-bool bit_identical(const pdac::Matrix& a, const pdac::Matrix& b) {
-  if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
-  return std::memcmp(a.data().data(), b.data().data(), a.size() * sizeof(double)) == 0;
-}
-
-}  // namespace
+#include "harness.hpp"
 
 int main(int argc, char** argv) {
   using namespace pdac;
 
-  bool smoke = false;
-  std::string out_path = std::string(PDAC_REPO_ROOT) + "/BENCH_gemm.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) out_path = argv[++i];
-  }
+  const bench::Args args = bench::parse_args(argc, argv, "BENCH_gemm.json");
 
   // Smoke shapes must still be large enough that the parallel dispatch
   // amortizes its fork/join cost — at the old 24³-class shapes the
@@ -89,17 +32,27 @@ int main(int argc, char** argv) {
   // CI.  ~100³ keeps the smoke run in the hundreds of milliseconds while
   // giving every worker dozens of tiles.  One ragged shape stays in the
   // sweep so smoke coverage still crosses partial-tile edges.
-  const std::vector<Shape> shapes = smoke
+  struct Shape {
+    std::size_t m, k, n;
+  };
+  const std::vector<Shape> shapes = args.smoke
                                         ? std::vector<Shape>{{96, 128, 96}, {161, 160, 157}}
                                         : std::vector<Shape>{{256, 256, 256}, {768, 768, 768}};
   const std::vector<std::size_t> thread_counts{1, 2, 4, 8};
-  const std::size_t iters = smoke ? 5 : 3;
+  const std::size_t warmup = 1;
+  const std::size_t reps = args.smoke ? 5 : 3;
 
-  std::printf("perf_gemm_scaling — tile-parallel GEMM engine, %s mode\n", smoke ? "smoke" : "full");
+  std::printf("perf_gemm_scaling — tile-parallel GEMM engine, %s mode\n",
+              args.smoke ? "smoke" : "full");
   std::printf("hardware concurrency: %u\n\n", std::thread::hardware_concurrency());
 
   const auto drv = core::make_pdac_driver(8);
-  std::vector<Sample> samples;
+  bench::Json json;
+  json.field("bench", "gemm_scaling").field("mode", args.smoke ? "smoke" : "full");
+  json.field("hardware_concurrency", std::thread::hardware_concurrency());
+  json.object("timing").field("warmup", warmup).field("reps", reps);
+  json.field("order", "interleaved").field("statistic", "median").end();
+  json.array("results");
   bool all_identical = true;
 
   for (const Shape& s : shapes) {
@@ -107,10 +60,8 @@ int main(int argc, char** argv) {
     const Matrix a = Matrix::random_gaussian(s.m, s.k, rng);
     const Matrix b = Matrix::random_gaussian(s.k, s.n, rng);
 
-    ptc::GemmResult baseline;
-    double base_ms = 0.0;
-    Table t({"threads", "wall ms", "speedup", "bit-identical"});
-    for (std::size_t threads : thread_counts) {
+    std::vector<std::unique_ptr<ptc::PhotonicGemm>> gemms;
+    for (const std::size_t threads : thread_counts) {
       ptc::GemmConfig cfg;
       cfg.dot.use_full_optics = true;
       // This bench measures tile-parallel *dispatch* scaling, so it pins
@@ -120,45 +71,30 @@ int main(int argc, char** argv) {
       // per-tile cost keeps the BENCH_gemm.json trajectory comparable.
       cfg.path = ptc::ExecutionPath::kDeviceGraph;
       cfg.threads = threads;
-      const ptc::PhotonicGemm gemm(*drv, cfg);
-      ptc::GemmResult res;
-      const double ms = measured_multiply(gemm, a, b, iters, &res);
-      bool identical = true;
-      if (threads == 1) {
-        baseline = std::move(res);
-        base_ms = ms;
-      } else {
-        identical = bit_identical(res.c, baseline.c);
-        all_identical = all_identical && identical;
-      }
-      samples.push_back(Sample{s, threads, ms, base_ms / ms, identical});
-      t.add_row({std::to_string(threads), Table::num(ms, 2), Table::num(base_ms / ms, 2) + "x",
-                 identical ? "yes" : "NO"});
+      gemms.push_back(std::make_unique<ptc::PhotonicGemm>(*drv, cfg));
+    }
+    std::vector<Matrix> out(gemms.size());
+    const auto ms = bench::sample_round_robin(gemms.size(), warmup, reps, [&](std::size_t c) {
+      out[c] = gemms[c]->multiply(a, b).c;
+    });
+
+    const double base_ms = bench::spread_of(ms[0]).median;
+    Table t({"threads", "wall ms", "speedup", "bit-identical"});
+    for (std::size_t c = 0; c < gemms.size(); ++c) {
+      const bench::Spread wall = bench::spread_of(ms[c]);
+      const bool identical = bench::bit_identical(out[c], out[0]);
+      all_identical = all_identical && identical;
+      json.object().field("m", s.m).field("k", s.k).field("n", s.n);
+      json.field("threads", thread_counts[c]).field("wall_ms", wall.median);
+      json.field("wall_ms_spread", wall).field("speedup", base_ms / wall.median);
+      json.field("bit_identical", identical).end();
+      t.add_row({std::to_string(thread_counts[c]), Table::num(wall.median, 2),
+                 Table::num(base_ms / wall.median, 2) + "x", identical ? "yes" : "NO"});
     }
     std::printf("GEMM %zux%zux%zu (full optics, 8-bit P-DAC)\n%s\n", s.m, s.k, s.n,
                 t.to_string().c_str());
   }
-
-  std::FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", out_path.c_str());
-    return 1;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"gemm_scaling\",\n  \"mode\": \"%s\",\n",
-               smoke ? "smoke" : "full");
-  std::fprintf(f, "  \"hardware_concurrency\": %u,\n  \"results\": [\n",
-               std::thread::hardware_concurrency());
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    const Sample& smp = samples[i];
-    std::fprintf(f,
-                 "    {\"m\": %zu, \"k\": %zu, \"n\": %zu, \"threads\": %zu, "
-                 "\"wall_ms\": %.3f, \"speedup\": %.3f, \"bit_identical\": %s}%s\n",
-                 smp.shape.m, smp.shape.k, smp.shape.n, smp.threads, smp.wall_ms, smp.speedup,
-                 smp.bit_identical ? "true" : "false", i + 1 < samples.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", out_path.c_str());
+  if (!json.write(args.out)) return 1;
 
   if (!all_identical) {
     std::fprintf(stderr, "FAIL: a parallel result diverged from the serial baseline\n");

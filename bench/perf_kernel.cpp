@@ -33,195 +33,37 @@
 // kernel (2x is the target; the gate leaves headroom for CI hosts), and
 // the quant tier the >=1.3x bar vs the SIMD tier on the same driver.
 //
-// Each tier's ms/token is the median of 5 tokens timed round-robin across
-// all six timed backends (device graph, scalar kernel, SIMD; bit-true
-// scalar, SIMD and quant), each with a warm operand cache; the quartiles
-// are printed and written beside it.
+// Every decode runs bench::DecodeModel (BERT-base through
+// MultiHeadAttention::forward_decode and nn::Linear).  Each tier's
+// ms/token is the median of 5 tokens timed round-robin across all six
+// timed backends (device graph, scalar kernel, SIMD; bit-true scalar,
+// SIMD and quant) after one warmup round that fills every operand cache;
+// the quartiles are printed and written beside it.
 //
 // Writes machine-readable BENCH_kernel.json (default: repository root).
 //
-// Usage:
+// Usage (bench/harness.hpp):
 //   perf_kernel             # full BERT-base shapes, 3x gate enforced
 //   perf_kernel --smoke     # tiny shapes, identity gates only
 //   perf_kernel --layers N  # override the layer count
 //   perf_kernel --out FILE  # JSON destination
-#include <algorithm>
-#include <chrono>
-#include <cmath>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "common/matrix.hpp"
-#include "common/rng.hpp"
 #include "common/simd.hpp"
 #include "faults/fault_injector.hpp"
 #include "faults/guarded_backend.hpp"
-#include "nn/backend.hpp"
-#include "nn/linear.hpp"
-#include "nn/ops.hpp"
+#include "harness.hpp"
 #include "ptc/abft.hpp"
-#include "ptc/gemm_engine.hpp"
-
-#ifndef PDAC_REPO_ROOT
-#define PDAC_REPO_ROOT "."
-#endif
 
 namespace {
 
 using namespace pdac;
-
-struct DecodeShapes {
-  std::size_t d_model, heads, d_ff, context;
-  [[nodiscard]] std::size_t d_head() const { return d_model / heads; }
-};
-
-struct DecodeLayer {
-  nn::Linear q, k, v, o, up, down;
-  std::vector<Matrix> kh_t;  ///< per head: (d_head × context), already Kᵀ
-  std::vector<Matrix> vh;    ///< per head: (context × d_head)
-
-  DecodeLayer(const DecodeShapes& s, Rng& rng)
-      : q(s.d_model, s.d_model),
-        k(s.d_model, s.d_model),
-        v(s.d_model, s.d_model),
-        o(s.d_model, s.d_model),
-        up(s.d_model, s.d_ff),
-        down(s.d_ff, s.d_model) {
-    q.init_random(rng);
-    k.init_random(rng);
-    v.init_random(rng);
-    o.init_random(rng);
-    up.init_random(rng);
-    down.init_random(rng);
-    for (std::size_t h = 0; h < s.heads; ++h) {
-      kh_t.push_back(Matrix::random_gaussian(s.d_head(), s.context, rng, 0.0, 0.5));
-      vh.push_back(Matrix::random_gaussian(s.context, s.d_head(), rng, 0.0, 0.5));
-    }
-  }
-};
-
-Matrix head_slice(const Matrix& m, std::size_t h, std::size_t dh) {
-  Matrix out(m.rows(), dh);
-  for (std::size_t r = 0; r < m.rows(); ++r) {
-    for (std::size_t c = 0; c < dh; ++c) out(r, c) = m(r, h * dh + c);
-  }
-  return out;
-}
-
-Matrix decode_token(const Matrix& x0, const std::vector<DecodeLayer>& layers,
-                    const DecodeShapes& s, nn::GemmBackend& backend) {
-  Matrix x = x0;
-  const std::size_t dh = s.d_head();
-  for (const DecodeLayer& layer : layers) {
-    const Matrix q = layer.q.forward(x, backend);
-    (void)layer.k.forward(x, backend);
-    (void)layer.v.forward(x, backend);
-
-    Matrix context(1, s.d_model);
-    for (std::size_t h = 0; h < s.heads; ++h) {
-      const Matrix qh = head_slice(q, h, dh);
-      Matrix scores = backend.matmul(qh, layer.kh_t[h]);
-      nn::scale_inplace(scores, 1.0 / std::sqrt(static_cast<double>(dh)));
-      nn::softmax_rows(scores);
-      const Matrix ctx_h = backend.matmul(scores, layer.vh[h]);
-      for (std::size_t c = 0; c < dh; ++c) context(0, h * dh + c) = ctx_h(0, c);
-    }
-    x = layer.o.forward(context, backend);
-
-    Matrix hidden = layer.up.forward(x, backend);
-    nn::gelu(hidden);
-    x = layer.down.forward(hidden, backend);
-  }
-  return x;
-}
-
-/// Median and quartiles (nearest rank) of one tier's per-token samples.
-struct Spread {
-  double median{0.0};
-  double q1{0.0};
-  double q3{0.0};
-};
-
-Spread spread_of(std::vector<double> ms) {
-  std::sort(ms.begin(), ms.end());
-  const auto rank = [&](double q) {
-    return ms[static_cast<std::size_t>(q * static_cast<double>(ms.size() - 1) + 0.5)];
-  };
-  return {rank(0.5), rank(0.25), rank(0.75)};
-}
-
-/// One decode tier under timing: its backend (released once measured, so
-/// the warm operand caches of all tiers are never resident alongside the
-/// guarded runs), its last decode output, its per-token wall times and the
-/// events of one token.
-struct TimedTier {
-  std::unique_ptr<nn::PhotonicBackend> backend;
-  Matrix out;
-  std::vector<double> ms;
-  ptc::EventCounter events;
-};
-
-/// `reps` per-token samples of every tier, taken round-robin — one token
-/// of each tier, then the next round — so host drift during the run lands
-/// on all tiers alike instead of on whichever ran last.  Each tier first
-/// decodes one untimed token that fills its operand cache and pages its
-/// weights in, and afterwards one more with fresh counters for its events.
-void time_interleaved(const Matrix& x0, const std::vector<DecodeLayer>& layers,
-                      const DecodeShapes& s, std::vector<TimedTier>& tiers, std::size_t reps) {
-  for (TimedTier& t : tiers) (void)decode_token(x0, layers, s, *t.backend);
-  for (std::size_t r = 0; r < reps; ++r) {
-    for (TimedTier& t : tiers) {
-      const auto t0 = std::chrono::steady_clock::now();
-      t.out = decode_token(x0, layers, s, *t.backend);
-      const auto t1 = std::chrono::steady_clock::now();
-      t.ms.push_back(std::chrono::duration<double, std::milli>(t1 - t0).count());
-    }
-  }
-  for (TimedTier& t : tiers) {
-    t.backend->reset_events();
-    (void)decode_token(x0, layers, s, *t.backend);
-    t.events = t.backend->events();
-    t.backend.reset();
-  }
-}
-
-bool bit_identical(const Matrix& a, const Matrix& b) {
-  if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
-  return std::memcmp(a.data().data(), b.data().data(), a.size() * sizeof(double)) == 0;
-}
-
-bool events_equal(const ptc::EventCounter& a, const ptc::EventCounter& b) {
-  return a.modulation_events == b.modulation_events &&
-         a.detection_events == b.detection_events && a.adc_events == b.adc_events &&
-         a.ddot_ops == b.ddot_ops && a.macs == b.macs && a.cycles == b.cycles;
-}
-
-/// The hot-path configuration the kernel targets: full optics + ADC.
-ptc::GemmConfig hot_config(ptc::ExecutionPath path) {
-  ptc::GemmConfig cfg;
-  cfg.dot.use_full_optics = true;
-  cfg.dot.adc_readout = true;
-  cfg.path = path;
-  return cfg;
-}
-
-/// Cosine similarity between two equal-shape matrices (1.0 = parallel).
-double cosine(const Matrix& a, const Matrix& b) {
-  if (a.rows() != b.rows() || a.cols() != b.cols()) return 0.0;
-  double dot = 0.0, na = 0.0, nb = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    dot += a.data()[i] * b.data()[i];
-    na += a.data()[i] * a.data()[i];
-    nb += b.data()[i] * b.data()[i];
-  }
-  if (na == 0.0 || nb == 0.0) return 0.0;
-  return dot / (std::sqrt(na) * std::sqrt(nb));
-}
+using bench::cosine;
+using bench::events_equal;
+using bench::hot_config;
 
 /// Tolerance-banded identity on raw GEMMs: a fast tier must land every
 /// element within the ABFT guard band of the bit-exact scalar kernel.
@@ -342,33 +184,18 @@ bool storm_verdicts_consistent() {
 int main(int argc, char** argv) {
   using namespace pdac;
 
-  bool smoke = false;
-  std::size_t layer_override = 0;
-  std::string out_path = std::string(PDAC_REPO_ROOT) + "/BENCH_kernel.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strcmp(argv[i], "--layers") == 0 && i + 1 < argc) {
-      layer_override = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
-    }
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) out_path = argv[++i];
-  }
-
-  const DecodeShapes shapes = smoke ? DecodeShapes{64, 4, 256, 16}
-                                    : DecodeShapes{768, 12, 3072, 128};
-  const std::size_t n_layers = layer_override != 0 ? layer_override : (smoke ? 2 : 12);
+  const bench::Args args = bench::parse_args(argc, argv, "BENCH_kernel.json", true);
+  const bench::DecodeShapes shapes = bench::decode_shapes(args);
+  const std::size_t warmup = 1;
   const std::size_t reps = 5;
 
-  std::printf("perf_kernel — fused kernel vs device graph, %s mode\n", smoke ? "smoke" : "full");
+  std::printf("perf_kernel — fused kernel vs device graph, %s mode\n",
+              args.smoke ? "smoke" : "full");
   std::printf("model: d_model=%zu heads=%zu d_ff=%zu context=%zu layers=%zu "
               "(full optics + ADC, threads=1)\n\n",
-              shapes.d_model, shapes.heads, shapes.d_ff, shapes.context, n_layers);
+              shapes.d_model, shapes.heads, shapes.d_ff, shapes.context, shapes.layers);
 
-  Rng rng(42);
-  std::vector<DecodeLayer> layers;
-  layers.reserve(n_layers);
-  for (std::size_t l = 0; l < n_layers; ++l) layers.emplace_back(shapes, rng);
-  const Matrix x0 = Matrix::random_gaussian(1, shapes.d_model, rng, 0.0, 0.5);
-
+  const bench::DecodeModel model(shapes, 42);
   nn::OperandCacheConfig cache_cfg;
   cache_cfg.capacity_bytes = 2ull << 30;
 
@@ -378,7 +205,17 @@ int main(int argc, char** argv) {
   // bitwise on the quantizer grid, which the physical P-DAC/ideal-DAC
   // transfers never satisfy — so the last trio runs on
   // core::BitTrueDacDriver and the quant speedup bar is judged
-  // like-for-like vs the SIMD tier on that driver.
+  // like-for-like vs the SIMD tier on that driver.  Each tier keeps its
+  // last decode output and the events of one more token decoded with
+  // fresh counters; its backend is then released, so the warm operand
+  // caches of all tiers are never resident alongside the guarded runs.
+  struct TimedTier {
+    std::unique_ptr<nn::PhotonicBackend> backend;
+    bench::DecodeModel::History kv;
+    Matrix out;
+    bench::Spread ms;
+    ptc::EventCounter events;
+  };
   std::vector<TimedTier> timed;
   const auto add_tier = [&](std::unique_ptr<core::ModulatorDriver> driver,
                             ptc::ExecutionPath path) {
@@ -395,17 +232,28 @@ int main(int argc, char** argv) {
       add_tier(core::make_bit_true_driver(8), ptc::ExecutionPath::kKernelSimd);
   const std::size_t quant =
       add_tier(core::make_bit_true_driver(8), ptc::ExecutionPath::kKernelQuant);
-  time_interleaved(x0, layers, shapes, timed, reps);
-  const Spread device_t = spread_of(timed[device].ms);
-  const Spread kernel_t = spread_of(timed[kernel].ms);
-  const Spread simd_t = spread_of(timed[simd].ms);
-  const Spread bt_kernel_t = spread_of(timed[bt_kernel].ms);
-  const Spread bt_simd_t = spread_of(timed[bt_simd].ms);
-  const Spread quant_t = spread_of(timed[quant].ms);
+  const auto ms = bench::sample_round_robin(
+      timed.size(), warmup, reps,
+      [&](std::size_t c) { timed[c].out = model.run(*timed[c].backend, timed[c].kv); },
+      [&](std::size_t c) { timed[c].kv = model.history(); });
+  for (std::size_t c = 0; c < timed.size(); ++c) {
+    TimedTier& t = timed[c];
+    t.ms = bench::spread_of(ms[c]);
+    t.backend->reset_events();
+    (void)model.run(*t.backend);
+    t.events = t.backend->events();
+    t.backend.reset();
+  }
+  const bench::Spread& device_t = timed[device].ms;
+  const bench::Spread& kernel_t = timed[kernel].ms;
+  const bench::Spread& simd_t = timed[simd].ms;
+  const bench::Spread& bt_kernel_t = timed[bt_kernel].ms;
+  const bench::Spread& bt_simd_t = timed[bt_simd].ms;
+  const bench::Spread& quant_t = timed[quant].ms;
 
   // ---- clean decode: device graph vs kernel -------------------------
   const double speedup = kernel_t.median > 0.0 ? device_t.median / kernel_t.median : 0.0;
-  const bool clean_identical = bit_identical(timed[kernel].out, timed[device].out) &&
+  const bool clean_identical = bench::bit_identical(timed[kernel].out, timed[device].out) &&
                                events_equal(timed[kernel].events, timed[device].events);
 
   // ---- SIMD fast tier: tolerance-banded identity + speedup ----------
@@ -427,12 +275,13 @@ int main(int argc, char** argv) {
   nn::PhotonicBackend kernel_guarded(
       core::make_pdac_driver(8),
       nn::guarded_gemm_config({}, hot_config(ptc::ExecutionPath::kKernel)), cache_cfg);
-  const Matrix dg_out = decode_token(x0, layers, shapes, device_guarded);
-  const Matrix kg_out = decode_token(x0, layers, shapes, kernel_guarded);
+  const Matrix dg_out = model.run(device_guarded);
+  const Matrix kg_out = model.run(kernel_guarded);
   const nn::GuardStats* dg = device_guarded.guard_stats();
   const nn::GuardStats* kg = kernel_guarded.guard_stats();
   const bool guarded_identical =
-      bit_identical(kg_out, dg_out) && events_equal(kernel_guarded.events(), device_guarded.events()) &&
+      bench::bit_identical(kg_out, dg_out) &&
+      events_equal(kernel_guarded.events(), device_guarded.events()) &&
       dg != nullptr && kg != nullptr && kg->tiles_checked == dg->tiles_checked &&
       kg->mismatched_tiles == dg->mismatched_tiles && kg->worst_residual == dg->worst_residual;
 
@@ -441,7 +290,7 @@ int main(int argc, char** argv) {
   nn::PhotonicBackend simd_guarded(
       core::make_pdac_driver(8),
       nn::guarded_gemm_config({}, hot_config(ptc::ExecutionPath::kKernelSimd)), cache_cfg);
-  const Matrix sg_out = decode_token(x0, layers, shapes, simd_guarded);
+  const Matrix sg_out = model.run(simd_guarded);
   const nn::GuardStats* sg = simd_guarded.guard_stats();
   const bool simd_guard_ok = sg != nullptr && kg != nullptr &&
                              sg->tiles_checked == kg->tiles_checked &&
@@ -466,8 +315,8 @@ int main(int argc, char** argv) {
   nn::PhotonicBackend quant_guarded(
       core::make_bit_true_driver(8),
       nn::guarded_gemm_config({}, hot_config(ptc::ExecutionPath::kKernelQuant)), cache_cfg);
-  const Matrix bkg_out = decode_token(x0, layers, shapes, bt_kernel_guarded);
-  const Matrix qg_out = decode_token(x0, layers, shapes, quant_guarded);
+  const Matrix bkg_out = model.run(bt_kernel_guarded);
+  const Matrix qg_out = model.run(quant_guarded);
   const nn::GuardStats* bkg = bt_kernel_guarded.guard_stats();
   const nn::GuardStats* qg = quant_guarded.guard_stats();
   const bool quant_guard_ok = qg != nullptr && bkg != nullptr &&
@@ -498,7 +347,7 @@ int main(int argc, char** argv) {
   const bool simd_storm_ok = storm_verdicts_consistent();
 
   // Medians of the interleaved samples, with their quartiles.
-  const auto print_tier = [](const char* label, const Spread& t, const char* note) {
+  const auto print_tier = [](const char* label, const bench::Spread& t, const char* note) {
     std::printf("%-23s %.2f ms [q1 %.2f, q3 %.2f]  (%.2f tok/s)%s\n", label, t.median, t.q1,
                 t.q3, 1000.0 / t.median, note);
   };
@@ -528,52 +377,45 @@ int main(int argc, char** argv) {
   std::printf("quant auto-path ladder: %s\n", auto_path_ok ? "yes" : "NO");
   std::printf("quant decode cosine:    %.15f\n\n", quant_cosine);
 
-  std::FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", out_path.c_str());
-    return 1;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"kernel\",\n  \"mode\": \"%s\",\n", smoke ? "smoke" : "full");
-  std::fprintf(f, "  \"model\": {\"d_model\": %zu, \"heads\": %zu, \"d_ff\": %zu, "
-               "\"context\": %zu, \"layers\": %zu},\n",
-               shapes.d_model, shapes.heads, shapes.d_ff, shapes.context, n_layers);
-  std::fprintf(f, "  \"timing\": {\"reps\": %zu, \"order\": \"interleaved\", "
-               "\"statistic\": \"median\"},\n",
-               reps);
-  std::fprintf(f, "  \"tiers\": [\n");
-  const auto emit_tier = [&](const char* path, const Spread& t, std::size_t bytes,
-                             const char* extra, bool last) {
-    std::fprintf(f, "    {\"path\": \"%s\", \"ms_per_token\": %.3f, \"ms_q1\": %.3f, "
-                 "\"ms_q3\": %.3f, \"tokens_per_s\": %.3f, \"bytes_per_tile\": %zu%s}%s\n",
-                 path, t.median, t.q1, t.q3, 1000.0 / t.median, bytes, extra, last ? "" : ",");
+  bench::Json json;
+  json.field("bench", "kernel").field("mode", args.smoke ? "smoke" : "full");
+  json.object("model").field("d_model", shapes.d_model).field("heads", shapes.heads);
+  json.field("d_ff", shapes.d_ff).field("context", shapes.context);
+  json.field("layers", shapes.layers).end();
+  json.object("timing").field("warmup", warmup).field("reps", reps);
+  json.field("order", "interleaved").field("statistic", "median").end();
+  json.array("tiers");
+  const auto emit_tier = [&](const char* path, const bench::Spread& t, std::size_t bytes,
+                             bool fast, bool bit_true) {
+    json.object().field("path", path).field("ms_per_token", t.median);
+    json.field("ms_q1", t.q1).field("ms_q3", t.q3).field("ms_spread", t);
+    json.field("tokens_per_s", 1000.0 / t.median).field("bytes_per_tile", bytes);
+    if (fast) json.field("isa", simd::active_isa());
+    if (bit_true) json.field("driver", "bit-true-dac");
+    json.end();
   };
-  const std::string isa = std::string(", \"isa\": \"") + simd::active_isa() + "\"";
-  const std::string bit_true = ", \"driver\": \"bit-true-dac\"";
-  emit_tier("device_graph", device_t, bytes_kernel, "", false);
-  emit_tier("kernel", kernel_t, bytes_kernel, "", false);
-  emit_tier("kernel_simd", simd_t, bytes_simd, isa.c_str(), false);
-  emit_tier("kernel_bit_true", bt_kernel_t, bytes_kernel, bit_true.c_str(), false);
-  emit_tier("kernel_simd_bit_true", bt_simd_t, bytes_simd, (isa + bit_true).c_str(), false);
-  emit_tier("kernel_quant", quant_t, bytes_quant, (isa + bit_true).c_str(), true);
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"speedup\": %.3f,\n", speedup);
-  std::fprintf(f, "  \"simd_speedup_vs_scalar\": %.3f,\n", simd_speedup);
-  std::fprintf(f, "  \"quant_speedup_vs_simd\": %.3f,\n", quant_speedup);
-  std::fprintf(f, "  \"quant_bytes_ratio_vs_simd\": %.3f,\n", bytes_ratio);
-  std::fprintf(f, "  \"bit_identical_clean\": %s,\n", clean_identical ? "true" : "false");
-  std::fprintf(f, "  \"bit_identical_guarded\": %s,\n", guarded_identical ? "true" : "false");
-  std::fprintf(f, "  \"simd_within_guard_band\": %s,\n", simd_band_ok ? "true" : "false");
-  std::fprintf(f, "  \"simd_events_equal\": %s,\n", simd_events_ok ? "true" : "false");
-  std::fprintf(f, "  \"simd_guard_consistent\": %s,\n", simd_guard_ok ? "true" : "false");
-  std::fprintf(f, "  \"simd_storm_consistent\": %s,\n", simd_storm_ok ? "true" : "false");
-  std::fprintf(f, "  \"simd_decode_cosine\": %.15f,\n", simd_cosine);
-  std::fprintf(f, "  \"quant_within_guard_band\": %s,\n", quant_band_ok ? "true" : "false");
-  std::fprintf(f, "  \"quant_events_equal\": %s,\n", quant_events_ok ? "true" : "false");
-  std::fprintf(f, "  \"quant_guard_consistent\": %s,\n", quant_guard_ok ? "true" : "false");
-  std::fprintf(f, "  \"quant_auto_path_ok\": %s,\n", auto_path_ok ? "true" : "false");
-  std::fprintf(f, "  \"quant_decode_cosine\": %.15f\n}\n", quant_cosine);
-  std::fclose(f);
-  std::printf("wrote %s\n", out_path.c_str());
+  emit_tier("device_graph", device_t, bytes_kernel, false, false);
+  emit_tier("kernel", kernel_t, bytes_kernel, false, false);
+  emit_tier("kernel_simd", simd_t, bytes_simd, true, false);
+  emit_tier("kernel_bit_true", bt_kernel_t, bytes_kernel, false, true);
+  emit_tier("kernel_simd_bit_true", bt_simd_t, bytes_simd, true, true);
+  emit_tier("kernel_quant", quant_t, bytes_quant, true, true);
+  json.end();
+  json.field("speedup", speedup).field("simd_speedup_vs_scalar", simd_speedup);
+  json.field("quant_speedup_vs_simd", quant_speedup);
+  json.field("quant_bytes_ratio_vs_simd", bytes_ratio);
+  json.field("bit_identical_clean", clean_identical);
+  json.field("bit_identical_guarded", guarded_identical);
+  json.field("simd_within_guard_band", simd_band_ok).field("simd_events_equal", simd_events_ok);
+  json.field("simd_guard_consistent", simd_guard_ok);
+  json.field("simd_storm_consistent", simd_storm_ok);
+  json.field("simd_decode_cosine", simd_cosine, "%.15f");
+  json.field("quant_within_guard_band", quant_band_ok);
+  json.field("quant_events_equal", quant_events_ok);
+  json.field("quant_guard_consistent", quant_guard_ok);
+  json.field("quant_auto_path_ok", auto_path_ok);
+  json.field("quant_decode_cosine", quant_cosine, "%.15f");
+  if (!json.write(args.out)) return 1;
 
   if (!clean_identical || !guarded_identical) {
     std::fprintf(stderr, "FAIL: kernel path diverged from the device-graph/model baseline\n");
@@ -599,14 +441,14 @@ int main(int argc, char** argv) {
   }
   // >=3x tokens/s is the acceptance bar at full BERT-base shapes; smoke
   // shapes are too small for a stable ratio and only gate identity.
-  if (!smoke && speedup < 3.0) {
+  if (!args.smoke && speedup < 3.0) {
     std::fprintf(stderr, "FAIL: kernel speedup %.2fx below the 3x acceptance bar\n", speedup);
     return 1;
   }
   // The SIMD tier targets 2x over the scalar kernel on BERT-base decode;
   // the gate is 1.5x so a noisy or narrow-vector CI host cannot flake a
   // genuinely healthy build.
-  if (!smoke && simd_speedup < 1.5) {
+  if (!args.smoke && simd_speedup < 1.5) {
     std::fprintf(stderr, "FAIL: SIMD speedup %.2fx below the 1.5x acceptance bar\n",
                  simd_speedup);
     return 1;
@@ -614,7 +456,7 @@ int main(int argc, char** argv) {
   // The quant tier halves operand bytes and quadruples integer lane
   // width over the double SIMD tier; >=1.3x at BERT-base decode is the
   // conservative acceptance bar (same-driver comparison).
-  if (!smoke && quant_speedup < 1.3) {
+  if (!args.smoke && quant_speedup < 1.3) {
     std::fprintf(stderr, "FAIL: quant speedup %.2fx below the 1.3x acceptance bar\n",
                  quant_speedup);
     return 1;

@@ -18,9 +18,8 @@
 // precondition), mirroring perf_kernel's tier ladder.
 //
 // The contract is exactness, so the bench GATES before it brags:
-//   * per-token digests (FNV-1a over every output row) must match
-//     across all three modes on every tier — bit-identity at EVERY
-//     length, not just the last;
+//   * every output row must match bit for bit across all three modes on
+//     every tier — bit-identity at EVERY length, not just the last;
 //   * cumulative EventCounter must match across modes field for field
 //     (preparation removes simulator work, never modeled hardware work);
 //   * the incremental run must append, never rebuild (the loud-first-
@@ -30,77 +29,33 @@
 //     bit-true chain, must stay >= 1 - 1e-6.
 // In full mode the incremental path must additionally clear the >=2x
 // ms/token bar vs the unprepared baseline at the longest context on
-// every tier — the PR's acceptance criterion.
+// every tier.
+//
+// Every tier × mode stream (plus the bit-true scalar reference) decodes
+// on its own backend, and the streams are timed round-robin: step t of
+// every stream runs before step t+1 of any, so host drift lands on all
+// modes alike.  Each checkpoint reads the median of the 5 steps before it.
 //
 // Writes machine-readable BENCH_kv.json (default: repository root).
 //
-// Usage:
+// Usage (bench/harness.hpp):
 //   perf_kv_decode             # full shapes, 2x gate enforced
 //   perf_kv_decode --smoke     # tiny shapes, identity gates only
 //   perf_kv_decode --out FILE  # JSON destination
 #include <algorithm>
-#include <chrono>
-#include <cmath>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <iterator>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "common/matrix.hpp"
-#include "common/rng.hpp"
 #include "common/simd.hpp"
-#include "nn/attention.hpp"
-#include "nn/backend.hpp"
-#include "ptc/gemm_engine.hpp"
-
-#ifndef PDAC_REPO_ROOT
-#define PDAC_REPO_ROOT "."
-#endif
+#include "harness.hpp"
 
 namespace {
 
 using namespace pdac;
-
-enum class Mode { kIncremental, kFresh, kUnprepared };
-
-/// The hot-path configuration the tiers target: full optics + ADC.
-ptc::GemmConfig hot_config(ptc::ExecutionPath path) {
-  ptc::GemmConfig cfg;
-  cfg.dot.use_full_optics = true;
-  cfg.dot.adc_readout = true;
-  cfg.path = path;
-  return cfg;
-}
-
-std::uint64_t fnv1a_row(const Matrix& m, std::uint64_t h) {
-  const unsigned char* bytes = reinterpret_cast<const unsigned char*>(m.data().data());
-  for (std::size_t i = 0; i < m.size() * sizeof(double); ++i) {
-    h ^= bytes[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-bool events_equal(const ptc::EventCounter& a, const ptc::EventCounter& b) {
-  return a.modulation_events == b.modulation_events &&
-         a.detection_events == b.detection_events && a.adc_events == b.adc_events &&
-         a.ddot_ops == b.ddot_ops && a.macs == b.macs && a.cycles == b.cycles;
-}
-
-double cosine(const Matrix& a, const Matrix& b) {
-  if (a.rows() != b.rows() || a.cols() != b.cols()) return 0.0;
-  double dot = 0.0, na = 0.0, nb = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    dot += a.data()[i] * b.data()[i];
-    na += a.data()[i] * a.data()[i];
-    nb += b.data()[i] * b.data()[i];
-  }
-  if (na == 0.0 || nb == 0.0) return 0.0;
-  return dot / (std::sqrt(na) * std::sqrt(nb));
-}
 
 /// The decode stream: token 0 is a loud ±1 row and every later token is
 /// quiet, so the per-head K/V running max-abs is set at step 0 and never
@@ -116,46 +71,6 @@ Matrix decode_stream(std::size_t context, std::size_t d_model, std::uint64_t see
   return x;
 }
 
-struct RunResult {
-  std::vector<double> ms_per_token;  ///< per checkpoint: median of trailing window
-  std::uint64_t digest{14695981039346656037ull};  ///< chained over every output row
-  Matrix final_out;
-  ptc::EventCounter events;  ///< cumulative over the whole stream
-  nn::OperandCacheStats kv;
-};
-
-/// Decode `x` row by row through one backend; time every step and report
-/// the median of the last `window` steps before each checkpoint.
-RunResult run_decode(nn::MultiHeadAttention& mha, nn::PhotonicBackend& backend, Mode mode,
-                     const Matrix& x, const std::vector<std::size_t>& checkpoints) {
-  const std::size_t window = 5;
-  RunResult res;
-  nn::AttentionKvState kv = mha.make_kv_state();
-  const nn::KvDecodeMode dm =
-      mode == Mode::kUnprepared ? nn::KvDecodeMode::kUnprepared : nn::KvDecodeMode::kPrepared;
-  std::vector<double> step_ms(x.rows(), 0.0);
-  Matrix xt(1, x.cols());
-  for (std::size_t t = 0; t < x.rows(); ++t) {
-    for (std::size_t c = 0; c < x.cols(); ++c) xt(0, c) = x(t, c);
-    const auto t0 = std::chrono::steady_clock::now();
-    res.final_out = mha.forward_decode(xt, backend, kv, dm);
-    const auto t1 = std::chrono::steady_clock::now();
-    step_ms[t] = std::chrono::duration<double, std::milli>(t1 - t0).count();
-    res.digest = fnv1a_row(res.final_out, res.digest);
-  }
-  for (const std::size_t cp : checkpoints) {
-    const std::size_t lo = cp > window ? cp - window : 0;
-    std::vector<double> tail(step_ms.begin() + static_cast<std::ptrdiff_t>(lo),
-                             step_ms.begin() + static_cast<std::ptrdiff_t>(cp));
-    std::sort(tail.begin(), tail.end());
-    res.ms_per_token.push_back(tail[tail.size() / 2]);
-  }
-  res.events = backend.events();
-  res.kv = backend.kv_cache()->stats();
-  nn::MultiHeadAttention::release_kv_state(kv, backend);
-  return res;
-}
-
 struct TierSpec {
   const char* name;
   ptc::ExecutionPath path;
@@ -168,24 +83,32 @@ constexpr TierSpec kTierSpecs[] = {
     {"kernel_quant", ptc::ExecutionPath::kKernelQuant, true},
 };
 
-std::unique_ptr<nn::PhotonicBackend> make_backend(const TierSpec& tier, bool kv_enabled) {
-  auto drv = tier.bit_true ? core::make_bit_true_driver(8) : core::make_pdac_driver(8);
-  nn::OperandCacheConfig cache_cfg;
-  cache_cfg.capacity_bytes = 1ull << 30;
-  nn::OperandCacheConfig kv_cfg;
-  kv_cfg.capacity_bytes = kv_enabled ? 1ull << 30 : 0;
-  return std::make_unique<nn::PhotonicBackend>(std::move(drv), hot_config(tier.path),
-                                               cache_cfg, kv_cfg);
-}
+/// The modes, in the order each tier's streams are laid out.
+enum Mode : std::size_t { kIncremental, kFresh, kUnprepared, kModes };
 
-struct TierResult {
-  RunResult inc, fresh, unprep;
-  bool bit_identical{false};
-  bool events_ok{false};
-  bool appends_ok{false};
-  double cosine_vs_scalar{0.0};
-  double speedup_vs_unprepared{0.0};  ///< at the longest checkpoint
-  double speedup_vs_fresh{0.0};
+/// One decode of the whole stream on its own backend: incremental and
+/// unprepared with room in the KV cache, fresh with none.
+struct Stream {
+  Stream(const TierSpec& tier, Mode m, const nn::MultiHeadAttention& mha, std::size_t context)
+      : mode(m == kUnprepared ? nn::KvDecodeMode::kUnprepared : nn::KvDecodeMode::kPrepared),
+        kv(mha.make_kv_state()),
+        outs(context, mha.d_model()) {
+    nn::OperandCacheConfig cache_cfg;
+    cache_cfg.capacity_bytes = 1ull << 30;
+    nn::OperandCacheConfig kv_cfg;
+    kv_cfg.capacity_bytes = m == kFresh ? 0 : 1ull << 30;
+    backend = std::make_unique<nn::PhotonicBackend>(
+        tier.bit_true ? core::make_bit_true_driver(8) : core::make_pdac_driver(8),
+        bench::hot_config(tier.path), cache_cfg, kv_cfg);
+  }
+
+  nn::KvDecodeMode mode;
+  std::unique_ptr<nn::PhotonicBackend> backend;
+  nn::AttentionKvState kv;
+  Matrix out;   ///< the last step's output
+  Matrix outs;  ///< one output row per step
+  std::vector<double> ms_per_token;  ///< per checkpoint: median of the steps before it
+  std::vector<bench::Spread> spreads;  ///< per checkpoint: the same window's spread
 };
 
 }  // namespace
@@ -193,21 +116,16 @@ struct TierResult {
 int main(int argc, char** argv) {
   using namespace pdac;
 
-  bool smoke = false;
-  std::string out_path = std::string(PDAC_REPO_ROOT) + "/BENCH_kv.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) out_path = argv[++i];
-  }
-
-  const std::size_t d_model = smoke ? 32 : 128;
-  const std::size_t heads = smoke ? 2 : 4;
+  const bench::Args args = bench::parse_args(argc, argv, "BENCH_kv.json");
+  const std::size_t d_model = args.smoke ? 32 : 128;
+  const std::size_t heads = args.smoke ? 2 : 4;
   const std::vector<std::size_t> checkpoints =
-      smoke ? std::vector<std::size_t>{8, 24} : std::vector<std::size_t>{64, 256, 1024};
+      args.smoke ? std::vector<std::size_t>{8, 24} : std::vector<std::size_t>{64, 256, 1024};
   const std::size_t context = checkpoints.back();
+  const std::size_t window = 5;
 
   std::printf("perf_kv_decode — incremental KV-prepared attention, %s mode\n",
-              smoke ? "smoke" : "full");
+              args.smoke ? "smoke" : "full");
   std::printf("model: d_model=%zu heads=%zu context=%zu (full optics + ADC, threads=1)\n\n",
               d_model, heads, context);
 
@@ -216,122 +134,117 @@ int main(int argc, char** argv) {
   mha.init_random(wrng);
   const Matrix x = decode_stream(context, d_model, 7);
 
-  // Scalar-kernel reference on the bit-true chain, for the quant tier's
-  // decode-cosine gate (same driver, different arithmetic tier).
-  Matrix bt_scalar_final;
-  {
-    const TierSpec bt{"kernel", ptc::ExecutionPath::kKernel, true};
-    auto backend = make_backend(bt, true);
-    bt_scalar_final =
-        run_decode(mha, *backend, Mode::kIncremental, x, checkpoints).final_out;
+  // Streams tier-major in kModes order, then the scalar kernel on the
+  // bit-true chain: the reference of the quant tier's decode-cosine gate
+  // (same driver, different arithmetic tier), whose timing is not read.
+  std::vector<Stream> streams;
+  streams.reserve(std::size(kTierSpecs) * kModes + 1);
+  for (const TierSpec& tier : kTierSpecs) {
+    for (std::size_t m = 0; m < kModes; ++m) streams.emplace_back(tier, Mode(m), mha, context);
+  }
+  const Stream& bt_scalar =
+      streams.emplace_back(TierSpec{"kernel", ptc::ExecutionPath::kKernel, true}, kIncremental,
+                           mha, context);
+
+  Matrix xt(1, d_model);
+  const auto ms = bench::sample_round_robin(
+      streams.size(), 0, context,
+      [&](std::size_t c) {
+        Stream& st = streams[c];
+        const std::size_t t = st.kv.tokens;
+        st.out = mha.forward_decode(xt, *st.backend, st.kv, st.mode);
+        std::copy(st.out.row(0).begin(), st.out.row(0).end(), st.outs.row(t).begin());
+      },
+      [&](std::size_t c) {
+        const std::size_t t = streams[c].kv.tokens;
+        std::copy(x.row(t).begin(), x.row(t).end(), xt.row(0).begin());
+      });
+  for (std::size_t c = 0; c < streams.size(); ++c) {
+    for (const std::size_t cp : checkpoints) {
+      const std::size_t lo = cp > window ? cp - window : 0;
+      streams[c].spreads.push_back(bench::spread_of(
+          {ms[c].begin() + static_cast<std::ptrdiff_t>(lo),
+           ms[c].begin() + static_cast<std::ptrdiff_t>(cp)}));
+      streams[c].ms_per_token.push_back(streams[c].spreads.back().median);
+    }
   }
 
-  std::vector<TierResult> results;
-  Matrix scalar_final;
-  for (const TierSpec& tier : kTierSpecs) {
-    TierResult r;
-    {
-      auto backend = make_backend(tier, true);
-      r.inc = run_decode(mha, *backend, Mode::kIncremental, x, checkpoints);
-    }
-    {
-      auto backend = make_backend(tier, false);
-      r.fresh = run_decode(mha, *backend, Mode::kFresh, x, checkpoints);
-    }
-    {
-      auto backend = make_backend(tier, true);
-      r.unprep = run_decode(mha, *backend, Mode::kUnprepared, x, checkpoints);
-    }
-    r.bit_identical = r.inc.digest == r.unprep.digest && r.inc.digest == r.fresh.digest;
-    r.events_ok = events_equal(r.inc.events, r.unprep.events) &&
-                  events_equal(r.inc.events, r.fresh.events);
+  bench::Json json;
+  json.field("bench", "kv_decode").field("mode", args.smoke ? "smoke" : "full");
+  json.object("model").field("d_model", d_model).field("heads", heads);
+  json.field("context", context).end();
+  json.object("timing").field("window", window).field("order", "interleaved");
+  json.field("statistic", "median").end();
+  json.list("contexts", checkpoints);
+  json.array("tiers");
+  bool ok = true;
+  for (std::size_t i = 0; i < std::size(kTierSpecs); ++i) {
+    const TierSpec& tier = kTierSpecs[i];
+    const Stream& inc = streams[kModes * i + kIncremental];
+    const Stream& fresh = streams[kModes * i + kFresh];
+    const Stream& unprep = streams[kModes * i + kUnprepared];
+    // Every output row: bit-identity at EVERY length, not just the last.
+    const bool identical = bench::bit_identical(inc.outs, unprep.outs) &&
+                           bench::bit_identical(inc.outs, fresh.outs);
+    // Preparation removes simulator work, never modeled hardware work.
+    const bool events_ok = bench::events_equal(inc.backend->events(), unprep.backend->events()) &&
+                           bench::events_equal(inc.backend->events(), fresh.backend->events());
     // 2 handles/head, each: 1 miss then context-1 append-hits, 0 rebuilds.
-    r.appends_ok = r.inc.kv.rebuilds == 0 && r.inc.kv.appends == 2 * heads * (context - 1);
-    if (tier.path == ptc::ExecutionPath::kKernel) scalar_final = r.inc.final_out;
-    r.cosine_vs_scalar = tier.bit_true ? cosine(r.inc.final_out, bt_scalar_final)
-                                       : cosine(r.inc.final_out, scalar_final);
-    const double inc_ms = r.inc.ms_per_token.back();
-    r.speedup_vs_unprepared = inc_ms > 0.0 ? r.unprep.ms_per_token.back() / inc_ms : 0.0;
-    r.speedup_vs_fresh = inc_ms > 0.0 ? r.fresh.ms_per_token.back() / inc_ms : 0.0;
-    results.push_back(r);
+    const nn::OperandCacheStats& kv = inc.backend->kv_cache()->stats();
+    const bool appends_ok = kv.rebuilds == 0 && kv.appends == 2 * heads * (context - 1);
+    const Stream& ref = tier.bit_true ? bt_scalar : streams[kIncremental];
+    const double cos = bench::cosine(inc.out, ref.out);
+    const double inc_ms = inc.ms_per_token.back();
+    const double vs_unprep = inc_ms > 0.0 ? unprep.ms_per_token.back() / inc_ms : 0.0;
+    const double vs_fresh = inc_ms > 0.0 ? fresh.ms_per_token.back() / inc_ms : 0.0;
 
     std::printf("[%s]%s\n", tier.name, tier.bit_true ? " (bit-true chain)" : "");
     for (std::size_t c = 0; c < checkpoints.size(); ++c) {
       std::printf("  ctx %4zu: incremental %8.3f ms/tok   fresh %8.3f   unprepared %8.3f\n",
-                  checkpoints[c], r.inc.ms_per_token[c], r.fresh.ms_per_token[c],
-                  r.unprep.ms_per_token[c]);
+                  checkpoints[c], inc.ms_per_token[c], fresh.ms_per_token[c],
+                  unprep.ms_per_token[c]);
     }
-    std::printf("  speedup @%zu: %.2fx vs unprepared, %.2fx vs fresh-prepare\n",
-                context, r.speedup_vs_unprepared, r.speedup_vs_fresh);
+    std::printf("  speedup @%zu: %.2fx vs unprepared, %.2fx vs fresh-prepare\n", context,
+                vs_unprep, vs_fresh);
     std::printf("  bit-identical: %s  events equal: %s  appends clean: %s  cosine: %.9f\n\n",
-                r.bit_identical ? "yes" : "NO", r.events_ok ? "yes" : "NO",
-                r.appends_ok ? "yes" : "NO", r.cosine_vs_scalar);
-  }
+                identical ? "yes" : "NO", events_ok ? "yes" : "NO", appends_ok ? "yes" : "NO",
+                cos);
 
-  std::FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", out_path.c_str());
-    return 1;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"kv_decode\",\n  \"mode\": \"%s\",\n",
-               smoke ? "smoke" : "full");
-  std::fprintf(f, "  \"model\": {\"d_model\": %zu, \"heads\": %zu, \"context\": %zu},\n",
-               d_model, heads, context);
-  std::fprintf(f, "  \"contexts\": [");
-  for (std::size_t c = 0; c < checkpoints.size(); ++c) {
-    std::fprintf(f, "%s%zu", c > 0 ? ", " : "", checkpoints[c]);
-  }
-  std::fprintf(f, "],\n  \"tiers\": [\n");
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const TierSpec& tier = kTierSpecs[i];
-    const TierResult& r = results[i];
-    std::fprintf(f, "    {\"path\": \"%s\", \"driver\": \"%s\",\n", tier.name,
-                 tier.bit_true ? "bit-true-dac" : "pdac");
-    auto emit_series = [&](const char* key, const std::vector<double>& v, const char* tail) {
-      std::fprintf(f, "     \"%s\": [", key);
-      for (std::size_t c = 0; c < v.size(); ++c) {
-        std::fprintf(f, "%s%.3f", c > 0 ? ", " : "", v[c]);
-      }
-      std::fprintf(f, "]%s\n", tail);
-    };
-    emit_series("incremental_ms_per_token", r.inc.ms_per_token, ",");
-    emit_series("fresh_ms_per_token", r.fresh.ms_per_token, ",");
-    emit_series("unprepared_ms_per_token", r.unprep.ms_per_token, ",");
-    std::fprintf(f, "     \"speedup_vs_unprepared\": %.3f, \"speedup_vs_fresh\": %.3f,\n",
-                 r.speedup_vs_unprepared, r.speedup_vs_fresh);
-    std::fprintf(f, "     \"bit_identical\": %s, \"events_equal\": %s,\n",
-                 r.bit_identical ? "true" : "false", r.events_ok ? "true" : "false");
-    std::fprintf(f, "     \"kv_appends\": %llu, \"kv_rebuilds\": %llu,\n",
-                 static_cast<unsigned long long>(r.inc.kv.appends),
-                 static_cast<unsigned long long>(r.inc.kv.rebuilds));
-    std::fprintf(f, "     \"decode_cosine\": %.12f}%s\n", r.cosine_vs_scalar,
-                 i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n  \"isa\": \"%s\"\n}\n", simd::active_isa());
-  std::fclose(f);
-  std::printf("wrote %s\n", out_path.c_str());
+    json.object().field("path", tier.name);
+    json.field("driver", tier.bit_true ? "bit-true-dac" : "pdac");
+    const std::pair<const char*, const Stream*> series[] = {
+        {"incremental", &inc}, {"fresh", &fresh}, {"unprepared", &unprep}};
+    for (const auto& [name, st] : series) {
+      json.list((std::string(name) + "_ms_per_token").c_str(), st->ms_per_token);
+      json.array((std::string(name) + "_ms_spread").c_str());
+      for (const bench::Spread& sp : st->spreads) json.field(nullptr, sp);
+      json.end();
+    }
+    json.field("speedup_vs_unprepared", vs_unprep).field("speedup_vs_fresh", vs_fresh);
+    json.field("bit_identical", identical).field("events_equal", events_ok);
+    json.field("kv_appends", kv.appends).field("kv_rebuilds", kv.rebuilds);
+    json.field("decode_cosine", cos, "%.12f").end();
 
-  bool ok = true;
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const TierResult& r = results[i];
-    if (!r.bit_identical || !r.events_ok || !r.appends_ok) {
+    if (!identical || !events_ok || !appends_ok) {
       std::fprintf(stderr, "FAIL: %s broke the identity contract (bits=%d events=%d appends=%d)\n",
-                   kTierSpecs[i].name, r.bit_identical ? 1 : 0, r.events_ok ? 1 : 0,
-                   r.appends_ok ? 1 : 0);
+                   tier.name, identical ? 1 : 0, events_ok ? 1 : 0, appends_ok ? 1 : 0);
       ok = false;
     }
-    if (r.cosine_vs_scalar < 1.0 - 1e-6) {
-      std::fprintf(stderr, "FAIL: %s decode cosine %.12f below 1 - 1e-6\n", kTierSpecs[i].name,
-                   r.cosine_vs_scalar);
+    if (cos < 1.0 - 1e-6) {
+      std::fprintf(stderr, "FAIL: %s decode cosine %.12f below 1 - 1e-6\n", tier.name, cos);
       ok = false;
     }
     // >=2x at the longest context is the acceptance bar; smoke shapes
     // are too short for the prepare cost to dominate and gate identity only.
-    if (!smoke && r.speedup_vs_unprepared < 2.0) {
-      std::fprintf(stderr, "FAIL: %s incremental speedup %.2fx below the 2x bar\n",
-                   kTierSpecs[i].name, r.speedup_vs_unprepared);
+    if (!args.smoke && vs_unprep < 2.0) {
+      std::fprintf(stderr, "FAIL: %s incremental speedup %.2fx below the 2x bar\n", tier.name,
+                   vs_unprep);
       ok = false;
     }
   }
+  json.end();
+  json.field("isa", simd::active_isa());
+  for (Stream& st : streams) nn::MultiHeadAttention::release_kv_state(st.kv, *st.backend);
+  if (!json.write(args.out)) return 1;
   return ok ? 0 : 1;
 }

@@ -19,42 +19,21 @@
 //
 // Writes machine-readable BENCH_serving.json (default: repository root).
 //
-// Usage:
+// Usage (bench/harness.hpp):
 //   perf_serving            # full sweep
 //   perf_serving --smoke    # CI smoke: same code paths, small counts
 //   perf_serving --out FILE # JSON destination
-#include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
-#include "arch/energy_model.hpp"
-#include "arch/lt_config.hpp"
-#include "arch/power_params.hpp"
-#include "eval/report.hpp"
-#include "serve/engine.hpp"
+#include "harness.hpp"
 #include "serve/workload.hpp"
-
-#ifndef PDAC_REPO_ROOT
-#define PDAC_REPO_ROOT "."
-#endif
 
 namespace {
 
 using namespace pdac;
 
-constexpr std::uint64_t kSeed = 2033;
-
-faults::LaneBankConfig bank_config(std::size_t wavelengths) {
-  faults::LaneBankConfig cfg;
-  cfg.pdac.bits = 8;
-  cfg.wavelengths = wavelengths;
-  cfg.variation.tia_gain_sigma = 0.01;
-  cfg.variation.bias_sigma = 0.002;
-  cfg.variation.vpi_drift_sigma = 0.005;
-  cfg.variation.seed = kSeed;  // one fabrication draw for every slot
-  return cfg;
-}
+constexpr std::uint64_t kSeed = 2033;  // one fabrication draw for every slot
 
 faults::FaultScheduleConfig schedule_config(std::size_t lanes, double fault_rate,
                                             std::uint64_t seed) {
@@ -78,7 +57,7 @@ faults::FaultScheduleConfig schedule_config(std::size_t lanes, double fault_rate
 serve::BackendPoolConfig pool_config(std::size_t backends) {
   serve::BackendPoolConfig cfg;
   cfg.backends = backends;
-  cfg.bank = bank_config(8);
+  cfg.bank = bench::bank_config(8, kSeed);
   cfg.guarded.array_rows = 8;
   cfg.guarded.array_cols = 8;
   cfg.retrim_budget = 2;
@@ -112,78 +91,15 @@ std::vector<nn::Linear> make_models(std::size_t count, std::size_t d, std::uint6
   return models;
 }
 
-double price_uj(const ptc::EventCounter& ev, const arch::LtConfig& lt,
-                const arch::PowerParams& params) {
-  return arch::event_energy(ev, lt, params, 8, arch::SystemVariant::kPdacBased).joules() * 1e6;
-}
-
-/// Pool energy: per-backend data-path events (recovery re-runs included)
-/// plus the pure checksum-lane charge.  retry_events is a subset of the
-/// data counter and is reported separately, not re-added.
-double pool_energy_uj(const serve::ServingReport& rep, const arch::LtConfig& lt,
-                      const arch::PowerParams& params) {
-  double uj = 0.0;
-  for (const serve::BackendServeStats& b : rep.backends) {
-    uj += price_uj(b.events, lt, params);
-    uj += price_uj(b.health.checksum_events, lt, params);
-  }
-  return uj;
-}
-
-eval::ServingSummary summarize(const serve::ServingReport& rep, std::size_t requests,
-                               double energy_uj) {
-  eval::ServingSummary s;
-  s.requests = requests;
-  s.completed = rep.completed;
-  s.shed = rep.shed;
-  s.failed = rep.failed;
-  s.tokens = rep.tokens_emitted;
-  s.goodput_tokens = rep.goodput_tokens;
-  s.makespan_cycles = rep.makespan;
-  s.p50_token_gap = serve::percentile(rep.token_gaps, 50.0);
-  s.p99_token_gap = serve::percentile(rep.token_gaps, 99.0);
-  s.p50_request_latency = serve::percentile(rep.request_latencies, 50.0);
-  s.p99_request_latency = serve::percentile(rep.request_latencies, 99.0);
-  s.energy_uj = energy_uj;
-  s.goodput_per_joule =
-      energy_uj > 0.0 ? static_cast<double>(rep.goodput_tokens) / (energy_uj * 1e-6) : 0.0;
-  s.throttled_products = rep.throttled_products;
-  s.quarantines = rep.quarantines;
-  s.readmissions = rep.readmissions;
-  s.canary_probes = rep.canary_probes;
-  for (const serve::BackendServeStats& b : rep.backends) {
-    eval::ServingBackendRow row;
-    row.tokens = b.tokens;
-    row.products = b.products;
-    row.utilization = rep.makespan > 0 ? static_cast<double>(b.busy_cycles) /
-                                             static_cast<double>(rep.makespan)
-                                       : 0.0;
-    row.final_health = b.final_health;
-    row.alive = b.alive;
-    row.quarantined = b.quarantined;
-    row.fences = b.health.fences;
-    row.unrecovered = b.health.unrecovered;
-    row.drifting_lanes = b.drift.drifting;
-    row.excursion_lanes = b.drift.excursions;
-    s.backends.push_back(row);
-  }
-  return s;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace pdac;
 
-  bool smoke = false;
-  std::string out_path = std::string(PDAC_REPO_ROOT) + "/BENCH_serving.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) out_path = argv[++i];
-  }
+  const bench::Args args = bench::parse_args(argc, argv, "BENCH_serving.json");
 
   std::printf("A24 — continuous-batching serving over a guarded backend pool (%s)\n\n",
-              smoke ? "smoke" : "full");
+              args.smoke ? "smoke" : "full");
 
   const arch::LtConfig lt = arch::lt_base();
   const arch::PowerParams params = arch::lt_power_params();
@@ -194,7 +110,7 @@ int main(int argc, char** argv) {
 
   // --- 1. continuous batching is bit-identical to solo decode --------------
   serve::WorkloadConfig wl;
-  wl.requests = smoke ? 24 : 72;
+  wl.requests = args.smoke ? 24 : 72;
   wl.mean_interarrival = 24.0;  // enough pressure to form real batches
   wl.d_model = d_model;
   wl.models = n_models;
@@ -224,18 +140,17 @@ int main(int argc, char** argv) {
   }
   const bool identity_pass = clean.completed == identity_reqs.size() && digest_mismatches == 0 &&
                              clean.reconciled(identity_reqs.size());
-  const double clean_uj = pool_energy_uj(clean, lt, params);
-  std::printf("%s\n",
-              eval::render_serving("fault rate 0 (identity gate)",
-                                   summarize(clean, identity_reqs.size(), clean_uj))
-                  .c_str());
+  std::printf("%s\n", eval::render_serving("fault rate 0 (identity gate)",
+                                          bench::serving_summary(clean, identity_reqs.size(),
+                                                                 lt, params))
+                          .c_str());
   std::printf("all %zu requests completed, %zu digest mismatches vs solo reference -> %s\n\n",
               identity_reqs.size(), digest_mismatches, identity_pass ? "PASS" : "FAIL");
   all_pass = all_pass && identity_pass;
 
   // --- 2/3. fault-storm sweep: goodput, verdicts, latency, economics --------
   const std::vector<double> rates =
-      smoke ? std::vector<double>{0.3} : std::vector<double>{0.1, 0.3, 0.6};
+      args.smoke ? std::vector<double>{0.3} : std::vector<double>{0.1, 0.3, 0.6};
   struct SweepRow {
     double fault_rate;
     eval::ServingSummary s;
@@ -245,7 +160,7 @@ int main(int argc, char** argv) {
   bool storm_pass = true;
 
   serve::WorkloadConfig storm_wl = wl;
-  storm_wl.requests = smoke ? 24 : 48;
+  storm_wl.requests = args.smoke ? 24 : 48;
   storm_wl.deadline_slack = 12.0;  // deadlines live: shedding is allowed
   storm_wl.nominal_token_cycles = 64;
   storm_wl.seed = kSeed + 11;
@@ -266,8 +181,7 @@ int main(int argc, char** argv) {
     serve::ServingEngine storm_engine(storm_pool, models, storm_cfg);
     const serve::ServingReport rep = storm_engine.run(storm_reqs);
 
-    const double uj = pool_energy_uj(rep, lt, params);
-    SweepRow row{rate, summarize(rep, storm_reqs.size(), uj),
+    SweepRow row{rate, bench::serving_summary(rep, storm_reqs.size(), lt, params),
                  rep.reconciled(storm_reqs.size())};
     sweep.push_back(row);
 
@@ -295,38 +209,28 @@ int main(int argc, char** argv) {
                            csv)
                   .c_str());
 
-  std::FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", out_path.c_str());
-    return 1;
+  bench::Json json;
+  json.field("bench", "serving").field("mode", args.smoke ? "smoke" : "full");
+  json.object("identity").field("requests", identity_reqs.size());
+  json.field("completed", clean.completed).field("digest_mismatches", digest_mismatches);
+  json.field("bit_identical", identity_pass).end();
+  json.array("sweep");
+  for (const SweepRow& row : sweep) {
+    json.object().field("fault_rate", row.fault_rate, "%.2f");
+    json.field("completed", row.s.completed).field("shed", row.s.shed);
+    json.field("failed", row.s.failed).field("goodput_tokens", row.s.goodput_tokens);
+    json.field("p50_token_gap", row.s.p50_token_gap, "%.1f");
+    json.field("p99_token_gap", row.s.p99_token_gap, "%.1f");
+    json.field("p50_request_latency", row.s.p50_request_latency, "%.1f");
+    json.field("p99_request_latency", row.s.p99_request_latency, "%.1f");
+    json.field("energy_uj", row.s.energy_uj, "%.4f");
+    json.field("goodput_per_joule", row.s.goodput_per_joule, "%.1f");
+    json.field("throttled_products", row.s.throttled_products);
+    json.field("quarantines", row.s.quarantines).field("readmissions", row.s.readmissions);
+    json.field("canary_probes", row.s.canary_probes).field("reconciled", row.reconciled).end();
   }
-  std::fprintf(f, "{\n  \"bench\": \"serving\",\n  \"mode\": \"%s\",\n",
-               smoke ? "smoke" : "full");
-  std::fprintf(f,
-               "  \"identity\": {\"requests\": %zu, \"completed\": %zu, "
-               "\"digest_mismatches\": %zu, \"bit_identical\": %s},\n",
-               identity_reqs.size(), clean.completed, digest_mismatches,
-               identity_pass ? "true" : "false");
-  std::fprintf(f, "  \"sweep\": [");
-  for (std::size_t i = 0; i < sweep.size(); ++i) {
-    const SweepRow& row = sweep[i];
-    std::fprintf(f,
-                 "%s{\"fault_rate\": %.2f, \"completed\": %zu, \"shed\": %zu, "
-                 "\"failed\": %zu,\n            \"goodput_tokens\": %zu, "
-                 "\"p50_token_gap\": %.1f, \"p99_token_gap\": %.1f,\n            "
-                 "\"p50_request_latency\": %.1f, \"p99_request_latency\": %.1f,\n"
-                 "            \"energy_uj\": %.4f, \"goodput_per_joule\": %.1f, "
-                 "\"throttled_products\": %zu,\n            \"quarantines\": %zu, "
-                 "\"readmissions\": %zu, \"canary_probes\": %zu, \"reconciled\": %s}",
-                 i == 0 ? "" : ",\n            ", row.fault_rate, row.s.completed, row.s.shed,
-                 row.s.failed, row.s.goodput_tokens, row.s.p50_token_gap, row.s.p99_token_gap,
-                 row.s.p50_request_latency, row.s.p99_request_latency, row.s.energy_uj,
-                 row.s.goodput_per_joule, row.s.throttled_products, row.s.quarantines,
-                 row.s.readmissions, row.s.canary_probes, row.reconciled ? "true" : "false");
-  }
-  std::fprintf(f, "],\n  \"pass\": %s\n}\n", all_pass ? "true" : "false");
-  std::fclose(f);
-  std::printf("wrote %s\n", out_path.c_str());
+  json.end().field("pass", all_pass);
+  if (!json.write(args.out)) return 1;
 
   std::printf(
       "\nFindings: continuous batching over the guarded pool is numerically\n"

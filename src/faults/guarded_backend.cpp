@@ -177,23 +177,17 @@ std::shared_ptr<const ptc::PreparedOperand> GuardedBackend::obtain(nn::OperandCa
   // Any re-trim or fence since the entry was stamped moved the epoch, so
   // the lookup already missed: its encodings and golden references
   // describe a bank that no longer exists.  A fence that landed without a
-  // bump_epoch() changes only the packing, and the append refuses that.
+  // bump_epoch() changes only the packing, and the append refuses that;
+  // it refuses an entry's golden copy too once a re-pin at the same
+  // epoch drops the copy from the spec, so the rebuild draws every
+  // reference from the current golden.
   const ptc::OperandSpec spec = operand_spec();
   const LaneEncoder encode = lane_encoder(1, spec.channels);
   Matrix stage;
   return cache.obtain(
       id, version, spec.epoch,
       [&](ptc::PreparedOperand& pb) {
-        // An entry that carries a golden copy keeps growing one: a golden
-        // re-pin that leaves the epoch where it was (a re-trim that
-        // re-trims nothing) drops the copy from the spec, yet the entry's
-        // existing rows still hold the earlier golden's bits.
-        if (spec.reference || pb.reference.size() == 0) {
-          return ptc::append_operand(pb, src, axis, spec, encode, *pool_, stage);
-        }
-        ptc::OperandSpec with_copy = spec;
-        with_copy.reference = true;
-        return ptc::append_operand(pb, src, axis, with_copy, encode, *pool_, stage);
+        return ptc::append_operand(pb, src, axis, spec, encode, *pool_, stage);
       },
       [&] { return ptc::prepare_operand(src, axis, spec, encode, *pool_, stage); });
 }

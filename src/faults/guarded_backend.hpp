@@ -37,9 +37,8 @@
 // epoch), so a B operand stages its golden copy (`reference`) only when
 // golden is not pinned there; otherwise `encoded` is the golden copy
 // too.  A fault or fence moves the epoch, the cached entry misses, and
-// the operand rebuilt after it stages a copy again; an entry that
-// carries one keeps growing it across a re-pin that leaves the epoch
-// where it was.  The A side always encodes golden into its own matrix,
+// the operand rebuilt after it stages a copy again; a re-pin that leaves
+// the epoch where it was rebuilds an entry that carries one.  The A side always encodes golden into its own matrix,
 // since storm steps re-encode the current one in place.
 //
 // Mid-product fault storms: attach_storm() hooks a FaultInjector whose
@@ -274,9 +273,8 @@ class GuardedBackend final : public nn::GemmBackend {
 
   /// The prepared operand of `src` (`axis` orientation) from `cache`
   /// under (id, version) and the bank epoch: ptc::append_operand grows
-  /// or confirms a fresh entry (one that carries a golden reference keeps
-  /// growing it), ptc::prepare_operand builds otherwise; id 0 builds
-  /// uncached.
+  /// or confirms a fresh entry staged as operand_spec() stages,
+  /// ptc::prepare_operand builds otherwise; id 0 builds uncached.
   [[nodiscard]] std::shared_ptr<const ptc::PreparedOperand> obtain(nn::OperandCache& cache,
                                                                    std::uint64_t id,
                                                                    std::uint64_t version,

@@ -160,8 +160,8 @@ struct PreparedOperand {
   /// execution, staged only while the live encoder may differ from the
   /// state the references were calibrated under: faults::GuardedBackend
   /// stages it when its golden snapshot is not pinned at the bank's
-  /// current epoch, and an entry that has one keeps growing it.  Empty
-  /// otherwise — always on PhotonicGemm, whose encoder is immutable, and
+  /// current epoch, and rebuilds an entry whose staging no longer matches
+  /// that rule.  Empty otherwise — always on PhotonicGemm, whose encoder is immutable, and
   /// on a lane operand built while golden was current — and then
   /// `encoded` is the golden copy too.
   Matrix reference;

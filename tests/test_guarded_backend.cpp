@@ -717,13 +717,13 @@ TEST(GuardedBackend, EpochBumpInvalidatesCachedOperandAndGuardStillFires) {
   EXPECT_EQ(struck->reference.cols(), struck->encoded.cols());
 }
 
-TEST(GuardedBackend, GoldenRepinAtTheSameEpochKeepsGrowingTheGoldenCopy) {
+TEST(GuardedBackend, GoldenRepinAtTheSameEpochRebuildsAnEntryThatCarriesACopy) {
   // A strike leaves golden behind the epoch, so the KV entry built next
   // stages a golden copy.  recalibrate() then re-pins golden without
-  // moving the epoch: the spec stages no copy any more, yet the entry's
-  // rows hold the earlier golden's bits, so it keeps growing its copy —
-  // the next product appends (no rebuild, no miss) and the entry still
-  // carries the copy, new row included.
+  // moving the epoch: the spec stages no copy any more, the append
+  // refuses the entry's copy, and the entry is rebuilt from the current
+  // golden — one more hit and one more rebuild, no append, no copy, and
+  // the product of an uncached operand, bit for bit.
   faults::LaneBank bank(small_bank_config());
   faults::production_trim(bank);
   faults::GuardedBackend backend(bank, {.escalation = kGiveUpAtOnce});
@@ -748,13 +748,15 @@ TEST(GuardedBackend, GoldenRepinAtTheSameEpochKeepsGrowingTheGoldenCopy) {
   const std::uint64_t epoch = bank.epoch();
   backend.recalibrate();
   ASSERT_EQ(bank.epoch(), epoch);
-  (void)backend.matmul_kv(q, grown, handle);
+  const Matrix got = backend.matmul_kv(q, grown, handle);
   const nn::OperandCacheStats& st = backend.kv_cache()->stats();
-  EXPECT_EQ(st.appends, built.appends + 1);
-  EXPECT_EQ(st.rebuilds, built.rebuilds);
-  EXPECT_EQ(st.misses, built.misses);
   EXPECT_EQ(st.hits, built.hits + 1);
-  EXPECT_EQ(st.resident_bytes, operand_bytes(11, d, 4, true));
+  EXPECT_EQ(st.rebuilds, built.rebuilds + 1);
+  EXPECT_EQ(st.appends, built.appends);
+  EXPECT_EQ(st.misses, built.misses);
+  EXPECT_TRUE(backend.kv_cache()->contains(handle.id, 0, epoch));
+  EXPECT_EQ(st.resident_bytes, operand_bytes(11, d, 4, false));  // no copy staged
+  expect_matrices_equal(got, backend.matmul(q, grown.transposed()));
 }
 
 TEST(GuardedBackend, SecCorrectsSingleDotUpsetWithoutSpendingARung) {
