@@ -244,9 +244,8 @@ int main(int argc, char** argv) {
   pool_cfg.backends = 2;
   pool_cfg.bank = bench::bank_config(8, kSeed);
   pool_cfg.guarded = guarded_config(kBand, true);
-  // Lanes are never on the quantizer grid: the SIMD tier on wide hosts,
-  // the scalar kernel otherwise.
-  pool_cfg.guarded.path = ptc::fastest_path(false);
+  // The SIMD tier on wide hosts, the scalar kernel otherwise.
+  pool_cfg.guarded.path = ptc::fastest_path();
   pool_cfg.retrim_budget = 4;
   pool_cfg.retrim_window = 1024;
   pool_cfg.quarantine.enabled = true;

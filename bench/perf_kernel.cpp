@@ -22,23 +22,17 @@
 //   * guarded decode reports the same guard verdict counts as scalar;
 //   * a GuardedBackend product under a mid-product fault storm reports
 //     the scalar tier's detections, mismatches and events.
-// The integer quant tier (kKernelQuant, DESIGN.md §15) carries the same
-// banded-identity/event/guard/cosine contract vs the scalar kernel, runs
-// on the bit-true DAC chain (its on-grid precondition), and must
-// additionally show <= 0.55x the SIMD tier's operand bytes per tile —
-// the "halves memory traffic" claim, measured not asserted.
 // Any divergence exits non-zero, so CI fails on an identity regression.
 // In full mode the kernel must additionally clear the >=3x tokens/s bar
-// vs the device graph, the SIMD tier the >=1.5x bar vs the scalar
-// kernel (2x is the target; the gate leaves headroom for CI hosts), and
-// the quant tier the >=1.3x bar vs the SIMD tier on the same driver.
+// vs the device graph, and the SIMD tier the >=1.5x bar vs the scalar
+// kernel (2x is the target; the gate leaves headroom for CI hosts).
 //
 // Every decode runs bench::DecodeModel (BERT-base through
-// MultiHeadAttention::forward_decode and nn::Linear).  Each tier's
-// ms/token is the median of 5 tokens timed round-robin across all six
-// timed backends (device graph, scalar kernel, SIMD; bit-true scalar,
-// SIMD and quant) after one warmup round that fills every operand cache;
-// the quartiles are printed and written beside it.
+// MultiHeadAttention::forward_decode and nn::Linear) on the 8-bit P-DAC
+// driver.  Each tier's ms/token is the median of 5 tokens timed
+// round-robin across the three timed backends after one warmup round that
+// fills every operand cache; the quartiles are printed and written beside
+// it.
 //
 // Writes machine-readable BENCH_kernel.json (default: repository root).
 //
@@ -47,7 +41,6 @@
 //   perf_kernel --smoke     # tiny shapes, identity gates only
 //   perf_kernel --layers N  # override the layer count
 //   perf_kernel --out FILE  # JSON destination
-#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -65,27 +58,24 @@ using bench::cosine;
 using bench::events_equal;
 using bench::hot_config;
 
-/// Tolerance-banded identity on raw GEMMs: a fast tier must land every
+/// Tolerance-banded identity on raw GEMMs: the SIMD tier must land every
 /// element within the ABFT guard band of the bit-exact scalar kernel.
 /// The band is rescale · guard_tolerance(k, fan=1, |mag|=k) with the
 /// noise sigma calibrated to the ADC step — exactly the bound the
 /// runtime guard would apply to a single output, so "within band" means
 /// "indistinguishable from the scalar kernel by the guard itself".
 /// Event accounting must match field for field on every shape.
-/// `bit_true` selects the driver: the quant tier's on-grid precondition
-/// holds only for core::BitTrueDacDriver, so it is checked on that
-/// chain; the SIMD tier is checked on the physical P-DAC transfer.
-bool band_identity(bool bit_true, ptc::ExecutionPath fast_path) {
+bool band_identity() {
   Rng rng(1234);
   const struct {
     std::size_t m, k, n;
   } shapes[] = {{1, 768, 768}, {12, 128, 64}, {5, 333, 17}};
-  const auto drv = bit_true ? core::make_bit_true_driver(8) : core::make_pdac_driver(8);
+  const auto drv = core::make_pdac_driver(8);
   for (const auto& s : shapes) {
     const Matrix a = Matrix::random_gaussian(s.m, s.k, rng, 0.0, 1.0);
     const Matrix b = Matrix::random_gaussian(s.k, s.n, rng, 0.0, 1.0);
     const ptc::PhotonicGemm scalar_gemm(*drv, hot_config(ptc::ExecutionPath::kKernel));
-    const ptc::PhotonicGemm fast_gemm(*drv, hot_config(fast_path));
+    const ptc::PhotonicGemm fast_gemm(*drv, hot_config(ptc::ExecutionPath::kKernelSimd));
     const ptc::GemmResult sr = scalar_gemm.multiply(a, b);
     const ptc::GemmResult vr = fast_gemm.multiply(a, b);
     if (!events_equal(vr.events, sr.events)) return false;
@@ -101,19 +91,14 @@ bool band_identity(bool bit_true, ptc::ExecutionPath fast_path) {
   return true;
 }
 
-/// Operand bytes one 8×8 tile step moves at reduction length k, computed
-/// from the element sizes the tier actually touches: (h+w)·k operand
-/// loads, h·w double output stores, plus the fast tiers' w column
-/// energies Σy², read from the prepared operand where they were summed
-/// once at prepare/append.  The quant tier streams int16 codes where the
-/// double tiers stream 8-byte amplitudes — the "halves memory traffic"
-/// claim, derived from sizeof rather than asserted.
+/// Operand bytes one 8×8 tile step moves at reduction length k: (h+w)·k
+/// double operand loads, h·w double output stores, plus the SIMD tier's w
+/// column energies Σy², read from the prepared operand where they were
+/// summed once at prepare/append.
 std::size_t tier_bytes_per_tile(ptc::ExecutionPath path, std::size_t k) {
   const std::size_t h = 8, w = 8;
-  const std::size_t elem = path == ptc::ExecutionPath::kKernelQuant ? sizeof(std::int16_t)
-                                                                    : sizeof(double);
-  std::size_t bytes = (h + w) * k * elem + h * w * sizeof(double);
-  if (path == ptc::ExecutionPath::kKernelSimd || path == ptc::ExecutionPath::kKernelQuant) {
+  std::size_t bytes = (h + w) * k * sizeof(double) + h * w * sizeof(double);
+  if (path == ptc::ExecutionPath::kKernelSimd) {
     bytes += w * sizeof(double);  // PreparedOperand::energy of the tile's columns
   }
   return bytes;
@@ -200,15 +185,10 @@ int main(int argc, char** argv) {
   cache_cfg.capacity_bytes = 2ull << 30;
 
   // ---- timed decode: every tier, interleaved -------------------------
-  // The device graph, scalar kernel and SIMD tier run the physical P-DAC
-  // transfer.  The quant tier's precondition is an encode LUT that sits
-  // bitwise on the quantizer grid, which the physical P-DAC/ideal-DAC
-  // transfers never satisfy — so the last trio runs on
-  // core::BitTrueDacDriver and the quant speedup bar is judged
-  // like-for-like vs the SIMD tier on that driver.  Each tier keeps its
-  // last decode output and the events of one more token decoded with
-  // fresh counters; its backend is then released, so the warm operand
-  // caches of all tiers are never resident alongside the guarded runs.
+  // Each tier keeps its last decode output and the events of one more
+  // token decoded with fresh counters; its backend is then released, so
+  // the warm operand caches of all tiers are never resident alongside the
+  // guarded runs.
   struct TimedTier {
     std::unique_ptr<nn::PhotonicBackend> backend;
     bench::DecodeModel::History kv;
@@ -217,21 +197,14 @@ int main(int argc, char** argv) {
     ptc::EventCounter events;
   };
   std::vector<TimedTier> timed;
-  const auto add_tier = [&](std::unique_ptr<core::ModulatorDriver> driver,
-                            ptc::ExecutionPath path) {
-    timed.emplace_back().backend =
-        std::make_unique<nn::PhotonicBackend>(std::move(driver), hot_config(path), cache_cfg);
+  const auto add_tier = [&](ptc::ExecutionPath path) {
+    timed.emplace_back().backend = std::make_unique<nn::PhotonicBackend>(
+        core::make_pdac_driver(8), hot_config(path), cache_cfg);
     return timed.size() - 1;
   };
-  const std::size_t device = add_tier(core::make_pdac_driver(8), ptc::ExecutionPath::kDeviceGraph);
-  const std::size_t kernel = add_tier(core::make_pdac_driver(8), ptc::ExecutionPath::kKernel);
-  const std::size_t simd = add_tier(core::make_pdac_driver(8), ptc::ExecutionPath::kKernelSimd);
-  const std::size_t bt_kernel =
-      add_tier(core::make_bit_true_driver(8), ptc::ExecutionPath::kKernel);
-  const std::size_t bt_simd =
-      add_tier(core::make_bit_true_driver(8), ptc::ExecutionPath::kKernelSimd);
-  const std::size_t quant =
-      add_tier(core::make_bit_true_driver(8), ptc::ExecutionPath::kKernelQuant);
+  const std::size_t device = add_tier(ptc::ExecutionPath::kDeviceGraph);
+  const std::size_t kernel = add_tier(ptc::ExecutionPath::kKernel);
+  const std::size_t simd = add_tier(ptc::ExecutionPath::kKernelSimd);
   const auto ms = bench::sample_round_robin(
       timed.size(), warmup, reps,
       [&](std::size_t c) { timed[c].out = model.run(*timed[c].backend, timed[c].kv); },
@@ -247,9 +220,6 @@ int main(int argc, char** argv) {
   const bench::Spread& device_t = timed[device].ms;
   const bench::Spread& kernel_t = timed[kernel].ms;
   const bench::Spread& simd_t = timed[simd].ms;
-  const bench::Spread& bt_kernel_t = timed[bt_kernel].ms;
-  const bench::Spread& bt_simd_t = timed[bt_simd].ms;
-  const bench::Spread& quant_t = timed[quant].ms;
 
   // ---- clean decode: device graph vs kernel -------------------------
   const double speedup = kernel_t.median > 0.0 ? device_t.median / kernel_t.median : 0.0;
@@ -259,7 +229,7 @@ int main(int argc, char** argv) {
   // ---- SIMD fast tier: tolerance-banded identity + speedup ----------
   const double simd_speedup = simd_t.median > 0.0 ? kernel_t.median / simd_t.median : 0.0;
   const bool simd_events_ok = events_equal(timed[simd].events, timed[kernel].events);
-  const bool simd_band_ok = band_identity(false, ptc::ExecutionPath::kKernelSimd);
+  const bool simd_band_ok = band_identity();
   // Model-accuracy gate: 12 layers of full-optics + ADC decode may
   // straddle single ADC codes differently under the fast tier's
   // reassociation, but those last-bit flips must never compound into a
@@ -298,50 +268,10 @@ int main(int argc, char** argv) {
                              events_equal(simd_guarded.events(), kernel_guarded.events()) &&
                              cosine(sg_out, kg_out) >= 1.0 - 1e-6;
 
-  // ---- integer quant tier (bit-true DAC chain) ----------------------
-  const double quant_speedup = quant_t.median > 0.0 ? bt_simd_t.median / quant_t.median : 0.0;
-  const bool quant_events_ok = events_equal(timed[quant].events, timed[bt_kernel].events);
-  const bool quant_band_ok = band_identity(true, ptc::ExecutionPath::kKernelQuant);
-  // Same model-accuracy gate as the SIMD tier, against the scalar kernel
-  // on the same driver: the integer dots are exact and rounded once, so
-  // the only divergence left is the scalar kernel's own fp accumulation.
-  const double quant_cosine = cosine(timed[quant].out, timed[bt_kernel].out);
-  const bool quant_accuracy_ok = quant_cosine >= 1.0 - 1e-12;
-
-  // Quant tier under the guard: same tiles, same verdicts.
-  nn::PhotonicBackend bt_kernel_guarded(
-      core::make_bit_true_driver(8),
-      nn::guarded_gemm_config({}, hot_config(ptc::ExecutionPath::kKernel)), cache_cfg);
-  nn::PhotonicBackend quant_guarded(
-      core::make_bit_true_driver(8),
-      nn::guarded_gemm_config({}, hot_config(ptc::ExecutionPath::kKernelQuant)), cache_cfg);
-  const Matrix bkg_out = model.run(bt_kernel_guarded);
-  const Matrix qg_out = model.run(quant_guarded);
-  const nn::GuardStats* bkg = bt_kernel_guarded.guard_stats();
-  const nn::GuardStats* qg = quant_guarded.guard_stats();
-  const bool quant_guard_ok = qg != nullptr && bkg != nullptr &&
-                              qg->tiles_checked == bkg->tiles_checked &&
-                              qg->mismatched_tiles == bkg->mismatched_tiles &&
-                              events_equal(quant_guarded.events(), bt_kernel_guarded.events()) &&
-                              cosine(qg_out, bkg_out) >= 1.0 - 1e-6;
-
-  // The runtime ladder (nn::fastest_gemm_config) must pick the quant
-  // tier exactly when its precondition holds: on the bit-true chain and
-  // never on the transcendental P-DAC transfer.
-  const bool auto_path_ok =
-      nn::fastest_gemm_config(*core::make_bit_true_driver(8)).path ==
-          ptc::ExecutionPath::kKernelQuant &&
-      nn::fastest_gemm_config(*core::make_pdac_driver(8)).path !=
-          ptc::ExecutionPath::kKernelQuant;
-
   // Bytes moved per 8×8 tile step at the model's reduction length.
   const std::size_t bytes_kernel = tier_bytes_per_tile(ptc::ExecutionPath::kKernel, shapes.d_model);
   const std::size_t bytes_simd =
       tier_bytes_per_tile(ptc::ExecutionPath::kKernelSimd, shapes.d_model);
-  const std::size_t bytes_quant =
-      tier_bytes_per_tile(ptc::ExecutionPath::kKernelQuant, shapes.d_model);
-  const double bytes_ratio = static_cast<double>(bytes_quant) / static_cast<double>(bytes_simd);
-  const bool bytes_ok = bytes_ratio <= 0.55;
 
   // ---- fault storm (GuardedBackend, scalar vs SIMD tier) -------------
   const bool simd_storm_ok = storm_verdicts_consistent();
@@ -356,26 +286,17 @@ int main(int argc, char** argv) {
   print_tier("device graph:", device_t, "");
   print_tier("fused kernel:", kernel_t, "");
   print_tier("SIMD tier:", simd_t, isa_note.c_str());
-  print_tier("bit-true scalar kernel:", bt_kernel_t, "");
-  print_tier("bit-true SIMD tier:", bt_simd_t, "");
-  print_tier("quant tier:", quant_t, "  [bit-true chain]");
   std::printf("kernel speedup:         %.2fx (vs device graph)\n", speedup);
   std::printf("SIMD speedup:           %.2fx (vs scalar kernel)\n", simd_speedup);
-  std::printf("quant speedup:          %.2fx (vs SIMD tier, same driver)\n", quant_speedup);
-  std::printf("bytes/tile (k=%zu):     kernel %zu, simd %zu, quant %zu (ratio %.3f)\n",
-              shapes.d_model, bytes_kernel, bytes_simd, bytes_quant, bytes_ratio);
+  std::printf("bytes/tile (k=%zu):     kernel %zu, simd %zu\n", shapes.d_model, bytes_kernel,
+              bytes_simd);
   std::printf("bit-identical (clean):  %s\n", clean_identical ? "yes" : "NO");
   std::printf("bit-identical (guard):  %s\n", guarded_identical ? "yes" : "NO");
   std::printf("SIMD within guard band: %s\n", simd_band_ok ? "yes" : "NO");
   std::printf("SIMD events == scalar:  %s\n", simd_events_ok ? "yes" : "NO");
   std::printf("SIMD guard verdicts ==: %s\n", simd_guard_ok ? "yes" : "NO");
   std::printf("SIMD storm verdicts ==: %s\n", simd_storm_ok ? "yes" : "NO");
-  std::printf("SIMD decode cosine:     %.12f\n", simd_cosine);
-  std::printf("quant within guard band:%s\n", quant_band_ok ? "yes" : "NO");
-  std::printf("quant events == scalar: %s\n", quant_events_ok ? "yes" : "NO");
-  std::printf("quant guard verdicts ==:%s\n", quant_guard_ok ? "yes" : "NO");
-  std::printf("quant auto-path ladder: %s\n", auto_path_ok ? "yes" : "NO");
-  std::printf("quant decode cosine:    %.15f\n\n", quant_cosine);
+  std::printf("SIMD decode cosine:     %.12f\n\n", simd_cosine);
 
   bench::Json json;
   json.field("bench", "kernel").field("mode", args.smoke ? "smoke" : "full");
@@ -386,35 +307,24 @@ int main(int argc, char** argv) {
   json.field("order", "interleaved").field("statistic", "median").end();
   json.array("tiers");
   const auto emit_tier = [&](const char* path, const bench::Spread& t, std::size_t bytes,
-                             bool fast, bool bit_true) {
+                             bool fast) {
     json.object().field("path", path).field("ms_per_token", t.median);
     json.field("ms_q1", t.q1).field("ms_q3", t.q3).field("ms_spread", t);
     json.field("tokens_per_s", 1000.0 / t.median).field("bytes_per_tile", bytes);
     if (fast) json.field("isa", simd::active_isa());
-    if (bit_true) json.field("driver", "bit-true-dac");
     json.end();
   };
-  emit_tier("device_graph", device_t, bytes_kernel, false, false);
-  emit_tier("kernel", kernel_t, bytes_kernel, false, false);
-  emit_tier("kernel_simd", simd_t, bytes_simd, true, false);
-  emit_tier("kernel_bit_true", bt_kernel_t, bytes_kernel, false, true);
-  emit_tier("kernel_simd_bit_true", bt_simd_t, bytes_simd, true, true);
-  emit_tier("kernel_quant", quant_t, bytes_quant, true, true);
+  emit_tier("device_graph", device_t, bytes_kernel, false);
+  emit_tier("kernel", kernel_t, bytes_kernel, false);
+  emit_tier("kernel_simd", simd_t, bytes_simd, true);
   json.end();
   json.field("speedup", speedup).field("simd_speedup_vs_scalar", simd_speedup);
-  json.field("quant_speedup_vs_simd", quant_speedup);
-  json.field("quant_bytes_ratio_vs_simd", bytes_ratio);
   json.field("bit_identical_clean", clean_identical);
   json.field("bit_identical_guarded", guarded_identical);
   json.field("simd_within_guard_band", simd_band_ok).field("simd_events_equal", simd_events_ok);
   json.field("simd_guard_consistent", simd_guard_ok);
   json.field("simd_storm_consistent", simd_storm_ok);
   json.field("simd_decode_cosine", simd_cosine, "%.15f");
-  json.field("quant_within_guard_band", quant_band_ok);
-  json.field("quant_events_equal", quant_events_ok);
-  json.field("quant_guard_consistent", quant_guard_ok);
-  json.field("quant_auto_path_ok", auto_path_ok);
-  json.field("quant_decode_cosine", quant_cosine, "%.15f");
   if (!json.write(args.out)) return 1;
 
   if (!clean_identical || !guarded_identical) {
@@ -430,15 +340,6 @@ int main(int argc, char** argv) {
                  simd_storm_ok ? 1 : 0, simd_cosine);
     return 1;
   }
-  if (!quant_band_ok || !quant_events_ok || !quant_guard_ok || !quant_accuracy_ok ||
-      !auto_path_ok || !bytes_ok) {
-    std::fprintf(stderr,
-                 "FAIL: quant tier broke its contract (band=%d events=%d guard=%d "
-                 "auto=%d bytes_ratio=%.3f cosine=%.15f)\n",
-                 quant_band_ok ? 1 : 0, quant_events_ok ? 1 : 0, quant_guard_ok ? 1 : 0,
-                 auto_path_ok ? 1 : 0, bytes_ratio, quant_cosine);
-    return 1;
-  }
   // >=3x tokens/s is the acceptance bar at full BERT-base shapes; smoke
   // shapes are too small for a stable ratio and only gate identity.
   if (!args.smoke && speedup < 3.0) {
@@ -451,14 +352,6 @@ int main(int argc, char** argv) {
   if (!args.smoke && simd_speedup < 1.5) {
     std::fprintf(stderr, "FAIL: SIMD speedup %.2fx below the 1.5x acceptance bar\n",
                  simd_speedup);
-    return 1;
-  }
-  // The quant tier halves operand bytes and quadruples integer lane
-  // width over the double SIMD tier; >=1.3x at BERT-base decode is the
-  // conservative acceptance bar (same-driver comparison).
-  if (!args.smoke && quant_speedup < 1.3) {
-    std::fprintf(stderr, "FAIL: quant speedup %.2fx below the 1.3x acceptance bar\n",
-                 quant_speedup);
     return 1;
   }
   return 0;

@@ -13,9 +13,8 @@
 //     per-token cost the appends eliminate);
 //   * unprepared — forward_decode(kUnprepared): plain backend.matmul
 //     with a manually staged Kᵀ, the pre-§17 baseline.
-// The trio runs on the scalar kernel and SIMD tiers (physical P-DAC
-// driver) and the integer quant tier (bit-true DAC chain, its on-grid
-// precondition), mirroring perf_kernel's tier ladder.
+// The trio runs on the scalar kernel and SIMD tiers of the 8-bit P-DAC
+// driver, mirroring perf_kernel's tier ladder.
 //
 // The contract is exactness, so the bench GATES before it brags:
 //   * every output row must match bit for bit across all three modes on
@@ -25,16 +24,16 @@
 //   * the incremental run must append, never rebuild (the loud-first-
 //     token stream keeps the running max-abs stable by construction);
 //   * decode cosine: the SIMD tier's final context row vs the scalar
-//     kernel's, and the quant tier's vs the scalar kernel on the same
-//     bit-true chain, must stay >= 1 - 1e-6.
+//     kernel's must stay >= 1 - 1e-6.
 // In full mode the incremental path must additionally clear the >=2x
 // ms/token bar vs the unprepared baseline at the longest context on
 // every tier.
 //
-// Every tier × mode stream (plus the bit-true scalar reference) decodes
-// on its own backend, and the streams are timed round-robin: step t of
-// every stream runs before step t+1 of any, so host drift lands on all
-// modes alike.  Each checkpoint reads the median of the 5 steps before it.
+// Every tier × mode stream decodes on its own backend.  Each checkpoint
+// reads the median of the 5 steps before it, run back to back on one
+// stream so its resident operands stay in cache.  Streams take turns per
+// checkpoint: each first decodes up to its window untimed, then each in
+// turn runs its window, so the compared windows share one host spell.
 //
 // Writes machine-readable BENCH_kv.json (default: repository root).
 //
@@ -74,13 +73,11 @@ Matrix decode_stream(std::size_t context, std::size_t d_model, std::uint64_t see
 struct TierSpec {
   const char* name;
   ptc::ExecutionPath path;
-  bool bit_true;
 };
 
 constexpr TierSpec kTierSpecs[] = {
-    {"kernel", ptc::ExecutionPath::kKernel, false},
-    {"kernel_simd", ptc::ExecutionPath::kKernelSimd, false},
-    {"kernel_quant", ptc::ExecutionPath::kKernelQuant, true},
+    {"kernel", ptc::ExecutionPath::kKernel},
+    {"kernel_simd", ptc::ExecutionPath::kKernelSimd},
 };
 
 /// The modes, in the order each tier's streams are laid out.
@@ -98,8 +95,7 @@ struct Stream {
     nn::OperandCacheConfig kv_cfg;
     kv_cfg.capacity_bytes = m == kFresh ? 0 : 1ull << 30;
     backend = std::make_unique<nn::PhotonicBackend>(
-        tier.bit_true ? core::make_bit_true_driver(8) : core::make_pdac_driver(8),
-        bench::hot_config(tier.path), cache_cfg, kv_cfg);
+        core::make_pdac_driver(8), bench::hot_config(tier.path), cache_cfg, kv_cfg);
   }
 
   nn::KvDecodeMode mode;
@@ -107,8 +103,8 @@ struct Stream {
   nn::AttentionKvState kv;
   Matrix out;   ///< the last step's output
   Matrix outs;  ///< one output row per step
-  std::vector<double> ms_per_token;  ///< per checkpoint: median of the steps before it
-  std::vector<bench::Spread> spreads;  ///< per checkpoint: the same window's spread
+  std::vector<double> ms_per_token;  ///< per checkpoint: median of its window
+  std::vector<bench::Spread> spreads;  ///< per checkpoint: the window's spread
 };
 
 }  // namespace
@@ -134,38 +130,36 @@ int main(int argc, char** argv) {
   mha.init_random(wrng);
   const Matrix x = decode_stream(context, d_model, 7);
 
-  // Streams tier-major in kModes order, then the scalar kernel on the
-  // bit-true chain: the reference of the quant tier's decode-cosine gate
-  // (same driver, different arithmetic tier), whose timing is not read.
+  // Streams tier-major in kModes order.
   std::vector<Stream> streams;
-  streams.reserve(std::size(kTierSpecs) * kModes + 1);
+  streams.reserve(std::size(kTierSpecs) * kModes);
   for (const TierSpec& tier : kTierSpecs) {
     for (std::size_t m = 0; m < kModes; ++m) streams.emplace_back(tier, Mode(m), mha, context);
   }
-  const Stream& bt_scalar =
-      streams.emplace_back(TierSpec{"kernel", ptc::ExecutionPath::kKernel, true}, kIncremental,
-                           mha, context);
 
+  // A step stages the stream's next token, then decodes it (timed).
   Matrix xt(1, d_model);
-  const auto ms = bench::sample_round_robin(
-      streams.size(), 0, context,
-      [&](std::size_t c) {
-        Stream& st = streams[c];
-        const std::size_t t = st.kv.tokens;
-        st.out = mha.forward_decode(xt, *st.backend, st.kv, st.mode);
-        std::copy(st.out.row(0).begin(), st.out.row(0).end(), st.outs.row(t).begin());
-      },
-      [&](std::size_t c) {
-        const std::size_t t = streams[c].kv.tokens;
-        std::copy(x.row(t).begin(), x.row(t).end(), xt.row(0).begin());
-      });
-  for (std::size_t c = 0; c < streams.size(); ++c) {
-    for (const std::size_t cp : checkpoints) {
-      const std::size_t lo = cp > window ? cp - window : 0;
-      streams[c].spreads.push_back(bench::spread_of(
-          {ms[c].begin() + static_cast<std::ptrdiff_t>(lo),
-           ms[c].begin() + static_cast<std::ptrdiff_t>(cp)}));
-      streams[c].ms_per_token.push_back(streams[c].spreads.back().median);
+  const auto stage = [&](const Stream& st) {
+    std::copy(x.row(st.kv.tokens).begin(), x.row(st.kv.tokens).end(), xt.row(0).begin());
+  };
+  const auto decode = [&](Stream& st) {
+    const std::size_t t = st.kv.tokens;
+    st.out = mha.forward_decode(xt, *st.backend, st.kv, st.mode);
+    std::copy(st.out.row(0).begin(), st.out.row(0).end(), st.outs.row(t).begin());
+  };
+  for (const std::size_t cp : checkpoints) {
+    const std::size_t lo = cp > window ? cp - window : 0;
+    for (Stream& st : streams) {
+      while (st.kv.tokens < lo) {
+        stage(st);
+        decode(st);
+      }
+    }
+    for (Stream& st : streams) {
+      const auto ms = bench::sample_round_robin(
+          1, 0, cp - lo, [&](std::size_t) { decode(st); }, [&](std::size_t) { stage(st); });
+      st.spreads.push_back(bench::spread_of(ms[0]));
+      st.ms_per_token.push_back(st.spreads.back().median);
     }
   }
 
@@ -173,7 +167,7 @@ int main(int argc, char** argv) {
   json.field("bench", "kv_decode").field("mode", args.smoke ? "smoke" : "full");
   json.object("model").field("d_model", d_model).field("heads", heads);
   json.field("context", context).end();
-  json.object("timing").field("window", window).field("order", "interleaved");
+  json.object("timing").field("window", window).field("order", "per_window");
   json.field("statistic", "median").end();
   json.list("contexts", checkpoints);
   json.array("tiers");
@@ -192,13 +186,12 @@ int main(int argc, char** argv) {
     // 2 handles/head, each: 1 miss then context-1 append-hits, 0 rebuilds.
     const nn::OperandCacheStats& kv = inc.backend->kv_cache()->stats();
     const bool appends_ok = kv.rebuilds == 0 && kv.appends == 2 * heads * (context - 1);
-    const Stream& ref = tier.bit_true ? bt_scalar : streams[kIncremental];
-    const double cos = bench::cosine(inc.out, ref.out);
+    const double cos = bench::cosine(inc.out, streams[kIncremental].out);
     const double inc_ms = inc.ms_per_token.back();
     const double vs_unprep = inc_ms > 0.0 ? unprep.ms_per_token.back() / inc_ms : 0.0;
     const double vs_fresh = inc_ms > 0.0 ? fresh.ms_per_token.back() / inc_ms : 0.0;
 
-    std::printf("[%s]%s\n", tier.name, tier.bit_true ? " (bit-true chain)" : "");
+    std::printf("[%s]\n", tier.name);
     for (std::size_t c = 0; c < checkpoints.size(); ++c) {
       std::printf("  ctx %4zu: incremental %8.3f ms/tok   fresh %8.3f   unprepared %8.3f\n",
                   checkpoints[c], inc.ms_per_token[c], fresh.ms_per_token[c],
@@ -211,7 +204,7 @@ int main(int argc, char** argv) {
                 cos);
 
     json.object().field("path", tier.name);
-    json.field("driver", tier.bit_true ? "bit-true-dac" : "pdac");
+    json.field("driver", "pdac");
     const std::pair<const char*, const Stream*> series[] = {
         {"incremental", &inc}, {"fresh", &fresh}, {"unprepared", &unprep}};
     for (const auto& [name, st] : series) {

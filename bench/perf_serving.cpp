@@ -62,13 +62,11 @@ serve::BackendPoolConfig pool_config(std::size_t backends) {
   cfg.guarded.array_cols = 8;
   cfg.retrim_budget = 2;
   cfg.retrim_window = 2048;
-  // Route the pool's tile dots through the fastest numeric tier the
-  // fabricated lanes support (DESIGN.md §15).  Lanes are never on the
-  // quantizer grid (hence `false`), so this resolves to the SIMD tier on
-  // wide hosts and the scalar kernel otherwise; the solo-replay
-  // reference below is built from the same config, so the bit-identity
-  // gate judges the selected tier itself.
-  cfg.guarded.path = ptc::fastest_path(false);
+  // Route the pool's tile dots through the fastest numeric tier
+  // (DESIGN.md §15): the SIMD tier on wide hosts and the scalar kernel
+  // otherwise; the solo-replay reference below is built from the same
+  // config, so the bit-identity gate judges the selected tier itself.
+  cfg.guarded.path = ptc::fastest_path();
   // Quarantine/readmission (DESIGN.md §16): inert at fault rate 0 (no
   // trigger ever fires, so the identity gate is untouched) and active
   // in the storm sweep, where chronically-implicated backends leave

@@ -94,51 +94,6 @@ class Matrix {
   std::vector<double> data_;
 };
 
-/// Row-major matrix of int16 quantizer codes — the operand form of the
-/// fused kernel's integer tier (DESIGN.md §15).  Each entry is a
-/// converters::Quantizer code whose decode() is the encoded amplitude the
-/// double path would have streamed; carrying the code instead of the
-/// double quarters the bytes moved per reduction element.  int16 covers
-/// every supported width (Quantizer bits ≤ 16 ⇒ |code| ≤ 32767).
-class CodeMatrix {
- public:
-  CodeMatrix() = default;
-  CodeMatrix(std::size_t rows, std::size_t cols)
-      : rows_(rows), cols_(cols), data_(rows * cols, 0) {}
-
-  [[nodiscard]] std::size_t rows() const { return rows_; }
-  [[nodiscard]] std::size_t cols() const { return cols_; }
-  [[nodiscard]] std::size_t size() const { return data_.size(); }
-
-  [[nodiscard]] std::span<const std::int16_t> row(std::size_t r) const {
-    PDAC_REQUIRE(r < rows_, "CodeMatrix: row out of range");
-    return {data_.data() + r * cols_, cols_};
-  }
-  std::span<std::int16_t> row(std::size_t r) {
-    PDAC_REQUIRE(r < rows_, "CodeMatrix: row out of range");
-    return {data_.data() + r * cols_, cols_};
-  }
-
-  /// Same reuse contract as Matrix::resize (values unspecified after).
-  void resize(std::size_t rows, std::size_t cols) {
-    rows_ = rows;
-    cols_ = cols;
-    data_.resize(rows * cols);
-  }
-  void clear() {
-    rows_ = cols_ = 0;
-    data_.clear();
-  }
-
-  [[nodiscard]] const std::vector<std::int16_t>& data() const { return data_; }
-  std::vector<std::int16_t>& data() { return data_; }
-
- private:
-  std::size_t rows_{0};
-  std::size_t cols_{0};
-  std::vector<std::int16_t> data_;
-};
-
 /// Double-precision reference product (ground truth for the photonic GEMM).
 inline Matrix matmul_reference(const Matrix& a, const Matrix& b) {
   PDAC_REQUIRE(a.cols() == b.rows(), "matmul: inner dimensions must agree");

@@ -67,43 +67,6 @@ double serial_dot_from(const double* x, const double* y, std::size_t p, std::siz
   return a;
 }
 
-// ---------------------------------------------------------------------------
-// Integer tier (exact).  Every path computes the mathematical sum over ℤ
-// — no rounding, no reassociation sensitivity — so portable and AVX2
-// results are identical bits by construction.  int16×int16 fits int32
-// (≤ 32767² < 2³¹), and |Σ| ≤ n·max_abs² stays far below 2⁶³ for any
-// representable n, so the int64 accumulators never overflow.
-// ---------------------------------------------------------------------------
-
-std::int64_t dot_i16_portable(const std::int16_t* x, const std::int16_t* y, std::size_t n) {
-  std::int64_t a0 = 0, a1 = 0, a2 = 0, a3 = 0;
-  std::size_t p = 0;
-  for (; p + 4 <= n; p += 4) {
-    a0 += static_cast<std::int32_t>(x[p + 0]) * y[p + 0];
-    a1 += static_cast<std::int32_t>(x[p + 1]) * y[p + 1];
-    a2 += static_cast<std::int32_t>(x[p + 2]) * y[p + 2];
-    a3 += static_cast<std::int32_t>(x[p + 3]) * y[p + 3];
-  }
-  std::int64_t acc = (a0 + a1) + (a2 + a3);
-  for (; p < n; ++p) acc += static_cast<std::int32_t>(x[p]) * y[p];
-  return acc;
-}
-
-void dot4_i16_portable(const std::int16_t* x, const std::int16_t* const y[4], std::size_t n,
-                       std::int64_t out[4]) {
-  for (int b = 0; b < 4; ++b) out[b] = dot_i16_portable(x, y[b], n);
-}
-
-/// madd_epi16 iterations one int32 lane can absorb before draining: each
-/// iteration adds two products, so the per-lane ceiling is 2·max_abs².
-/// Always ≥ 1 (2·32767² = 2147352578 < 2³¹−1 covers the widest codes).
-std::size_t drain_iters(std::int32_t max_abs) {
-  const std::int64_t ma = std::int64_t{1} > max_abs ? 1 : std::int64_t{max_abs};
-  const std::int64_t per_iter = 2 * ma * ma;
-  const std::int64_t safe = 2147483647ll / per_iter;
-  return safe < 1 ? 1 : static_cast<std::size_t>(safe);
-}
-
 #if PDAC_SIMD_X86
 
 // ---------------------------------------------------------------------------
@@ -236,68 +199,6 @@ void serial_dots_avx2(const double* const* x, const double* const* y, std::size_
   for (std::size_t c = 0; c < live; ++c) out[c] = serial_dot_from(x[c], y[c], p, n, lane[c]);
 }
 
-/// Fold a 8×int32 accumulator into the running 4×int64 accumulator.
-__attribute__((target("avx2")))
-__m256i widen_fold(__m256i acc64, __m256i acc32) {
-  acc64 = _mm256_add_epi64(acc64, _mm256_cvtepi32_epi64(_mm256_castsi256_si128(acc32)));
-  return _mm256_add_epi64(acc64, _mm256_cvtepi32_epi64(_mm256_extracti128_si256(acc32, 1)));
-}
-
-__attribute__((target("avx2")))
-std::int64_t hfold_i64(__m256i v) {
-  alignas(32) std::int64_t lane[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lane), v);
-  return (lane[0] + lane[1]) + (lane[2] + lane[3]);
-}
-
-__attribute__((target("avx2")))
-std::int64_t dot_i16_avx2(const std::int16_t* x, const std::int16_t* y, std::size_t n,
-                          std::size_t drain) {
-  __m256i acc64 = _mm256_setzero_si256();
-  std::size_t p = 0;
-  while (p + 16 <= n) {
-    __m256i acc32 = _mm256_setzero_si256();
-    std::size_t iters = (n - p) / 16;
-    if (iters > drain) iters = drain;
-    for (std::size_t it = 0; it < iters; ++it, p += 16) {
-      const __m256i xv = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + p));
-      const __m256i yv = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(y + p));
-      acc32 = _mm256_add_epi32(acc32, _mm256_madd_epi16(xv, yv));
-    }
-    acc64 = widen_fold(acc64, acc32);
-  }
-  std::int64_t acc = hfold_i64(acc64);
-  for (; p < n; ++p) acc += static_cast<std::int32_t>(x[p]) * y[p];
-  return acc;
-}
-
-__attribute__((target("avx2")))
-void dot4_i16_avx2(const std::int16_t* x, const std::int16_t* const y[4], std::size_t n,
-                   std::size_t drain, std::int64_t out[4]) {
-  __m256i acc64[4] = {_mm256_setzero_si256(), _mm256_setzero_si256(),
-                      _mm256_setzero_si256(), _mm256_setzero_si256()};
-  std::size_t p = 0;
-  while (p + 16 <= n) {
-    __m256i acc32[4] = {_mm256_setzero_si256(), _mm256_setzero_si256(),
-                        _mm256_setzero_si256(), _mm256_setzero_si256()};
-    std::size_t iters = (n - p) / 16;
-    if (iters > drain) iters = drain;
-    for (std::size_t it = 0; it < iters; ++it, p += 16) {
-      const __m256i xv = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + p));
-      for (int b = 0; b < 4; ++b) {
-        const __m256i yv = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(y[b] + p));
-        acc32[b] = _mm256_add_epi32(acc32[b], _mm256_madd_epi16(xv, yv));
-      }
-    }
-    for (int b = 0; b < 4; ++b) acc64[b] = widen_fold(acc64[b], acc32[b]);
-  }
-  for (int b = 0; b < 4; ++b) {
-    std::int64_t acc = hfold_i64(acc64[b]);
-    for (std::size_t q = p; q < n; ++q) acc += static_cast<std::int32_t>(x[q]) * y[b][q];
-    out[b] = acc;
-  }
-}
-
 /// quantize_code over the whole 4-element blocks of in[0, n); returns how
 /// many elements it wrote (the caller finishes the tail with the
 /// reference).  Targets AVX2 without FMA so the compiler cannot fuse
@@ -381,32 +282,6 @@ void dot4(const double* x, const double* const y[4], std::size_t n, double out[4
   }
 #endif
   dot4_portable(x, y, n, out);
-}
-
-std::int64_t dot_i16(const std::int16_t* x, const std::int16_t* y, std::size_t n,
-                     std::int32_t max_abs) {
-#if PDAC_SIMD_X86
-  if (g_avx2) return dot_i16_avx2(x, y, n, drain_iters(max_abs));
-#endif
-  (void)drain_iters;  // only the vector path needs the overflow cadence
-  (void)max_abs;
-  return dot_i16_portable(x, y, n);
-}
-
-std::int64_t dot_self_i16(const std::int16_t* x, std::size_t n, std::int32_t max_abs) {
-  return dot_i16(x, x, n, max_abs);
-}
-
-void dot4_i16(const std::int16_t* x, const std::int16_t* const y[4], std::size_t n,
-              std::int32_t max_abs, std::int64_t out[4]) {
-#if PDAC_SIMD_X86
-  if (g_avx2) {
-    dot4_i16_avx2(x, y, n, drain_iters(max_abs), out);
-    return;
-  }
-#endif
-  (void)max_abs;
-  dot4_i16_portable(x, y, n, out);
 }
 
 void serial_dots(const double* const* x, const double* const* y, std::size_t chains,

@@ -30,15 +30,6 @@
 // ABFT guard band (ptc::guard_tolerance) is calibrated to absorb.  The
 // dispatch is deterministic per machine: identical inputs give identical
 // bits run-to-run; only cross-ISA runs may differ, and only in-band.
-// The integer tier (ptc::ExecutionPath::kKernelQuant, DESIGN.md §15) has
-// a stronger contract than the double tier: its dot products are EXACT
-// sums over ℤ — integer addition is associative, so the AVX2 and
-// portable paths return identical bits on every machine, not merely
-// in-band.  The AVX2 path accumulates int16×int16 pairs with madd_epi16
-// into int32 lanes and drains them into int64 lanes before they can
-// overflow; the drain cadence is derived from the caller-supplied
-// max_abs bound (one madd lane adds ≤ 2·max_abs², so
-// ⌊(2³¹−1)/(2·max_abs²)⌋ iterations are provably safe).
 //
 // quantize is the quantizer's rounding rule over a whole span, exact on
 // every ISA (DESIGN.md §18).  The rule itself is quantize_code, the one
@@ -107,21 +98,6 @@ inline constexpr std::size_t kDotSelfState = 8;
 /// every ISA.  One load of x feeds all four columns, the fast tier's
 /// tile-blocking shape.
 void dot4(const double* x, const double* const y[4], std::size_t n, double out[4]);
-
-/// Exact integer dot Σ_p x[p]·y[p] over int16 codes.  `max_abs` bounds
-/// |x[p]| and |y[p]| (≥ 1, ≤ 32767 — the quantizer's max_code) and sets
-/// the overflow-safe drain cadence; the result is the mathematical sum,
-/// identical bits on every ISA.
-[[nodiscard]] std::int64_t dot_i16(const std::int16_t* x, const std::int16_t* y,
-                                   std::size_t n, std::int32_t max_abs);
-
-/// Exact Σ_p x[p]² over int16 codes (quadratic-form row/column terms).
-[[nodiscard]] std::int64_t dot_self_i16(const std::int16_t* x, std::size_t n,
-                                        std::int32_t max_abs);
-
-/// Four exact integer dots sharing one x row (tile-blocking shape).
-void dot4_i16(const std::int16_t* x, const std::int16_t* const y[4], std::size_t n,
-              std::int32_t max_abs, std::int64_t out[4]);
 
 /// `chains` serial dots: out[c] is what `a = 0.0; for p ascending:
 /// a += x[c][p] * y[c][p];` returns — bit for bit for every non-NaN result,

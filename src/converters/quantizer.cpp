@@ -26,16 +26,6 @@ double Quantizer::decode(std::int32_t code) const {
   return static_cast<double>(code) / static_cast<double>(max_code_);
 }
 
-bool Quantizer::snap_to_code(double value, std::int32_t* code) const {
-  if (!(std::abs(value) <= 1.0)) return false;  // NaN-safe: NaN is off-grid
-  const auto c = static_cast<std::int32_t>(std::lround(value * max_code_));
-  if (c < -max_code_ || c > max_code_) return false;
-  // Exactness, not closeness: decode() must reproduce the value bitwise.
-  if (decode(c) != value) return false;
-  if (code != nullptr) *code = c;
-  return true;
-}
-
 double max_abs_scale(std::span<const double> values) {
   double m = 0.0;
   for (double v : values) m = std::max(m, std::abs(v));

@@ -57,15 +57,6 @@ class Quantizer {
   /// One quantization step in analog units.
   [[nodiscard]] double step() const { return 1.0 / static_cast<double>(max_code_); }
 
-  /// On-grid test: when `value` is EXACTLY decode(c) for some code c
-  /// (bit for bit — decode's division included, which is not the same
-  /// rounding as multiplying by step()), writes c and returns true;
-  /// otherwise returns false.  This is the precondition probe of the
-  /// integer execution tier (DESIGN.md §15): a transfer table whose
-  /// every entry snaps back to its code can be carried as int16 codes
-  /// with zero value change.
-  [[nodiscard]] bool snap_to_code(double value, std::int32_t* code) const;
-
  private:
   int bits_;
   std::int32_t max_code_;

@@ -43,21 +43,6 @@ double PdacDriver::encode(double r) const { return device_.convert_value(math::c
 
 units::Energy PdacDriver::conversion_energy() const { return device_.power() / cfg_.clock; }
 
-BitTrueDacDriver::BitTrueDacDriver(IdealDacDriverConfig cfg)
-    : cfg_(cfg), quant_(cfg.bits), dac_([&cfg] {
-        converters::ElectricalDacConfig d = cfg.dac;
-        d.bits = cfg.bits;
-        return d;
-      }()) {}
-
-double BitTrueDacDriver::encode(double r) const {
-  return quant_.quantize(math::clamp_unit(r));
-}
-
-units::Energy BitTrueDacDriver::conversion_energy() const {
-  return dac_.energy_per_conversion() + cfg_.controller_energy;
-}
-
 std::unique_ptr<ModulatorDriver> make_ideal_dac_driver(int bits) {
   IdealDacDriverConfig cfg;
   cfg.bits = bits;
@@ -69,12 +54,6 @@ std::unique_ptr<ModulatorDriver> make_pdac_driver(int bits, double breakpoint) {
   cfg.pdac.bits = bits;
   cfg.pdac.breakpoint = breakpoint;
   return std::make_unique<PdacDriver>(cfg);
-}
-
-std::unique_ptr<ModulatorDriver> make_bit_true_driver(int bits) {
-  IdealDacDriverConfig cfg;
-  cfg.bits = bits;
-  return std::make_unique<BitTrueDacDriver>(cfg);
 }
 
 }  // namespace pdac::core

@@ -91,36 +91,8 @@ class PdacDriver final : public ModulatorDriver {
   Pdac device_;
 };
 
-/// An idealized, perfectly-calibrated DAC→MZM chain whose measured
-/// end-to-end transfer lands exactly on the quantizer grid:
-/// encode(r) == Quantizer::quantize(r) bit for bit.  This is the b-bit
-/// data path the paper's numeric analysis assumes — the operand IS its
-/// code — and the precondition of the fused kernel's integer tier
-/// (ptc::ExecutionPath::kKernelQuant, DESIGN.md §15): under this driver
-/// the engine's encode LUT is {c / max_code}, so tiles can be carried as
-/// int16 codes and reduced with exact integer dot products.  The ideal
-/// DAC and P-DAC drivers keep their device nonlinearities and are
-/// off-grid; the integer tier falls back to the double tiers for them.
-/// Energy is charged like the ideal-DAC chain (controller + electrical
-/// DAC): the driver idealizes the transfer, not the cost.
-class BitTrueDacDriver final : public ModulatorDriver {
- public:
-  explicit BitTrueDacDriver(IdealDacDriverConfig cfg);
-
-  [[nodiscard]] double encode(double r) const override;
-  [[nodiscard]] int bits() const override { return cfg_.bits; }
-  [[nodiscard]] std::string name() const override { return "bit-true-dac"; }
-  [[nodiscard]] units::Energy conversion_energy() const override;
-
- private:
-  IdealDacDriverConfig cfg_;
-  converters::Quantizer quant_;
-  converters::ElectricalDac dac_;
-};
-
 /// Factory helpers used across examples/benches.
 std::unique_ptr<ModulatorDriver> make_ideal_dac_driver(int bits);
 std::unique_ptr<ModulatorDriver> make_pdac_driver(int bits, double breakpoint = 0.7236);
-std::unique_ptr<ModulatorDriver> make_bit_true_driver(int bits);
 
 }  // namespace pdac::core

@@ -10,10 +10,6 @@
 
 namespace pdac::faults {
 
-ptc::ExecutionPath auto_execution_path(const LaneBank& /*bank*/) {
-  return ptc::fastest_path(false);
-}
-
 GuardedBackend::GuardedBackend(LaneBank& bank, GuardedBackendConfig cfg,
                                HealthMonitor* shared_monitor)
     : bank_(bank),
@@ -30,7 +26,7 @@ GuardedBackend::GuardedBackend(LaneBank& bank, GuardedBackendConfig cfg,
   PDAC_REQUIRE(cfg_.path == ptc::ExecutionPath::kKernel ||
                    cfg_.path == ptc::ExecutionPath::kKernelSimd,
                "GuardedBackend: path must be kKernel or kKernelSimd (a lane bank has no device "
-               "graph, and its lanes are never on the quantizer grid)");
+               "graph, and the integer tier is retired)");
   if (shared_monitor != nullptr) monitor_ = shared_monitor;
   tracker_.resize(bank_.lanes());
   recalibrate();  // construction is a trusted calibration point

@@ -124,17 +124,19 @@ struct GuardedBackendConfig {
   ///   kKernelSimd — FusedKernel::run_tile_fast, one blocked dot per
   ///                 output (common/simd.hpp): in-band reassociation,
   ///                 same verdict machinery.
-  /// kDeviceGraph and kKernelQuant are rejected at construction: a lane
-  /// bank has no device graph to stage chunks through, and its lanes are
-  /// never on the quantizer grid.  ptc::fastest_path(false) resolves the
-  /// faster of the two.  Checksum references are double-precision golden
-  /// dots on either tier, so detection semantics never change.
+  /// Any other path is rejected at construction: a lane bank has no
+  /// device graph to stage chunks through, and the integer tier is
+  /// retired.  ptc::fastest_path() resolves the faster of the two.
+  /// Checksum references are double-precision golden dots on either
+  /// tier, so detection semantics never change.
   ptc::ExecutionPath path{ptc::ExecutionPath::kKernel};
 };
 
-/// ptc::fastest_path(false): lanes are never on the quantizer grid.  Kept
-/// only for perfbench/src/serve.cpp; new callers use ptc::fastest_path.
-[[nodiscard]] ptc::ExecutionPath auto_execution_path(const LaneBank& bank);
+/// ptc::fastest_path(), whatever the bank.  Kept only for
+/// perfbench/src/serve.cpp; new callers use ptc::fastest_path.
+[[nodiscard]] inline ptc::ExecutionPath auto_execution_path(const LaneBank& /*bank*/) {
+  return ptc::fastest_path();
+}
 
 /// A transient single-dot upset: an SEU-class glitch that corrupts one
 /// detector readout of the *next* product's initial pass by `delta` (raw

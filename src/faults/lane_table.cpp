@@ -26,8 +26,7 @@ double LaneEncodeTable::encode(std::size_t rail, std::size_t channel, double r) 
 }
 
 void LaneEncoder::operator()(std::span<const double> norm, std::size_t p0,
-                             std::span<double> current, std::span<double> reference,
-                             std::span<std::int16_t> /*codes*/) const {
+                             std::span<double> current, std::span<double> reference) const {
   const LaneEncodeTable* fresh = table != nullptr && table->fresh(bank) ? table : nullptr;
   const std::size_t nl = channels.size();
   const std::size_t rail0 = rail * bank.wavelengths();

@@ -18,12 +18,6 @@
 // rebuild() at a trusted calibration point, it is GuardedBackend's golden
 // snapshot, which must not follow the bank.
 //
-// Lanes are never on the quantizer grid: the P-DAC transfer is a
-// piecewise-linear arccos approximation, so no lane amplitude table is
-// an integer code scaled by 1/max_code (a test pins this across bit
-// widths, trim, variation and encodings).  The table therefore carries
-// doubles only, and faults-layer execution stays on the double tiers.
-//
 // Thread safety: ensure() and rebuild() mutate and must be called between
 // parallel regions (backends call them at product entry and after every
 // in-product mutation point); reads are const and safe to call
@@ -87,8 +81,7 @@ class LaneEncodeTable {
 /// (Quantizer::encode_each, DESIGN.md §18) and reads both amplitudes by
 /// code, advancing the channel index with the position.  Serves as the
 /// ptc::RowEncoder of every faults-layer prepare and append, encodes A
-/// rows the same way, and re-encodes stale stripes under a storm.  Never
-/// stages codes: lanes are never on the quantizer grid.
+/// rows the same way, and re-encodes stale stripes under a storm.
 struct LaneEncoder {
   const LaneBank& bank;
   const std::vector<std::size_t>& channels;
@@ -97,7 +90,7 @@ struct LaneEncoder {
   const LaneEncodeTable* golden{nullptr};
 
   void operator()(std::span<const double> norm, std::size_t p0, std::span<double> current,
-                  std::span<double> reference, std::span<std::int16_t> codes = {}) const;
+                  std::span<double> reference) const;
 };
 
 }  // namespace pdac::faults

@@ -4,11 +4,6 @@
 
 namespace pdac::nn {
 
-ptc::GemmConfig fastest_gemm_config(const core::ModulatorDriver& driver, ptc::GemmConfig cfg) {
-  cfg.path = ptc::fastest_path(ptc::PhotonicDotEngine(driver, cfg.dot).encode_on_quant_grid());
-  return cfg;
-}
-
 Matrix ReferenceBackend::matmul(const Matrix& a, const Matrix& b) {
   events_.macs += a.rows() * a.cols() * b.cols();
   return matmul_reference(a, b);

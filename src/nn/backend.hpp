@@ -206,29 +206,14 @@ std::unique_ptr<GemmBackend> make_photonic_ideal_dac_backend(int bits,
   return cfg;
 }
 
-/// GemmConfig pinned to the fused kernel's integer tier
-/// (ptc/kernel.hpp run_tile_quant, DESIGN.md §15): operands carried as
-/// int16 quantizer codes, reductions as EXACT int16×int16→int64 dots,
-/// scale + dark applied once at readout.  Valid only for engines whose
-/// encode LUT sits bitwise on the quantizer grid (the
-/// core::BitTrueDacDriver chain) — PhotonicGemm construction rejects the
-/// path otherwise; use fastest_gemm_config to probe instead of pinning.
-/// Event counts stay field-for-field identical to the scalar kernel and
-/// outputs sit in the same guard band as the SIMD tier, at roughly a
-/// quarter of its operand bytes per tile.
-[[nodiscard]] inline ptc::GemmConfig quant_gemm_config(ptc::GemmConfig cfg = {}) {
-  cfg.path = ptc::ExecutionPath::kKernelQuant;
+/// `cfg` with `path` set to ptc::fastest_path(), whatever the driver.
+/// Kept only for perfbench/src/decode.cpp, which passes a driver; new
+/// callers use ptc::fastest_path.
+[[nodiscard]] inline ptc::GemmConfig fastest_gemm_config(const core::ModulatorDriver& /*driver*/,
+                                                         ptc::GemmConfig cfg = {}) {
+  cfg.path = ptc::fastest_path();
   return cfg;
 }
-
-/// Resolve the fastest execution path this (driver, config) pair can
-/// legally run — ptc::fastest_path over the engine's own grid probe
-/// (PhotonicDotEngine::encode_on_quant_grid, the precondition
-/// PhotonicGemm enforces for kKernelQuant).  The returned config is
-/// `cfg` with only `path` rewritten, so guard/threads/array knobs pass
-/// through untouched.
-[[nodiscard]] ptc::GemmConfig fastest_gemm_config(const core::ModulatorDriver& driver,
-                                                  ptc::GemmConfig cfg = {});
 
 /// GemmConfig with the ABFT checksum guard switched on (abft.hpp) —
 /// every product verifies its tiles against digital references and the

@@ -37,13 +37,8 @@ PhotonicDotEngine::PhotonicDotEngine(const core::ModulatorDriver& driver, DotEng
   // whole encoder transfer curve fits in a (2^b − 1)-entry table.
   const std::int32_t mc = quant_.max_code();
   encode_lut_.resize(static_cast<std::size_t>(2 * mc + 1));
-  on_quant_grid_ = true;
   for (std::int32_t c = -mc; c <= mc; ++c) {
-    const double amp = driver_.encode(quant_.decode(c));
-    encode_lut_[static_cast<std::size_t>(c + mc)] = amp;
-    // Exact-grid probe for the integer tier: the amplitude must BE the
-    // code's decode, bit for bit, for every code.
-    if (amp != quant_.decode(c)) on_quant_grid_ = false;
+    encode_lut_[static_cast<std::size_t>(c + mc)] = driver_.encode(quant_.decode(c));
   }
 }
 
@@ -54,24 +49,13 @@ double PhotonicDotEngine::encode(double r) const {
   return encode_lut_[static_cast<std::size_t>(code + quant_.max_code())];
 }
 
-// Both span encoders quantize through the span rule, then read the LUT at
+// The span encoder quantizes through the span rule, then reads the LUT at
 // each code.  Quantizer::encode clamps exactly as clamp_unit does, so the
 // divisor-1 span encode equals encode(in[i]) bit for bit.
 void PhotonicDotEngine::encode_span(std::span<const double> in, std::span<double> out) const {
   PDAC_REQUIRE(in.size() == out.size(), "PhotonicDotEngine: encode_span size mismatch");
   const double* const lut = encode_lut_.data() + quant_.max_code();
   quant_.encode_each(in, 1.0, [&](std::size_t i, std::int32_t code) { out[i] = lut[code]; });
-}
-
-void PhotonicDotEngine::encode_span(std::span<const double> in, std::span<double> out,
-                                    std::span<std::int16_t> codes) const {
-  PDAC_REQUIRE(in.size() == out.size() && in.size() == codes.size(),
-               "PhotonicDotEngine: encode_span size mismatch");
-  const double* const lut = encode_lut_.data() + quant_.max_code();
-  quant_.encode_each(in, 1.0, [&](std::size_t i, std::int32_t code) {
-    out[i] = lut[code];
-    codes[i] = static_cast<std::int16_t>(code);
-  });
 }
 
 double PhotonicDotEngine::apply_adc(double acc, std::size_t n, EventCounter* ev) const {

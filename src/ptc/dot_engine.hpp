@@ -86,26 +86,6 @@ class PhotonicDotEngine {
   /// multiple threads: the LUT is immutable after construction.
   void encode_span(std::span<const double> in, std::span<double> out) const;
 
-  /// Same encode pass, additionally emitting each element's quantizer
-  /// code as int16 — the integer tier's operand form.  Only meaningful
-  /// when encode_on_quant_grid() holds (then out[i] == decode(codes[i])
-  /// bitwise); the kernel's quant path requires it.
-  void encode_span(std::span<const double> in, std::span<double> out,
-                   std::span<std::int16_t> codes) const;
-
-  /// True when the driver's whole encode LUT lies bitwise on the
-  /// quantizer grid: lut[c] == quantizer().decode(c) for every code.
-  /// This is the precondition of ExecutionPath::kKernelQuant
-  /// (DESIGN.md §15): on-grid, an encoded amplitude IS its code scaled
-  /// by 1/max_code, so integer dots over codes reproduce the double
-  /// tiers exactly up to one final rounding.  Holds for
-  /// core::BitTrueDacDriver; the ideal-DAC and P-DAC transfers are
-  /// transcendental and land off-grid.
-  [[nodiscard]] bool encode_on_quant_grid() const { return on_quant_grid_; }
-
-  /// The b-bit operand quantizer the encode LUT is indexed by.
-  [[nodiscard]] const converters::Quantizer& quantizer() const { return quant_; }
-
   /// A fresh Ddot configured like this engine's own — worker threads use
   /// one each so device objects are never shared mutably.
   [[nodiscard]] Ddot make_worker_ddot() const;
@@ -134,7 +114,6 @@ class PhotonicDotEngine {
   converters::Quantizer quant_;
   std::vector<double> encode_lut_;       ///< index = code + max_code
   std::vector<std::size_t> active_lanes_; ///< channel indices operands pack onto
-  bool on_quant_grid_{false};            ///< LUT == quantizer grid, bit for bit
 };
 
 }  // namespace pdac::ptc

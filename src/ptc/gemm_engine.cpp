@@ -10,8 +10,7 @@
 
 namespace pdac::ptc {
 
-ExecutionPath fastest_path(bool encode_on_quant_grid) {
-  if (encode_on_quant_grid) return ExecutionPath::kKernelQuant;
+ExecutionPath fastest_path() {
   return simd::has_fast_path() ? ExecutionPath::kKernelSimd : ExecutionPath::kKernel;
 }
 
@@ -22,10 +21,9 @@ PhotonicGemm::PhotonicGemm(const core::ModulatorDriver& driver, GemmConfig cfg)
       pool_(std::make_unique<ThreadPool>(cfg.threads)) {
   PDAC_REQUIRE(cfg_.array_rows >= 1 && cfg_.array_cols >= 1,
                "PhotonicGemm: array dimensions must be positive");
-  PDAC_REQUIRE(cfg_.path != ExecutionPath::kKernelQuant || kernel_.quant_ready(),
-               "PhotonicGemm: kKernelQuant requires a driver whose encode transfer lies "
-               "exactly on the quantizer grid (core::BitTrueDacDriver); use "
-               "nn::fastest_gemm_config to auto-select a valid path");
+  PDAC_REQUIRE(cfg_.path != ExecutionPath::kKernelQuant,
+               "PhotonicGemm: the integer tier is retired; use ptc::fastest_path for the "
+               "fastest tier");
   worker_ddots_.reserve(pool_->size());
   for (std::size_t w = 0; w < pool_->size(); ++w) {
     worker_ddots_.push_back(engine_.make_worker_ddot());
@@ -65,8 +63,7 @@ void encode_rows(PreparedOperand& pb, const OperandSpec& spec, const Matrix& sta
     for (std::size_t r = begin; r < end; ++r) {
       const std::size_t j = row0 + r;
       encode(stage.row(r), p0, pb.encoded.row(j).subspan(p0, len),
-             spec.reference ? pb.reference.row(j).subspan(p0, len) : std::span<double>{},
-             spec.qcodes ? pb.qcodes.row(j).subspan(p0, len) : std::span<std::int16_t>{});
+             spec.reference ? pb.reference.row(j).subspan(p0, len) : std::span<double>{});
     }
   });
 }
@@ -123,7 +120,6 @@ PreparedOperand prepare_operand(const Matrix& src, GrowAxis axis, const OperandS
   stage_normalized_bt(src, axis, pb.scale, stage);
   pb.encoded = Matrix(pb.cols, pb.rows);
   if (spec.reference) pb.reference = Matrix(pb.cols, pb.rows);
-  if (spec.qcodes) pb.qcodes.resize(pb.cols, pb.rows);
   encode_rows(pb, spec, stage, 0, 0, encode, pool);
 
   // ABFT column checksums (abft.hpp): one digital sum of the golden
@@ -162,10 +158,6 @@ bool append_operand(PreparedOperand& pb, const Matrix& src, GrowAxis axis,
                      : pb.reference.size() > 0) {
     return false;
   }
-  if (spec.qcodes ? (pb.qcodes.rows() != pb.cols || pb.qcodes.cols() != cap)
-                  : pb.qcodes.size() > 0) {
-    return false;
-  }
   if (spec.checksum_stripe > 0
           ? (pb.checksum_stripe != spec.checksum_stripe ||
              pb.checksum.rows() != stripe_count(pb.cols, spec.checksum_stripe) ||
@@ -194,7 +186,6 @@ bool append_operand(PreparedOperand& pb, const Matrix& src, GrowAxis axis,
     }
     pb.encoded.resize(new_len, k);
     if (spec.reference) pb.reference.resize(new_len, k);
-    if (spec.qcodes) pb.qcodes.resize(new_len, k);
     encode_rows(pb, spec, stage, old_len, 0, encode, pool);
     if (spec.checksum_stripe > 0) {
       // Existing stripe rows already hold the ascending-j partial sums
@@ -214,7 +205,6 @@ bool append_operand(PreparedOperand& pb, const Matrix& src, GrowAxis axis,
     const std::size_t n = pb.cols;
     grow_col_capacity(pb.encoded, new_len);
     if (spec.reference) grow_col_capacity(pb.reference, new_len);
-    if (spec.qcodes) grow_col_capacity(pb.qcodes, new_len);
     stage.resize(n, delta);
     for (std::size_t j = 0; j < n; ++j) {
       const auto to = stage.row(j);
@@ -243,26 +233,18 @@ OperandSpec PhotonicGemm::operand_spec(std::uint64_t epoch) const {
                      .channels = {},
                      .checksum_stripe =
                          cfg_.guard.enabled && !cfg_.guard.column_only ? cfg_.array_cols : 0,
-                     .reference = false,
-                     .qcodes = cfg_.path == ExecutionPath::kKernelQuant};
+                     .reference = false};
 }
 
 RowEncoder PhotonicGemm::lut_encoder() const {
   // The LUT is position-independent (p0 unused) and the healthy path
   // stages no golden reference.
   return [this](std::span<const double> norm, std::size_t, std::span<double> encoded,
-                std::span<double>, std::span<std::int16_t> codes) {
-    if (codes.empty()) {
-      engine_.encode_span(norm, encoded);
-    } else {
-      engine_.encode_span(norm, encoded, codes);
-    }
-  };
+                std::span<double>) { engine_.encode_span(norm, encoded); };
 }
 
 bool PhotonicGemm::reads_energy() const {
-  return cfg_.dot.use_full_optics &&
-         (cfg_.path == ExecutionPath::kKernelSimd || cfg_.path == ExecutionPath::kKernelQuant);
+  return cfg_.dot.use_full_optics && cfg_.path == ExecutionPath::kKernelSimd;
 }
 
 void PhotonicGemm::sum_energy(const PreparedOperand& b, std::size_t j0,
@@ -270,12 +252,10 @@ void PhotonicGemm::sum_energy(const PreparedOperand& b, std::size_t j0,
   // The tile's own Σy² rule, bounded by the logical reduction length:
   // capacity padding is never summed.  Columns are independent, so the
   // sweep is parallel without moving a bit.
-  const bool quant = cfg_.path == ExecutionPath::kKernelQuant;
   out.resize(b.cols);
   pool_->parallel_for(b.cols - j0, [&](std::size_t begin, std::size_t end, std::size_t) {
     for (std::size_t j = j0 + begin; j < j0 + end; ++j) {
-      out[j] = quant ? kernel_.energy(b.qcodes.row(j).first(b.rows))
-                     : kernel_.energy(b.encoded.row(j).first(b.rows));
+      out[j] = kernel_.energy(b.encoded.row(j).first(b.rows));
     }
   });
 }
@@ -290,8 +270,8 @@ PreparedOperand PhotonicGemm::prepare(const Matrix& src, GrowAxis axis,
 
 bool PhotonicGemm::append(PreparedOperand& pb, const Matrix& src, GrowAxis axis,
                           std::uint64_t epoch) const {
-  // Only this tier's sums at the current length can be extended.
-  const bool extend = pb.has_energy(cfg_.path);
+  // Only sums at the current length can be extended.
+  const bool extend = pb.has_energy();
   const std::size_t old_rows = pb.rows;
   const std::size_t old_cols = pb.cols;
   if (!append_operand(pb, src, axis, operand_spec(epoch), lut_encoder(), *pool_,
@@ -311,32 +291,22 @@ bool PhotonicGemm::append(PreparedOperand& pb, const Matrix& src, GrowAxis axis,
 
 void PhotonicGemm::stage_energy(PreparedOperand& pb, std::size_t j0) const {
   sum_energy(pb, j0, pb.energy);
-  pb.energy_path = cfg_.path;
   pb.energy_rows = pb.rows;
   pb.energy_acc = {};
-  pb.energy_isum = {};
 }
 
 void PhotonicGemm::resume_energy(PreparedOperand& pb, std::size_t old_rows, bool extend) const {
-  const bool quant = cfg_.path == ExecutionPath::kKernelQuant;
-  const bool staged = quant ? pb.energy_isum.size() == pb.cols
-                            : pb.energy_acc.size() == pb.cols * simd::kDotSelfState;
+  const bool staged = pb.energy_acc.size() == pb.cols * simd::kDotSelfState;
   const std::size_t from = extend && staged ? old_rows : 0;
-  if (from == 0) {
-    pb.energy_acc.assign(quant ? 0 : pb.cols * simd::kDotSelfState, 0.0);
-    pb.energy_isum.assign(quant ? pb.cols : 0, 0);
-  }
+  if (from == 0) pb.energy_acc.assign(pb.cols * simd::kDotSelfState, 0.0);
   pb.energy.resize(pb.cols);
   pool_->parallel_for(pb.cols, [&](std::size_t begin, std::size_t end, std::size_t) {
     for (std::size_t j = begin; j < end; ++j) {
-      pb.energy[j] =
-          quant ? kernel_.energy(pb.qcodes.row(j).first(pb.rows), from, pb.energy_isum[j])
-                : kernel_.energy(pb.encoded.row(j).first(pb.rows), from,
-                                 std::span<double>(pb.energy_acc)
-                                     .subspan(j * simd::kDotSelfState, simd::kDotSelfState));
+      pb.energy[j] = kernel_.energy(
+          pb.encoded.row(j).first(pb.rows), from,
+          std::span<double>(pb.energy_acc).subspan(j * simd::kDotSelfState, simd::kDotSelfState));
     }
   });
-  pb.energy_path = cfg_.path;
   pb.energy_rows = pb.rows;
 }
 
@@ -367,48 +337,29 @@ GemmResult PhotonicGemm::multiply_prepared(const Matrix& a, const PreparedOperan
                  "PhotonicGemm: guarded execution needs an operand prepared under the same "
                  "guarded config (prepare_b with guard.enabled)");
   }
-  const bool quant = cfg_.path == ExecutionPath::kKernelQuant;
-  if (quant) {
-    // >= on the reduction axis: appended operands may carry physical
-    // column-capacity padding past the logical length (PreparedOperand
-    // shape contract); every kernel loop below is bounded by b.rows.
-    PDAC_REQUIRE(b.qcodes.rows() == b.cols && b.qcodes.cols() >= b.rows,
-                 "PhotonicGemm: quant execution needs an operand prepared under the quant "
-                 "path (prepare_b with ExecutionPath::kKernelQuant)");
-  }
   const double a_scale = converters::max_abs_scale(a.data());
   const std::size_t k = a.cols();
 
-  // A-side pipeline (normalize + encode), into per-engine scratch; the
-  // quant path captures each element's code alongside its amplitude.
-  // Under the fast tiers' quadratic form each row's energy Σx² is summed
-  // here, once per product, instead of once per tile.
+  // A-side pipeline (normalize + encode), into per-engine scratch.  Under
+  // the SIMD tier's quadratic form each row's energy Σx² is summed here,
+  // once per product, instead of once per tile.
   const bool energies = reads_energy();
   norm_scratch_.resize(a.rows(), k);
   for (std::size_t i = 0; i < a.size(); ++i) norm_scratch_.data()[i] = a.data()[i] / a_scale;
   encode_scratch_.resize(a.rows(), k);
   const Matrix& ae = encode_scratch_;
-  if (quant) qcode_scratch_.resize(a.rows(), k);
   if (energies) xx_scratch_.resize(a.rows());
   pool_->parallel_for(a.rows(), [&](std::size_t begin, std::size_t end, std::size_t) {
     for (std::size_t r = begin; r < end; ++r) {
-      if (quant) {
-        engine_.encode_span(norm_scratch_.row(r), encode_scratch_.row(r),
-                            qcode_scratch_.row(r));
-      } else {
-        engine_.encode_span(norm_scratch_.row(r), encode_scratch_.row(r));
-      }
-      if (energies) {
-        xx_scratch_[r] = quant ? kernel_.energy(qcode_scratch_.row(r))
-                               : kernel_.energy(encode_scratch_.row(r));
-      }
+      engine_.encode_span(norm_scratch_.row(r), encode_scratch_.row(r));
+      if (energies) xx_scratch_[r] = kernel_.energy(encode_scratch_.row(r));
     }
   });
-  // Column energies Σy²: the operand's own when this tier staged them at
-  // this length, else summed here once for the whole product.
+  // Column energies Σy²: the operand's own when staged at this length,
+  // else summed here once for the whole product.
   std::span<const double> yy;
   if (energies) {
-    if (b.has_energy(cfg_.path)) {
+    if (b.has_energy()) {
       yy = b.energy;
     } else {
       sum_energy(b, 0, yy_scratch_);
@@ -470,12 +421,6 @@ GemmResult PhotonicGemm::multiply_prepared(const Matrix& a, const PreparedOperan
       // charges identical; the guard below runs on it unchanged.
       kernel_.run_tile_fast(tile, ae, b.encoded, xx_scratch_, yy, rescale, res.c,
                             guarded ? rsum.data() : nullptr, guarded ? csum.data() : nullptr);
-    } else if (path == ExecutionPath::kKernelQuant) {
-      // Integer tier: the same quadratic form over exact int16 code dots
-      // (run_tile_quant); the guard below still compares the raw sums
-      // against the double references, band unchanged.
-      kernel_.run_tile_quant(tile, qcode_scratch_, b.qcodes, xx_scratch_, yy, rescale, res.c,
-                             guarded ? rsum.data() : nullptr, guarded ? csum.data() : nullptr);
     } else {
       const Ddot& ddot = worker_ddots_[worker];
       DdotScratch& scratch = worker_scratch_[worker];

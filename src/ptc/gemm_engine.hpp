@@ -41,8 +41,8 @@
 // layer's — is built by prepare_operand() and grown by append_operand()
 // (DESIGN.md §17); executors differ only in the RowEncoder they hand in.
 // An engine whose tier reads the full-optics quadratic form (kKernelSimd
-// or kKernelQuant with use_full_optics) also sums each column's energy
-// Σy² once when it prepares or appends — a reduction-axis append resumes
+// with use_full_optics) also sums each column's energy Σy² once when it
+// prepares or appends — a reduction-axis append resumes
 // each column's sum over just its new rows — and each A row's Σx² once
 // per product, so the tiles sum only Σxy (kernel.hpp).  Every encode and
 // readout quantizes whole spans through one exact span rule (DESIGN.md
@@ -93,27 +93,17 @@ namespace pdac::ptc {
 ///                  within the ABFT reassociation band (guard_tolerance)
 ///                  of the scalar tier, and the ABFT guard itself runs
 ///                  unchanged on top.  The production hot path.
-///   kKernelQuant — the kernel's integer tier (DESIGN.md §15): operands
-///                  carried as int16 quantizer codes and the quadratic
-///                  form reduced with EXACT int16×int16→int64 dots
-///                  (common/simd.hpp), scale + dark applied once at
-///                  readout.  Requires an on-grid encode LUT
-///                  (FusedKernel::quant_ready — e.g. the
-///                  core::BitTrueDacDriver engine); construction rejects
-///                  the path otherwise.  Event counts stay
-///                  field-for-field equal to kKernel, outputs sit in the
-///                  same guard band as kKernelSimd, and the integer sums
-///                  are ISA-independent.  Quarter the operand bytes per
-///                  tile of the double tiers.
 ///   kDeviceGraph — every chunk staged through the device objects
 ///                  (Ddot); the authoritative physical reference.
+///   kKernelQuant — kept only because perfbench/src/common.cpp names it;
+///                  no executor runs it: PhotonicGemm and GuardedBackend
+///                  reject it at construction (DESIGN.md §15).
 enum class ExecutionPath { kKernel, kDeviceGraph, kKernelSimd, kKernelQuant };
 
-/// The fastest tier an executor can legally run (DESIGN.md §15), the one
-/// resolver of both executors: kKernelQuant when its encodes lie bitwise
-/// on the quantizer grid, else kKernelSimd when the CPU has the wide path
-/// (simd::has_fast_path), else the scalar kernel.
-[[nodiscard]] ExecutionPath fastest_path(bool encode_on_quant_grid);
+/// The fastest tier both executors can run (DESIGN.md §15): kKernelSimd
+/// when the CPU has the wide path (simd::has_fast_path), else the scalar
+/// kernel.
+[[nodiscard]] ExecutionPath fastest_path();
 
 /// The B operand of C = A·B, fully prepared for the photonic array:
 /// transposed into row-major columns, max-abs-normalized and pushed
@@ -123,8 +113,8 @@ enum class ExecutionPath { kKernel, kDeviceGraph, kKernelSimd, kKernelQuant };
 /// can refuse stale encodings.
 ///
 /// Logical vs physical shape (KV appends, DESIGN.md §17): `rows`/`cols`
-/// are the LOGICAL source dimensions.  `encoded`/`reference`/`qcodes`
-/// always hold exactly `cols` rows, but may carry more physical columns
+/// are the LOGICAL source dimensions.  `encoded`/`reference` always
+/// hold exactly `cols` rows, but may carry more physical columns
 /// than `rows` — a reduction-axis append pads column capacity
 /// geometrically so a growing reduction axis (the KV context operand, one
 /// V row per decode token) re-lays-out O(log t) times instead of every
@@ -166,41 +156,27 @@ struct PreparedOperand {
   /// `encoded` is the golden copy too.
   Matrix reference;
 
-  /// Integer-tier operand form (ExecutionPath::kKernelQuant): the
-  /// quantizer code of every encoded element, built by prepare_b under a
-  /// quant-path config.  On-grid, decode(qcodes) == encoded bitwise —
-  /// the codes are the same operand at a quarter the bytes.  Empty when
-  /// prepared under a double-tier config.
-  CodeMatrix qcodes;
-
   /// Quadratic-form column energies (kernel.hpp): energy[j] =
   /// FusedKernel::energy of column j over the LOGICAL reduction length
-  /// `rows` — never the padded capacity — summed by the rule of
-  /// `energy_path` (encoded doubles for kKernelSimd, qcodes for
-  /// kKernelQuant) at `energy_rows` = rows.  Staged only by a PhotonicGemm
-  /// whose tier reads them (fast tier with full optics) and empty
-  /// otherwise; a product whose path or length does not match the stamp
-  /// sums its own.  Like the checksum stripes they are built from the
-  /// payload at prepare/append time: a write to `encoded` behind the API
-  /// leaves them at their prepared values.
+  /// `rows` — never the padded capacity — stamped with the length
+  /// `energy_rows` they were summed at.  Staged only by a PhotonicGemm
+  /// whose tier reads them (kKernelSimd with full optics) and empty
+  /// otherwise; a product finding them at another length sums its own.
+  /// Like the checksum stripes they are built from the payload at
+  /// prepare/append time: a write to `encoded` behind the API leaves them
+  /// at their prepared values.
   std::vector<double> energy;
-  ExecutionPath energy_path{ExecutionPath::kKernel};
   std::size_t energy_rows{0};
   /// Where each column's energy sum stopped, so a reduction-axis append
   /// continues it instead of re-summing the column (FusedKernel's resumed
-  /// energy overloads): the kKernelSimd rule's blocked accumulators,
-  /// simd::kDotSelfState doubles per column in `energy_acc`, or the
-  /// kKernelQuant rule's exact Σc² per column in `energy_isum`, both over
-  /// the first `energy_rows` positions.  Only a reduction-axis append
-  /// stages them (the first one sums from zero), so prepared weights carry
-  /// none; every other energy write drops them.
+  /// energy): simd::kDotSelfState blocked accumulators per column over the
+  /// first `energy_rows` positions.  Only a reduction-axis append stages
+  /// them (the first one sums from zero), so prepared weights carry none;
+  /// every other energy write drops them.
   std::vector<double> energy_acc;
-  std::vector<std::int64_t> energy_isum;
 
-  /// True when `energy` holds this length's sums by `path`'s rule.
-  [[nodiscard]] bool has_energy(ExecutionPath path) const {
-    return energy_path == path && energy_rows == rows && energy.size() == cols;
-  }
+  /// True when `energy` holds the sums at this length.
+  [[nodiscard]] bool has_energy() const { return energy_rows == rows && energy.size() == cols; }
 
   /// Resident size, for byte-capacity cache accounting.  Counts physical
   /// storage, so column-capacity padding is charged to the caches too.
@@ -209,7 +185,6 @@ struct PreparedOperand {
            (encoded.size() + checksum.size() + reference.size() + energy.size() +
             energy_acc.size()) *
                sizeof(double) +
-           qcodes.size() * sizeof(std::int16_t) + energy_isum.size() * sizeof(std::int64_t) +
            channels.size() * sizeof(std::size_t);
   }
 };
@@ -219,10 +194,9 @@ struct PreparedOperand {
 /// rows when the column count is unchanged).  Geometric doubling keeps a
 /// reduction axis growing one column per decode token amortized O(1) per
 /// element.  New columns are zero-filled.
-template <typename M>
-void grow_col_capacity(M& m, std::size_t cols) {
+inline void grow_col_capacity(Matrix& m, std::size_t cols) {
   if (m.cols() >= cols) return;
-  M wide(m.rows(), std::max(cols, m.cols() * 2));
+  Matrix wide(m.rows(), std::max(cols, m.cols() * 2));
   for (std::size_t r = 0; r < m.rows(); ++r) {
     const auto src = m.row(r);
     const auto dst = wide.row(r);
@@ -241,12 +215,11 @@ enum class GrowAxis {
 
 /// Encodes one normalized Bᵀ row segment: `norm[i]` sits at reduction
 /// position `p0 + i`.  Writes the data amplitudes into `encoded` and, when
-/// the operand stages them, the golden amplitudes into `reference` and the
-/// quantizer codes into `codes` (both spans are empty otherwise).  Called
-/// once per row segment, possibly from several pool workers at once.
-using RowEncoder =
-    std::function<void(std::span<const double> norm, std::size_t p0, std::span<double> encoded,
-                       std::span<double> reference, std::span<std::int16_t> codes)>;
+/// the operand stages them, the golden amplitudes into `reference` (empty
+/// otherwise).  Called once per row segment, possibly from several pool
+/// workers at once.
+using RowEncoder = std::function<void(std::span<const double> norm, std::size_t p0,
+                                      std::span<double> encoded, std::span<double> reference)>;
 
 /// What an operand is stamped with and which optional parts it stages.
 /// An append must be handed the spec the operand was prepared under, or
@@ -256,7 +229,6 @@ struct OperandSpec {
   std::vector<std::size_t> channels;  ///< lane packing (faults layer); empty when fixed
   std::size_t checksum_stripe{0};     ///< checksum stripe width; 0 = no stripes
   bool reference{false};              ///< stage a golden `reference` encoding
-  bool qcodes{false};                 ///< stage int16 `qcodes` (integer tier)
 };
 
 /// Normalize a B-side source into Bᵀ orientation: out(j, p) = Bᵀ(j, p) / scale.
@@ -265,7 +237,7 @@ void stage_normalized_bt(const Matrix& src, GrowAxis axis, double scale, Matrix&
 /// Build an operand from `src` (B for kRows, Bᵀ for kCols): the raw
 /// max-abs and scale, the normalized Bᵀ (staged in `stage`), one
 /// `encode` call per Bᵀ row on `pool`, and — per `spec` — the golden
-/// reference, the codes and the checksum stripes (ascending-column sums).
+/// reference and the checksum stripes (ascending-column sums).
 [[nodiscard]] PreparedOperand prepare_operand(const Matrix& src, GrowAxis axis,
                                               const OperandSpec& spec, const RowEncoder& encode,
                                               ThreadPool& pool, Matrix& stage);
@@ -370,8 +342,7 @@ class PhotonicGemm {
 
  private:
   /// The operand spec this engine prepares and appends under: no packing
-  /// or golden reference, stripes when guarded with row lanes, codes on
-  /// the quant path.
+  /// or golden reference, stripes when guarded with row lanes.
   [[nodiscard]] OperandSpec operand_spec(std::uint64_t epoch) const;
   /// Encodes Bᵀ rows through the engine's memoized driver LUT.
   [[nodiscard]] RowEncoder lut_encoder() const;
@@ -384,16 +355,16 @@ class PhotonicGemm {
   /// True when the tier reads quadratic-form energies (a fast tier under
   /// full optics) — the only engines that stage them.
   [[nodiscard]] bool reads_energy() const;
-  /// Σy² of b's columns [j0, b.cols) by this tier's rule into out[j0..);
-  /// `out` is resized to b.cols.
+  /// Σy² of b's columns [j0, b.cols) into out[j0..); `out` is resized to
+  /// b.cols.
   void sum_energy(const PreparedOperand& b, std::size_t j0, std::vector<double>& out) const;
   /// sum_energy into pb.energy from column j0 on, then stamp it; drops
   /// any resume state.
   void stage_energy(PreparedOperand& pb, std::size_t j0) const;
   /// Reduction-axis append: continue every column's energy from the resume
-  /// state it left at `old_rows` when `extend` (this tier's sums at that
-  /// length) and the state is staged, else sum from zero and stage the
-  /// state; then stamp.
+  /// state it left at `old_rows` when `extend` (sums at that length) and
+  /// the state is staged, else sum from zero and stage the state; then
+  /// stamp.
   void resume_energy(PreparedOperand& pb, std::size_t old_rows, bool extend) const;
 
   GemmConfig cfg_;
@@ -411,12 +382,11 @@ class PhotonicGemm {
   mutable std::vector<DdotScratch> worker_scratch_;
   mutable Matrix norm_scratch_;
   mutable Matrix encode_scratch_;
-  mutable CodeMatrix qcode_scratch_;  // quant path: A-side operand codes
   mutable std::vector<Tile> tile_scratch_;
   mutable std::vector<EventCounter> event_scratch_;
   mutable Matrix xsum_scratch_;               // guarded path: A row-stripe checksums
-  mutable std::vector<double> xx_scratch_;    // fast tiers: Σx² per A row
-  mutable std::vector<double> yy_scratch_;    // fast tiers: Σy² of unstaged operands
+  mutable std::vector<double> xx_scratch_;    // SIMD tier: Σx² per A row
+  mutable std::vector<double> yy_scratch_;    // SIMD tier: Σy² of unstaged operands
   mutable std::vector<TileCheck> check_scratch_;
   // Guarded path: raw tile row and column sums, one array_rows +
   // array_cols slot per worker.

@@ -63,12 +63,7 @@ void reduce_block(const LaneTransfer* lanes, std::size_t nl, const DetectorTrans
 }  // namespace
 
 FusedKernel::FusedKernel(const PhotonicDotEngine& engine)
-    : FusedKernel(engine.ddot(), engine.config()) {
-  // The integer tier is certified per engine, not per device chain: only
-  // the engine knows whether its encode LUT sits on the quantizer grid.
-  quant_ready_ = engine.encode_on_quant_grid();
-  max_code_ = engine.quantizer().max_code();
-}
+    : FusedKernel(engine.ddot(), engine.config()) {}
 
 FusedKernel::FusedKernel(const Ddot& ddot, const DotEngineConfig& cfg) {
   PDAC_REQUIRE(cfg.wavelengths >= 1, "FusedKernel: at least one wavelength");
@@ -263,25 +258,11 @@ double FusedKernel::energy(std::span<const double> y) const {
   return simd::dot_self(y.data(), y.size());
 }
 
-double FusedKernel::energy(std::span<const std::int16_t> codes) const {
-  std::int64_t sum = 0;
-  return energy(codes, 0, sum);
-}
-
 double FusedKernel::energy(std::span<const double> y, std::size_t m,
                            std::span<double> state) const {
   PDAC_REQUIRE(m <= y.size() && state.size() == simd::kDotSelfState,
                "FusedKernel: energy resume state must cover a prefix");
   return simd::dot_self_resume(y.data(), m, y.size(), state.data());
-}
-
-double FusedKernel::energy(std::span<const std::int16_t> codes, std::size_t m,
-                           std::int64_t& sum) const {
-  PDAC_REQUIRE(m <= codes.size(), "FusedKernel: energy resume state must cover a prefix");
-  // Exact Σc² over ℤ, then one division: on-grid y = c/mc bitwise.
-  sum += simd::dot_self_i16(codes.data() + m, codes.size() - m, max_code_);
-  const double mc2 = static_cast<double>(max_code_) * static_cast<double>(max_code_);
-  return static_cast<double>(sum) / mc2;
 }
 
 void FusedKernel::run_tile_fast(const Tile& tile, const Matrix& ae, const Matrix& be,
@@ -318,57 +299,6 @@ void FusedKernel::run_tile_fast(const Tile& tile, const Matrix& ae, const Matrix
     }
     for (; j < col_end; ++j) {
       const double sxy = simd::dot(x, be.row(j).data(), k);
-      raw[j - tile.col0] =
-          full_optics_ ? q.cxx * xx[i] + q.cyy * yy[j] + q.cxy * sxy + q.dark : sxy;
-    }
-    readout(adc, {raw, tile.cols}, rescale, rsum != nullptr ? rsum + (i - tile.row0) : nullptr,
-            csum);
-  }
-}
-
-void FusedKernel::run_tile_quant(const Tile& tile, const CodeMatrix& aq, const CodeMatrix& bq,
-                                 std::span<const double> xx, std::span<const double> yy,
-                                 double rescale, Matrix& c, double* rsum, double* csum) const {
-  PDAC_REQUIRE(quant_ready_,
-               "FusedKernel: run_tile_quant needs an on-grid encode LUT (quant_ready)");
-  const std::size_t k = aq.cols();
-  PDAC_REQUIRE(bq.cols() >= k, "FusedKernel: operand reduction lengths must agree");
-  PDAC_REQUIRE(!full_optics_ || (xx.size() >= tile.row0 + tile.rows &&
-                                 yy.size() >= tile.col0 + tile.cols),
-               "FusedKernel: full optics needs row and column energies covering the tile");
-  const converters::ElectricalAdc adc = make_adc(k);
-
-  // Same quadratic form as run_tile_fast, but with the amplitude sums
-  // carried as exact integer sums over codes: on-grid, x = cx/mc and
-  // y = cy/mc bitwise, so
-  //   Σx² = Σcx²/mc², Σy² = Σcy²/mc², Σxy = Σcx·cy/mc²
-  // with the integer numerators computed exactly (|Σcx·cy| ≤ k·mc² ≪ 2⁵³
-  // also makes the int64→double conversion exact) — each sum then costs
-  // ONE division instead of a k-term floating accumulation chain.  The
-  // caller's energies are the first two, summed by energy(codes).
-  const std::int32_t mc = max_code_;
-  const double mc2 = static_cast<double>(mc) * static_cast<double>(mc);
-  const QuadraticForm q = full_optics_ ? quadratic_form(k) : QuadraticForm{};
-
-  constexpr std::size_t kBlock = 4;
-  const std::size_t col_end = tile.col0 + tile.cols;
-  for (std::size_t i = tile.row0; i < tile.row0 + tile.rows; ++i) {
-    const std::int16_t* x = aq.row(i).data();
-    double* const raw = c.row(i).data() + tile.col0;
-    std::size_t j = tile.col0;
-    for (; j + kBlock <= col_end; j += kBlock) {
-      const std::int16_t* ys[kBlock];
-      for (std::size_t b = 0; b < kBlock; ++b) ys[b] = bq.row(j + b).data();
-      std::int64_t ixy[kBlock];
-      simd::dot4_i16(x, ys, k, mc, ixy);
-      for (std::size_t b = 0; b < kBlock; ++b) {
-        const double sxy = static_cast<double>(ixy[b]) / mc2;
-        raw[j + b - tile.col0] =
-            full_optics_ ? q.cxx * xx[i] + q.cyy * yy[j + b] + q.cxy * sxy + q.dark : sxy;
-      }
-    }
-    for (; j < col_end; ++j) {
-      const double sxy = static_cast<double>(simd::dot_i16(x, bq.row(j).data(), k, mc)) / mc2;
       raw[j - tile.col0] =
           full_optics_ ? q.cxx * xx[i] + q.cyy * yy[j] + q.cxy * sxy + q.dark : sxy;
     }

@@ -28,7 +28,7 @@
 // photocurrents in the device graph, and every partial intensity sum is
 // non-negative, so skipping them cannot change a single bit.
 //
-// Energies: the fast tiers reduce full optics to the closed quadratic
+// Energies: the SIMD tier reduces full optics to the closed quadratic
 // form cxx·Σx² + cyy·Σy² + cxy·Σxy + dark.  Σx² depends on one A row and
 // Σy² on one B column only, so the tile functions sum just Σxy and take
 // both energies from the caller (spans indexed by absolute row/column);
@@ -95,7 +95,7 @@ class FusedKernel {
   /// One whole output tile in a single pass: every (i, j) dot of
   /// ae[tile rows] × be[tile cols], rescaled into `c`.  With the ADC on,
   /// each tile row's raw values are read out through one span ADC call,
-  /// bit-identical to sampling each output (all three tile functions).
+  /// bit-identical to sampling each output (both tile functions).
   /// When `rsum`/`csum` are non-null (ABFT-guarded products) the raw
   /// post-ADC dot values are accumulated per tile row/column in the same
   /// order as the device-graph loop.  The tile functions charge no
@@ -128,33 +128,9 @@ class FusedKernel {
                      std::span<const double> xx, std::span<const double> yy, double rescale,
                      Matrix& c, double* rsum = nullptr, double* csum = nullptr) const;
 
-  /// Integer tier of run_tile (ExecutionPath::kKernelQuant, DESIGN.md
-  /// §15).  Operands are int16 quantizer codes; valid only when
-  /// quant_ready() — the engine's encode LUT lies bitwise on the
-  /// quantizer grid, so an encoded amplitude IS code/max_code and every
-  /// Σx², Σy², Σxy of the quadratic form is an EXACT integer sum
-  /// (common/simd.hpp dot_i16 family, int16×int16 → int64).  The scale
-  /// 1/max_code² and the dark-current term are applied once in double at
-  /// readout, so each raw value carries a single rounding instead of the
-  /// double tiers' per-element chains — the same O(ε·k) reassociation
-  /// family the guard band absorbs.  `xx`/`yy` follow run_tile_fast's
-  /// absolute-index contract, summed by energy(codes).  ADC round-trip and
-  /// rsum/csum order are identical to run_tile; the integer sums
-  /// themselves are ISA-independent (exact), so this tier's raw values are
-  /// identical bits on every machine.
-  void run_tile_quant(const Tile& tile, const CodeMatrix& aq, const CodeMatrix& bq,
-                      std::span<const double> xx, std::span<const double> yy, double rescale,
-                      Matrix& c, double* rsum = nullptr, double* csum = nullptr) const;
-
   /// Energy Σ_p y_p² of one encoded operand row, by the SIMD tier's rule
   /// (simd::dot_self): the quadratic form's Σx²/Σy² term for run_tile_fast.
   [[nodiscard]] double energy(std::span<const double> y) const;
-
-  /// The integer tier's energy of one code row: the exact Σ_p c_p² over ℤ
-  /// divided once by max_code² — run_tile_quant's Σx²/Σy² term.  Its last
-  /// bits can differ from energy() of the decoded amplitudes, so a tier
-  /// never reads energies summed by the other's rule.
-  [[nodiscard]] double energy(std::span<const std::int16_t> codes) const;
 
   /// energy(y) resumed from an earlier length m ≤ y.size(): `state`
   /// (simd::kDotSelfState doubles) holds what the call at length m left
@@ -162,18 +138,6 @@ class FusedKernel {
   /// for bit, reading only y's last m mod 8 + (y.size() − m) elements.
   [[nodiscard]] double energy(std::span<const double> y, std::size_t m,
                               std::span<double> state) const;
-
-  /// energy(codes) resumed: `sum` holds the exact Σc² over codes[0, m) and
-  /// gains the rest.  Equals energy(codes) bit for bit, since integer sums
-  /// are associative.
-  [[nodiscard]] double energy(std::span<const std::int16_t> codes, std::size_t m,
-                              std::int64_t& sum) const;
-
-  /// True when run_tile_quant is usable: the kernel was snapshotted from
-  /// an engine whose encode LUT is exactly the quantizer grid (e.g. a
-  /// core::BitTrueDacDriver engine).  Off-grid drivers (ideal DAC,
-  /// P-DAC) leave this false and callers fall back to the double tiers.
-  [[nodiscard]] bool quant_ready() const { return quant_ready_; }
 
   [[nodiscard]] std::size_t active_wavelengths() const { return lanes_.size(); }
   [[nodiscard]] const std::vector<LaneTransfer>& lane_table() const { return lanes_; }
@@ -207,10 +171,6 @@ class FusedKernel {
   bool adc_{false};
   int adc_bits_{8};
   double adc_full_scale_{0.0};
-  /// Integer-tier state: certified on-grid encode LUT + the operand
-  /// quantizer's max code (code → amplitude is code/max_code_).
-  bool quant_ready_{false};
-  std::int32_t max_code_{127};
 };
 
 }  // namespace pdac::ptc

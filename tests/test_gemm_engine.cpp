@@ -2,9 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
 #include "common/require.hpp"
+#include "common/simd.hpp"
 #include "common/stats.hpp"
+#include "faults/guarded_backend.hpp"
+#include "nn/backend.hpp"
 #include "ptc/gemm_engine.hpp"
 
 namespace {
@@ -187,10 +191,29 @@ TEST(PhotonicGemm, BroadcastAmortizationRatioVsPerDot) {
 }
 
 TEST(PhotonicGemm, RejectsDegenerateArray) {
-  const auto drv = core::make_pdac_driver(8);
-  GemmConfig cfg;
-  cfg.array_rows = 0;
-  EXPECT_THROW(PhotonicGemm(*drv, cfg), PreconditionError);
+  // A zero-height array fails at construction, and so does the retired
+  // integer tier on either modulator chain.
+  const std::unique_ptr<core::ModulatorDriver> drivers[] = {core::make_pdac_driver(8),
+                                                            core::make_ideal_dac_driver(8)};
+  for (const auto& drv : drivers) {
+    GemmConfig cfg;
+    cfg.array_rows = 0;
+    EXPECT_THROW(PhotonicGemm(*drv, cfg), PreconditionError) << drv->name();
+    cfg = GemmConfig{};
+    cfg.path = ExecutionPath::kKernelQuant;
+    EXPECT_THROW(PhotonicGemm(*drv, cfg), PreconditionError) << drv->name();
+  }
+}
+
+TEST(PhotonicGemm, FastestPathIsSimdWhenTheCpuHasIt) {
+  // Every tier resolver picks the SIMD tier on a wide CPU and the scalar
+  // kernel otherwise, whatever the modulator chain or lane bank.
+  const ExecutionPath want =
+      simd::has_fast_path() ? ExecutionPath::kKernelSimd : ExecutionPath::kKernel;
+  EXPECT_EQ(fastest_path(), want);
+  EXPECT_EQ(nn::fastest_gemm_config(*core::make_pdac_driver(8)).path, want);
+  EXPECT_EQ(nn::fastest_gemm_config(*core::make_ideal_dac_driver(8)).path, want);
+  EXPECT_EQ(faults::auto_execution_path(faults::LaneBank(faults::LaneBankConfig{})), want);
 }
 
 TEST(EventCounter, AdditionAccumulates) {

@@ -919,9 +919,9 @@ TEST(GuardedBackend, FullyFencedBankIsAnOutage) {
 }
 
 TEST(GuardedBackend, RejectsTheDeviceGraphPath) {
-  // A lane bank has no device graph to stage chunks through, and its
-  // lanes are never on the quantizer grid, so a request for either tier
-  // must fail loudly instead of running the SIMD dots.
+  // A lane bank has no device graph to stage chunks through, and the
+  // integer tier is retired, so a request for either tier must fail
+  // loudly instead of running the SIMD dots.
   faults::LaneBank bank(small_bank_config());
   faults::GuardedBackendConfig cfg;
   for (const ptc::ExecutionPath path :

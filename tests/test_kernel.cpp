@@ -23,7 +23,7 @@
 #include "ptc/dot_engine.hpp"
 #include "ptc/gemm_engine.hpp"
 #include "ptc/kernel.hpp"
-#include "readout_check.hpp"
+#include "ptc/tile_scheduler.hpp"
 
 namespace {
 
@@ -121,7 +121,7 @@ TEST(FusedKernel, MatchesCustomDeviceChainBitForBit) {
   }
 }
 
-/// The fast tiers' full-optics closed form cxx·Σx² + cyy·Σy² + cxy·Σxy +
+/// The SIMD tier's full-optics closed form cxx·Σx² + cyy·Σy² + cxy·Σxy +
 /// dark, with its coefficients re-derived from the kernel's lane table and
 /// detector (the derivation in kernel.cpp) in the kernel's operation order.
 struct ClosedForm {
@@ -208,63 +208,61 @@ TEST(FusedKernel, FastTileReadsAbsoluteEnergiesOnImbalancedChain) {
   }
 }
 
-TEST(FusedKernel, QuantTileReadsAbsoluteEnergies) {
-  // run_tile_quant's half of the span contract.  Its kernel must come from
-  // an on-grid engine, whose chain is the balanced default (cxx, cyy ≈
-  // ±1e-16), so the rows and columns span widely different code ranges
-  // and the ADC is off: a misread energy then moves output bits.
-  const auto drv = core::make_bit_true_driver(8);
-  DotEngineConfig cfg;
-  cfg.wavelengths = 5;
-  cfg.use_full_optics = true;
-  const PhotonicDotEngine engine(*drv, cfg);
-  const FusedKernel kernel(engine);
-  ASSERT_TRUE(kernel.quant_ready());
-  const std::int32_t mc = engine.quantizer().max_code();
-  const double mc2 = static_cast<double>(mc) * static_cast<double>(mc);
+// The tile readout contract both FusedKernel tiers share, checked against
+// the scalar ADC: each ADC-on output is sample_to_voltage of the ADC-off
+// raw value, rescaled, and the tile sums fold those post-ADC values in
+// ascending order.
+namespace readout_check {
 
-  const std::size_t m = 9;
-  const std::size_t n = 11;
-  const std::size_t k = 23;
-  Rng rng(67);
-  const auto fill = [&](CodeMatrix& q, std::size_t r) {
-    const auto reach = static_cast<std::int64_t>((r + 1) * static_cast<std::size_t>(mc) / 12);
-    for (std::int16_t& c : q.row(r)) c = static_cast<std::int16_t>(rng.integer(-reach, reach));
-  };
-  const auto exact = [&](std::span<const std::int16_t> x, std::span<const std::int16_t> y) {
-    std::int64_t acc = 0;
-    for (std::size_t p = 0; p < k; ++p) acc += std::int64_t{x[p]} * std::int64_t{y[p]};
-    return static_cast<double>(acc) / mc2;
-  };
-  CodeMatrix aq(m, k);
-  CodeMatrix bq(n, k);
-  std::vector<double> xx(m);
-  std::vector<double> yy(n);
-  for (std::size_t i = 0; i < m; ++i) {
-    fill(aq, i);
-    xx[i] = kernel.energy(aq.row(i));
-    EXPECT_EQ(xx[i], exact(aq.row(i), aq.row(i)));
-  }
-  for (std::size_t j = 0; j < n; ++j) {
-    fill(bq, j);
-    yy[j] = kernel.energy(bq.row(j));
-    EXPECT_EQ(yy[j], exact(bq.row(j), bq.row(j)));
-  }
+/// Output shape the tiles below cut into.
+constexpr std::size_t kRows = 9;
+constexpr std::size_t kCols = 12;
 
-  const ClosedForm form(kernel, k);
-  for (const Tile& tile : kOffsetTiles) {
-    SCOPED_TRACE(testing::Message() << "tile at " << tile.row0 << "," << tile.col0);
-    Matrix c(m, n);
-    kernel.run_tile_quant(tile, aq, bq, xx, yy, 1.0, c);
-    for (std::size_t i = 0; i < m; ++i) {
-      for (std::size_t j = 0; j < n; ++j) {
-        const double want = inside(tile, i, j) ? form(xx[i], yy[j], exact(aq.row(i), bq.row(j)))
-                                               : 0.0;
-        EXPECT_EQ(c(i, j), want) << "output " << i << "," << j;
+/// Ragged tiles of 1 to 11 columns at nonzero row0/col0 — whole 4-wide
+/// column blocks and every tail — as (row0, col0, rows, cols).
+constexpr Tile kTiles[] = {{1, 1, 2, 1}, {2, 3, 3, 6}, {3, 2, 1, 7}, {4, 1, 5, 11},
+                           {6, 4, 3, 8}, {5, 9, 2, 3}, {7, 2, 2, 4}};
+
+/// Runs `run(kernel, tile, rescale, c, rsum, csum)` on the ADC-on and the
+/// ADC-off kernel of one chain over every tile, with and without tile
+/// sums, and checks the readout of the ADC-on run against `adc`, the
+/// scalar converter at the tiles' full scale.
+template <typename Run>
+void expect_span_readout(const FusedKernel& on, const FusedKernel& off,
+                         const converters::ElectricalAdc& adc, const Run& run) {
+  const double rescale = 0.75;
+  for (const Tile& tile : kTiles) {
+    SCOPED_TRACE(testing::Message() << "tile at " << tile.row0 << "," << tile.col0 << ", "
+                                    << tile.cols << " columns");
+    Matrix raw(kRows, kCols);
+    run(off, tile, 1.0, raw, nullptr, nullptr);
+    for (const bool sums : {false, true}) {
+      Matrix c(kRows, kCols);
+      std::vector<double> rsum(tile.rows, 0.0);
+      std::vector<double> csum(tile.cols, 0.0);
+      run(on, tile, rescale, c, sums ? rsum.data() : nullptr, sums ? csum.data() : nullptr);
+      std::vector<double> want_rsum(tile.rows, 0.0);
+      std::vector<double> want_csum(tile.cols, 0.0);
+      std::size_t distinct = 0;
+      for (std::size_t i = tile.row0; i < tile.row0 + tile.rows; ++i) {
+        for (std::size_t j = tile.col0; j < tile.col0 + tile.cols; ++j) {
+          const double v = adc.sample_to_voltage(raw(i, j));
+          distinct += v != raw(i, j) ? 1 : 0;
+          EXPECT_EQ(c(i, j), v * rescale) << "output " << i << "," << j;
+          want_rsum[i - tile.row0] += v;
+          want_csum[j - tile.col0] += v;
+        }
+      }
+      EXPECT_GT(distinct, 0u) << "the ADC rounded nothing";
+      if (sums) {
+        EXPECT_EQ(rsum, want_rsum);
+        EXPECT_EQ(csum, want_csum);
       }
     }
   }
 }
+
+}  // namespace readout_check
 
 TEST(FusedKernel, SpanReadoutEqualsScalarAdcOnDoubleTiers) {
   // run_tile and run_tile_fast read each tile row out through the span

@@ -1,8 +1,8 @@
 // Incremental KV-prepared attention (DESIGN.md §17): append-only
 // PreparedOperand extension must be bit-identical to a from-scratch
-// prepare at every sequence length — encoded/reference/qcodes payloads,
+// prepare at every sequence length — encoded/reference payloads,
 // checksum stripes, product outputs, event counts and guard verdicts —
-// across the scalar, SIMD and quant tiers and at any thread count; every
+// across the scalar and SIMD tiers and at any thread count; every
 // refusal trigger (scale outgrown, epoch moved, packing changed, shape
 // shrank) must leave the operand untouched; the KV-history cache must
 // account bytes exactly; and decode attention plus the serving engine
@@ -82,15 +82,6 @@ void expect_same_operand(const PreparedOperand& got, const PreparedOperand& want
       EXPECT_EQ(got.encoded(r, p), want.encoded(r, p)) << "encoded " << r << "," << p;
     }
   }
-  ASSERT_EQ(got.qcodes.rows(), want.qcodes.rows());
-  if (want.qcodes.rows() > 0) {
-    ASSERT_GE(got.qcodes.cols(), want.qcodes.cols());
-    for (std::size_t r = 0; r < want.qcodes.rows(); ++r) {
-      for (std::size_t p = 0; p < want.qcodes.cols(); ++p) {
-        EXPECT_EQ(got.qcodes.row(r)[p], want.qcodes.row(r)[p]) << "qcodes " << r << "," << p;
-      }
-    }
-  }
   ASSERT_EQ(got.checksum.rows(), want.checksum.rows());
   EXPECT_EQ(got.checksum_stripe, want.checksum_stripe);
   if (want.checksum.rows() > 0) {
@@ -104,7 +95,6 @@ void expect_same_operand(const PreparedOperand& got, const PreparedOperand& want
   // Column energies and their stamp, bit for bit: with the balanced DDot's
   // ±1e-16 energy coefficients and an 8-bit ADC, output identity alone
   // cannot see a stale or mis-summed energy.
-  EXPECT_EQ(got.energy_path, want.energy_path);
   EXPECT_EQ(got.energy_rows, want.energy_rows);
   ASSERT_EQ(got.energy.size(), want.energy.size());
   for (std::size_t j = 0; j < want.energy.size(); ++j) {
@@ -115,21 +105,15 @@ void expect_same_operand(const PreparedOperand& got, const PreparedOperand& want
 struct TierCase {
   const char* name;
   ExecutionPath path;
-  bool bit_true;  ///< quant tier needs the on-grid encode LUT
 };
 
 constexpr TierCase kTiers[] = {
-    {"scalar", ExecutionPath::kKernel, false},
-    {"simd", ExecutionPath::kKernelSimd, false},
-    {"quant", ExecutionPath::kKernelQuant, true},
+    {"scalar", ExecutionPath::kKernel},
+    {"simd", ExecutionPath::kKernelSimd},
 };
 
-std::unique_ptr<core::ModulatorDriver> tier_driver(const TierCase& tier) {
-  return tier.bit_true ? core::make_bit_true_driver(8) : core::make_pdac_driver(8);
-}
-
-/// `optics` turns on full optics and ADC readout, under which the fast
-/// tiers stage column energies with the operand.
+/// `optics` turns on full optics and ADC readout, under which the SIMD
+/// tier stages column energies with the operand.
 GemmConfig tier_config(const TierCase& tier, std::size_t threads = 1, bool optics = false) {
   GemmConfig cfg;
   cfg.array_rows = 4;
@@ -143,21 +127,18 @@ GemmConfig tier_config(const TierCase& tier, std::size_t threads = 1, bool optic
 }
 
 /// Every staged energy is FusedKernel's sum of its column over the
-/// logical reduction length — never the padded capacity — by the engine's
-/// tier rule; engines whose tier reads no energies stage none.
+/// logical reduction length — never the padded capacity; engines whose
+/// tier reads no energies stage none.
 void expect_staged_energies(const PhotonicGemm& gemm, const PreparedOperand& pb) {
   const GemmConfig& cfg = gemm.config();
-  const bool quant = cfg.path == ExecutionPath::kKernelQuant;
-  if (!cfg.dot.use_full_optics || !(quant || cfg.path == ExecutionPath::kKernelSimd)) {
+  if (!cfg.dot.use_full_optics || cfg.path != ExecutionPath::kKernelSimd) {
     EXPECT_TRUE(pb.energy.empty());
     return;
   }
-  ASSERT_TRUE(pb.has_energy(cfg.path));
+  ASSERT_TRUE(pb.has_energy());
   const FusedKernel kernel(gemm.engine());
   for (std::size_t j = 0; j < pb.cols; ++j) {
-    EXPECT_EQ(pb.energy[j], quant ? kernel.energy(pb.qcodes.row(j).first(pb.rows))
-                                  : kernel.energy(pb.encoded.row(j).first(pb.rows)))
-        << "energy " << j;
+    EXPECT_EQ(pb.energy[j], kernel.energy(pb.encoded.row(j).first(pb.rows))) << "energy " << j;
   }
 }
 
@@ -208,7 +189,7 @@ Matrix prefix_rows(const Matrix& m, std::size_t t) {
 TEST(KvPrepared, AppendBtRowsBitIdenticalToFreshAcrossTiers) {
   const std::size_t lengths[] = {1, 2, 4, 7};  // single- and multi-row appends
   for_each_tier_config([&](const TierCase& tier, const GemmConfig& cfg) {
-    const auto drv = tier_driver(tier);
+    const auto drv = core::make_pdac_driver(8);
     const PhotonicGemm gemm(*drv, cfg);
     for (std::size_t d : {std::size_t{8}, std::size_t{13}}) {
       const Matrix full = history_rows(7, d, 101 + d);
@@ -245,7 +226,7 @@ TEST(KvPrepared, AppendBtRowsBitIdenticalToFreshAcrossTiers) {
 TEST(KvPrepared, AppendBRowsBitIdenticalToFreshAcrossTiers) {
   const std::size_t lengths[] = {1, 3, 4, 7};
   for_each_tier_config([&](const TierCase& tier, const GemmConfig& cfg) {
-    const auto drv = tier_driver(tier);
+    const auto drv = core::make_pdac_driver(8);
     const PhotonicGemm gemm(*drv, cfg);
     bool padded = false;
     for (std::size_t d : {std::size_t{8}, std::size_t{13}}) {
@@ -278,56 +259,48 @@ TEST(KvPrepared, AppendBRowsBitIdenticalToFreshAcrossTiers) {
     EXPECT_TRUE(padded) << "no append ran into padded capacity";
   });
 
-  // Resumed energies: on the tiers that stage them (full optics), grow one
-  // row at a time from 1 to 40 rows, then by 13 rows at once, at 1 and 3
-  // workers.  Every append continues each column's sum from where the last
-  // one stopped; the energies must equal a fresh prepare's bit for bit
+  // Resumed energies: on the tier that stages them (SIMD, full optics),
+  // grow one row at a time from 1 to 40 rows, then by 13 rows at once, at 1
+  // and 3 workers.  Every append continues each column's sum from where the
+  // last one stopped; the energies must equal a fresh prepare's bit for bit
   // whatever the length mod the SIMD block, and the state is counted.
   for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
-    for (const TierCase& tier : {kTiers[1], kTiers[2]}) {
-      SCOPED_TRACE(testing::Message() << tier.name << " resumed, threads " << threads);
-      const auto drv = tier_driver(tier);
-      const PhotonicGemm gemm(*drv, tier_config(tier, threads, true));
-      for (std::size_t d : {std::size_t{8}, std::size_t{13}}) {
-        const Matrix full = history_rows(53, d, 307 + d);
-        PreparedOperand inc = gemm.prepare_b(prefix_rows(full, 1));
-        EXPECT_TRUE(inc.energy_acc.empty() && inc.energy_isum.empty());
-        std::vector<std::size_t> growth;
-        for (std::size_t t = 2; t <= 40; ++t) growth.push_back(t);
-        growth.push_back(53);
-        for (const std::size_t t : growth) {
-          SCOPED_TRACE(testing::Message() << "d " << d << ", t " << t);
-          const Matrix v_hist = prefix_rows(full, t);
-          ASSERT_TRUE(gemm.append_b_rows(inc, v_hist));
-          expect_same_operand(inc, gemm.prepare_b(v_hist));
-          expect_staged_energies(gemm, inc);
-          const std::size_t state = inc.energy_acc.size() * sizeof(double) +
-                                    inc.energy_isum.size() * sizeof(std::int64_t);
-          EXPECT_EQ(state, tier.path == ExecutionPath::kKernelQuant
-                               ? d * sizeof(std::int64_t)
-                               : d * simd::kDotSelfState * sizeof(double));
-          PreparedOperand bare = inc;
-          bare.energy_acc = {};
-          bare.energy_isum = {};
-          EXPECT_EQ(inc.bytes() - bare.bytes(), state);
-        }
+    SCOPED_TRACE(testing::Message() << "simd resumed, threads " << threads);
+    const auto drv = core::make_pdac_driver(8);
+    const PhotonicGemm gemm(*drv, tier_config(kTiers[1], threads, true));
+    for (std::size_t d : {std::size_t{8}, std::size_t{13}}) {
+      const Matrix full = history_rows(53, d, 307 + d);
+      PreparedOperand inc = gemm.prepare_b(prefix_rows(full, 1));
+      EXPECT_TRUE(inc.energy_acc.empty());
+      std::vector<std::size_t> growth;
+      for (std::size_t t = 2; t <= 40; ++t) growth.push_back(t);
+      growth.push_back(53);
+      for (const std::size_t t : growth) {
+        SCOPED_TRACE(testing::Message() << "d " << d << ", t " << t);
+        const Matrix v_hist = prefix_rows(full, t);
+        ASSERT_TRUE(gemm.append_b_rows(inc, v_hist));
+        expect_same_operand(inc, gemm.prepare_b(v_hist));
+        expect_staged_energies(gemm, inc);
+        const std::size_t state = inc.energy_acc.size() * sizeof(double);
+        EXPECT_EQ(state, d * simd::kDotSelfState * sizeof(double));
+        PreparedOperand bare = inc;
+        bare.energy_acc = {};
+        EXPECT_EQ(inc.bytes() - bare.bytes(), state);
       }
     }
   }
 }
 
-// A product reads an operand's energies only when its own tier summed them
-// at the operand's current length.  Otherwise — energies summed by the
-// other tier's rule, or left behind by an engine that stages none and grew
-// the reduction axis — it sums its own, and the output is bit-identical to
-// the tier's own prepare.  ADC off, so a wrong energy can move last bits.
-TEST(KvPrepared, ProductsResumForeignOrStaleEnergies) {
-  const auto drv = core::make_bit_true_driver(8);
+// A product reads an operand's energies only when they were summed at the
+// operand's current length.  Otherwise — energies left behind by an
+// engine that stages none and grew the reduction axis — it sums its own,
+// and the output is bit-identical to the tier's own prepare.  ADC off, so
+// a wrong energy can move last bits.
+TEST(KvPrepared, ProductsResumStaleEnergies) {
+  const auto drv = core::make_pdac_driver(8);
   GemmConfig cfg = tier_config(kTiers[1], 1, true);
   cfg.dot.adc_readout = false;
   const PhotonicGemm simd(*drv, cfg);
-  cfg.path = ExecutionPath::kKernelQuant;
-  const PhotonicGemm quant(*drv, cfg);
   cfg.path = ExecutionPath::kKernel;
   const PhotonicGemm scalar(*drv, cfg);
 
@@ -335,26 +308,20 @@ TEST(KvPrepared, ProductsResumForeignOrStaleEnergies) {
   Rng arng(13);
   const Matrix a = Matrix::random_gaussian(3, 7, arng);
 
-  // Energies summed by the quant rule are never read by the SIMD tier.
-  const PreparedOperand by_quant = quant.prepare_b(full);
-  ASSERT_TRUE(by_quant.has_energy(ExecutionPath::kKernelQuant));
-  EXPECT_FALSE(by_quant.has_energy(ExecutionPath::kKernelSimd));
-  expect_bit_identical(simd.multiply_prepared(a, by_quant).c,
-                       simd.multiply_prepared(a, simd.prepare_b(full)).c, "quant-staged");
-
   // A reduction-axis append by the scalar engine leaves the SIMD energies
   // at the old length; the SIMD product must not read them.
   PreparedOperand grown = simd.prepare_b(prefix_rows(full, 4));
   ASSERT_TRUE(scalar.append_b_rows(grown, full));
-  EXPECT_FALSE(grown.has_energy(ExecutionPath::kKernelSimd));
+  EXPECT_FALSE(grown.has_energy());
   expect_bit_identical(simd.multiply_prepared(a, grown).c, simd.multiply(a, full).c,
                        "stale length");
   // A same-length confirm sums nothing, so products keep summing their own.
   ASSERT_TRUE(simd.append_b_rows(grown, full));
-  EXPECT_FALSE(grown.has_energy(ExecutionPath::kKernelSimd));
+  EXPECT_FALSE(grown.has_energy());
 
-  // An output-axis append can extend only energies of its own tier: onto
-  // an operand that carries none it sums every column.
+  // An output-axis append can extend only energies it finds at the
+  // operand's length: onto an operand that carries none it sums every
+  // column.
   PreparedOperand keys = scalar.prepare_bt(prefix_rows(full, 4));
   ASSERT_TRUE(keys.energy.empty());
   ASSERT_TRUE(simd.append_bt_rows(keys, prefix_rows(full, 6)));
@@ -404,8 +371,7 @@ TEST(KvPrepared, AppendRefusesWheneverIdentityCannotHold) {
     // layer's packing nor through the engine, whose packing is fixed — on
     // either axis; under its own packing it appends.
     const RowEncoder copy_encoder = [](std::span<const double> norm, std::size_t,
-                                       std::span<double> encoded, std::span<double>,
-                                       std::span<std::int16_t>) {
+                                       std::span<double> encoded, std::span<double>) {
       std::copy(norm.begin(), norm.end(), encoded.begin());
     };
     ThreadPool pool(1);
@@ -447,7 +413,6 @@ TEST(KvPrepared, AppendRefusesWheneverIdentityCannotHold) {
     EXPECT_FALSE(gemm.append_b_rows(pr, prefix_rows(full, 2), 3));
     expect_same_operand(pr, ssnap);
     EXPECT_EQ(pr.energy_acc, ssnap.energy_acc);
-    EXPECT_EQ(pr.energy_isum, ssnap.energy_isum);
 
     // After the refusals a fresh rebuild still lands bit-identical to the
     // direct product — the caller's fallback is always sound.

@@ -111,27 +111,6 @@ TEST(Quantizer, NegativeZeroEncodesToZero) {
   EXPECT_EQ(q.decode(0), 0.0);
 }
 
-TEST(Quantizer, SnapToCodeAcceptsExactlyTheGrid) {
-  const Quantizer q(8);
-  for (std::int32_t c = -q.max_code(); c <= q.max_code(); ++c) {
-    std::int32_t code = -1;
-    EXPECT_TRUE(q.snap_to_code(q.decode(c), &code)) << "code " << c;
-    EXPECT_EQ(code, c);
-  }
-  // Midpoints between grid points, out-of-range values and NaN are all
-  // off-grid — the integer tier's precondition must reject them.
-  EXPECT_FALSE(q.snap_to_code(0.5 * (q.decode(3) + q.decode(4)), nullptr));
-  EXPECT_FALSE(q.snap_to_code(2.0, nullptr));
-  EXPECT_FALSE(q.snap_to_code(-1.0000001, nullptr));
-  EXPECT_FALSE(q.snap_to_code(std::nan(""), nullptr));
-  // ±1 and -0.0 are grid points (max code / zero).
-  std::int32_t code = 0;
-  EXPECT_TRUE(q.snap_to_code(1.0, &code));
-  EXPECT_EQ(code, q.max_code());
-  EXPECT_TRUE(q.snap_to_code(-0.0, &code));
-  EXPECT_EQ(code, 0);
-}
-
 // --- the span rule -----------------------------------------------------------
 
 /// First index where codes[i] != want(off + i), or codes.size() when none.

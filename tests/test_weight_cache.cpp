@@ -324,8 +324,7 @@ TEST(OperandCache, ObtainReaccountsGrownEntries) {
 // bytes reconciled after each step.
 TEST(OperandCache, ObtainLifecycleForWeightsAndKv) {
   const RowEncoder copy_encoder = [](std::span<const double> norm, std::size_t,
-                                     std::span<double> encoded, std::span<double>,
-                                     std::span<std::int16_t>) {
+                                     std::span<double> encoded, std::span<double>) {
     std::copy(norm.begin(), norm.end(), encoded.begin());
   };
   ThreadPool pool(1);
