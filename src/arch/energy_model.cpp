@@ -7,6 +7,39 @@
 
 namespace pdac::arch {
 
+namespace {
+
+/// Per-event energies, consistent with the compute-bound power model: at
+/// 100 % utilization, events/s × energy/event equals the component's
+/// Fig. 11 power by construction.  The one set of rates every pricing
+/// function reads.
+struct EventRates {
+  double f{};         ///< array clock [Hz]
+  double e_mod{};     ///< per modulation [J]: DAC + controller share, or P-DAC
+  double e_adc{};     ///< per ADC sample [J]
+  double p_static{};  ///< laser + thermal tuning + receiver digital [W]
+};
+
+EventRates event_rates(const LtConfig& cfg, const PowerParams& params, int bits,
+                       SystemVariant variant) {
+  PDAC_REQUIRE(bits >= 2 && bits <= 16, "energy model: bits in [2, 16]");
+  const double f = cfg.clock.hertz();
+  const double n_mod = static_cast<double>(cfg.modulator_channels());
+  const double e_mod =
+      variant == SystemVariant::kDacBased
+          ? dac_unit_power(params, bits).watts() / f +
+                controller_power(params, bits).watts() / (n_mod * f)
+          : pdac_unit_power(params, bits).watts() / f;
+  const units::Power p_static = laser_power(params, bits) + params.thermal_tuning +
+                                receiver_digital_power(params, bits);
+  return {.f = f,
+          .e_mod = e_mod,
+          .e_adc = adc_unit_power(params, bits).watts() / f,
+          .p_static = p_static.watts()};
+}
+
+}  // namespace
+
 const EnergyBreakdown& WorkloadEnergy::of(nn::OpClass c) const {
   switch (c) {
     case nn::OpClass::kAttention: return attention;
@@ -19,25 +52,11 @@ const EnergyBreakdown& WorkloadEnergy::of(nn::OpClass c) const {
 
 WorkloadEnergy evaluate_energy(const nn::WorkloadTrace& trace, const LtConfig& cfg,
                                const PowerParams& params, int bits, SystemVariant variant) {
-  PDAC_REQUIRE(bits >= 2 && bits <= 16, "evaluate_energy: bits in [2, 16]");
+  const EventRates r = event_rates(cfg, params, bits, variant);
   WorkloadEnergy out;
   out.variant = variant;
   out.bits = bits;
 
-  const double f = cfg.clock.hertz();
-  const double n_mod = static_cast<double>(cfg.modulator_channels());
-
-  // Per-event energies, consistent with the compute-bound power model:
-  // at 100 % utilization, events/s × energy/event equals the component's
-  // Fig. 11 power by construction.
-  const double e_mod =
-      variant == SystemVariant::kDacBased
-          ? dac_unit_power(params, bits).watts() / f +
-                controller_power(params, bits).watts() / (n_mod * f)
-          : pdac_unit_power(params, bits).watts() / f;
-  const double e_adc = adc_unit_power(params, bits).watts() / f;
-  const units::Power p_static = laser_power(params, bits) + params.thermal_tuning +
-                                receiver_digital_power(params, bits);
   const double e_sram_bit = params.sram_energy_per_bit.joules();
   const double e_vec_bit = params.vector_energy_per_element_bit.joules();
   const double arrays = static_cast<double>(cfg.arrays());
@@ -45,11 +64,11 @@ WorkloadEnergy evaluate_energy(const nn::WorkloadTrace& trace, const LtConfig& c
   for (const auto& op : trace.gemms) {
     const OpEvents ev = count_op_events(op, cfg);
     EnergyBreakdown e;
-    e.modulation = units::joules(static_cast<double>(ev.modulations) * e_mod);
-    e.adc = units::joules(static_cast<double>(ev.adc_samples) * e_adc);
+    e.modulation = units::joules(static_cast<double>(ev.modulations) * r.e_mod);
+    e.adc = units::joules(static_cast<double>(ev.adc_samples) * r.e_adc);
     // Tiles are distributed over all arrays; occupancy is the wall time.
-    const double wall_seconds = static_cast<double>(ev.tile_cycles) / arrays / f;
-    e.static_power = units::joules(p_static.watts() * wall_seconds);
+    const double wall_seconds = static_cast<double>(ev.tile_cycles) / arrays / r.f;
+    e.static_power = units::joules(r.p_static * wall_seconds);
     const std::uint64_t moved_elements = op.weight_elements() +
                                          (op.static_weights ? op.activation_elements() : 0) +
                                          op.total_extra_movement_elements();
@@ -77,7 +96,7 @@ WorkloadEnergy evaluate_energy(const nn::WorkloadTrace& trace, const LtConfig& c
     }
   }
 
-  out.runtime = units::seconds(static_cast<double>(out.wall_cycles) / f);
+  out.runtime = units::seconds(static_cast<double>(out.wall_cycles) / r.f);
   return out;
 }
 
@@ -94,18 +113,10 @@ double EnergyComparison::saving(nn::OpClass c) const {
 units::Energy recalibration_energy(const RecalibrationCost& cost, const LtConfig& cfg,
                                    const PowerParams& params, int bits,
                                    SystemVariant variant) {
-  PDAC_REQUIRE(bits >= 2 && bits <= 16, "recalibration_energy: bits in [2, 16]");
-  const double f = cfg.clock.hertz();
-  const double n_mod = static_cast<double>(cfg.modulator_channels());
-  const double e_mod =
-      variant == SystemVariant::kDacBased
-          ? dac_unit_power(params, bits).watts() / f +
-                controller_power(params, bits).watts() / (n_mod * f)
-          : pdac_unit_power(params, bits).watts() / f;
-  const double e_adc = adc_unit_power(params, bits).watts() / f;
+  const EventRates r = event_rates(cfg, params, bits, variant);
 
   // Probe: one code driven through the modulator, one sample read back.
-  const double probes = static_cast<double>(cost.probe_events) * (e_mod + e_adc);
+  const double probes = static_cast<double>(cost.probe_events) * (r.e_mod + r.e_adc);
 
   // Re-trim fit: three banks of least squares over ~2(b+1) probe rows of
   // b+2 terms each, executed on the digital vector unit.
@@ -126,22 +137,12 @@ units::Energy recalibration_energy(const RecalibrationCost& cost, const LtConfig
 
 units::Energy event_energy(const ptc::EventCounter& events, const LtConfig& cfg,
                            const PowerParams& params, int bits, SystemVariant variant) {
-  PDAC_REQUIRE(bits >= 2 && bits <= 16, "event_energy: bits in [2, 16]");
-  const double f = cfg.clock.hertz();
-  const double n_mod = static_cast<double>(cfg.modulator_channels());
-  const double e_mod =
-      variant == SystemVariant::kDacBased
-          ? dac_unit_power(params, bits).watts() / f +
-                controller_power(params, bits).watts() / (n_mod * f)
-          : pdac_unit_power(params, bits).watts() / f;
-  const double e_adc = adc_unit_power(params, bits).watts() / f;
-  const units::Power p_static = laser_power(params, bits) + params.thermal_tuning +
-                                receiver_digital_power(params, bits);
+  const EventRates r = event_rates(cfg, params, bits, variant);
   // The counter's cycles are occupancy on one array, so the static term
   // is charged over exactly that wall time.
-  const double joules = static_cast<double>(events.modulation_events) * e_mod +
-                        static_cast<double>(events.adc_events) * e_adc +
-                        p_static.watts() * static_cast<double>(events.cycles) / f;
+  const double joules = static_cast<double>(events.modulation_events) * r.e_mod +
+                        static_cast<double>(events.adc_events) * r.e_adc +
+                        r.p_static * static_cast<double>(events.cycles) / r.f;
   return units::joules(joules);
 }
 

@@ -41,6 +41,12 @@ class ElectricalAdc {
   /// the same code / max_code · V_ref decode.  `out` may be `volts` itself.
   void sample_to_voltage(std::span<const double> volts, std::span<double> out) const;
 
+  /// One code step in volts: V_ref over max_code, the spacing of the
+  /// values sample_to_voltage returns.
+  [[nodiscard]] double lsb() const {
+    return cfg_.v_ref / static_cast<double>(quant_.max_code());
+  }
+
   [[nodiscard]] units::Power power() const;
   [[nodiscard]] units::Energy energy_per_conversion() const;
 

@@ -208,37 +208,32 @@ ptc::TileCheck GuardedBackend::run_tile(const ptc::Tile& tile, std::size_t t, co
                                         const Matrix& bdata, const ptc::PreparedOperand& pb,
                                         double rescale, Matrix& c, std::span<double> sums,
                                         const std::vector<DotUpset>* upsets) const {
-  // The kernel writes the tile's raw dots into c (rescale 1.0, no tile
-  // sums): ascending p on the scalar tier, one blocked dot per output
-  // (common/simd.hpp) on the SIMD tier, bit-identical at any thread count
-  // and to a post-fence re-run.  Checksum references stay
-  // double-precision golden dots on either tier.
+  // The kernel writes the tile's raw dots into c: ascending p on the
+  // scalar tier, one blocked dot per output (common/simd.hpp) on the SIMD
+  // tier, bit-identical at any thread count and to a post-fence re-run.
+  // Checksum references stay double-precision golden dots on either tier.
   if (cfg_.path == ptc::ExecutionPath::kKernelSimd) {
-    kernel_.run_tile_fast(tile, ae, bdata, {}, {}, 1.0, c);
+    kernel_.run_tile_fast(tile, ae, bdata, {}, {}, c);
   } else {
-    kernel_.run_tile(tile, ae, bdata, 1.0, c);
+    kernel_.run_tile(tile, ae, bdata, c);
+  }
+  if (upsets != nullptr) {
+    // Transient detector glitches land on the raw accumulator, so the
+    // checksum lanes see the corrupted value too.
+    for (const DotUpset& u : *upsets) {
+      if (u.row >= tile.row0 && u.row < tile.row0 + tile.rows && u.col >= tile.col0 &&
+          u.col < tile.col0 + tile.cols) {
+        c(u.row, u.col) += u.delta;
+      }
+    }
+  }
+  if (!cfg_.guard.enabled) {
+    ptc::fold_tile(tile, rescale, c);
+    return {};
   }
   const std::span<double> rsum = sums.first(tile.rows);
   const std::span<double> csum = sums.subspan(tile.rows, tile.cols);
-  std::fill(rsum.begin(), rsum.end(), 0.0);
-  std::fill(csum.begin(), csum.end(), 0.0);
-  for (std::size_t i = tile.row0; i < tile.row0 + tile.rows; ++i) {
-    for (std::size_t j = tile.col0; j < tile.col0 + tile.cols; ++j) {
-      double acc = c(i, j);
-      if (upsets != nullptr) {
-        // Transient detector glitches land on the raw accumulator, so
-        // the checksum lanes see the corrupted value too.
-        for (const DotUpset& u : *upsets) {
-          if (u.row == i && u.col == j) acc += u.delta;
-        }
-      }
-      c(i, j) = acc * rescale;
-      rsum[i - tile.row0] += acc;
-      csum[j - tile.col0] += acc;
-    }
-  }
-  if (!cfg_.guard.enabled) return {};
-
+  ptc::fold_tile(tile, rescale, c, rsum, csum);
   ptc::TileCheck check = ptc::verify_tile(cfg_.guard, tile, t, rsum, csum, ae_gold,
                                           xsum.row(tile.row0 / cfg_.array_rows), pb);
   // Single-error correction: the element at the located site is
@@ -445,10 +440,8 @@ Matrix GuardedBackend::run_product(const Matrix& a, const Matrix& bsrc, ptc::Gro
     const ptc::TileCheck& check = checks[t];
     if (!check.ok) bad.push_back(t);
     outcome.tiles_corrected += check.corrected;
-    if (std::isnan(check.worst_residual) || check.worst_residual > outcome.worst_residual) {
-      outcome.worst_residual = check.worst_residual;
-      outcome.worst_tolerance = check.tolerance;
-    }
+    ptc::fold_worst_residual(check.worst_residual, check.tolerance, outcome.worst_residual,
+                             outcome.worst_tolerance);
   }
   outcome.mismatched_tiles = bad.size();
   if (!bad.empty()) outcome.first_mismatch = bad.front();
@@ -457,10 +450,7 @@ Matrix GuardedBackend::run_product(const Matrix& a, const Matrix& bsrc, ptc::Gro
   // overwrite their tile's check, so this reflects what the product
   // actually returned).
   const auto tally_drift = [&checks, &outcome] {
-    for (const ptc::TileCheck& check : checks) {
-      if (check.drift_ratio > 0.0) ++outcome.drift_tiles;
-      outcome.worst_drift_ratio = std::max(outcome.worst_drift_ratio, check.drift_ratio);
-    }
+    for (const ptc::TileCheck& check : checks) outcome.tally_drift(check);
   };
 
   // Drift-evidence feed: one graded sample per product — the worst

@@ -283,12 +283,13 @@ class GuardedBackend final : public nn::GemmBackend {
                                                                    const Matrix& src,
                                                                    ptc::GrowAxis axis);
 
-  /// Compute one tile: the kernel's data dots from `ae` (current A
+  /// Compute one tile: the kernel's raw data dots from `ae` (current A
   /// encodes) × `bdata` (current B encodes), plus `upsets` (nullable, the
-  /// transient dot glitches of the initial pass), rescaled into `c`, with
-  /// the raw row and column sums staged in `sums` (a worker_sums slot).
-  /// Guarded, returns ptc::verify_tile's verdict against `ae_gold` /
-  /// `xsum` / `pb`, with its single-error site corrected in place when
+  /// transient dot glitches of the initial pass), folded into `c` by
+  /// ptc::fold_tile — PhotonicGemm's fold — with the raw row and column
+  /// sums staged in `sums` (a worker_sums slot) when guarded.  Guarded,
+  /// returns ptc::verify_tile's verdict against `ae_gold` / `xsum` /
+  /// `pb`, with its single-error site corrected in place when
   /// sec_correction is on.
   [[nodiscard]] ptc::TileCheck run_tile(const ptc::Tile& tile, std::size_t t, const Matrix& ae,
                                         const Matrix& ae_gold, const Matrix& xsum,

@@ -1,7 +1,6 @@
 #include "faults/health_monitor.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 namespace pdac::faults {
 
@@ -17,10 +16,8 @@ void HealthMonitor::record_product(const ptc::GuardOutcome& outcome) {
     ++snap_.detections;
     snap_.detection_latency_tiles += outcome.first_mismatch + 1;
   }
-  if (std::isnan(outcome.worst_residual) || outcome.worst_residual > snap_.worst_residual) {
-    snap_.worst_residual = outcome.worst_residual;
-    snap_.worst_tolerance = outcome.worst_tolerance;
-  }
+  ptc::fold_worst_residual(outcome.worst_residual, outcome.worst_tolerance, snap_.worst_residual,
+                           snap_.worst_tolerance);
   snap_.drift_tiles += outcome.drift_tiles;
   if (outcome.drift_tiles > 0) ++snap_.drift_products;
   snap_.worst_drift_ratio = std::max(snap_.worst_drift_ratio, outcome.worst_drift_ratio);
@@ -37,19 +34,14 @@ void HealthMonitor::record_governed_retrim() {
 }
 
 void HealthMonitor::record_action(GuardAction action) {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    switch (action) {
-      case GuardAction::kAccept: return;
-      case GuardAction::kRetry: ++snap_.retries; break;
-      case GuardAction::kRetrim: ++snap_.retrims; break;
-      case GuardAction::kFence: ++snap_.fences; break;
-      case GuardAction::kGiveUp: ++snap_.unrecovered; break;
-    }
+  std::lock_guard<std::mutex> lk(mu_);
+  switch (action) {
+    case GuardAction::kAccept: return;
+    case GuardAction::kRetry: ++snap_.retries; break;
+    case GuardAction::kRetrim: ++snap_.retrims; break;
+    case GuardAction::kFence: ++snap_.fences; break;
+    case GuardAction::kGiveUp: ++snap_.unrecovered; break;
   }
-  // Outside the lock: a listener is free to read snapshots or drive the
-  // backend without deadlocking.
-  if (listener_) listener_(action);
 }
 
 void HealthMonitor::record_self_test(const SelfTestReport& report) {

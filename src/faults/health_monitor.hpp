@@ -14,13 +14,11 @@
 // one monitor can be shared by several guarded backends running products
 // in parallel (the serving pool's fleet rollup) and the counts reconcile
 // exactly.  snapshot() returns a coherent copy taken under the same
-// lock.  The action listener is invoked outside the lock, on the
-// recording thread — listeners that touch shared state synchronize
-// themselves.
+// lock; the serving pool reads recovery activity from snapshot
+// differences (BackendPool::end_product), so the monitor pushes nothing.
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <mutex>
 #include <vector>
 
@@ -87,12 +85,6 @@ struct HealthSnapshot {
 
 class HealthMonitor {
  public:
-  /// Notification for every recovery rung recorded (kRetry/kRetrim/
-  /// kFence/kGiveUp; kAccept is never reported) — the serving scheduler
-  /// subscribes to debit re-trim budgets and age health scores the
-  /// moment escalation fires, instead of polling snapshots.
-  using ActionListener = std::function<void(GuardAction)>;
-
   /// Fold one product's guard verdicts (tiles checked, mismatches,
   /// corrections, detection site, checksum-lane charge) into the running
   /// totals.
@@ -123,11 +115,6 @@ class HealthMonitor {
   /// A re-trim request the windowed governor refused.
   void record_governed_retrim();
 
-  /// Replace the action listener (empty = none).  Not synchronized
-  /// against in-flight record_action calls — install before sharing the
-  /// monitor across threads.
-  void set_action_listener(ActionListener listener) { listener_ = std::move(listener); }
-
   /// Coherent copy of the running totals.
   [[nodiscard]] HealthSnapshot snapshot() const;
   void reset();
@@ -135,7 +122,6 @@ class HealthMonitor {
  private:
   mutable std::mutex mu_;
   HealthSnapshot snap_;
-  ActionListener listener_;
 };
 
 }  // namespace pdac::faults

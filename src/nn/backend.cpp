@@ -1,7 +1,5 @@
 #include "nn/backend.hpp"
 
-#include <cmath>
-
 namespace pdac::nn {
 
 Matrix ReferenceBackend::matmul(const Matrix& a, const Matrix& b) {
@@ -21,10 +19,8 @@ void PhotonicBackend::fold_guard(const ptc::GuardOutcome& outcome) {
   guard_.tiles_checked += outcome.tiles_checked;
   guard_.mismatched_tiles += outcome.mismatched_tiles;
   guard_.checksum_events += outcome.checksum_events;
-  if (std::isnan(outcome.worst_residual) || outcome.worst_residual > guard_.worst_residual) {
-    guard_.worst_residual = outcome.worst_residual;
-    guard_.worst_tolerance = outcome.worst_tolerance;
-  }
+  ptc::fold_worst_residual(outcome.worst_residual, outcome.worst_tolerance, guard_.worst_residual,
+                           guard_.worst_tolerance);
 }
 
 Matrix PhotonicBackend::matmul(const Matrix& a, const Matrix& b) {

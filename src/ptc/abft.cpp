@@ -25,12 +25,11 @@ double guard_tolerance(const GuardConfig& cfg, std::size_t k, std::size_t fan, d
 double calibrate_guard_sigma(const DotEngineConfig& dot, std::size_t k) {
   double variance = 0.0;
 
-  if (dot.adc_readout) {
-    // apply_adc digitizes each raw dot over full scale 2·fs (fs defaults
-    // to the reduction length); one LSB is 2·fs / 2^bits and the
-    // quantization noise of a rounding converter is step/√12.
-    const double fs = dot.adc_full_scale > 0.0 ? dot.adc_full_scale : static_cast<double>(k);
-    const double step = 2.0 * fs / static_cast<double>(1u << dot.adc_bits);
+  if (const std::optional<converters::ElectricalAdc> adc = readout_adc(dot, k)) {
+    // The readout ADC rounds each raw dot to its code step (full scale
+    // over 2^(b−1) − 1 codes); the quantization noise of a rounding
+    // converter is step/√12.
+    const double step = adc->lsb();
     variance += step * step / 12.0;
   }
 
@@ -78,10 +77,7 @@ TileCheck verify_tile(const GuardConfig& cfg, const Tile& tile, std::size_t t,
   const double band = std::max(1.0, cfg.drift_band);
   const auto excursion = [&check, band](double res, double tol) {
     const double r = std::abs(res);
-    if (std::isnan(r) || r > check.worst_residual) {
-      check.worst_residual = r;
-      check.tolerance = tol;
-    }
+    fold_worst_residual(r, tol, check.worst_residual, check.tolerance);
     if (std::isnan(r) || r > band * tol) {
       check.ok = false;
       return true;

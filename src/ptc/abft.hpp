@@ -39,6 +39,8 @@
 // the band.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -115,11 +117,26 @@ struct GuardConfig {
 
 /// Noise-calibrated default sigma for a dot engine: the ADC readout's
 /// quantization noise (step/√12 in raw dot units, when adc_readout is
-/// on) plus the photodetector noise floor (per-chunk sigma × √chunks,
-/// when pd_noise is active) for reductions of length k.  Returns 0 for
-/// the fully deterministic path — the band then collapses to the
-/// floating-point term and the comparison is exact to reassociation.
+/// on; the step is readout_adc(dot, k)'s code step, full scale over
+/// 2^(b−1) − 1 codes) plus the photodetector noise floor (per-chunk
+/// sigma × √chunks, when pd_noise is active) for reductions of length
+/// k.  Returns 0 for the fully deterministic path — the band then
+/// collapses to the floating-point term and the comparison is exact to
+/// reassociation.
 [[nodiscard]] double calibrate_guard_sigma(const DotEngineConfig& dot, std::size_t k);
+
+/// The one worst-residual rule of every verdict fold (tile lanes, product
+/// outcomes, backend and fleet rollups): `residual` and its `tolerance`
+/// replace the running worst when it is NaN or larger.  A NaN therefore
+/// stays worst while finite residuals follow, and a later NaN brings its
+/// own tolerance.
+inline void fold_worst_residual(double residual, double tolerance, double& worst,
+                                double& worst_tolerance) {
+  if (std::isnan(residual) || residual > worst) {
+    worst = residual;
+    worst_tolerance = tolerance;
+  }
+}
 
 /// A corrupted output element: global coordinates, raw (pre-rescale) error.
 struct ErrorSite {
@@ -200,6 +217,13 @@ struct GuardOutcome {
   EventCounter checksum_events;
 
   [[nodiscard]] bool clean() const { return mismatched_tiles == 0; }
+
+  /// Fold one final tile verdict's absorbed drift into drift_tiles and
+  /// worst_drift_ratio.
+  void tally_drift(const TileCheck& check) {
+    if (check.drift_ratio > 0.0) ++drift_tiles;
+    worst_drift_ratio = std::max(worst_drift_ratio, check.drift_ratio);
+  }
 };
 
 /// Checksum-lane events for one h×w tile of reduction length k chunked

@@ -22,24 +22,17 @@ Ddot::Ddot(photonics::PhaseShifter ps, photonics::DirectionalCoupler dc,
            photonics::Photodetector pd_plus, photonics::Photodetector pd_minus)
     : ps_(ps), dc_(dc), pd_plus_(pd_plus), pd_minus_(pd_minus) {}
 
-DdotReading Ddot::compute(const photonics::DualRail& rails) const {
-  PDAC_REQUIRE(rails.upper.channels() == rails.lower.channels(),
-               "Ddot: rails must carry the same channel count");
-  photonics::DualRail staged{rails.upper, ps_.apply(rails.lower)};
-  const photonics::DualRail coupled = dc_.couple(staged);
-  return DdotReading{pd_plus_.detect(coupled.upper), pd_minus_.detect(coupled.lower)};
-}
-
-DdotReading Ddot::compute(const photonics::DualRail& rails, DdotScratch& scratch) const {
+void Ddot::couple(const photonics::DualRail& rails, DdotScratch& scratch) const {
   PDAC_REQUIRE(rails.upper.channels() == rails.lower.channels(),
                "Ddot: rails must carry the same channel count");
   const std::size_t n = rails.upper.channels();
   resize_field(scratch.shifted, n);
   resize_field(scratch.coupled.upper, n);
   resize_field(scratch.coupled.lower, n);
-  // Same per-channel device evaluations as the allocating overload: the
-  // upper rail passes through untouched, so coupling directly against the
-  // source upper amplitudes skips only a verbatim copy.
+  // The per-channel device evaluations of PhaseShifter::apply and
+  // DirectionalCoupler::couple on whole fields: the upper rail passes
+  // through untouched, so coupling directly against the source upper
+  // amplitudes skips only a verbatim copy.
   auto& sh = scratch.shifted.amplitudes();
   auto& cu = scratch.coupled.upper.amplitudes();
   auto& cl = scratch.coupled.lower.amplitudes();
@@ -51,36 +44,17 @@ DdotReading Ddot::compute(const photonics::DualRail& rails, DdotScratch& scratch
     cu[ch] = u;
     cl[ch] = l;
   }
+}
+
+DdotReading Ddot::compute(const photonics::DualRail& rails) const {
+  DdotScratch scratch;
+  return compute(rails, scratch);
+}
+
+DdotReading Ddot::compute(const photonics::DualRail& rails, DdotScratch& scratch) const {
+  couple(rails, scratch);
   return DdotReading{pd_plus_.detect(scratch.coupled.upper),
                      pd_minus_.detect(scratch.coupled.lower)};
-}
-
-DdotReading Ddot::compute_masked(const photonics::DualRail& rails,
-                                 std::span<const std::uint8_t> mask) const {
-  DdotScratch scratch;
-  return compute_masked(rails, mask, scratch);
-}
-
-DdotReading Ddot::compute_masked(const photonics::DualRail& rails,
-                                 std::span<const std::uint8_t> mask,
-                                 DdotScratch& scratch) const {
-  PDAC_REQUIRE(mask.size() >= rails.upper.channels(),
-               "Ddot: mask must cover every rail channel");
-  const std::size_t n = rails.upper.channels();
-  resize_field(scratch.rails.upper, n);
-  resize_field(scratch.rails.lower, rails.lower.channels());
-  auto& up = scratch.rails.upper.amplitudes();
-  auto& lo = scratch.rails.lower.amplitudes();
-  for (std::size_t ch = 0; ch < n; ++ch) {
-    if (mask[ch] == 0u) {
-      up[ch] = photonics::Complex{0.0, 0.0};
-      lo[ch] = photonics::Complex{0.0, 0.0};
-    } else {
-      up[ch] = rails.upper.amplitude(ch);
-      lo[ch] = rails.lower.amplitude(ch);
-    }
-  }
-  return compute(scratch.rails, scratch);
 }
 
 DdotReading Ddot::compute(std::span<const double> x, std::span<const double> y) const {
@@ -102,11 +76,11 @@ DdotReading Ddot::compute(std::span<const double> x, std::span<const double> y,
   return compute(scratch.rails, scratch);
 }
 
-DdotReading Ddot::compute_noisy(const photonics::DualRail& rails, Rng& rng) const {
-  photonics::DualRail staged{rails.upper, ps_.apply(rails.lower)};
-  const photonics::DualRail coupled = dc_.couple(staged);
-  return DdotReading{pd_plus_.detect_noisy(coupled.upper, rng),
-                     pd_minus_.detect_noisy(coupled.lower, rng)};
+DdotReading Ddot::compute_noisy(const photonics::DualRail& rails, Rng& rng,
+                                DdotScratch& scratch) const {
+  couple(rails, scratch);
+  return DdotReading{pd_plus_.detect_noisy(scratch.coupled.upper, rng),
+                     pd_minus_.detect_noisy(scratch.coupled.lower, rng)};
 }
 
 }  // namespace pdac::ptc

@@ -16,7 +16,6 @@
 // counter records.
 #pragma once
 
-#include <cstdint>
 #include <span>
 
 #include "photonics/directional_coupler.hpp"
@@ -37,10 +36,8 @@ struct DdotReading {
 /// Reusable staging buffers for the allocation-free compute overloads.
 /// The fields are resized on first use and reused across calls, so a tile
 /// loop that keeps one scratch per worker performs no per-dot allocation.
-/// Numerics are bit-identical to the scratch-free overloads (the same
-/// device evaluations run in the same order; only the storage is reused).
 struct DdotScratch {
-  photonics::DualRail rails;    ///< operand staging for the span/masked entries
+  photonics::DualRail rails;    ///< operand staging for the span entries and chunk loops
   photonics::WdmField shifted;  ///< y rail after the phase shifter
   photonics::DualRail coupled;  ///< both rails after the coupler
 };
@@ -53,23 +50,14 @@ class Ddot {
   Ddot(photonics::PhaseShifter ps, photonics::DirectionalCoupler dc,
        photonics::Photodetector pd_plus, photonics::Photodetector pd_minus);
 
-  /// Run the optical datapath on already-modulated operand rails.
+  /// Run the optical datapath on already-modulated operand rails.  Every
+  /// overload stages the rails through one per-channel device pass
+  /// (phase shifter, then coupler) into a scratch, so they all agree bit
+  /// for bit; this one uses a local scratch.
   [[nodiscard]] DdotReading compute(const photonics::DualRail& rails) const;
   /// Same datapath staged through caller scratch: no allocation per call.
   [[nodiscard]] DdotReading compute(const photonics::DualRail& rails,
                                     DdotScratch& scratch) const;
-
-  /// Masked variant for graceful degradation: channels whose mask entry
-  /// is zero are not driven (their modulators are dead or fenced off) and
-  /// contribute nothing to either photocurrent.  `mask` must cover the
-  /// rail channel count.
-  [[nodiscard]] DdotReading compute_masked(const photonics::DualRail& rails,
-                                           std::span<const std::uint8_t> mask) const;
-  /// Masked variant applying the mask in-place into caller scratch — no
-  /// zero-filled rail rebuild per call.
-  [[nodiscard]] DdotReading compute_masked(const photonics::DualRail& rails,
-                                           std::span<const std::uint8_t> mask,
-                                           DdotScratch& scratch) const;
 
   /// Convenience: build rails from real per-channel amplitudes (ideal
   /// modulators) and compute.  Spans must have equal length ≤ channels.
@@ -79,8 +67,10 @@ class Ddot {
   [[nodiscard]] DdotReading compute(std::span<const double> x, std::span<const double> y,
                                     DdotScratch& scratch) const;
 
-  /// Noisy detection variant drawing from `rng`.
-  [[nodiscard]] DdotReading compute_noisy(const photonics::DualRail& rails, Rng& rng) const;
+  /// Noisy detection variant drawing from `rng` (plus-side detector
+  /// first), staged through caller scratch like compute().
+  [[nodiscard]] DdotReading compute_noisy(const photonics::DualRail& rails, Rng& rng,
+                                          DdotScratch& scratch) const;
 
   /// Closed-form transfer accessors: the fused kernel (kernel.hpp)
   /// snapshots the effective real-valued transfer from these devices.
@@ -90,6 +80,9 @@ class Ddot {
   [[nodiscard]] const photonics::Photodetector& pd_minus() const { return pd_minus_; }
 
  private:
+  /// Phase-shift the lower rail and couple both into scratch.coupled.
+  void couple(const photonics::DualRail& rails, DdotScratch& scratch) const;
+
   photonics::PhaseShifter ps_;
   photonics::DirectionalCoupler dc_;
   photonics::Photodetector pd_plus_;

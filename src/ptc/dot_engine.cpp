@@ -20,19 +20,21 @@ Ddot build_ddot(const DotEngineConfig& cfg) {
 
 }  // namespace
 
+std::optional<converters::ElectricalAdc> readout_adc(const DotEngineConfig& cfg, std::size_t n) {
+  if (!cfg.adc_readout) return std::nullopt;
+  converters::ElectricalAdcConfig ac;
+  ac.bits = cfg.adc_bits;
+  ac.v_ref = cfg.adc_full_scale > 0.0 ? cfg.adc_full_scale
+                                      : static_cast<double>(std::max<std::size_t>(n, 1));
+  return converters::ElectricalAdc(ac);
+}
+
 PhotonicDotEngine::PhotonicDotEngine(const core::ModulatorDriver& driver, DotEngineConfig cfg)
     : driver_(driver),
       cfg_(cfg),
       ddot_(build_ddot(cfg)),
       quant_(driver.bits()) {
   PDAC_REQUIRE(cfg_.wavelengths >= 1, "PhotonicDotEngine: at least one wavelength");
-  PDAC_REQUIRE(cfg_.lane_mask.empty() || cfg_.lane_mask.size() == cfg_.wavelengths,
-               "PhotonicDotEngine: lane mask must cover every wavelength");
-  for (std::size_t ch = 0; ch < cfg_.wavelengths; ++ch) {
-    if (cfg_.lane_mask.empty() || cfg_.lane_mask[ch] != 0u) active_lanes_.push_back(ch);
-  }
-  PDAC_REQUIRE(!active_lanes_.empty(),
-               "PhotonicDotEngine: lane mask leaves no usable wavelength");
   // Drivers are deterministic functions of the quantized code, so the
   // whole encoder transfer curve fits in a (2^b − 1)-entry table.
   const std::int32_t mc = quant_.max_code();
@@ -58,136 +60,79 @@ void PhotonicDotEngine::encode_span(std::span<const double> in, std::span<double
   quant_.encode_each(in, 1.0, [&](std::size_t i, std::int32_t code) { out[i] = lut[code]; });
 }
 
-double PhotonicDotEngine::apply_adc(double acc, std::size_t n, EventCounter* ev) const {
-  if (!cfg_.adc_readout) return acc;
-  const double fs =
-      cfg_.adc_full_scale > 0.0 ? cfg_.adc_full_scale : static_cast<double>(std::max<std::size_t>(n, 1));
-  converters::ElectricalAdcConfig ac;
-  ac.bits = cfg_.adc_bits;
-  ac.v_ref = fs;
-  const converters::ElectricalAdc adc(ac);
-  if (ev != nullptr) ev->adc_events += 1;
-  return adc.sample_to_voltage(acc);
-}
-
-double PhotonicDotEngine::dot(std::span<const double> x, std::span<const double> y,
-                              EventCounter* ev) const {
-  PDAC_REQUIRE(x.size() == y.size(), "PhotonicDotEngine: operand length mismatch");
-  const std::size_t n = x.size();
-  // Operands pack onto the surviving wavelengths only; with dead lanes a
-  // chunk reduces fewer elements, so the same vector takes more chunks.
-  const std::size_t nl = active_lanes_.size();
-
+template <typename Detect>
+double PhotonicDotEngine::reduce(std::span<const double> xe, std::span<const double> ye,
+                                 bool full_optics, DdotScratch& scratch, EventCounter* ev,
+                                 const Detect& detect) const {
+  PDAC_REQUIRE(xe.size() == ye.size(), "PhotonicDotEngine: operand length mismatch");
+  const std::size_t n = xe.size();
+  const std::size_t nl = cfg_.wavelengths;
   double acc = 0.0;
-  std::size_t chunks = 0;
-  for (std::size_t base = 0; base < n; base += nl, ++chunks) {
+  for (std::size_t base = 0; base < n; base += nl) {
     const std::size_t len = std::min(nl, n - base);
-    if (cfg_.use_full_optics) {
-      photonics::DualRail rails{photonics::WdmField(cfg_.wavelengths),
-                                photonics::WdmField(cfg_.wavelengths)};
+    if (full_optics) {
+      // Overwrite every channel of the staged rails (idle ones back to
+      // exact +0), so no field is constructed per chunk.
+      auto& up = scratch.rails.upper.amplitudes();
+      auto& lo = scratch.rails.lower.amplitudes();
+      up.assign(nl, photonics::Complex{0.0, 0.0});
+      lo.assign(nl, photonics::Complex{0.0, 0.0});
       for (std::size_t i = 0; i < len; ++i) {
-        const std::size_t ch = active_lanes_[i];
-        rails.upper.set_amplitude(ch, photonics::Complex{encode(x[base + i]), 0.0});
-        rails.lower.set_amplitude(ch, photonics::Complex{encode(y[base + i]), 0.0});
+        up[i] = photonics::Complex{xe[base + i], 0.0};
+        lo[i] = photonics::Complex{ye[base + i], 0.0};
       }
-      acc += ddot_.compute(rails).value();
+      acc += detect(scratch).value();
     } else {
-      for (std::size_t i = 0; i < len; ++i) {
-        acc += encode(x[base + i]) * encode(y[base + i]);
-      }
+      for (std::size_t i = 0; i < len; ++i) acc += xe[base + i] * ye[base + i];
     }
     if (ev != nullptr) {
-      ev->modulation_events += 2 * len;
       ev->detection_events += 1;
       ev->ddot_ops += 1;
       ev->macs += len;
     }
   }
+  const std::optional<converters::ElectricalAdc> adc = readout_adc(cfg_, n);
+  return adc ? adc->sample_to_voltage(acc) : acc;
+}
 
-  acc = apply_adc(acc, n, ev);
-  if (ev != nullptr) ev->cycles += chunks;
-  return acc;
+template <typename Detect>
+double PhotonicDotEngine::standalone_dot(std::span<const double> x, std::span<const double> y,
+                                         bool full_optics, EventCounter* ev,
+                                         const Detect& detect) const {
+  std::vector<double> xe(x.size());
+  std::vector<double> ye(y.size());
+  encode_span(x, xe);
+  encode_span(y, ye);
+  DdotScratch scratch;
+  const double out = reduce(xe, ye, full_optics, scratch, ev, detect);
+  if (ev != nullptr) {
+    const std::size_t n = x.size();
+    ev->modulation_events += 2 * n;
+    ev->cycles += (n + cfg_.wavelengths - 1) / cfg_.wavelengths;
+    if (cfg_.adc_readout) ev->adc_events += 1;
+  }
+  return out;
+}
+
+double PhotonicDotEngine::dot(std::span<const double> x, std::span<const double> y,
+                              EventCounter* ev) const {
+  return standalone_dot(x, y, cfg_.use_full_optics, ev,
+                        [this](DdotScratch& s) { return ddot_.compute(s.rails, s); });
+}
+
+double PhotonicDotEngine::dot_noisy(std::span<const double> x, std::span<const double> y,
+                                    Rng& rng, EventCounter* ev) const {
+  return standalone_dot(x, y, true, ev,
+                        [&](DdotScratch& s) { return ddot_.compute_noisy(s.rails, rng, s); });
 }
 
 double PhotonicDotEngine::dot_preencoded(std::span<const double> xe, std::span<const double> ye,
                                          EventCounter* ev, const Ddot* ddot,
                                          DdotScratch* scratch) const {
-  PDAC_REQUIRE(xe.size() == ye.size(), "PhotonicDotEngine: operand length mismatch");
-  const std::size_t n = xe.size();
-  const std::size_t nl = active_lanes_.size();
   const Ddot& dev = ddot != nullptr ? *ddot : ddot_;
-
-  double acc = 0.0;
-  for (std::size_t base = 0; base < n; base += nl) {
-    const std::size_t len = std::min(nl, n - base);
-    if (cfg_.use_full_optics) {
-      if (scratch != nullptr) {
-        // Caller-owned rails: overwrite every channel (inactive ones back
-        // to exact +0) instead of constructing fresh fields per chunk —
-        // the same amplitudes the allocating path stages.
-        auto& up = scratch->rails.upper.amplitudes();
-        auto& lo = scratch->rails.lower.amplitudes();
-        up.assign(cfg_.wavelengths, photonics::Complex{0.0, 0.0});
-        lo.assign(cfg_.wavelengths, photonics::Complex{0.0, 0.0});
-        for (std::size_t i = 0; i < len; ++i) {
-          const std::size_t ch = active_lanes_[i];
-          up[ch] = photonics::Complex{xe[base + i], 0.0};
-          lo[ch] = photonics::Complex{ye[base + i], 0.0};
-        }
-        acc += dev.compute(scratch->rails, *scratch).value();
-      } else {
-        photonics::DualRail rails{photonics::WdmField(cfg_.wavelengths),
-                                  photonics::WdmField(cfg_.wavelengths)};
-        for (std::size_t i = 0; i < len; ++i) {
-          const std::size_t ch = active_lanes_[i];
-          rails.upper.set_amplitude(ch, photonics::Complex{xe[base + i], 0.0});
-          rails.lower.set_amplitude(ch, photonics::Complex{ye[base + i], 0.0});
-        }
-        acc += dev.compute(rails).value();
-      }
-    } else {
-      for (std::size_t i = 0; i < len; ++i) {
-        acc += xe[base + i] * ye[base + i];
-      }
-    }
-    if (ev != nullptr) {
-      ev->detection_events += 1;
-      ev->ddot_ops += 1;
-      ev->macs += len;
-    }
-  }
-  // ADC quantization is applied for numeric fidelity, but the sample is
-  // charged by the caller (tile-level accounting), never here.
-  return apply_adc(acc, n, nullptr);
-}
-
-double PhotonicDotEngine::dot_noisy(std::span<const double> x, std::span<const double> y,
-                                    Rng& rng, EventCounter* ev) const {
-  PDAC_REQUIRE(x.size() == y.size(), "PhotonicDotEngine: operand length mismatch");
-  const std::size_t n = x.size();
-  const std::size_t nl = active_lanes_.size();
-  double acc = 0.0;
-  std::size_t chunks = 0;
-  for (std::size_t base = 0; base < n; base += nl, ++chunks) {
-    const std::size_t len = std::min(nl, n - base);
-    photonics::DualRail rails{photonics::WdmField(cfg_.wavelengths),
-                              photonics::WdmField(cfg_.wavelengths)};
-    for (std::size_t i = 0; i < len; ++i) {
-      const std::size_t ch = active_lanes_[i];
-      rails.upper.set_amplitude(ch, photonics::Complex{encode(x[base + i]), 0.0});
-      rails.lower.set_amplitude(ch, photonics::Complex{encode(y[base + i]), 0.0});
-    }
-    acc += ddot_.compute_noisy(rails, rng).value();
-    if (ev != nullptr) {
-      ev->modulation_events += 2 * len;
-      ev->detection_events += 1;
-      ev->ddot_ops += 1;
-      ev->macs += len;
-    }
-  }
-  acc = apply_adc(acc, n, ev);
-  if (ev != nullptr) ev->cycles += chunks;
-  return acc;
+  DdotScratch local;
+  return reduce(xe, ye, cfg_.use_full_optics, scratch != nullptr ? *scratch : local, ev,
+                [&dev](DdotScratch& s) { return dev.compute(s.rails, s); });
 }
 
 }  // namespace pdac::ptc

@@ -1,18 +1,20 @@
 // dot_engine.hpp — one photonic dot-product lane: modulator drivers on
 // both operand rails, WDM chunking, DDot detection, optional ADC readout.
 //
-// Two execution paths compute identical results (a property test pins
-// them together):
-//   * full-optics: build WdmField rails, run the Ddot device — the
-//     physically faithful path;
-//   * fast: use the driver's encoded amplitudes directly and accumulate
-//     Σ x′_i·y′_i — valid because the DDot datapath is exact (Eq. 6),
-//     so the only deviations from math come from the *encoders*.
-// The fast path makes layer-scale experiments tractable; encode results
-// are memoized per quantized code (the driver is deterministic).
+// Every single-dot entry runs one chunk loop: chunk position i rides
+// channel i, and each chunk is either staged through the Ddot device
+// (full optics) or accumulated as Σ x′_i·y′_i directly — valid because
+// the DDot datapath is exact (Eq. 6), so the only deviations from math
+// come from the *encoders*.  dot() is dot_preencoded() of the encoded
+// operands plus the standalone charges; dot_noisy() differs from it only
+// in its detection call.  The fast path makes layer-scale experiments
+// tractable; encode results are memoized per quantized code (the driver
+// is deterministic).  Degraded lane packing is the faults layer's
+// (faults::LaneBank channels, PreparedOperand::channels).
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -32,23 +34,26 @@ struct DotEngineConfig {
   /// Photodetector noise for dot_noisy() (ignored by the deterministic
   /// dot() path).
   photonics::NoiseConfig pd_noise{};
-  /// Graceful degradation: per-wavelength health mask (non-zero = usable).
-  /// Empty means all lanes healthy.  Dead lanes are skipped — operands
-  /// pack onto the surviving wavelengths only, so a chunk reduces fewer
-  /// elements and the same vector costs more cycles (throughput loss the
-  /// event counts report honestly).
-  std::vector<std::uint8_t> lane_mask{};
 };
+
+/// The readout ADC for reductions of length n, or nullopt when `cfg`
+/// reads out without one: adc_bits wide, full scale adc_full_scale, or n
+/// (at least 1) when that is 0.  The one ADC rule of the single-dot
+/// paths, the fused kernel's tiles and calibrate_guard_sigma's step.
+[[nodiscard]] std::optional<converters::ElectricalAdc> readout_adc(const DotEngineConfig& cfg,
+                                                                   std::size_t n);
 
 class PhotonicDotEngine {
  public:
   /// The driver must outlive the engine (it is the modulator bank).
   PhotonicDotEngine(const core::ModulatorDriver& driver, DotEngineConfig cfg);
 
-  /// Inner product of normalized operands (|x_i|, |y_i| ≤ 1).  Events are
-  /// accumulated into `ev` when non-null using the *standalone* dot
-  /// convention: a lone dot product modulates both operands afresh, so
-  /// each chunk charges 2·len modulation events.  (The GEMM engine
+  /// Inner product of normalized operands (|x_i|, |y_i| ≤ 1): both are
+  /// encoded, then reduced exactly as dot_preencoded() reduces them.
+  /// Events are accumulated into `ev` when non-null using the
+  /// *standalone* dot convention: dot_preencoded()'s charges plus 2·n
+  /// modulations (a lone dot modulates both operands afresh), ⌈n/λ⌉
+  /// cycles and one ADC sample when digitizing.  (The GEMM engine
   /// instead charges modulations per tile — broadcast amortized — see
   /// gemm_engine.hpp for the reconciliation contract.)
   [[nodiscard]] double dot(std::span<const double> x, std::span<const double> y,
@@ -57,9 +62,8 @@ class PhotonicDotEngine {
   /// Same product through the full optical path with the configured
   /// photodetector noise drawn from `rng` — the functional companion of
   /// the SNR analysis (noise_analysis.hpp).  Applies the same ADC
-  /// readout and event accounting as dot(): apart from the detector
-  /// noise draw the two paths run the identical pipeline, so noise
-  /// ablations compare like against like.
+  /// readout and event accounting as dot(): the same chunk loop with a
+  /// noisy detection call, so noise ablations compare like against like.
   [[nodiscard]] double dot_noisy(std::span<const double> x, std::span<const double> y,
                                  Rng& rng, EventCounter* ev = nullptr) const;
 
@@ -74,7 +78,7 @@ class PhotonicDotEngine {
   /// numerics are identical to dot() on the pre-image operands.
   /// The optional `scratch` stages the full-optics rails in caller-owned
   /// buffers so the device-graph path performs no per-dot allocation
-  /// (bit-identical either way; pass one scratch per worker).
+  /// (bit-identical to a local scratch; pass one per worker).
   [[nodiscard]] double dot_preencoded(std::span<const double> xe, std::span<const double> ye,
                                       EventCounter* ev = nullptr, const Ddot* ddot = nullptr,
                                       DdotScratch* scratch = nullptr) const;
@@ -97,23 +101,32 @@ class PhotonicDotEngine {
   /// Encoded amplitude for a normalized value (memoized driver output).
   [[nodiscard]] double encode(double r) const;
 
-  /// Usable wavelengths after the lane mask (== wavelengths when healthy).
-  [[nodiscard]] std::size_t active_wavelengths() const { return active_lanes_.size(); }
-
   [[nodiscard]] const DotEngineConfig& config() const { return cfg_; }
   [[nodiscard]] const core::ModulatorDriver& driver() const { return driver_; }
 
  private:
-  /// Digitize an accumulated readout when cfg_.adc_readout is on; `ev`
-  /// (when non-null) is charged one ADC sample.
-  [[nodiscard]] double apply_adc(double acc, std::size_t n, EventCounter* ev) const;
+  /// The one chunk loop behind every entry: chunk position i rides
+  /// channel i; under full optics each chunk is staged in `scratch.rails`
+  /// (idle channels exact +0) and read out by `detect(scratch)`, else it
+  /// accumulates Σ x′·y′ directly.  Charges each chunk's detection, DDot
+  /// op and MACs, and returns the accumulated value through the readout
+  /// ADC when it is on (the sample itself is not charged here).
+  template <typename Detect>
+  [[nodiscard]] double reduce(std::span<const double> xe, std::span<const double> ye,
+                              bool full_optics, DdotScratch& scratch, EventCounter* ev,
+                              const Detect& detect) const;
+  /// dot() and dot_noisy(): encode both operands, reduce them and add the
+  /// standalone charges.
+  template <typename Detect>
+  [[nodiscard]] double standalone_dot(std::span<const double> x, std::span<const double> y,
+                                      bool full_optics, EventCounter* ev,
+                                      const Detect& detect) const;
 
   const core::ModulatorDriver& driver_;
   DotEngineConfig cfg_;
   Ddot ddot_;
   converters::Quantizer quant_;
-  std::vector<double> encode_lut_;       ///< index = code + max_code
-  std::vector<std::size_t> active_lanes_; ///< channel indices operands pack onto
+  std::vector<double> encode_lut_;  ///< index = code + max_code
 };
 
 }  // namespace pdac::ptc

@@ -375,7 +375,8 @@ GemmResult PhotonicGemm::multiply_prepared(const Matrix& a, const PreparedOperan
 
   partition_tiles_into(a.rows(), b.cols, cfg_.array_rows, cfg_.array_cols, tile_scratch_);
   const std::vector<Tile>& tiles = tile_scratch_;
-  const std::size_t chunks = (k + engine_.active_wavelengths() - 1) / engine_.active_wavelengths();
+  const std::size_t lanes = cfg_.dot.wavelengths;
+  const std::size_t chunks = (k + lanes - 1) / lanes;
 
   // Per-tile counters land in tile-index slots and are folded in index
   // order after the join, so accounting is deterministic at any thread
@@ -400,27 +401,16 @@ GemmResult PhotonicGemm::multiply_prepared(const Matrix& a, const PreparedOperan
     // reuses a prepared encoding, so the charge is unconditional.  The
     // kernel tiers charge the closed form whole; the device graph below
     // keeps the detections, DDot ops and MACs of the dots it ran.
-    EventCounter step = tile_step_events(tile.rows, tile.cols, k, engine_.active_wavelengths());
-    // Raw (pre-rescale) tile sums for the checksum comparison, in the
-    // worker's slot of the engine scratch; the unguarded path never
-    // touches them.
-    const std::span<double> sums = std::span<double>(sum_scratch_).subspan(worker * slot, slot);
-    const std::span<double> rsum = sums.first(tile.rows);
-    const std::span<double> csum = sums.subspan(tile.rows, tile.cols);
-    if (guarded) {
-      std::fill(rsum.begin(), rsum.end(), 0.0);
-      std::fill(csum.begin(), csum.end(), 0.0);
-    }
+    EventCounter step = tile_step_events(tile.rows, tile.cols, k, lanes);
+    // The tier writes the tile's raw, post-ADC dots into res.c.
     if (path == ExecutionPath::kKernel) {
-      // Fused flat-array kernel: the whole tile in one pass, raw sums
-      // accumulated in the same order as the device-graph loop below.
-      kernel_.run_tile(tile, ae, b.encoded, rescale, res.c, guarded ? rsum.data() : nullptr,
-                       guarded ? csum.data() : nullptr);
+      // Fused flat-array kernel: the whole tile in one pass, bit-identical
+      // to the device-graph loop below.
+      kernel_.run_tile(tile, ae, b.encoded, res.c);
     } else if (path == ExecutionPath::kKernelSimd) {
       // SIMD fast tier: tolerance-banded vs the scalar kernel, event
       // charges identical; the guard below runs on it unchanged.
-      kernel_.run_tile_fast(tile, ae, b.encoded, xx_scratch_, yy, rescale, res.c,
-                            guarded ? rsum.data() : nullptr, guarded ? csum.data() : nullptr);
+      kernel_.run_tile_fast(tile, ae, b.encoded, xx_scratch_, yy, res.c);
     } else {
       const Ddot& ddot = worker_ddots_[worker];
       DdotScratch& scratch = worker_scratch_[worker];
@@ -429,19 +419,24 @@ GemmResult PhotonicGemm::multiply_prepared(const Matrix& a, const PreparedOperan
         for (std::size_t j = tile.col0; j < tile.col0 + tile.cols; ++j) {
           // first(k) strips any column-capacity padding off the prepared
           // row — the device path takes equal-length spans.
-          const double raw = engine_.dot_preencoded(ae.row(i), b.encoded.row(j).first(k),
-                                                    &reduction, &ddot, &scratch);
-          res.c(i, j) = raw * rescale;
-          if (guarded) {
-            rsum[i - tile.row0] += raw;
-            csum[j - tile.col0] += raw;
-          }
+          res.c(i, j) = engine_.dot_preencoded(ae.row(i), b.encoded.row(j).first(k), &reduction,
+                                               &ddot, &scratch);
         }
       }
       step.detection_events = reduction.detection_events;
       step.ddot_ops = reduction.ddot_ops;
       step.macs = reduction.macs;
     }
+    // Raw (pre-rescale) tile sums for the checksum comparison, in the
+    // worker's slot of the engine scratch; the unguarded fold takes none.
+    std::span<double> rsum;
+    std::span<double> csum;
+    if (guarded) {
+      const std::span<double> sums = std::span<double>(sum_scratch_).subspan(worker * slot, slot);
+      rsum = sums.first(tile.rows);
+      csum = sums.subspan(tile.rows, tile.cols);
+    }
+    fold_tile(tile, rescale, res.c, rsum, csum);
     event_scratch_[t] = step;
 
     if (guarded) {
@@ -463,14 +458,9 @@ GemmResult PhotonicGemm::multiply_prepared(const Matrix& a, const PreparedOperan
         ++res.guard.mismatched_tiles;
         if (res.guard.first_mismatch == static_cast<std::size_t>(-1)) res.guard.first_mismatch = t;
       }
-      // NaN-safe fold: a NaN tile residual must stick as the product's
-      // worst, not vanish under an ordinary comparison.
-      if (std::isnan(check.worst_residual) || check.worst_residual > res.guard.worst_residual) {
-        res.guard.worst_residual = check.worst_residual;
-        res.guard.worst_tolerance = check.tolerance;
-      }
-      if (check.drift_ratio > 0.0) ++res.guard.drift_tiles;
-      res.guard.worst_drift_ratio = std::max(res.guard.worst_drift_ratio, check.drift_ratio);
+      fold_worst_residual(check.worst_residual, check.tolerance, res.guard.worst_residual,
+                          res.guard.worst_tolerance);
+      res.guard.tally_drift(check);
       res.guard.checksum_events += checksum_lane_events(tiles[t].rows, tiles[t].cols, k, chunks,
                                                         cfg_.guard.column_only);
     }
@@ -480,13 +470,13 @@ GemmResult PhotonicGemm::multiply_prepared(const Matrix& a, const PreparedOperan
 
 EventCounter PhotonicGemm::count_events(std::size_t m, std::size_t k, std::size_t n) const {
   EventCounter ev;
-  // Chunking follows the *usable* wavelengths: dead lanes fenced off by
-  // the lane mask stretch every reduction over more cycles.
+  // Chunk position i rides channel i, so a reduction of length k takes
+  // ⌈k/wavelengths⌉ chunks; degraded packing (fewer usable channels,
+  // longer reductions) is the faults layer's lane executor.
   for (std::size_t i0 = 0; i0 < m; i0 += cfg_.array_rows) {
     const std::size_t h = std::min(cfg_.array_rows, m - i0);
     for (std::size_t j0 = 0; j0 < n; j0 += cfg_.array_cols) {
-      ev += tile_step_events(h, std::min(cfg_.array_cols, n - j0), k,
-                             engine_.active_wavelengths());
+      ev += tile_step_events(h, std::min(cfg_.array_cols, n - j0), k, cfg_.dot.wavelengths);
     }
   }
   return ev;

@@ -24,7 +24,7 @@
 // standalone PhotonicDotEngine::dot charges — digitizes all H·W outputs
 // (adc_events counts every output sample even when the functional
 // adc_readout shortcut is off), and occupies the array for
-// ⌈k/active_wavelengths⌉ cycles because the H·W DDots run concurrently.
+// ⌈k/wavelengths⌉ cycles because the H·W DDots run concurrently.
 // Detection, DDot-op and MAC counts come from the dots actually
 // executed, so multiply()'s events and the analytic count_events() are
 // equal field-for-field — a property the tests pin.  With a 1×1 array
@@ -134,8 +134,9 @@ struct PreparedOperand {
   std::size_t cols{0};    ///< source b.cols() (= n)
   std::uint64_t epoch{0}; ///< encoder state stamp it was encoded under
   /// Lane-packing snapshot for degraded execution (faults layer): the
-  /// usable channel each reduction position rides.  Empty on the healthy
-  /// path, where packing is fixed by the engine's lane mask.
+  /// usable channel each reduction position rides.  Empty on
+  /// PhotonicGemm, whose engine packs reduction position i onto channel
+  /// i mod wavelengths.
   std::vector<std::size_t> channels;
 
   /// ABFT checksum stripes (abft.hpp): row s is the digital sum of the

@@ -9,10 +9,10 @@
 // per-element machinery with a cheap closed form; the same move applies
 // here.  At construction the kernel snapshots each lane's effective
 // real-valued transfer — phase-shifter factor, coupler split (t, j·κ),
-// PD responsivity×scale and dark current, with fenced lanes dropped from
-// the packing — into a flat per-lane coefficient table, then executes
-// encode → couple → detect → differential readout for whole tiles as one
-// pass over contiguous double arrays.
+// PD responsivity×scale and dark current — into a flat per-lane
+// coefficient table, then executes encode → couple → detect →
+// differential readout for whole tiles as one pass over contiguous
+// double arrays, every dot through one reduction (reduce_block).
 //
 // Bit-identity contract (fuzz-pinned by tests/test_kernel.cpp): the
 // kernel replays the device graph's exact floating-point operation
@@ -20,13 +20,18 @@
 // (including the ps_re·0.0-style terms that keep signed zeros honest),
 // per-chunk intensity sums in ascending channel order, detector affine
 // transfer, per-chunk differential accumulation, and the same ADC
-// round-trip (the tiles read each row out through the ADC's span form,
-// one exact span quantizer, DESIGN.md §18) — so outputs AND event counts
-// equal the device-graph path
-// bit for bit at any thread count, clean or degraded.  Inactive (fenced
-// or past-the-ragged-edge) channels contribute exactly +0.0 to both
-// photocurrents in the device graph, and every partial intensity sum is
-// non-negative, so skipping them cannot change a single bit.
+// round-trip (readout_adc, read per tile row through the ADC's span form,
+// one exact span quantizer, DESIGN.md §18) — so a tile's raw values equal
+// PhotonicDotEngine::dot_preencoded's bit for bit at any thread count,
+// and PhotonicGemm's outputs AND event counts equal the device-graph
+// path.  Idle (past-the-ragged-edge) channels contribute exactly +0.0 to
+// both photocurrents in the device graph, and every partial intensity
+// sum is non-negative, so skipping them cannot change a single bit.
+//
+// Tile contract: run_tile and run_tile_fast write each tile's raw,
+// post-ADC dots into the output and stop there; the caller folds the
+// finished tile (fold_tile, tile_scheduler.hpp: rescale plus the guard's
+// tile sums), so both executors share one fold.
 //
 // Energies: the SIMD tier reduces full optics to the closed quadratic
 // form cxx·Σx² + cyy·Σy² + cxy·Σxy + dark.  Σx² depends on one A row and
@@ -79,44 +84,34 @@ struct DetectorTransfer {
 class FusedKernel {
  public:
   /// Snapshot an engine's whole datapath: device transfers from its Ddot,
-  /// lane packing from its lane mask, ADC behavior from its config.
+  /// packing and ADC behavior from its config.
   explicit FusedKernel(const PhotonicDotEngine& engine);
 
   /// Snapshot a standalone device chain (unit tests, custom devices).
   FusedKernel(const Ddot& ddot, const DotEngineConfig& cfg);
 
-  /// Fused dot over pre-encoded amplitudes; bit-identical to
-  /// PhotonicDotEngine::dot_preencoded, event charges included
-  /// (detection/ddot per chunk, macs per element — modulation, ADC
-  /// samples and cycles stay the caller's tile-level charge).
-  [[nodiscard]] double dot(std::span<const double> xe, std::span<const double> ye,
-                           EventCounter* ev = nullptr) const;
-
   /// One whole output tile in a single pass: every (i, j) dot of
-  /// ae[tile rows] × be[tile cols], rescaled into `c`.  With the ADC on,
-  /// each tile row's raw values are read out through one span ADC call,
-  /// bit-identical to sampling each output (both tile functions).
-  /// When `rsum`/`csum` are non-null (ABFT-guarded products) the raw
-  /// post-ADC dot values are accumulated per tile row/column in the same
-  /// order as the device-graph loop.  The tile functions charge no
-  /// events: a tile step's charge is the closed form ptc::tile_step_events
-  /// over the caller's packing.  Callers: PhotonicGemm::multiply_prepared
-  /// and the faults-layer lane executor (GuardedBackend), which runs the
-  /// tile at rescale 1.0 with no tile sums and folds upsets, rescale and
-  /// sums itself.
-  void run_tile(const Tile& tile, const Matrix& ae, const Matrix& be, double rescale,
-                Matrix& c, double* rsum = nullptr, double* csum = nullptr) const;
+  /// ae[tile rows] × be[tile cols], written raw into `c`.  With the ADC
+  /// on, each tile row's raw values are read out through one span ADC
+  /// call, bit-identical to sampling each output (both tile functions).
+  /// The caller folds the finished tile (fold_tile).  The tile functions
+  /// charge no events: a tile step's charge is the closed form
+  /// ptc::tile_step_events over the caller's packing.  Callers:
+  /// PhotonicGemm::multiply_prepared and the faults-layer lane executor
+  /// (GuardedBackend), which adds its pending upsets to the raw values
+  /// before the fold.
+  void run_tile(const Tile& tile, const Matrix& ae, const Matrix& be, Matrix& c) const;
 
-  /// SIMD fast tier of run_tile (ExecutionPath::kKernelSimd).  Same
-  /// rsum/csum accumulation order — but tolerance-banded instead of
-  /// bit-exact: the reduction is reassociated through common/simd.hpp
-  /// blocking and, under full optics, the per-element physics is collapsed
-  /// into its closed quadratic form cxx·Σx² + cyy·Σy² + cxy·Σxy + dark (see
-  /// the derivation in kernel.cpp), so raw values differ from the scalar
-  /// tier by O(ε·k·|x||y|) — inside the ABFT guard band that
-  /// multiply_prepared applies unchanged.  The tile sums only Σxy; the
-  /// energies are the caller's, indexed by ABSOLUTE row and column:
-  /// `xx[i]` = energy(ae.row(i) over k) for every tile row i and `yy[j]` =
+  /// SIMD fast tier of run_tile (ExecutionPath::kKernelSimd): the same
+  /// raw-value contract, but tolerance-banded instead of bit-exact: the
+  /// reduction is reassociated through common/simd.hpp blocking and, under
+  /// full optics, the per-element physics is collapsed into its closed
+  /// quadratic form cxx·Σx² + cyy·Σy² + cxy·Σxy + dark (see the derivation
+  /// in kernel.cpp), so raw values differ from the scalar tier by
+  /// O(ε·k·|x||y|) — inside the ABFT guard band that multiply_prepared
+  /// applies unchanged.  The tile sums only Σxy; the energies are the
+  /// caller's, indexed by ABSOLUTE row and column: `xx[i]` =
+  /// energy(ae.row(i) over k) for every tile row i and `yy[j]` =
   /// energy(be.row(j) over k) for every tile column j.  PhotonicGemm sums
   /// Σx² once per A row per product and reads Σy² from the prepared
   /// operand, where it was summed once at prepare/append.  With full optics
@@ -125,8 +120,7 @@ class FusedKernel {
   /// is simd::dot(x, y, k), whatever the tile width (simd::dot4 is four dot
   /// calls, bit for bit).
   void run_tile_fast(const Tile& tile, const Matrix& ae, const Matrix& be,
-                     std::span<const double> xx, std::span<const double> yy, double rescale,
-                     Matrix& c, double* rsum = nullptr, double* csum = nullptr) const;
+                     std::span<const double> xx, std::span<const double> yy, Matrix& c) const;
 
   /// Energy Σ_p y_p² of one encoded operand row, by the SIMD tier's rule
   /// (simd::dot_self): the quadratic form's Σx²/Σy² term for run_tile_fast.
@@ -152,25 +146,12 @@ class FusedKernel {
     double dark{};
   };
   [[nodiscard]] QuadraticForm quadratic_form(std::size_t k) const;
-  [[nodiscard]] double reduce(std::span<const double> xe, std::span<const double> ye) const;
-  /// The readout ADC at reduction length n (full scale = n when auto).
-  [[nodiscard]] converters::ElectricalAdc make_adc(std::size_t n) const;
-  [[nodiscard]] double apply_adc(double acc, std::size_t n) const;
-  /// Read out one tile row in place: `raw` holds the row's raw dot values
-  /// (in the output matrix); the span ADC when on, then each value becomes
-  /// value · rescale, and the post-ADC values are folded into *rsum and
-  /// csum[0..) when non-null, in ascending column order.
-  void readout(const converters::ElectricalAdc& adc, std::span<double> raw, double rescale,
-               double* rsum, double* csum) const;
 
-  /// One coefficient row per active (un-fenced) wavelength, in packing
-  /// order — the flat table the inner loop streams.
+  /// One coefficient row per wavelength, in packing order — the flat
+  /// table the inner loop streams.
   std::vector<LaneTransfer> lanes_;
   DetectorTransfer det_{};
-  bool full_optics_{false};
-  bool adc_{false};
-  int adc_bits_{8};
-  double adc_full_scale_{0.0};
+  DotEngineConfig cfg_;  ///< optics and readout switches
 };
 
 }  // namespace pdac::ptc

@@ -24,6 +24,7 @@ SnrReport measure_ddot_snr(const SnrConfig& cfg) {
   const double norm = 1.0 / (s * s);  // detected currents scale with s²
 
   stats::Running signal, noise;
+  DdotScratch scratch;
   for (int t = 0; t < cfg.trials; ++t) {
     photonics::DualRail rails{photonics::WdmField(cfg.wavelengths),
                               photonics::WdmField(cfg.wavelengths)};
@@ -35,7 +36,7 @@ SnrReport measure_ddot_snr(const SnrConfig& cfg) {
       rails.upper.set_amplitude(i, photonics::Complex{s * x, 0.0});
       rails.lower.set_amplitude(i, photonics::Complex{s * y, 0.0});
     }
-    const double measured = noisy_ddot.compute_noisy(rails, rng).value() * norm;
+    const double measured = noisy_ddot.compute_noisy(rails, rng, scratch).value() * norm;
     signal.add(clean);
     noise.add(measured - clean);
   }

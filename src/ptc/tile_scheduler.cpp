@@ -28,6 +28,26 @@ void partition_tiles_into(std::size_t m, std::size_t n, std::size_t tile_rows,
   }
 }
 
+void fold_tile(const Tile& tile, double rescale, Matrix& c, std::span<double> rsum,
+               std::span<double> csum) {
+  const bool sums = !rsum.empty();
+  if (sums) {
+    std::fill(rsum.begin(), rsum.end(), 0.0);
+    std::fill(csum.begin(), csum.end(), 0.0);
+  }
+  for (std::size_t i = tile.row0; i < tile.row0 + tile.rows; ++i) {
+    double* const row = c.row(i).data() + tile.col0;
+    for (std::size_t b = 0; b < tile.cols; ++b) {
+      const double raw = row[b];
+      row[b] = raw * rescale;
+      if (sums) {
+        rsum[i - tile.row0] += raw;
+        csum[b] += raw;
+      }
+    }
+  }
+}
+
 void for_each_tile(ThreadPool& pool, const std::vector<Tile>& tiles,
                    const std::function<void(std::size_t, std::size_t)>& body) {
   pool.parallel_for(tiles.size(),

@@ -14,11 +14,18 @@
 // order is fixed inside its dot product, and the tile *index* fixes the
 // order in which per-tile event counters are folded together after the
 // workers join.
+//
+// fold_tile is the one tile fold of both executors (PhotonicGemm and the
+// faults-layer lane executor): a tile's raw, post-ADC dots become
+// rescaled outputs, and guarded products also get the tile's raw row and
+// column sums for the checksum verdict.
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
+#include "common/matrix.hpp"
 #include "common/thread_pool.hpp"
 
 namespace pdac::ptc {
@@ -41,6 +48,14 @@ struct Tile {
 /// scratch can reuse its allocation across repeated products.
 void partition_tiles_into(std::size_t m, std::size_t n, std::size_t tile_rows,
                           std::size_t tile_cols, std::vector<Tile>& out);
+
+/// Fold one finished tile of raw dot values in place: c(i, j) = raw ·
+/// rescale.  When `rsum`/`csum` are non-empty (tile.rows and tile.cols
+/// long) they are reset, then receive each raw value in row-major order —
+/// rsum[i − row0] and csum[j − col0] — the order the guard's bit-identity
+/// needs.
+void fold_tile(const Tile& tile, double rescale, Matrix& c, std::span<double> rsum = {},
+               std::span<double> csum = {});
 
 /// Dispatch `body(tile_index, worker)` over every tile on the pool.
 /// Workers receive disjoint contiguous runs of the tile list (static

@@ -8,6 +8,24 @@
 
 namespace pdac::serve {
 
+namespace {
+
+// Guard-aware placement score weights (health_score()): penalty per lane
+// implication, per degraded re-run taken, per best-effort (given-up)
+// product and per product with a caught mismatch.
+constexpr double kLaneMismatchWeight = 0.30;
+constexpr double kFenceWeight = 1.0;
+constexpr double kUnrecoveredWeight = 2.0;
+constexpr double kDetectionWeight = 0.10;
+
+// Canary product shape, array_rows × kCanaryK by kCanaryK × array_cols,
+// drawn once from kCanarySeed (same operands for every probe, so probe
+// verdicts are comparable across the run).
+constexpr std::size_t kCanaryK = 16;
+constexpr std::uint64_t kCanarySeed = 0x5eedcafe;
+
+}  // namespace
+
 BackendPool::BackendPool(const BackendPoolConfig& cfg) : cfg_(cfg) {
   PDAC_REQUIRE(cfg_.backends > 0, "BackendPool: need at least one backend");
   clamped_escalation_ = cfg_.guarded.escalation;
@@ -28,15 +46,15 @@ BackendPool::BackendPool(const BackendPoolConfig& cfg) : cfg_(cfg) {
     slots_.push_back(std::move(slot));
   }
   if (cfg_.quarantine.enabled) {
-    PDAC_REQUIRE(cfg_.quarantine.canary_k > 0 && cfg_.quarantine.readmit_clean_probes > 0,
-                 "BackendPool: canary shape and readmission count must be positive");
+    PDAC_REQUIRE(cfg_.quarantine.readmit_clean_probes > 0,
+                 "BackendPool: readmission count must be positive");
     PDAC_REQUIRE(cfg_.quarantine.probe_backoff > 0,
                  "BackendPool: probe backoff must be positive (virtual time must advance)");
     // Fixed operands for every canary probe: comparable verdicts, and a
     // probe is deliberately cheap (one tile row/column worth of product).
-    Rng rng(cfg_.quarantine.canary_seed);
-    canary_a_ = Matrix::random_gaussian(cfg_.guarded.array_rows, cfg_.quarantine.canary_k, rng);
-    canary_b_ = Matrix::random_gaussian(cfg_.quarantine.canary_k, cfg_.guarded.array_cols, rng);
+    Rng rng(kCanarySeed);
+    canary_a_ = Matrix::random_gaussian(cfg_.guarded.array_rows, kCanaryK, rng);
+    canary_b_ = Matrix::random_gaussian(kCanaryK, cfg_.guarded.array_cols, rng);
   }
 }
 
@@ -54,12 +72,10 @@ double BackendPool::health_score(std::size_t i) const {
   const double capacity =
       static_cast<double>(usable) / static_cast<double>(slot.bank->wavelengths());
   const faults::HealthSnapshot snap = slot.backend->monitor().snapshot();
-  const HealthScoreConfig& h = cfg_.health;
-  const double penalty =
-      h.lane_mismatch_weight * static_cast<double>(snap.total_lane_mismatches()) +
-      h.fence_weight * static_cast<double>(snap.fences) +
-      h.unrecovered_weight * static_cast<double>(snap.unrecovered) +
-      h.detection_weight * static_cast<double>(snap.detections);
+  const double penalty = kLaneMismatchWeight * static_cast<double>(snap.total_lane_mismatches()) +
+                        kFenceWeight * static_cast<double>(snap.fences) +
+                        kUnrecoveredWeight * static_cast<double>(snap.unrecovered) +
+                        kDetectionWeight * static_cast<double>(snap.detections);
   return capacity / (1.0 + penalty);
 }
 

@@ -9,8 +9,9 @@
 //
 //  * Guard-aware health scores.  health_score() folds each backend's
 //    HealthMonitor attribution — lane implications from escalation
-//    self-tests, fences taken, unrecovered products, detections — with
-//    its surviving channel capacity into one placement signal.  The
+//    self-tests, fences taken, unrecovered products, detections, at
+//    fixed weights 0.3 / 1 / 2 / 0.1 — with its surviving channel
+//    capacity into one placement signal.  The
 //    scheduler steers work toward clean backends proportionally, so a
 //    chronically-implicated array serves less traffic instead of
 //    stalling the whole batch.
@@ -49,14 +50,6 @@
 
 namespace pdac::serve {
 
-/// Shape of the guard-aware placement score (see health_score()).
-struct HealthScoreConfig {
-  double lane_mismatch_weight{0.30};  ///< per lane implication
-  double fence_weight{1.0};           ///< per degraded re-run taken
-  double unrecovered_weight{2.0};     ///< per best-effort (given-up) product
-  double detection_weight{0.10};      ///< per product with a caught mismatch
-};
-
 /// Probation policy for drifting/escalating backends (DESIGN.md §16).
 /// Off by default: quarantine is a serving-layer opt-in, and a disabled
 /// pool behaves exactly as before this policy existed.
@@ -77,13 +70,10 @@ struct QuarantineConfig {
   /// probes re-probe at the base cadence.
   std::uint64_t probe_backoff{256};
   std::uint64_t probe_backoff_max{4096};
-  /// Consecutive clean canary probes required for readmission.
+  /// Consecutive clean canary probes required for readmission.  Every
+  /// probe runs the same fixed seeded canary product (array_rows × 16 by
+  /// 16 × array_cols), so probe verdicts are comparable across the run.
   std::size_t readmit_clean_probes{2};
-  /// Canary product shape: array_rows × canary_k by canary_k ×
-  /// array_cols, drawn once from `canary_seed` (same operands for every
-  /// probe, so probe verdicts are comparable across the run).
-  std::size_t canary_k{16};
-  std::uint64_t canary_seed{0x5eedcafe};
 };
 
 enum class QuarantineEventKind { kQuarantined, kProbe, kReadmitted };
@@ -101,7 +91,6 @@ struct BackendPoolConfig {
   /// identical lane physics, the basis of the pool's bit-identity.
   faults::LaneBankConfig bank{};
   faults::GuardedBackendConfig guarded{};
-  HealthScoreConfig health{};
   /// Re-trims each backend may spend per budget window (0 = never
   /// re-trim: the ladder always skips straight from retry to fence).
   std::size_t retrim_budget{2};
@@ -208,7 +197,7 @@ class BackendPool {
   std::size_t readmissions_{0};
   std::size_t canary_probes_{0};
   std::vector<QuarantineEvent> quarantine_log_;
-  Matrix canary_a_;  ///< fixed seeded canary operands (quarantine.canary_seed)
+  Matrix canary_a_;  ///< fixed seeded canary operands
   Matrix canary_b_;
 };
 

@@ -14,6 +14,19 @@ namespace {
 
 constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
 
+/// Virtual-time charge per prompt token, applied to a request's first
+/// product (prefill is a time/occupancy charge only — decode GEMMs are
+/// the numerics under test and the only events priced).
+constexpr std::uint64_t kPrefillCyclesPerToken = 2;
+/// Virtual-time charge per calibration/self-test probe the ladder burns —
+/// recovery costs wall-clock, not just energy.
+constexpr std::uint64_t kProbeCycles = 1;
+/// Model-selection bonus per queued request when the weight set is
+/// already resident in the backend's operand cache.
+constexpr double kAffinityBonus = 0.5;
+/// Backends scoring below kHealthFloor × (best score) take no work.
+constexpr double kHealthFloor = 0.05;
+
 /// KV handle ids for request `rid`: derived from the request identity
 /// (not allocated), so the engine and run_reference present the same
 /// growing-operand identity to their backends, and a token landing on a
@@ -156,7 +169,7 @@ ServingReport ServingEngine::run(const std::vector<Request>& requests) {
   };
 
   auto prefill_charge = [&](const Request& r) {
-    return static_cast<std::uint64_t>(r.prompt_len) * cfg_.prefill_cycles_per_token;
+    return static_cast<std::uint64_t>(r.prompt_len) * kPrefillCyclesPerToken;
   };
 
   auto run_batch = [&](std::size_t b, std::size_t model, const std::vector<std::size_t>& batch) {
@@ -198,7 +211,7 @@ ServingReport ServingEngine::run(const std::vector<Request>& requests) {
     // (recovery re-runs included) plus the ladder's probe charges plus
     // prefill occupancy for first-token requests.
     std::uint64_t service = (cyc1 - cyc0) +
-                            cfg_.probe_cycles * (snap1.probe_events - snap0.probe_events);
+                            kProbeCycles * (snap1.probe_events - snap0.probe_events);
     for (const std::size_t q : batch) {
       if (st[q].tokens_done == 0) service += prefill_charge(requests[q]);
     }
@@ -302,7 +315,7 @@ ServingReport ServingEngine::run(const std::vector<Request>& requests) {
     bool dispatched = false;
     for (std::size_t b = 0; placeable && b < pool_n; ++b) {
       if (busy[b] > now) continue;
-      if (score[b] <= 0.0 || score[b] < cfg_.health_floor * best_score) continue;
+      if (score[b] <= 0.0 || score[b] < kHealthFloor * best_score) continue;
       const std::size_t cap = std::min(
           cfg_.max_batch,
           std::max<std::size_t>(
@@ -337,7 +350,7 @@ ServingReport ServingEngine::run(const std::vector<Request>& requests) {
         double s = static_cast<double>(pressure[m]);
         const nn::WeightHandle h = models_[m].weight_handle();
         if (cache != nullptr && cache->contains(h.id, h.version, epoch)) {
-          s += cfg_.affinity_bonus * static_cast<double>(pressure[m]);
+          s += kAffinityBonus * static_cast<double>(pressure[m]);
         }
         if (s > best_model_score) {
           best_model_score = s;

@@ -18,7 +18,12 @@
 //    measured per-token service estimate — is shed immediately.
 //  * Placement: per-backend batch caps scale with BackendPool's
 //    guard-aware health score, so chronically-implicated backends get
-//    proportionally less work; offline backends get none.
+//    proportionally less work; offline backends, and backends below
+//    kHealthFloor (5 %) of the best score, get none.  A weight set
+//    already resident in a backend's cache gains kAffinityBonus (0.5)
+//    per queued request.  Prefill costs kPrefillCyclesPerToken (2)
+//    cycles per prompt token and every ladder probe kProbeCycles (1);
+//    these are fixed constants in engine.cpp, not options.
 //  * Verdicts: every request terminates as completed | shed | failed —
 //    never a silent drop.  Shed carries an explicit reason; failed means
 //    the hardware gave up (ladder exhausted / pool offline) on one of
@@ -59,18 +64,6 @@ namespace pdac::serve {
 struct ServingConfig {
   std::size_t max_batch{4};   ///< rows per product on a fully-healthy backend
   std::size_t max_queue{32};  ///< bound on admitted, unfinished requests
-  /// Virtual-time charge per prompt token, applied to a request's first
-  /// product (prefill is a time/occupancy charge only — decode GEMMs
-  /// are the numerics under test and the only events priced).
-  std::uint64_t prefill_cycles_per_token{2};
-  /// Virtual-time charge per calibration/self-test probe the ladder
-  /// burns — recovery costs wall-clock, not just energy.
-  std::uint64_t probe_cycles{1};
-  /// Model-selection bonus per queued request when the weight set is
-  /// already resident in the backend's operand cache.
-  double affinity_bonus{0.5};
-  /// Backends scoring below `health_floor` × (best score) take no work.
-  double health_floor{0.05};
 };
 
 /// Per-slot accounting for the run.

@@ -14,6 +14,7 @@
 #include "common/require.hpp"
 #include "common/rng.hpp"
 #include "common/simd.hpp"
+#include "converters/electrical_adc.hpp"
 #include "nn/backend.hpp"
 #include "ptc/abft.hpp"
 #include "ptc/gemm_engine.hpp"
@@ -71,12 +72,60 @@ TEST(CalibrateGuardSigma, AdcReadoutContributesQuantizationNoise) {
   dot.adc_bits = 8;
   const std::size_t k = 64;
   const double sigma = calibrate_guard_sigma(dot, k);
-  // Full scale defaults to k: one LSB is 2k/2^bits, noise step/sqrt(12).
-  const double step = 2.0 * static_cast<double>(k) / 256.0;
+  // Full scale defaults to k: the ADC's step is k over its 2^7 − 1 = 127
+  // codes, noise step/sqrt(12).
+  const double step = static_cast<double>(k) / 127.0;
   EXPECT_NEAR(sigma, step / std::sqrt(12.0), 1e-12);
   // More bits, less noise.
   dot.adc_bits = 12;
   EXPECT_LT(calibrate_guard_sigma(dot, k), sigma);
+}
+
+TEST(CalibrateGuardSigma, MatchesMeasuredAdcQuantizationNoise) {
+  // The band's ADC term against the converter it models: 2 M readouts
+  // uniform on ±0.9·fs (fs = k = 768, the auto full scale) through
+  // ElectricalAdc::sample_to_voltage, whose RMS error must match
+  // calibrate_guard_sigma within 3 % at every width.  An LSB of 2·fs/2^b
+  // reads 12.5 % low at 4 bits and 3.4 % low at 6.
+  const std::size_t k = 768;
+  const double fs = static_cast<double>(k);
+  Rng rng(2029);
+  std::vector<double> volts(2'000'000);
+  for (double& v : volts) v = rng.uniform(-0.9 * fs, 0.9 * fs);
+  std::vector<double> read(volts.size());
+  for (const int bits : {4, 6, 8}) {
+    DotEngineConfig dot;
+    dot.adc_readout = true;
+    dot.adc_bits = bits;
+    converters::ElectricalAdcConfig ac;
+    ac.bits = bits;
+    ac.v_ref = fs;
+    converters::ElectricalAdc(ac).sample_to_voltage(volts, read);
+    double sq = 0.0;
+    for (std::size_t i = 0; i < volts.size(); ++i) sq += (read[i] - volts[i]) * (read[i] - volts[i]);
+    const double rms = std::sqrt(sq / static_cast<double>(volts.size()));
+    EXPECT_NEAR(rms / calibrate_guard_sigma(dot, k), 1.0, 0.03) << bits << " bits";
+  }
+}
+
+TEST(AbftGuard, WorstResidualFoldKeepsNanSticky) {
+  // The one worst-residual rule: larger residuals replace the worst with
+  // their tolerance, a NaN stays worst while finite residuals follow, and
+  // a later NaN brings its own tolerance.
+  double worst = 0.0;
+  double tol = 0.0;
+  fold_worst_residual(2.0, 10.0, worst, tol);
+  fold_worst_residual(1.0, 20.0, worst, tol);
+  EXPECT_EQ(worst, 2.0);
+  EXPECT_EQ(tol, 10.0);
+  fold_worst_residual(std::numeric_limits<double>::quiet_NaN(), 30.0, worst, tol);
+  fold_worst_residual(5.0, 40.0, worst, tol);
+  fold_worst_residual(std::numeric_limits<double>::infinity(), 50.0, worst, tol);
+  EXPECT_TRUE(std::isnan(worst));
+  EXPECT_EQ(tol, 30.0);
+  fold_worst_residual(std::numeric_limits<double>::quiet_NaN(), 60.0, worst, tol);
+  EXPECT_TRUE(std::isnan(worst));
+  EXPECT_EQ(tol, 60.0);
 }
 
 TEST(ChecksumLaneEvents, MatchesDocumentedContract) {

@@ -79,7 +79,8 @@ TEST(Ddot, NoisyDetectionCentersOnTrueValue) {
   Rng rng(3);
   double sum = 0.0;
   const int trials = 20'000;
-  for (int i = 0; i < trials; ++i) sum += ddot.compute_noisy(rails, rng).value();
+  DdotScratch scratch;
+  for (int i = 0; i < trials; ++i) sum += ddot.compute_noisy(rails, rng, scratch).value();
   EXPECT_NEAR(sum / trials, 0.24, 0.001);
 }
 

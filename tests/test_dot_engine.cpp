@@ -111,6 +111,55 @@ TEST(DotEngine, RejectsLengthMismatch) {
   EXPECT_THROW((void)engine.dot(x, y), PreconditionError);
 }
 
+TEST(DotEngine, DotIsTheEncodedDotPlusStandaloneCharges) {
+  // dot(x, y) runs the encoded operands through dot_preencoded's chunk
+  // loop, bit for bit with or without caller scratch, and charges
+  // dot_preencoded's events plus 2·n modulations, ⌈n/λ⌉ cycles and one
+  // ADC sample when digitizing — over full optics on and off, ADC on and
+  // off, 1, 3 and 8 wavelengths and lengths 1 to 768.
+  const auto drv = core::make_pdac_driver(8);
+  Rng rng(43);
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 1; n <= 64; ++n) lengths.push_back(n);
+  for (std::size_t n = 71; n < 768; n += 7) lengths.push_back(n);
+  lengths.push_back(768);
+  for (const bool optics : {false, true}) {
+    for (const bool adc : {false, true}) {
+      for (const std::size_t lambda : {1u, 3u, 8u}) {
+        DotEngineConfig cfg;
+        cfg.wavelengths = lambda;
+        cfg.use_full_optics = optics;
+        cfg.adc_readout = adc;
+        const PhotonicDotEngine engine(*drv, cfg);
+        DdotScratch scratch;
+        for (const std::size_t n : lengths) {
+          SCOPED_TRACE(testing::Message() << "optics " << optics << " adc " << adc << " lambda "
+                                          << lambda << " n " << n);
+          const auto x = rng.uniform_vector(n, -1.0, 1.0);
+          const auto y = rng.uniform_vector(n, -1.0, 1.0);
+          std::vector<double> xe(n);
+          std::vector<double> ye(n);
+          for (std::size_t i = 0; i < n; ++i) {
+            xe[i] = engine.encode(x[i]);
+            ye[i] = engine.encode(y[i]);
+          }
+          EventCounter ev;
+          EventCounter pre_ev;
+          const double got = engine.dot(x, y, &ev);
+          EXPECT_EQ(got, engine.dot_preencoded(xe, ye, &pre_ev));
+          EXPECT_EQ(got, engine.dot_preencoded(xe, ye, nullptr, nullptr, &scratch));
+          EXPECT_EQ(ev.modulation_events, pre_ev.modulation_events + 2 * n);
+          EXPECT_EQ(ev.detection_events, pre_ev.detection_events);
+          EXPECT_EQ(ev.ddot_ops, pre_ev.ddot_ops);
+          EXPECT_EQ(ev.macs, pre_ev.macs);
+          EXPECT_EQ(ev.cycles, pre_ev.cycles + (n + lambda - 1) / lambda);
+          EXPECT_EQ(ev.adc_events, pre_ev.adc_events + (adc ? 1u : 0u));
+        }
+      }
+    }
+  }
+}
+
 TEST(DotEngine, RejectsZeroWavelengths) {
   const auto drv = core::make_pdac_driver(8);
   DotEngineConfig cfg;

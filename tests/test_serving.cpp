@@ -6,7 +6,6 @@
 // HealthMonitor under concurrent multi-backend use (the TSan target).
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <thread>
 #include <vector>
@@ -478,11 +477,8 @@ TEST(HealthMonitor, ConcurrentBackendsSharingAMonitorReconcileExactly) {
     }
   }
 
-  // Concurrent run into one shared monitor, with an action listener
-  // counting rungs from the recording threads.
+  // Concurrent run into one shared monitor.
   faults::HealthMonitor shared;
-  std::atomic<std::size_t> listener_rungs{0};
-  shared.set_action_listener([&](faults::GuardAction) { ++listener_rungs; });
 
   std::vector<std::unique_ptr<faults::LaneBank>> banks;
   std::vector<std::unique_ptr<faults::GuardedBackend>> backends;
@@ -521,8 +517,6 @@ TEST(HealthMonitor, ConcurrentBackendsSharingAMonitorReconcileExactly) {
   for (std::size_t l = 0; l < got.lane_mismatches.size(); ++l) {
     EXPECT_EQ(got.lane_mismatches[l], want.lane_mismatches[l]) << "lane " << l;
   }
-  EXPECT_EQ(listener_rungs.load(),
-            want.retries + want.retrims + want.fences + want.unrecovered);
 }
 
 TEST(HealthMonitor, ResetClearsEveryCounter) {
