@@ -27,7 +27,7 @@ int main() {
   Table t({"batch", "E/token DAC", "E/token P-DAC", "saving", "DDot util",
            "tokens/s"});
   for (std::size_t batch : {1u, 4u, 8u, 16u, 32u, 64u, 128u}) {
-    const auto trace = nn::trace_decode_step_batched(model, ctx, batch);
+    const auto trace = nn::trace_decode_step(model, ctx, batch);
     const auto rep = acc.run(trace);
     const double per_token = 1.0 / static_cast<double>(batch);
     t.add_row(

@@ -186,7 +186,7 @@ int main(int argc, char** argv) {
 
   // --- 2. drift sweep: walk rate x hysteresis band ---------------------------
   // Walk sigmas sized to the guard band itself: the band is
-  // reassociation-scale (fp_slack·eps·k·(fan+1)·mag), so "drift" here is
+  // reassociation-scale (64·eps·k·(fan+1)·mag), so "drift" here is
   // wander *below the accuracy budget* — exactly the class the paper's
   // periodic re-calibration overpays for.
   const std::vector<double> rates = args.smoke ? std::vector<double>{2e-13, 8e-13}

@@ -79,7 +79,7 @@ bool band_identity() {
     const ptc::GemmResult sr = scalar_gemm.multiply(a, b);
     const ptc::GemmResult vr = fast_gemm.multiply(a, b);
     if (!events_equal(vr.events, sr.events)) return false;
-    ptc::GuardConfig g;  // default fp_slack / zscore
+    ptc::GuardConfig g;  // the band's fixed slack and z-score
     g.noise_sigma = ptc::calibrate_guard_sigma(hot_config(ptc::ExecutionPath::kKernel).dot, s.k);
     const double band = sr.a_scale * sr.b_scale *
                         ptc::guard_tolerance(g, s.k, 1, static_cast<double>(s.k));

@@ -9,8 +9,7 @@
 #include <cstdlib>
 #include <string>
 
-#include "arch/component_power.hpp"
-#include "arch/op_events.hpp"
+#include "arch/energy_model.hpp"
 #include "arch/power_params.hpp"
 #include "nn/model_config.hpp"
 #include "nn/workload_trace.hpp"
@@ -21,6 +20,10 @@ int main(int argc, char** argv) {
   const std::string model_name = argc > 1 ? argv[1] : "bert";
   const int bits = argc > 2 ? std::atoi(argv[2]) : 8;
   const std::size_t seq = argc > 3 ? static_cast<std::size_t>(std::atoll(argv[3])) : 128;
+  if (bits < 2 || bits > 16) {
+    std::fprintf(stderr, "trace_export: bits must be in [2, 16], the energy model's range\n");
+    return 2;
+  }
 
   const nn::TransformerConfig model =
       model_name == "deit" ? nn::deit_base() : nn::bert_base(seq);
@@ -28,40 +31,28 @@ int main(int argc, char** argv) {
   const arch::PowerParams params = arch::lt_power_params();
   const nn::WorkloadTrace trace = nn::trace_forward(model);
 
-  const double f = cfg.clock.hertz();
-  const double n_mod = static_cast<double>(cfg.modulator_channels());
-  const double e_mod_dac = arch::dac_unit_power(params, bits).watts() / f +
-                           arch::controller_power(params, bits).watts() / (n_mod * f);
-  const double e_mod_pdac = arch::pdac_unit_power(params, bits).watts() / f;
-  const double e_adc = arch::adc_unit_power(params, bits).watts() / f;
-  const double p_static = (arch::laser_power(params, bits) + params.thermal_tuning +
-                           arch::receiver_digital_power(params, bits))
-                              .watts();
-  const double e_sram_bit = params.sram_energy_per_bit.joules();
-  const double arrays = static_cast<double>(cfg.arrays());
-
   std::printf(
       "label,class,m,k,n,repeats,residency,macs,modulations,adc_samples,"
       "tile_cycles,moved_bits,e_mod_dac_nj,e_mod_pdac_nj,e_adc_nj,e_static_nj,"
       "e_movement_nj\n");
   for (const auto& op : trace.gemms) {
-    const arch::OpEvents ev = arch::count_op_events(op, cfg);
-    const std::uint64_t moved_elements =
-        op.weight_elements() + (op.static_weights ? op.activation_elements() : 0) +
-        op.extra_movement_elements;
-    const double moved_bits = static_cast<double>(moved_elements) * bits;
-    const double wall_s = static_cast<double>(ev.tile_cycles) / arrays / f;
+    // Events and every term but the modulation are variant-independent.
+    const arch::OpEnergy dac =
+        arch::op_energy(op, cfg, params, bits, arch::SystemVariant::kDacBased);
+    const arch::OpEnergy pdac =
+        arch::op_energy(op, cfg, params, bits, arch::SystemVariant::kPdacBased);
+    const ptc::EventCounter& ev = dac.events;
+    const double moved_bits = static_cast<double>(op.moved_elements()) * bits;
     std::printf("%s,%s,%zu,%zu,%zu,%zu,%s,%llu,%llu,%llu,%llu,%.0f,%.4f,%.4f,%.4f,%.4f,%.4f\n",
                 op.label.c_str(), nn::to_string(op.op_class).c_str(), op.m, op.k, op.n,
                 op.repeats, op.static_weights ? "static" : "dynamic",
                 static_cast<unsigned long long>(op.macs()),
-                static_cast<unsigned long long>(ev.modulations),
-                static_cast<unsigned long long>(ev.adc_samples),
-                static_cast<unsigned long long>(ev.tile_cycles), moved_bits,
-                static_cast<double>(ev.modulations) * e_mod_dac * 1e9,
-                static_cast<double>(ev.modulations) * e_mod_pdac * 1e9,
-                static_cast<double>(ev.adc_samples) * e_adc * 1e9, p_static * wall_s * 1e9,
-                moved_bits * e_sram_bit * 1e9);
+                static_cast<unsigned long long>(ev.modulation_events),
+                static_cast<unsigned long long>(ev.adc_events),
+                static_cast<unsigned long long>(ev.cycles), moved_bits,
+                dac.energy.modulation.joules() * 1e9, pdac.energy.modulation.joules() * 1e9,
+                dac.energy.adc.joules() * 1e9, dac.energy.static_power.joules() * 1e9,
+                dac.energy.movement.joules() * 1e9);
   }
   return 0;
 }

@@ -60,6 +60,10 @@ units::Power receiver_digital_power(const PowerParams& p, int bits) {
   return units::watts(p.receiver_digital_per_bit_watts * static_cast<double>(bits));
 }
 
+units::Power static_power(const PowerParams& p, int bits) {
+  return laser_power(p, bits) + p.thermal_tuning + receiver_digital_power(p, bits);
+}
+
 PowerBreakdown compute_power_breakdown(const LtConfig& cfg, const PowerParams& p, int bits,
                                        SystemVariant variant) {
   PDAC_REQUIRE(bits >= 2 && bits <= 16, "compute_power_breakdown: bits in [2, 16]");

@@ -50,6 +50,9 @@ units::Power adc_unit_power(const PowerParams& p, int bits);
 units::Power pdac_unit_power(const PowerParams& p, int bits);
 units::Power controller_power(const PowerParams& p, int bits);
 units::Power receiver_digital_power(const PowerParams& p, int bits);
+/// Laser + thermal tuning + receivers/digital: the power that burns
+/// whenever the system is on, computing or stalled.
+units::Power static_power(const PowerParams& p, int bits);
 
 /// Full-system breakdown in the compute-bound scenario.
 PowerBreakdown compute_power_breakdown(const LtConfig& cfg, const PowerParams& p, int bits,

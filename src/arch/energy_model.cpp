@@ -1,8 +1,7 @@
 #include "arch/energy_model.hpp"
 
-#include <algorithm>
+#include <utility>
 
-#include "arch/op_events.hpp"
 #include "common/require.hpp"
 
 namespace pdac::arch {
@@ -30,12 +29,33 @@ EventRates event_rates(const LtConfig& cfg, const PowerParams& params, int bits,
           ? dac_unit_power(params, bits).watts() / f +
                 controller_power(params, bits).watts() / (n_mod * f)
           : pdac_unit_power(params, bits).watts() / f;
-  const units::Power p_static = laser_power(params, bits) + params.thermal_tuning +
-                                receiver_digital_power(params, bits);
   return {.f = f,
           .e_mod = e_mod,
           .e_adc = adc_unit_power(params, bits).watts() / f,
-          .p_static = p_static.watts()};
+          .p_static = static_power(params, bits).watts()};
+}
+
+/// op_energy under rates `r`, which evaluate_energy derives once per trace.
+OpEnergy price(const nn::GemmOp& op, const LtConfig& cfg, const PowerParams& params, int bits,
+               const EventRates& r) {
+  OpEnergy out;
+  out.events = analytic_events(op, cfg);
+  const ptc::EventCounter& ev = out.events;
+  EnergyBreakdown& e = out.energy;
+  e.modulation = units::joules(static_cast<double>(ev.modulation_events) * r.e_mod);
+  e.adc = units::joules(static_cast<double>(ev.adc_events) * r.e_adc);
+  // Tiles are distributed over all arrays; occupancy is the wall time.
+  const double wall_seconds =
+      static_cast<double>(ev.cycles) / static_cast<double>(cfg.arrays()) / r.f;
+  e.static_power = units::joules(r.p_static * wall_seconds);
+  e.movement = units::joules(static_cast<double>(op.moved_elements()) *
+                             static_cast<double>(bits) * params.sram_energy_per_bit.joules());
+  return out;
+}
+
+/// The breakdown of op class `c` in `we`, for folding into.
+EnergyBreakdown& class_slot(WorkloadEnergy& we, nn::OpClass c) {
+  return const_cast<EnergyBreakdown&>(std::as_const(we).of(c));
 }
 
 }  // namespace
@@ -50,6 +70,18 @@ const EnergyBreakdown& WorkloadEnergy::of(nn::OpClass c) const {
   return other;
 }
 
+ptc::EventCounter analytic_events(const nn::GemmOp& op, const LtConfig& cfg) {
+  return ptc::product_events(op.m, op.k, op.n,
+                             {cfg.array_rows, cfg.array_cols, cfg.wavelengths}, op.residency(),
+                             cfg.ddots_per_adc) *
+         op.repeats;
+}
+
+OpEnergy op_energy(const nn::GemmOp& op, const LtConfig& cfg, const PowerParams& params,
+                   int bits, SystemVariant variant) {
+  return price(op, cfg, params, bits, event_rates(cfg, params, bits, variant));
+}
+
 WorkloadEnergy evaluate_energy(const nn::WorkloadTrace& trace, const LtConfig& cfg,
                                const PowerParams& params, int bits, SystemVariant variant) {
   const EventRates r = event_rates(cfg, params, bits, variant);
@@ -57,43 +89,16 @@ WorkloadEnergy evaluate_energy(const nn::WorkloadTrace& trace, const LtConfig& c
   out.variant = variant;
   out.bits = bits;
 
-  const double e_sram_bit = params.sram_energy_per_bit.joules();
-  const double e_vec_bit = params.vector_energy_per_element_bit.joules();
-  const double arrays = static_cast<double>(cfg.arrays());
-
   for (const auto& op : trace.gemms) {
-    const OpEvents ev = count_op_events(op, cfg);
-    EnergyBreakdown e;
-    e.modulation = units::joules(static_cast<double>(ev.modulations) * r.e_mod);
-    e.adc = units::joules(static_cast<double>(ev.adc_samples) * r.e_adc);
-    // Tiles are distributed over all arrays; occupancy is the wall time.
-    const double wall_seconds = static_cast<double>(ev.tile_cycles) / arrays / r.f;
-    e.static_power = units::joules(r.p_static * wall_seconds);
-    const std::uint64_t moved_elements = op.weight_elements() +
-                                         (op.static_weights ? op.activation_elements() : 0) +
-                                         op.total_extra_movement_elements();
-    e.movement = units::joules(static_cast<double>(moved_elements) *
-                               static_cast<double>(bits) * e_sram_bit);
-
-    out.wall_cycles += ev.tile_cycles / cfg.arrays();
-    switch (op.op_class) {
-      case nn::OpClass::kAttention: out.attention += e; break;
-      case nn::OpClass::kFfn: out.ffn += e; break;
-      case nn::OpClass::kConv: out.conv += e; break;
-      case nn::OpClass::kOther: out.other += e; break;
-    }
+    const OpEnergy e = price(op, cfg, params, bits, r);
+    out.wall_cycles += e.events.cycles / cfg.arrays();
+    class_slot(out, op.op_class) += e.energy;
   }
 
+  const double e_vec_bit = params.vector_energy_per_element_bit.joules();
   for (const auto& vop : trace.vector_ops) {
-    EnergyBreakdown e;
-    e.vector_unit = units::joules(static_cast<double>(vop.elements) *
-                                  static_cast<double>(bits) * e_vec_bit);
-    switch (vop.op_class) {
-      case nn::OpClass::kAttention: out.attention += e; break;
-      case nn::OpClass::kFfn: out.ffn += e; break;
-      case nn::OpClass::kConv: out.conv += e; break;
-      case nn::OpClass::kOther: out.other += e; break;
-    }
+    class_slot(out, vop.op_class).vector_unit += units::joules(
+        static_cast<double>(vop.elements) * static_cast<double>(bits) * e_vec_bit);
   }
 
   out.runtime = units::seconds(static_cast<double>(out.wall_cycles) / r.f);

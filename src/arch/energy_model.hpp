@@ -75,6 +75,27 @@ struct WorkloadEnergy {
   [[nodiscard]] const EnergyBreakdown& of(nn::OpClass c) const;
 };
 
+/// One GEMM op's events on `cfg` under the analytic rule: the ptc
+/// tile-step count over the op's tiling (ptc::product_events) with the
+/// op's residency and cfg.ddots_per_adc chunks per ADC sample, times
+/// op.repeats.  The functional executors count the same tiles with B
+/// broadcast and one sample per output.
+ptc::EventCounter analytic_events(const nn::GemmOp& op, const LtConfig& cfg);
+
+/// One GEMM op priced under `variant`: its analytic events, and its
+/// modulation, ADC, static and movement energy (vector_unit stays 0).
+struct OpEnergy {
+  ptc::EventCounter events;
+  EnergyBreakdown energy;
+};
+
+/// The per-op pricing evaluate_energy folds by op class: modulations at
+/// the variant's conversion energy, ADC samples at the readout energy,
+/// static power over the op's cycles spread across all arrays, and
+/// GemmOp::moved_elements at the SRAM energy per bit.
+OpEnergy op_energy(const nn::GemmOp& op, const LtConfig& cfg, const PowerParams& params,
+                   int bits, SystemVariant variant);
+
 /// Price one forward pass of `trace` on `cfg` under `variant`.
 WorkloadEnergy evaluate_energy(const nn::WorkloadTrace& trace, const LtConfig& cfg,
                                const PowerParams& params, int bits, SystemVariant variant);

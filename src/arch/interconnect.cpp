@@ -46,10 +46,7 @@ double optical_crossover_mm(const InterconnectConfig& base) {
 std::uint64_t distribution_bits(const nn::WorkloadTrace& trace, int bits) {
   PDAC_REQUIRE(bits >= 1, "distribution_bits: bits must be positive");
   std::uint64_t elements = 0;
-  for (const auto& g : trace.gemms) {
-    elements += g.weight_elements() + (g.static_weights ? g.activation_elements() : 0) +
-                g.total_extra_movement_elements();
-  }
+  for (const auto& g : trace.gemms) elements += g.moved_elements();
   return elements * static_cast<std::uint64_t>(bits);
 }
 

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <map>
 
-#include "arch/op_events.hpp"
+#include "arch/energy_model.hpp"
 #include "common/require.hpp"
 
 namespace pdac::arch {
@@ -100,7 +100,7 @@ Schedule schedule_on_pool(const nn::WorkloadTrace& trace, const LtConfig& cfg,
       std::uint64_t wave_span = 0;
       for (std::size_t i = 0; i < wave; ++i) {
         const nn::GemmOp* op = group.ops[idx + i];
-        OpEvents ev = count_op_events(*op, cfg);
+        ptc::EventCounter ev = analytic_events(*op, cfg);
         if (wavelength_availability < 1.0) {
           // Dead wavelengths shrink every reduction chunk, stretching the
           // same work over proportionally more cycles.
@@ -108,10 +108,10 @@ Schedule schedule_on_pool(const nn::WorkloadTrace& trace, const LtConfig& cfg,
             return static_cast<std::uint64_t>(
                 std::ceil(static_cast<double>(c) / wavelength_availability));
           };
-          ev.tile_cycles = stretch(ev.tile_cycles);
-          ev.ddot_cycles = stretch(ev.ddot_cycles);
+          ev.cycles = stretch(ev.cycles);
+          ev.ddot_ops = stretch(ev.ddot_ops);
         }
-        const std::uint64_t span = (ev.tile_cycles + per_op - 1) / per_op;
+        const std::uint64_t span = (ev.cycles + per_op - 1) / per_op;
         ScheduledOp s;
         s.label = op->label;
         s.op_class = op->op_class;
@@ -119,9 +119,9 @@ Schedule schedule_on_pool(const nn::WorkloadTrace& trace, const LtConfig& cfg,
         s.start_cycle = clock_cycle;
         s.end_cycle = clock_cycle + span;
         s.arrays_assigned = per_op;
-        s.work_array_cycles = ev.tile_cycles;
-        sched.busy_array_cycles += ev.tile_cycles;
-        sched.busy_ddot_cycles += ev.ddot_cycles;
+        s.work_array_cycles = ev.cycles;
+        sched.busy_array_cycles += ev.cycles;
+        sched.busy_ddot_cycles += ev.ddot_ops;
         wave_span = std::max(wave_span, span);
         sched.ops.push_back(std::move(s));
       }

@@ -36,13 +36,16 @@ RooflineResult roofline_runtime(const nn::WorkloadTrace& trace, const LtConfig& 
                                 const MemorySystemConfig& mem, int bits) {
   PDAC_REQUIRE(mem.hbm_bandwidth_gb_s > 0.0 && mem.sram_bandwidth_gb_s > 0.0,
                "roofline_runtime: bandwidths must be positive");
-  // Compute time from the same tiling the energy model uses.
-  const WorkloadEnergy we =
-      evaluate_energy(trace, cfg, PowerParams{}, bits, SystemVariant::kDacBased);
+  // Compute time from the counted cycles, as evaluate_energy's runtime:
+  // each op's array cycles spread over every array.
+  std::uint64_t wall_cycles = 0;
+  for (const auto& op : trace.gemms) {
+    wall_cycles += analytic_events(op, cfg).cycles / cfg.arrays();
+  }
   const TrafficSummary traffic = summarize_traffic(trace, bits);
 
   RooflineResult r;
-  r.compute_time = we.runtime;
+  r.compute_time = units::seconds(static_cast<double>(wall_cycles) / cfg.clock.hertz());
   r.hbm_time =
       units::seconds(static_cast<double>(traffic.hbm_bytes) / (mem.hbm_bandwidth_gb_s * 1e9));
   r.sram_time = units::seconds(static_cast<double>(traffic.sram_bytes) /
@@ -59,9 +62,8 @@ StalledEnergy stalled_energy(const nn::WorkloadTrace& trace, const LtConfig& cfg
       std::max(0.0, roof.runtime().seconds() - roof.compute_time.seconds());
   // Static power burned during stalls is identical in both variants: the
   // laser, thermal tuning, and receive chain stay on while waiting.
-  const units::Power p_static = laser_power(params, bits) + params.thermal_tuning +
-                                receiver_digital_power(params, bits);
-  const units::Energy stall = units::joules(p_static.watts() * stall_seconds);
+  const units::Energy stall =
+      units::joules(static_power(params, bits).watts() * stall_seconds);
   return StalledEnergy{cmp.baseline.total().total() + stall,
                        cmp.pdac.total().total() + stall};
 }

@@ -141,14 +141,12 @@ ptc::OperandSpec GuardedBackend::operand_spec() const {
   // the bank's current epoch holds the bits the current table holds
   // (every lane-state write moves the epoch), so `encoded` is then the
   // golden copy too and no second one is staged; a fault or fence moves
-  // the epoch past golden, and operands built after it stage one.  The
-  // column-only cheap mode never runs the row lanes the checksum stripes
-  // feed, so it skips building them.
+  // the epoch past golden, and operands built after it stage one.
   const bool guarded = cfg_.guard.enabled;
   return ptc::OperandSpec{
       .epoch = bank_.epoch(),
       .channels = bank_.surviving_channels(),
-      .checksum_stripe = guarded && !cfg_.guard.column_only ? cfg_.array_cols : 0,
+      .checksum_stripe = guarded ? cfg_.array_cols : 0,
       .reference = guarded && !golden_.fresh(bank_)};
 }
 
@@ -240,7 +238,7 @@ ptc::TileCheck GuardedBackend::run_tile(const ptc::Tile& tile, std::size_t t, co
   // corrected digitally from its residual and no escalation rung fires.
   // The correction may carry up to band·tol of absorbed drift into the
   // element — bounded by exactly the error the band already admits.
-  if (cfg_.guard.sec_correction && check.single_error) {
+  if (check.single_error) {
     const ptc::ErrorSite& site = *check.single_error;
     c(site.row, site.col) -= site.delta * rescale;
     check.ok = true;
@@ -422,15 +420,11 @@ Matrix GuardedBackend::run_product(const Matrix& a, const Matrix& bsrc, ptc::Gro
                            worker_sums(worker), initial_upsets);
     });
   }
-  {
-    const std::size_t nl = pb->channels.size();
-    const std::size_t chunks = (k + nl - 1) / nl;
-    for (const ptc::Tile& tile : tiles) {
-      events_ += ptc::tile_step_events(tile.rows, tile.cols, k, nl);
-      outcome.checksum_events += ptc::checksum_lane_events(tile.rows, tile.cols, k, chunks,
-                                                           cfg_.guard.column_only);
-    }
-  }
+  // The executors' rule: B broadcast, one ADC sample per output.
+  const ptc::TileGrid grid{cfg_.array_rows, cfg_.array_cols, pb->channels.size()};
+  events_ += ptc::product_events(m, k, n, grid, ptc::Residency::kBroadcast,
+                                 ptc::kSamplePerOutput);
+  outcome.checksum_events += ptc::checksum_product_events(m, k, n, grid);
   // Unguarded, the product ends here: no verdicts to fold, drift to
   // feed, ladder to climb or outcome to record.
   if (!guarded) return c;
@@ -554,11 +548,11 @@ Matrix GuardedBackend::run_product(const Matrix& a, const Matrix& bsrc, ptc::Gro
       refresh_tile(tile);
       checks[t] = run_tile(tile, t, ae, ae_gold, xsum, *bdata, *pb, rescale, c, worker_sums(0));
       outcome.tiles_corrected += checks[t].corrected;
-      const ptc::EventCounter ev = ptc::tile_step_events(tile.rows, tile.cols, k, nl);
+      const ptc::EventCounter ev = ptc::tile_step_events(
+          tile.rows, tile.cols, k, nl, ptc::Residency::kBroadcast, ptc::kSamplePerOutput);
       events_ += ev;
       monitor_->record_retry_events(ev);
-      outcome.checksum_events += ptc::checksum_lane_events(tile.rows, tile.cols, k, chunks,
-                                                           cfg_.guard.column_only);
+      outcome.checksum_events += ptc::checksum_lane_events(tile.rows, tile.cols, k, chunks);
     }
     std::vector<std::size_t> still_bad;
     for (const std::size_t t : bad) {

@@ -289,8 +289,7 @@ class GuardedBackend final : public nn::GemmBackend {
   /// ptc::fold_tile — PhotonicGemm's fold — with the raw row and column
   /// sums staged in `sums` (a worker_sums slot) when guarded.  Guarded,
   /// returns ptc::verify_tile's verdict against `ae_gold` / `xsum` /
-  /// `pb`, with its single-error site corrected in place when
-  /// sec_correction is on.
+  /// `pb`, with its single-error site corrected in place.
   [[nodiscard]] ptc::TileCheck run_tile(const ptc::Tile& tile, std::size_t t, const Matrix& ae,
                                         const Matrix& ae_gold, const Matrix& xsum,
                                         const Matrix& bdata, const ptc::PreparedOperand& pb,

@@ -4,43 +4,6 @@
 
 namespace pdac::nn {
 
-WorkloadTrace trace_decode_step(const TransformerConfig& cfg, std::size_t context_len) {
-  PDAC_REQUIRE(context_len >= 1, "trace_decode_step: context must be non-empty");
-  WorkloadTrace t;
-  t.config = cfg;
-  const std::size_t d = cfg.d_model;
-  const std::size_t h = cfg.heads;
-  const std::size_t dh = cfg.d_head();
-  const std::size_t ff = cfg.d_ff;
-  const std::size_t len = context_len;  // K/V rows attended over (incl. new token)
-
-  for (std::size_t layer = 0; layer < cfg.layers; ++layer) {
-    const std::string p = "D" + std::to_string(layer) + ".";
-    // Projections for the single new token (GEMVs over static weights).
-    t.gemms.push_back({p + "Q-proj", OpClass::kAttention, 1, d, d, true, 1, 0});
-    t.gemms.push_back({p + "K-proj", OpClass::kAttention, 1, d, d, true, 1, 0});
-    t.gemms.push_back({p + "V-proj", OpClass::kAttention, 1, d, d, true, 1, 0});
-    // Scores and context against the cache: dynamic products, but the K
-    // and V operands stream from the KV cache — charge that movement.
-    t.gemms.push_back({p + "QK^T", OpClass::kAttention, 1, dh, len, false, h,
-                       /*extra_movement=*/dh * len});
-    t.gemms.push_back({p + "AV", OpClass::kAttention, 1, len, dh, false, h,
-                       /*extra_movement=*/len * dh});
-    t.gemms.push_back({p + "O-proj", OpClass::kAttention, 1, d, d, true, 1, 0});
-
-    t.gemms.push_back({p + "FFN-up", OpClass::kFfn, 1, d, ff, true, 1, 0});
-    t.gemms.push_back({p + "FFN-down", OpClass::kFfn, 1, ff, d, true, 1, 0});
-
-    t.vector_ops.push_back({p + "softmax", OpClass::kOther, h * len});
-    t.vector_ops.push_back({p + "gelu", OpClass::kOther, ff});
-    t.vector_ops.push_back({p + "layernorm×2", OpClass::kOther, 2 * d});
-    t.vector_ops.push_back({p + "residual×2", OpClass::kOther, 2 * d});
-    // Writing the new token's K and V rows into the cache.
-    t.vector_ops.push_back({p + "kv-append", OpClass::kOther, 2 * d});
-  }
-  return t;
-}
-
 WorkloadTrace trace_decode_step_quantized_kv(const TransformerConfig& cfg,
                                              std::size_t context_len, int operand_bits,
                                              int kv_bits) {
@@ -52,43 +15,6 @@ WorkloadTrace trace_decode_step_quantized_kv(const TransformerConfig& cfg,
     g.extra_movement_elements = g.extra_movement_elements *
                                 static_cast<std::size_t>(kv_bits) /
                                 static_cast<std::size_t>(operand_bits);
-  }
-  return t;
-}
-
-WorkloadTrace trace_decode_step_batched(const TransformerConfig& cfg,
-                                        std::size_t context_len, std::size_t batch) {
-  PDAC_REQUIRE(batch >= 1, "trace_decode_step_batched: batch must be positive");
-  PDAC_REQUIRE(context_len >= 1, "trace_decode_step_batched: context must be non-empty");
-  WorkloadTrace t;
-  t.config = cfg;
-  const std::size_t d = cfg.d_model;
-  const std::size_t h = cfg.heads;
-  const std::size_t dh = cfg.d_head();
-  const std::size_t ff = cfg.d_ff;
-  const std::size_t len = context_len;
-
-  for (std::size_t layer = 0; layer < cfg.layers; ++layer) {
-    const std::string p = "B" + std::to_string(layer) + ".";
-    // Weight GEMMs fuse across the batch: one (batch × d × d) product.
-    t.gemms.push_back({p + "Q-proj", OpClass::kAttention, batch, d, d, true, 1, 0});
-    t.gemms.push_back({p + "K-proj", OpClass::kAttention, batch, d, d, true, 1, 0});
-    t.gemms.push_back({p + "V-proj", OpClass::kAttention, batch, d, d, true, 1, 0});
-    // Attention cannot fuse: every sequence attends over its own cache.
-    t.gemms.push_back({p + "QK^T", OpClass::kAttention, 1, dh, len, false, h * batch,
-                       dh * len});
-    t.gemms.push_back({p + "AV", OpClass::kAttention, 1, len, dh, false, h * batch,
-                       len * dh});
-    t.gemms.push_back({p + "O-proj", OpClass::kAttention, batch, d, d, true, 1, 0});
-
-    t.gemms.push_back({p + "FFN-up", OpClass::kFfn, batch, d, ff, true, 1, 0});
-    t.gemms.push_back({p + "FFN-down", OpClass::kFfn, batch, ff, d, true, 1, 0});
-
-    t.vector_ops.push_back({p + "softmax", OpClass::kOther, batch * h * len});
-    t.vector_ops.push_back({p + "gelu", OpClass::kOther, batch * ff});
-    t.vector_ops.push_back({p + "layernorm×2", OpClass::kOther, 2 * batch * d});
-    t.vector_ops.push_back({p + "residual×2", OpClass::kOther, 2 * batch * d});
-    t.vector_ops.push_back({p + "kv-append", OpClass::kOther, 2 * batch * d});
   }
   return t;
 }
@@ -120,10 +46,7 @@ std::uint64_t kv_cache_bytes(const TransformerConfig& cfg, std::size_t context_l
 double arithmetic_intensity(const WorkloadTrace& trace, int bits) {
   PDAC_REQUIRE(bits >= 1, "arithmetic_intensity: bits must be positive");
   std::uint64_t moved_elements = 0;
-  for (const auto& g : trace.gemms) {
-    moved_elements += g.weight_elements() + (g.static_weights ? g.activation_elements() : 0) +
-                      g.total_extra_movement_elements();
-  }
+  for (const auto& g : trace.gemms) moved_elements += g.moved_elements();
   const double bytes =
       static_cast<double>(moved_elements) * static_cast<double>(bits) / 8.0;
   return bytes > 0.0 ? static_cast<double>(trace.total_macs()) / bytes

@@ -18,18 +18,17 @@
 
 namespace pdac::nn {
 
-/// Trace the generation of ONE token with a KV cache holding
-/// `context_len` previous tokens (prompt + already-generated).
-WorkloadTrace trace_decode_step(const TransformerConfig& cfg, std::size_t context_len);
-
-/// Batched decode: `batch` independent sequences advance one token each.
-/// Projections and FFN GEMVs fuse into (batch × d) GEMMs — restoring
-/// weight reuse and DDot-row occupancy — while every sequence still
-/// streams its own KV cache (attention stays per-sequence).  This is the
-/// standard LLM-serving lever; the A15 bench quantifies how much of the
-/// P-DAC's prefill-class saving it recovers.
-WorkloadTrace trace_decode_step_batched(const TransformerConfig& cfg,
-                                        std::size_t context_len, std::size_t batch);
+/// Trace the generation of ONE token by each of `batch` independent
+/// sequences, every one with a KV cache holding `context_len` previous
+/// tokens (prompt + already-generated).  Projections and FFN GEMVs fuse
+/// into (batch × d) GEMMs — restoring weight reuse and DDot-row
+/// occupancy — while every sequence still streams its own KV cache
+/// (attention stays per-sequence).  Batching is the standard LLM-serving
+/// lever; the A15 bench quantifies how much of the P-DAC's prefill-class
+/// saving it recovers.  Defined beside trace_forward (workload_trace.cpp),
+/// whose transformer block it shares.
+WorkloadTrace trace_decode_step(const TransformerConfig& cfg, std::size_t context_len,
+                                std::size_t batch = 1);
 
 /// Trace a full generation episode: a prefill pass over `prompt_len`
 /// tokens followed by `generated_tokens` decode steps with a growing

@@ -1,5 +1,8 @@
 #include "nn/workload_trace.hpp"
 
+#include "common/require.hpp"
+#include "nn/decode_trace.hpp"
+
 namespace pdac::nn {
 
 std::size_t WorkloadTrace::total_macs() const {
@@ -32,37 +35,64 @@ std::size_t WorkloadTrace::activation_elements(OpClass c) const {
   return sum;
 }
 
-WorkloadTrace trace_forward(const TransformerConfig& cfg) {
-  WorkloadTrace t;
-  t.config = cfg;
-  const std::size_t s = cfg.seq_len;
+namespace {
+
+/// Appends one transformer block per layer: `sequences` independent
+/// sequences each run `rows` query rows attending over `context` K/V
+/// rows.  The weight GEMMs fuse across sequences into one
+/// (sequences·rows)-row product; Q·Kᵀ and A·V are dynamic–dynamic
+/// products (no weight fetch) run per head and per sequence, since every
+/// sequence attends over its own keys.  With `kv_cache`, the K and V
+/// operands stream from the cache, charged as extra movement per repeat,
+/// and every new row's K and V are appended to it.
+void trace_blocks(WorkloadTrace& t, std::size_t sequences, std::size_t rows,
+                  std::size_t context, bool kv_cache) {
+  const TransformerConfig& cfg = t.config;
   const std::size_t d = cfg.d_model;
   const std::size_t h = cfg.heads;
   const std::size_t dh = cfg.d_head();
   const std::size_t ff = cfg.d_ff;
+  const std::size_t m = sequences * rows;
+  const std::size_t kv_reads = kv_cache ? dh * context : 0;
 
   for (std::size_t layer = 0; layer < cfg.layers; ++layer) {
-    const std::string p = "L" + std::to_string(layer) + ".";
-    // Attention: three projections with static weights…
-    t.gemms.push_back({p + "Q-proj", OpClass::kAttention, s, d, d, true, 1});
-    t.gemms.push_back({p + "K-proj", OpClass::kAttention, s, d, d, true, 1});
-    t.gemms.push_back({p + "V-proj", OpClass::kAttention, s, d, d, true, 1});
-    // …two dynamic–dynamic products per head (no weight fetch)…
-    t.gemms.push_back({p + "QK^T", OpClass::kAttention, s, dh, s, false, h});
-    t.gemms.push_back({p + "AV", OpClass::kAttention, s, s, dh, false, h});
-    // …and the output projection.
-    t.gemms.push_back({p + "O-proj", OpClass::kAttention, s, d, d, true, 1});
-
-    // Feed-forward block.
-    t.gemms.push_back({p + "FFN-up", OpClass::kFfn, s, d, ff, true, 1});
-    t.gemms.push_back({p + "FFN-down", OpClass::kFfn, s, ff, d, true, 1});
+    const std::string p = (kv_cache ? "D" : "L") + std::to_string(layer) + ".";
+    t.gemms.push_back({p + "Q-proj", OpClass::kAttention, m, d, d, true, 1, 0});
+    t.gemms.push_back({p + "K-proj", OpClass::kAttention, m, d, d, true, 1, 0});
+    t.gemms.push_back({p + "V-proj", OpClass::kAttention, m, d, d, true, 1, 0});
+    t.gemms.push_back(
+        {p + "QK^T", OpClass::kAttention, rows, dh, context, false, h * sequences, kv_reads});
+    t.gemms.push_back(
+        {p + "AV", OpClass::kAttention, rows, context, dh, false, h * sequences, kv_reads});
+    t.gemms.push_back({p + "O-proj", OpClass::kAttention, m, d, d, true, 1, 0});
+    t.gemms.push_back({p + "FFN-up", OpClass::kFfn, m, d, ff, true, 1, 0});
+    t.gemms.push_back({p + "FFN-down", OpClass::kFfn, m, ff, d, true, 1, 0});
 
     // Digital vector work (softmax, GELU, two layernorms, residuals).
-    t.vector_ops.push_back({p + "softmax", OpClass::kOther, h * s * s});
-    t.vector_ops.push_back({p + "gelu", OpClass::kOther, s * ff});
-    t.vector_ops.push_back({p + "layernorm×2", OpClass::kOther, 2 * s * d});
-    t.vector_ops.push_back({p + "residual×2", OpClass::kOther, 2 * s * d});
+    t.vector_ops.push_back({p + "softmax", OpClass::kOther, h * m * context});
+    t.vector_ops.push_back({p + "gelu", OpClass::kOther, m * ff});
+    t.vector_ops.push_back({p + "layernorm×2", OpClass::kOther, 2 * m * d});
+    t.vector_ops.push_back({p + "residual×2", OpClass::kOther, 2 * m * d});
+    if (kv_cache) t.vector_ops.push_back({p + "kv-append", OpClass::kOther, 2 * m * d});
   }
+}
+
+}  // namespace
+
+WorkloadTrace trace_forward(const TransformerConfig& cfg) {
+  WorkloadTrace t;
+  t.config = cfg;
+  trace_blocks(t, 1, cfg.seq_len, cfg.seq_len, false);
+  return t;
+}
+
+WorkloadTrace trace_decode_step(const TransformerConfig& cfg, std::size_t context_len,
+                                std::size_t batch) {
+  PDAC_REQUIRE(context_len >= 1, "trace_decode_step: context must be non-empty");
+  PDAC_REQUIRE(batch >= 1, "trace_decode_step: batch must be positive");
+  WorkloadTrace t;
+  t.config = cfg;
+  trace_blocks(t, batch, 1, context_len, true);
   return t;
 }
 

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "nn/model_config.hpp"
+#include "ptc/event_counter.hpp"
 
 namespace pdac::nn {
 
@@ -50,6 +51,18 @@ struct GemmOp {
   /// Elements of B fetched from weight memory (0 for dynamic operands).
   [[nodiscard]] std::size_t weight_elements() const {
     return static_weights ? k * n * repeats : 0;
+  }
+  /// Elements moved from memory: the weights, the activations staged for
+  /// a static GEMM (dynamic products stay in PTC-local buffers), and the
+  /// extra movement of every repeat.
+  [[nodiscard]] std::size_t moved_elements() const {
+    return weight_elements() + (static_weights ? activation_elements() : 0) +
+           total_extra_movement_elements();
+  }
+  /// How the B operand reaches the array: static weights are broadcast,
+  /// dynamic operands converted per DDot (ptc::tile_step_events).
+  [[nodiscard]] ptc::Residency residency() const {
+    return static_weights ? ptc::Residency::kBroadcast : ptc::Residency::kDynamic;
   }
 };
 

@@ -12,13 +12,17 @@
 
 namespace pdac::ptc {
 
+// The band's two multipliers (guard_tolerance): on the machine-epsilon
+// reassociation bound, and on GuardConfig::noise_sigma.
+constexpr double kFpSlack = 64.0;
+constexpr double kNoiseZscore = 8.0;
+
 double guard_tolerance(const GuardConfig& cfg, std::size_t k, std::size_t fan, double mag) {
-  PDAC_REQUIRE(cfg.noise_zscore >= 0.0 && cfg.noise_sigma >= 0.0 && cfg.fp_slack >= 0.0,
-               "guard_tolerance: band parameters must be non-negative");
+  PDAC_REQUIRE(cfg.noise_sigma >= 0.0, "guard_tolerance: noise sigma must be non-negative");
   const double terms = static_cast<double>(fan + 1);
-  const double fp = cfg.fp_slack * DBL_EPSILON * static_cast<double>(k) * terms *
+  const double fp = kFpSlack * DBL_EPSILON * static_cast<double>(k) * terms *
                     std::max(std::abs(mag), 1.0);
-  const double noise = cfg.noise_zscore * cfg.noise_sigma * std::sqrt(terms);
+  const double noise = kNoiseZscore * cfg.noise_sigma * std::sqrt(terms);
   return fp + noise;
 }
 
@@ -92,15 +96,13 @@ TileCheck verify_tile(const GuardConfig& cfg, const Tile& tile, std::size_t t,
   ErrorSite site;
   double col_delta = 0.0;
   // Lanes in verdict order: the row lanes, Σ_j tile(i,j) vs ⟨golden x′_i,
-  // cached golden Σ_j y′_j⟩ (skipped, with their spare-lane charge, in the
-  // column-only cheap mode), then the column lanes, Σ_i tile(i,j) vs
+  // cached golden Σ_j y′_j⟩, then the column lanes, Σ_i tile(i,j) vs
   // ⟨golden Σ_i x′_i, golden y′_j⟩.  Each reference is one serial chain in
   // ascending p; simd::serial_dots runs a batch of them side by side with
   // each chain's exact bits, and the residuals are then judged in order.
-  const std::size_t row_lanes = cfg.column_only ? 0 : tile.rows;
+  const std::size_t row_lanes = tile.rows;
   const std::size_t lanes = row_lanes + tile.cols;
-  const double* ysum =
-      row_lanes > 0 ? b.checksum.row(tile.col0 / b.checksum_stripe).data() : nullptr;
+  const double* ysum = b.checksum.row(tile.col0 / b.checksum_stripe).data();
   const Matrix& bref = b.reference.size() > 0 ? b.reference : b.encoded;
   constexpr std::size_t kBatch = 32;
   const double* xs[kBatch] = {};
@@ -146,21 +148,28 @@ TileCheck verify_tile(const GuardConfig& cfg, const Tile& tile, std::size_t t,
 }
 
 EventCounter checksum_lane_events(std::size_t h, std::size_t w, std::size_t k,
-                                  std::size_t chunks, bool column_only) {
+                                  std::size_t chunks) {
   EventCounter ev;
   // One extra A row and one extra B column modulated per tile step; the
   // h + w checksum outputs are detected, reduced and digitized like data
   // lanes.  The spare row/column computes inside the same tile step, so
-  // occupancy cycles are unchanged.  Column-only mode keeps just the
-  // spare A row (Σ_i x′_i) and its w column-lane outputs.
-  const std::size_t lanes = column_only ? w : h + w;
-  ev.modulation_events = (column_only ? 1 : 2) * k;
+  // occupancy cycles are unchanged.
+  const std::size_t lanes = h + w;
+  ev.modulation_events = 2 * k;
   ev.adc_events = lanes;
   ev.ddot_ops = lanes * chunks;
   ev.detection_events = lanes * chunks;
   ev.macs = lanes * k;
   ev.cycles = 0;
   return ev;
+}
+
+EventCounter checksum_product_events(std::size_t m, std::size_t k, std::size_t n,
+                                     const TileGrid& grid) {
+  const std::size_t chunks = (k + grid.lanes - 1) / grid.lanes;
+  return sum_over_tiles(m, n, grid, [&](std::size_t h, std::size_t w) {
+    return checksum_lane_events(h, w, k, chunks);
+  });
 }
 
 }  // namespace pdac::ptc

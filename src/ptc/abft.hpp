@@ -64,34 +64,11 @@ struct GuardConfig {
   /// Master switch: off = the engine computes and charges nothing extra
   /// and results are bit-for-bit the unguarded ones.
   bool enabled{false};
-  /// Multiplier on `noise_sigma` — the statistical half of the band.
-  /// 8σ keeps the clean false-positive probability below ~1e−15 per
-  /// comparison even for Gaussian-tailed noise.
-  double noise_zscore{8.0};
-  /// Per-dot readout noise sigma in raw (pre-rescale) dot units.  Leave
-  /// 0 for the deterministic simulator path; calibrate_guard_sigma()
-  /// derives it from the ADC step and the measured PD noise floor when
-  /// either is active.
+  /// Per-dot readout noise sigma in raw (pre-rescale) dot units; the band
+  /// takes 8σ of it (guard_tolerance).  Leave 0 for the deterministic
+  /// simulator path; calibrate_guard_sigma() derives it from the ADC step
+  /// and the measured PD noise floor when either is active.
   double noise_sigma{0.0};
-  /// Multiplier on the machine-epsilon reassociation bound — the
-  /// deterministic half of the band.  The default is ~100× the worst
-  /// residual observed over millions of clean tiles; a genuine stuck
-  /// lane overshoots it by 6+ orders of magnitude.
-  double fp_slack{64.0};
-  /// Cheap guard mode: run only the column checksum lanes (the spare A
-  /// row, Σ_i x′_i).  Halves the guard's extra MACs, DDots and ADC
-  /// samples and still localizes corruption to a column stripe, at the
-  /// price of losing row localization — and with it single-error
-  /// correction, which needs the row×column intersection.
-  bool column_only{false};
-  /// Single-error correction: when exactly one row lane and exactly one
-  /// column lane mismatch and their residuals agree, verify_tile locates
-  /// the corrupted element at the intersection (TileCheck::single_error)
-  /// and faults::GuardedBackend corrects it digitally from the checksum
-  /// residual — no escalation rung fires.  PhotonicGemm never corrects:
-  /// its cache repair depends on seeing the mismatch.  Ignored under
-  /// column_only (no row lanes to intersect).
-  bool sec_correction{true};
   /// Hysteresis band for continuous drift (DESIGN.md §16): a residual in
   /// (tolerance, drift_band·tolerance] is *absorbed* — recorded as a
   /// drift observation (TileCheck::drift_ratio, GuardOutcome::
@@ -110,8 +87,11 @@ struct GuardConfig {
 /// Tolerance band for one checksum comparison: `fan` digitized dot
 /// products of length k summed against the digital reference, where
 /// `mag` bounds the magnitude of the individual raw dot values involved.
-/// Deterministic term: fp_slack · ε · k · (fan+1) · max(mag, 1); noise
-/// term: zscore · noise_sigma · √(fan+1).
+/// Deterministic term: 64 · ε · k · (fan+1) · max(mag, 1), ~100× the
+/// worst residual observed over millions of clean tiles (a stuck lane
+/// overshoots it by 6+ orders of magnitude); noise term: 8 · noise_sigma
+/// · √(fan+1), which keeps the clean false-positive probability below
+/// ~1e−15 per comparison even for Gaussian-tailed noise.
 [[nodiscard]] double guard_tolerance(const GuardConfig& cfg, std::size_t k, std::size_t fan,
                                      double mag);
 
@@ -171,8 +151,8 @@ void stripe_sums(const Matrix& rows, std::size_t stripe, Matrix& out);
 
 /// The checksum verdict of one guarded tile, shared by every executor.
 /// `rsum`/`csum` are the tile's raw analog row and column sums.  Row lane
-/// i compares against ⟨a_golden.row(i), b's checksum stripe⟩ (skipped
-/// under column_only); column lane j against ⟨xsum, b's golden column
+/// i compares against ⟨a_golden.row(i), b's checksum stripe⟩; column
+/// lane j against ⟨xsum, b's golden column
 /// j⟩ — b.reference when staged, else b.encoded — where `xsum` is the
 /// tile's golden A stripe sum.  Each reference is one serial chain in
 /// ascending position; the chains run side by side in SIMD lanes
@@ -180,7 +160,12 @@ void stripe_sums(const Matrix& rows, std::size_t stripe, Matrix& out);
 /// in stack batches so nothing is allocated per tile.  Each residual is
 /// then judged in lane order: clean up to the tolerance, absorbed drift
 /// up to drift_band·tolerance, an excursion beyond; a NaN is always an
-/// excursion.  Correction is the caller's.
+/// excursion.  When exactly one row lane and one column lane are out of
+/// band and their residuals agree, the verdict locates the corrupted
+/// element at their intersection (TileCheck::single_error); correcting
+/// it is the caller's.  faults::GuardedBackend always corrects it,
+/// digitally from the residual, with no escalation rung; PhotonicGemm
+/// never does, since its cache repair depends on seeing the mismatch.
 [[nodiscard]] TileCheck verify_tile(const GuardConfig& cfg, const Tile& tile, std::size_t t,
                                     std::span<const double> rsum, std::span<const double> csum,
                                     const Matrix& a_golden, std::span<const double> xsum,
@@ -212,8 +197,7 @@ struct GuardOutcome {
   /// extra B column are modulated (2·k events), the H+W checksum lane
   /// outputs are digitized and their DDots reduced; the lanes ride a
   /// spare array row/column inside the same tile step, so they add no
-  /// occupancy cycles.  Under column_only, only the spare A row runs
-  /// (k modulations, W outputs) — the halved charge.
+  /// occupancy cycles.
   EventCounter checksum_events;
 
   [[nodiscard]] bool clean() const { return mismatched_tiles == 0; }
@@ -228,9 +212,12 @@ struct GuardOutcome {
 
 /// Checksum-lane events for one h×w tile of reduction length k chunked
 /// over `chunks` WDM passes — the documented extra charge per tile.
-/// `column_only` drops the row lanes (the spare B column and its h
-/// outputs), halving the guard MACs and ADC samples.
 [[nodiscard]] EventCounter checksum_lane_events(std::size_t h, std::size_t w, std::size_t k,
-                                                std::size_t chunks, bool column_only = false);
+                                                std::size_t chunks);
+
+/// checksum_lane_events summed over a guarded m×k by k×n product's
+/// tiling on `grid` (sum_over_tiles).
+[[nodiscard]] EventCounter checksum_product_events(std::size_t m, std::size_t k, std::size_t n,
+                                                   const TileGrid& grid);
 
 }  // namespace pdac::ptc

@@ -228,11 +228,9 @@ bool append_operand(PreparedOperand& pb, const Matrix& src, GrowAxis axis,
 }
 
 OperandSpec PhotonicGemm::operand_spec(std::uint64_t epoch) const {
-  // The column-only guard never runs the row lanes the stripes feed.
   return OperandSpec{.epoch = epoch,
                      .channels = {},
-                     .checksum_stripe =
-                         cfg_.guard.enabled && !cfg_.guard.column_only ? cfg_.array_cols : 0,
+                     .checksum_stripe = cfg_.guard.enabled ? cfg_.array_cols : 0,
                      .reference = false};
 }
 
@@ -331,7 +329,7 @@ bool PhotonicGemm::append_b_rows(PreparedOperand& pb, const Matrix& b,
 GemmResult PhotonicGemm::multiply_prepared(const Matrix& a, const PreparedOperand& b) const {
   PDAC_REQUIRE(a.cols() == b.rows, "PhotonicGemm: inner dimensions must agree");
   const bool guarded = cfg_.guard.enabled;
-  if (guarded && !cfg_.guard.column_only) {
+  if (guarded) {
     PDAC_REQUIRE(b.checksum_stripe == cfg_.array_cols &&
                      b.checksum.rows() == (b.cols + cfg_.array_cols - 1) / cfg_.array_cols,
                  "PhotonicGemm: guarded execution needs an operand prepared under the same "
@@ -376,7 +374,6 @@ GemmResult PhotonicGemm::multiply_prepared(const Matrix& a, const PreparedOperan
   partition_tiles_into(a.rows(), b.cols, cfg_.array_rows, cfg_.array_cols, tile_scratch_);
   const std::vector<Tile>& tiles = tile_scratch_;
   const std::size_t lanes = cfg_.dot.wavelengths;
-  const std::size_t chunks = (k + lanes - 1) / lanes;
 
   // Per-tile counters land in tile-index slots and are folded in index
   // order after the join, so accounting is deterministic at any thread
@@ -400,8 +397,10 @@ GemmResult PhotonicGemm::multiply_prepared(const Matrix& a, const PreparedOperan
     // hardware modulates B columns per tile step even when the simulator
     // reuses a prepared encoding, so the charge is unconditional.  The
     // kernel tiers charge the closed form whole; the device graph below
-    // keeps the detections, DDot ops and MACs of the dots it ran.
-    EventCounter step = tile_step_events(tile.rows, tile.cols, k, lanes);
+    // keeps the detections, DDot ops and MACs of the dots it ran.  The
+    // executors' rule: B broadcast, one ADC sample per output.
+    EventCounter step =
+        tile_step_events(tile.rows, tile.cols, k, lanes, Residency::kBroadcast, kSamplePerOutput);
     // The tier writes the tile's raw, post-ADC dots into res.c.
     if (path == ExecutionPath::kKernel) {
       // Fused flat-array kernel: the whole tile in one pass, bit-identical
@@ -461,25 +460,19 @@ GemmResult PhotonicGemm::multiply_prepared(const Matrix& a, const PreparedOperan
       fold_worst_residual(check.worst_residual, check.tolerance, res.guard.worst_residual,
                           res.guard.worst_tolerance);
       res.guard.tally_drift(check);
-      res.guard.checksum_events += checksum_lane_events(tiles[t].rows, tiles[t].cols, k, chunks,
-                                                        cfg_.guard.column_only);
     }
+    res.guard.checksum_events = checksum_product_events(
+        a.rows(), k, b.cols, {cfg_.array_rows, cfg_.array_cols, lanes});
   }
   return res;
 }
 
 EventCounter PhotonicGemm::count_events(std::size_t m, std::size_t k, std::size_t n) const {
-  EventCounter ev;
-  // Chunk position i rides channel i, so a reduction of length k takes
-  // ⌈k/wavelengths⌉ chunks; degraded packing (fewer usable channels,
-  // longer reductions) is the faults layer's lane executor.
-  for (std::size_t i0 = 0; i0 < m; i0 += cfg_.array_rows) {
-    const std::size_t h = std::min(cfg_.array_rows, m - i0);
-    for (std::size_t j0 = 0; j0 < n; j0 += cfg_.array_cols) {
-      ev += tile_step_events(h, std::min(cfg_.array_cols, n - j0), k, cfg_.dot.wavelengths);
-    }
-  }
-  return ev;
+  // The executors' rule: B broadcast, one ADC sample per output.  Chunk
+  // position i rides channel i, so reductions chunk over every
+  // wavelength; degraded packing is the faults layer's lane executor.
+  return product_events(m, k, n, {cfg_.array_rows, cfg_.array_cols, cfg_.dot.wavelengths},
+                        Residency::kBroadcast, kSamplePerOutput);
 }
 
 }  // namespace pdac::ptc

@@ -50,12 +50,12 @@
 //
 // ABFT guard (DESIGN.md §12, abft.hpp): with GemmConfig::guard enabled,
 // prepare_b additionally builds one checksum column per array-width
-// column stripe (cached with the operand; none under column_only, which
-// runs no row lanes) and multiply_prepared runs the checksum lanes
-// alongside every tile, judged by ptc::verify_tile — the one tile
-// verdict every guarded executor shares, drift band included.  The
-// engine never applies the verdict's single-error correction: a
-// mismatch is how PhotonicBackend learns a cached operand was corrupted.
+// column stripe (cached with the operand) and multiply_prepared runs
+// the checksum lanes alongside every tile, judged by ptc::verify_tile —
+// the one tile verdict every guarded executor shares, drift band
+// included.  The engine never applies the verdict's single-error
+// correction: a mismatch is how PhotonicBackend learns a cached operand
+// was corrupted.
 // The data path is untouched — numerics and EventCounter stay
 // bit-identical to the unguarded product — and the checksum-lane charge
 // is reported separately in GemmResult::guard.checksum_events.
@@ -331,8 +331,9 @@ class PhotonicGemm {
   [[nodiscard]] GemmResult multiply_prepared(const Matrix& a, const PreparedOperand& b) const;
 
   /// Analytic event counts for an (m×k)·(k×n) product on the configured
-  /// array, without running numerics — the workload tracer uses this for
-  /// full-size model shapes.  Equal to the counts multiply() attaches.
+  /// array, without running numerics: ptc::product_events under the
+  /// executors' rule (B broadcast, one ADC sample per output).  Equal to
+  /// the counts multiply() attaches.
   [[nodiscard]] EventCounter count_events(std::size_t m, std::size_t k, std::size_t n) const;
 
   /// Resolved worker count (threads == 0 resolved at construction).

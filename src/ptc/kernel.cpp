@@ -16,10 +16,10 @@ namespace {
 // merely interleaved, never mixed — so every NB gives the same bits per
 // dot.  The payoff is ILP: a single dot is latency-bound on its two serial
 // accumulation chains (sp/sm), while NB dots give the core 2·NB
-// independent chains plus one load of x and the lane coefficients per NB
-// dots.
+// independent chains plus one load of x per NB dots.  Every wavelength
+// shares the one coefficient row `ln`.
 template <std::size_t NB>
-void reduce_block(const LaneTransfer* lanes, std::size_t nl, const DetectorTransfer& det,
+void reduce_block(const LaneTransfer& ln, std::size_t nl, const DetectorTransfer& det,
                   bool full_optics, const double* xe, const Matrix& be, std::size_t j,
                   std::size_t n, double* out) {
   const double* ys[NB];
@@ -41,7 +41,6 @@ void reduce_block(const LaneTransfer* lanes, std::size_t nl, const DetectorTrans
     double sp[NB] = {};
     double sm[NB] = {};
     for (std::size_t i = 0; i < len; ++i) {
-      const LaneTransfer& ln = lanes[i];
       const double x = xe[base + i];
       // The device graph expands the full complex products on (x + 0j)/
       // (y + 0j) operands; this loop drops every term that is an exact
@@ -94,15 +93,11 @@ FusedKernel::FusedKernel(const Ddot& ddot, const DotEngineConfig& cfg) : cfg_(cf
   // reproduced exactly.
   const photonics::Complex f = ddot.phase_shifter().factor();
   const photonics::Complex jk = photonics::Complex{0.0, 1.0} * ddot.coupler().coupling();
-  LaneTransfer lane;
-  lane.ps_re = f.real();
-  lane.ps_im = f.imag();
-  lane.t = ddot.coupler().transmission();
-  lane.jk_re = jk.real();
-  lane.jk_im = jk.imag();
-
-  // Chunk position i rides channel i, as in PhotonicDotEngine's loop.
-  lanes_.assign(cfg.wavelengths, lane);
+  lane_.ps_re = f.real();
+  lane_.ps_im = f.imag();
+  lane_.t = ddot.coupler().transmission();
+  lane_.jk_re = jk.real();
+  lane_.jk_im = jk.imag();
 
   det_.gain_plus = ddot.pd_plus().effective_responsivity();
   det_.dark_plus = ddot.pd_plus().config().dark_current;
@@ -129,11 +124,11 @@ void FusedKernel::run_tile(const Tile& tile, const Matrix& ae, const Matrix& be,
     double* const raw = c.row(i).data() + tile.col0;
     std::size_t j = tile.col0;
     for (; j + kBlock <= col_end; j += kBlock) {
-      reduce_block<kBlock>(lanes_.data(), lanes_.size(), det_, optics, x, be, j, k,
+      reduce_block<kBlock>(lane_, cfg_.wavelengths, det_, optics, x, be, j, k,
                            raw + (j - tile.col0));
     }
     for (; j < col_end; ++j) {
-      reduce_block<1>(lanes_.data(), lanes_.size(), det_, optics, x, be, j, k,
+      reduce_block<1>(lane_, cfg_.wavelengths, det_, optics, x, be, j, k,
                       raw + (j - tile.col0));
     }
     // One span ADC call per tile row, bit-identical to sampling each value.
@@ -142,10 +137,9 @@ void FusedKernel::run_tile(const Tile& tile, const Matrix& ae, const Matrix& be,
 }
 
 FusedKernel::QuadraticForm FusedKernel::quadratic_form(std::size_t k) const {
-  // Closed quadratic form of the full-optics physics.  Every lane shares
-  // one coefficient row (the constructor assigns the same LaneTransfer to
-  // all active wavelengths — a class invariant), so the per-element rail
-  // intensities collapse algebraically:
+  // Closed quadratic form of the full-optics physics.  Every wavelength
+  // shares the one coefficient row, so the per-element rail intensities
+  // collapse algebraically:
   //
   //   sp_e = ½[t²·x² + κ²·|f|²·y² − 2tκ·ps_im·x·y]
   //   sm_e = ½[κ²·x² + t²·|f|²·y² + 2tκ·ps_im·x·y]      |f|² = ps_re²+ps_im²
@@ -158,11 +152,11 @@ FusedKernel::QuadraticForm FusedKernel::quadratic_form(std::size_t k) const {
   // then reduces to plain dot products: Σxy per output, plus the row and
   // column energies Σx² and Σy², which depend on one operand row each and
   // are therefore summed by the caller once (see energy()), not per tile.
-  const LaneTransfer& ln = lanes_.front();
+  const LaneTransfer& ln = lane_;
   const double f2 = ln.ps_re * ln.ps_re + ln.ps_im * ln.ps_im;
   const double t2 = ln.t * ln.t;
   const double k2 = ln.jk_im * ln.jk_im;
-  const std::uint64_t chunks = (k + lanes_.size() - 1) / lanes_.size();
+  const std::uint64_t chunks = (k + cfg_.wavelengths - 1) / cfg_.wavelengths;
   return {.cxx = 0.5 * (det_.gain_plus * t2 - det_.gain_minus * k2),
           .cyy = 0.5 * f2 * (det_.gain_plus * k2 - det_.gain_minus * t2),
           .cxy = -ln.t * ln.jk_im * ln.ps_im * (det_.gain_plus + det_.gain_minus),

@@ -7,10 +7,10 @@
 // arithmetic on purely real operand amplitudes, and per-element dispatch
 // through device objects.  P-DAC's own contribution is replacing exact
 // per-element machinery with a cheap closed form; the same move applies
-// here.  At construction the kernel snapshots each lane's effective
+// here.  At construction the kernel snapshots the lanes' effective
 // real-valued transfer — phase-shifter factor, coupler split (t, j·κ),
-// PD responsivity×scale and dark current — into a flat per-lane
-// coefficient table, then executes encode → couple → detect →
+// PD responsivity×scale and dark current — into one coefficient row
+// every wavelength shares, then executes encode → couple → detect →
 // differential readout for whole tiles as one pass over contiguous
 // double arrays, every dot through one reduction (reduce_block).
 //
@@ -53,7 +53,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "common/matrix.hpp"
 #include "ptc/ddot.hpp"
@@ -133,8 +132,8 @@ class FusedKernel {
   [[nodiscard]] double energy(std::span<const double> y, std::size_t m,
                               std::span<double> state) const;
 
-  [[nodiscard]] std::size_t active_wavelengths() const { return lanes_.size(); }
-  [[nodiscard]] const std::vector<LaneTransfer>& lane_table() const { return lanes_; }
+  [[nodiscard]] std::size_t wavelengths() const { return cfg_.wavelengths; }
+  [[nodiscard]] const LaneTransfer& lane() const { return lane_; }
   [[nodiscard]] const DetectorTransfer& detector() const { return det_; }
 
  private:
@@ -147,9 +146,9 @@ class FusedKernel {
   };
   [[nodiscard]] QuadraticForm quadratic_form(std::size_t k) const;
 
-  /// One coefficient row per wavelength, in packing order — the flat
-  /// table the inner loop streams.
-  std::vector<LaneTransfer> lanes_;
+  /// The one coefficient row every wavelength shares: chunk position i
+  /// rides channel i of identical devices, as in PhotonicDotEngine's loop.
+  LaneTransfer lane_{};
   DetectorTransfer det_{};
   DotEngineConfig cfg_;  ///< optics and readout switches
 };

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cfloat>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -47,12 +48,14 @@ TEST(GuardTolerance, DeterministicBandScalesWithProblemSize) {
 }
 
 TEST(GuardTolerance, NoiseTermAddsInQuadratureFan) {
+  // The band is 64·ε·k·(fan+1)·max(mag, 1) plus 8·σ·√(fan+1); the noise
+  // half is what a nonzero sigma adds on top of the deterministic half.
   GuardConfig cfg;
+  const double deterministic = guard_tolerance(cfg, 64, 8, 64.0);
+  EXPECT_EQ(deterministic, 64.0 * DBL_EPSILON * 64.0 * 9.0 * 64.0);
   cfg.noise_sigma = 0.01;
-  cfg.noise_zscore = 8.0;
-  cfg.fp_slack = 0.0;  // isolate the statistical half
   const double band = guard_tolerance(cfg, 64, 8, 64.0);
-  EXPECT_DOUBLE_EQ(band, 8.0 * 0.01 * std::sqrt(9.0));
+  EXPECT_EQ(band, deterministic + 8.0 * 0.01 * std::sqrt(9.0));
 }
 
 TEST(GuardTolerance, RejectsNegativeParameters) {
@@ -169,18 +172,16 @@ TileCheck scalar_verify_tile(const GuardConfig& cfg, const Tile& tile, std::size
   std::size_t bad_rows = 0, bad_cols = 0;
   ErrorSite site;
   double col_delta = 0.0;
-  if (!cfg.column_only) {
-    const auto ysum = b.checksum.row(tile.col0 / b.checksum_stripe);
-    for (std::size_t i = tile.row0; i < tile.row0 + tile.rows; ++i) {
-      const auto xr = a_golden.row(i);
-      double ref = 0.0;
-      for (std::size_t p = 0; p < k; ++p) ref += xr[p] * ysum[p];
-      const double res = rsum[i - tile.row0] - ref;
-      if (excursion(res, tol_row)) {
-        ++bad_rows;
-        site.row = i;
-        site.delta = res;
-      }
+  const auto ysum = b.checksum.row(tile.col0 / b.checksum_stripe);
+  for (std::size_t i = tile.row0; i < tile.row0 + tile.rows; ++i) {
+    const auto xr = a_golden.row(i);
+    double ref = 0.0;
+    for (std::size_t p = 0; p < k; ++p) ref += xr[p] * ysum[p];
+    const double res = rsum[i - tile.row0] - ref;
+    if (excursion(res, tol_row)) {
+      ++bad_rows;
+      site.row = i;
+      site.delta = res;
     }
   }
   const Matrix& bref = b.reference.size() > 0 ? b.reference : b.encoded;
@@ -211,7 +212,7 @@ TEST(AbftGuard, VerifyTileEqualsScalarReferences) {
   // verify_tile computes its references in SIMD lanes; each must keep its
   // serial chain's bits, so every TileCheck field equals the one-loop-per-
   // lane verdict's.  Tiles of 1–8 × 1–8 at a nonzero corner, reduction
-  // lengths 1–800, both guard modes, drift bands 1 and 4, a golden copy
+  // lengths 1–800, drift bands 1 and 4, a golden copy
   // staged or not, over four tile states: clean (reassociation-scale
   // residuals, since the data sums are blocked dots), one corrupted
   // element (the single-error signature), lanes pushed into the drift
@@ -266,42 +267,38 @@ TEST(AbftGuard, VerifyTileEqualsScalarReferences) {
           } else if (state == 3) {
             c[w - 1] = std::numeric_limits<double>::quiet_NaN();
           }
-          for (const bool column_only : {false, true}) {
-            for (const double band : {1.0, 4.0}) {
-              for (const bool staged : {false, true}) {
-                b.reference = staged ? copy : Matrix();
-                GuardConfig cfg;
-                cfg.enabled = true;
-                cfg.column_only = column_only;
-                cfg.drift_band = band;
-                const TileCheck want =
-                    scalar_verify_tile(cfg, tile, 5, r, c, a_golden, xsum, b);
-                const TileCheck got = verify_tile(cfg, tile, 5, r, c, a_golden, xsum, b);
-                const std::string where =
-                    "k " + std::to_string(k) + " tile " + std::to_string(h) + "x" +
-                    std::to_string(w) + " state " + std::to_string(state) + " column_only " +
-                    std::to_string(column_only) + " band " + std::to_string(band) +
-                    " staged " + std::to_string(staged);
-                EXPECT_EQ(got.tile, want.tile) << where;
-                EXPECT_EQ(got.ok, want.ok) << where;
-                EXPECT_TRUE(same_bits(got.worst_residual, want.worst_residual))
-                    << where << ": " << got.worst_residual << " vs " << want.worst_residual;
-                EXPECT_TRUE(same_bits(got.tolerance, want.tolerance)) << where;
-                EXPECT_EQ(got.corrected, want.corrected) << where;
-                EXPECT_TRUE(same_bits(got.drift_ratio, want.drift_ratio))
-                    << where << ": " << got.drift_ratio << " vs " << want.drift_ratio;
-                ASSERT_EQ(got.single_error.has_value(), want.single_error.has_value()) << where;
-                if (want.single_error) {
-                  ++singles;
-                  EXPECT_EQ(got.single_error->row, want.single_error->row) << where;
-                  EXPECT_EQ(got.single_error->col, want.single_error->col) << where;
-                  EXPECT_TRUE(same_bits(got.single_error->delta, want.single_error->delta))
-                      << where;
-                }
-                if (want.drift_ratio > 0.0) ++drifting;
-                if (std::isnan(want.worst_residual)) ++nans;
-                if (want.ok && want.worst_residual > 0.0) ++clean;
+          for (const double band : {1.0, 4.0}) {
+            for (const bool staged : {false, true}) {
+              b.reference = staged ? copy : Matrix();
+              GuardConfig cfg;
+              cfg.enabled = true;
+              cfg.drift_band = band;
+              const TileCheck want =
+                  scalar_verify_tile(cfg, tile, 5, r, c, a_golden, xsum, b);
+              const TileCheck got = verify_tile(cfg, tile, 5, r, c, a_golden, xsum, b);
+              const std::string where =
+                  "k " + std::to_string(k) + " tile " + std::to_string(h) + "x" +
+                  std::to_string(w) + " state " + std::to_string(state) + " band " +
+                  std::to_string(band) + " staged " + std::to_string(staged);
+              EXPECT_EQ(got.tile, want.tile) << where;
+              EXPECT_EQ(got.ok, want.ok) << where;
+              EXPECT_TRUE(same_bits(got.worst_residual, want.worst_residual))
+                  << where << ": " << got.worst_residual << " vs " << want.worst_residual;
+              EXPECT_TRUE(same_bits(got.tolerance, want.tolerance)) << where;
+              EXPECT_EQ(got.corrected, want.corrected) << where;
+              EXPECT_TRUE(same_bits(got.drift_ratio, want.drift_ratio))
+                  << where << ": " << got.drift_ratio << " vs " << want.drift_ratio;
+              ASSERT_EQ(got.single_error.has_value(), want.single_error.has_value()) << where;
+              if (want.single_error) {
+                ++singles;
+                EXPECT_EQ(got.single_error->row, want.single_error->row) << where;
+                EXPECT_EQ(got.single_error->col, want.single_error->col) << where;
+                EXPECT_TRUE(same_bits(got.single_error->delta, want.single_error->delta))
+                    << where;
               }
+              if (want.drift_ratio > 0.0) ++drifting;
+              if (std::isnan(want.worst_residual)) ++nans;
+              if (want.ok && want.worst_residual > 0.0) ++clean;
             }
           }
         }
@@ -476,49 +473,32 @@ TEST(AbftGuard, NoisyReadoutPathStaysCleanWithCalibratedBand) {
 }
 
 TEST(AbftGuard, CorruptedPreparedColumnIsDetectedAndLocalized) {
-  // Corrupt one cached encoded column after prepare.  Under the full
-  // guard the row checksum lanes (whose reference stripes were summed at
-  // prepare time) flag exactly the tiles whose column range covers the
-  // corrupted column.  The column-only guard prepares no stripes and
-  // runs no row lanes; its column lanes compare against the operand's
-  // golden columns, so that run keeps a golden copy in `reference` (the
-  // faults layer's dual encode) and must flag the same tiles at half the
-  // full guard's checksum modulations.
+  // Corrupt one cached encoded column after prepare.  The row checksum
+  // lanes (whose reference stripes were summed at prepare time) flag
+  // exactly the tiles whose column range covers the corrupted column.
   const auto drv = core::make_pdac_driver(8);
   Rng rng(21);
   const Matrix a = Matrix::random_gaussian(24, 16, rng);  // 3 row stripes
   const Matrix b = Matrix::random_gaussian(16, 24, rng);  // 3 col stripes
-  std::uint64_t full_modulations = 0;
-  for (const bool column_only : {false, true}) {
-    SCOPED_TRACE(column_only ? "column-only" : "full guard");
-    GemmConfig cfg;
-    cfg.array_rows = 8;
-    cfg.array_cols = 8;
-    cfg.guard.enabled = true;
-    cfg.guard.column_only = column_only;
-    const PhotonicGemm gemm(*drv, cfg);
+  GemmConfig cfg;
+  cfg.array_rows = 8;
+  cfg.array_cols = 8;
+  cfg.guard.enabled = true;
+  const PhotonicGemm gemm(*drv, cfg);
 
-    PreparedOperand pb = gemm.prepare_b(b);
-    EXPECT_EQ(pb.checksum.size() == 0, column_only);
-    if (column_only) pb.reference = pb.encoded;
-    const std::size_t bad_col = 13;  // column stripe 1
-    pb.encoded.row(bad_col)[3] += 0.25;  // one flipped amplitude
+  PreparedOperand pb = gemm.prepare_b(b);
+  const std::size_t bad_col = 13;  // column stripe 1
+  pb.encoded.row(bad_col)[3] += 0.25;  // one flipped amplitude
 
-    const GemmResult res = gemm.multiply_prepared(a, pb);
-    EXPECT_FALSE(res.guard.clean());
-    // Tiles are row-major over a 3×3 grid; column stripe 1 owns tile
-    // indices {1, 4, 7}, so detection fires at tile 1 and nowhere outside
-    // the stripe.
-    EXPECT_EQ(res.guard.mismatched_tiles, 3u);
-    EXPECT_EQ(res.guard.first_mismatch, 1u);
-    // A genuine corruption lands far outside the band, not marginally.
-    EXPECT_GT(res.guard.worst_residual, 100.0 * res.guard.worst_tolerance);
-    if (column_only) {
-      EXPECT_EQ(res.guard.checksum_events.modulation_events * 2, full_modulations);
-    } else {
-      full_modulations = res.guard.checksum_events.modulation_events;
-    }
-  }
+  const GemmResult res = gemm.multiply_prepared(a, pb);
+  EXPECT_FALSE(res.guard.clean());
+  // Tiles are row-major over a 3×3 grid; column stripe 1 owns tile
+  // indices {1, 4, 7}, so detection fires at tile 1 and nowhere outside
+  // the stripe.
+  EXPECT_EQ(res.guard.mismatched_tiles, 3u);
+  EXPECT_EQ(res.guard.first_mismatch, 1u);
+  // A genuine corruption lands far outside the band, not marginally.
+  EXPECT_GT(res.guard.worst_residual, 100.0 * res.guard.worst_tolerance);
 }
 
 TEST(AbftGuard, NanInCorruptedOperandIsNeverInBand) {

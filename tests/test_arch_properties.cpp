@@ -8,7 +8,6 @@
 #include "arch/component_power.hpp"
 #include "arch/energy_model.hpp"
 #include "arch/mapper.hpp"
-#include "arch/op_events.hpp"
 #include "nn/model_config.hpp"
 #include "nn/workload_trace.hpp"
 
@@ -57,18 +56,19 @@ TEST_P(OrgProperties, PdacSystemAlwaysCheaper) {
 
 TEST_P(OrgProperties, EventCountsConserveMacs) {
   const LtConfig cfg = make_cfg(GetParam());
-  // Any GEMM's DDot-cycles × wavelengths ≥ its MACs (equality when k is
-  // a multiple of the wavelength count).
+  // Any GEMM's DDot ops × wavelengths ≥ its MACs (equality when k is a
+  // multiple of the wavelength count).
   const nn::GemmOp ops[] = {
       {"a", nn::OpClass::kAttention, 128, 768, 768, true, 1, 0},
       {"b", nn::OpClass::kAttention, 128, 64, 128, false, 12, 0},
       {"c", nn::OpClass::kFfn, 7, 13, 29, true, 3, 0},
   };
   for (const auto& op : ops) {
-    const OpEvents ev = count_op_events(op, cfg);
-    EXPECT_GE(ev.ddot_cycles * cfg.wavelengths, op.macs()) << op.label;
-    EXPECT_GT(ev.modulations, 0u);
-    EXPECT_GT(ev.tile_cycles, 0u);
+    const ptc::EventCounter ev = analytic_events(op, cfg);
+    EXPECT_GE(ev.ddot_ops * cfg.wavelengths, op.macs()) << op.label;
+    EXPECT_EQ(ev.macs, op.macs()) << op.label;
+    EXPECT_GT(ev.modulation_events, 0u);
+    EXPECT_GT(ev.cycles, 0u);
   }
 }
 

@@ -143,7 +143,7 @@ using namespace pdac::nn;
 
 TEST(BatchedDecode, WeightGemmsFuseAcrossBatch) {
   const auto cfg = bert_base(128);
-  const auto t = trace_decode_step_batched(cfg, 256, 16);
+  const auto t = trace_decode_step(cfg, 256, 16);
   for (const auto& g : t.gemms) {
     if (g.static_weights) {
       EXPECT_EQ(g.m, 16u) << g.label;  // fused (batch × d) GEMM
@@ -154,18 +154,10 @@ TEST(BatchedDecode, WeightGemmsFuseAcrossBatch) {
   }
 }
 
-TEST(BatchedDecode, BatchOneMatchesSingleStream) {
-  const auto cfg = bert_base(128);
-  const auto single = trace_decode_step(cfg, 300);
-  const auto batched = trace_decode_step_batched(cfg, 300, 1);
-  EXPECT_EQ(single.total_macs(), batched.total_macs());
-  EXPECT_EQ(single.weight_elements(OpClass::kFfn), batched.weight_elements(OpClass::kFfn));
-}
-
 TEST(BatchedDecode, MacsScaleLinearlyWithBatch) {
   const auto cfg = bert_base(128);
-  const auto b1 = trace_decode_step_batched(cfg, 256, 1);
-  const auto b8 = trace_decode_step_batched(cfg, 256, 8);
+  const auto b1 = trace_decode_step(cfg, 256, 1);
+  const auto b8 = trace_decode_step(cfg, 256, 8);
   EXPECT_EQ(b8.total_macs(), 8 * b1.total_macs());
   // …but weight traffic does NOT scale: that is the whole point.
   std::size_t w1 = 0, w8 = 0;
@@ -176,8 +168,8 @@ TEST(BatchedDecode, MacsScaleLinearlyWithBatch) {
 
 TEST(BatchedDecode, KvTrafficScalesWithBatch) {
   const auto cfg = bert_base(128);
-  const auto b1 = trace_decode_step_batched(cfg, 256, 1);
-  const auto b8 = trace_decode_step_batched(cfg, 256, 8);
+  const auto b1 = trace_decode_step(cfg, 256, 1);
+  const auto b8 = trace_decode_step(cfg, 256, 8);
   auto kv = [](const WorkloadTrace& t) {
     std::size_t sum = 0;
     for (const auto& g : t.gemms) sum += g.extra_movement_elements * g.repeats;
@@ -191,16 +183,34 @@ TEST(BatchedDecode, SavingImprovesWithBatch) {
   const auto lt = arch::lt_base();
   const auto params = arch::lt_power_params();
   const double s1 =
-      arch::compare_energy(trace_decode_step_batched(cfg, 512, 1), lt, params, 8)
+      arch::compare_energy(trace_decode_step(cfg, 512, 1), lt, params, 8)
           .total_saving();
   const double s32 =
-      arch::compare_energy(trace_decode_step_batched(cfg, 512, 32), lt, params, 8)
+      arch::compare_energy(trace_decode_step(cfg, 512, 32), lt, params, 8)
           .total_saving();
   EXPECT_GT(s32, 2.0 * s1);
 }
 
+TEST(GemmOpMovement, DecodeScoresCountKvReadsOncePerHead) {
+  // A decode Q·Kᵀ op is traced once with repeats = heads; every head
+  // streams its own d_head × context slice of the K cache.  As a dynamic
+  // product it fetches no weights and stages no activations, so the KV
+  // reads are all it moves.
+  const auto cfg = bert_base(128);
+  const auto t = trace_decode_step(cfg, 300);
+  const GemmOp& qk = t.gemms[3];
+  ASSERT_EQ(qk.label, "D0.QK^T");
+  EXPECT_EQ(qk.repeats, cfg.heads);
+  EXPECT_EQ(qk.extra_movement_elements, cfg.d_head() * 300);
+  EXPECT_EQ(qk.moved_elements(), cfg.heads * cfg.d_head() * 300);
+  // A static projection moves its weights plus its staged activations.
+  const GemmOp& q = t.gemms[0];
+  ASSERT_EQ(q.label, "D0.Q-proj");
+  EXPECT_EQ(q.moved_elements(), q.k * q.n + q.m * q.k + q.m * q.n);
+}
+
 TEST(BatchedDecode, RejectsZeroBatch) {
-  EXPECT_THROW(trace_decode_step_batched(bert_base(128), 128, 0), PreconditionError);
+  EXPECT_THROW(trace_decode_step(bert_base(128), 128, 0), PreconditionError);
 }
 
 }  // namespace

@@ -106,12 +106,15 @@ Matrix lane_reference(const faults::LaneBank& bank, const Matrix& a, const Matri
 }
 
 /// The tile-step charge of one m×k·k×n product on the 8×8 array over
-/// `lanes` surviving channels.
+/// `lanes` surviving channels, under the executors' rule (B broadcast,
+/// one ADC sample per output), summed tile by tile over the scheduler's
+/// partition.
 ptc::EventCounter product_events(std::size_t m, std::size_t k, std::size_t n,
                                  std::size_t lanes) {
   ptc::EventCounter ev;
   for (const ptc::Tile& tile : ptc::partition_tiles(m, n, 8, 8)) {
-    ev += ptc::tile_step_events(tile.rows, tile.cols, k, lanes);
+    ev += ptc::tile_step_events(tile.rows, tile.cols, k, lanes, ptc::Residency::kBroadcast,
+                                ptc::kSamplePerOutput);
   }
   return ev;
 }
@@ -820,86 +823,6 @@ TEST(GuardedBackend, TwoUpsetsLackTheSecSignatureAndRetryClearsThem) {
   EXPECT_EQ(snap.retrims, 0u);  // transient: the first re-run verifies
   EXPECT_EQ(snap.unrecovered, 0u);
   expect_matrices_equal(got, want);
-}
-
-TEST(GuardedBackend, SecDisabledFallsBackToTheRetryRung) {
-  faults::LaneBank bank(small_bank_config());
-  faults::production_trim(bank);
-  faults::GuardedBackendConfig cfg;
-  cfg.guard.sec_correction = false;
-  faults::GuardedBackend backend(bank, cfg);
-  Rng rng(31);
-  const Matrix a = Matrix::random_gaussian(6, 12, rng, 0.0, 1.0);
-  const Matrix b = Matrix::random_gaussian(12, 7, rng, 0.0, 1.0);
-
-  backend.inject_dot_upset({2, 3, 0.5});
-  (void)backend.matmul(a, b);
-
-  const faults::HealthSnapshot snap = backend.monitor().snapshot();
-  EXPECT_EQ(snap.sec_corrections, 0u);
-  EXPECT_EQ(snap.detections, 1u);
-  EXPECT_GE(snap.retries, 1u);
-  EXPECT_EQ(snap.unrecovered, 0u);
-}
-
-TEST(GuardedBackend, ColumnOnlyGuardHalvesChecksumChargeAndStillDetects) {
-  // The cheap guard mode drops the row-lane stripes: the spare checksum
-  // charge shrinks (w instead of h+w lanes per tile) while the data path
-  // stays bit-identical, and a real lane fault is still caught because
-  // every output column it touches diverges from the golden reference.
-  faults::LaneBank full_bank(small_bank_config());
-  faults::production_trim(full_bank);
-  faults::LaneBank col_bank(small_bank_config());
-  faults::production_trim(col_bank);
-  faults::GuardedBackendConfig col_cfg;
-  col_cfg.guard.column_only = true;
-  faults::GuardedBackend full(full_bank);
-  faults::GuardedBackend col_only(col_bank, col_cfg);
-  Rng rng(37);
-  const Matrix a = Matrix::random_gaussian(9, 12, rng, 0.0, 1.0);
-  const Matrix b = Matrix::random_gaussian(12, 10, rng, 0.0, 1.0);
-
-  expect_matrices_equal(col_only.matmul(a, b), full.matmul(a, b));
-  const auto full_ev = full.monitor().snapshot().checksum_events;
-  const auto col_ev = col_only.monitor().snapshot().checksum_events;
-  EXPECT_LT(col_ev.adc_events, full_ev.adc_events);
-  EXPECT_LT(col_ev.ddot_ops, full_ev.ddot_ops);
-  EXPECT_EQ(col_ev.modulation_events * 2, full_ev.modulation_events);
-
-  // Pre-product stuck MRR: the column-only guard must still detect and
-  // recover in-band.
-  faults::LaneBank fault_bank(small_bank_config());
-  faults::production_trim(fault_bank);
-  faults::GuardedBackend guarded(fault_bank, col_cfg);
-  faults::FaultInjector injector(fault_bank,
-                                 one_event(fault_bank.lanes(), stuck_mrr(2, 0)));
-  injector.advance_to(1);
-  (void)guarded.matmul(a, b);
-  const faults::HealthSnapshot snap = guarded.monitor().snapshot();
-  EXPECT_EQ(snap.detections, 1u);
-  EXPECT_EQ(snap.unrecovered, 0u);
-}
-
-TEST(GuardedBackend, ColumnOnlyGuardCannotCorrectAndRetriesInstead) {
-  // SEC needs the row×column residual intersection; without row lanes a
-  // single-dot upset escalates through the ladder like any mismatch.
-  faults::LaneBank bank(small_bank_config());
-  faults::production_trim(bank);
-  faults::GuardedBackendConfig cfg;
-  cfg.guard.column_only = true;
-  faults::GuardedBackend backend(bank, cfg);
-  Rng rng(41);
-  const Matrix a = Matrix::random_gaussian(6, 12, rng, 0.0, 1.0);
-  const Matrix b = Matrix::random_gaussian(12, 7, rng, 0.0, 1.0);
-
-  backend.inject_dot_upset({2, 3, 0.5});
-  (void)backend.matmul(a, b);
-
-  const faults::HealthSnapshot snap = backend.monitor().snapshot();
-  EXPECT_EQ(snap.sec_corrections, 0u);
-  EXPECT_EQ(snap.detections, 1u);
-  EXPECT_GE(snap.retries, 1u);
-  EXPECT_EQ(snap.unrecovered, 0u);
 }
 
 TEST(GuardedBackend, FullyFencedBankIsAnOutage) {

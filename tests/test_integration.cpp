@@ -13,6 +13,7 @@
 #include "photonics/laser.hpp"
 #include "photonics/wdm_bus.hpp"
 #include "ptc/ddot.hpp"
+#include "ptc/event_counter.hpp"
 
 namespace {
 
@@ -117,6 +118,55 @@ TEST(Integration, TraceEventsMatchFunctionalBackendEvents) {
   // The tracer predicts the same MAC count the functional run performed.
   const auto trace = nn::trace_forward(cfg);
   EXPECT_EQ(backend->events().macs, trace.total_macs());
+}
+
+// --- chain 4b: one event ledger for the executors and the figures ----------
+TEST(EventLedger, TinyTransformerForwardMatchesTraceUnderExecutorRule) {
+  // The executors and the analytic model count through one ptc tile-step
+  // rule and differ only in its two inputs.  Under the executors' inputs
+  // (B broadcast, one ADC sample per output) the trace of the same model
+  // on lt_base() geometry predicts every field the forward executed.
+  const auto cfg = nn::tiny_transformer(16, 64, 4, 2);
+  nn::Transformer model(cfg);
+  model.init_random(7);
+  auto backend = nn::make_photonic_pdac_backend(8);
+  (void)model.forward(model.random_input(8), *backend);
+  const ptc::EventCounter& executed = backend->events();
+
+  const arch::LtConfig lt = arch::lt_base();
+  ptc::EventCounter executor_rule;
+  ptc::EventCounter analytic_rule;
+  for (const nn::GemmOp& op : nn::trace_forward(cfg).gemms) {
+    executor_rule += ptc::product_events(op.m, op.k, op.n,
+                                         {lt.array_rows, lt.array_cols, lt.wavelengths},
+                                         ptc::Residency::kBroadcast, ptc::kSamplePerOutput) *
+                     op.repeats;
+    analytic_rule += arch::analytic_events(op, lt);
+  }
+  EXPECT_EQ(executed.modulation_events, executor_rule.modulation_events);
+  EXPECT_EQ(executed.adc_events, executor_rule.adc_events);
+  EXPECT_EQ(executed.cycles, executor_rule.cycles);
+  EXPECT_EQ(executed.ddot_ops, executor_rule.ddot_ops);
+  EXPECT_EQ(executed.detection_events, executor_rule.detection_events);
+  EXPECT_EQ(executed.macs, executor_rule.macs);
+  EXPECT_EQ(executed.modulation_events, 409'600u);
+  EXPECT_EQ(executed.adc_events, 22'528u);
+  EXPECT_EQ(executed.cycles, 3'200u);
+  EXPECT_EQ(executed.ddot_ops, 204'800u);
+  EXPECT_EQ(executed.detection_events, 204'800u);
+  EXPECT_EQ(executed.macs, 1'638'400u);
+
+  // The gap the executors close when they take the analytic inputs (each
+  // op's residency, ddots_per_adc chunks per ADC sample): the dynamic
+  // Q·Kᵀ and A·V products convert both operands per DDot, and FFN-down's
+  // 32-chunk reductions take one sample per 8-chunk window, four per
+  // output.  Every other field already agrees.
+  EXPECT_EQ(analytic_rule.modulation_events, 524'288u);
+  EXPECT_EQ(analytic_rule.adc_events, 28'672u);
+  EXPECT_EQ(analytic_rule.cycles, executed.cycles);
+  EXPECT_EQ(analytic_rule.ddot_ops, executed.ddot_ops);
+  EXPECT_EQ(analytic_rule.detection_events, executed.detection_events);
+  EXPECT_EQ(analytic_rule.macs, executed.macs);
 }
 
 // --- chain 5: the paper's two headline numbers, end to end ------------------

@@ -119,7 +119,7 @@ TEST(FusedKernel, MatchesCustomDeviceChainBitForBit) {
       cfg.adc_readout = adc;
       cfg.adc_full_scale = fs;
       const FusedKernel kernel(ddot, cfg);
-      ASSERT_EQ(kernel.active_wavelengths(), 3u);
+      ASSERT_EQ(kernel.wavelengths(), 3u);
       for (std::size_t n : {1u, 2u, 3u, 7u, 23u}) {
         const auto xe = rng.uniform_vector(n, -1.0, 1.0);
         const auto ye = rng.uniform_vector(n, -1.0, 1.0);
@@ -131,18 +131,18 @@ TEST(FusedKernel, MatchesCustomDeviceChainBitForBit) {
 }
 
 /// The SIMD tier's full-optics closed form cxx·Σx² + cyy·Σy² + cxy·Σxy +
-/// dark, with its coefficients re-derived from the kernel's lane table and
+/// dark, with its coefficients re-derived from the kernel's lane row and
 /// detector (the derivation in kernel.cpp) in the kernel's operation order.
 struct ClosedForm {
   double cxx, cyy, cxy, dark;
 
   ClosedForm(const FusedKernel& kernel, std::size_t k) {
-    const LaneTransfer& ln = kernel.lane_table().front();
+    const LaneTransfer& ln = kernel.lane();
     const DetectorTransfer& det = kernel.detector();
     const double f2 = ln.ps_re * ln.ps_re + ln.ps_im * ln.ps_im;
     const double t2 = ln.t * ln.t;
     const double k2 = ln.jk_im * ln.jk_im;
-    const std::size_t nl = kernel.active_wavelengths();
+    const std::size_t nl = kernel.wavelengths();
     cxx = 0.5 * (det.gain_plus * t2 - det.gain_minus * k2);
     cyy = 0.5 * f2 * (det.gain_plus * k2 - det.gain_minus * t2);
     cxy = -ln.t * ln.jk_im * ln.ps_im * (det.gain_plus + det.gain_minus);
@@ -386,7 +386,8 @@ TEST(FusedKernel, EventChargesMatchDotPreencoded) {
     EventCounter dev_ev;
     const double want = engine.dot_preencoded(xe, ye, &dev_ev);
     EXPECT_EQ(tile_dot(kernel, xe, ye), want) << "n=" << n;
-    const EventCounter step = tile_step_events(1, 1, n, kernel.active_wavelengths());
+    const EventCounter step = tile_step_events(1, 1, n, kernel.wavelengths(),
+                                               Residency::kBroadcast, kSamplePerOutput);
     EXPECT_EQ(dev_ev.detection_events, step.detection_events);
     EXPECT_EQ(dev_ev.ddot_ops, step.ddot_ops);
     EXPECT_EQ(dev_ev.macs, step.macs);
@@ -519,7 +520,7 @@ TEST(KernelGemmEquivalence, PreparedPathBitIdentical) {
 /// mag ≤ k) plus the calibrated ADC quantization sigma, which covers the
 /// ≤1-LSB code divergence two in-band raw values can straddle.
 double simd_band(const GemmConfig& cfg, std::size_t k, double rescale) {
-  GuardConfig g;  // default fp_slack / zscore
+  GuardConfig g;  // the band's fixed slack and z-score
   g.noise_sigma = calibrate_guard_sigma(cfg.dot, k);
   return rescale * guard_tolerance(g, k, 1, static_cast<double>(k));
 }

@@ -596,9 +596,8 @@ faults::LaneBankConfig kv_bank_config(std::uint64_t seed = 5) {
 // A mid-sequence epoch bump (what a real re-trim or fence emits): the
 // guarded backend must drop the stale resident entries at lookup, prepare
 // them afresh from the full history, and stay bit-identical to the unprepared
-// replay throughout — on the scalar and SIMD tiers, with the full guard
-// and with the column-only cheap mode (which stages no checksum stripes).
-void guarded_epoch_bump_case(ExecutionPath path, bool column_only) {
+// replay throughout — on the scalar and SIMD tiers.
+void guarded_epoch_bump_case(ExecutionPath path) {
   const std::size_t d_model = 16;
   const std::size_t heads = 2;
   const std::size_t steps = 6;
@@ -617,7 +616,6 @@ void guarded_epoch_bump_case(ExecutionPath path, bool column_only) {
   gcfg.array_rows = 4;
   gcfg.array_cols = 4;
   gcfg.path = path;
-  gcfg.guard.column_only = column_only;
   faults::GuardedBackend gp(bank_p, gcfg);
   faults::GuardedBackend gu(bank_u, gcfg);
 
@@ -658,11 +656,8 @@ void guarded_epoch_bump_case(ExecutionPath path, bool column_only) {
 
 TEST(KvAttention, GuardedEpochBumpRebuildsMidSequence) {
   for (const ExecutionPath path : {ExecutionPath::kKernel, ExecutionPath::kKernelSimd}) {
-    for (const bool column_only : {false, true}) {
-      SCOPED_TRACE(testing::Message() << "simd " << (path == ExecutionPath::kKernelSimd)
-                                      << " column_only " << column_only);
-      guarded_epoch_bump_case(path, column_only);
-    }
+    SCOPED_TRACE(testing::Message() << "simd " << (path == ExecutionPath::kKernelSimd));
+    guarded_epoch_bump_case(path);
   }
 }
 

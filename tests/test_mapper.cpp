@@ -1,8 +1,8 @@
 // Tests for the dependency-aware trace scheduler.
 #include <gtest/gtest.h>
 
+#include "arch/energy_model.hpp"
 #include "arch/mapper.hpp"
-#include "arch/op_events.hpp"
 #include "common/require.hpp"
 #include "nn/decode_trace.hpp"
 #include "nn/model_config.hpp"
@@ -97,7 +97,7 @@ TEST_F(MapperTest, MakespanAtLeastIdeal) {
 TEST_F(MapperTest, BusyCyclesMatchEventCounts) {
   const Schedule s = schedule_trace(bert, cfg);
   std::uint64_t expect = 0;
-  for (const auto& op : bert.gemms) expect += count_op_events(op, cfg).tile_cycles;
+  for (const auto& op : bert.gemms) expect += analytic_events(op, cfg).cycles;
   EXPECT_EQ(s.busy_array_cycles, expect);
 }
 

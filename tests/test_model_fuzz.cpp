@@ -6,7 +6,6 @@
 
 #include "arch/energy_model.hpp"
 #include "arch/mapper.hpp"
-#include "arch/op_events.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "faults/fault_injector.hpp"
@@ -37,23 +36,24 @@ TEST(ModelFuzz, OpEventInvariantsHoldForRandomShapes) {
   Rng rng(101);
   for (int trial = 0; trial < 200; ++trial) {
     const nn::GemmOp op = random_op(rng, trial);
-    const arch::OpEvents ev = arch::count_op_events(op, cfg);
+    const ptc::EventCounter ev = arch::analytic_events(op, cfg);
 
-    // Enough DDot-cycles to cover every MAC at the wavelength width.
-    EXPECT_GE(ev.ddot_cycles * cfg.wavelengths, op.macs()) << op.label;
+    // Enough DDot ops to cover every MAC at the wavelength width.
+    EXPECT_GE(ev.ddot_ops * cfg.wavelengths, op.macs()) << op.label;
     // DDot occupancy can never exceed full-array occupancy.
-    EXPECT_LE(ev.ddot_cycles, ev.tile_cycles * cfg.array_rows * cfg.array_cols) << op.label;
+    EXPECT_LE(ev.ddot_ops, ev.cycles * cfg.array_rows * cfg.array_cols) << op.label;
     // At least one conversion per reduction element per tile row/col.
-    EXPECT_GE(ev.modulations, op.k * op.repeats) << op.label;
+    EXPECT_GE(ev.modulation_events, op.k * op.repeats) << op.label;
     // Dynamic ops convert strictly more than broadcast-shared static ops
     // of the same shape (for multi-row-and-column tiles).
     if (!op.static_weights && op.m > 1 && op.n > 1) {
       nn::GemmOp twin = op;
       twin.static_weights = true;
-      EXPECT_GT(ev.modulations, arch::count_op_events(twin, cfg).modulations) << op.label;
+      EXPECT_GT(ev.modulation_events, arch::analytic_events(twin, cfg).modulation_events)
+          << op.label;
     }
     // One ADC window per DDot per k-pass at least.
-    EXPECT_GE(ev.adc_samples, op.m * op.n * op.repeats / cfg.ddots_per_adc) << op.label;
+    EXPECT_GE(ev.adc_events, op.m * op.n * op.repeats / cfg.ddots_per_adc) << op.label;
   }
 }
 
