@@ -5,7 +5,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/require.hpp"
@@ -13,13 +16,35 @@
 
 namespace pdac {
 
+/// std::allocator that default-initializes where it would value-initialize:
+/// a vector growing through resize() leaves its new doubles unwritten
+/// instead of zeroing them.  Construction from a value (a fill, a copy)
+/// is unchanged.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  using std::allocator<T>::allocator;
+
+  template <typename U>
+  void construct(U* p) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    std::allocator_traits<std::allocator<T>>::construct(*this, p, std::forward<Args>(args)...);
+  }
+};
+
 class Matrix {
  public:
+  /// Element storage: contiguous row-major doubles.
+  using Storage = std::vector<double, DefaultInitAllocator<double>>;
+
   Matrix() = default;
+  /// Every element starts at `fill`.
   Matrix(std::size_t rows, std::size_t cols, double fill = 0.0)
       : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
-  Matrix(std::size_t rows, std::size_t cols, std::vector<double> data)
-      : rows_(rows), cols_(cols), data_(std::move(data)) {
+  Matrix(std::size_t rows, std::size_t cols, const std::vector<double>& data)
+      : rows_(rows), cols_(cols), data_(data.begin(), data.end()) {
     PDAC_REQUIRE(data_.size() == rows_ * cols_, "Matrix: data size mismatch");
   }
 
@@ -52,13 +77,15 @@ class Matrix {
     return out;
   }
 
-  [[nodiscard]] const std::vector<double>& data() const { return data_; }
-  std::vector<double>& data() { return data_; }
+  [[nodiscard]] const Storage& data() const { return data_; }
+  Storage& data() { return data_; }
 
   /// Reshape in place, reusing the existing allocation when it is large
   /// enough (the GEMM engine's per-call scratch buffers rely on this to
-  /// stay allocation-free across products).  Element values after a
-  /// shape change are unspecified — callers must overwrite them.
+  /// stay allocation-free across products).  With the column count
+  /// unchanged every kept row keeps its values.  Elements the resize adds
+  /// are left unwritten, not zeroed, and after a column-count change every
+  /// value is unspecified: callers overwrite what they later read.
   void resize(std::size_t rows, std::size_t cols) {
     rows_ = rows;
     cols_ = cols;
@@ -91,7 +118,7 @@ class Matrix {
  private:
   std::size_t rows_{0};
   std::size_t cols_{0};
-  std::vector<double> data_;
+  Storage data_;
 };
 
 /// Double-precision reference product (ground truth for the photonic GEMM).

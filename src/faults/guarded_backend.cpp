@@ -132,7 +132,7 @@ void GuardedBackend::attach_storm(FaultInjector* injector, std::uint64_t steps_p
 
 LaneEncoder GuardedBackend::lane_encoder(std::size_t rail,
                                          const std::vector<std::size_t>& channels) const {
-  return LaneEncoder{bank_, channels, rail, &table_, &golden_};
+  return LaneEncoder(bank_, channels, rail, &table_, &golden_);
 }
 
 ptc::OperandSpec GuardedBackend::operand_spec() const {
@@ -176,14 +176,13 @@ std::shared_ptr<const ptc::PreparedOperand> GuardedBackend::obtain(nn::OperandCa
   // epoch drops the copy from the spec, so the rebuild draws every
   // reference from the current golden.
   const ptc::OperandSpec spec = operand_spec();
-  const LaneEncoder encode = lane_encoder(1, spec.channels);
-  Matrix stage;
+  const ptc::RowEncoder encode = lane_encoder(1, spec.channels);
   return cache.obtain(
       id, version, spec.epoch,
       [&](ptc::PreparedOperand& pb) {
-        return ptc::append_operand(pb, src, axis, spec, encode, *pool_, stage);
+        return ptc::append_operand(pb, src, axis, spec, encode, *pool_, stage_);
       },
-      [&] { return ptc::prepare_operand(src, axis, spec, encode, *pool_, stage); });
+      [&] { return ptc::prepare_operand(src, axis, spec, encode, *pool_, stage_); });
 }
 
 Matrix GuardedBackend::matmul(const Matrix& a, const Matrix& b) {
@@ -337,8 +336,8 @@ Matrix GuardedBackend::run_product(const Matrix& a, const Matrix& bsrc, ptc::Gro
   outcome.tiles_checked = tiles.size();
 
   // Data-side B encodings: the cached/prepared matrix until the epoch
-  // moves past a column stripe; only then are a live copy and the
-  // normalized Bᵀ it re-encodes from made.
+  // moves past a column stripe; only then is a live copy made, and each
+  // stale stripe re-encodes from just its own normalized Bᵀ rows.
   const Matrix* bdata = &pb->encoded;
   Matrix be_live;
   Matrix bn;
@@ -373,7 +372,7 @@ Matrix GuardedBackend::run_product(const Matrix& a, const Matrix& bsrc, ptc::Gro
       if (live_evals >= table_evals) table_.rebuild(bank_);
     }
     if (ea != now) {
-      const LaneEncoder live{bank_, pb->channels, 0, &table_};
+      const LaneEncoder live(bank_, pb->channels, 0, &table_);
       for (std::size_t i = tile.row0; i < tile.row0 + tile.rows; ++i) {
         live(an.row(i), 0, ae.row(i), {});
       }
@@ -381,13 +380,14 @@ Matrix GuardedBackend::run_product(const Matrix& a, const Matrix& bsrc, ptc::Gro
     }
     if (eb != now) {
       if (bdata != &be_live) {
-        ptc::stage_normalized_bt(bsrc, baxis, pb->scale, bn);
         be_live = pb->encoded;
         bdata = &be_live;
       }
-      const LaneEncoder live{bank_, pb->channels, 1, &table_};
-      for (std::size_t j = tile.col0; j < tile.col0 + tile.cols; ++j) {
-        live(bn.row(j), 0, be_live.row(j).first(k), {});
+      bn.resize(tile.cols, k);
+      ptc::normalize_bt_rows(bsrc, baxis, pb->scale, tile.col0, tile.col0 + tile.cols, 0, k, bn);
+      const LaneEncoder live(bank_, pb->channels, 1, &table_);
+      for (std::size_t j = 0; j < tile.cols; ++j) {
+        live(bn.row(j), 0, be_live.row(tile.col0 + j).first(k), {});
       }
       eb = now;
     }
@@ -521,9 +521,8 @@ Matrix GuardedBackend::run_product(const Matrix& a, const Matrix& bsrc, ptc::Gro
       // re-ensure the coefficient table first (we are between parallel
       // regions here).
       table_.ensure(bank_);
-      Matrix stage;
       auto rebuilt = std::make_shared<ptc::PreparedOperand>(ptc::prepare_operand(
-          bsrc, baxis, spec, lane_encoder(1, spec.channels), *pool_, stage));
+          bsrc, baxis, spec, lane_encoder(1, spec.channels), *pool_, stage_));
       if (id != 0) {
         // The resident entry described the pre-escalation bank; the next
         // product reuses (or, for KV, appends onto) this rebuilt one.
@@ -534,7 +533,6 @@ Matrix GuardedBackend::run_product(const Matrix& a, const Matrix& bsrc, ptc::Gro
       encode_a(pb->channels);
       b_epoch.assign(col_stripes, pb->epoch);
       be_live = Matrix();
-      bn = Matrix();
       bdata = &pb->encoded;
     }
 

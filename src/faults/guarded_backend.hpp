@@ -48,11 +48,14 @@
 // operand slices as the live lanes encode them at that step.  Every A row
 // stripe and B column stripe carries the bank epoch its encodes reflect;
 // a step re-encodes a stripe only when the epoch has moved past that
-// stamp.  The re-encode reads the current coefficient table when it is
-// fresh and the live lane models otherwise; both give the same bits.  A
-// stale table is rebuilt once the stale elements met at the current
-// epoch reach its entry count, so a bias walk, which moves the epoch
-// every step, keeps narrow stripes on the live models.  An encode is a
+// stamp.  A stale B stripe normalizes just its own Bᵀ rows
+// (ptc::normalize_bt_rows) and re-encodes them into a copy of the
+// prepared encodings, made at the first stale stripe.  The re-encode
+// reads the current coefficient table when it is fresh and the live lane
+// models otherwise; both give the same bits.  A stale table is rebuilt
+// once the stale elements met at the current epoch reach its entry
+// count, so a bias walk, which moves the epoch every step, keeps narrow
+// stripes on the live models.  An encode is a
 // pure function of lane state and input, and every lane-state write
 // bumps the epoch, so a skipped re-encode would have written the same
 // bits.  The retry rung refreshes its tiles the same way.  Without a
@@ -319,6 +322,9 @@ class GuardedBackend final : public nn::GemmBackend {
   /// Raw tile row and column sums, one array_rows + array_cols slot per
   /// pool worker, sized once so no tile allocates.
   std::vector<double> tile_sums_;
+  /// Per-worker block scratch of ptc::prepare_operand / append_operand
+  /// (a few normalized Bᵀ rows per pool worker), kept across obtains.
+  Matrix stage_;
   nn::OperandCache cache_;
   nn::OperandCache kv_cache_;
   EscalationPolicy policy_;

@@ -25,21 +25,44 @@ double LaneEncodeTable::encode(std::size_t rail, std::size_t channel, double r) 
   return at(rail * wavelengths_ + channel, quant_.encode(math::clamp_unit(r)));
 }
 
+LaneEncoder::LaneEncoder(const LaneBank& bank, const std::vector<std::size_t>& channels,
+                         std::size_t rail, const LaneEncodeTable* table,
+                         const LaneEncodeTable* golden)
+    : bank_(&bank), live_(table == nullptr || !table->fresh(bank)) {
+  packed_.reserve(channels.size());
+  for (const std::size_t ch : channels) {
+    const std::size_t flat = rail * bank.wavelengths() + ch;
+    packed_.push_back({flat, live_ ? nullptr : table->row(flat),
+                       golden != nullptr ? golden->row(flat) : nullptr});
+  }
+}
+
 void LaneEncoder::operator()(std::span<const double> norm, std::size_t p0,
                              std::span<double> current, std::span<double> reference) const {
-  const LaneEncodeTable* fresh = table != nullptr && table->fresh(bank) ? table : nullptr;
-  const std::size_t nl = channels.size();
-  const std::size_t rail0 = rail * bank.wavelengths();
   // One span quantize (clamp_unit's clamp included), then both amplitudes
-  // by code; position p0 + i rides channels[(p0 + i) % nl], advanced with i.
+  // by code; position p0 + i rides packed channel (p0 + i) % nl.
+  const std::size_t nl = packed_.size();
   std::size_t ch = p0 % nl;
-  bank.quantizer().encode_each(norm, 1.0, [&](std::size_t i, std::int32_t code) {
-    const std::size_t flat = rail0 + channels[ch];
-    if (++ch == nl) ch = 0;
-    current[i] =
-        fresh != nullptr ? fresh->at(flat, code) : bank.lane(flat).model.encode_code(code);
-    if (!reference.empty()) reference[i] = golden->at(flat, code);
-  });
+  const converters::Quantizer& quant = bank_->quantizer();
+  if (live_) {
+    quant.encode_each(norm, 1.0, [&](std::size_t i, std::int32_t code) {
+      current[i] = bank_->lane(packed_[ch].flat).model.encode_code(code);
+      if (!reference.empty()) reference[i] = packed_[ch].golden[code];
+      if (++ch == nl) ch = 0;
+    });
+  } else if (reference.empty()) {
+    quant.encode_each(norm, 1.0, [&](std::size_t i, std::int32_t code) {
+      current[i] = packed_[ch].current[code];
+      if (++ch == nl) ch = 0;
+    });
+  } else {
+    quant.encode_each(norm, 1.0, [&](std::size_t i, std::int32_t code) {
+      const Packed& lane = packed_[ch];
+      current[i] = lane.current[code];
+      reference[i] = lane.golden[code];
+      if (++ch == nl) ch = 0;
+    });
+  }
 }
 
 }  // namespace pdac::faults

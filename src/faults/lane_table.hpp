@@ -51,10 +51,14 @@ class LaneEncodeTable {
            table_.size() == bank.lanes() * codes_;
   }
 
-  /// Amplitude of quantizer code `code` through flat lane `flat`.
-  [[nodiscard]] double at(std::size_t flat, std::int32_t code) const {
-    return table_[flat * codes_ + static_cast<std::size_t>(code + max_code_)];
+  /// Flat lane `flat`'s amplitudes indexed by quantizer code:
+  /// row(flat)[code] for code in [−max_code, max_code].
+  [[nodiscard]] const double* row(std::size_t flat) const {
+    return table_.data() + flat * codes_ + static_cast<std::size_t>(max_code_);
   }
+
+  /// Amplitude of quantizer code `code` through flat lane `flat`.
+  [[nodiscard]] double at(std::size_t flat, std::int32_t code) const { return row(flat)[code]; }
 
   /// LUT-backed equivalent of LaneBank::encode(rail, channel, r) —
   /// bit-identical to the model evaluation it caches.
@@ -73,24 +77,39 @@ class LaneEncodeTable {
 /// Encodes normalized values through the lanes that carry them: reduction
 /// position p rides channel channels[p % channels.size()] of `rail` (x
 /// rail 0 for A, y rail 1 for B).  The CURRENT amplitude comes from
-/// `table` while it is fresh and from the live lane model otherwise (no
-/// table, or a stale one), bit-identical either way, so a missed ensure()
-/// can cost speed but never correctness.  When a reference span is asked
-/// for, the GOLDEN amplitude comes from the pinned `golden` snapshot.
-/// Each call quantizes its span once through the span rule
-/// (Quantizer::encode_each, DESIGN.md §18) and reads both amplitudes by
-/// code, advancing the channel index with the position.  Serves as the
+/// `table` when it is fresh at construction and from the live lane model
+/// otherwise (no table, or a stale one), bit-identical either way, so a
+/// missed ensure() can cost speed but never correctness.  When a
+/// reference span is asked for, the GOLDEN amplitude comes from the
+/// pinned `golden` snapshot.  Construction makes every choice once: the
+/// current source and each packed channel's table row (current and
+/// golden), so a call — one element or a whole row — only quantizes its
+/// span through the span rule (Quantizer::encode_each, DESIGN.md §18) and
+/// reads both amplitudes by code, advancing the channel with the
+/// position.  Build one per use: the bank must not move its epoch while
+/// an encoder built on a fresh table is in use.  Serves as the
 /// ptc::RowEncoder of every faults-layer prepare and append, encodes A
 /// rows the same way, and re-encodes stale stripes under a storm.
-struct LaneEncoder {
-  const LaneBank& bank;
-  const std::vector<std::size_t>& channels;
-  std::size_t rail{0};
-  const LaneEncodeTable* table{nullptr};
-  const LaneEncodeTable* golden{nullptr};
+class LaneEncoder {
+ public:
+  LaneEncoder(const LaneBank& bank, const std::vector<std::size_t>& channels, std::size_t rail,
+              const LaneEncodeTable* table = nullptr, const LaneEncodeTable* golden = nullptr);
 
   void operator()(std::span<const double> norm, std::size_t p0, std::span<double> current,
                   std::span<double> reference) const;
+
+ private:
+  /// One packed channel: its flat lane and its amplitudes by code — the
+  /// fresh table's row (null on the live models) and the golden row
+  /// (null without a snapshot).
+  struct Packed {
+    std::size_t flat;
+    const double* current;
+    const double* golden;
+  };
+  const LaneBank* bank_;
+  bool live_;
+  std::vector<Packed> packed_;
 };
 
 }  // namespace pdac::faults

@@ -62,8 +62,9 @@ void PhotonicDotEngine::encode_span(std::span<const double> in, std::span<double
 
 template <typename Detect>
 double PhotonicDotEngine::reduce(std::span<const double> xe, std::span<const double> ye,
-                                 bool full_optics, DdotScratch& scratch, EventCounter* ev,
-                                 const Detect& detect) const {
+                                 bool full_optics, DdotScratch& scratch,
+                                 const std::optional<converters::ElectricalAdc>& adc,
+                                 EventCounter* ev, const Detect& detect) const {
   PDAC_REQUIRE(xe.size() == ye.size(), "PhotonicDotEngine: operand length mismatch");
   const std::size_t n = xe.size();
   const std::size_t nl = cfg_.wavelengths;
@@ -91,7 +92,6 @@ double PhotonicDotEngine::reduce(std::span<const double> xe, std::span<const dou
       ev->macs += len;
     }
   }
-  const std::optional<converters::ElectricalAdc> adc = readout_adc(cfg_, n);
   return adc ? adc->sample_to_voltage(acc) : acc;
 }
 
@@ -104,7 +104,7 @@ double PhotonicDotEngine::standalone_dot(std::span<const double> x, std::span<co
   encode_span(x, xe);
   encode_span(y, ye);
   DdotScratch scratch;
-  const double out = reduce(xe, ye, full_optics, scratch, ev, detect);
+  const double out = reduce(xe, ye, full_optics, scratch, readout_adc(cfg_, x.size()), ev, detect);
   if (ev != nullptr) {
     const std::size_t n = x.size();
     ev->modulation_events += 2 * n;
@@ -126,12 +126,15 @@ double PhotonicDotEngine::dot_noisy(std::span<const double> x, std::span<const d
                         [&](DdotScratch& s) { return ddot_.compute_noisy(s.rails, rng, s); });
 }
 
-double PhotonicDotEngine::dot_preencoded(std::span<const double> xe, std::span<const double> ye,
-                                         EventCounter* ev, const Ddot* ddot,
-                                         DdotScratch* scratch) const {
+double PhotonicDotEngine::dot_preencoded(
+    std::span<const double> xe, std::span<const double> ye, EventCounter* ev, const Ddot* ddot,
+    DdotScratch* scratch, const std::optional<converters::ElectricalAdc>* readout) const {
   const Ddot& dev = ddot != nullptr ? *ddot : ddot_;
   DdotScratch local;
-  return reduce(xe, ye, cfg_.use_full_optics, scratch != nullptr ? *scratch : local, ev,
+  std::optional<converters::ElectricalAdc> own;
+  if (readout == nullptr) own = readout_adc(cfg_, xe.size());
+  return reduce(xe, ye, cfg_.use_full_optics, scratch != nullptr ? *scratch : local,
+                readout != nullptr ? *readout : own, ev,
                 [&dev](DdotScratch& s) { return dev.compute(s.rails, s); });
 }
 

@@ -78,10 +78,15 @@ class PhotonicDotEngine {
   /// numerics are identical to dot() on the pre-image operands.
   /// The optional `scratch` stages the full-optics rails in caller-owned
   /// buffers so the device-graph path performs no per-dot allocation
-  /// (bit-identical to a local scratch; pass one per worker).
-  [[nodiscard]] double dot_preencoded(std::span<const double> xe, std::span<const double> ye,
-                                      EventCounter* ev = nullptr, const Ddot* ddot = nullptr,
-                                      DdotScratch* scratch = nullptr) const;
+  /// (bit-identical to a local scratch; pass one per worker).  The
+  /// optional `readout` is the converter readout_adc(config(), n) builds
+  /// for this length, built once by a caller running many dots of one
+  /// length (the GEMM's device-graph tier, once per tile); null builds it
+  /// per call.
+  [[nodiscard]] double dot_preencoded(
+      std::span<const double> xe, std::span<const double> ye, EventCounter* ev = nullptr,
+      const Ddot* ddot = nullptr, DdotScratch* scratch = nullptr,
+      const std::optional<converters::ElectricalAdc>* readout = nullptr) const;
 
   /// Encode a span of normalized values through the memoized driver LUT
   /// (out.size() must equal in.size()): one span quantize
@@ -109,12 +114,14 @@ class PhotonicDotEngine {
   /// channel i; under full optics each chunk is staged in `scratch.rails`
   /// (idle channels exact +0) and read out by `detect(scratch)`, else it
   /// accumulates Σ x′·y′ directly.  Charges each chunk's detection, DDot
-  /// op and MACs, and returns the accumulated value through the readout
-  /// ADC when it is on (the sample itself is not charged here).
+  /// op and MACs, and returns the accumulated value through `adc` (the
+  /// readout_adc of this length) when there is one (the sample itself is
+  /// not charged here).
   template <typename Detect>
   [[nodiscard]] double reduce(std::span<const double> xe, std::span<const double> ye,
-                              bool full_optics, DdotScratch& scratch, EventCounter* ev,
-                              const Detect& detect) const;
+                              bool full_optics, DdotScratch& scratch,
+                              const std::optional<converters::ElectricalAdc>& adc,
+                              EventCounter* ev, const Detect& detect) const;
   /// dot() and dot_noisy(): encode both operands, reduce them and add the
   /// standalone charges.
   template <typename Detect>

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <span>
 
 #include "common/require.hpp"
@@ -41,32 +42,30 @@ namespace {
 /// The max-abs fold of converters::max_abs_scale without its all-zero
 /// fallback — the raw running maximum PreparedOperand::abs_max records so
 /// appends can prove the fresh scale would come out bitwise identical.
-/// std::max ignores NaN whichever side it lands on, so the fold is
-/// order-independent — B and Bᵀ sources see the same value over the
-/// transposed element order.
+/// std::max(m, |x|) never takes a NaN and |−0| is +0, so the maximum of
+/// any subset is one exact value whatever the fold order: four
+/// independent running maxima folded together give the serial fold's
+/// double, and B and Bᵀ sources see the same value over the transposed
+/// element order.
 double raw_abs_max(std::span<const double> values) {
-  double m = 0.0;
-  for (const double v : values) m = std::max(m, std::abs(v));
-  return m;
+  double m[4] = {0.0, 0.0, 0.0, 0.0};
+  std::size_t i = 0;
+  for (; i + 4 <= values.size(); i += 4) {
+    for (std::size_t l = 0; l < 4; ++l) m[l] = std::max(m[l], std::abs(values[i + l]));
+  }
+  for (; i < values.size(); ++i) m[0] = std::max(m[0], std::abs(values[i]));
+  return std::max(std::max(m[0], m[1]), std::max(m[2], m[3]));
 }
 
 std::size_t stripe_count(std::size_t n, std::size_t stripe) { return (n + stripe - 1) / stripe; }
 
-/// Encode the staged rows into operand rows [row0, row0 + stage.rows()),
-/// reduction positions [p0, p0 + stage.cols()).  Rows are disjoint, so
-/// the sweep is parallel; every encoder is a pure lookup, so the
-/// partitioning cannot change a single bit.
-void encode_rows(PreparedOperand& pb, const OperandSpec& spec, const Matrix& stage,
-                 std::size_t row0, std::size_t p0, const RowEncoder& encode, ThreadPool& pool) {
-  const std::size_t len = stage.cols();
-  pool.parallel_for(stage.rows(), [&](std::size_t begin, std::size_t end, std::size_t) {
-    for (std::size_t r = begin; r < end; ++r) {
-      const std::size_t j = row0 + r;
-      encode(stage.row(r), p0, pb.encoded.row(j).subspan(p0, len),
-             spec.reference ? pb.reference.row(j).subspan(p0, len) : std::span<double>{});
-    }
-  });
-}
+/// Bᵀ rows per block of the one-pass build (rounded up to whole checksum
+/// stripes): a block's normalized rows, encodes and stripe sums stay
+/// cache-resident from one sweep to the next.
+constexpr std::size_t kBlockRows = 32;
+/// Stage row padding: unpadded rows of 512 or 768 doubles start on the
+/// same L1 sets, so a block's rows would evict one another.
+constexpr std::size_t kStagePad = 8;
 
 /// Fold golden columns [j0, j1) over reduction positions [p0, p1) into
 /// their checksum stripes.  Ascending j is the fresh prepare's order, so
@@ -81,26 +80,62 @@ void fold_stripes(PreparedOperand& pb, std::size_t j0, std::size_t j1, std::size
   }
 }
 
+/// The one blocked pass behind every prepare and append: Bᵀ rows
+/// [j0, j1) over reduction positions [p0, p1), in blocks of whole
+/// checksum stripes spread over `pool`.  Each block is normalized into
+/// its worker's rows of `stage`, encoded row by row (one `encode` call per
+/// row) and folded into its stripes (ascending j) while still in cache.
+/// Blocks start at absolute stripe multiples, so no stripe straddles two
+/// workers, and every element takes the same single division and encode,
+/// so the result is bit for bit the same at any thread count.  `pb` must
+/// already hold the rows and columns written, and its stripe rows the
+/// running sums the fold continues.
+void build_rows(PreparedOperand& pb, const Matrix& src, GrowAxis axis, const OperandSpec& spec,
+                const RowEncoder& encode, ThreadPool& pool, Matrix& stage, std::size_t j0,
+                std::size_t j1, std::size_t p0, std::size_t p1) {
+  const std::size_t stripe = spec.checksum_stripe;
+  const std::size_t block = stripe > 0 ? stripe_count(kBlockRows, stripe) * stripe : kBlockRows;
+  const std::size_t first = j0 / block;
+  const std::size_t blocks = j1 > j0 ? (j1 - 1) / block + 1 - first : 0;
+  const std::size_t len = p1 - p0;
+  stage.resize(pool.size() * block, len + kStagePad);
+  pool.parallel_for(blocks, [&](std::size_t begin, std::size_t end, std::size_t worker) {
+    for (std::size_t b = first + begin; b < first + end; ++b) {
+      const std::size_t lo = std::max(j0, b * block);
+      const std::size_t hi = std::min(j1, (b + 1) * block);
+      const std::size_t row0 = worker * block;
+      normalize_bt_rows(src, axis, pb.scale, lo, hi, p0, p1, stage, row0);
+      for (std::size_t j = lo; j < hi; ++j) {
+        encode(stage.row(row0 + (j - lo)).first(len), p0, pb.encoded.row(j).subspan(p0, len),
+               spec.reference ? pb.reference.row(j).subspan(p0, len) : std::span<double>{});
+      }
+      if (stripe > 0) fold_stripes(pb, lo, hi, p0, p1);
+    }
+  });
+}
+
 }  // namespace
 
-void stage_normalized_bt(const Matrix& src, GrowAxis axis, double scale, Matrix& out) {
+void normalize_bt_rows(const Matrix& src, GrowAxis axis, double scale, std::size_t j0,
+                       std::size_t j1, std::size_t p0, std::size_t p1, Matrix& out,
+                       std::size_t row0) {
+  PDAC_ASSERT(out.rows() >= row0 + (j1 - j0) && out.cols() >= p1 - p0);
+  const std::size_t stride = out.cols();
+  double* const dst = out.data().data() + row0 * stride;
   if (axis == GrowAxis::kCols) {
-    out.resize(src.rows(), src.cols());
-    for (std::size_t i = 0; i < src.size(); ++i) out.data()[i] = src.data()[i] / scale;
+    // The source is Bᵀ: each row is a contiguous run.
+    for (std::size_t j = j0; j < j1; ++j) {
+      const double* const from = src.row(j).data();
+      double* const to = dst + (j - j0) * stride;
+      for (std::size_t p = p0; p < p1; ++p) to[p - p0] = from[p] / scale;
+    }
     return;
   }
-  // Transpose in square blocks so both the rows read and the rows written
-  // stay cache-resident; every element still takes the same one division.
-  constexpr std::size_t kBlock = 32;
-  out.resize(src.cols(), src.rows());
-  for (std::size_t r0 = 0; r0 < src.rows(); r0 += kBlock) {
-    const std::size_t r1 = std::min(r0 + kBlock, src.rows());
-    for (std::size_t c0 = 0; c0 < src.cols(); c0 += kBlock) {
-      const std::size_t c1 = std::min(c0 + kBlock, src.cols());
-      for (std::size_t r = r0; r < r1; ++r) {
-        for (std::size_t c = c0; c < c1; ++c) out(c, r) = src(r, c) / scale;
-      }
-    }
+  // The source is B: each position p is one run of B's row p, written
+  // down a column of the (few, padded) output rows.
+  for (std::size_t p = p0; p < p1; ++p) {
+    const double* const from = src.row(p).data();
+    for (std::size_t j = j0; j < j1; ++j) dst[(j - j0) * stride + (p - p0)] = from[j] / scale;
   }
 }
 
@@ -116,20 +151,19 @@ PreparedOperand prepare_operand(const Matrix& src, GrowAxis axis, const OperandS
 
   // Amortized encoding: every B column is encoded exactly once, the
   // software mirror of the hardware broadcasting one modulated operand
-  // across a whole tile.
-  stage_normalized_bt(src, axis, pb.scale, stage);
-  pb.encoded = Matrix(pb.cols, pb.rows);
-  if (spec.reference) pb.reference = Matrix(pb.cols, pb.rows);
-  encode_rows(pb, spec, stage, 0, 0, encode, pool);
-
+  // across a whole tile.  The encoder writes every element, so the
+  // encodings are sized, not zero-filled.
+  pb.encoded.resize(pb.cols, pb.rows);
+  if (spec.reference) pb.reference.resize(pb.cols, pb.rows);
   // ABFT column checksums (abft.hpp): one digital sum of the golden
   // columns per array-width stripe, cached with the operand so guarded
   // runs pay the O(n·k) sums once per prepare, not once per product.
+  // The sums start from exact zero.
   if (spec.checksum_stripe > 0) {
     pb.checksum_stripe = spec.checksum_stripe;
     pb.checksum = Matrix(stripe_count(pb.cols, pb.checksum_stripe), pb.rows);
-    fold_stripes(pb, 0, pb.cols, 0, pb.rows);
   }
+  build_rows(pb, src, axis, spec, encode, pool, stage, 0, pb.cols, 0, pb.rows);
   return pb;
 }
 
@@ -173,20 +207,12 @@ bool append_operand(PreparedOperand& pb, const Matrix& src, GrowAxis axis,
   for (std::size_t r = old_len; r < new_len; ++r) dmax = std::max(dmax, raw_abs_max(src.row(r)));
   if (!(dmax <= pb.abs_max)) return false;
 
-  const std::size_t delta = new_len - old_len;
   if (cols_axis) {
     // New output columns = new Bᵀ rows.  Matrix::resize preserves every
     // existing row when the column count is unchanged.
     const std::size_t k = pb.rows;
-    stage.resize(delta, k);
-    for (std::size_t r = 0; r < delta; ++r) {
-      const auto from = src.row(old_len + r);
-      const auto to = stage.row(r);
-      for (std::size_t p = 0; p < k; ++p) to[p] = from[p] / pb.scale;
-    }
     pb.encoded.resize(new_len, k);
     if (spec.reference) pb.reference.resize(new_len, k);
-    encode_rows(pb, spec, stage, old_len, 0, encode, pool);
     if (spec.checksum_stripe > 0) {
       // Existing stripe rows already hold the ascending-j partial sums
       // through old_len; new stripe rows start from zero.
@@ -196,21 +222,14 @@ bool append_operand(PreparedOperand& pb, const Matrix& src, GrowAxis axis,
         const auto row = pb.checksum.row(s);
         std::fill(row.begin(), row.end(), 0.0);
       }
-      fold_stripes(pb, old_len, new_len, 0, k);
     }
+    build_rows(pb, src, axis, spec, encode, pool, stage, old_len, new_len, 0, k);
     pb.cols = new_len;
   } else {
     // New reduction positions = one new column of every Bᵀ row, written
     // into geometrically padded column capacity.
-    const std::size_t n = pb.cols;
     grow_col_capacity(pb.encoded, new_len);
     if (spec.reference) grow_col_capacity(pb.reference, new_len);
-    stage.resize(n, delta);
-    for (std::size_t j = 0; j < n; ++j) {
-      const auto to = stage.row(j);
-      for (std::size_t p = 0; p < delta; ++p) to[p] = src(old_len + p, j) / pb.scale;
-    }
-    encode_rows(pb, spec, stage, 0, old_len, encode, pool);
     if (spec.checksum_stripe > 0) {
       // Fresh stripe positions start from exact zero (capacity padding is
       // unspecified), then accumulate in ascending j.
@@ -220,8 +239,8 @@ bool append_operand(PreparedOperand& pb, const Matrix& src, GrowAxis axis,
         std::fill(row.begin() + static_cast<std::ptrdiff_t>(old_len),
                   row.begin() + static_cast<std::ptrdiff_t>(new_len), 0.0);
       }
-      fold_stripes(pb, 0, n, old_len, new_len);
     }
+    build_rows(pb, src, axis, spec, encode, pool, stage, 0, pb.cols, old_len, new_len);
     pb.rows = new_len;
   }
   return true;
@@ -413,13 +432,15 @@ GemmResult PhotonicGemm::multiply_prepared(const Matrix& a, const PreparedOperan
     } else {
       const Ddot& ddot = worker_ddots_[worker];
       DdotScratch& scratch = worker_scratch_[worker];
+      // One readout converter per tile, as the kernel tiers build theirs.
+      const std::optional<converters::ElectricalAdc> adc = readout_adc(engine_.config(), k);
       EventCounter reduction;
       for (std::size_t i = tile.row0; i < tile.row0 + tile.rows; ++i) {
         for (std::size_t j = tile.col0; j < tile.col0 + tile.cols; ++j) {
           // first(k) strips any column-capacity padding off the prepared
           // row — the device path takes equal-length spans.
           res.c(i, j) = engine_.dot_preencoded(ae.row(i), b.encoded.row(j).first(k), &reduction,
-                                               &ddot, &scratch);
+                                               &ddot, &scratch, &adc);
         }
       }
       step.detection_events = reduction.detection_events;

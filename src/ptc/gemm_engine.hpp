@@ -232,19 +232,30 @@ struct OperandSpec {
   bool reference{false};              ///< stage a golden `reference` encoding
 };
 
-/// Normalize a B-side source into Bᵀ orientation: out(j, p) = Bᵀ(j, p) / scale.
-void stage_normalized_bt(const Matrix& src, GrowAxis axis, double scale, Matrix& out);
+/// Normalize Bᵀ rows [j0, j1) over reduction positions [p0, p1) of a
+/// B-side source (B for kRows, Bᵀ for kCols) into rows of `out` from
+/// `row0` on: out(row0 + j − j0, p − p0) = Bᵀ(j, p) / scale, one division
+/// per element.  `out` must already hold those rows and columns.  The
+/// one normalizer of every prepare, append and storm re-encode: none
+/// stages a whole normalized Bᵀ.
+void normalize_bt_rows(const Matrix& src, GrowAxis axis, double scale, std::size_t j0,
+                       std::size_t j1, std::size_t p0, std::size_t p1, Matrix& out,
+                       std::size_t row0 = 0);
 
 /// Build an operand from `src` (B for kRows, Bᵀ for kCols): the raw
-/// max-abs and scale, the normalized Bᵀ (staged in `stage`), one
-/// `encode` call per Bᵀ row on `pool`, and — per `spec` — the golden
-/// reference and the checksum stripes (ascending-column sums).
+/// max-abs and scale, then one blocked pass over Bᵀ rows — each block of
+/// whole checksum stripes normalized into its pool worker's rows of
+/// `stage` (per-worker block scratch the caller keeps), one `encode` call
+/// per Bᵀ row on `pool`, and — per `spec` — the golden reference and the
+/// checksum stripes (ascending-column sums).  Bit for bit the same at any
+/// pool width.
 [[nodiscard]] PreparedOperand prepare_operand(const Matrix& src, GrowAxis axis,
                                               const OperandSpec& spec, const RowEncoder& encode,
                                               ThreadPool& pool, Matrix& stage);
 
 /// Grow `pb` to the longer source `src` (same orientation as it was
-/// prepared from) by encoding only the new rows, continuing the checksum
+/// prepared from) by encoding only the new rows through the same blocked
+/// pass and `stage` as prepare_operand, continuing the checksum
 /// stripes in fresh-prepare order: the result is bit-identical to
 /// prepare_operand(src, axis, spec, …), and so is every output, event
 /// count and guard verdict computed from it.  Returns false, leaving `pb`

@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -916,6 +918,89 @@ TEST(LaneEncodeTable, MatchesBankEncodesAcrossMutations) {
     diverged = diverged || golden.at(2, code) != bank.lane(2).model.encode_code(code);
   }
   EXPECT_TRUE(diverged);
+}
+
+// The table path equals the live-model path bit for bit: one encoder
+// built while the table is fresh, one after the epoch moved with the
+// lane state unchanged (a stale table, so the live lane models), over a
+// 5-of-8 channel packing, ragged start positions, span lengths 0, 1 and
+// 768, with and without a golden reference — on a bank whose faults
+// make current and golden differ on both rails.
+TEST(LaneEncodeTable, TablePathEqualsLiveModelsBitForBit) {
+  faults::LaneBankConfig cfg = bank_config(23);
+  cfg.wavelengths = 8;
+  faults::LaneBank bank(cfg);
+  faults::production_trim(bank);
+  faults::LaneEncodeTable golden;
+  golden.rebuild(bank);  // pinned before the faults below
+  faults::FaultSchedule sched;
+  sched.cfg.lanes = bank.lanes();
+  sched.cfg.bits = 8;
+  sched.cfg.horizon_steps = 4;
+  faults::FaultEvent stuck;
+  stuck.step = 1;
+  stuck.lane = 8 + 2;  // rail 1, channel 2
+  stuck.kind = faults::FaultKind::kStuckMrr;
+  stuck.magnitude = 0.4;
+  sched.events.push_back(stuck);
+  faults::FaultEvent tia;
+  tia.step = 1;
+  tia.lane = 3;  // rail 0, channel 3
+  tia.kind = faults::FaultKind::kTiaGainStep;
+  tia.magnitude = 1.3;
+  tia.bit = 2;
+  sched.events.push_back(tia);
+  faults::FaultInjector injector(bank, sched);
+  injector.advance_to(2);
+  faults::LaneEncodeTable table;
+
+  const std::vector<std::size_t> channels{0, 2, 3, 5, 7};
+  Rng rng(5);
+  std::vector<double> norm(768);
+  for (double& v : norm) v = rng.uniform(-1.2, 1.2);
+  norm[5] = std::numeric_limits<double>::quiet_NaN();
+  norm[6] = std::numeric_limits<double>::infinity();
+  norm[7] = -std::numeric_limits<double>::infinity();
+  norm[8] = -0.0;
+  const converters::Quantizer& quant = bank.quantizer();
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+
+  for (std::size_t rail = 0; rail < faults::LaneBank::kRails; ++rail) {
+    table.ensure(bank);
+    ASSERT_TRUE(table.fresh(bank));
+    const faults::LaneEncoder tabled(bank, channels, rail, &table, &golden);
+    bank.bump_epoch();  // stale table, unchanged lanes
+    ASSERT_FALSE(table.fresh(bank));
+    const faults::LaneEncoder live(bank, channels, rail, &table, &golden);
+    std::size_t diverged = 0;
+    for (const std::size_t p0 : {0u, 3u, 13u}) {
+      for (const std::size_t len : {0u, 1u, 768u}) {
+        for (const bool with_ref : {false, true}) {
+          SCOPED_TRACE(testing::Message() << "rail " << rail << " p0 " << p0 << " len " << len
+                                          << " reference " << with_ref);
+          const std::span<const double> in(norm.data(), len);
+          std::vector<double> cur_t(len, 9.0), ref_t(len, 9.0), cur_l(len, 9.0), ref_l(len, 9.0);
+          tabled(in, p0, cur_t, with_ref ? std::span<double>(ref_t) : std::span<double>{});
+          live(in, p0, cur_l, with_ref ? std::span<double>(ref_l) : std::span<double>{});
+          for (std::size_t i = 0; i < len; ++i) {
+            const std::size_t flat = rail * bank.wavelengths() + channels[(p0 + i) % 5];
+            const std::int32_t code = quant.encode(in[i]);
+            ASSERT_EQ(bits(cur_t[i]), bits(cur_l[i])) << i;
+            ASSERT_EQ(bits(cur_t[i]), bits(bank.lane(flat).model.encode_code(code))) << i;
+            if (with_ref) {
+              ASSERT_EQ(bits(ref_t[i]), bits(ref_l[i])) << i;
+              ASSERT_EQ(bits(ref_t[i]), bits(golden.at(flat, code))) << i;
+              diverged += cur_t[i] != ref_t[i];
+            } else {
+              ASSERT_EQ(ref_t[i], 9.0);  // no reference asked for, none written
+              ASSERT_EQ(ref_l[i], 9.0);
+            }
+          }
+        }
+      }
+    }
+    EXPECT_GT(diverged, 0u) << "the faults must make current and golden differ on rail " << rail;
+  }
 }
 
 }  // namespace

@@ -30,6 +30,28 @@ TEST(Matrix, ConstructionRejectsSizeMismatch) {
   EXPECT_THROW(Matrix(2, 2, std::vector<double>{1, 2, 3}), PreconditionError);
 }
 
+// The sized constructor fills every element; resize adds elements
+// without writing them, and with the column count unchanged keeps every
+// existing row — the two contracts prepare_operand and KV appends use.
+TEST(Matrix, SizedConstructorFillsAndResizeKeepsRows) {
+  const Matrix zeros(3, 4);
+  for (const double x : zeros.data()) EXPECT_EQ(x, 0.0);
+  const Matrix filled(2, 5, -1.25);
+  for (const double x : filled.data()) EXPECT_EQ(x, -1.25);
+
+  Matrix m(2, 3);
+  for (std::size_t i = 0; i < m.size(); ++i) m.data()[i] = static_cast<double>(i) + 0.5;
+  m.resize(5, 3);
+  ASSERT_EQ(m.rows(), 5u);
+  ASSERT_EQ(m.cols(), 3u);
+  ASSERT_EQ(m.size(), 15u);
+  for (std::size_t i = 0; i < 6; ++i) EXPECT_EQ(m.data()[i], static_cast<double>(i) + 0.5);
+  m.resize(1, 3);
+  for (std::size_t c = 0; c < 3; ++c) EXPECT_EQ(m(0, c), static_cast<double>(c) + 0.5);
+  m.resize(4, 3);
+  for (std::size_t c = 0; c < 3; ++c) EXPECT_EQ(m(0, c), static_cast<double>(c) + 0.5);
+}
+
 TEST(Matrix, RowSpanViewsUnderlyingStorage) {
   Matrix m(2, 3);
   auto row = m.row(1);

@@ -1,0 +1,237 @@
+// ptc::prepare_operand and append_operand build every operand in one
+// blocked pass (DESIGN.md §10): blocks of Bᵀ rows are normalized into
+// per-worker scratch, encoded and folded into their checksum stripes
+// while still in cache.  These tests pin that pass, bit for bit, to an
+// element-wise reference — the raw max-abs by a serial fold, every
+// element divided once and encoded alone at its own reduction position,
+// every stripe summed in ascending column order — over both source
+// orientations, shapes ragged against the block and the stripe, every
+// staging option and more than one pool worker.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <span>
+#include <vector>
+
+#include "common/matrix.hpp"
+#include "common/rng.hpp"
+#include "common/thread_pool.hpp"
+#include "ptc/gemm_engine.hpp"
+
+namespace {
+
+using namespace pdac;
+using namespace pdac::ptc;
+
+/// A pure, position-dependent encoder whose current and golden outputs
+/// differ, so a wrong reduction position, a swapped output or a stripe
+/// folded from the wrong copy changes bits.
+void position_encode(std::span<const double> norm, std::size_t p0, std::span<double> encoded,
+                     std::span<double> reference) {
+  for (std::size_t i = 0; i < norm.size(); ++i) {
+    const double p = static_cast<double>(p0 + i);
+    encoded[i] = norm[i] * (1.0 + 0.01 * std::fmod(p, 5.0)) + 1e-3 * p;
+    if (!reference.empty()) reference[i] = 0.5 * norm[i] - 1e-4 * p;
+  }
+}
+
+/// prepare_operand, one element at a time.
+PreparedOperand elementwise_prepare(const Matrix& src, GrowAxis axis, const OperandSpec& spec) {
+  const bool cols_axis = axis == GrowAxis::kCols;
+  PreparedOperand pb;
+  pb.rows = cols_axis ? src.cols() : src.rows();
+  pb.cols = cols_axis ? src.rows() : src.cols();
+  for (const double v : src.data()) pb.abs_max = std::max(pb.abs_max, std::abs(v));
+  pb.scale = pb.abs_max > 0.0 ? pb.abs_max : 1.0;
+  pb.epoch = spec.epoch;
+  pb.channels = spec.channels;
+  pb.encoded = Matrix(pb.cols, pb.rows);
+  if (spec.reference) pb.reference = Matrix(pb.cols, pb.rows);
+  for (std::size_t j = 0; j < pb.cols; ++j) {
+    for (std::size_t p = 0; p < pb.rows; ++p) {
+      const double norm = (cols_axis ? src(j, p) : src(p, j)) / pb.scale;
+      position_encode(std::span<const double>(&norm, 1), p,
+                      std::span<double>(&pb.encoded(j, p), 1),
+                      spec.reference ? std::span<double>(&pb.reference(j, p), 1)
+                                     : std::span<double>{});
+    }
+  }
+  if (spec.checksum_stripe > 0) {
+    pb.checksum_stripe = spec.checksum_stripe;
+    pb.checksum = Matrix((pb.cols + spec.checksum_stripe - 1) / spec.checksum_stripe, pb.rows);
+    const Matrix& golden = spec.reference ? pb.reference : pb.encoded;
+    for (std::size_t j = 0; j < pb.cols; ++j) {
+      for (std::size_t p = 0; p < pb.rows; ++p) {
+        pb.checksum(j / spec.checksum_stripe, p) += golden(j, p);
+      }
+    }
+  }
+  return pb;
+}
+
+bool same_bits(double a, double b) { return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b); }
+
+/// `got`'s logical rows × `want.cols()` positions equal `want` bit for
+/// bit (`got` may carry padded column capacity).
+void expect_same_bits(const Matrix& got, const Matrix& want, const char* what) {
+  ASSERT_EQ(got.rows(), want.rows()) << what;
+  ASSERT_GE(got.cols(), want.cols()) << what;
+  std::size_t differ = 0;
+  for (std::size_t r = 0; r < want.rows(); ++r) {
+    for (std::size_t p = 0; p < want.cols(); ++p) differ += !same_bits(got(r, p), want(r, p));
+  }
+  EXPECT_EQ(differ, 0u) << what;
+}
+
+void expect_same_operand(const PreparedOperand& got, const PreparedOperand& want) {
+  EXPECT_TRUE(same_bits(got.abs_max, want.abs_max));
+  EXPECT_TRUE(same_bits(got.scale, want.scale));
+  EXPECT_EQ(got.rows, want.rows);
+  EXPECT_EQ(got.cols, want.cols);
+  EXPECT_EQ(got.epoch, want.epoch);
+  EXPECT_EQ(got.channels, want.channels);
+  EXPECT_EQ(got.checksum_stripe, want.checksum_stripe);
+  expect_same_bits(got.encoded, want.encoded, "encoded");
+  expect_same_bits(got.reference, want.reference, "reference");
+  expect_same_bits(got.checksum, want.checksum, "checksum");
+}
+
+/// A B-side source in `axis` orientation holding Bᵀ of n × k Gaussians,
+/// with Bᵀ row 0 the loudest so later rows can append under its scale.
+Matrix bt_source(std::size_t n, std::size_t k, GrowAxis axis, Rng& rng) {
+  Matrix bt = Matrix::random_gaussian(n, k, rng, 0.0, 0.3);
+  for (std::size_t p = 0; p < k; ++p) bt(0, p) = p % 2 == 0 ? 2.0 : -2.0;
+  return axis == GrowAxis::kCols ? bt : bt.transposed();
+}
+
+const char* axis_name(GrowAxis axis) { return axis == GrowAxis::kCols ? "cols" : "rows"; }
+
+TEST(PrepareOperand, OnePassEqualsTheElementwiseReference) {
+  const RowEncoder encode = position_encode;
+  Rng rng(41);
+  for (const std::size_t threads : {1u, 3u}) {
+    ThreadPool pool(threads);
+    Matrix stage;
+    for (const GrowAxis axis : {GrowAxis::kCols, GrowAxis::kRows}) {
+      for (const std::size_t k : {1u, 7u, 131u}) {
+        for (const std::size_t n : {1u, 8u, 33u, 100u}) {
+          for (const std::size_t stripe : {0u, 8u, 12u}) {
+            for (const bool reference : {false, true}) {
+              SCOPED_TRACE(testing::Message()
+                           << "threads " << threads << " axis " << axis_name(axis) << " k " << k
+                           << " n " << n << " stripe " << stripe << " reference " << reference);
+              const Matrix src = bt_source(n, k, axis, rng);
+              const OperandSpec spec{.epoch = 7,
+                                     .channels = {0, 2, 3},
+                                     .checksum_stripe = stripe,
+                                     .reference = reference};
+              expect_same_operand(prepare_operand(src, axis, spec, encode, pool, stage),
+                                  elementwise_prepare(src, axis, spec));
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// Appends run the same pass from a ragged start: new output columns from
+// any Bᵀ row, new reduction positions from any position, continuing
+// stripes that an earlier build left part-summed.
+TEST(PrepareOperand, AppendsEqualTheElementwiseReference) {
+  const RowEncoder encode = position_encode;
+  Rng rng(43);
+  for (const std::size_t threads : {1u, 3u}) {
+    ThreadPool pool(threads);
+    Matrix stage;
+    for (const GrowAxis axis : {GrowAxis::kCols, GrowAxis::kRows}) {
+      for (const std::size_t stripe : {0u, 8u, 12u}) {
+        for (const bool reference : {false, true}) {
+          SCOPED_TRACE(testing::Message() << "threads " << threads << " axis " << axis_name(axis)
+                                          << " stripe " << stripe << " reference " << reference);
+          const OperandSpec spec{.epoch = 2,
+                                 .channels = {1, 4},
+                                 .checksum_stripe = stripe,
+                                 .reference = reference};
+          // The growing axis: Bᵀ rows (output columns) for kCols, source
+          // rows (reduction positions) for kRows; the fixed one is 37 or
+          // 70 wide.
+          const std::size_t fixed = axis == GrowAxis::kCols ? 37 : 70;
+          const Matrix full = axis == GrowAxis::kCols ? bt_source(100, fixed, axis, rng)
+                                                      : bt_source(fixed, 100, axis, rng);
+          const auto prefix = [&](std::size_t len) {
+            Matrix m(len, full.cols());
+            std::copy_n(full.data().begin(), m.size(), m.data().begin());
+            return m;
+          };
+          PreparedOperand pb = prepare_operand(prefix(5), axis, spec, encode, pool, stage);
+          for (const std::size_t len : {6u, 13u, 45u, 46u, 100u}) {
+            ASSERT_TRUE(append_operand(pb, prefix(len), axis, spec, encode, pool, stage)) << len;
+            expect_same_operand(pb, elementwise_prepare(prefix(len), axis, spec));
+          }
+        }
+      }
+    }
+  }
+}
+
+// The raw max-abs folds four running maxima; std::max(m, |x|) never takes
+// a NaN and |−0| is +0, so it must equal the serial fold's double for
+// any placement of the extremes — every lane and every tail of lengths
+// 0–9 — and through either source orientation.
+TEST(PrepareOperand, AbsMaxEqualsTheSerialFoldAtEveryTail) {
+  const RowEncoder encode = position_encode;
+  ThreadPool pool(1);
+  Matrix stage;
+  const OperandSpec spec{};
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto serial = [](const std::vector<double>& v) {
+    double m = 0.0;
+    for (const double x : v) m = std::max(m, std::abs(x));
+    return m;
+  };
+  const auto check = [&](const std::vector<double>& v) {
+    const double want = serial(v);
+    for (const GrowAxis axis : {GrowAxis::kCols, GrowAxis::kRows}) {
+      const Matrix src = axis == GrowAxis::kCols ? Matrix(1, v.size(), v) : Matrix(v.size(), 1, v);
+      const PreparedOperand pb = prepare_operand(src, axis, spec, encode, pool, stage);
+      EXPECT_TRUE(same_bits(pb.abs_max, want)) << "length " << v.size() << ": " << pb.abs_max;
+      EXPECT_TRUE(same_bits(pb.scale, want > 0.0 ? want : 1.0)) << "length " << v.size();
+    }
+  };
+  Rng rng(47);
+  for (std::size_t len = 0; len <= 9; ++len) {
+    SCOPED_TRACE(testing::Message() << "length " << len);
+    std::vector<double> base(len);
+    for (double& x : base) x = rng.uniform(-0.5, 0.5);
+    check(base);
+    check(std::vector<double>(len, 0.0));
+    check(std::vector<double>(len, -0.0));
+    for (std::size_t q = 0; q < len; ++q) {
+      for (const double special : {nan, -0.0, inf, -inf, 3.0, -3.0}) {
+        std::vector<double> v = base;
+        v[q] = special;
+        check(v);
+      }
+      // A NaN beside the largest magnitude, on either side.
+      std::vector<double> v = base;
+      v[q] = -3.0;
+      v[(q + 1) % len] = nan;
+      check(v);
+    }
+  }
+  // All zeros, signed or not, record +0 and fall back to scale 1.
+  const Matrix neg_zero(3, 5, -0.0);
+  const PreparedOperand pz = prepare_operand(neg_zero, GrowAxis::kCols, spec, encode, pool, stage);
+  EXPECT_FALSE(std::signbit(pz.abs_max));
+  EXPECT_EQ(pz.abs_max, 0.0);
+  EXPECT_EQ(pz.scale, 1.0);
+}
+
+}  // namespace
