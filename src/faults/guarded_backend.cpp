@@ -298,12 +298,16 @@ Matrix GuardedBackend::run_product(const Matrix& a, const Matrix& bsrc, ptc::Gro
   const bool guarded = cfg_.guard.enabled;
 
   // A-side pipeline: normalize once, then encode under the operand's
-  // channel packing — current state, plus golden when guarded.
+  // channel packing — current state, plus golden when guarded — into
+  // backend scratch that every element is written to.
   const double a_scale = converters::max_abs_scale(a.data());
-  Matrix an(m, k);
+  Matrix& an = an_;
+  an.resize(m, k);
   for (std::size_t i = 0; i < a.size(); ++i) an.data()[i] = a.data()[i] / a_scale;
-  Matrix ae(m, k);
-  Matrix ae_gold(guarded ? m : 0, k);
+  Matrix& ae = ae_;
+  ae.resize(m, k);
+  Matrix& ae_gold = ae_gold_;
+  ae_gold.resize(guarded ? m : 0, k);
   Matrix xsum;
   const std::size_t row_stripes = (m + cfg_.array_rows - 1) / cfg_.array_rows;
   const std::size_t col_stripes = (n + cfg_.array_cols - 1) / cfg_.array_cols;
@@ -318,7 +322,7 @@ Matrix GuardedBackend::run_product(const Matrix& a, const Matrix& bsrc, ptc::Gro
     const LaneEncoder encode = lane_encoder(0, channels);
     pool_->parallel_for(m, [&](std::size_t begin, std::size_t end, std::size_t) {
       for (std::size_t r = begin; r < end; ++r) {
-        encode(an.row(r), 0, ae.row(r), guarded ? ae_gold.row(r) : std::span<double>{});
+        encode(an.row(r), 0, 1, ae.row(r), guarded ? ae_gold.row(r) : std::span<double>{});
       }
     });
     if (guarded) ptc::stripe_sums(ae_gold, cfg_.array_rows, xsum);
@@ -374,7 +378,7 @@ Matrix GuardedBackend::run_product(const Matrix& a, const Matrix& bsrc, ptc::Gro
     if (ea != now) {
       const LaneEncoder live(bank_, pb->channels, 0, &table_);
       for (std::size_t i = tile.row0; i < tile.row0 + tile.rows; ++i) {
-        live(an.row(i), 0, ae.row(i), {});
+        live(an.row(i), 0, 1, ae.row(i), {});
       }
       ea = now;
     }
@@ -387,7 +391,7 @@ Matrix GuardedBackend::run_product(const Matrix& a, const Matrix& bsrc, ptc::Gro
       ptc::normalize_bt_rows(bsrc, baxis, pb->scale, tile.col0, tile.col0 + tile.cols, 0, k, bn);
       const LaneEncoder live(bank_, pb->channels, 1, &table_);
       for (std::size_t j = 0; j < tile.cols; ++j) {
-        live(bn.row(j), 0, be_live.row(tile.col0 + j).first(k), {});
+        live(bn.row(j), 0, 1, be_live.row(tile.col0 + j).first(k), {});
       }
       eb = now;
     }

@@ -325,6 +325,11 @@ class GuardedBackend final : public nn::GemmBackend {
   /// Per-worker block scratch of ptc::prepare_operand / append_operand
   /// (a few normalized Bᵀ rows per pool worker), kept across obtains.
   Matrix stage_;
+  /// run_product's A side — normalized, current and golden encodes —
+  /// sized per product with Matrix::resize, so they keep their capacity.
+  Matrix an_;
+  Matrix ae_;
+  Matrix ae_gold_;
   nn::OperandCache cache_;
   nn::OperandCache kv_cache_;
   EscalationPolicy policy_;

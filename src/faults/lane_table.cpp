@@ -37,13 +37,22 @@ LaneEncoder::LaneEncoder(const LaneBank& bank, const std::vector<std::size_t>& c
   }
 }
 
-void LaneEncoder::operator()(std::span<const double> norm, std::size_t p0,
+void LaneEncoder::operator()(std::span<const double> norm, std::size_t p0, std::size_t step,
                              std::span<double> current, std::span<double> reference) const {
   // One span quantize (clamp_unit's clamp included), then both amplitudes
-  // by code; position p0 + i rides packed channel (p0 + i) % nl.
+  // by code; position p0 + i·step rides packed channel (p0 + i·step) % nl.
   const std::size_t nl = packed_.size();
-  std::size_t ch = p0 % nl;
   const converters::Quantizer& quant = bank_->quantizer();
+  if (step == 0) {
+    // One position, one channel: every value reads that channel's rows.
+    const Packed& lane = packed_[p0 % nl];
+    quant.encode_each(norm, 1.0, [&](std::size_t i, std::int32_t code) {
+      current[i] = live_ ? bank_->lane(lane.flat).model.encode_code(code) : lane.current[code];
+      if (!reference.empty()) reference[i] = lane.golden[code];
+    });
+    return;
+  }
+  std::size_t ch = p0 % nl;
   if (live_) {
     quant.encode_each(norm, 1.0, [&](std::size_t i, std::int32_t code) {
       current[i] = bank_->lane(packed_[ch].flat).model.encode_code(code);

@@ -76,27 +76,30 @@ class LaneEncodeTable {
 
 /// Encodes normalized values through the lanes that carry them: reduction
 /// position p rides channel channels[p % channels.size()] of `rail` (x
-/// rail 0 for A, y rail 1 for B).  The CURRENT amplitude comes from
-/// `table` when it is fresh at construction and from the live lane model
-/// otherwise (no table, or a stale one), bit-identical either way, so a
-/// missed ensure() can cost speed but never correctness.  When a
-/// reference span is asked for, the GOLDEN amplitude comes from the
+/// rail 0 for A, y rail 1 for B), and value i of a call sits at position
+/// p0 + i·step — step 1 along a row, step 0 across the output columns of
+/// one appended position, which rides a single channel.  The CURRENT
+/// amplitude comes from `table` when it is fresh at construction and from
+/// the live lane model otherwise (no table, or a stale one), bit-identical
+/// either way, so a missed ensure() can cost speed but never correctness.
+/// When a reference span is asked for, the GOLDEN amplitude comes from the
 /// pinned `golden` snapshot.  Construction makes every choice once: the
 /// current source and each packed channel's table row (current and
-/// golden), so a call — one element or a whole row — only quantizes its
-/// span through the span rule (Quantizer::encode_each, DESIGN.md §18) and
-/// reads both amplitudes by code, advancing the channel with the
-/// position.  Build one per use: the bank must not move its epoch while
-/// an encoder built on a fresh table is in use.  Serves as the
-/// ptc::RowEncoder of every faults-layer prepare and append, encodes A
-/// rows the same way, and re-encodes stale stripes under a storm.
+/// golden), so a call — one element, a whole row or one position across
+/// every column — only quantizes its span through the span rule
+/// (Quantizer::encode_each, DESIGN.md §18) and reads both amplitudes by
+/// code, advancing the channel with the position.  Build one per use: the
+/// bank must not move its epoch while an encoder built on a fresh table is
+/// in use.  Serves as the ptc::RowEncoder of every faults-layer prepare
+/// and append, encodes A rows the same way, and re-encodes stale stripes
+/// under a storm.
 class LaneEncoder {
  public:
   LaneEncoder(const LaneBank& bank, const std::vector<std::size_t>& channels, std::size_t rail,
               const LaneEncodeTable* table = nullptr, const LaneEncodeTable* golden = nullptr);
 
-  void operator()(std::span<const double> norm, std::size_t p0, std::span<double> current,
-                  std::span<double> reference) const;
+  void operator()(std::span<const double> norm, std::size_t p0, std::size_t step,
+                  std::span<double> current, std::span<double> reference) const;
 
  private:
   /// One packed channel: its flat lane and its amplitudes by code — the

@@ -106,10 +106,48 @@ void build_rows(PreparedOperand& pb, const Matrix& src, GrowAxis axis, const Ope
       const std::size_t row0 = worker * block;
       normalize_bt_rows(src, axis, pb.scale, lo, hi, p0, p1, stage, row0);
       for (std::size_t j = lo; j < hi; ++j) {
-        encode(stage.row(row0 + (j - lo)).first(len), p0, pb.encoded.row(j).subspan(p0, len),
+        encode(stage.row(row0 + (j - lo)).first(len), p0, 1, pb.encoded.row(j).subspan(p0, len),
                spec.reference ? pb.reference.row(j).subspan(p0, len) : std::span<double>{});
       }
       if (stripe > 0) fold_stripes(pb, lo, hi, p0, p1);
+    }
+  });
+}
+
+/// A reduction-axis append's new positions [p0, p1) of a B source.
+/// Position p is B's row p, one contiguous run across every output
+/// column, and rides one channel, so it is normalized into its pool
+/// worker's stage row (as normalize_bt_rows normalizes a Bᵀ row), encoded
+/// by one `encode` call (step 0), written down column p of the encodings
+/// and folded into its stripes in ascending j, from the exact zero
+/// append_operand writes there.  Positions touch disjoint elements and
+/// every element takes the same single division and encode, so the
+/// result is bit for bit the same as build_rows' at any pool width.
+void build_positions(PreparedOperand& pb, const Matrix& src, const OperandSpec& spec,
+                     const RowEncoder& encode, ThreadPool& pool, Matrix& stage, std::size_t p0,
+                     std::size_t p1) {
+  const std::size_t n = pb.cols;
+  const std::size_t stripe = spec.checksum_stripe;
+  // Per worker: the normalized run, its encodes and its golden encodes.
+  constexpr std::size_t kRowsPerWorker = 3;
+  stage.resize(pool.size() * kRowsPerWorker, n + kStagePad);
+  pool.parallel_for(p1 - p0, [&](std::size_t begin, std::size_t end, std::size_t worker) {
+    const std::size_t row0 = worker * kRowsPerWorker;
+    const std::span<const double> norm = stage.row(row0).first(n);
+    const std::span<double> enc = stage.row(row0 + 1).first(n);
+    const std::span<double> gold =
+        spec.reference ? stage.row(row0 + 2).first(n) : std::span<double>{};
+    const std::span<const double> golden = spec.reference ? gold : enc;
+    for (std::size_t p = p0 + begin; p < p0 + end; ++p) {
+      normalize_bt_rows(src, GrowAxis::kCols, pb.scale, p, p + 1, 0, n, stage, row0);
+      encode(norm, p, 0, enc, gold);
+      for (std::size_t j = 0; j < n; ++j) pb.encoded(j, p) = enc[j];
+      if (spec.reference) {
+        for (std::size_t j = 0; j < n; ++j) pb.reference(j, p) = gold[j];
+      }
+      if (stripe > 0) {
+        for (std::size_t j = 0; j < n; ++j) pb.checksum(j / stripe, p) += golden[j];
+      }
     }
   });
 }
@@ -240,7 +278,7 @@ bool append_operand(PreparedOperand& pb, const Matrix& src, GrowAxis axis,
                   row.begin() + static_cast<std::ptrdiff_t>(new_len), 0.0);
       }
     }
-    build_rows(pb, src, axis, spec, encode, pool, stage, 0, pb.cols, old_len, new_len);
+    build_positions(pb, src, spec, encode, pool, stage, old_len, new_len);
     pb.rows = new_len;
   }
   return true;
@@ -254,9 +292,9 @@ OperandSpec PhotonicGemm::operand_spec(std::uint64_t epoch) const {
 }
 
 RowEncoder PhotonicGemm::lut_encoder() const {
-  // The LUT is position-independent (p0 unused) and the healthy path
-  // stages no golden reference.
-  return [this](std::span<const double> norm, std::size_t, std::span<double> encoded,
+  // The LUT is position-independent (p0 and step unused) and the healthy
+  // path stages no golden reference.
+  return [this](std::span<const double> norm, std::size_t, std::size_t, std::span<double> encoded,
                 std::span<double>) { engine_.encode_span(norm, encoded); };
 }
 
@@ -387,89 +425,78 @@ GemmResult PhotonicGemm::multiply_prepared(const Matrix& a, const PreparedOperan
   GemmResult res;
   res.a_scale = a_scale;
   res.b_scale = b.scale;
-  res.c = Matrix(a.rows(), b.cols);
+  // Every output is written by exactly one kernel call, so the output is
+  // sized, not zero-filled.
+  res.c.resize(a.rows(), b.cols);
   const double rescale = a_scale * b.scale;
-
-  partition_tiles_into(a.rows(), b.cols, cfg_.array_rows, cfg_.array_cols, tile_scratch_);
-  const std::vector<Tile>& tiles = tile_scratch_;
-  const std::size_t lanes = cfg_.dot.wavelengths;
-
-  // Per-tile counters land in tile-index slots and are folded in index
-  // order after the join, so accounting is deterministic at any thread
-  // count (the numerics are deterministic element-wise anyway).
-  event_scratch_.assign(tiles.size(), EventCounter{});
-
-  // Guard setup: the A row-stripe checksums (Σ_i x′_i per array_rows-high
-  // stripe), once per product.  The engine's encoder is immutable, so
-  // the A encodes double as their own golden reference.
-  if (guarded) {
-    stripe_sums(ae, cfg_.array_rows, xsum_scratch_);
-    check_scratch_.assign(tiles.size(), TileCheck{});
-  }
-
   const ExecutionPath path = cfg_.path;
-  const std::size_t slot = cfg_.array_rows + cfg_.array_cols;
-  for_each_tile(*pool_, tiles, [&](std::size_t t, std::size_t worker) {
-    const Tile& tile = tiles[t];
-    // Broadcast-amortization contract (see header): modulation, ADC and
-    // cycle occupancy are tile-step quantities, not per-dot ones.  The
-    // hardware modulates B columns per tile step even when the simulator
-    // reuses a prepared encoding, so the charge is unconditional.  The
-    // kernel tiers charge the closed form whole; the device graph below
-    // keeps the detections, DDot ops and MACs of the dots it ran.  The
-    // executors' rule: B broadcast, one ADC sample per output.
-    EventCounter step =
-        tile_step_events(tile.rows, tile.cols, k, lanes, Residency::kBroadcast, kSamplePerOutput);
-    // The tier writes the tile's raw, post-ADC dots into res.c.
+
+  // One kernel call over `span`, a tile or a row panel: the tier writes
+  // its raw, post-ADC dots into res.c.  The device graph adds the
+  // detections, DDot ops and MACs of the dots it ran to its worker's slot.
+  reduction_scratch_.assign(pool_->size(), EventCounter{});
+  const auto run = [&](const Tile& span, std::size_t worker) {
     if (path == ExecutionPath::kKernel) {
-      // Fused flat-array kernel: the whole tile in one pass, bit-identical
-      // to the device-graph loop below.
-      kernel_.run_tile(tile, ae, b.encoded, res.c);
+      // Fused flat-array kernel, bit-identical to the device-graph loop
+      // below.
+      kernel_.run_tile(span, ae, b.encoded, res.c);
     } else if (path == ExecutionPath::kKernelSimd) {
       // SIMD fast tier: tolerance-banded vs the scalar kernel, event
       // charges identical; the guard below runs on it unchanged.
-      kernel_.run_tile_fast(tile, ae, b.encoded, xx_scratch_, yy, res.c);
+      kernel_.run_tile_fast(span, ae, b.encoded, xx_scratch_, yy, res.c);
     } else {
       const Ddot& ddot = worker_ddots_[worker];
       DdotScratch& scratch = worker_scratch_[worker];
-      // One readout converter per tile, as the kernel tiers build theirs.
+      // One readout converter per call, as the kernel tiers build theirs.
       const std::optional<converters::ElectricalAdc> adc = readout_adc(engine_.config(), k);
-      EventCounter reduction;
-      for (std::size_t i = tile.row0; i < tile.row0 + tile.rows; ++i) {
-        for (std::size_t j = tile.col0; j < tile.col0 + tile.cols; ++j) {
+      for (std::size_t i = span.row0; i < span.row0 + span.rows; ++i) {
+        for (std::size_t j = span.col0; j < span.col0 + span.cols; ++j) {
           // first(k) strips any column-capacity padding off the prepared
           // row — the device path takes equal-length spans.
-          res.c(i, j) = engine_.dot_preencoded(ae.row(i), b.encoded.row(j).first(k), &reduction,
-                                               &ddot, &scratch, &adc);
+          res.c(i, j) = engine_.dot_preencoded(ae.row(i), b.encoded.row(j).first(k),
+                                               &reduction_scratch_[worker], &ddot, &scratch, &adc);
         }
       }
-      step.detection_events = reduction.detection_events;
-      step.ddot_ops = reduction.ddot_ops;
-      step.macs = reduction.macs;
     }
-    // Raw (pre-rescale) tile sums for the checksum comparison, in the
-    // worker's slot of the engine scratch; the unguarded fold takes none.
-    std::span<double> rsum;
-    std::span<double> csum;
-    if (guarded) {
-      const std::span<double> sums = std::span<double>(sum_scratch_).subspan(worker * slot, slot);
-      rsum = sums.first(tile.rows);
-      csum = sums.subspan(tile.rows, tile.cols);
-    }
-    fold_tile(tile, rescale, res.c, rsum, csum);
-    event_scratch_[t] = step;
+  };
 
-    if (guarded) {
+  if (!guarded) {
+    // One kernel call per row panel: no verdict reads the tiles back, so
+    // each array_rows stripe runs across the output width, cut into at
+    // most one column chunk per worker, with one readout converter and
+    // one quadratic form per call.
+    partition_panels_into(a.rows(), b.cols, cfg_.array_rows, cfg_.array_cols, pool_->size(),
+                          tile_scratch_);
+    for_each_tile(*pool_, tile_scratch_, [&](std::size_t t, std::size_t worker) {
+      run(tile_scratch_[t], worker);
+      fold_tile(tile_scratch_[t], rescale, res.c);
+    });
+  } else {
+    // Guarded: one tile per call, since each verdict re-reads its tile's
+    // B rows while they are still in cache.  The A row-stripe checksums
+    // (Σ_i x′_i per array_rows-high stripe) are summed once per product;
+    // the engine's encoder is immutable, so the A encodes double as their
+    // own golden reference.
+    partition_tiles_into(a.rows(), b.cols, cfg_.array_rows, cfg_.array_cols, tile_scratch_);
+    const std::vector<Tile>& tiles = tile_scratch_;
+    stripe_sums(ae, cfg_.array_rows, xsum_scratch_);
+    check_scratch_.assign(tiles.size(), TileCheck{});
+    const std::size_t slot = cfg_.array_rows + cfg_.array_cols;
+    for_each_tile(*pool_, tiles, [&](std::size_t t, std::size_t worker) {
+      const Tile& tile = tiles[t];
+      run(tile, worker);
+      // Raw (pre-rescale) tile sums for the checksum comparison, in the
+      // worker's slot of the engine scratch.
+      const std::span<double> sums = std::span<double>(sum_scratch_).subspan(worker * slot, slot);
+      const std::span<double> rsum = sums.first(tile.rows);
+      const std::span<double> csum = sums.subspan(tile.rows, tile.cols);
+      fold_tile(tile, rescale, res.c, rsum, csum);
       // The single-error site is never applied here: a mismatch is how
       // callers learn a cached operand was corrupted.
       check_scratch_[t] = verify_tile(cfg_.guard, tile, t, rsum, csum, ae,
                                       xsum_scratch_.row(tile.row0 / cfg_.array_rows), b);
-    }
-  });
+    });
 
-  for (const EventCounter& ev : event_scratch_) res.events += ev;
-
-  if (guarded) {
     res.guard.enabled = true;
     res.guard.tiles_checked = tiles.size();
     for (std::size_t t = 0; t < tiles.size(); ++t) {
@@ -483,7 +510,22 @@ GemmResult PhotonicGemm::multiply_prepared(const Matrix& a, const PreparedOperan
       res.guard.tally_drift(check);
     }
     res.guard.checksum_events = checksum_product_events(
-        a.rows(), k, b.cols, {cfg_.array_rows, cfg_.array_cols, lanes});
+        a.rows(), k, b.cols, {cfg_.array_rows, cfg_.array_cols, cfg_.dot.wavelengths});
+  }
+
+  // Broadcast-amortization contract (see header): tiles stay the unit of
+  // events whatever the unit of kernel calls, so the product is charged
+  // the closed form over its tiling once.  The hardware modulates B
+  // columns per tile step even when the simulator reuses a prepared
+  // encoding, so the charge is unconditional.  The device graph keeps the
+  // detections, DDot ops and MACs of the dots it ran.
+  res.events = count_events(a.rows(), k, b.cols);
+  if (path == ExecutionPath::kDeviceGraph) {
+    EventCounter ran;
+    for (const EventCounter& r : reduction_scratch_) ran += r;
+    res.events.detection_events = ran.detection_events;
+    res.events.ddot_ops = ran.ddot_ops;
+    res.events.macs = ran.macs;
   }
   return res;
 }

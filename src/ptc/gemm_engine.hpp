@@ -6,16 +6,20 @@
 // reduced through DDot units.
 //
 // Execution model (DESIGN.md §9): the output is partitioned into
-// array_rows × array_cols tiles (tile_scheduler.hpp) and the tiles are
-// dispatched across a thread pool.  Each worker reduces through its own
-// Ddot instance (device objects are never shared mutably); operand
-// encoding is amortized — every A row and B column is pushed through the
-// shared encode LUT exactly once per product, mirroring the hardware's
-// broadcast of one modulated row/column across a whole tile.  Results
-// are bit-identical to serial execution at any thread count: every
-// output element belongs to exactly one tile, its reduction order is
-// fixed inside its dot product, and per-tile event counters are folded
-// in tile-index order after the workers join.
+// array_rows × array_cols tiles (tile_scheduler.hpp), the unit of events
+// and guard verdicts.  Kernel calls are dispatched across a thread pool:
+// an unguarded product runs one call per row panel — an array_rows
+// stripe across the output width, cut on array_cols boundaries into at
+// most one column chunk per worker — and a guarded product one call per
+// tile, whose verdict re-reads the tile's B rows while they are in
+// cache.  Each worker reduces through its own Ddot instance (device
+// objects are never shared mutably); operand encoding is amortized —
+// every A row and B column is pushed through the shared encode LUT
+// exactly once per product, mirroring the hardware's broadcast of one
+// modulated row/column across a whole tile.  Results are bit-identical
+// to serial execution at any thread count and at either call unit: every
+// output element belongs to exactly one call and keeps its own dot and
+// ADC round trip, and the events are the closed form over the tiling.
 //
 // Event accounting contract (broadcast amortization): the counts model
 // Lightening-Transformer's dynamically-operated 2-D DPTC array.  An
@@ -25,11 +29,11 @@
 // (adc_events counts every output sample even when the functional
 // adc_readout shortcut is off), and occupies the array for
 // ⌈k/wavelengths⌉ cycles because the H·W DDots run concurrently.
-// Detection, DDot-op and MAC counts come from the dots actually
-// executed, so multiply()'s events and the analytic count_events() are
-// equal field-for-field — a property the tests pin.  With a 1×1 array
-// the tile contract degenerates to exactly the standalone per-dot
-// convention ((1+1)·k = 2·k).
+// multiply() charges count_events() once per product; the device graph
+// keeps the detection, DDot-op and MAC counts of the dots it executed,
+// which equal the closed form field-for-field — a property the tests
+// pin.  With a 1×1 array the tile contract degenerates to exactly the
+// standalone per-dot convention ((1+1)·k = 2·k).
 //
 // Weight-stationary split (DESIGN.md §10): prepare_b() runs the whole
 // B-side pipeline (max-abs scale, transpose, normalize, LUT-encode) once
@@ -214,13 +218,16 @@ enum class GrowAxis {
   kRows,  ///< source is B (k × n): new source rows extend the REDUCTION axis
 };
 
-/// Encodes one normalized Bᵀ row segment: `norm[i]` sits at reduction
-/// position `p0 + i`.  Writes the data amplitudes into `encoded` and, when
-/// the operand stages them, the golden amplitudes into `reference` (empty
-/// otherwise).  Called once per row segment, possibly from several pool
-/// workers at once.
-using RowEncoder = std::function<void(std::span<const double> norm, std::size_t p0,
-                                      std::span<double> encoded, std::span<double> reference)>;
+/// Encodes a run of normalized B-side values: `norm[i]` sits at
+/// reduction position `p0 + i·step` — step 1 along one Bᵀ row segment,
+/// step 0 across the output columns of the one position a reduction-axis
+/// append adds.  Writes the data amplitudes into `encoded` and, when the
+/// operand stages them, the golden amplitudes into `reference` (empty
+/// otherwise).  Called once per row segment or appended position,
+/// possibly from several pool workers at once.
+using RowEncoder =
+    std::function<void(std::span<const double> norm, std::size_t p0, std::size_t step,
+                       std::span<double> encoded, std::span<double> reference)>;
 
 /// What an operand is stamped with and which optional parts it stages.
 /// An append must be handed the spec the operand was prepared under, or
@@ -245,18 +252,21 @@ void normalize_bt_rows(const Matrix& src, GrowAxis axis, double scale, std::size
 /// Build an operand from `src` (B for kRows, Bᵀ for kCols): the raw
 /// max-abs and scale, then one blocked pass over Bᵀ rows — each block of
 /// whole checksum stripes normalized into its pool worker's rows of
-/// `stage` (per-worker block scratch the caller keeps), one `encode` call
-/// per Bᵀ row on `pool`, and — per `spec` — the golden reference and the
-/// checksum stripes (ascending-column sums).  Bit for bit the same at any
-/// pool width.
+/// `stage` (per-worker scratch the caller keeps), one `encode` call (step
+/// 1) per Bᵀ row on `pool`, and — per `spec` — the golden reference and
+/// the checksum stripes (ascending-column sums).  Bit for bit the same at
+/// any pool width.
 [[nodiscard]] PreparedOperand prepare_operand(const Matrix& src, GrowAxis axis,
                                               const OperandSpec& spec, const RowEncoder& encode,
                                               ThreadPool& pool, Matrix& stage);
 
 /// Grow `pb` to the longer source `src` (same orientation as it was
-/// prepared from) by encoding only the new rows through the same blocked
-/// pass and `stage` as prepare_operand, continuing the checksum
-/// stripes in fresh-prepare order: the result is bit-identical to
+/// prepared from) by encoding only the new rows, continuing the checksum
+/// stripes in fresh-prepare order: new output columns (kCols) through the
+/// same blocked pass and `stage` as prepare_operand, new reduction
+/// positions (kRows) one `encode` call each across every output column —
+/// a position rides one channel — scattered down their column of the
+/// encodings.  The result is bit-identical to
 /// prepare_operand(src, axis, spec, …), and so is every output, event
 /// count and guard verdict computed from it.  Returns false, leaving `pb`
 /// untouched, whenever that identity cannot hold — epoch or channel
@@ -395,8 +405,8 @@ class PhotonicGemm {
   mutable std::vector<DdotScratch> worker_scratch_;
   mutable Matrix norm_scratch_;
   mutable Matrix encode_scratch_;
-  mutable std::vector<Tile> tile_scratch_;
-  mutable std::vector<EventCounter> event_scratch_;
+  mutable std::vector<Tile> tile_scratch_;            // the product's panels or tiles
+  mutable std::vector<EventCounter> reduction_scratch_;  // device graph: dots run, per worker
   mutable Matrix xsum_scratch_;               // guarded path: A row-stripe checksums
   mutable std::vector<double> xx_scratch_;    // SIMD tier: Σx² per A row
   mutable std::vector<double> yy_scratch_;    // SIMD tier: Σy² of unstaged operands

@@ -1,6 +1,9 @@
 #include "ptc/kernel.hpp"
 
 #include <algorithm>
+#include <optional>
+#include <span>
+#include <type_traits>
 
 #include "common/require.hpp"
 #include "common/simd.hpp"
@@ -80,6 +83,33 @@ void reduce_block(const LaneTransfer& ln, std::size_t nl, const DetectorTransfer
   for (std::size_t b = 0; b < NB; ++b) out[b] = acc[b];
 }
 
+/// Column block width of both kernel tiers: reduce_block<4> and simd::dot4.
+constexpr std::size_t kColumnBlock = 4;
+
+/// Walks `tile`'s columns in blocks, outermost: body(j, width) for each
+/// kColumnBlock-wide block from tile.col0 on, then for each remaining
+/// column alone, with `width` a std::integral_constant.  The body runs its
+/// block for every tile row, so a multi-row call streams each block of B
+/// rows once instead of once per row.
+template <class Body>
+void for_each_column_block(const Tile& tile, Body&& body) {
+  const std::size_t col_end = tile.col0 + tile.cols;
+  std::size_t j = tile.col0;
+  for (; j + kColumnBlock <= col_end; j += kColumnBlock) {
+    body(j, std::integral_constant<std::size_t, kColumnBlock>{});
+  }
+  for (; j < col_end; ++j) body(j, std::integral_constant<std::size_t, 1>{});
+}
+
+/// One span ADC call per tile row over its raw values, bit-identical to
+/// sampling each value.
+void read_out(const converters::ElectricalAdc& adc, const Tile& tile, Matrix& c) {
+  for (std::size_t i = tile.row0; i < tile.row0 + tile.rows; ++i) {
+    const std::span<double> raw = c.row(i).subspan(tile.col0, tile.cols);
+    adc.sample_to_voltage(raw, raw);
+  }
+}
+
 }  // namespace
 
 FusedKernel::FusedKernel(const PhotonicDotEngine& engine)
@@ -112,28 +142,18 @@ void FusedKernel::run_tile(const Tile& tile, const Matrix& ae, const Matrix& be,
   // column capacity (PreparedOperand shape contract); every loop here
   // is bounded by the A-side k, so padding is never read.
   PDAC_REQUIRE(be.cols() >= k, "FusedKernel: operand reduction lengths must agree");
-  // The reduction length is fixed across the tile, so the ADC (whose
+  // The reduction length is fixed across the call, so the ADC (whose
   // behavior depends only on bits and full scale) is built once instead
   // of per dot — identical round-trip, hoisted construction.
   const std::optional<converters::ElectricalAdc> adc = readout_adc(cfg_, k);
-  constexpr std::size_t kBlock = 4;
-  const std::size_t col_end = tile.col0 + tile.cols;
   const bool optics = cfg_.use_full_optics;
-  for (std::size_t i = tile.row0; i < tile.row0 + tile.rows; ++i) {
-    const double* const x = ae.row(i).data();
-    double* const raw = c.row(i).data() + tile.col0;
-    std::size_t j = tile.col0;
-    for (; j + kBlock <= col_end; j += kBlock) {
-      reduce_block<kBlock>(lane_, cfg_.wavelengths, det_, optics, x, be, j, k,
-                           raw + (j - tile.col0));
+  for_each_column_block(tile, [&](std::size_t j, auto width) {
+    for (std::size_t i = tile.row0; i < tile.row0 + tile.rows; ++i) {
+      reduce_block<decltype(width)::value>(lane_, cfg_.wavelengths, det_, optics,
+                                           ae.row(i).data(), be, j, k, c.row(i).data() + j);
     }
-    for (; j < col_end; ++j) {
-      reduce_block<1>(lane_, cfg_.wavelengths, det_, optics, x, be, j, k,
-                      raw + (j - tile.col0));
-    }
-    // One span ADC call per tile row, bit-identical to sampling each value.
-    if (adc) adc->sample_to_voltage({raw, tile.cols}, {raw, tile.cols});
-  }
+  });
+  if (adc) read_out(*adc, tile, c);
 }
 
 FusedKernel::QuadraticForm FusedKernel::quadratic_form(std::size_t k) const {
@@ -190,30 +210,25 @@ void FusedKernel::run_tile_fast(const Tile& tile, const Matrix& ae, const Matrix
   // Full optics: the closed form over the caller's energies, indexed by
   // absolute row i and column j; off, each raw value is simd::dot(x, y, k).
   const QuadraticForm q = optics ? quadratic_form(k) : QuadraticForm{};
-
-  constexpr std::size_t kBlock = 4;
-  const std::size_t col_end = tile.col0 + tile.cols;
-  for (std::size_t i = tile.row0; i < tile.row0 + tile.rows; ++i) {
-    const double* x = ae.row(i).data();
-    double* const raw = c.row(i).data() + tile.col0;
-    std::size_t j = tile.col0;
-    for (; j + kBlock <= col_end; j += kBlock) {
-      const double* ys[kBlock];
-      for (std::size_t b = 0; b < kBlock; ++b) ys[b] = be.row(j + b).data();
-      double sxy[kBlock];
-      simd::dot4(x, ys, k, sxy);
-      for (std::size_t b = 0; b < kBlock; ++b) {
-        raw[j + b - tile.col0] =
-            optics ? q.cxx * xx[i] + q.cyy * yy[j + b] + q.cxy * sxy[b] + q.dark : sxy[b];
+  for_each_column_block(tile, [&](std::size_t j, auto width) {
+    constexpr std::size_t nb = decltype(width)::value;
+    const double* ys[nb];
+    for (std::size_t b = 0; b < nb; ++b) ys[b] = be.row(j + b).data();
+    for (std::size_t i = tile.row0; i < tile.row0 + tile.rows; ++i) {
+      const double* const x = ae.row(i).data();
+      double sxy[nb];
+      if constexpr (nb == kColumnBlock) {
+        simd::dot4(x, ys, k, sxy);
+      } else {
+        sxy[0] = simd::dot(x, ys[0], k);
+      }
+      double* const raw = c.row(i).data() + j;
+      for (std::size_t b = 0; b < nb; ++b) {
+        raw[b] = optics ? q.cxx * xx[i] + q.cyy * yy[j + b] + q.cxy * sxy[b] + q.dark : sxy[b];
       }
     }
-    for (; j < col_end; ++j) {
-      const double sxy = simd::dot(x, be.row(j).data(), k);
-      raw[j - tile.col0] =
-          optics ? q.cxx * xx[i] + q.cyy * yy[j] + q.cxy * sxy + q.dark : sxy;
-    }
-    if (adc) adc->sample_to_voltage({raw, tile.cols}, {raw, tile.cols});
-  }
+  });
+  if (adc) read_out(*adc, tile, c);
 }
 
 }  // namespace pdac::ptc

@@ -28,10 +28,16 @@
 // both photocurrents in the device graph, and every partial intensity
 // sum is non-negative, so skipping them cannot change a single bit.
 //
-// Tile contract: run_tile and run_tile_fast write each tile's raw,
-// post-ADC dots into the output and stop there; the caller folds the
-// finished tile (fold_tile, tile_scheduler.hpp: rescale plus the guard's
-// tile sums), so both executors share one fold.
+// Call contract: run_tile and run_tile_fast write the raw, post-ADC dots
+// of any output rectangle — one tile, or a whole row panel (DESIGN.md §9)
+// — into the output and stop there; the caller folds the finished
+// rectangle (fold_tile, tile_scheduler.hpp: rescale plus the guard's
+// tile sums), so both executors share one fold.  Each call builds one
+// readout converter (and, on the SIMD tier, one quadratic form) and walks
+// 4-column blocks outermost and rows innermost, so a multi-row call
+// streams each block of B rows once.  Every output keeps its own dot and
+// its own ADC round trip, so a rectangle's values do not depend on how
+// the output is cut into calls.
 //
 // Energies: the SIMD tier reduces full optics to the closed quadratic
 // form cxx·Σx² + cyy·Σy² + cxy·Σxy + dark.  Σx² depends on one A row and
@@ -89,16 +95,16 @@ class FusedKernel {
   /// Snapshot a standalone device chain (unit tests, custom devices).
   FusedKernel(const Ddot& ddot, const DotEngineConfig& cfg);
 
-  /// One whole output tile in a single pass: every (i, j) dot of
-  /// ae[tile rows] × be[tile cols], written raw into `c`.  With the ADC
-  /// on, each tile row's raw values are read out through one span ADC
-  /// call, bit-identical to sampling each output (both tile functions).
-  /// The caller folds the finished tile (fold_tile).  The tile functions
-  /// charge no events: a tile step's charge is the closed form
-  /// ptc::tile_step_events over the caller's packing.  Callers:
-  /// PhotonicGemm::multiply_prepared and the faults-layer lane executor
-  /// (GuardedBackend), which adds its pending upsets to the raw values
-  /// before the fold.
+  /// One output rectangle (a tile or a row panel) in a single call: every
+  /// (i, j) dot of ae[tile rows] × be[tile cols], written raw into `c`.
+  /// With the ADC on, each row's raw values are read out through one
+  /// span ADC call, bit-identical to sampling each output (both tile
+  /// functions).  The caller folds the finished rectangle (fold_tile).
+  /// The tile functions charge no events: a tile step's charge is the
+  /// closed form ptc::tile_step_events over the caller's packing.
+  /// Callers: PhotonicGemm::multiply_prepared and the faults-layer lane
+  /// executor (GuardedBackend), which adds its pending upsets to the raw
+  /// values before the fold.
   void run_tile(const Tile& tile, const Matrix& ae, const Matrix& be, Matrix& c) const;
 
   /// SIMD fast tier of run_tile (ExecutionPath::kKernelSimd): the same

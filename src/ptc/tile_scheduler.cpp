@@ -28,6 +28,25 @@ void partition_tiles_into(std::size_t m, std::size_t n, std::size_t tile_rows,
   }
 }
 
+void partition_panels_into(std::size_t m, std::size_t n, std::size_t tile_rows,
+                           std::size_t tile_cols, std::size_t parts, std::vector<Tile>& out) {
+  PDAC_REQUIRE(tile_rows >= 1 && tile_cols >= 1 && parts >= 1,
+               "partition_panels: tile dims and parts must be positive");
+  out.clear();
+  if (m == 0 || n == 0) return;
+  const std::size_t col_tiles = (n + tile_cols - 1) / tile_cols;
+  const std::size_t chunks = std::min(parts, col_tiles);
+  out.reserve(((m + tile_rows - 1) / tile_rows) * chunks);
+  for (std::size_t i0 = 0; i0 < m; i0 += tile_rows) {
+    const std::size_t h = std::min(tile_rows, m - i0);
+    for (std::size_t c = 0; c < chunks; ++c) {
+      const std::size_t j0 = c * col_tiles / chunks * tile_cols;
+      const std::size_t j1 = std::min(n, (c + 1) * col_tiles / chunks * tile_cols);
+      out.push_back(Tile{i0, j0, h, j1 - j0});
+    }
+  }
+}
+
 void fold_tile(const Tile& tile, double rescale, Matrix& c, std::span<double> rsum,
                std::span<double> csum) {
   const bool sums = !rsum.empty();

@@ -11,14 +11,15 @@
 // Tiles are independent — every output element belongs to exactly one
 // tile — which is what makes the engine embarrassingly parallel while
 // staying bit-identical to serial execution: each element's reduction
-// order is fixed inside its dot product, and the tile *index* fixes the
-// order in which per-tile event counters are folded together after the
-// workers join.
+// order is fixed inside its dot product.  Tiles are also the unit of
+// guard verdicts and storm steps; an unguarded PhotonicGemm product
+// groups them into row panels (partition_panels_into), its unit of
+// kernel calls.
 //
-// fold_tile is the one tile fold of both executors (PhotonicGemm and the
-// faults-layer lane executor): a tile's raw, post-ADC dots become
-// rescaled outputs, and guarded products also get the tile's raw row and
-// column sums for the checksum verdict.
+// fold_tile is the one fold of both executors (PhotonicGemm and the
+// faults-layer lane executor): a tile's or panel's raw, post-ADC dots
+// become rescaled outputs, and guarded products also get the tile's raw
+// row and column sums for the checksum verdict.
 #pragma once
 
 #include <cstddef>
@@ -49,7 +50,17 @@ struct Tile {
 void partition_tiles_into(std::size_t m, std::size_t n, std::size_t tile_rows,
                           std::size_t tile_cols, std::vector<Tile>& out);
 
-/// Fold one finished tile of raw dot values in place: c(i, j) = raw ·
+/// Row panels of an (m × n) output, the unit of kernel calls of an
+/// unguarded product (DESIGN.md §9), written into `out` (cleared first):
+/// each tile_rows-high row stripe across the whole width, cut on
+/// tile_cols boundaries into min(parts, ⌈n/tile_cols⌉) column chunks of
+/// near-equal tile counts, stripes in order and chunks left to right.
+/// With `parts` the pool width, each worker runs about one chunk per
+/// stripe.  Tiles stay the unit of events, verdicts and storm steps.
+void partition_panels_into(std::size_t m, std::size_t n, std::size_t tile_rows,
+                           std::size_t tile_cols, std::size_t parts, std::vector<Tile>& out);
+
+/// Fold one finished tile (or panel) of raw dot values in place: c(i, j) = raw ·
 /// rescale.  When `rsum`/`csum` are non-empty (tile.rows and tile.cols
 /// long) they are reset, then receive each raw value in row-major order —
 /// rsum[i − row0] and csum[j − col0] — the order the guard's bit-identity

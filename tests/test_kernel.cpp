@@ -311,6 +311,55 @@ TEST(FusedKernel, SpanReadoutEqualsScalarAdcOnDoubleTiers) {
   }
 }
 
+TEST(FusedKernel, ColumnBlockWalkEqualsPerOutputDots) {
+  // A multi-row call walks 4-column blocks outermost and rows innermost:
+  // a 3×13 rectangle at k = 37 (three full blocks and a one-column tail,
+  // offset off the block grid) must equal one 1×1 call per output on
+  // both tiers, with full optics and ADC readout on and off.
+  const Ddot ddot = custom_ddot();
+  const std::size_t k = 37;
+  Rng rng(83);
+  Matrix ae(5, k);
+  Matrix be(16, k);
+  for (double& v : ae.data()) v = rng.uniform(-1.0, 1.0);
+  for (double& v : be.data()) v = rng.uniform(-1.0, 1.0);
+  const Tile rect{1, 2, 3, 13};
+  for (const bool optics : {false, true}) {
+    for (const bool adc : {false, true}) {
+      DotEngineConfig cfg;
+      cfg.wavelengths = 5;
+      cfg.use_full_optics = optics;
+      cfg.adc_readout = adc;
+      const FusedKernel kernel(ddot, cfg);
+      std::vector<double> xx(ae.rows());
+      std::vector<double> yy(be.rows());
+      for (std::size_t i = 0; i < xx.size(); ++i) xx[i] = kernel.energy(ae.row(i));
+      for (std::size_t j = 0; j < yy.size(); ++j) yy[j] = kernel.energy(be.row(j));
+      for (const bool fast : {false, true}) {
+        SCOPED_TRACE(testing::Message() << "optics " << optics << " adc " << adc << " fast "
+                                        << fast);
+        const auto run = [&](const Tile& tile, Matrix& c) {
+          if (fast) {
+            kernel.run_tile_fast(tile, ae, be, xx, yy, c);
+          } else {
+            kernel.run_tile(tile, ae, be, c);
+          }
+        };
+        Matrix whole(ae.rows(), be.rows(), -1.0);
+        run(rect, whole);
+        Matrix single(ae.rows(), be.rows(), -1.0);
+        for (std::size_t i = rect.row0; i < rect.row0 + rect.rows; ++i) {
+          for (std::size_t j = rect.col0; j < rect.col0 + rect.cols; ++j) {
+            run(Tile{i, j, 1, 1}, single);
+          }
+        }
+        // Outside the rectangle both still hold the fill.
+        expect_bit_identical(whole, single);
+      }
+    }
+  }
+}
+
 TEST(FusedKernel, FoldTileSumsPostAdcValuesInRowMajorOrder) {
   // The shared fold both executors run on a finished tile: every output
   // becomes raw · rescale, and the tile sums — reset first, whatever the
@@ -885,7 +934,7 @@ TEST(LaneEncodeTable, MatchesBankEncodesAcrossMutations) {
       for (std::size_t ch = 0; ch < bank.wavelengths(); ++ch) {
         const std::vector<std::size_t> channels{ch};
         const faults::LaneEncoder encode{bank, channels, rail, current, &golden};
-        encode(row, 0, cur, ref);
+        encode(row, 0, 1, cur, ref);
         for (std::size_t i = 0; i < row.size(); ++i) {
           ASSERT_EQ(cur[i], bank.encode(rail, ch, row[i]))
               << "rail=" << rail << " ch=" << ch << " code=" << codes[i];
@@ -924,8 +973,9 @@ TEST(LaneEncodeTable, MatchesBankEncodesAcrossMutations) {
 // built while the table is fresh, one after the epoch moved with the
 // lane state unchanged (a stale table, so the live lane models), over a
 // 5-of-8 channel packing, ragged start positions, span lengths 0, 1 and
-// 768, with and without a golden reference — on a bank whose faults
-// make current and golden differ on both rails.
+// 768, runs along a row (step 1) and across one position (step 0), with
+// and without a golden reference — on a bank whose faults make current
+// and golden differ on both rails.
 TEST(LaneEncodeTable, TablePathEqualsLiveModelsBitForBit) {
   faults::LaneBankConfig cfg = bank_config(23);
   cfg.wavelengths = 8;
@@ -975,25 +1025,30 @@ TEST(LaneEncodeTable, TablePathEqualsLiveModelsBitForBit) {
     std::size_t diverged = 0;
     for (const std::size_t p0 : {0u, 3u, 13u}) {
       for (const std::size_t len : {0u, 1u, 768u}) {
-        for (const bool with_ref : {false, true}) {
-          SCOPED_TRACE(testing::Message() << "rail " << rail << " p0 " << p0 << " len " << len
-                                          << " reference " << with_ref);
-          const std::span<const double> in(norm.data(), len);
-          std::vector<double> cur_t(len, 9.0), ref_t(len, 9.0), cur_l(len, 9.0), ref_l(len, 9.0);
-          tabled(in, p0, cur_t, with_ref ? std::span<double>(ref_t) : std::span<double>{});
-          live(in, p0, cur_l, with_ref ? std::span<double>(ref_l) : std::span<double>{});
-          for (std::size_t i = 0; i < len; ++i) {
-            const std::size_t flat = rail * bank.wavelengths() + channels[(p0 + i) % 5];
-            const std::int32_t code = quant.encode(in[i]);
-            ASSERT_EQ(bits(cur_t[i]), bits(cur_l[i])) << i;
-            ASSERT_EQ(bits(cur_t[i]), bits(bank.lane(flat).model.encode_code(code))) << i;
-            if (with_ref) {
-              ASSERT_EQ(bits(ref_t[i]), bits(ref_l[i])) << i;
-              ASSERT_EQ(bits(ref_t[i]), bits(golden.at(flat, code))) << i;
-              diverged += cur_t[i] != ref_t[i];
-            } else {
-              ASSERT_EQ(ref_t[i], 9.0);  // no reference asked for, none written
-              ASSERT_EQ(ref_l[i], 9.0);
+        for (const std::size_t step : {0u, 1u}) {
+          for (const bool with_ref : {false, true}) {
+            SCOPED_TRACE(testing::Message() << "rail " << rail << " p0 " << p0 << " len " << len
+                                            << " step " << step << " reference " << with_ref);
+            const std::span<const double> in(norm.data(), len);
+            std::vector<double> cur_t(len, 9.0), ref_t(len, 9.0), cur_l(len, 9.0),
+                ref_l(len, 9.0);
+            tabled(in, p0, step, cur_t,
+                   with_ref ? std::span<double>(ref_t) : std::span<double>{});
+            live(in, p0, step, cur_l, with_ref ? std::span<double>(ref_l) : std::span<double>{});
+            for (std::size_t i = 0; i < len; ++i) {
+              // Step 0 keeps every value on position p0's channel.
+              const std::size_t flat = rail * bank.wavelengths() + channels[(p0 + i * step) % 5];
+              const std::int32_t code = quant.encode(in[i]);
+              ASSERT_EQ(bits(cur_t[i]), bits(cur_l[i])) << i;
+              ASSERT_EQ(bits(cur_t[i]), bits(bank.lane(flat).model.encode_code(code))) << i;
+              if (with_ref) {
+                ASSERT_EQ(bits(ref_t[i]), bits(ref_l[i])) << i;
+                ASSERT_EQ(bits(ref_t[i]), bits(golden.at(flat, code))) << i;
+                diverged += cur_t[i] != ref_t[i];
+              } else {
+                ASSERT_EQ(ref_t[i], 9.0);  // no reference asked for, none written
+                ASSERT_EQ(ref_l[i], 9.0);
+              }
             }
           }
         }

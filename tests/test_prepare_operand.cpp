@@ -21,6 +21,10 @@
 #include "common/matrix.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "core/modulator_driver.hpp"
+#include "faults/fault_injector.hpp"
+#include "faults/lane_bank.hpp"
+#include "faults/lane_table.hpp"
 #include "ptc/gemm_engine.hpp"
 
 namespace {
@@ -31,10 +35,10 @@ using namespace pdac::ptc;
 /// A pure, position-dependent encoder whose current and golden outputs
 /// differ, so a wrong reduction position, a swapped output or a stripe
 /// folded from the wrong copy changes bits.
-void position_encode(std::span<const double> norm, std::size_t p0, std::span<double> encoded,
-                     std::span<double> reference) {
+void position_encode(std::span<const double> norm, std::size_t p0, std::size_t step,
+                     std::span<double> encoded, std::span<double> reference) {
   for (std::size_t i = 0; i < norm.size(); ++i) {
-    const double p = static_cast<double>(p0 + i);
+    const double p = static_cast<double>(p0 + i * step);
     encoded[i] = norm[i] * (1.0 + 0.01 * std::fmod(p, 5.0)) + 1e-3 * p;
     if (!reference.empty()) reference[i] = 0.5 * norm[i] - 1e-4 * p;
   }
@@ -55,7 +59,7 @@ PreparedOperand elementwise_prepare(const Matrix& src, GrowAxis axis, const Oper
   for (std::size_t j = 0; j < pb.cols; ++j) {
     for (std::size_t p = 0; p < pb.rows; ++p) {
       const double norm = (cols_axis ? src(j, p) : src(p, j)) / pb.scale;
-      position_encode(std::span<const double>(&norm, 1), p,
+      position_encode(std::span<const double>(&norm, 1), p, 1,
                       std::span<double>(&pb.encoded(j, p), 1),
                       spec.reference ? std::span<double>(&pb.reference(j, p), 1)
                                      : std::span<double>{});
@@ -140,9 +144,14 @@ TEST(PrepareOperand, OnePassEqualsTheElementwiseReference) {
   }
 }
 
-// Appends run the same pass from a ragged start: new output columns from
-// any Bᵀ row, new reduction positions from any position, continuing
-// stripes that an earlier build left part-summed.
+// Appends continue the build from a ragged start: new output columns
+// through the same pass from any Bᵀ row, new reduction positions one
+// encode call each (step 0) from any position — appends of 1, 2, 9 and
+// more positions — continuing stripes an earlier build left part-summed.
+// The same growth then runs through the two production encoders, each
+// against a fresh prepare: PhotonicGemm's LUT (with its staged column
+// energies) and a faults::LaneEncoder on a bank with a fenced channel, a
+// golden snapshot and a coefficient table both left stale by a fault.
 TEST(PrepareOperand, AppendsEqualTheElementwiseReference) {
   const RowEncoder encode = position_encode;
   Rng rng(43);
@@ -170,11 +179,108 @@ TEST(PrepareOperand, AppendsEqualTheElementwiseReference) {
             return m;
           };
           PreparedOperand pb = prepare_operand(prefix(5), axis, spec, encode, pool, stage);
-          for (const std::size_t len : {6u, 13u, 45u, 46u, 100u}) {
+          for (const std::size_t len : {6u, 8u, 17u, 45u, 46u, 100u}) {
             ASSERT_TRUE(append_operand(pb, prefix(len), axis, spec, encode, pool, stage)) << len;
             expect_same_operand(pb, elementwise_prepare(prefix(len), axis, spec));
           }
         }
+      }
+    }
+  }
+
+  // The production encoders on reduction-axis appends of 1, 2 and 9
+  // positions (5 → 6 → 8 → 17) onto a 70-column B.
+  const Matrix full = bt_source(70, 17, GrowAxis::kRows, rng);
+  const auto prefix = [&](std::size_t len) {
+    Matrix m(len, full.cols());
+    std::copy_n(full.data().begin(), m.size(), m.data().begin());
+    return m;
+  };
+  const auto drv = core::make_pdac_driver(8);
+  for (const std::size_t threads : {1u, 3u}) {
+    for (const bool guarded : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "LUT encoder, threads " << threads << " guard "
+                                      << guarded);
+      GemmConfig cfg;
+      cfg.threads = threads;
+      cfg.guard.enabled = guarded;
+      cfg.dot.use_full_optics = true;  // the SIMD tier then stages column energies
+      cfg.path = ExecutionPath::kKernelSimd;
+      const PhotonicGemm gemm(*drv, cfg);
+      PreparedOperand pb = gemm.prepare_b(prefix(5));
+      for (const std::size_t len : {6u, 8u, 17u}) {
+        ASSERT_TRUE(gemm.append_b_rows(pb, prefix(len))) << len;
+        const PreparedOperand fresh = gemm.prepare_b(prefix(len));
+        expect_same_operand(pb, fresh);
+        ASSERT_TRUE(pb.has_energy() && fresh.has_energy()) << len;
+        for (std::size_t j = 0; j < pb.cols; ++j) {
+          EXPECT_TRUE(same_bits(pb.energy[j], fresh.energy[j])) << len << " column " << j;
+        }
+      }
+    }
+  }
+
+  faults::LaneBankConfig bank_cfg;
+  bank_cfg.pdac.bits = 8;
+  bank_cfg.wavelengths = 4;
+  bank_cfg.variation.tia_gain_sigma = 0.01;
+  bank_cfg.variation.bias_sigma = 0.002;
+  bank_cfg.variation.seed = 19;
+  faults::LaneBank bank(bank_cfg);
+  faults::production_trim(bank);
+  faults::LaneEncodeTable golden;
+  golden.rebuild(bank);
+  faults::LaneEncodeTable table;
+  table.ensure(bank);
+  // Stick a B-rail modulator and fence channel 1: both move the epoch, so
+  // the golden snapshot and the table are stale and every current encode
+  // runs on the live lane models.
+  faults::FaultSchedule sched;
+  sched.cfg.lanes = bank.lanes();
+  sched.cfg.bits = 8;
+  sched.cfg.horizon_steps = 4;
+  faults::FaultEvent stuck;
+  stuck.step = 1;
+  stuck.lane = bank.wavelengths() + 2;  // rail 1, channel 2
+  stuck.kind = faults::FaultKind::kStuckMrr;
+  stuck.magnitude = 0.4;
+  sched.events.push_back(stuck);
+  faults::FaultInjector injector(bank, sched);
+  injector.advance_to(2);
+  bank.lane(0, 1).fenced = true;
+  bank.bump_epoch();
+  ASSERT_FALSE(table.fresh(bank));
+  ASSERT_FALSE(golden.fresh(bank));
+  const std::vector<std::size_t> channels = bank.surviving_channels();
+  ASSERT_EQ(channels, (std::vector<std::size_t>{0, 2, 3}));
+  for (const std::size_t threads : {1u, 3u}) {
+    ThreadPool pool(threads);
+    Matrix stage;
+    const RowEncoder lanes = faults::LaneEncoder(bank, channels, 1, &table, &golden);
+    for (const bool reference : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "lane encoder, threads " << threads << " reference "
+                                      << reference);
+      const OperandSpec spec{.epoch = bank.epoch(),
+                             .channels = channels,
+                             .checksum_stripe = 8,
+                             .reference = reference};
+      PreparedOperand pb = prepare_operand(prefix(5), GrowAxis::kRows, spec, lanes, pool, stage);
+      for (const std::size_t len : {6u, 8u, 17u}) {
+        ASSERT_TRUE(append_operand(pb, prefix(len), GrowAxis::kRows, spec, lanes, pool, stage))
+            << len;
+        const PreparedOperand fresh =
+            prepare_operand(prefix(len), GrowAxis::kRows, spec, lanes, pool, stage);
+        expect_same_operand(pb, fresh);
+      }
+      if (reference) {
+        // The stale golden copy really differs from the current encodes.
+        std::size_t differ = 0;
+        for (std::size_t j = 0; j < pb.cols; ++j) {
+          for (std::size_t p = 0; p < pb.rows; ++p) {
+            differ += pb.encoded(j, p) != pb.reference(j, p);
+          }
+        }
+        EXPECT_GT(differ, 0u);
       }
     }
   }

@@ -323,7 +323,7 @@ TEST(OperandCache, ObtainReaccountsGrownEntries) {
 // 0, extended by appends) taken through every branch, with the resident
 // bytes reconciled after each step.
 TEST(OperandCache, ObtainLifecycleForWeightsAndKv) {
-  const RowEncoder copy_encoder = [](std::span<const double> norm, std::size_t,
+  const RowEncoder copy_encoder = [](std::span<const double> norm, std::size_t, std::size_t,
                                      std::span<double> encoded, std::span<double>) {
     std::copy(norm.begin(), norm.end(), encoded.begin());
   };
