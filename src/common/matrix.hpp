@@ -121,6 +121,54 @@ class Matrix {
   Storage data_;
 };
 
+/// Row-major quantizer codes: a code-stationary operand's digital payload
+/// (ptc::PreparedOperand::codes).  int16 holds every width
+/// converters::Quantizer accepts (2–16 bits).  Same shape rules as Matrix:
+/// resize() reuses the allocation, keeps rows when the column count is
+/// unchanged and leaves new elements unwritten.
+class CodeMatrix {
+ public:
+  using Storage = std::vector<std::int16_t, DefaultInitAllocator<std::int16_t>>;
+
+  CodeMatrix() = default;
+  /// Every element starts at code 0.
+  CodeMatrix(std::size_t rows, std::size_t cols)
+      : rows_(rows), cols_(cols), data_(rows * cols, 0) {}
+
+  [[nodiscard]] std::size_t rows() const { return rows_; }
+  [[nodiscard]] std::size_t cols() const { return cols_; }
+  [[nodiscard]] std::size_t size() const { return data_.size(); }
+
+  [[nodiscard]] std::int16_t operator()(std::size_t r, std::size_t c) const {
+    PDAC_ASSERT(r < rows_ && c < cols_);
+    return data_[r * cols_ + c];
+  }
+  std::int16_t& operator()(std::size_t r, std::size_t c) {
+    PDAC_ASSERT(r < rows_ && c < cols_);
+    return data_[r * cols_ + c];
+  }
+
+  [[nodiscard]] std::span<const std::int16_t> row(std::size_t r) const {
+    PDAC_REQUIRE(r < rows_, "CodeMatrix: row out of range");
+    return {data_.data() + r * cols_, cols_};
+  }
+  std::span<std::int16_t> row(std::size_t r) {
+    PDAC_REQUIRE(r < rows_, "CodeMatrix: row out of range");
+    return {data_.data() + r * cols_, cols_};
+  }
+
+  void resize(std::size_t rows, std::size_t cols) {
+    rows_ = rows;
+    cols_ = cols;
+    data_.resize(rows * cols);
+  }
+
+ private:
+  std::size_t rows_{0};
+  std::size_t cols_{0};
+  Storage data_;
+};
+
 /// Double-precision reference product (ground truth for the photonic GEMM).
 inline Matrix matmul_reference(const Matrix& a, const Matrix& b) {
   PDAC_REQUIRE(a.cols() == b.rows(), "matmul: inner dimensions must agree");

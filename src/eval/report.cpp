@@ -75,8 +75,11 @@ std::string render_scoreboard(const std::string& title, const std::vector<Scored
   Table t({"metric", "paper", "measured", "delta"});
   for (const auto& r : rows) {
     const double delta = r.measured - r.paper;
+    std::string signed_delta = delta >= 0 ? "+" : "";
+    signed_delta += Table::num(delta, 2);
+    signed_delta += r.unit;
     t.add_row({r.metric, Table::num(r.paper, 2) + r.unit, Table::num(r.measured, 2) + r.unit,
-               (delta >= 0 ? "+" : "") + Table::num(delta, 2) + r.unit});
+               signed_delta});
   }
   std::ostringstream os;
   os << "-- paper vs measured: " << title << " --\n" << t.to_string();
@@ -203,7 +206,9 @@ std::string render_serving(const std::string& title, const ServingSummary& s) {
       const std::string state = !row.alive        ? "offline"
                                 : row.quarantined ? "quarantined"
                                                   : "alive";
-      bt.add_row({"#" + std::to_string(i), std::to_string(row.tokens),
+      std::string slot = "#";
+      slot += std::to_string(i);
+      bt.add_row({slot, std::to_string(row.tokens),
                   std::to_string(row.products), Table::pct(row.utilization),
                   Table::num(row.final_health, 3), std::to_string(row.fences),
                   std::to_string(row.unrecovered),

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <utility>
 
 #include "common/require.hpp"
@@ -17,6 +18,7 @@ GuardedBackend::GuardedBackend(LaneBank& bank, GuardedBackendConfig cfg,
       kernel_(ptc::Ddot{}, ptc::DotEngineConfig{.wavelengths = bank.wavelengths()}),
       pool_(std::make_unique<ThreadPool>(cfg.threads)),
       tile_sums_(pool_->size() * (cfg.array_rows + cfg.array_cols)),
+      stripes_(pool_->size()),
       cache_(cfg.cache),
       kv_cache_(cfg.kv_cache),
       policy_(cfg.escalation),
@@ -136,18 +138,19 @@ LaneEncoder GuardedBackend::lane_encoder(std::size_t rail,
 }
 
 ptc::OperandSpec GuardedBackend::operand_spec() const {
-  // Guarded, dual encode: data through the lanes' CURRENT state,
-  // references through the GOLDEN snapshot.  A golden snapshot pinned at
-  // the bank's current epoch holds the bits the current table holds
-  // (every lane-state write moves the epoch), so `encoded` is then the
-  // golden copy too and no second one is staged; a fault or fence moves
-  // the epoch past golden, and operands built after it stage one.
-  const bool guarded = cfg_.guard.enabled;
-  return ptc::OperandSpec{
-      .epoch = bank_.epoch(),
-      .channels = bank_.surviving_channels(),
-      .checksum_stripe = guarded ? cfg_.array_cols : 0,
-      .reference = guarded && !golden_.fresh(bank_)};
+  // Code operands: the quantizer codes of the normalized B side, which no
+  // lane state enters — each tile step decodes them through the tables it
+  // runs under, and sums its golden stripe itself.
+  return ptc::OperandSpec{.epoch = bank_.epoch(),
+                          .channels = bank_.surviving_channels(),
+                          .codes = &bank_.quantizer()};
+}
+
+void GuardedBackend::restamp(ptc::PreparedOperand& pb, const ptc::OperandSpec& spec) {
+  // Codes do not depend on lane state, so an operand built under another
+  // epoch or packing holds the codes a build under `spec` would write.
+  pb.epoch = spec.epoch;
+  pb.channels = spec.channels;
 }
 
 std::vector<std::size_t> GuardedBackend::implicated_lanes(
@@ -163,26 +166,27 @@ std::vector<std::size_t> GuardedBackend::implicated_lanes(
   return lanes;
 }
 
-std::shared_ptr<const ptc::PreparedOperand> GuardedBackend::obtain(nn::OperandCache& cache,
-                                                                   std::uint64_t id,
-                                                                   std::uint64_t version,
-                                                                   const Matrix& src,
-                                                                   ptc::GrowAxis axis) {
-  // Any re-trim or fence since the entry was stamped moved the epoch, so
-  // the lookup already missed: its encodings and golden references
-  // describe a bank that no longer exists.  A fence that landed without a
-  // bump_epoch() changes only the packing, and the append refuses that;
-  // it refuses an entry's golden copy too once a re-pin at the same
-  // epoch drops the copy from the spec, so the rebuild draws every
-  // reference from the current golden.
+std::shared_ptr<ptc::PreparedOperand> GuardedBackend::obtain(nn::OperandCache& cache,
+                                                             std::uint64_t id,
+                                                             std::uint64_t version,
+                                                             const Matrix& src,
+                                                             ptc::GrowAxis axis) {
+  // A fresh entry is grown (a KV append) or confirmed.  One that only an
+  // epoch move — a fault, re-trim or fence — made stale keeps its codes:
+  // it is re-stamped and grown instead of rebuilt.  A fence that landed
+  // without a bump_epoch() changes only the packing; the append refuses
+  // that, and the entry is rebuilt.
   const ptc::OperandSpec spec = operand_spec();
-  const ptc::RowEncoder encode = lane_encoder(1, spec.channels);
+  const auto grow = [&](ptc::PreparedOperand& pb) {
+    return ptc::append_operand(pb, src, axis, spec, {}, *pool_, stage_);
+  };
   return cache.obtain(
-      id, version, spec.epoch,
+      id, version, spec.epoch, grow,
+      [&] { return ptc::prepare_operand(src, axis, spec, {}, *pool_, stage_); },
       [&](ptc::PreparedOperand& pb) {
-        return ptc::append_operand(pb, src, axis, spec, encode, *pool_, stage_);
-      },
-      [&] { return ptc::prepare_operand(src, axis, spec, encode, *pool_, stage_); });
+        restamp(pb, spec);
+        return grow(pb);
+      });
 }
 
 Matrix GuardedBackend::matmul(const Matrix& a, const Matrix& b) {
@@ -200,19 +204,46 @@ Matrix GuardedBackend::matmul_kv(const Matrix& a, const Matrix& kv,
   return run_product(a, kv, handle.axis, kv_cache_, handle.id, 0);
 }
 
+void GuardedBackend::decode_stripe(const ptc::PreparedOperand& pb, const ptc::Tile& tile,
+                                   const LaneEncoder& lanes, Stripe& out) const {
+  // Every column of the tile decodes its codes through the current lane
+  // state.  While golden is pinned at the bank's epoch the golden and
+  // current tables hold the same bits (every lane-state write moves the
+  // epoch), so the data stripe is the golden stripe too; otherwise the
+  // golden amplitudes are decoded beside it.
+  const std::size_t k = pb.rows;
+  const bool guarded = cfg_.guard.enabled;
+  out.copy = guarded && !golden_.fresh(bank_);
+  out.data.resize(tile.cols, k + kStripePad);
+  if (out.copy) out.golden.resize(tile.cols, k + kStripePad);
+  for (std::size_t j = 0; j < tile.cols; ++j) {
+    lanes.decode(pb.codes.row(tile.col0 + j).first(k), out.data.row(j).first(k),
+                 out.copy ? out.golden.row(j).first(k) : std::span<double>{});
+  }
+  if (!guarded) return;
+  // The row lanes' checksum Σⱼ y′ⱼ: from exact zero in ascending j.
+  const Matrix& golden = out.copy ? out.golden : out.data;
+  out.ysum.assign(k, 0.0);
+  double* const sum = out.ysum.data();
+  for (std::size_t j = 0; j < tile.cols; ++j) {
+    const double* const src = golden.row(j).data();
+    for (std::size_t p = 0; p < k; ++p) sum[p] += src[p];
+  }
+}
+
 ptc::TileCheck GuardedBackend::run_tile(const ptc::Tile& tile, std::size_t t, const Matrix& ae,
                                         const Matrix& ae_gold, const Matrix& xsum,
-                                        const Matrix& bdata, const ptc::PreparedOperand& pb,
-                                        double rescale, Matrix& c, std::span<double> sums,
+                                        const Stripe& b, double rescale, Matrix& c,
+                                        std::span<double> sums,
                                         const std::vector<DotUpset>* upsets) const {
   // The kernel writes the tile's raw dots into c: ascending p on the
   // scalar tier, one blocked dot per output (common/simd.hpp) on the SIMD
   // tier, bit-identical at any thread count and to a post-fence re-run.
   // Checksum references stay double-precision golden dots on either tier.
   if (cfg_.path == ptc::ExecutionPath::kKernelSimd) {
-    kernel_.run_tile_fast(tile, ae, bdata, {}, {}, c);
+    kernel_.run_tile_fast(tile, ae, b.data, {}, {}, c, tile.col0);
   } else {
-    kernel_.run_tile(tile, ae, bdata, c);
+    kernel_.run_tile(tile, ae, b.data, c, tile.col0);
   }
   if (upsets != nullptr) {
     // Transient detector glitches land on the raw accumulator, so the
@@ -231,8 +262,10 @@ ptc::TileCheck GuardedBackend::run_tile(const ptc::Tile& tile, std::size_t t, co
   const std::span<double> rsum = sums.first(tile.rows);
   const std::span<double> csum = sums.subspan(tile.rows, tile.cols);
   ptc::fold_tile(tile, rescale, c, rsum, csum);
-  ptc::TileCheck check = ptc::verify_tile(cfg_.guard, tile, t, rsum, csum, ae_gold,
-                                          xsum.row(tile.row0 / cfg_.array_rows), pb);
+  ptc::TileCheck check =
+      ptc::verify_tile(cfg_.guard, tile, t, rsum, csum, ae_gold,
+                       xsum.row(tile.row0 / cfg_.array_rows), b.copy ? b.golden : b.data,
+                       tile.col0, b.ysum);
   // Single-error correction: the element at the located site is
   // corrected digitally from its residual and no escalation rung fires.
   // The correction may carry up to band·tol of absorbed drift into the
@@ -294,7 +327,7 @@ Matrix GuardedBackend::run_product(const Matrix& a, const Matrix& bsrc, ptc::Gro
   if (bank_.usable_channels() == 0) return Matrix(m, n);
   product_entry();  // may re-trim (and bump the epoch) before obtain
   table_.ensure(bank_);
-  std::shared_ptr<const ptc::PreparedOperand> pb = obtain(cache, id, version, bsrc, baxis);
+  const std::shared_ptr<ptc::PreparedOperand> pb = obtain(cache, id, version, bsrc, baxis);
   const bool guarded = cfg_.guard.enabled;
 
   // A-side pipeline: normalize once, then encode under the operand's
@@ -311,18 +344,17 @@ Matrix GuardedBackend::run_product(const Matrix& a, const Matrix& bsrc, ptc::Gro
   Matrix xsum;
   const std::size_t row_stripes = (m + cfg_.array_rows - 1) / cfg_.array_rows;
   const std::size_t col_stripes = (n + cfg_.array_cols - 1) / cfg_.array_cols;
-  // Bank epoch each operand stripe's current-state encodes reflect: A row
-  // stripes are stamped when encode_a runs, B column stripes start at the
-  // prepared operand's epoch.  A stripe is re-encoded only when the epoch
-  // has moved past its stamp (refresh_tile below).
+  // Bank epoch each A row stripe's current-state encodes reflect, stamped
+  // when encode_a runs.  A stripe is re-encoded only when the epoch has
+  // moved past its stamp (refresh_tile below).  The B side needs no
+  // stamps: every tile step decodes its codes under the bank as it is.
   std::vector<std::uint64_t> a_epoch;
-  std::vector<std::uint64_t> b_epoch(col_stripes, pb->epoch);
   const auto encode_a = [&](const std::vector<std::size_t>& channels) {
     a_epoch.assign(row_stripes, bank_.epoch());
     const LaneEncoder encode = lane_encoder(0, channels);
     pool_->parallel_for(m, [&](std::size_t begin, std::size_t end, std::size_t) {
       for (std::size_t r = begin; r < end; ++r) {
-        encode(an.row(r), 0, 1, ae.row(r), guarded ? ae_gold.row(r) : std::span<double>{});
+        encode(an.row(r), ae.row(r), guarded ? ae_gold.row(r) : std::span<double>{});
       }
     });
     if (guarded) ptc::stripe_sums(ae_gold, cfg_.array_rows, xsum);
@@ -339,25 +371,19 @@ Matrix GuardedBackend::run_product(const Matrix& a, const Matrix& bsrc, ptc::Gro
   outcome.enabled = true;
   outcome.tiles_checked = tiles.size();
 
-  // Data-side B encodings: the cached/prepared matrix until the epoch
-  // moves past a column stripe; only then is a live copy made, and each
-  // stale stripe re-encodes from just its own normalized Bᵀ rows.
-  const Matrix* bdata = &pb->encoded;
-  Matrix be_live;
-  Matrix bn;
-  // Bring one tile's operand stripes up to the bank's current state.  An
+  // Bring one serial tile step up to the bank's current state.  Its B
+  // stripe is decoded afresh anyway; a stale A stripe is re-encoded.  An
   // encode is a pure function of lane state and input, and every
   // lane-state write bumps the epoch, so a stripe whose stamp equals the
-  // epoch already holds the bits a re-encode would write — only stale
-  // stripes are re-encoded.  They read the current coefficient table
-  // when it is fresh and the live lane models otherwise, the same bits
-  // either way.  A rebuild costs lanes · codes model evaluations and a
-  // live re-encode one per element, so a stale table is rebuilt only
-  // once the stale elements met at the current epoch (this step's
-  // included) reach that count: a discrete fault's steps soon pay for
-  // the table and share it, while a bias walk, which moves the epoch
-  // every step, keeps narrow stripes on the live models.  Storm steps
-  // and retries run serially, so the table may be rebuilt here.
+  // epoch already holds the bits a re-encode would write.  Both read the
+  // current coefficient table when it is fresh and the live lane models
+  // otherwise, the same bits either way.  A rebuild costs lanes · codes
+  // model evaluations and a live conversion one per element, so a stale
+  // table is rebuilt only once the live conversions at the current epoch
+  // (this step's included) reach that count: a discrete fault's steps
+  // soon pay for the table and share it, while a bias walk, which moves
+  // the epoch every step, keeps narrow stripes on the live models.  Storm
+  // steps and retries run serially, so the table may be rebuilt here.
   const std::size_t table_evals =
       bank_.lanes() * (2 * static_cast<std::size_t>(bank_.quantizer().max_code()) + 1);
   std::uint64_t live_epoch = bank_.epoch();
@@ -365,36 +391,35 @@ Matrix GuardedBackend::run_product(const Matrix& a, const Matrix& bsrc, ptc::Gro
   const auto refresh_tile = [&](const ptc::Tile& tile) {
     const std::uint64_t now = bank_.epoch();
     std::uint64_t& ea = a_epoch[tile.row0 / cfg_.array_rows];
-    std::uint64_t& eb = b_epoch[tile.col0 / cfg_.array_cols];
-    if (ea == now && eb == now) return;
     if (!table_.fresh(bank_)) {
       if (live_epoch != now) {
         live_epoch = now;
         live_evals = 0;
       }
-      live_evals += ((ea != now ? tile.rows : 0) + (eb != now ? tile.cols : 0)) * k;
+      live_evals += ((ea != now ? tile.rows : 0) + tile.cols) * k;
       if (live_evals >= table_evals) table_.rebuild(bank_);
     }
     if (ea != now) {
       const LaneEncoder live(bank_, pb->channels, 0, &table_);
-      for (std::size_t i = tile.row0; i < tile.row0 + tile.rows; ++i) {
-        live(an.row(i), 0, 1, ae.row(i), {});
-      }
+      for (std::size_t i = tile.row0; i < tile.row0 + tile.rows; ++i) live(an.row(i), ae.row(i));
       ea = now;
     }
-    if (eb != now) {
-      if (bdata != &be_live) {
-        be_live = pb->encoded;
-        bdata = &be_live;
-      }
-      bn.resize(tile.cols, k);
-      ptc::normalize_bt_rows(bsrc, baxis, pb->scale, tile.col0, tile.col0 + tile.cols, 0, k, bn);
-      const LaneEncoder live(bank_, pb->channels, 1, &table_);
-      for (std::size_t j = 0; j < tile.cols; ++j) {
-        live(bn.row(j), 0, 1, be_live.row(tile.col0 + j).first(k), {});
-      }
-      eb = now;
+  };
+  // One serial tile step (storm or retry): refresh, decode, run.  The B
+  // decoder is rebuilt only when the bank, its table or the packing moved.
+  std::optional<LaneEncoder> serial_lanes;
+  std::uint64_t lanes_epoch = 0;
+  bool lanes_fresh = false;
+  const auto serial_tile = [&](std::size_t t, const std::vector<DotUpset>* upsets) {
+    refresh_tile(tiles[t]);
+    if (!serial_lanes || lanes_epoch != bank_.epoch() || lanes_fresh != table_.fresh(bank_)) {
+      serial_lanes.emplace(lane_encoder(1, pb->channels));
+      lanes_epoch = bank_.epoch();
+      lanes_fresh = table_.fresh(bank_);
     }
+    decode_stripe(*pb, tiles[t], *serial_lanes, stripes_.front());
+    return run_tile(tiles[t], t, ae, ae_gold, xsum, stripes_.front(), rescale, c,
+                    worker_sums(0), upsets);
   };
 
   // Transient upsets strike the initial pass only — a retry (or the SEC
@@ -408,20 +433,25 @@ Matrix GuardedBackend::run_product(const Matrix& a, const Matrix& bsrc, ptc::Gro
   if (storm) {
     // Serialized tile timeline: the injector's clock advances before
     // every tile step, and each step sees its operand slices as the live
-    // lanes encode them now, so a fault landing between tiles corrupts
+    // lanes convert them now, so a fault landing between tiles corrupts
     // exactly the tiles after it.
     for (std::size_t t = 0; t < tiles.size(); ++t) {
       storm_clock_ += storm_steps_per_tile_;
       storm_->advance_to(storm_clock_);
-      refresh_tile(tiles[t]);
-      checks[t] = run_tile(tiles[t], t, ae, ae_gold, xsum, *bdata, *pb, rescale, c,
-                           worker_sums(0), initial_upsets);
+      checks[t] = serial_tile(t, initial_upsets);
     }
   } else {
-    const Matrix& bd = *bdata;
-    ptc::for_each_tile(*pool_, tiles, [&](std::size_t t, std::size_t worker) {
-      checks[t] = run_tile(tiles[t], t, ae, ae_gold, xsum, bd, *pb, rescale, c,
-                           worker_sums(worker), initial_upsets);
+    // Lane state holds for the whole pass: each worker decodes a column
+    // stripe once and runs every tile of it.
+    const LaneEncoder lanes = lane_encoder(1, pb->channels);
+    pool_->parallel_for(col_stripes, [&](std::size_t begin, std::size_t end, std::size_t worker) {
+      for (std::size_t s = begin; s < end; ++s) {
+        decode_stripe(*pb, tiles[s], lanes, stripes_[worker]);
+        for (std::size_t t = s; t < tiles.size(); t += col_stripes) {
+          checks[t] = run_tile(tiles[t], t, ae, ae_gold, xsum, stripes_[worker], rescale, c,
+                               worker_sums(worker), initial_upsets);
+        }
+      }
     });
   }
   // The executors' rule: B broadcast, one ADC sample per output.
@@ -518,37 +548,30 @@ Matrix GuardedBackend::run_product(const Matrix& a, const Matrix& bsrc, ptc::Gro
         monitor_->record_product(outcome);
         return Matrix(m, n);
       }
-      // Re-prepare against the repaired/repacked bank: fresh current
-      // encodings, a golden copy if golden still differs (a fence does
-      // not re-pin it) and checksum stripes; refresh the cache so the
-      // next product starts warm again.  The rung moved the epoch, so
-      // re-ensure the coefficient table first (we are between parallel
-      // regions here).
+      // Re-stamp the operand for the repaired/repacked bank — its codes
+      // hold — and refresh the cache so the next product starts warm
+      // again.  The rung moved the epoch, so re-ensure the coefficient
+      // table first (we are between parallel regions here).
       table_.ensure(bank_);
-      auto rebuilt = std::make_shared<ptc::PreparedOperand>(ptc::prepare_operand(
-          bsrc, baxis, spec, lane_encoder(1, spec.channels), *pool_, stage_));
+      restamp(*pb, spec);
+      serial_lanes.reset();  // the packing, and after a re-trim golden, moved
       if (id != 0) {
-        // The resident entry described the pre-escalation bank; the next
-        // product reuses (or, for KV, appends onto) this rebuilt one.
-        cache.insert(id, version, rebuilt);
+        // The resident entry carried the pre-escalation stamp; the next
+        // product reuses (or, for KV, appends onto) the re-stamped one.
+        cache.insert(id, version, pb);
         cache.record_rebuild();
       }
-      pb = rebuilt;
       encode_a(pb->channels);
-      b_epoch.assign(col_stripes, pb->epoch);
-      be_live = Matrix();
-      bdata = &pb->encoded;
     }
 
     // Re-run the mismatching tiles on their operand slices as the live
-    // lanes encode them now.  Only a storm step can leave a stripe stale
-    // here; after a repack every stripe is current.
+    // lanes convert them now.  Only a storm step can leave an A stripe
+    // stale here; after a repack every stripe is current.
     const std::size_t nl = pb->channels.size();
     const std::size_t chunks = (k + nl - 1) / nl;
     for (const std::size_t t : bad) {
       const ptc::Tile& tile = tiles[t];
-      refresh_tile(tile);
-      checks[t] = run_tile(tile, t, ae, ae_gold, xsum, *bdata, *pb, rescale, c, worker_sums(0));
+      checks[t] = serial_tile(t, nullptr);
       outcome.tiles_corrected += checks[t].corrected;
       const ptc::EventCounter ev = ptc::tile_step_events(
           tile.rows, tile.cols, k, nl, ptc::Residency::kBroadcast, ptc::kSamplePerOutput);

@@ -19,53 +19,60 @@
 // Trust model (DESIGN.md §12).  The controller snapshots every lane's
 // full encode table at calibration time — construction, and again after
 // each escalation self-test, the only points hardware state is verified
-// trustworthy — into a pinned LaneEncodeTable.  Data always encodes
+// trustworthy — into a pinned LaneEncodeTable.  Data always converts
 // through the lanes' CURRENT state; checksum references are digital
 // predictions from the GOLDEN snapshot.  Both come from one LaneEncoder
-// (lane_table.hpp), and every operand is built and grown by
-// ptc::prepare_operand / ptc::append_operand with that encoder.
-// On healthy hardware the two are bit-identical LUTs, so the residual is
-// pure floating-point reassociation and the noise-calibrated band
-// (ptc::guard_tolerance) yields provably ~0 false positives; any fault
-// that perturbs an encode — stuck MRR, dead PD bit, TIA gain step, bias
-// walk — diverges current from golden and lands orders of magnitude
-// outside the band in the first tile it touches.  Crucially this also
-// catches faults striking BEFORE a product starts: re-deriving the
-// reference from the live state would corrupt both sides identically.
-// While golden is pinned at the bank's current epoch, the golden and
-// current tables hold the same bits (every lane-state write moves the
-// epoch), so a B operand stages its golden copy (`reference`) only when
-// golden is not pinned there; otherwise `encoded` is the golden copy
-// too.  A fault or fence moves the epoch, the cached entry misses, and
-// the operand rebuilt after it stages a copy again; a re-pin that leaves
-// the epoch where it was rebuilds an entry that carries one.  The A side always encodes golden into its own matrix,
-// since storm steps re-encode the current one in place.
+// (lane_table.hpp).  On healthy hardware the two are bit-identical LUTs,
+// so the residual is pure floating-point reassociation and the
+// noise-calibrated band (ptc::guard_tolerance) yields provably ~0 false
+// positives; any fault that perturbs a conversion — stuck MRR, dead PD
+// bit, TIA gain step, bias walk — diverges current from golden and lands
+// orders of magnitude outside the band in the first tile it touches.
+// Crucially this also catches faults striking BEFORE a product starts:
+// re-deriving the reference from the live state would corrupt both sides
+// identically.
+//
+// Code-stationary operands (DESIGN.md §10).  As in the paper's dataflow,
+// where SRAM holds digital codes and each lane's P-DAC converts them at
+// every tile step, the B operands (weights and both KV axes) are cached
+// as quantizer codes with their scale — ptc::prepare_operand /
+// append_operand under a code spec — and every tile step decodes its
+// column stripe into per-worker scratch through the tables it runs
+// under: the current table (the live lane models while it is stale) for
+// the data dots, the golden snapshot for the column-lane references and,
+// summed in ascending column order, the row lanes' stripe checksum.
+// While golden is pinned at the bank's epoch the two tables hold the same
+// bits (every lane-state write moves the epoch), and one decode serves
+// both.  Codes depend on no lane state, so an entry that an epoch move
+// made stale is re-stamped (and grown) rather than rebuilt, and the
+// ladder re-stamps its operand after a re-trim or fence.  A corrupted
+// code would decode into data and references alike and pass the guard;
+// the fault model has lane faults and detector upsets only (§12).  The A
+// side encodes golden into its own matrix, since storm steps re-encode
+// the current one in place.
 //
 // Mid-product fault storms: attach_storm() hooks a FaultInjector whose
 // clock advances `steps_per_tile` before every tile step, so faults land
 // between tiles of one product exactly like the hardware timeline.  With
 // a storm attached the tile loop serializes, and each tile step sees its
-// operand slices as the live lanes encode them at that step.  Every A row
-// stripe and B column stripe carries the bank epoch its encodes reflect;
-// a step re-encodes a stripe only when the epoch has moved past that
-// stamp.  A stale B stripe normalizes just its own Bᵀ rows
-// (ptc::normalize_bt_rows) and re-encodes them into a copy of the
-// prepared encodings, made at the first stale stripe.  The re-encode
-// reads the current coefficient table when it is fresh and the live lane
-// models otherwise; both give the same bits.  A stale table is rebuilt
-// once the stale elements met at the current epoch reach its entry
-// count, so a bias walk, which moves the epoch every step, keeps narrow
-// stripes on the live models.  An encode is a
-// pure function of lane state and input, and every lane-state write
+// operand slices as the live lanes convert them at that step: its B
+// stripe is decoded anyway, and every A row stripe carries the bank epoch
+// its encodes reflect and is re-encoded only when the epoch has moved
+// past that stamp.  Both read the current coefficient table when it is
+// fresh and the live lane models otherwise; both give the same bits.  A
+// stale table is rebuilt once the live conversions met at the current
+// epoch reach its entry count, so a bias walk, which moves the epoch
+// every step, keeps narrow stripes on the live models.  A conversion is
+// a pure function of lane state and input, and every lane-state write
 // bumps the epoch, so a skipped re-encode would have written the same
 // bits.  The retry rung refreshes its tiles the same way.  Without a
-// storm, operands are pre-encoded once per product and the loop is
-// tile-parallel — bit-identical, since lane state cannot change
-// mid-product.
+// storm, A is encoded once per product and the loop is parallel over
+// column stripes, each decoded once — bit-identical, since lane state
+// cannot change mid-product.
 //
 // Recovery (escalation.hpp): mismatching tiles are re-run per the ladder
-// — retry (re-encode + re-run), targeted self-test + re-trim of the
-// lanes the product uses (then golden re-snapshot + operand re-prepare),
+// — retry (re-convert + re-run), targeted self-test + re-trim of the
+// lanes the product uses (then golden re-snapshot + operand re-stamp),
 // fence + full degraded re-run on the surviving channels — bounded per
 // product, with every rung, probe and re-executed event recorded in the
 // HealthMonitor.  events() carries the data-path work actually executed
@@ -166,21 +173,20 @@ class GuardedBackend final : public nn::GemmBackend {
   /// offline: all-zero result, no events, no product recorded.
   [[nodiscard]] Matrix matmul(const Matrix& a, const Matrix& b) override;
 
-  /// Same product with the prepared B side cached across calls,
-  /// invalidated by the bank's epoch and by channel-packing changes.
+  /// Same product with the prepared B side (its codes) cached across
+  /// calls, re-stamped when the bank's epoch moves and rebuilt on a
+  /// channel-packing change without one.
   [[nodiscard]] Matrix matmul_cached(const Matrix& a, const Matrix& b,
                                      const nn::WeightHandle& weight) override;
 
-  /// Guarded product against a GROWING operand (DESIGN.md §17).  While
-  /// the bank's epoch and channel packing hold, the resident prepared
-  /// operand (current encodings, the golden copy when staged, checksum
-  /// stripes) is extended in place with just the new kv rows; an epoch
-  /// bump — any re-trim or fence — makes the entry a miss, and a packing
-  /// or scale change forces a rebuild, so appends can never bridge a
-  /// recalibration.  Outputs, events, and guard verdicts are
-  /// bit-identical to the unprepared matmul at every length; an
-  /// escalation mid-product rebuilds the resident entry like
-  /// matmul_cached refreshes the weight cache.
+  /// Guarded product against a GROWING operand (DESIGN.md §17).  The
+  /// resident prepared operand (its codes) is extended in place with just
+  /// the new kv rows; an epoch bump — any re-trim or fence — makes the
+  /// entry a miss that is re-stamped and extended the same way, and a
+  /// scale change (or a packing change without a bump) forces a rebuild.
+  /// Outputs, events, and guard verdicts are bit-identical to the
+  /// unprepared matmul at every length; an escalation mid-product
+  /// re-stamps the resident entry like matmul_cached's.
   [[nodiscard]] Matrix matmul_kv(const Matrix& a, const Matrix& kv,
                                  const nn::KvHandle& handle) override;
   void release_kv(std::uint64_t id) override { kv_cache_.erase(id); }
@@ -260,10 +266,12 @@ class GuardedBackend final : public nn::GemmBackend {
                                          const std::vector<std::size_t>& channels) const;
 
   /// The spec every operand of this backend is prepared and appended
-  /// under: bank epoch, surviving packing and, when guarded, the checksum
-  /// stripes unless column-only, and the golden reference while golden is
-  /// not pinned at the bank's epoch.
+  /// under: bank epoch, surviving packing, quantizer codes.
   [[nodiscard]] ptc::OperandSpec operand_spec() const;
+
+  /// Stamp `pb` with `spec`'s epoch and packing: its codes are what a
+  /// build under `spec` would write.
+  static void restamp(ptc::PreparedOperand& pb, const ptc::OperandSpec& spec);
 
   /// Full pipeline for one product (shared by all matmul entry points):
   /// the outage check, governor entry, obtain, data pass and, when
@@ -271,32 +279,52 @@ class GuardedBackend final : public nn::GemmBackend {
   /// in `baxis` orientation — B itself, or Bᵀ for the KV scores path,
   /// whose history IS the transpose.  The operand comes from `cache`
   /// under (id, version) (id 0 = uncached); an escalation rung that
-  /// rebuilds it refreshes that entry.
+  /// re-stamps it refreshes that entry.
   [[nodiscard]] Matrix run_product(const Matrix& a, const Matrix& bsrc, ptc::GrowAxis baxis,
                                    nn::OperandCache& cache, std::uint64_t id,
                                    std::uint64_t version);
 
   /// The prepared operand of `src` (`axis` orientation) from `cache`
-  /// under (id, version) and the bank epoch: ptc::append_operand grows
-  /// or confirms a fresh entry staged as operand_spec() stages,
+  /// under (id, version) and the bank epoch: ptc::append_operand grows or
+  /// confirms a fresh entry, an epoch-stale one is re-stamped and grown,
   /// ptc::prepare_operand builds otherwise; id 0 builds uncached.
-  [[nodiscard]] std::shared_ptr<const ptc::PreparedOperand> obtain(nn::OperandCache& cache,
-                                                                   std::uint64_t id,
-                                                                   std::uint64_t version,
-                                                                   const Matrix& src,
-                                                                   ptc::GrowAxis axis);
+  [[nodiscard]] std::shared_ptr<ptc::PreparedOperand> obtain(nn::OperandCache& cache,
+                                                             std::uint64_t id,
+                                                             std::uint64_t version,
+                                                             const Matrix& src,
+                                                             ptc::GrowAxis axis);
+
+  /// One pool worker's decoded B column stripe, tile.cols rows of k
+  /// amplitudes (row 0 = column tile.col0): `data` through the current
+  /// lane state; `golden` through the golden snapshot when it can differ
+  /// (`copy`; otherwise `data` is the golden stripe too); and, when
+  /// guarded, the golden stripe sum `ysum`.
+  struct Stripe {
+    Matrix data;
+    Matrix golden;
+    std::vector<double> ysum;
+    bool copy{false};
+  };
+  /// Stripe row padding: unpadded rows of 512 or 768 doubles start on the
+  /// same L1 sets.
+  static constexpr std::size_t kStripePad = 8;
+
+  /// Decode tile `tile`'s column stripe of `pb` through `lanes` (y rail,
+  /// pb's packing) into `out`.
+  void decode_stripe(const ptc::PreparedOperand& pb, const ptc::Tile& tile,
+                     const LaneEncoder& lanes, Stripe& out) const;
 
   /// Compute one tile: the kernel's raw data dots from `ae` (current A
-  /// encodes) × `bdata` (current B encodes), plus `upsets` (nullable, the
-  /// transient dot glitches of the initial pass), folded into `c` by
-  /// ptc::fold_tile — PhotonicGemm's fold — with the raw row and column
-  /// sums staged in `sums` (a worker_sums slot) when guarded.  Guarded,
-  /// returns ptc::verify_tile's verdict against `ae_gold` / `xsum` /
-  /// `pb`, with its single-error site corrected in place.
+  /// encodes) × `b.data`, plus `upsets` (nullable, the transient dot
+  /// glitches of the initial pass), folded into `c` by ptc::fold_tile —
+  /// PhotonicGemm's fold — with the raw row and column sums staged in
+  /// `sums` (a worker_sums slot) when guarded.  Guarded, returns
+  /// ptc::verify_tile's verdict against `ae_gold` / `xsum` and b's golden
+  /// stripe and sum, with its single-error site corrected in place.
   [[nodiscard]] ptc::TileCheck run_tile(const ptc::Tile& tile, std::size_t t, const Matrix& ae,
                                         const Matrix& ae_gold, const Matrix& xsum,
-                                        const Matrix& bdata, const ptc::PreparedOperand& pb,
-                                        double rescale, Matrix& c, std::span<double> sums,
+                                        const Stripe& b, double rescale, Matrix& c,
+                                        std::span<double> sums,
                                         const std::vector<DotUpset>* upsets = nullptr) const;
 
   /// Pool worker `worker`'s tile-sum scratch: array_rows + array_cols
@@ -325,6 +353,8 @@ class GuardedBackend final : public nn::GemmBackend {
   /// Per-worker block scratch of ptc::prepare_operand / append_operand
   /// (a few normalized Bᵀ rows per pool worker), kept across obtains.
   Matrix stage_;
+  /// Per-worker decoded B stripes, kept across tiles and products.
+  std::vector<Stripe> stripes_;
   /// run_product's A side — normalized, current and golden encodes —
   /// sized per product with Matrix::resize, so they keep their capacity.
   Matrix an_;
@@ -341,12 +371,11 @@ class GuardedBackend final : public nn::GemmBackend {
   /// the last trusted calibration point (recalibrate()).
   LaneEncodeTable golden_;
 
-  /// Current-state lane coefficients for prepares, appends, A-side
-  /// encodes and storm re-encodes; re-ensured at product entry and after
-  /// every ladder rung that moves the epoch, and rebuilt by a storm or
-  /// retry tile step once the stale elements met at the current epoch
-  /// reach lanes · codes (until then stale stripes re-encode through the
-  /// live lanes).
+  /// Current-state lane coefficients for A-side encodes, B-side decodes
+  /// and storm re-encodes; re-ensured at product entry and after every
+  /// ladder rung that moves the epoch, and rebuilt by a storm or retry
+  /// tile step once the live conversions met at the current epoch reach
+  /// lanes · codes (until then the step converts through the live lanes).
   LaneEncodeTable table_;
 
   FaultInjector* storm_{nullptr};

@@ -1,5 +1,7 @@
 #include "faults/lane_table.hpp"
 
+#include <algorithm>
+
 #include "common/math_utils.hpp"
 
 namespace pdac::faults {
@@ -29,49 +31,81 @@ LaneEncoder::LaneEncoder(const LaneBank& bank, const std::vector<std::size_t>& c
                          std::size_t rail, const LaneEncodeTable* table,
                          const LaneEncodeTable* golden)
     : bank_(&bank), live_(table == nullptr || !table->fresh(bank)) {
-  packed_.reserve(channels.size());
   for (const std::size_t ch : channels) {
     const std::size_t flat = rail * bank.wavelengths() + ch;
-    packed_.push_back({flat, live_ ? nullptr : table->row(flat),
-                       golden != nullptr ? golden->row(flat) : nullptr});
+    flat_.push_back(flat);
+    current_.push_back(live_ ? nullptr : table->row(flat));
+    golden_.push_back(golden != nullptr ? golden->row(flat) : nullptr);
   }
 }
 
-void LaneEncoder::operator()(std::span<const double> norm, std::size_t p0, std::size_t step,
-                             std::span<double> current, std::span<double> reference) const {
+void LaneEncoder::operator()(std::span<const double> norm, std::span<double> current,
+                             std::span<double> reference) const {
   // One span quantize (clamp_unit's clamp included), then both amplitudes
-  // by code; position p0 + i·step rides packed channel (p0 + i·step) % nl.
-  const std::size_t nl = packed_.size();
+  // by code; position p rides packed channel p % nl.
+  const std::size_t nl = flat_.size();
   const converters::Quantizer& quant = bank_->quantizer();
-  if (step == 0) {
-    // One position, one channel: every value reads that channel's rows.
-    const Packed& lane = packed_[p0 % nl];
-    quant.encode_each(norm, 1.0, [&](std::size_t i, std::int32_t code) {
-      current[i] = live_ ? bank_->lane(lane.flat).model.encode_code(code) : lane.current[code];
-      if (!reference.empty()) reference[i] = lane.golden[code];
-    });
-    return;
+  std::size_t ch = 0;
+  quant.encode_each(norm, 1.0, [&](std::size_t i, std::int32_t code) {
+    current[i] = this->current(ch, code);
+    if (!reference.empty()) reference[i] = golden_[ch][code];
+    if (++ch == nl) ch = 0;
+  });
+}
+
+namespace {
+
+/// out[p] = rows[p % NL][codes[p]], one channel period at a time with the
+/// NL row pointers held in registers.
+template <std::size_t NL>
+void gather_period(const double* const* rows, std::span<const std::int16_t> codes,
+                   std::span<double> out) {
+  const double* r[NL];
+  for (std::size_t c = 0; c < NL; ++c) r[c] = rows[c];
+  const std::size_t n = codes.size();
+  std::size_t p = 0;
+  for (; p + NL <= n; p += NL) {
+    for (std::size_t c = 0; c < NL; ++c) out[p + c] = r[c][codes[p + c]];
   }
-  std::size_t ch = p0 % nl;
+  for (std::size_t c = 0; p < n; ++p, ++c) out[p] = r[c][codes[p]];
+}
+
+/// out[p] = rows[p % rows.size()][codes[p]].
+void gather(const std::vector<const double*>& rows, std::span<const std::int16_t> codes,
+            std::span<double> out) {
+  switch (rows.size()) {
+    case 1: return gather_period<1>(rows.data(), codes, out);
+    case 2: return gather_period<2>(rows.data(), codes, out);
+    case 3: return gather_period<3>(rows.data(), codes, out);
+    case 4: return gather_period<4>(rows.data(), codes, out);
+    case 5: return gather_period<5>(rows.data(), codes, out);
+    case 6: return gather_period<6>(rows.data(), codes, out);
+    case 7: return gather_period<7>(rows.data(), codes, out);
+    case 8: return gather_period<8>(rows.data(), codes, out);
+    default: break;
+  }
+  std::size_t c = 0;
+  for (std::size_t p = 0; p < codes.size(); ++p) {
+    out[p] = rows[c][codes[p]];
+    if (++c == rows.size()) c = 0;
+  }
+}
+
+}  // namespace
+
+void LaneEncoder::decode(std::span<const std::int16_t> codes, std::span<double> current,
+                         std::span<double> reference) const {
   if (live_) {
-    quant.encode_each(norm, 1.0, [&](std::size_t i, std::int32_t code) {
-      current[i] = bank_->lane(packed_[ch].flat).model.encode_code(code);
-      if (!reference.empty()) reference[i] = packed_[ch].golden[code];
+    const std::size_t nl = flat_.size();
+    std::size_t ch = 0;
+    for (std::size_t p = 0; p < codes.size(); ++p) {
+      current[p] = this->current(ch, codes[p]);
       if (++ch == nl) ch = 0;
-    });
-  } else if (reference.empty()) {
-    quant.encode_each(norm, 1.0, [&](std::size_t i, std::int32_t code) {
-      current[i] = packed_[ch].current[code];
-      if (++ch == nl) ch = 0;
-    });
+    }
   } else {
-    quant.encode_each(norm, 1.0, [&](std::size_t i, std::int32_t code) {
-      const Packed& lane = packed_[ch];
-      current[i] = lane.current[code];
-      reference[i] = lane.golden[code];
-      if (++ch == nl) ch = 0;
-    });
+    gather(current_, codes, current);
   }
+  if (!reference.empty()) gather(golden_, codes, reference);
 }
 
 }  // namespace pdac::faults

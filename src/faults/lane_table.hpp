@@ -74,45 +74,52 @@ class LaneEncodeTable {
   bool built_{false};
 };
 
-/// Encodes normalized values through the lanes that carry them: reduction
+/// Converts one operand row through the lanes that carry it: reduction
 /// position p rides channel channels[p % channels.size()] of `rail` (x
-/// rail 0 for A, y rail 1 for B), and value i of a call sits at position
-/// p0 + i·step — step 1 along a row, step 0 across the output columns of
-/// one appended position, which rides a single channel.  The CURRENT
-/// amplitude comes from `table` when it is fresh at construction and from
-/// the live lane model otherwise (no table, or a stale one), bit-identical
-/// either way, so a missed ensure() can cost speed but never correctness.
-/// When a reference span is asked for, the GOLDEN amplitude comes from the
-/// pinned `golden` snapshot.  Construction makes every choice once: the
-/// current source and each packed channel's table row (current and
-/// golden), so a call — one element, a whole row or one position across
-/// every column — only quantizes its span through the span rule
-/// (Quantizer::encode_each, DESIGN.md §18) and reads both amplitudes by
-/// code, advancing the channel with the position.  Build one per use: the
-/// bank must not move its epoch while an encoder built on a fresh table is
-/// in use.  Serves as the ptc::RowEncoder of every faults-layer prepare
-/// and append, encodes A rows the same way, and re-encodes stale stripes
-/// under a storm.
+/// rail 0 for A, y rail 1 for B).  operator() encodes normalized values
+/// (the A side); decode() turns a code operand's stored quantizer codes
+/// into amplitudes (the B side, per tile step).  The CURRENT amplitude
+/// comes from `table` when it is fresh at construction and from the live
+/// lane model otherwise (no table, or a stale one), bit-identical either
+/// way, so a missed ensure() can cost speed but never correctness.  When a
+/// reference span is asked for, the GOLDEN amplitude comes from the pinned
+/// `golden` snapshot.  Construction makes every choice once: the current
+/// source and each packed channel's table row (current and golden), so a
+/// call only quantizes its span through the span rule
+/// (Quantizer::encode_each, DESIGN.md §18) or reads its codes, and reads
+/// both amplitudes by code, advancing the channel with the position.
+/// Both calls read a row from position 0, and an encode then decode of the
+/// same row gives the same bits.  Build one per use: the bank must not
+/// move its epoch while an encoder built on a fresh table is in use.
 class LaneEncoder {
  public:
   LaneEncoder(const LaneBank& bank, const std::vector<std::size_t>& channels, std::size_t rail,
               const LaneEncodeTable* table = nullptr, const LaneEncodeTable* golden = nullptr);
 
-  void operator()(std::span<const double> norm, std::size_t p0, std::size_t step,
-                  std::span<double> current, std::span<double> reference) const;
+  /// current[p] (and reference[p] when non-empty) = the amplitude of
+  /// norm[p]'s code at position p.
+  void operator()(std::span<const double> norm, std::span<double> current,
+                  std::span<double> reference = {}) const;
+
+  /// current[p] (and reference[p] when non-empty) = the amplitude of
+  /// codes[p] at position p.
+  void decode(std::span<const std::int16_t> codes, std::span<double> current,
+              std::span<double> reference = {}) const;
 
  private:
-  /// One packed channel: its flat lane and its amplitudes by code — the
-  /// fresh table's row (null on the live models) and the golden row
-  /// (null without a snapshot).
-  struct Packed {
-    std::size_t flat;
-    const double* current;
-    const double* golden;
-  };
+  /// The current amplitude of `code` on packed channel `c`.
+  [[nodiscard]] double current(std::size_t c, std::int32_t code) const {
+    return live_ ? bank_->lane(flat_[c]).model.encode_code(code) : current_[c][code];
+  }
+
   const LaneBank* bank_;
   bool live_;
-  std::vector<Packed> packed_;
+  /// Per packed channel: its flat lane and its amplitudes by code — the
+  /// fresh table's row (null on the live models) and the golden row (null
+  /// without a snapshot).
+  std::vector<std::size_t> flat_;
+  std::vector<const double*> current_;
+  std::vector<const double*> golden_;
 };
 
 }  // namespace pdac::faults

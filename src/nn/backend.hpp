@@ -7,10 +7,9 @@
 // accumulate hardware event counts across every product they perform.
 //
 // Every photonic backend routes through the tile-parallel GEMM engine
-// (gemm_engine.hpp): pass a GemmConfig with `threads != 1` (e.g. via
-// parallel_gemm_config) to spread tile simulation across cores — results
-// are bit-identical at any thread count, so accuracy experiments can
-// always run wide.
+// (gemm_engine.hpp): pass a GemmConfig with `threads != 1` to spread tile
+// simulation across cores — results are bit-identical at any thread
+// count, so accuracy experiments can always run wide.
 //
 // Weight-stationary execution (DESIGN.md §10): layers route products
 // against *static* operands through matmul_cached with a WeightHandle,
@@ -173,26 +172,6 @@ std::unique_ptr<GemmBackend> make_photonic_pdac_backend(int bits,
 std::unique_ptr<GemmBackend> make_photonic_ideal_dac_backend(int bits,
                                                              ptc::GemmConfig cfg = {},
                                                              OperandCacheConfig cache_cfg = {});
-
-/// GemmConfig with the tile dispatch widened to `threads` simulation
-/// workers (0 = auto-detect); hand the result to the photonic factories
-/// to run layer-scale traces tile-parallel.
-[[nodiscard]] inline ptc::GemmConfig parallel_gemm_config(std::size_t threads,
-                                                          ptc::GemmConfig cfg = {}) {
-  cfg.threads = threads;
-  return cfg;
-}
-
-/// GemmConfig pinned to the device-graph execution path: every dot runs
-/// through the full WdmField/device-object chain instead of the fused
-/// flat-array kernel (ptc/kernel.hpp).  Results are bit-identical to the
-/// default kernel path — use this to cross-check the kernel against the
-/// authoritative device simulation, or when instrumenting the device
-/// objects themselves.
-[[nodiscard]] inline ptc::GemmConfig device_graph_gemm_config(ptc::GemmConfig cfg = {}) {
-  cfg.path = ptc::ExecutionPath::kDeviceGraph;
-  return cfg;
-}
 
 /// GemmConfig pinned to the fused kernel's SIMD fast tier
 /// (ptc/kernel.hpp run_tile_fast): explicit 4/8-wide blocked reductions

@@ -17,9 +17,12 @@ OperandCache::OperandCache(OperandCacheConfig cfg) : cfg_(cfg) {}
 std::shared_ptr<ptc::PreparedOperand> OperandCache::obtain(std::uint64_t id,
                                                            std::uint64_t version,
                                                            std::uint64_t epoch, const Grow& grow,
-                                                           const Build& build) {
+                                                           const Build& build,
+                                                           const Restamp& restamp) {
   if (id == 0) return std::make_shared<ptc::PreparedOperand>(build());
-  if (std::shared_ptr<ptc::PreparedOperand> op = lookup(id, version, epoch)) {
+  std::shared_ptr<ptc::PreparedOperand> stale;
+  if (std::shared_ptr<ptc::PreparedOperand> op =
+          find(id, version, epoch, restamp ? &stale : nullptr)) {
     const std::size_t rows = op->rows;
     const std::size_t cols = op->cols;
     if (grow(*op)) {
@@ -44,6 +47,11 @@ std::shared_ptr<ptc::PreparedOperand> OperandCache::obtain(std::uint64_t id,
     }
     ++stats_.rebuilds;
   }
+  if (stale != nullptr && restamp(*stale)) {
+    PDAC_REQUIRE(stale->epoch == epoch, "OperandCache: a re-stamped entry must carry the epoch");
+    insert(id, version, stale);
+    return stale;
+  }
   auto op = std::make_shared<ptc::PreparedOperand>(build());
   insert(id, version, op);
   return op;
@@ -52,6 +60,12 @@ std::shared_ptr<ptc::PreparedOperand> OperandCache::obtain(std::uint64_t id,
 std::shared_ptr<ptc::PreparedOperand> OperandCache::lookup(std::uint64_t id,
                                                            std::uint64_t version,
                                                            std::uint64_t epoch) {
+  return find(id, version, epoch, nullptr);
+}
+
+std::shared_ptr<ptc::PreparedOperand> OperandCache::find(
+    std::uint64_t id, std::uint64_t version, std::uint64_t epoch,
+    std::shared_ptr<ptc::PreparedOperand>* stale) {
   const auto it = index_.find(id);
   if (it != index_.end()) {
     Entry& e = *it->second;
@@ -61,8 +75,10 @@ std::shared_ptr<ptc::PreparedOperand> OperandCache::lookup(std::uint64_t id,
       return e.op;
     }
     // Stale contents or stale encoder state: the entry must never be
-    // served again, so erase it on the spot.
+    // served again under its stamp, so erase it on the spot.  Contents
+    // that only an epoch move made stale go to the caller to re-stamp.
     ++stats_.invalidations;
+    if (stale != nullptr && e.version == version) *stale = e.op;
     drop(it->second);
   }
   ++stats_.misses;

@@ -24,7 +24,13 @@
 // A lookup that fails either check erases the entry and misses, so stale
 // encodings can never be returned.  What the stamps do not cover —
 // channel packing, scale growth, shape — the grow step refuses
-// (ptc::append_operand), and obtain() then rebuilds.
+// (ptc::append_operand), and obtain() then rebuilds.  An owner whose
+// operands do not depend on the encoder state (faults::GuardedBackend's
+// quantizer codes) hands obtain() a re-stamp step: an entry that only an
+// epoch move made stale — same id and version — is then re-stamped in
+// place (and grown) for the caller's epoch instead of rebuilt.  It still
+// counts as the invalidation and miss it is, and is inserted as a build
+// would be, so it is never served under its old stamp.
 //
 // Accounting, one rule for both uses:
 //   hit          — a fresh entry was found;
@@ -103,18 +109,25 @@ class OperandCache {
   using Grow = std::function<bool(ptc::PreparedOperand&)>;
   /// Prepares the operand from scratch.
   using Build = std::function<ptc::PreparedOperand()>;
+  /// Re-stamps an entry that only an epoch move made stale, in place, for
+  /// the caller's epoch and grows it to the caller's source — or refuses
+  /// it, and obtain() builds.
+  using Restamp = std::function<bool(ptc::PreparedOperand&)>;
 
   explicit OperandCache(OperandCacheConfig cfg = {});
 
   /// The prepared operand for `id`: the fresh resident entry after `grow`
-  /// accepts it (re-accounted when it grew), else a `build` stored in
-  /// place of any refused or stale entry.  id 0 builds without touching
-  /// the cache or its counters.
+  /// accepts it (re-accounted when it grew), else — when `restamp` is given
+  /// and accepts it — the entry that only an epoch move made stale,
+  /// re-stamped and stored again, else a `build` stored in place of any
+  /// refused or stale entry.  id 0 builds without touching the cache or
+  /// its counters.
   [[nodiscard]] std::shared_ptr<ptc::PreparedOperand> obtain(std::uint64_t id,
                                                              std::uint64_t version,
                                                              std::uint64_t epoch,
                                                              const Grow& grow,
-                                                             const Build& build);
+                                                             const Build& build,
+                                                             const Restamp& restamp = {});
 
   /// The fresh resident operand for (id, version) under `epoch`
   /// (LRU-touched), or nullptr.  A stale entry is erased before the miss
@@ -144,7 +157,7 @@ class OperandCache {
   void clear();
 
   /// Count a re-prepare the owner performed outside obtain() (the
-  /// escalation ladder's rebuild after a re-trim or fence).
+  /// escalation ladder's re-stamp after a re-trim or fence).
   void record_rebuild() { ++stats_.rebuilds; }
 
   [[nodiscard]] const OperandCacheStats& stats() const { return stats_; }
@@ -158,6 +171,11 @@ class OperandCache {
     std::size_t bytes;
   };
 
+  /// lookup()'s rule; an entry that fails only the epoch check is moved
+  /// into `*stale` (when non-null) as it is erased.
+  std::shared_ptr<ptc::PreparedOperand> find(std::uint64_t id, std::uint64_t version,
+                                             std::uint64_t epoch,
+                                             std::shared_ptr<ptc::PreparedOperand>* stale);
   void drop(std::list<Entry>::iterator it);
   void evict_over_capacity();
 

@@ -56,7 +56,9 @@ void trace_blocks(WorkloadTrace& t, std::size_t sequences, std::size_t rows,
   const std::size_t kv_reads = kv_cache ? dh * context : 0;
 
   for (std::size_t layer = 0; layer < cfg.layers; ++layer) {
-    const std::string p = (kv_cache ? "D" : "L") + std::to_string(layer) + ".";
+    std::string p = kv_cache ? "D" : "L";
+    p += std::to_string(layer);
+    p += '.';
     t.gemms.push_back({p + "Q-proj", OpClass::kAttention, m, d, d, true, 1, 0});
     t.gemms.push_back({p + "K-proj", OpClass::kAttention, m, d, d, true, 1, 0});
     t.gemms.push_back({p + "V-proj", OpClass::kAttention, m, d, d, true, 1, 0});

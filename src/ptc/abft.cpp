@@ -7,7 +7,6 @@
 #include "common/require.hpp"
 #include "common/simd.hpp"
 #include "ptc/dot_engine.hpp"
-#include "ptc/gemm_engine.hpp"
 #include "ptc/noise_analysis.hpp"
 
 namespace pdac::ptc {
@@ -67,7 +66,7 @@ void stripe_sums(const Matrix& rows, std::size_t stripe, Matrix& out) {
 TileCheck verify_tile(const GuardConfig& cfg, const Tile& tile, std::size_t t,
                       std::span<const double> rsum, std::span<const double> csum,
                       const Matrix& a_golden, std::span<const double> xsum,
-                      const PreparedOperand& b) {
+                      const Matrix& b_golden, std::size_t b_row0, std::span<const double> ysum) {
   const std::size_t k = a_golden.cols();
   TileCheck check;
   check.tile = t;
@@ -96,14 +95,13 @@ TileCheck verify_tile(const GuardConfig& cfg, const Tile& tile, std::size_t t,
   ErrorSite site;
   double col_delta = 0.0;
   // Lanes in verdict order: the row lanes, Σ_j tile(i,j) vs ⟨golden x′_i,
-  // cached golden Σ_j y′_j⟩, then the column lanes, Σ_i tile(i,j) vs
+  // golden Σ_j y′_j⟩, then the column lanes, Σ_i tile(i,j) vs
   // ⟨golden Σ_i x′_i, golden y′_j⟩.  Each reference is one serial chain in
   // ascending p; simd::serial_dots runs a batch of them side by side with
   // each chain's exact bits, and the residuals are then judged in order.
   const std::size_t row_lanes = tile.rows;
   const std::size_t lanes = row_lanes + tile.cols;
-  const double* ysum = b.checksum.row(tile.col0 / b.checksum_stripe).data();
-  const Matrix& bref = b.reference.size() > 0 ? b.reference : b.encoded;
+  PDAC_ASSERT(ysum.size() >= k && tile.col0 >= b_row0);
   constexpr std::size_t kBatch = 32;
   const double* xs[kBatch] = {};
   const double* ys[kBatch] = {};
@@ -114,7 +112,7 @@ TileCheck verify_tile(const GuardConfig& cfg, const Tile& tile, std::size_t t,
       const std::size_t lane = l0 + l;
       const bool row = lane < row_lanes;
       xs[l] = row ? a_golden.row(tile.row0 + lane).data() : xsum.data();
-      ys[l] = row ? ysum : bref.row(tile.col0 + lane - row_lanes).data();
+      ys[l] = row ? ysum.data() : b_golden.row(tile.col0 - b_row0 + lane - row_lanes).data();
     }
     simd::serial_dots(xs, ys, count, k, refs);
     for (std::size_t l = 0; l < count; ++l) {

@@ -8,10 +8,10 @@
 // counters with digital residue checks around analog MACs).  The guard
 // closes that window in-band, at tile granularity:
 //
-//   * every prepared B operand carries one checksum column per
-//     array-width column stripe — the digital sum of the stripe's
-//     encoded columns, Σ_j y′_j, computed by the controller at prepare
-//     time and cached with the operand;
+//   * every B column stripe of array width has one checksum column — the
+//     digital sum of the stripe's golden columns, Σ_j y′_j, computed by
+//     the controller: cached with PhotonicGemm's prepared operand, summed
+//     per tile step by the lane executor as it decodes the stripe;
 //   * every A operand gets one checksum row per array-height row stripe
 //     (Σ_i x′_i), rebuilt with the per-product A-side encode pass;
 //   * each H×W output tile is augmented with its checksum lane outputs:
@@ -57,7 +57,6 @@ class Quantizer;
 namespace pdac::ptc {
 
 struct DotEngineConfig;
-struct PreparedOperand;
 
 /// Guard knobs; aggregate-initializable so configs stay declarative.
 struct GuardConfig {
@@ -151,25 +150,30 @@ void stripe_sums(const Matrix& rows, std::size_t stripe, Matrix& out);
 
 /// The checksum verdict of one guarded tile, shared by every executor.
 /// `rsum`/`csum` are the tile's raw analog row and column sums.  Row lane
-/// i compares against ⟨a_golden.row(i), b's checksum stripe⟩; column
-/// lane j against ⟨xsum, b's golden column
-/// j⟩ — b.reference when staged, else b.encoded — where `xsum` is the
-/// tile's golden A stripe sum.  Each reference is one serial chain in
-/// ascending position; the chains run side by side in SIMD lanes
-/// (simd::serial_dots), each with the serial loop's exact bits, gathered
-/// in stack batches so nothing is allocated per tile.  Each residual is
-/// then judged in lane order: clean up to the tolerance, absorbed drift
-/// up to drift_band·tolerance, an excursion beyond; a NaN is always an
-/// excursion.  When exactly one row lane and one column lane are out of
-/// band and their residuals agree, the verdict locates the corrupted
-/// element at their intersection (TileCheck::single_error); correcting
-/// it is the caller's.  faults::GuardedBackend always corrects it,
-/// digitally from the residual, with no escalation rung; PhotonicGemm
-/// never does, since its cache repair depends on seeing the mismatch.
+/// i compares against ⟨a_golden.row(i), ysum⟩, where `ysum` is the tile's
+/// column stripe Σ_j y′_j of golden B columns in ascending j; column lane
+/// j against ⟨xsum, golden column j⟩, where `xsum` is the tile's golden A
+/// stripe sum and b_golden.row(j − b_row0) is output column j's golden B
+/// column.  PhotonicGemm passes its encodings (row 0 = column 0) and
+/// cached stripe; faults::GuardedBackend the stripe it decoded through
+/// the golden snapshot for this tile (row 0 = tile.col0) and its sum.
+/// Each reference is one serial chain in ascending position; the chains
+/// run side by side in SIMD lanes (simd::serial_dots), each with the
+/// serial loop's exact bits, gathered in stack batches so nothing is
+/// allocated per tile.  Each residual is then judged in lane order: clean
+/// up to the tolerance, absorbed drift up to drift_band·tolerance, an
+/// excursion beyond; a NaN is always an excursion.  When exactly one row
+/// lane and one column lane are out of band and their residuals agree,
+/// the verdict locates the corrupted element at their intersection
+/// (TileCheck::single_error); correcting it is the caller's.
+/// faults::GuardedBackend always corrects it, digitally from the
+/// residual, with no escalation rung; PhotonicGemm never does, since its
+/// cache repair depends on seeing the mismatch.
 [[nodiscard]] TileCheck verify_tile(const GuardConfig& cfg, const Tile& tile, std::size_t t,
                                     std::span<const double> rsum, std::span<const double> csum,
                                     const Matrix& a_golden, std::span<const double> xsum,
-                                    const PreparedOperand& b);
+                                    const Matrix& b_golden, std::size_t b_row0,
+                                    std::span<const double> ysum);
 
 /// Aggregated guard outcome of one product (GemmResult::guard).  The
 /// checksum-lane charge is kept in its own counter so the data-path

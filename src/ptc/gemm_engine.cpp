@@ -67,29 +67,37 @@ constexpr std::size_t kBlockRows = 32;
 /// same L1 sets, so a block's rows would evict one another.
 constexpr std::size_t kStagePad = 8;
 
-/// Fold golden columns [j0, j1) over reduction positions [p0, p1) into
+/// Fold encoded columns [j0, j1) over reduction positions [p0, p1) into
 /// their checksum stripes.  Ascending j is the fresh prepare's order, so
 /// an append continuing the running sums lands on the same doubles.
 void fold_stripes(PreparedOperand& pb, std::size_t j0, std::size_t j1, std::size_t p0,
                   std::size_t p1) {
-  const Matrix& golden = pb.reference.size() > 0 ? pb.reference : pb.encoded;
   for (std::size_t j = j0; j < j1; ++j) {
-    const auto src = golden.row(j);
+    const auto src = pb.encoded.row(j);
     const auto dst = pb.checksum.row(j / pb.checksum_stripe);
     for (std::size_t p = p0; p < p1; ++p) dst[p] += src[p];
   }
 }
 
+/// Quantize one normalized run into int16 codes through the span rule.
+void quantize_codes(const converters::Quantizer& quant, std::span<const double> norm,
+                    std::span<std::int16_t> codes) {
+  quant.encode_each(norm, 1.0, [&](std::size_t i, std::int32_t code) {
+    codes[i] = static_cast<std::int16_t>(code);
+  });
+}
+
 /// The one blocked pass behind every prepare and append: Bᵀ rows
 /// [j0, j1) over reduction positions [p0, p1), in blocks of whole
 /// checksum stripes spread over `pool`.  Each block is normalized into
-/// its worker's rows of `stage`, encoded row by row (one `encode` call per
-/// row) and folded into its stripes (ascending j) while still in cache.
-/// Blocks start at absolute stripe multiples, so no stripe straddles two
-/// workers, and every element takes the same single division and encode,
-/// so the result is bit for bit the same at any thread count.  `pb` must
-/// already hold the rows and columns written, and its stripe rows the
-/// running sums the fold continues.
+/// its worker's rows of `stage`, then encoded row by row (one `encode`
+/// call per row) and folded into its stripes (ascending j) while still in
+/// cache, or quantized row by row into a code operand.  Blocks start at
+/// absolute stripe multiples, so no stripe straddles two workers, and
+/// every element takes the same single division and encode, so the result
+/// is bit for bit the same at any thread count.  `pb` must already hold
+/// the rows and columns written, and its stripe rows the running sums the
+/// fold continues.
 void build_rows(PreparedOperand& pb, const Matrix& src, GrowAxis axis, const OperandSpec& spec,
                 const RowEncoder& encode, ThreadPool& pool, Matrix& stage, std::size_t j0,
                 std::size_t j1, std::size_t p0, std::size_t p1) {
@@ -106,8 +114,12 @@ void build_rows(PreparedOperand& pb, const Matrix& src, GrowAxis axis, const Ope
       const std::size_t row0 = worker * block;
       normalize_bt_rows(src, axis, pb.scale, lo, hi, p0, p1, stage, row0);
       for (std::size_t j = lo; j < hi; ++j) {
-        encode(stage.row(row0 + (j - lo)).first(len), p0, 1, pb.encoded.row(j).subspan(p0, len),
-               spec.reference ? pb.reference.row(j).subspan(p0, len) : std::span<double>{});
+        const std::span<const double> norm = stage.row(row0 + (j - lo)).first(len);
+        if (spec.codes != nullptr) {
+          quantize_codes(*spec.codes, norm, pb.codes.row(j).subspan(p0, len));
+        } else {
+          encode(norm, pb.encoded.row(j).subspan(p0, len));
+        }
       }
       if (stripe > 0) fold_stripes(pb, lo, hi, p0, p1);
     }
@@ -116,10 +128,10 @@ void build_rows(PreparedOperand& pb, const Matrix& src, GrowAxis axis, const Ope
 
 /// A reduction-axis append's new positions [p0, p1) of a B source.
 /// Position p is B's row p, one contiguous run across every output
-/// column, and rides one channel, so it is normalized into its pool
-/// worker's stage row (as normalize_bt_rows normalizes a Bᵀ row), encoded
-/// by one `encode` call (step 0), written down column p of the encodings
-/// and folded into its stripes in ascending j, from the exact zero
+/// column, so it is normalized into its pool worker's stage row (as
+/// normalize_bt_rows normalizes a Bᵀ row), encoded by one `encode` call or
+/// quantized by one span call, written down column p of the operand and
+/// folded into its stripes in ascending j, from the exact zero
 /// append_operand writes there.  Positions touch disjoint elements and
 /// every element takes the same single division and encode, so the
 /// result is bit for bit the same as build_rows' at any pool width.
@@ -128,25 +140,26 @@ void build_positions(PreparedOperand& pb, const Matrix& src, const OperandSpec& 
                      std::size_t p1) {
   const std::size_t n = pb.cols;
   const std::size_t stripe = spec.checksum_stripe;
-  // Per worker: the normalized run, its encodes and its golden encodes.
-  constexpr std::size_t kRowsPerWorker = 3;
+  // Per worker: the normalized run and its encodes.
+  constexpr std::size_t kRowsPerWorker = 2;
   stage.resize(pool.size() * kRowsPerWorker, n + kStagePad);
   pool.parallel_for(p1 - p0, [&](std::size_t begin, std::size_t end, std::size_t worker) {
     const std::size_t row0 = worker * kRowsPerWorker;
     const std::span<const double> norm = stage.row(row0).first(n);
     const std::span<double> enc = stage.row(row0 + 1).first(n);
-    const std::span<double> gold =
-        spec.reference ? stage.row(row0 + 2).first(n) : std::span<double>{};
-    const std::span<const double> golden = spec.reference ? gold : enc;
     for (std::size_t p = p0 + begin; p < p0 + end; ++p) {
       normalize_bt_rows(src, GrowAxis::kCols, pb.scale, p, p + 1, 0, n, stage, row0);
-      encode(norm, p, 0, enc, gold);
-      for (std::size_t j = 0; j < n; ++j) pb.encoded(j, p) = enc[j];
-      if (spec.reference) {
-        for (std::size_t j = 0; j < n; ++j) pb.reference(j, p) = gold[j];
+      if (spec.codes != nullptr) {
+        // Scattered down column p, one code per output column.
+        spec.codes->encode_each(norm, 1.0, [&](std::size_t j, std::int32_t code) {
+          pb.codes(j, p) = static_cast<std::int16_t>(code);
+        });
+        continue;
       }
+      encode(norm, enc);
+      for (std::size_t j = 0; j < n; ++j) pb.encoded(j, p) = enc[j];
       if (stripe > 0) {
-        for (std::size_t j = 0; j < n; ++j) pb.checksum(j / stripe, p) += golden[j];
+        for (std::size_t j = 0; j < n; ++j) pb.checksum(j / stripe, p) += enc[j];
       }
     }
   });
@@ -179,6 +192,8 @@ void normalize_bt_rows(const Matrix& src, GrowAxis axis, double scale, std::size
 
 PreparedOperand prepare_operand(const Matrix& src, GrowAxis axis, const OperandSpec& spec,
                                 const RowEncoder& encode, ThreadPool& pool, Matrix& stage) {
+  PDAC_REQUIRE(spec.codes == nullptr || spec.checksum_stripe == 0,
+               "prepare_operand: a code operand carries no checksum stripes");
   PreparedOperand pb;
   pb.rows = axis == GrowAxis::kCols ? src.cols() : src.rows();
   pb.cols = axis == GrowAxis::kCols ? src.rows() : src.cols();
@@ -187,13 +202,16 @@ PreparedOperand prepare_operand(const Matrix& src, GrowAxis axis, const OperandS
   pb.epoch = spec.epoch;
   pb.channels = spec.channels;
 
-  // Amortized encoding: every B column is encoded exactly once, the
-  // software mirror of the hardware broadcasting one modulated operand
-  // across a whole tile.  The encoder writes every element, so the
-  // encodings are sized, not zero-filled.
-  pb.encoded.resize(pb.cols, pb.rows);
-  if (spec.reference) pb.reference.resize(pb.cols, pb.rows);
-  // ABFT column checksums (abft.hpp): one digital sum of the golden
+  // Amortized encoding: every B column is encoded (or quantized) exactly
+  // once, the software mirror of the hardware broadcasting one modulated
+  // operand across a whole tile.  The pass writes every element, so the
+  // payload is sized, not zero-filled.
+  if (spec.codes != nullptr) {
+    pb.codes.resize(pb.cols, pb.rows);
+  } else {
+    pb.encoded.resize(pb.cols, pb.rows);
+  }
+  // ABFT column checksums (abft.hpp): one digital sum of the encoded
   // columns per array-width stripe, cached with the operand so guarded
   // runs pay the O(n·k) sums once per prepare, not once per product.
   // The sums start from exact zero.
@@ -218,18 +236,14 @@ bool append_operand(PreparedOperand& pb, const Matrix& src, GrowAxis axis,
   const std::size_t old_len = cols_axis ? pb.cols : pb.rows;
   const std::size_t new_len = src.rows();
   if (pb.rows == 0 || pb.cols == 0 || fixed != src.cols() || old_len > new_len) return false;
+  // Storage must mirror the spec: codes or amplitudes, never both.
+  const bool codes = spec.codes != nullptr;
+  if (codes ? pb.encoded.size() > 0 : pb.codes.size() > 0) return false;
   // Physical layout: exactly `cols` rows; the output axis never pads, so
   // an operand whose reduction axis was ever padded cannot grow columns.
-  const std::size_t cap = pb.encoded.cols();
-  if (pb.encoded.rows() != pb.cols || cap < pb.rows || (cols_axis && cap != pb.rows)) {
-    return false;
-  }
-  // Staging must mirror the spec: every staged part shaped like
-  // `encoded`, every unstaged part empty.
-  if (spec.reference ? (pb.reference.rows() != pb.cols || pb.reference.cols() != cap)
-                     : pb.reference.size() > 0) {
-    return false;
-  }
+  const std::size_t payload_rows = codes ? pb.codes.rows() : pb.encoded.rows();
+  const std::size_t cap = codes ? pb.codes.cols() : pb.encoded.cols();
+  if (payload_rows != pb.cols || cap < pb.rows || (cols_axis && cap != pb.rows)) return false;
   if (spec.checksum_stripe > 0
           ? (pb.checksum_stripe != spec.checksum_stripe ||
              pb.checksum.rows() != stripe_count(pb.cols, spec.checksum_stripe) ||
@@ -249,8 +263,11 @@ bool append_operand(PreparedOperand& pb, const Matrix& src, GrowAxis axis,
     // New output columns = new Bᵀ rows.  Matrix::resize preserves every
     // existing row when the column count is unchanged.
     const std::size_t k = pb.rows;
-    pb.encoded.resize(new_len, k);
-    if (spec.reference) pb.reference.resize(new_len, k);
+    if (codes) {
+      pb.codes.resize(new_len, k);
+    } else {
+      pb.encoded.resize(new_len, k);
+    }
     if (spec.checksum_stripe > 0) {
       // Existing stripe rows already hold the ascending-j partial sums
       // through old_len; new stripe rows start from zero.
@@ -266,8 +283,11 @@ bool append_operand(PreparedOperand& pb, const Matrix& src, GrowAxis axis,
   } else {
     // New reduction positions = one new column of every Bᵀ row, written
     // into geometrically padded column capacity.
-    grow_col_capacity(pb.encoded, new_len);
-    if (spec.reference) grow_col_capacity(pb.reference, new_len);
+    if (codes) {
+      grow_col_capacity(pb.codes, new_len);
+    } else {
+      grow_col_capacity(pb.encoded, new_len);
+    }
     if (spec.checksum_stripe > 0) {
       // Fresh stripe positions start from exact zero (capacity padding is
       // unspecified), then accumulate in ascending j.
@@ -287,15 +307,13 @@ bool append_operand(PreparedOperand& pb, const Matrix& src, GrowAxis axis,
 OperandSpec PhotonicGemm::operand_spec(std::uint64_t epoch) const {
   return OperandSpec{.epoch = epoch,
                      .channels = {},
-                     .checksum_stripe = cfg_.guard.enabled ? cfg_.array_cols : 0,
-                     .reference = false};
+                     .checksum_stripe = cfg_.guard.enabled ? cfg_.array_cols : 0};
 }
 
 RowEncoder PhotonicGemm::lut_encoder() const {
-  // The LUT is position-independent (p0 and step unused) and the healthy
-  // path stages no golden reference.
-  return [this](std::span<const double> norm, std::size_t, std::size_t, std::span<double> encoded,
-                std::span<double>) { engine_.encode_span(norm, encoded); };
+  return [this](std::span<const double> norm, std::span<double> encoded) {
+    engine_.encode_span(norm, encoded);
+  };
 }
 
 bool PhotonicGemm::reads_energy() const {
@@ -494,7 +512,8 @@ GemmResult PhotonicGemm::multiply_prepared(const Matrix& a, const PreparedOperan
       // The single-error site is never applied here: a mismatch is how
       // callers learn a cached operand was corrupted.
       check_scratch_[t] = verify_tile(cfg_.guard, tile, t, rsum, csum, ae,
-                                      xsum_scratch_.row(tile.row0 / cfg_.array_rows), b);
+                                      xsum_scratch_.row(tile.row0 / cfg_.array_rows), b.encoded,
+                                      0, b.checksum.row(tile.col0 / cfg_.array_cols));
     });
 
     res.guard.enabled = true;

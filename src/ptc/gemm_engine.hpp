@@ -43,7 +43,8 @@
 // decode loops prepare each weight matrix once and run it many times.
 // Every PreparedOperand in the repository — this engine's and the faults
 // layer's — is built by prepare_operand() and grown by append_operand()
-// (DESIGN.md §17); executors differ only in the RowEncoder they hand in.
+// (DESIGN.md §17); executors differ only in what they store: this engine
+// the LUT's amplitudes, the faults layer's lane executor quantizer codes.
 // An engine whose tier reads the full-optics quadratic form (kKernelSimd
 // with use_full_optics) also sums each column's energy Σy² once when it
 // prepares or appends — a reduction-axis append resumes
@@ -75,6 +76,7 @@
 
 #include "common/matrix.hpp"
 #include "common/thread_pool.hpp"
+#include "converters/quantizer.hpp"
 #include "ptc/abft.hpp"
 #include "ptc/dot_engine.hpp"
 #include "ptc/event_counter.hpp"
@@ -110,15 +112,19 @@ enum class ExecutionPath { kKernel, kDeviceGraph, kKernelSimd, kKernelQuant };
 [[nodiscard]] ExecutionPath fastest_path();
 
 /// The B operand of C = A·B, fully prepared for the photonic array:
-/// transposed into row-major columns, max-abs-normalized and pushed
-/// through the encode LUT.  Reusing one across products is valid only
-/// while the encoder state it was built under is unchanged — `epoch`
-/// records that state (driver/trim/lane epoch, owner-defined) so caches
-/// can refuse stale encodings.
+/// transposed into row-major columns and max-abs-normalized, then either
+/// pushed through the encode LUT (an amplitude operand, `encoded`) or
+/// quantized (a code operand, `codes`).  An amplitude operand is valid
+/// only while the encoder state it was built under is unchanged —
+/// `epoch` records that state (driver/trim/lane epoch, owner-defined) so
+/// caches can refuse stale encodings.  A code operand depends on no
+/// encoder state: faults::GuardedBackend decodes each tile's codes through
+/// the lane tables it runs under and re-stamps the operand when the epoch
+/// moves (DESIGN.md §10).
 ///
 /// Logical vs physical shape (KV appends, DESIGN.md §17): `rows`/`cols`
-/// are the LOGICAL source dimensions.  `encoded`/`reference` always
-/// hold exactly `cols` rows, but may carry more physical columns
+/// are the LOGICAL source dimensions.  `encoded`/`codes` always hold
+/// exactly `cols` rows, but may carry more physical columns
 /// than `rows` — a reduction-axis append pads column capacity
 /// geometrically so a growing reduction axis (the KV context operand, one
 /// V row per decode token) re-lays-out O(log t) times instead of every
@@ -126,7 +132,8 @@ enum class ExecutionPath { kKernel, kDeviceGraph, kKernelSimd, kKernelQuant };
 /// reduction length, so the padding is never touched by numerics, events
 /// or guard verdicts.
 struct PreparedOperand {
-  Matrix encoded;         ///< (n × ≥k) encoded, normalized Bᵀ
+  Matrix encoded;         ///< (n × ≥k) encoded, normalized Bᵀ (amplitude operands)
+  CodeMatrix codes;       ///< (n × ≥k) quantizer codes of normalized Bᵀ (code operands)
   double scale{1.0};      ///< max-abs scale divided out before encoding
   /// Raw max-abs of every source element folded so far.  `scale` alone
   /// cannot arbitrate appends: an all-zero operand gets the fallback
@@ -143,23 +150,14 @@ struct PreparedOperand {
   /// i mod wavelengths.
   std::vector<std::size_t> channels;
 
-  /// ABFT checksum stripes (abft.hpp): row s is the digital sum of the
-  /// golden columns in column-stripe s — Σ_j reference.row(j) when the
-  /// operand carries a reference, Σ_j encoded.row(j) otherwise — where
-  /// stripes are `checksum_stripe` columns wide (the preparing config's
-  /// array_cols).  Built under a guarded spec and cached with the
-  /// operand; empty (stripe 0) when prepared unguarded or column-only.
+  /// ABFT checksum stripes (abft.hpp): row s is Σ_j encoded.row(j) over
+  /// the columns of column-stripe s, in ascending j, where stripes are
+  /// `checksum_stripe` columns wide (the preparing config's array_cols).
+  /// Built under a guarded spec and cached with the operand; empty
+  /// (stripe 0) when prepared unguarded and on code operands, whose
+  /// executor sums each tile's golden stripe as it decodes it.
   Matrix checksum;
   std::size_t checksum_stripe{0};
-  /// Golden (calibration-state) encoding of the operand for guarded
-  /// execution, staged only while the live encoder may differ from the
-  /// state the references were calibrated under: faults::GuardedBackend
-  /// stages it when its golden snapshot is not pinned at the bank's
-  /// current epoch, and rebuilds an entry whose staging no longer matches
-  /// that rule.  Empty otherwise — always on PhotonicGemm, whose encoder is immutable, and
-  /// on a lane operand built while golden was current — and then
-  /// `encoded` is the golden copy too.
-  Matrix reference;
 
   /// Quadratic-form column energies (kernel.hpp): energy[j] =
   /// FusedKernel::energy of column j over the LOGICAL reduction length
@@ -187,21 +185,21 @@ struct PreparedOperand {
   /// storage, so column-capacity padding is charged to the caches too.
   [[nodiscard]] std::size_t bytes() const {
     return sizeof(PreparedOperand) +
-           (encoded.size() + checksum.size() + reference.size() + energy.size() +
-            energy_acc.size()) *
+           (encoded.size() + checksum.size() + energy.size() + energy_acc.size()) *
                sizeof(double) +
-           channels.size() * sizeof(std::size_t);
+           codes.size() * sizeof(std::int16_t) + channels.size() * sizeof(std::size_t);
   }
 };
 
 /// Grow `m`'s physical column capacity to at least `cols` while keeping
-/// every existing row's contents in place (Matrix::resize only preserves
-/// rows when the column count is unchanged).  Geometric doubling keeps a
+/// every existing row's contents in place (resize only preserves rows
+/// when the column count is unchanged).  Geometric doubling keeps a
 /// reduction axis growing one column per decode token amortized O(1) per
-/// element.  New columns are zero-filled.
-inline void grow_col_capacity(Matrix& m, std::size_t cols) {
+/// element.  New columns are zero-filled.  `M` is Matrix or CodeMatrix.
+template <class M>
+void grow_col_capacity(M& m, std::size_t cols) {
   if (m.cols() >= cols) return;
-  Matrix wide(m.rows(), std::max(cols, m.cols() * 2));
+  M wide(m.rows(), std::max(cols, m.cols() * 2));
   for (std::size_t r = 0; r < m.rows(); ++r) {
     const auto src = m.row(r);
     const auto dst = wide.row(r);
@@ -218,33 +216,30 @@ enum class GrowAxis {
   kRows,  ///< source is B (k × n): new source rows extend the REDUCTION axis
 };
 
-/// Encodes a run of normalized B-side values: `norm[i]` sits at
-/// reduction position `p0 + i·step` — step 1 along one Bᵀ row segment,
-/// step 0 across the output columns of the one position a reduction-axis
-/// append adds.  Writes the data amplitudes into `encoded` and, when the
-/// operand stages them, the golden amplitudes into `reference` (empty
-/// otherwise).  Called once per row segment or appended position,
-/// possibly from several pool workers at once.
-using RowEncoder =
-    std::function<void(std::span<const double> norm, std::size_t p0, std::size_t step,
-                       std::span<double> encoded, std::span<double> reference)>;
+/// Encodes a run of normalized B-side values into amplitudes: one Bᵀ row
+/// segment, or the output columns of one position a reduction-axis append
+/// adds.  An amplitude operand's encoder is position-independent
+/// (PhotonicGemm's LUT).  Called once per row segment or appended
+/// position, possibly from several pool workers at once.
+using RowEncoder = std::function<void(std::span<const double> norm, std::span<double> encoded)>;
 
-/// What an operand is stamped with and which optional parts it stages.
-/// An append must be handed the spec the operand was prepared under, or
-/// it refuses.
+/// What an operand is stamped with and what it stores.  An append must be
+/// handed the spec the operand was prepared under, or it refuses.
 struct OperandSpec {
   std::uint64_t epoch{0};             ///< encoder-state stamp
   std::vector<std::size_t> channels;  ///< lane packing (faults layer); empty when fixed
   std::size_t checksum_stripe{0};     ///< checksum stripe width; 0 = no stripes
-  bool reference{false};              ///< stage a golden `reference` encoding
+  /// Non-null: a code operand — `codes` through this quantizer (span rule,
+  /// DESIGN.md §18), no encoder, no stripes.  Null: an amplitude operand.
+  const converters::Quantizer* codes{nullptr};
 };
 
 /// Normalize Bᵀ rows [j0, j1) over reduction positions [p0, p1) of a
 /// B-side source (B for kRows, Bᵀ for kCols) into rows of `out` from
 /// `row0` on: out(row0 + j − j0, p − p0) = Bᵀ(j, p) / scale, one division
 /// per element.  `out` must already hold those rows and columns.  The
-/// one normalizer of every prepare, append and storm re-encode: none
-/// stages a whole normalized Bᵀ.
+/// one normalizer of every prepare and append: none stages a whole
+/// normalized Bᵀ.
 void normalize_bt_rows(const Matrix& src, GrowAxis axis, double scale, std::size_t j0,
                        std::size_t j1, std::size_t p0, std::size_t p1, Matrix& out,
                        std::size_t row0 = 0);
@@ -252,10 +247,11 @@ void normalize_bt_rows(const Matrix& src, GrowAxis axis, double scale, std::size
 /// Build an operand from `src` (B for kRows, Bᵀ for kCols): the raw
 /// max-abs and scale, then one blocked pass over Bᵀ rows — each block of
 /// whole checksum stripes normalized into its pool worker's rows of
-/// `stage` (per-worker scratch the caller keeps), one `encode` call (step
-/// 1) per Bᵀ row on `pool`, and — per `spec` — the golden reference and
-/// the checksum stripes (ascending-column sums).  Bit for bit the same at
-/// any pool width.
+/// `stage` (per-worker scratch the caller keeps), then per Bᵀ row one
+/// `encode` call on `pool` (amplitude operands) or one span quantize
+/// (code operands), and — per `spec` — the checksum stripes
+/// (ascending-column sums).  Bit for bit the same at any pool width.
+/// `encode` is not called for a code operand and may be empty.
 [[nodiscard]] PreparedOperand prepare_operand(const Matrix& src, GrowAxis axis,
                                               const OperandSpec& spec, const RowEncoder& encode,
                                               ThreadPool& pool, Matrix& stage);
@@ -264,15 +260,14 @@ void normalize_bt_rows(const Matrix& src, GrowAxis axis, double scale, std::size
 /// prepared from) by encoding only the new rows, continuing the checksum
 /// stripes in fresh-prepare order: new output columns (kCols) through the
 /// same blocked pass and `stage` as prepare_operand, new reduction
-/// positions (kRows) one `encode` call each across every output column —
-/// a position rides one channel — scattered down their column of the
-/// encodings.  The result is bit-identical to
-/// prepare_operand(src, axis, spec, …), and so is every output, event
-/// count and guard verdict computed from it.  Returns false, leaving `pb`
-/// untouched, whenever that identity cannot hold — epoch or channel
-/// packing differ from `spec`, the source shrank or changed its fixed
-/// dimension, the new elements' max-abs exceeds pb.abs_max (the fresh
-/// scale would differ), the staged parts disagree with `spec`, or a
+/// positions (kRows) one `encode` call or span quantize each across every
+/// output column, scattered down their column.  The result is
+/// bit-identical to prepare_operand(src, axis, spec, …), and so is every
+/// output, event count and guard verdict computed from it.  Returns false,
+/// leaving `pb` untouched, whenever that identity cannot hold — epoch or
+/// channel packing differ from `spec`, the source shrank or changed its
+/// fixed dimension, the new elements' max-abs exceeds pb.abs_max (the
+/// fresh scale would differ), the stored parts disagree with `spec`, or a
 /// padded reduction axis would have to grow along the output axis.  The
 /// caller then rebuilds.  A same-length source is an accepted no-op.
 [[nodiscard]] bool append_operand(PreparedOperand& pb, const Matrix& src, GrowAxis axis,
@@ -332,8 +327,8 @@ class PhotonicGemm {
   /// (new B columns = new rows of Bᵀ): append_operand with this engine's
   /// spec, so the result is bit-identical to prepare_bt(bt, epoch), or
   /// false (operand untouched) and the caller rebuilds.  Operands carrying
-  /// faults-layer state (channel packing, golden reference) never match
-  /// this engine's spec.
+  /// faults-layer state (channel packing, codes) never match this engine's
+  /// spec.
   [[nodiscard]] bool append_bt_rows(PreparedOperand& pb, const Matrix& bt,
                                     std::uint64_t epoch = 0) const;
 
@@ -364,8 +359,8 @@ class PhotonicGemm {
   [[nodiscard]] const PhotonicDotEngine& engine() const { return engine_; }
 
  private:
-  /// The operand spec this engine prepares and appends under: no packing
-  /// or golden reference, stripes when guarded with row lanes.
+  /// The operand spec this engine prepares and appends under: amplitudes,
+  /// no packing, stripes when guarded.
   [[nodiscard]] OperandSpec operand_spec(std::uint64_t epoch) const;
   /// Encodes Bᵀ rows through the engine's memoized driver LUT.
   [[nodiscard]] RowEncoder lut_encoder() const;

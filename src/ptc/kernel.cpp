@@ -13,7 +13,7 @@ namespace pdac::ptc {
 
 namespace {
 
-// Reduces the NB dots of ae row `xe` against Bᵀ rows j..j+NB in one pass:
+// Reduces the NB dots of ae row `xe` against be rows j..j+NB in one pass:
 // the kernel's one reduction, NB = 4 in the blocked main loop and 1 for the
 // tail.  Each dot's floating-point sequence is its own — the dots are
 // merely interleaved, never mixed — so every NB gives the same bits per
@@ -135,8 +135,8 @@ FusedKernel::FusedKernel(const Ddot& ddot, const DotEngineConfig& cfg) : cfg_(cf
   det_.dark_minus = ddot.pd_minus().config().dark_current;
 }
 
-void FusedKernel::run_tile(const Tile& tile, const Matrix& ae, const Matrix& be,
-                           Matrix& c) const {
+void FusedKernel::run_tile(const Tile& tile, const Matrix& ae, const Matrix& be, Matrix& c,
+                           std::size_t be_row0) const {
   const std::size_t k = ae.cols();
   // >=: prepared operands may pad the reduction axis with physical
   // column capacity (PreparedOperand shape contract); every loop here
@@ -150,7 +150,8 @@ void FusedKernel::run_tile(const Tile& tile, const Matrix& ae, const Matrix& be,
   for_each_column_block(tile, [&](std::size_t j, auto width) {
     for (std::size_t i = tile.row0; i < tile.row0 + tile.rows; ++i) {
       reduce_block<decltype(width)::value>(lane_, cfg_.wavelengths, det_, optics,
-                                           ae.row(i).data(), be, j, k, c.row(i).data() + j);
+                                           ae.row(i).data(), be, j - be_row0, k,
+                                           c.row(i).data() + j);
     }
   });
   if (adc) read_out(*adc, tile, c);
@@ -196,7 +197,7 @@ double FusedKernel::energy(std::span<const double> y, std::size_t m,
 
 void FusedKernel::run_tile_fast(const Tile& tile, const Matrix& ae, const Matrix& be,
                                 std::span<const double> xx, std::span<const double> yy,
-                                Matrix& c) const {
+                                Matrix& c, std::size_t be_row0) const {
   const std::size_t k = ae.cols();
   // >=: prepared operands may pad the reduction axis with physical
   // column capacity (PreparedOperand shape contract); every loop here
@@ -213,7 +214,7 @@ void FusedKernel::run_tile_fast(const Tile& tile, const Matrix& ae, const Matrix
   for_each_column_block(tile, [&](std::size_t j, auto width) {
     constexpr std::size_t nb = decltype(width)::value;
     const double* ys[nb];
-    for (std::size_t b = 0; b < nb; ++b) ys[b] = be.row(j + b).data();
+    for (std::size_t b = 0; b < nb; ++b) ys[b] = be.row(j - be_row0 + b).data();
     for (std::size_t i = tile.row0; i < tile.row0 + tile.rows; ++i) {
       const double* const x = ae.row(i).data();
       double sxy[nb];

@@ -96,7 +96,10 @@ class FusedKernel {
   FusedKernel(const Ddot& ddot, const DotEngineConfig& cfg);
 
   /// One output rectangle (a tile or a row panel) in a single call: every
-  /// (i, j) dot of ae[tile rows] × be[tile cols], written raw into `c`.
+  /// (i, j) dot of ae row i with be row j − be_row0, written raw into
+  /// c(i, j).  PhotonicGemm passes its whole prepared operand (be_row0 0);
+  /// the lane executor the tile's decoded column stripe (be_row0 =
+  /// tile.col0).
   /// With the ADC on, each row's raw values are read out through one
   /// span ADC call, bit-identical to sampling each output (both tile
   /// functions).  The caller folds the finished rectangle (fold_tile).
@@ -105,7 +108,8 @@ class FusedKernel {
   /// Callers: PhotonicGemm::multiply_prepared and the faults-layer lane
   /// executor (GuardedBackend), which adds its pending upsets to the raw
   /// values before the fold.
-  void run_tile(const Tile& tile, const Matrix& ae, const Matrix& be, Matrix& c) const;
+  void run_tile(const Tile& tile, const Matrix& ae, const Matrix& be, Matrix& c,
+                std::size_t be_row0 = 0) const;
 
   /// SIMD fast tier of run_tile (ExecutionPath::kKernelSimd): the same
   /// raw-value contract, but tolerance-banded instead of bit-exact: the
@@ -117,7 +121,7 @@ class FusedKernel {
   /// applies unchanged.  The tile sums only Σxy; the energies are the
   /// caller's, indexed by ABSOLUTE row and column: `xx[i]` =
   /// energy(ae.row(i) over k) for every tile row i and `yy[j]` =
-  /// energy(be.row(j) over k) for every tile column j.  PhotonicGemm sums
+  /// energy(be.row(j − be_row0) over k) for every tile column j.  PhotonicGemm sums
   /// Σx² once per A row per product and reads Σy² from the prepared
   /// operand, where it was summed once at prepare/append.  With full optics
   /// on, both spans must cover the tile (PDAC_REQUIRE); off, they are
@@ -125,7 +129,8 @@ class FusedKernel {
   /// is simd::dot(x, y, k), whatever the tile width (simd::dot4 is four dot
   /// calls, bit for bit).
   void run_tile_fast(const Tile& tile, const Matrix& ae, const Matrix& be,
-                     std::span<const double> xx, std::span<const double> yy, Matrix& c) const;
+                     std::span<const double> xx, std::span<const double> yy, Matrix& c,
+                     std::size_t be_row0 = 0) const;
 
   /// Energy Σ_p y_p² of one encoded operand row, by the SIMD tier's rule
   /// (simd::dot_self): the quadratic form's Σx²/Σy² term for run_tile_fast.

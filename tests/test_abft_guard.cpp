@@ -148,7 +148,8 @@ TEST(ChecksumLaneEvents, MatchesDocumentedContract) {
 TileCheck scalar_verify_tile(const GuardConfig& cfg, const Tile& tile, std::size_t t,
                              std::span<const double> rsum, std::span<const double> csum,
                              const Matrix& a_golden, std::span<const double> xsum,
-                             const PreparedOperand& b) {
+                             const Matrix& b_golden, std::size_t b_row0,
+                             std::span<const double> ysum) {
   const std::size_t k = a_golden.cols();
   TileCheck check;
   check.tile = t;
@@ -172,7 +173,6 @@ TileCheck scalar_verify_tile(const GuardConfig& cfg, const Tile& tile, std::size
   std::size_t bad_rows = 0, bad_cols = 0;
   ErrorSite site;
   double col_delta = 0.0;
-  const auto ysum = b.checksum.row(tile.col0 / b.checksum_stripe);
   for (std::size_t i = tile.row0; i < tile.row0 + tile.rows; ++i) {
     const auto xr = a_golden.row(i);
     double ref = 0.0;
@@ -184,9 +184,8 @@ TileCheck scalar_verify_tile(const GuardConfig& cfg, const Tile& tile, std::size
       site.delta = res;
     }
   }
-  const Matrix& bref = b.reference.size() > 0 ? b.reference : b.encoded;
   for (std::size_t j = tile.col0; j < tile.col0 + tile.cols; ++j) {
-    const auto yr = bref.row(j);
+    const auto yr = b_golden.row(j - b_row0);
     double ref = 0.0;
     for (std::size_t p = 0; p < k; ++p) ref += xsum[p] * yr[p];
     const double res = csum[j - tile.col0] - ref;
@@ -212,11 +211,13 @@ TEST(AbftGuard, VerifyTileEqualsScalarReferences) {
   // verify_tile computes its references in SIMD lanes; each must keep its
   // serial chain's bits, so every TileCheck field equals the one-loop-per-
   // lane verdict's.  Tiles of 1–8 × 1–8 at a nonzero corner, reduction
-  // lengths 1–800, drift bands 1 and 4, a golden copy
-  // staged or not, over four tile states: clean (reassociation-scale
-  // residuals, since the data sums are blocked dots), one corrupted
-  // element (the single-error signature), lanes pushed into the drift
-  // band, and a NaN.
+  // lengths 1–800, drift bands 1 and 4, golden B columns as PhotonicGemm
+  // passes them (its whole encodings and cached stripe) or as the lane
+  // executor does (a decoded tile stripe that differs in its first column,
+  // padded rows, and its own sum), over four tile states: clean
+  // (reassociation-scale residuals, since the data sums are blocked
+  // dots), one corrupted element (the single-error signature), lanes
+  // pushed into the drift band, and a NaN.
   SCOPED_TRACE(std::string("isa ") + simd::active_isa());
   constexpr std::size_t kStripe = 8;
   Rng rng(83);
@@ -250,9 +251,16 @@ TEST(AbftGuard, VerifyTileEqualsScalarReferences) {
             csum[j] += dot;
           }
         }
-        // A golden copy equal to `encoded` except its first tile column.
-        Matrix copy = b.encoded;
-        for (std::size_t p = 0; p < k; ++p) copy(tile.col0, p) *= 1.001;
+        // A decoded tile stripe equal to `encoded` except its first tile
+        // column, with padded rows, and its stripe sum.
+        Matrix stripe(w, k + 3);
+        std::vector<double> stripe_sum(k, 0.0);
+        for (std::size_t j = 0; j < w; ++j) {
+          for (std::size_t p = 0; p < k; ++p) {
+            stripe(j, p) = b.encoded(tile.col0 + j, p) * (j == 0 ? 1.001 : 1.0);
+            stripe_sum[p] += stripe(j, p);
+          }
+        }
 
         for (int state = 0; state < 4; ++state) {
           std::vector<double> r = rsum, c = csum;
@@ -269,13 +277,17 @@ TEST(AbftGuard, VerifyTileEqualsScalarReferences) {
           }
           for (const double band : {1.0, 4.0}) {
             for (const bool staged : {false, true}) {
-              b.reference = staged ? copy : Matrix();
+              const Matrix& golden = staged ? stripe : b.encoded;
+              const std::size_t row0 = staged ? tile.col0 : 0;
+              const std::span<const double> ysum =
+                  staged ? std::span<const double>(stripe_sum) : b.checksum.row(1);
               GuardConfig cfg;
               cfg.enabled = true;
               cfg.drift_band = band;
               const TileCheck want =
-                  scalar_verify_tile(cfg, tile, 5, r, c, a_golden, xsum, b);
-              const TileCheck got = verify_tile(cfg, tile, 5, r, c, a_golden, xsum, b);
+                  scalar_verify_tile(cfg, tile, 5, r, c, a_golden, xsum, golden, row0, ysum);
+              const TileCheck got =
+                  verify_tile(cfg, tile, 5, r, c, a_golden, xsum, golden, row0, ysum);
               const std::string where =
                   "k " + std::to_string(k) + " tile " + std::to_string(h) + "x" +
                   std::to_string(w) + " state " + std::to_string(state) + " band " +

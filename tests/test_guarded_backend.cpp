@@ -6,7 +6,10 @@
 // and the operand-cache epoch interplay.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -18,6 +21,7 @@
 #include "faults/fault_injector.hpp"
 #include "faults/guarded_backend.hpp"
 #include "faults/self_test.hpp"
+#include "ptc/kernel.hpp"
 #include "ptc/tile_scheduler.hpp"
 
 namespace {
@@ -119,14 +123,11 @@ ptc::EventCounter product_events(std::size_t m, std::size_t k, std::size_t n,
   return ev;
 }
 
-/// Resident bytes of a guarded operand with `n` columns of reduction
-/// length `k` prepared whole (no capacity padding) on the 8-wide array
-/// over `lanes` channels: encodings, checksum stripes and packing, plus
-/// a golden copy when `with_copy`.
-std::size_t operand_bytes(std::size_t n, std::size_t k, std::size_t lanes, bool with_copy) {
-  const std::size_t stripes = (n + 7) / 8;
-  return sizeof(ptc::PreparedOperand) +
-         ((with_copy ? 2 : 1) * n * k + stripes * k) * sizeof(double) +
+/// Resident bytes of a lane operand with `n` columns of reduction length
+/// `k` prepared whole (no capacity padding) over `lanes` channels: its
+/// int16 codes and packing, nothing else.
+std::size_t operand_bytes(std::size_t n, std::size_t k, std::size_t lanes) {
+  return sizeof(ptc::PreparedOperand) + n * k * sizeof(std::int16_t) +
          lanes * sizeof(std::size_t);
 }
 
@@ -157,6 +158,566 @@ void expect_snapshots_equal(const faults::HealthSnapshot& a, const faults::Healt
   expect_events_equal(a.checksum_events, b.checksum_events);
   expect_events_equal(a.retry_events, b.retry_events);
   EXPECT_EQ(a.lane_mismatches, b.lane_mismatches);
+}
+
+/// The lane executor with the amplitude-operand semantics this backend
+/// had before it cached quantizer codes: every product pre-encodes B
+/// whole through faults::LaneEncoder — current amplitudes, a golden copy
+/// while golden is not pinned at the bank's epoch, and checksum stripes
+/// summed from the golden columns in ascending order — and a storm step
+/// re-encodes only the stripes the epoch moved past.  The governor, the
+/// ladder and every monitor record follow the backend's.  Operands are
+/// never cached: a cached or appended operand was bit-identical to this
+/// fresh prepare, so outputs, verdicts, events and health must match the
+/// backend's bit for bit whatever its caches hold.
+class AmplitudeOracle {
+ public:
+  AmplitudeOracle(faults::LaneBank& bank, faults::GuardedBackendConfig cfg)
+      : bank_(bank),
+        cfg_(cfg),
+        kernel_(ptc::Ddot{}, ptc::DotEngineConfig{.wavelengths = bank.wavelengths()}),
+        policy_(cfg.escalation),
+        tracker_(cfg.drift) {
+    tracker_.resize(bank_.lanes());
+    recalibrate();
+  }
+
+  void recalibrate() {
+    golden_.rebuild(bank_);
+    tracker_.reset();
+  }
+  void attach_storm(faults::FaultInjector* injector, std::uint64_t steps) {
+    storm_ = injector;
+    steps_ = steps;
+    clock_ = injector->step();
+  }
+  void inject_dot_upset(faults::DotUpset u) { upsets_.push_back(u); }
+  [[nodiscard]] const faults::HealthMonitor& monitor() const { return monitor_; }
+  [[nodiscard]] const ptc::EventCounter& events() const { return events_; }
+  [[nodiscard]] const faults::DriftTracker& drift() const { return tracker_; }
+
+  /// C = A·B, B in (k × n) orientation.
+  Matrix matmul(const Matrix& a, const Matrix& b);
+
+ private:
+  std::vector<std::size_t> lanes_of(const std::vector<std::size_t>& channels) const {
+    std::vector<std::size_t> lanes;
+    for (std::size_t rail = 0; rail < faults::LaneBank::kRails; ++rail) {
+      for (const std::size_t ch : channels) lanes.push_back(rail * bank_.wavelengths() + ch);
+    }
+    return lanes;
+  }
+  bool retrim_allowed() const {
+    return cfg_.escalation.window_products == 0 || spent_ < cfg_.escalation.window_retrims;
+  }
+  void note_retrim() {
+    ++spent_;
+    last_retrim_ = products_;
+    retrimmed_ = true;
+  }
+  void observe(const faults::SelfTestReport& report) {
+    const double budget = policy_.config().self_test.error_budget;
+    if (budget <= 0.0) return;
+    for (const faults::LaneOutcome& lane : report.lanes) {
+      if (lane.verdict == faults::LaneVerdict::kDead && !lane.retrimmed &&
+          lane.screen_error_before == 0.0) {
+        continue;
+      }
+      tracker_.observe_probe(lane.lane, std::max(0.0, lane.screen_error_after / budget - 1.0));
+    }
+  }
+  void retrim(const std::vector<std::size_t>& lanes, bool proactive) {
+    const faults::SelfTestReport report = run_self_test(bank_, lanes, policy_.config().self_test);
+    monitor_.record_self_test(report);
+    if (proactive) {
+      monitor_.record_action(faults::GuardAction::kRetrim);
+      monitor_.record_proactive_retrim();
+    }
+    observe(report);
+    note_retrim();
+    recalibrate();
+  }
+  void product_entry() {
+    const faults::EscalationConfig& e = cfg_.escalation;
+    ++products_;
+    if (e.window_products > 0 && products_ - window_start_ >= e.window_products) {
+      window_start_ += ((products_ - window_start_) / e.window_products) * e.window_products;
+      spent_ = 0;
+    }
+    if (!e.proactive_retrim || e.max_retrims == 0 || !tracker_.any_excursion() ||
+        bank_.usable_channels() == 0) {
+      return;
+    }
+    if (e.retrim_cooldown_products > 0 && retrimmed_ &&
+        products_ - last_retrim_ < e.retrim_cooldown_products) {
+      return;
+    }
+    if (!retrim_allowed()) {
+      monitor_.record_governed_retrim();
+      return;
+    }
+    retrim(lanes_of(bank_.surviving_channels()), true);
+  }
+  void fence_diverged(const std::vector<std::size_t>& channels) {
+    const std::int32_t max_code = bank_.quantizer().max_code();
+    std::size_t fenced = 0, probes = 0;
+    for (const std::size_t flat : lanes_of(channels)) {
+      faults::Lane& lane = bank_.lane(flat);
+      if (lane.fenced) continue;
+      bool diverged = false;
+      for (std::int32_t code = -max_code; code <= max_code && !diverged; ++code) {
+        ++probes;
+        diverged = !(lane.model.encode_code(code) == golden_.at(flat, code));
+      }
+      if (diverged) {
+        lane.fenced = true;
+        ++fenced;
+        monitor_.record_implicated_lane(flat);
+      }
+    }
+    monitor_.record_probe_events(probes);
+    if (fenced > 0) bank_.bump_epoch();
+  }
+
+  faults::LaneBank& bank_;
+  faults::GuardedBackendConfig cfg_;
+  ptc::FusedKernel kernel_;
+  faults::EscalationPolicy policy_;
+  faults::HealthMonitor monitor_;
+  faults::DriftTracker tracker_;
+  faults::LaneEncodeTable golden_;
+  faults::LaneEncodeTable table_;
+  ptc::EventCounter events_;
+  std::vector<faults::DotUpset> upsets_;
+  faults::FaultInjector* storm_{nullptr};
+  std::uint64_t steps_{0};
+  std::uint64_t clock_{0};
+  std::size_t products_{0}, window_start_{0}, spent_{0}, last_retrim_{0};
+  bool retrimmed_{false};
+};
+
+Matrix AmplitudeOracle::matmul(const Matrix& a, const Matrix& b) {
+  const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
+  if (bank_.usable_channels() == 0) return Matrix(m, n);
+  product_entry();
+  table_.ensure(bank_);
+  const bool guarded = cfg_.guard.enabled;
+  const std::size_t H = cfg_.array_rows, W = cfg_.array_cols;
+  const double b_scale = converters::max_abs_scale(b.data());
+  const double a_scale = converters::max_abs_scale(a.data());
+  Matrix bn(n, k), an(m, k);
+  for (std::size_t j = 0; j < n; ++j) {
+    for (std::size_t p = 0; p < k; ++p) bn(j, p) = b(p, j) / b_scale;
+  }
+  for (std::size_t i = 0; i < a.size(); ++i) an.data()[i] = a.data()[i] / a_scale;
+
+  // The pre-encoded B operand: current, golden copy, stripes.
+  std::vector<std::size_t> channels;
+  Matrix be, bgold, stripes;
+  std::vector<std::uint64_t> b_epoch;
+  const auto prepare = [&] {
+    channels = bank_.surviving_channels();
+    const bool copy = guarded && !golden_.fresh(bank_);
+    be = Matrix(n, k);
+    bgold = copy ? Matrix(n, k) : Matrix();
+    const faults::LaneEncoder enc(bank_, channels, 1, &table_, &golden_);
+    for (std::size_t j = 0; j < n; ++j) {
+      enc(bn.row(j), be.row(j), copy ? bgold.row(j) : std::span<double>{});
+    }
+    stripes = Matrix((n + W - 1) / W, k);
+    const Matrix& g = copy ? bgold : be;
+    for (std::size_t j = 0; j < n; ++j) {
+      for (std::size_t p = 0; p < k; ++p) stripes(j / W, p) += g(j, p);
+    }
+    b_epoch.assign((n + W - 1) / W, bank_.epoch());
+  };
+  prepare();
+  Matrix ae(m, k), ag(guarded ? m : 0, k), xsum;
+  std::vector<std::uint64_t> a_epoch;
+  const auto encode_a = [&] {
+    a_epoch.assign((m + H - 1) / H, bank_.epoch());
+    const faults::LaneEncoder enc(bank_, channels, 0, &table_, &golden_);
+    for (std::size_t i = 0; i < m; ++i) {
+      enc(an.row(i), ae.row(i), guarded ? ag.row(i) : std::span<double>{});
+    }
+    if (guarded) ptc::stripe_sums(ag, H, xsum);
+  };
+  encode_a();
+
+  Matrix c(m, n);
+  const double rescale = a_scale * b_scale;
+  const std::vector<ptc::Tile> tiles = ptc::partition_tiles(m, n, H, W);
+  std::vector<ptc::TileCheck> checks(tiles.size());
+  ptc::GuardOutcome outcome;
+  outcome.enabled = true;
+  outcome.tiles_checked = tiles.size();
+  std::vector<double> sums(H + W);
+  const std::size_t table_evals =
+      bank_.lanes() * (2 * static_cast<std::size_t>(bank_.quantizer().max_code()) + 1);
+  std::uint64_t live_epoch = bank_.epoch();
+  std::size_t live_evals = 0;
+  // A stale stripe re-encodes from its normalized rows through the
+  // current table or the live lanes (the same bits), on the parent's
+  // rebuild threshold.
+  const auto refresh = [&](const ptc::Tile& tile) {
+    const std::uint64_t now = bank_.epoch();
+    std::uint64_t& ea = a_epoch[tile.row0 / H];
+    std::uint64_t& eb = b_epoch[tile.col0 / W];
+    if (ea == now && eb == now) return;
+    if (!table_.fresh(bank_)) {
+      if (live_epoch != now) {
+        live_epoch = now;
+        live_evals = 0;
+      }
+      live_evals += ((ea != now ? tile.rows : 0) + (eb != now ? tile.cols : 0)) * k;
+      if (live_evals >= table_evals) table_.rebuild(bank_);
+    }
+    if (ea != now) {
+      const faults::LaneEncoder live(bank_, channels, 0, &table_);
+      for (std::size_t i = tile.row0; i < tile.row0 + tile.rows; ++i) live(an.row(i), ae.row(i));
+      ea = now;
+    }
+    if (eb != now) {
+      const faults::LaneEncoder live(bank_, channels, 1, &table_);
+      for (std::size_t j = tile.col0; j < tile.col0 + tile.cols; ++j) live(bn.row(j), be.row(j));
+      eb = now;
+    }
+  };
+  const auto run_tile = [&](std::size_t t, const std::vector<faults::DotUpset>* ups) {
+    const ptc::Tile& tile = tiles[t];
+    if (cfg_.path == ptc::ExecutionPath::kKernelSimd) {
+      kernel_.run_tile_fast(tile, ae, be, {}, {}, c);
+    } else {
+      kernel_.run_tile(tile, ae, be, c);
+    }
+    if (ups != nullptr) {
+      for (const faults::DotUpset& u : *ups) {
+        if (u.row >= tile.row0 && u.row < tile.row0 + tile.rows && u.col >= tile.col0 &&
+            u.col < tile.col0 + tile.cols) {
+          c(u.row, u.col) += u.delta;
+        }
+      }
+    }
+    if (!guarded) {
+      ptc::fold_tile(tile, rescale, c);
+      return ptc::TileCheck{};
+    }
+    const std::span<double> rsum = std::span<double>(sums).first(tile.rows);
+    const std::span<double> csum = std::span<double>(sums).subspan(tile.rows, tile.cols);
+    ptc::fold_tile(tile, rescale, c, rsum, csum);
+    ptc::TileCheck check = ptc::verify_tile(
+        cfg_.guard, tile, t, rsum, csum, ag, xsum.row(tile.row0 / H),
+        bgold.size() > 0 ? bgold : be, 0, stripes.row(tile.col0 / W));
+    if (check.single_error) {
+      c(check.single_error->row, check.single_error->col) -= check.single_error->delta * rescale;
+      check.ok = true;
+      check.corrected = 1;
+    }
+    return check;
+  };
+
+  const std::vector<faults::DotUpset> ups = std::move(upsets_);
+  upsets_.clear();
+  const std::vector<faults::DotUpset>* initial = ups.empty() ? nullptr : &ups;
+  for (std::size_t t = 0; t < tiles.size(); ++t) {
+    if (storm_ != nullptr) {
+      clock_ += steps_;
+      storm_->advance_to(clock_);
+      refresh(tiles[t]);
+    }
+    checks[t] = run_tile(t, initial);
+  }
+  const ptc::TileGrid grid{H, W, channels.size()};
+  events_ += ptc::product_events(m, k, n, grid, ptc::Residency::kBroadcast,
+                                 ptc::kSamplePerOutput);
+  outcome.checksum_events += ptc::checksum_product_events(m, k, n, grid);
+  if (!guarded) return c;
+
+  std::vector<std::size_t> bad;
+  for (std::size_t t = 0; t < tiles.size(); ++t) {
+    if (!checks[t].ok) bad.push_back(t);
+    outcome.tiles_corrected += checks[t].corrected;
+    ptc::fold_worst_residual(checks[t].worst_residual, checks[t].tolerance,
+                             outcome.worst_residual, outcome.worst_tolerance);
+  }
+  outcome.mismatched_tiles = bad.size();
+  if (!bad.empty()) outcome.first_mismatch = bad.front();
+  const auto tally = [&] {
+    for (const ptc::TileCheck& check : checks) outcome.tally_drift(check);
+  };
+  double ratio = 0.0;
+  for (const ptc::TileCheck& check : checks) {
+    if (std::isnan(check.worst_residual)) {
+      ratio = std::numeric_limits<double>::quiet_NaN();
+      break;
+    }
+    if (check.tolerance > 0.0) ratio = std::max(ratio, check.worst_residual / check.tolerance);
+  }
+  tracker_.observe_residual(lanes_of(channels), ratio);
+
+  faults::EscalationState state;
+  while (!bad.empty()) {
+    const bool retrim_ok = retrim_allowed();
+    const faults::GuardAction action = policy_.next(state, retrim_ok);
+    if (!retrim_ok && policy_.next(state, true) == faults::GuardAction::kRetrim) {
+      monitor_.record_governed_retrim();
+    }
+    monitor_.record_action(action);
+    if (action == faults::GuardAction::kGiveUp) break;
+    bool repacked = false;
+    if (action == faults::GuardAction::kRetry) {
+      ++state.retries;
+    } else if (action == faults::GuardAction::kRetrim) {
+      ++state.retrims;
+      retrim(lanes_of(channels), false);
+      repacked = true;
+    } else if (action == faults::GuardAction::kFence) {
+      ++state.fences;
+      fence_diverged(channels);
+      repacked = true;
+    }
+    if (repacked) {
+      if (bank_.surviving_channels().empty()) {
+        monitor_.record_action(faults::GuardAction::kGiveUp);
+        tally();
+        monitor_.record_product(outcome);
+        return Matrix(m, n);
+      }
+      table_.ensure(bank_);
+      prepare();
+      encode_a();
+    }
+    const std::size_t nl = channels.size();
+    for (const std::size_t t : bad) {
+      const ptc::Tile& tile = tiles[t];
+      refresh(tile);
+      checks[t] = run_tile(t, nullptr);
+      outcome.tiles_corrected += checks[t].corrected;
+      const ptc::EventCounter ev = ptc::tile_step_events(
+          tile.rows, tile.cols, k, nl, ptc::Residency::kBroadcast, ptc::kSamplePerOutput);
+      events_ += ev;
+      monitor_.record_retry_events(ev);
+      outcome.checksum_events +=
+          ptc::checksum_lane_events(tile.rows, tile.cols, k, (k + nl - 1) / nl);
+    }
+    std::vector<std::size_t> still;
+    for (const std::size_t t : bad) {
+      if (!checks[t].ok) still.push_back(t);
+    }
+    bad = std::move(still);
+  }
+  tally();
+  monitor_.record_product(outcome);
+  return c;
+}
+
+/// One scenario on two identically built banks: the backend on one, the
+/// amplitude oracle on the other, product by product.
+struct Differential {
+  faults::LaneBank bank;
+  faults::LaneBank oracle_bank;
+  faults::GuardedBackend backend;
+  AmplitudeOracle oracle;
+
+  Differential(const faults::LaneBankConfig& bank_cfg, const faults::GuardedBackendConfig& cfg)
+      : bank(trimmed(bank_cfg)),
+        oracle_bank(trimmed(bank_cfg)),
+        backend(bank, cfg),
+        oracle(oracle_bank, cfg) {}
+
+  static faults::LaneBank trimmed(const faults::LaneBankConfig& cfg) {
+    faults::LaneBank b(cfg);
+    faults::production_trim(b);
+    return b;
+  }
+
+  /// Both sides' state after a product: output, events, health, drift.
+  void expect_equal(const Matrix& got, const Matrix& want, const std::string& what) {
+    SCOPED_TRACE(what);
+    expect_matrices_equal(got, want);
+    expect_events_equal(backend.events(), oracle.events());
+    expect_snapshots_equal(backend.monitor().snapshot(), oracle.monitor().snapshot());
+    for (std::size_t l = 0; l < bank.lanes(); ++l) {
+      EXPECT_EQ(backend.drift().level(l), oracle.drift().level(l)) << "lane " << l;
+      EXPECT_EQ(bank.lane(l).fenced, oracle_bank.lane(l).fenced) << "lane " << l;
+    }
+    EXPECT_EQ(bank.epoch(), oracle_bank.epoch());
+  }
+  void matmul(const Matrix& a, const Matrix& b, const std::string& what) {
+    expect_equal(backend.matmul(a, b), oracle.matmul(a, b), what);
+  }
+  void cached(const Matrix& a, const Matrix& b, std::uint64_t id, const std::string& what) {
+    expect_equal(backend.matmul_cached(a, b, {id, 1}), oracle.matmul(a, b), what);
+  }
+  /// Decode-style KV products against a history grown to `t` rows:
+  /// scores (the history is Bᵀ) and context (it is B).
+  void kv(const Matrix& history, std::size_t t, Rng& rng, const std::string& what) {
+    Matrix h(t, history.cols());
+    std::copy_n(history.data().begin(), h.size(), h.data().begin());
+    const Matrix q = Matrix::random_gaussian(2, history.cols(), rng, 0.0, 1.0);
+    expect_equal(backend.matmul_kv(q, h, {41, nn::KvAxis::kCols}), oracle.matmul(q, h.transposed()),
+                 what + " scores");
+    const Matrix probs = Matrix::random_gaussian(2, t, rng, 0.0, 1.0);
+    expect_equal(backend.matmul_kv(probs, h, {42, nn::KvAxis::kRows}), oracle.matmul(probs, h),
+                 what + " context");
+  }
+};
+
+/// A KV history whose first row is the loudest, so later rows append.
+Matrix kv_history(std::size_t rows, std::size_t d, Rng& rng) {
+  Matrix h = Matrix::random_gaussian(rows, d, rng, 0.0, 0.3);
+  for (std::size_t c = 0; c < d; ++c) h(0, c) = c % 2 == 0 ? 1.5 : -1.5;
+  return h;
+}
+
+faults::FaultEvent fault(std::uint64_t step, std::size_t lane, faults::FaultKind kind,
+                         double magnitude, int bit = 0) {
+  faults::FaultEvent ev;
+  ev.step = step;
+  ev.lane = lane;
+  ev.kind = kind;
+  ev.magnitude = magnitude;
+  ev.bit = bit;
+  return ev;
+}
+
+/// Every scenario of the code-operand change against the amplitude
+/// oracle, on both kernel tiers, at 1 and 3 tile workers, guarded and
+/// not: clean products (plain, cached, KV on both axes); a storm with a
+/// hard and a drift-class fault mid-product; a bias walk that moves the
+/// epoch at every tile step (the live-model decode); every ladder rung —
+/// retry and re-trim, fence, give-up, and an all-fenced outage —; single
+/// and double upsets; and KV appends across an epoch move, a golden
+/// re-pin at an unchanged epoch, and a fence.  Outputs, events, health
+/// snapshots, drift levels and fences must be equal bit for bit after
+/// every product.
+TEST(GuardedBackend, CodeOperandsMatchTheAmplitudeOracle) {
+  for (const ptc::ExecutionPath path :
+       {ptc::ExecutionPath::kKernel, ptc::ExecutionPath::kKernelSimd}) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+      for (const bool guarded : {true, false}) {
+        SCOPED_TRACE("path " + std::to_string(static_cast<int>(path)) + ", threads " +
+                     std::to_string(threads) + ", guard " + std::to_string(guarded));
+        faults::GuardedBackendConfig cfg;
+        cfg.path = path;
+        cfg.threads = threads;
+        cfg.guard.enabled = guarded;
+        Rng rng(61);
+        const Matrix a = Matrix::random_gaussian(11, 24, rng, 0.0, 1.0);
+        const Matrix b = Matrix::random_gaussian(24, 19, rng, 0.0, 1.0);
+        const Matrix history = kv_history(12, 10, rng);
+
+        {  // clean
+          Differential d(small_bank_config(), cfg);
+          d.matmul(a, b, "clean plain");
+          d.cached(a, b, 7, "clean cold");
+          d.cached(a, b, 7, "clean warm");
+          for (std::size_t t = 3; t <= 5; ++t) d.kv(history, t, rng, "clean kv");
+        }
+        {  // storm: a stuck MRR and a TIA gain step strike mid-product
+          Differential d(small_bank_config(), cfg);
+          faults::FaultSchedule sched = one_event(8, stuck_mrr(5, 4), 256);
+          sched.events.push_back(fault(9, 2, faults::FaultKind::kTiaGainStep, 1.3, 2));
+          faults::FaultInjector inj(d.bank, sched);
+          faults::FaultInjector oinj(d.oracle_bank, sched);
+          d.backend.attach_storm(&inj, 1);
+          d.oracle.attach_storm(&oinj, 1);
+          d.cached(a, b, 7, "storm 1");
+          d.cached(a, b, 7, "storm 2");
+          for (std::size_t t = 3; t <= 5; ++t) d.kv(history, t, rng, "storm kv");
+          EXPECT_EQ(inj.events_applied(), 2u);
+          if (guarded) {
+            EXPECT_GE(d.backend.monitor().snapshot().detections, 1u);
+          }
+        }
+        {  // bias walk: a bias step at every tile step, k = 24
+          Differential d(small_bank_config(), cfg);
+          faults::FaultSchedule sched;
+          sched.cfg.lanes = 8;
+          sched.cfg.bits = 8;
+          sched.cfg.horizon_steps = 64;
+          for (std::uint64_t step = 1; step <= 40; ++step) {
+            sched.events.push_back(
+                fault(step, step % 8, faults::FaultKind::kBiasStep, step % 2 ? 1e-4 : -1e-4));
+          }
+          faults::FaultInjector inj(d.bank, sched);
+          faults::FaultInjector oinj(d.oracle_bank, sched);
+          d.backend.attach_storm(&inj, 1);
+          d.oracle.attach_storm(&oinj, 1);
+          d.matmul(a, b, "walk 1");
+          d.cached(a, b, 7, "walk 2");
+          d.kv(history, 4, rng, "walk kv");
+          EXPECT_GE(inj.events_applied(), 10u);
+        }
+        // The ladder: default (retry, re-trim), fence only, give up.
+        for (const faults::EscalationConfig& ladder :
+             {faults::EscalationConfig{},
+              faults::EscalationConfig{.max_retries = 0, .max_retrims = 0, .allow_fence = true},
+              kGiveUpAtOnce}) {
+          faults::GuardedBackendConfig lcfg = cfg;
+          lcfg.escalation = ladder;
+          Differential d(small_bank_config(), lcfg);
+          faults::FaultInjector(d.bank, one_event(8, stuck_mrr(3))).advance_to(8);
+          faults::FaultInjector(d.oracle_bank, one_event(8, stuck_mrr(3))).advance_to(8);
+          d.cached(a, b, 7, "ladder 1");
+          d.cached(a, b, 7, "ladder 2");
+          d.kv(history, 4, rng, "ladder kv");
+          if (guarded) {
+            const faults::HealthSnapshot snap = d.backend.monitor().snapshot();
+            EXPECT_EQ(snap.detections > 0, true);
+            EXPECT_EQ(snap.retrims + snap.fences + snap.unrecovered > 0, true);
+          }
+        }
+        {  // all-fenced outage: one channel, and the fence rung takes it
+          faults::LaneBankConfig one = small_bank_config();
+          one.wavelengths = 1;
+          faults::GuardedBackendConfig lcfg = cfg;
+          lcfg.escalation = {.max_retries = 0, .max_retrims = 0, .allow_fence = true};
+          Differential d(one, lcfg);
+          faults::FaultInjector(d.bank, one_event(2, stuck_mrr(1))).advance_to(8);
+          faults::FaultInjector(d.oracle_bank, one_event(2, stuck_mrr(1))).advance_to(8);
+          d.cached(a, b, 7, "outage 1");
+          d.cached(a, b, 7, "outage 2");
+          if (guarded) {
+            EXPECT_EQ(d.bank.usable_channels(), 0u);
+          }
+        }
+        {  // upsets: one (SEC), then two
+          Differential d(small_bank_config(), cfg);
+          d.backend.inject_dot_upset({2, 3, 0.5});
+          d.oracle.inject_dot_upset({2, 3, 0.5});
+          d.cached(a, b, 7, "single upset");
+          for (const faults::DotUpset& u : {faults::DotUpset{1, 2, 0.5}, {4, 5, -0.4}}) {
+            d.backend.inject_dot_upset(u);
+            d.oracle.inject_dot_upset(u);
+          }
+          d.cached(a, b, 7, "double upset");
+          if (guarded) {
+            EXPECT_EQ(d.backend.monitor().snapshot().sec_corrections, 1u);
+            EXPECT_EQ(d.backend.monitor().snapshot().retries, 1u);
+          }
+        }
+        {  // KV appends across an epoch move, a golden re-pin, a fence
+          Differential d(small_bank_config(), cfg);
+          d.kv(history, 3, rng, "kv start");
+          d.kv(history, 4, rng, "kv append");
+          faults::FaultInjector(d.bank, one_event(8, stuck_mrr(6))).advance_to(8);
+          faults::FaultInjector(d.oracle_bank, one_event(8, stuck_mrr(6))).advance_to(8);
+          d.kv(history, 6, rng, "kv after a fault");
+          d.kv(history, 7, rng, "kv append after the fault");
+          d.backend.recalibrate();
+          d.oracle.recalibrate();
+          d.kv(history, 8, rng, "kv after a re-pin");
+          for (faults::LaneBank* bank : {&d.bank, &d.oracle_bank}) {
+            bank->lane(0, 1).fenced = true;
+            bank->bump_epoch();
+          }
+          d.kv(history, 9, rng, "kv after a fence");
+          d.kv(history, 12, rng, "kv append after the fence");
+        }
+      }
+    }
+  }
 }
 
 TEST(GuardedBackend, UnguardedMatchesLaneReferenceAtAnyThreadCount) {
@@ -271,16 +832,17 @@ TEST(GuardedBackend, CleanBankBitIdenticalToLaneReference) {
     EXPECT_GT(snap.checksum_events.modulation_events, 0u);
     EXPECT_LT(snap.worst_residual, snap.worst_tolerance);
 
-    // Golden is pinned at the bank's epoch, so it holds the current
-    // table's bits and no operand stages a second golden copy: the cached
-    // weight and both KV operands carry none, and the caches' resident
-    // bytes are the encodings, stripes and packing alone.
+    // Operands are cached as quantizer codes: the cached weight and both
+    // KV operands carry no amplitudes and no checksum stripes, and the
+    // caches' resident bytes are the codes and packing alone.
     const nn::WeightHandle w{21, 1};
     expect_matrices_equal(guarded.matmul_cached(a, b, w), got);
     const auto weight = guarded.cache().lookup(w.id, w.version, bank.epoch());
     ASSERT_NE(weight, nullptr);
-    EXPECT_EQ(weight->reference.size(), 0u);
-    EXPECT_EQ(guarded.cache().stats().resident_bytes, operand_bytes(11, 18, 4, false));
+    EXPECT_EQ(weight->encoded.size(), 0u);
+    EXPECT_EQ(weight->checksum.size(), 0u);
+    EXPECT_EQ(weight->codes.rows(), 11u);
+    EXPECT_EQ(guarded.cache().stats().resident_bytes, operand_bytes(11, 18, 4));
     const Matrix keys = Matrix::random_gaussian(9, 18, rng, 0.0, 1.0);
     const Matrix probs = Matrix::random_gaussian(13, 9, rng, 0.0, 1.0);
     expect_matrices_equal(guarded.matmul_kv(a, keys, {1, nn::KvAxis::kCols}),
@@ -288,7 +850,7 @@ TEST(GuardedBackend, CleanBankBitIdenticalToLaneReference) {
     expect_matrices_equal(guarded.matmul_kv(probs, keys, {2, nn::KvAxis::kRows}),
                           lane_reference(bank, probs, keys, path));
     EXPECT_EQ(guarded.kv_cache()->stats().resident_bytes,
-              operand_bytes(9, 18, 4, false) + operand_bytes(18, 9, 4, false));
+              operand_bytes(9, 18, 4) + operand_bytes(18, 9, 4));
     EXPECT_EQ(guarded.monitor().snapshot().detections, 0u);
 
     if (path == ptc::ExecutionPath::kKernel) {
@@ -682,15 +1244,15 @@ TEST(GuardedBackend, EpochBumpInvalidatesCachedOperandAndGuardStillFires) {
   const auto err = stats::compare(recovered.data(), matmul_reference(a, b).data());
   EXPECT_GT(err.cosine, 0.99);
 
-  // The re-trim's self-test moved the epoch and golden was re-pinned
-  // there, so the operand the rung re-prepared and cached stages no
-  // golden copy.
+  // The re-trim's self-test moved the epoch again; the rung re-stamped
+  // the cached operand there instead of rebuilding it.
   EXPECT_EQ(snap.retrims, 1u);
   EXPECT_EQ(snap.fences, 0u);
   EXPECT_GT(bank.epoch(), struck_epoch);
+  EXPECT_EQ(backend.cache().stats().rebuilds, 1u);  // the rung's re-stamp
   const auto repinned = backend.cache().lookup(w.id, w.version, bank.epoch());
   ASSERT_NE(repinned, nullptr);
-  EXPECT_EQ(repinned->reference.size(), 0u);
+  EXPECT_EQ(repinned->epoch, bank.epoch());
 
   // Recovery re-warmed the cache against the repaired bank: the next
   // product hits and verifies cleanly.
@@ -700,13 +1262,17 @@ TEST(GuardedBackend, EpochBumpInvalidatesCachedOperandAndGuardStillFires) {
   EXPECT_EQ(backend.monitor().snapshot().detections, 1u);
   expect_matrices_equal(again, recovered);
 
-  // The operand the strike's miss builds: golden predates the epoch, so
-  // it stages its golden copy, and the guard fires at the first tile.  A
-  // ladder that may only give up leaves it resident to be looked at.
+  // The entry the strike's miss hands on keeps its codes and is
+  // re-stamped, not rebuilt: golden predates the epoch, so each tile step
+  // decodes golden references beside the data, and the guard fires at
+  // the first tile.  A ladder that may only give up leaves it resident to
+  // be looked at.
   faults::LaneBank held_bank(small_bank_config());
   faults::production_trim(held_bank);
   faults::GuardedBackend held(held_bank, {.escalation = kGiveUpAtOnce});
   (void)held.matmul_cached(a, b, w);
+  const auto built = held.cache().lookup(w.id, w.version, held_bank.epoch());
+  ASSERT_NE(built, nullptr);
   faults::FaultInjector held_injector(held_bank, one_event(held_bank.lanes(), stuck_mrr(1)));
   held_injector.advance_to(8);
   (void)held.matmul_cached(a, b, w);
@@ -714,19 +1280,23 @@ TEST(GuardedBackend, EpochBumpInvalidatesCachedOperandAndGuardStillFires) {
   EXPECT_EQ(held_snap.detections, 1u);
   EXPECT_DOUBLE_EQ(held_snap.mean_detection_latency(), 1.0);
   EXPECT_EQ(held_snap.unrecovered, 1u);
+  const nn::OperandCacheStats& held_stats = held.cache().stats();
+  EXPECT_EQ(held_stats.invalidations, 1u);
+  EXPECT_EQ(held_stats.misses, 2u);
+  EXPECT_EQ(held_stats.rebuilds, 0u);
   const auto struck = held.cache().lookup(w.id, w.version, held_bank.epoch());
-  ASSERT_NE(struck, nullptr);
-  EXPECT_EQ(struck->reference.rows(), struck->encoded.rows());
-  EXPECT_EQ(struck->reference.cols(), struck->encoded.cols());
+  EXPECT_EQ(struck, built);
+  EXPECT_EQ(struck->epoch, held_bank.epoch());
 }
 
-TEST(GuardedBackend, GoldenRepinAtTheSameEpochRebuildsAnEntryThatCarriesACopy) {
+TEST(GuardedBackend, GoldenRepinAtTheSameEpochAppendsUnderTheNewGolden) {
   // A strike leaves golden behind the epoch, so the KV entry built next
-  // stages a golden copy.  recalibrate() then re-pins golden without
-  // moving the epoch: the spec stages no copy any more, the append
-  // refuses the entry's copy, and the entry is rebuilt from the current
-  // golden — one more hit and one more rebuild, no append, no copy, and
-  // the product of an uncached operand, bit for bit.
+  // is checked against golden references decoded beside its data.
+  // recalibrate() then re-pins golden without moving the epoch: the entry
+  // is still fresh, its codes do not depend on golden, and the append is
+  // accepted — one more hit and one more append, no rebuild — while the
+  // tile steps now decode references from the new golden: the product of
+  // an uncached operand, bit for bit, with no new detection.
   faults::LaneBank bank(small_bank_config());
   faults::production_trim(bank);
   faults::GuardedBackend backend(bank, {.escalation = kGiveUpAtOnce});
@@ -746,7 +1316,9 @@ TEST(GuardedBackend, GoldenRepinAtTheSameEpochRebuildsAnEntryThatCarriesACopy) {
   (void)backend.matmul_kv(q, keys, handle);
   const nn::OperandCacheStats built = backend.kv_cache()->stats();
   EXPECT_EQ(built.misses, 1u);
-  EXPECT_EQ(built.resident_bytes, operand_bytes(10, d, 4, true));
+  EXPECT_EQ(built.resident_bytes, operand_bytes(10, d, 4));
+  const std::size_t detections = backend.monitor().snapshot().detections;
+  EXPECT_EQ(detections, 1u);
 
   const std::uint64_t epoch = bank.epoch();
   backend.recalibrate();
@@ -754,11 +1326,12 @@ TEST(GuardedBackend, GoldenRepinAtTheSameEpochRebuildsAnEntryThatCarriesACopy) {
   const Matrix got = backend.matmul_kv(q, grown, handle);
   const nn::OperandCacheStats& st = backend.kv_cache()->stats();
   EXPECT_EQ(st.hits, built.hits + 1);
-  EXPECT_EQ(st.rebuilds, built.rebuilds + 1);
-  EXPECT_EQ(st.appends, built.appends);
+  EXPECT_EQ(st.appends, built.appends + 1);
+  EXPECT_EQ(st.rebuilds, built.rebuilds);
   EXPECT_EQ(st.misses, built.misses);
   EXPECT_TRUE(backend.kv_cache()->contains(handle.id, 0, epoch));
-  EXPECT_EQ(st.resident_bytes, operand_bytes(11, d, 4, false));  // no copy staged
+  EXPECT_EQ(st.resident_bytes, operand_bytes(11, d, 4));
+  EXPECT_EQ(backend.monitor().snapshot().detections, detections);
   expect_matrices_equal(got, backend.matmul(q, grown.transposed()));
 }
 

@@ -934,7 +934,7 @@ TEST(LaneEncodeTable, MatchesBankEncodesAcrossMutations) {
       for (std::size_t ch = 0; ch < bank.wavelengths(); ++ch) {
         const std::vector<std::size_t> channels{ch};
         const faults::LaneEncoder encode{bank, channels, rail, current, &golden};
-        encode(row, 0, 1, cur, ref);
+        encode(row, cur, ref);
         for (std::size_t i = 0; i < row.size(); ++i) {
           ASSERT_EQ(cur[i], bank.encode(rail, ch, row[i]))
               << "rail=" << rail << " ch=" << ch << " code=" << codes[i];
@@ -972,10 +972,10 @@ TEST(LaneEncodeTable, MatchesBankEncodesAcrossMutations) {
 // The table path equals the live-model path bit for bit: one encoder
 // built while the table is fresh, one after the epoch moved with the
 // lane state unchanged (a stale table, so the live lane models), over a
-// 5-of-8 channel packing, ragged start positions, span lengths 0, 1 and
-// 768, runs along a row (step 1) and across one position (step 0), with
-// and without a golden reference — on a bank whose faults make current
-// and golden differ on both rails.
+// 5-of-8 channel packing, span lengths 0, 1, 4, 5 and 768, encoding
+// normalized values and decoding their codes, with and without a golden
+// reference — on a bank whose faults make current and golden differ on
+// both rails.
 TEST(LaneEncodeTable, TablePathEqualsLiveModelsBitForBit) {
   faults::LaneBankConfig cfg = bank_config(23);
   cfg.wavelengths = 8;
@@ -1023,32 +1023,40 @@ TEST(LaneEncodeTable, TablePathEqualsLiveModelsBitForBit) {
     ASSERT_FALSE(table.fresh(bank));
     const faults::LaneEncoder live(bank, channels, rail, &table, &golden);
     std::size_t diverged = 0;
-    for (const std::size_t p0 : {0u, 3u, 13u}) {
-      for (const std::size_t len : {0u, 1u, 768u}) {
-        for (const std::size_t step : {0u, 1u}) {
-          for (const bool with_ref : {false, true}) {
-            SCOPED_TRACE(testing::Message() << "rail " << rail << " p0 " << p0 << " len " << len
-                                            << " step " << step << " reference " << with_ref);
-            const std::span<const double> in(norm.data(), len);
-            std::vector<double> cur_t(len, 9.0), ref_t(len, 9.0), cur_l(len, 9.0),
-                ref_l(len, 9.0);
-            tabled(in, p0, step, cur_t,
-                   with_ref ? std::span<double>(ref_t) : std::span<double>{});
-            live(in, p0, step, cur_l, with_ref ? std::span<double>(ref_l) : std::span<double>{});
-            for (std::size_t i = 0; i < len; ++i) {
-              // Step 0 keeps every value on position p0's channel.
-              const std::size_t flat = rail * bank.wavelengths() + channels[(p0 + i * step) % 5];
-              const std::int32_t code = quant.encode(in[i]);
-              ASSERT_EQ(bits(cur_t[i]), bits(cur_l[i])) << i;
-              ASSERT_EQ(bits(cur_t[i]), bits(bank.lane(flat).model.encode_code(code))) << i;
-              if (with_ref) {
-                ASSERT_EQ(bits(ref_t[i]), bits(ref_l[i])) << i;
-                ASSERT_EQ(bits(ref_t[i]), bits(golden.at(flat, code))) << i;
-                diverged += cur_t[i] != ref_t[i];
-              } else {
-                ASSERT_EQ(ref_t[i], 9.0);  // no reference asked for, none written
-                ASSERT_EQ(ref_l[i], 9.0);
-              }
+    for (const std::size_t len : {0u, 1u, 4u, 5u, 768u}) {
+      for (const bool decode : {false, true}) {
+        for (const bool with_ref : {false, true}) {
+          SCOPED_TRACE(testing::Message() << "rail " << rail << " len " << len << " decode "
+                                          << decode << " reference " << with_ref);
+          const std::span<const double> in(norm.data(), len);
+          std::vector<std::int16_t> codes(len);
+          for (std::size_t i = 0; i < len; ++i) {
+            codes[i] = static_cast<std::int16_t>(quant.encode(in[i]));
+          }
+          std::vector<double> cur_t(len, 9.0), ref_t(len, 9.0), cur_l(len, 9.0), ref_l(len, 9.0);
+          const std::span<double> ref_ts =
+              with_ref ? std::span<double>(ref_t) : std::span<double>{};
+          const std::span<double> ref_ls =
+              with_ref ? std::span<double>(ref_l) : std::span<double>{};
+          if (decode) {
+            tabled.decode(codes, cur_t, ref_ts);
+            live.decode(codes, cur_l, ref_ls);
+          } else {
+            tabled(in, cur_t, ref_ts);
+            live(in, cur_l, ref_ls);
+          }
+          for (std::size_t i = 0; i < len; ++i) {
+            const std::size_t flat = rail * bank.wavelengths() + channels[i % 5];
+            const std::int32_t code = codes[i];
+            ASSERT_EQ(bits(cur_t[i]), bits(cur_l[i])) << i;
+            ASSERT_EQ(bits(cur_t[i]), bits(bank.lane(flat).model.encode_code(code))) << i;
+            if (with_ref) {
+              ASSERT_EQ(bits(ref_t[i]), bits(ref_l[i])) << i;
+              ASSERT_EQ(bits(ref_t[i]), bits(golden.at(flat, code))) << i;
+              diverged += cur_t[i] != ref_t[i];
+            } else {
+              ASSERT_EQ(ref_t[i], 9.0);  // no reference asked for, none written
+              ASSERT_EQ(ref_l[i], 9.0);
             }
           }
         }

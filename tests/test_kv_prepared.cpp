@@ -370,8 +370,7 @@ TEST(KvPrepared, AppendRefusesWheneverIdentityCannotHold) {
     // append under another at the same epoch — neither through the faults
     // layer's packing nor through the engine, whose packing is fixed — on
     // either axis; under its own packing it appends.
-    const RowEncoder copy_encoder = [](std::span<const double> norm, std::size_t, std::size_t,
-                                       std::span<double> encoded, std::span<double>) {
+    const RowEncoder copy_encoder = [](std::span<const double> norm, std::span<double> encoded) {
       std::copy(norm.begin(), norm.end(), encoded.begin());
     };
     ThreadPool pool(1);

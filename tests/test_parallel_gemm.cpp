@@ -204,8 +204,9 @@ GemmResult per_tile_reference(const PhotonicGemm& gemm, const Matrix& a,
     ref.events += tile_step_events(tile.rows, tile.cols, k, cfg.dot.wavelengths,
                                    Residency::kBroadcast, kSamplePerOutput);
     if (!guarded) continue;
-    const TileCheck check = verify_tile(cfg.guard, tile, t, rsum, csum, ae,
-                                        xsum.row(tile.row0 / cfg.array_rows), pb);
+    const TileCheck check =
+        verify_tile(cfg.guard, tile, t, rsum, csum, ae, xsum.row(tile.row0 / cfg.array_rows),
+                    pb.encoded, 0, pb.checksum.row(tile.col0 / cfg.array_cols));
     if (!check.ok && ref.guard.mismatched_tiles++ == 0) ref.guard.first_mismatch = t;
     fold_worst_residual(check.worst_residual, check.tolerance, ref.guard.worst_residual,
                         ref.guard.worst_tolerance);

@@ -1,12 +1,12 @@
 // ptc::prepare_operand and append_operand build every operand in one
 // blocked pass (DESIGN.md §10): blocks of Bᵀ rows are normalized into
-// per-worker scratch, encoded and folded into their checksum stripes
-// while still in cache.  These tests pin that pass, bit for bit, to an
-// element-wise reference — the raw max-abs by a serial fold, every
-// element divided once and encoded alone at its own reduction position,
-// every stripe summed in ascending column order — over both source
-// orientations, shapes ragged against the block and the stripe, every
-// staging option and more than one pool worker.
+// per-worker scratch, then encoded and folded into their checksum stripes
+// (amplitude operands) or quantized (code operands) while still in cache.
+// These tests pin that pass, bit for bit, to an element-wise reference —
+// the raw max-abs by a serial fold, every element divided once and
+// encoded or quantized alone, every stripe summed in ascending column
+// order — over both source orientations, shapes ragged against the block
+// and the stripe, both payloads and more than one pool worker.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,6 +21,7 @@
 #include "common/matrix.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "converters/quantizer.hpp"
 #include "core/modulator_driver.hpp"
 #include "faults/fault_injector.hpp"
 #include "faults/lane_bank.hpp"
@@ -32,17 +33,16 @@ namespace {
 using namespace pdac;
 using namespace pdac::ptc;
 
-/// A pure, position-dependent encoder whose current and golden outputs
-/// differ, so a wrong reduction position, a swapped output or a stripe
-/// folded from the wrong copy changes bits.
-void position_encode(std::span<const double> norm, std::size_t p0, std::size_t step,
-                     std::span<double> encoded, std::span<double> reference) {
+/// A pure, nonlinear encoder, so a swapped element or a stripe folded
+/// from the wrong values changes bits.
+void value_encode(std::span<const double> norm, std::span<double> encoded) {
   for (std::size_t i = 0; i < norm.size(); ++i) {
-    const double p = static_cast<double>(p0 + i * step);
-    encoded[i] = norm[i] * (1.0 + 0.01 * std::fmod(p, 5.0)) + 1e-3 * p;
-    if (!reference.empty()) reference[i] = 0.5 * norm[i] - 1e-4 * p;
+    encoded[i] = norm[i] * (1.0 + 0.01 * norm[i]) + 1e-3;
   }
 }
+
+/// The quantizer code operands are stored through.
+const converters::Quantizer kQuant(6);
 
 /// prepare_operand, one element at a time.
 PreparedOperand elementwise_prepare(const Matrix& src, GrowAxis axis, const OperandSpec& spec) {
@@ -54,24 +54,27 @@ PreparedOperand elementwise_prepare(const Matrix& src, GrowAxis axis, const Oper
   pb.scale = pb.abs_max > 0.0 ? pb.abs_max : 1.0;
   pb.epoch = spec.epoch;
   pb.channels = spec.channels;
-  pb.encoded = Matrix(pb.cols, pb.rows);
-  if (spec.reference) pb.reference = Matrix(pb.cols, pb.rows);
+  if (spec.codes != nullptr) {
+    pb.codes = CodeMatrix(pb.cols, pb.rows);
+  } else {
+    pb.encoded = Matrix(pb.cols, pb.rows);
+  }
   for (std::size_t j = 0; j < pb.cols; ++j) {
     for (std::size_t p = 0; p < pb.rows; ++p) {
       const double norm = (cols_axis ? src(j, p) : src(p, j)) / pb.scale;
-      position_encode(std::span<const double>(&norm, 1), p, 1,
-                      std::span<double>(&pb.encoded(j, p), 1),
-                      spec.reference ? std::span<double>(&pb.reference(j, p), 1)
-                                     : std::span<double>{});
+      if (spec.codes != nullptr) {
+        pb.codes(j, p) = static_cast<std::int16_t>(spec.codes->encode(norm));
+      } else {
+        value_encode(std::span<const double>(&norm, 1), std::span<double>(&pb.encoded(j, p), 1));
+      }
     }
   }
   if (spec.checksum_stripe > 0) {
     pb.checksum_stripe = spec.checksum_stripe;
     pb.checksum = Matrix((pb.cols + spec.checksum_stripe - 1) / spec.checksum_stripe, pb.rows);
-    const Matrix& golden = spec.reference ? pb.reference : pb.encoded;
     for (std::size_t j = 0; j < pb.cols; ++j) {
       for (std::size_t p = 0; p < pb.rows; ++p) {
-        pb.checksum(j / spec.checksum_stripe, p) += golden(j, p);
+        pb.checksum(j / spec.checksum_stripe, p) += pb.encoded(j, p);
       }
     }
   }
@@ -92,6 +95,18 @@ void expect_same_bits(const Matrix& got, const Matrix& want, const char* what) {
   EXPECT_EQ(differ, 0u) << what;
 }
 
+/// `got`'s logical rows × `want.cols()` positions equal `want` code for
+/// code.
+void expect_same_codes(const CodeMatrix& got, const CodeMatrix& want) {
+  ASSERT_EQ(got.rows(), want.rows());
+  ASSERT_GE(got.cols(), want.cols());
+  std::size_t differ = 0;
+  for (std::size_t r = 0; r < want.rows(); ++r) {
+    for (std::size_t p = 0; p < want.cols(); ++p) differ += got(r, p) != want(r, p);
+  }
+  EXPECT_EQ(differ, 0u) << "codes";
+}
+
 void expect_same_operand(const PreparedOperand& got, const PreparedOperand& want) {
   EXPECT_TRUE(same_bits(got.abs_max, want.abs_max));
   EXPECT_TRUE(same_bits(got.scale, want.scale));
@@ -101,7 +116,7 @@ void expect_same_operand(const PreparedOperand& got, const PreparedOperand& want
   EXPECT_EQ(got.channels, want.channels);
   EXPECT_EQ(got.checksum_stripe, want.checksum_stripe);
   expect_same_bits(got.encoded, want.encoded, "encoded");
-  expect_same_bits(got.reference, want.reference, "reference");
+  expect_same_codes(got.codes, want.codes);
   expect_same_bits(got.checksum, want.checksum, "checksum");
 }
 
@@ -116,7 +131,7 @@ Matrix bt_source(std::size_t n, std::size_t k, GrowAxis axis, Rng& rng) {
 const char* axis_name(GrowAxis axis) { return axis == GrowAxis::kCols ? "cols" : "rows"; }
 
 TEST(PrepareOperand, OnePassEqualsTheElementwiseReference) {
-  const RowEncoder encode = position_encode;
+  const RowEncoder encode = value_encode;
   Rng rng(41);
   for (const std::size_t threads : {1u, 3u}) {
     ThreadPool pool(threads);
@@ -125,15 +140,16 @@ TEST(PrepareOperand, OnePassEqualsTheElementwiseReference) {
       for (const std::size_t k : {1u, 7u, 131u}) {
         for (const std::size_t n : {1u, 8u, 33u, 100u}) {
           for (const std::size_t stripe : {0u, 8u, 12u}) {
-            for (const bool reference : {false, true}) {
+            for (const bool codes : {false, true}) {
+              if (codes && stripe > 0) continue;  // a code operand carries no stripes
               SCOPED_TRACE(testing::Message()
                            << "threads " << threads << " axis " << axis_name(axis) << " k " << k
-                           << " n " << n << " stripe " << stripe << " reference " << reference);
+                           << " n " << n << " stripe " << stripe << " codes " << codes);
               const Matrix src = bt_source(n, k, axis, rng);
               const OperandSpec spec{.epoch = 7,
                                      .channels = {0, 2, 3},
                                      .checksum_stripe = stripe,
-                                     .reference = reference};
+                                     .codes = codes ? &kQuant : nullptr};
               expect_same_operand(prepare_operand(src, axis, spec, encode, pool, stage),
                                   elementwise_prepare(src, axis, spec));
             }
@@ -146,27 +162,30 @@ TEST(PrepareOperand, OnePassEqualsTheElementwiseReference) {
 
 // Appends continue the build from a ragged start: new output columns
 // through the same pass from any Bᵀ row, new reduction positions one
-// encode call each (step 0) from any position — appends of 1, 2, 9 and
-// more positions — continuing stripes an earlier build left part-summed.
-// The same growth then runs through the two production encoders, each
-// against a fresh prepare: PhotonicGemm's LUT (with its staged column
-// energies) and a faults::LaneEncoder on a bank with a fenced channel, a
-// golden snapshot and a coefficient table both left stale by a fault.
+// encode or quantize call each from any position — appends of 1, 2, 9
+// and more positions — continuing stripes an earlier build left
+// part-summed.  The same growth then runs through the production
+// payloads, each against a fresh prepare: PhotonicGemm's LUT (with its
+// staged column energies) and the lane executor's codes, which
+// faults::LaneEncoder then decodes — on a bank with a fenced channel, a
+// golden snapshot and a coefficient table both left stale by a fault —
+// into the bits encoding the normalized values gives.
 TEST(PrepareOperand, AppendsEqualTheElementwiseReference) {
-  const RowEncoder encode = position_encode;
+  const RowEncoder encode = value_encode;
   Rng rng(43);
   for (const std::size_t threads : {1u, 3u}) {
     ThreadPool pool(threads);
     Matrix stage;
     for (const GrowAxis axis : {GrowAxis::kCols, GrowAxis::kRows}) {
       for (const std::size_t stripe : {0u, 8u, 12u}) {
-        for (const bool reference : {false, true}) {
+        for (const bool codes : {false, true}) {
+          if (codes && stripe > 0) continue;
           SCOPED_TRACE(testing::Message() << "threads " << threads << " axis " << axis_name(axis)
-                                          << " stripe " << stripe << " reference " << reference);
+                                          << " stripe " << stripe << " codes " << codes);
           const OperandSpec spec{.epoch = 2,
                                  .channels = {1, 4},
                                  .checksum_stripe = stripe,
-                                 .reference = reference};
+                                 .codes = codes ? &kQuant : nullptr};
           // The growing axis: Bᵀ rows (output columns) for kCols, source
           // rows (reduction positions) for kRows; the fixed one is 37 or
           // 70 wide.
@@ -188,7 +207,7 @@ TEST(PrepareOperand, AppendsEqualTheElementwiseReference) {
     }
   }
 
-  // The production encoders on reduction-axis appends of 1, 2 and 9
+  // The production payloads on reduction-axis appends of 1, 2 and 9
   // positions (5 → 6 → 8 → 17) onto a 70-column B.
   const Matrix full = bt_source(70, 17, GrowAxis::kRows, rng);
   const auto prefix = [&](std::size_t len) {
@@ -233,8 +252,8 @@ TEST(PrepareOperand, AppendsEqualTheElementwiseReference) {
   faults::LaneEncodeTable table;
   table.ensure(bank);
   // Stick a B-rail modulator and fence channel 1: both move the epoch, so
-  // the golden snapshot and the table are stale and every current encode
-  // runs on the live lane models.
+  // the golden snapshot and the table are stale and every current
+  // amplitude comes from the live lane models.
   faults::FaultSchedule sched;
   sched.cfg.lanes = bank.lanes();
   sched.cfg.bits = 8;
@@ -253,36 +272,35 @@ TEST(PrepareOperand, AppendsEqualTheElementwiseReference) {
   ASSERT_FALSE(golden.fresh(bank));
   const std::vector<std::size_t> channels = bank.surviving_channels();
   ASSERT_EQ(channels, (std::vector<std::size_t>{0, 2, 3}));
+  const faults::LaneEncoder lanes(bank, channels, 1, &table, &golden);
   for (const std::size_t threads : {1u, 3u}) {
+    SCOPED_TRACE(testing::Message() << "lane codes, threads " << threads);
     ThreadPool pool(threads);
     Matrix stage;
-    const RowEncoder lanes = faults::LaneEncoder(bank, channels, 1, &table, &golden);
-    for (const bool reference : {false, true}) {
-      SCOPED_TRACE(testing::Message() << "lane encoder, threads " << threads << " reference "
-                                      << reference);
-      const OperandSpec spec{.epoch = bank.epoch(),
-                             .channels = channels,
-                             .checksum_stripe = 8,
-                             .reference = reference};
-      PreparedOperand pb = prepare_operand(prefix(5), GrowAxis::kRows, spec, lanes, pool, stage);
-      for (const std::size_t len : {6u, 8u, 17u}) {
-        ASSERT_TRUE(append_operand(pb, prefix(len), GrowAxis::kRows, spec, lanes, pool, stage))
-            << len;
-        const PreparedOperand fresh =
-            prepare_operand(prefix(len), GrowAxis::kRows, spec, lanes, pool, stage);
-        expect_same_operand(pb, fresh);
-      }
-      if (reference) {
-        // The stale golden copy really differs from the current encodes.
-        std::size_t differ = 0;
-        for (std::size_t j = 0; j < pb.cols; ++j) {
-          for (std::size_t p = 0; p < pb.rows; ++p) {
-            differ += pb.encoded(j, p) != pb.reference(j, p);
-          }
-        }
-        EXPECT_GT(differ, 0u);
+    const OperandSpec spec{
+        .epoch = bank.epoch(), .channels = channels, .codes = &bank.quantizer()};
+    PreparedOperand pb = prepare_operand(prefix(5), GrowAxis::kRows, spec, {}, pool, stage);
+    for (const std::size_t len : {6u, 8u, 17u}) {
+      ASSERT_TRUE(append_operand(pb, prefix(len), GrowAxis::kRows, spec, {}, pool, stage))
+          << len;
+      expect_same_operand(pb, prepare_operand(prefix(len), GrowAxis::kRows, spec, {}, pool, stage));
+    }
+    // Each decoded column is the lane encode of its normalized values,
+    // current and golden, and the stale golden really differs.
+    std::vector<double> norm(pb.rows), cur(pb.rows), ref(pb.rows), want_cur(pb.rows),
+        want_ref(pb.rows);
+    std::size_t differ = 0;
+    for (std::size_t j = 0; j < pb.cols; ++j) {
+      for (std::size_t p = 0; p < pb.rows; ++p) norm[p] = full(p, j) / pb.scale;
+      lanes(norm, want_cur, want_ref);
+      lanes.decode(pb.codes.row(j).first(pb.rows), cur, ref);
+      for (std::size_t p = 0; p < pb.rows; ++p) {
+        ASSERT_TRUE(same_bits(cur[p], want_cur[p])) << j << "," << p;
+        ASSERT_TRUE(same_bits(ref[p], want_ref[p])) << j << "," << p;
+        differ += cur[p] != ref[p];
       }
     }
+    EXPECT_GT(differ, 0u);
   }
 }
 
@@ -291,7 +309,7 @@ TEST(PrepareOperand, AppendsEqualTheElementwiseReference) {
 // any placement of the extremes — every lane and every tail of lengths
 // 0–9 — and through either source orientation.
 TEST(PrepareOperand, AbsMaxEqualsTheSerialFoldAtEveryTail) {
-  const RowEncoder encode = position_encode;
+  const RowEncoder encode = value_encode;
   ThreadPool pool(1);
   Matrix stage;
   const OperandSpec spec{};

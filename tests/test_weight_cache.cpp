@@ -16,6 +16,7 @@
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "converters/quantizer.hpp"
 #include "faults/fault_injector.hpp"
 #include "faults/guarded_backend.hpp"
 #include "faults/lane_bank.hpp"
@@ -46,6 +47,20 @@ void expect_same_events(const EventCounter& a, const EventCounter& b) {
   EXPECT_EQ(a.ddot_ops, b.ddot_ops);
   EXPECT_EQ(a.macs, b.macs);
   EXPECT_EQ(a.cycles, b.cycles);
+}
+
+/// `got` holds the codes, scale and stamps of `want` (it may carry
+/// padded column capacity).
+void expect_same_operand_codes(const PreparedOperand& got, const PreparedOperand& want) {
+  EXPECT_EQ(got.rows, want.rows);
+  EXPECT_EQ(got.cols, want.cols);
+  EXPECT_EQ(got.scale, want.scale);
+  EXPECT_EQ(got.epoch, want.epoch);
+  EXPECT_EQ(got.channels, want.channels);
+  ASSERT_EQ(got.codes.rows(), want.codes.rows());
+  for (std::size_t j = 0; j < want.codes.rows(); ++j) {
+    for (std::size_t p = 0; p < want.rows; ++p) ASSERT_EQ(got.codes(j, p), want.codes(j, p));
+  }
 }
 
 std::shared_ptr<PreparedOperand> dummy_operand(std::size_t elems, std::uint64_t epoch = 0) {
@@ -323,8 +338,7 @@ TEST(OperandCache, ObtainReaccountsGrownEntries) {
 // 0, extended by appends) taken through every branch, with the resident
 // bytes reconciled after each step.
 TEST(OperandCache, ObtainLifecycleForWeightsAndKv) {
-  const RowEncoder copy_encoder = [](std::span<const double> norm, std::size_t, std::size_t,
-                                     std::span<double> encoded, std::span<double>) {
+  const RowEncoder copy_encoder = [](std::span<const double> norm, std::span<double> encoded) {
     std::copy(norm.begin(), norm.end(), encoded.begin());
   };
   ThreadPool pool(1);
@@ -424,6 +438,143 @@ TEST(OperandCache, ObtainLifecycleForWeightsAndKv) {
   EXPECT_EQ(st.misses, before.misses);
   EXPECT_EQ(st.entries, before.entries);
   EXPECT_EQ(st.resident_bytes, before.resident_bytes);
+}
+
+void expect_same_stats(const nn::OperandCacheStats& a, const nn::OperandCacheStats& b) {
+  EXPECT_EQ(a.hits, b.hits);
+  EXPECT_EQ(a.misses, b.misses);
+  EXPECT_EQ(a.appends, b.appends);
+  EXPECT_EQ(a.rebuilds, b.rebuilds);
+  EXPECT_EQ(a.evictions, b.evictions);
+  EXPECT_EQ(a.invalidations, b.invalidations);
+  EXPECT_EQ(a.oversized_rejects, b.oversized_rejects);
+  EXPECT_EQ(a.resident_bytes, b.resident_bytes);
+  EXPECT_EQ(a.entries, b.entries);
+}
+
+// The re-stamp handoff of code operands: two caches run one script in
+// lockstep, one without a re-stamp step (every epoch-stale entry is
+// rebuilt) and one with it.  After every step both report the same
+// counters and the same contains() answers, and the handoff cache hands
+// exactly the entries that only an epoch move made stale to its
+// re-stamp — never one whose version changed — and serves them only
+// under the new stamp.  Script: build, hit, epoch-stale weight
+// (re-stamped), accepted KV append, epoch-stale KV that grew (re-stamped
+// and appended), refused grow (louder row: rebuilt), epoch-stale KV that
+// outgrew its scale (re-stamp refuses: built), version bump (no
+// handoff), LRU eviction, oversized reject.
+TEST(OperandCache, RestampHandsOnEpochStaleEntriesUnderTheSameCounters) {
+  ThreadPool pool(1);
+  Matrix stage;
+  const converters::Quantizer quant(8);
+  OperandSpec spec{.epoch = 1, .channels = {0, 1, 2}, .codes = &quant};
+  Rng rng(21);
+  const Matrix weight = Matrix::random_gaussian(6, 4, rng);
+  Matrix history(9, 5);
+  for (std::size_t c = 0; c < 5; ++c) history(0, c) = c % 2 == 0 ? 1.0 : -1.0;
+  for (std::size_t r = 1; r < 9; ++r) {
+    for (std::size_t c = 0; c < 5; ++c) history(r, c) = 0.1 * rng.gaussian();
+  }
+  const auto rows = [&](std::size_t n) {
+    Matrix m(n, history.cols());
+    std::copy_n(history.data().begin(), m.size(), m.data().begin());
+    return m;
+  };
+  const std::size_t unit =
+      prepare_operand(weight, GrowAxis::kRows, spec, {}, pool, stage).bytes();
+  nn::OperandCacheConfig cfg;
+  cfg.capacity_bytes = 4 * unit;
+  nn::OperandCache plain(cfg);
+  nn::OperandCache handoff(cfg);
+  std::size_t builds = 0;
+  std::size_t handoffs = 0;
+  const auto step = [&](std::uint64_t id, std::uint64_t version, const Matrix& src,
+                        GrowAxis axis) {
+    const auto grow = [&](PreparedOperand& op) {
+      return append_operand(op, src, axis, spec, {}, pool, stage);
+    };
+    const auto build = [&] {
+      ++builds;
+      return prepare_operand(src, axis, spec, {}, pool, stage);
+    };
+    (void)plain.obtain(id, version, spec.epoch, grow, build);
+    const std::shared_ptr<PreparedOperand> got = handoff.obtain(
+        id, version, spec.epoch, grow, build, [&](PreparedOperand& op) {
+          // The entry handed on still carries its old stamp; it is resident
+          // under neither stamp.
+          ++handoffs;
+          EXPECT_NE(op.epoch, spec.epoch);
+          EXPECT_FALSE(handoff.contains(id, version, op.epoch));
+          EXPECT_FALSE(handoff.contains(id, version, spec.epoch));
+          op.epoch = spec.epoch;
+          op.channels = spec.channels;
+          return grow(op);
+        });
+    expect_same_stats(handoff.stats(), plain.stats());
+    // Whatever obtain returns carries the caller's stamp, and both caches
+    // answer every probe alike.
+    EXPECT_EQ(got->epoch, spec.epoch);
+    expect_same_operand_codes(*got, prepare_operand(src, axis, spec, {}, pool, stage));
+    for (const std::uint64_t probe : {1u, 2u, 3u, 4u}) {
+      for (const std::uint64_t epoch : {1u, 2u, 3u, 4u}) {
+        for (const std::uint64_t v : {0u, 1u, 2u}) {
+          EXPECT_EQ(handoff.contains(probe, v, epoch), plain.contains(probe, v, epoch))
+              << probe << " " << v << " " << epoch;
+        }
+      }
+    }
+    return got;
+  };
+  const auto w = step(1, 1, weight, GrowAxis::kRows);  // build
+  EXPECT_EQ(builds, 2u);
+  EXPECT_EQ(step(1, 1, weight, GrowAxis::kRows), w);  // hit
+  EXPECT_EQ(handoff.stats().hits, 1u);
+
+  spec.epoch = 2;  // a fault: the weight only went epoch-stale
+  EXPECT_EQ(step(1, 1, weight, GrowAxis::kRows), w);
+  EXPECT_EQ(handoffs, 1u);
+  EXPECT_EQ(builds, 3u);  // the plain cache's rebuild only
+  EXPECT_EQ(handoff.stats().invalidations, 1u);
+  EXPECT_FALSE(handoff.contains(1, 1, 1));
+  EXPECT_TRUE(handoff.contains(1, 1, 2));
+
+  const auto kv = step(2, 0, rows(3), GrowAxis::kCols);  // build
+  EXPECT_EQ(step(2, 0, rows(5), GrowAxis::kCols), kv);  // accepted append
+  EXPECT_EQ(handoff.stats().appends, 1u);
+
+  spec.epoch = 3;  // a re-trim, and the history grew meanwhile
+  spec.channels = {0, 2};
+  EXPECT_EQ(step(2, 0, rows(6), GrowAxis::kCols), kv);
+  EXPECT_EQ(handoffs, 2u);
+  EXPECT_EQ(kv->cols, 6u);
+  EXPECT_EQ(kv->channels, spec.channels);
+  EXPECT_EQ(handoff.stats().appends, 1u);  // a handoff's growth is no append
+
+  Matrix louder = rows(7);
+  louder(6, 0) = 4.0;  // outgrows the recorded scale
+  const std::size_t before = builds;
+  EXPECT_NE(step(2, 0, louder, GrowAxis::kCols), kv);  // refused grow: rebuilt
+  EXPECT_EQ(builds, before + 2);
+  EXPECT_EQ(handoff.stats().rebuilds, 1u);
+
+  spec.epoch = 4;
+  Matrix loudest = rows(8);
+  loudest(6, 0) = 4.0;
+  loudest(7, 1) = 8.0;
+  (void)step(2, 0, loudest, GrowAxis::kCols);  // handed on, re-stamp refuses: built
+  EXPECT_EQ(handoffs, 3u);
+  EXPECT_EQ(builds, before + 4);
+
+  (void)step(1, 2, weight, GrowAxis::kRows);  // version bump: no handoff
+  EXPECT_EQ(handoffs, 3u);
+
+  // Two more weights fill the capacity; the least recently used goes.
+  (void)step(3, 1, weight, GrowAxis::kRows);
+  (void)step(4, 1, Matrix::random_gaussian(6, 8, rng), GrowAxis::kRows);
+  EXPECT_GT(handoff.stats().evictions, 0u);
+  // An operand larger than the whole capacity is rejected up front.
+  (void)step(3, 1, Matrix::random_gaussian(6, 400, rng), GrowAxis::kRows);
+  EXPECT_EQ(handoff.stats().oversized_rejects, 1u);
 }
 
 TEST(PhotonicBackendCache, WarmForwardBitIdenticalAndAccounted) {
