@@ -45,6 +45,6 @@ int main() {
       "\nLT-B's 8 wavelengths with high-Q rings (HWHM ~0.02 of the channel\n"
       "spacing) keep crosstalk beyond the 8-bit floor with margin; pushing to\n"
       "32-64 channels demands proportionally sharper rings, whose higher Q in\n"
-      "turn tightens the thermal-tuning tolerance modeled in thermal_tuner.\n");
+      "turn tightens the thermal-tuning tolerance each ring's heater must hold.\n");
   return 0;
 }

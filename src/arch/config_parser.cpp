@@ -110,22 +110,4 @@ AcceleratorConfig parse_accelerator_config(const std::string& text) {
   return cfg;
 }
 
-std::string to_config_text(const AcceleratorConfig& cfg) {
-  std::ostringstream os;
-  os << "[organization]\n"
-     << "clusters = " << cfg.organization.clusters << "\n"
-     << "cores_per_cluster = " << cfg.organization.cores_per_cluster << "\n"
-     << "array_rows = " << cfg.organization.array_rows << "\n"
-     << "array_cols = " << cfg.organization.array_cols << "\n"
-     << "wavelengths = " << cfg.organization.wavelengths << "\n"
-     << "ddots_per_adc = " << cfg.organization.ddots_per_adc << "\n"
-     << "clock_ghz = " << cfg.organization.clock.gigahertz() << "\n"
-     << "[memory]\n"
-     << "hbm_gb_s = " << cfg.memory.hbm_bandwidth_gb_s << "\n"
-     << "sram_gb_s = " << cfg.memory.sram_bandwidth_gb_s << "\n"
-     << "[system]\n"
-     << "bits = " << cfg.bits << "\n";
-  return os.str();
-}
-
 }  // namespace pdac::arch

@@ -33,7 +33,4 @@ namespace pdac::arch {
 /// out-of-range values.
 AcceleratorConfig parse_accelerator_config(const std::string& text);
 
-/// Render a config back to the same textual form (round-trippable).
-std::string to_config_text(const AcceleratorConfig& cfg);
-
 }  // namespace pdac::arch

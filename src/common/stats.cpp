@@ -68,23 +68,4 @@ VectorError compare(std::span<const double> measured, std::span<const double> re
   return e;
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins) : lo_(lo), hi_(hi), counts_(bins, 0) {
-  PDAC_REQUIRE(hi > lo, "Histogram: hi must exceed lo");
-  PDAC_REQUIRE(bins >= 1, "Histogram: at least one bin");
-}
-
-void Histogram::add(double x) {
-  const double span = hi_ - lo_;
-  auto idx = static_cast<long>(std::floor((x - lo_) / span * static_cast<double>(counts_.size())));
-  idx = std::clamp<long>(idx, 0, static_cast<long>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::bin_center(std::size_t bin) const {
-  PDAC_REQUIRE(bin < counts_.size(), "Histogram: bin out of range");
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + (static_cast<double>(bin) + 0.5) * width;
-}
-
 }  // namespace pdac::stats

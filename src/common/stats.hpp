@@ -6,7 +6,6 @@
 
 #include <cstddef>
 #include <span>
-#include <vector>
 
 namespace pdac::stats {
 
@@ -45,24 +44,5 @@ struct VectorError {
 /// Compute all metrics in one pass.  Spans must be the same length.
 VectorError compare(std::span<const double> measured, std::span<const double> reference,
                     double rel_floor = 1e-9);
-
-/// Fixed-width histogram over [lo, hi); out-of-range samples clamp to the
-/// edge bins so totals always match the sample count.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  [[nodiscard]] std::size_t bin_count() const { return counts_.size(); }
-  [[nodiscard]] std::size_t count(std::size_t bin) const { return counts_.at(bin); }
-  [[nodiscard]] std::size_t total() const { return total_; }
-  [[nodiscard]] double bin_center(std::size_t bin) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_{0};
-};
 
 }  // namespace pdac::stats

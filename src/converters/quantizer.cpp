@@ -32,20 +32,4 @@ double max_abs_scale(std::span<const double> values) {
   return m > 0.0 ? m : 1.0;
 }
 
-std::vector<std::int32_t> quantize_vector(std::span<const double> values, const Quantizer& q,
-                                          double* scale_out) {
-  const double scale = max_abs_scale(values);
-  if (scale_out != nullptr) *scale_out = scale;
-  std::vector<std::int32_t> codes(values.size());
-  q.encode(values, codes, scale);
-  return codes;
-}
-
-std::vector<double> dequantize_vector(std::span<const std::int32_t> codes, const Quantizer& q,
-                                      double scale) {
-  std::vector<double> out(codes.size());
-  for (std::size_t i = 0; i < codes.size(); ++i) out[i] = q.decode(codes[i]) * scale;
-  return out;
-}
-
 }  // namespace pdac::converters

@@ -11,7 +11,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 namespace pdac::converters {
 
@@ -65,14 +64,5 @@ class Quantizer {
 /// Max-abs scale for mapping an arbitrary real tensor into [−1, 1].
 /// Returns 1.0 for an all-zero input so dequantization stays a no-op.
 double max_abs_scale(std::span<const double> values);
-
-/// Quantize a whole vector with a shared max-abs scale; returns codes and
-/// writes the scale used through `scale_out`.
-std::vector<std::int32_t> quantize_vector(std::span<const double> values, const Quantizer& q,
-                                          double* scale_out);
-
-/// Reconstruct real values from codes and scale.
-std::vector<double> dequantize_vector(std::span<const std::int32_t> codes, const Quantizer& q,
-                                      double scale);
 
 }  // namespace pdac::converters

@@ -9,21 +9,6 @@ namespace pdac::core {
 
 double arccos_taylor1(double r) { return math::kPi / 2.0 - r; }
 
-double arccos_taylor(double r, int terms) {
-  PDAC_REQUIRE(terms >= 1, "arccos_taylor: at least one term");
-  // arccos(r) = π/2 − Σ_{n≥0} (2n)! / (4^n (n!)² (2n+1)) · r^{2n+1}
-  double sum = 0.0;
-  double coeff = 1.0;  // (2n)!/(4^n (n!)^2) for n = 0
-  double r_pow = r;    // r^{2n+1}
-  for (int n = 0; n < terms; ++n) {
-    sum += coeff * r_pow / static_cast<double>(2 * n + 1);
-    // Update the central-binomial ratio: c_{n+1} = c_n · (2n+1)/(2n+2).
-    coeff *= static_cast<double>(2 * n + 1) / static_cast<double>(2 * n + 2);
-    r_pow *= r * r;
-  }
-  return math::kPi / 2.0 - sum;
-}
-
 PiecewiseLinearArccos::PiecewiseLinearArccos(double k) : k_(k) {
   PDAC_REQUIRE(k > 0.0 && k < 1.0, "PiecewiseLinearArccos: breakpoint in (0, 1)");
   const double half_pi = math::kPi / 2.0;

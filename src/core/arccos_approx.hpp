@@ -26,11 +26,6 @@ namespace pdac::core {
 /// First-order Taylor approximation of arccos (paper Eq. 15).
 double arccos_taylor1(double r);
 
-/// Truncated Taylor series π/2 − Σ_{n} C(2n,n)/(4^n (2n+1)) r^{2n+1},
-/// up to `terms` odd powers (terms=1 reproduces arccos_taylor1).  Used by
-/// the segment-count ablation.
-double arccos_taylor(double r, int terms);
-
 /// Identifier of the active linear segment for a given r.
 enum class Segment { kNegativeOuter, kMiddle, kPositiveOuter };
 

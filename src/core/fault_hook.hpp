@@ -33,12 +33,6 @@ struct PdacFaultHook {
   std::optional<double> stuck_output{};
   /// Laser power droop reaching this lane: scales the carrier amplitude.
   double carrier_scale{1.0};
-
-  /// True when the overlay changes nothing (healthy lane).
-  [[nodiscard]] bool is_identity() const {
-    return dead_pd_bits == 0u && pd_responsivity_scale == 1.0 &&
-           !stuck_output.has_value() && carrier_scale == 1.0;
-  }
 };
 
 }  // namespace pdac::core

@@ -83,7 +83,6 @@ class PerturbedPdacModel {
   /// identity; encode_code() consults it on every evaluation, so the
   /// fault injector can impose/clear faults without forking the model.
   void set_fault_hook(const PdacFaultHook& hook) { fault_hook_ = hook; }
-  void clear_fault_hook() { fault_hook_ = PdacFaultHook{}; }
   [[nodiscard]] const PdacFaultHook& fault_hook() const { return fault_hook_; }
 
   [[nodiscard]] int bits() const { return bits_; }

@@ -8,10 +8,6 @@
 
 namespace pdac::faults {
 
-bool is_hard_fault(FaultKind kind) {
-  return kind == FaultKind::kStuckMrr || kind == FaultKind::kDeadPd;
-}
-
 FaultSchedule generate_fault_schedule(const FaultScheduleConfig& cfg) {
   PDAC_REQUIRE(cfg.lanes >= 1, "generate_fault_schedule: at least one lane");
   PDAC_REQUIRE(cfg.horizon_steps >= 1, "generate_fault_schedule: empty horizon");

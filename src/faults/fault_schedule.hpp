@@ -27,9 +27,6 @@ enum class FaultKind : int {
   kBiasStep,     ///< a one-off bank bias jump (drift-class)
 };
 
-/// True for faults no amount of re-trimming can calibrate out.
-[[nodiscard]] bool is_hard_fault(FaultKind kind);
-
 struct FaultEvent {
   std::uint64_t step{};   ///< injection time on the schedule clock
   FaultKind kind{FaultKind::kStuckMrr};

@@ -235,8 +235,6 @@ class GuardedBackend final : public nn::GemmBackend {
   [[nodiscard]] const GuardedBackendConfig& config() const { return cfg_; }
   [[nodiscard]] const DriftTracker& drift() const { return tracker_; }
   [[nodiscard]] DriftTracker& drift() { return tracker_; }
-  /// Guarded products run (the governor's product clock).
-  [[nodiscard]] std::size_t products_run() const { return products_run_; }
 
  private:
   /// Per-product governor bookkeeping at matmul entry: advance the

@@ -2,14 +2,11 @@
 
 #include <algorithm>
 
-#include "common/math_utils.hpp"
-
 namespace pdac::faults {
 
 void LaneEncodeTable::rebuild(const LaneBank& bank) {
-  quant_ = bank.quantizer();
   wavelengths_ = bank.wavelengths();
-  max_code_ = quant_.max_code();
+  max_code_ = bank.quantizer().max_code();
   codes_ = static_cast<std::size_t>(max_code_) * 2 + 1;
   table_.resize(bank.lanes() * codes_);
   for (std::size_t l = 0; l < bank.lanes(); ++l) {
@@ -21,10 +18,6 @@ void LaneEncodeTable::rebuild(const LaneBank& bank) {
   }
   epoch_ = bank.epoch();
   built_ = true;
-}
-
-double LaneEncodeTable::encode(std::size_t rail, std::size_t channel, double r) const {
-  return at(rail * wavelengths_ + channel, quant_.encode(math::clamp_unit(r)));
 }
 
 LaneEncoder::LaneEncoder(const LaneBank& bank, const std::vector<std::size_t>& channels,

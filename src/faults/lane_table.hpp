@@ -28,7 +28,6 @@
 #include <span>
 #include <vector>
 
-#include "converters/quantizer.hpp"
 #include "faults/lane_bank.hpp"
 
 namespace pdac::faults {
@@ -60,13 +59,8 @@ class LaneEncodeTable {
   /// Amplitude of quantizer code `code` through flat lane `flat`.
   [[nodiscard]] double at(std::size_t flat, std::int32_t code) const { return row(flat)[code]; }
 
-  /// LUT-backed equivalent of LaneBank::encode(rail, channel, r) —
-  /// bit-identical to the model evaluation it caches.
-  [[nodiscard]] double encode(std::size_t rail, std::size_t channel, double r) const;
-
  private:
   std::vector<double> table_;  ///< lane-major: flat_lane · codes + (code + max_code)
-  converters::Quantizer quant_{8};
   std::size_t wavelengths_{0};
   std::size_t codes_{0};
   std::int32_t max_code_{0};

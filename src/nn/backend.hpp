@@ -173,18 +173,6 @@ std::unique_ptr<GemmBackend> make_photonic_ideal_dac_backend(int bits,
                                                              ptc::GemmConfig cfg = {},
                                                              OperandCacheConfig cache_cfg = {});
 
-/// GemmConfig pinned to the fused kernel's SIMD fast tier
-/// (ptc/kernel.hpp run_tile_fast): explicit 4/8-wide blocked reductions
-/// via common/simd.hpp.  Event counts stay field-for-field identical to
-/// the scalar kernel; outputs are tolerance-banded (reassociated
-/// arithmetic) rather than bit-exact, inside the ABFT guard band.  Use
-/// for throughput-bound sweeps; keep the default kKernel path when
-/// bit-exactness against the device graph matters.
-[[nodiscard]] inline ptc::GemmConfig simd_gemm_config(ptc::GemmConfig cfg = {}) {
-  cfg.path = ptc::ExecutionPath::kKernelSimd;
-  return cfg;
-}
-
 /// `cfg` with `path` set to ptc::fastest_path(), whatever the driver.
 /// Kept only for perfbench/src/decode.cpp, which passes a driver; new
 /// callers use ptc::fastest_path.

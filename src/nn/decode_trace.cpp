@@ -19,22 +19,6 @@ WorkloadTrace trace_decode_step_quantized_kv(const TransformerConfig& cfg,
   return t;
 }
 
-WorkloadTrace trace_generation(const TransformerConfig& cfg, std::size_t prompt_len,
-                               std::size_t generated_tokens) {
-  PDAC_REQUIRE(prompt_len >= 1, "trace_generation: prompt must be non-empty");
-  TransformerConfig prefill_cfg = cfg;
-  prefill_cfg.seq_len = prompt_len;
-  WorkloadTrace t = trace_forward(prefill_cfg);
-  t.config = cfg;
-  for (std::size_t i = 0; i < generated_tokens; ++i) {
-    const WorkloadTrace step = trace_decode_step(cfg, prompt_len + i + 1);
-    t.gemms.insert(t.gemms.end(), step.gemms.begin(), step.gemms.end());
-    t.vector_ops.insert(t.vector_ops.end(), step.vector_ops.begin(),
-                        step.vector_ops.end());
-  }
-  return t;
-}
-
 std::uint64_t kv_cache_bytes(const TransformerConfig& cfg, std::size_t context_len,
                              int bits) {
   PDAC_REQUIRE(bits >= 1, "kv_cache_bytes: bits must be positive");

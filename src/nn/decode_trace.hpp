@@ -30,12 +30,6 @@ namespace pdac::nn {
 WorkloadTrace trace_decode_step(const TransformerConfig& cfg, std::size_t context_len,
                                 std::size_t batch = 1);
 
-/// Trace a full generation episode: a prefill pass over `prompt_len`
-/// tokens followed by `generated_tokens` decode steps with a growing
-/// cache.  The returned trace concatenates all ops.
-WorkloadTrace trace_generation(const TransformerConfig& cfg, std::size_t prompt_len,
-                               std::size_t generated_tokens);
-
 /// Decode step with the KV cache stored at `kv_bits` precision while
 /// operands compute at `operand_bits` (KV-cache quantization, the
 /// standard serving memory/bandwidth lever).  The energy model charges

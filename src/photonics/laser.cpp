@@ -1,7 +1,5 @@
 #include "photonics/laser.hpp"
 
-#include <cmath>
-
 #include "common/require.hpp"
 
 namespace pdac::photonics {
@@ -17,18 +15,11 @@ WdmField Laser::emit() const { return emit(cfg_.channels); }
 
 WdmField Laser::emit(std::size_t active) const {
   PDAC_REQUIRE(active <= cfg_.channels, "Laser: more active channels than configured");
-  const double amplitude = cfg_.carrier_amplitude * std::sqrt(droop_power_scale_);
   WdmField f(cfg_.channels);
   for (std::size_t ch = 0; ch < active; ++ch) {
-    f.set_amplitude(ch, Complex{amplitude, 0.0});
+    f.set_amplitude(ch, Complex{cfg_.carrier_amplitude, 0.0});
   }
   return f;
-}
-
-void Laser::apply_droop(double power_scale) {
-  PDAC_REQUIRE(power_scale > 0.0 && power_scale <= 1.0,
-               "Laser: droop power scale must be in (0, 1]");
-  droop_power_scale_ = power_scale;
 }
 
 units::Power Laser::electrical_power() const {

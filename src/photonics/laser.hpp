@@ -36,18 +36,10 @@ class Laser {
   /// Electrical power drawn for the currently configured comb.
   [[nodiscard]] units::Power electrical_power() const;
 
-  /// Fault hook: power droop (pump-diode aging, thermal runaway) — the
-  /// emitted optical power drops to `power_scale` of nominal while the
-  /// electrical draw stays where it was, i.e. wall-plug efficiency sags.
-  /// Field amplitudes scale as sqrt(power_scale).
-  void apply_droop(double power_scale);
-  [[nodiscard]] double droop() const { return droop_power_scale_; }
-
   [[nodiscard]] const LaserConfig& config() const { return cfg_; }
 
  private:
   LaserConfig cfg_;
-  double droop_power_scale_{1.0};
 };
 
 }  // namespace pdac::photonics

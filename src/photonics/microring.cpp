@@ -14,16 +14,7 @@ Microring::Microring(MicroringConfig cfg) : cfg_(cfg) {
 
 void Microring::tune_to(double channel) { cfg_.resonance_channel = channel; }
 
-void Microring::stick_at(std::optional<double> drop_fraction) {
-  if (drop_fraction.has_value()) {
-    PDAC_REQUIRE(*drop_fraction >= 0.0 && *drop_fraction <= 1.0,
-                 "Microring: stuck drop fraction must be in [0, 1]");
-  }
-  stuck_drop_ = drop_fraction;
-}
-
 double Microring::drop_fraction(double channel) const {
-  if (stuck_drop_.has_value()) return *stuck_drop_;
   const double detune = (channel - cfg_.resonance_channel) / cfg_.hwhm_channels;
   return 1.0 / (1.0 + detune * detune);
 }

@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstddef>
-#include <optional>
 
 #include "common/units.hpp"
 #include "photonics/optical_field.hpp"
@@ -41,12 +40,6 @@ class Microring {
   void tune_to(double channel);
   [[nodiscard]] double resonance() const { return cfg_.resonance_channel; }
 
-  /// Fault hook: pin the drop fraction at a fixed value on every channel
-  /// — a stuck modulator ring (failed heater or latched drive) no longer
-  /// responds to tuning.  nullopt restores healthy behaviour.
-  void stick_at(std::optional<double> drop_fraction);
-  [[nodiscard]] bool stuck() const { return stuck_drop_.has_value(); }
-
   /// Drop-port power fraction for a wavelength at grid position `channel`.
   [[nodiscard]] double drop_fraction(double channel) const;
 
@@ -65,7 +58,6 @@ class Microring {
 
  private:
   MicroringConfig cfg_;
-  std::optional<double> stuck_drop_{};
 };
 
 }  // namespace pdac::photonics

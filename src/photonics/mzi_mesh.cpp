@@ -101,8 +101,4 @@ units::Time MziSvdCore::mapping_latency(std::size_t modes) {
   return units::seconds(1.5e-3 * (n / 12.0) * (n / 12.0) * (n / 12.0));
 }
 
-units::Time MziSvdCore::settling_latency() {
-  return units::seconds(10e-6);  // thermal phase-shifter settling
-}
-
 }  // namespace pdac::photonics

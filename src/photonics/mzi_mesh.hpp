@@ -80,8 +80,6 @@ class MziSvdCore {
   /// Modeled time to compute the mapping (CPU SVD + phase decomposition)
   /// — calibrated to the paper's 1.5 ms for n = 12 with O(n³) scaling.
   [[nodiscard]] static units::Time mapping_latency(std::size_t modes);
-  /// Thermal phase-settling time after reprogramming (µs-scale).
-  [[nodiscard]] static units::Time settling_latency();
 
   [[nodiscard]] std::size_t modes() const { return modes_; }
 

@@ -16,12 +16,6 @@ double Photodetector::detect(const WdmField& field) const {
   return detect_intensity(field.total_intensity());
 }
 
-void Photodetector::derate(double responsivity_scale) {
-  PDAC_REQUIRE(responsivity_scale >= 0.0 && responsivity_scale <= 1.0,
-               "Photodetector: responsivity derating must be in [0, 1]");
-  responsivity_scale_ = responsivity_scale;
-}
-
 double Photodetector::detect_noisy(const WdmField& field, Rng& rng) const {
   double i = detect(field);
   if (cfg_.noise.enabled) {
@@ -44,12 +38,6 @@ double Tia::amplify(double current) const {
   const double v = rf_ * current;
   if (v_sat_ <= 0.0) return v;
   return std::clamp(v, -v_sat_, v_sat_);
-}
-
-void Tia::impose_gain_step(double factor) {
-  PDAC_REQUIRE(std::isfinite(factor) && factor > 0.0,
-               "Tia: gain step factor must be finite and positive");
-  rf_ *= factor;
 }
 
 }  // namespace pdac::photonics

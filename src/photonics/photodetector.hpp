@@ -37,11 +37,9 @@ class Photodetector {
   [[nodiscard]] double detect(const WdmField& field) const;
 
   /// Closed-form transfer accessors for fused execution (ptc/kernel.hpp):
-  /// detection is gain·I + dark with gain = responsivity_scale·responsivity.
+  /// detection is gain·I + dark with gain = responsivity.
   /// detect_intensity(field.total_intensity()) == detect(field) bit-for-bit.
-  [[nodiscard]] double effective_responsivity() const {
-    return responsivity_scale_ * cfg_.responsivity;
-  }
+  [[nodiscard]] double effective_responsivity() const { return cfg_.responsivity; }
   [[nodiscard]] double detect_intensity(double total_intensity) const {
     return effective_responsivity() * total_intensity + cfg_.dark_current;
   }
@@ -49,18 +47,10 @@ class Photodetector {
   /// Detection with the configured noise processes, drawn from `rng`.
   [[nodiscard]] double detect_noisy(const WdmField& field, Rng& rng) const;
 
-  /// Fault hook: derate the effective responsivity (radiation damage,
-  /// delamination).  scale = 1 is healthy, 0 is a dead detector that
-  /// reports only its dark current.
-  void derate(double responsivity_scale);
-  [[nodiscard]] double responsivity_scale() const { return responsivity_scale_; }
-  [[nodiscard]] bool dead() const { return responsivity_scale_ == 0.0; }
-
   [[nodiscard]] const PhotodetectorConfig& config() const { return cfg_; }
 
  private:
   PhotodetectorConfig cfg_;
-  double responsivity_scale_{1.0};
 };
 
 /// Transimpedance amplifier: V_out = R_f · I_in (paper Eq. 1), with an
@@ -71,10 +61,6 @@ class Tia {
 
   [[nodiscard]] double amplify(double current) const;
   [[nodiscard]] double feedback() const { return rf_; }
-
-  /// Fault hook: a step change of the feedback gain (resistor drift or a
-  /// latched trim bit).  Multiplicative so repeated steps compose.
-  void impose_gain_step(double factor);
 
  private:
   double rf_;

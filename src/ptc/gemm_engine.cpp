@@ -304,10 +304,8 @@ bool append_operand(PreparedOperand& pb, const Matrix& src, GrowAxis axis,
   return true;
 }
 
-OperandSpec PhotonicGemm::operand_spec(std::uint64_t epoch) const {
-  return OperandSpec{.epoch = epoch,
-                     .channels = {},
-                     .checksum_stripe = cfg_.guard.enabled ? cfg_.array_cols : 0};
+OperandSpec PhotonicGemm::operand_spec() const {
+  return OperandSpec{.channels = {}, .checksum_stripe = cfg_.guard.enabled ? cfg_.array_cols : 0};
 }
 
 RowEncoder PhotonicGemm::lut_encoder() const {
@@ -333,22 +331,19 @@ void PhotonicGemm::sum_energy(const PreparedOperand& b, std::size_t j0,
   });
 }
 
-PreparedOperand PhotonicGemm::prepare(const Matrix& src, GrowAxis axis,
-                                      std::uint64_t epoch) const {
+PreparedOperand PhotonicGemm::prepare(const Matrix& src, GrowAxis axis) const {
   PreparedOperand pb =
-      prepare_operand(src, axis, operand_spec(epoch), lut_encoder(), *pool_, norm_scratch_);
+      prepare_operand(src, axis, operand_spec(), lut_encoder(), *pool_, norm_scratch_);
   if (reads_energy()) stage_energy(pb, 0);
   return pb;
 }
 
-bool PhotonicGemm::append(PreparedOperand& pb, const Matrix& src, GrowAxis axis,
-                          std::uint64_t epoch) const {
+bool PhotonicGemm::append(PreparedOperand& pb, const Matrix& src, GrowAxis axis) const {
   // Only sums at the current length can be extended.
   const bool extend = pb.has_energy();
   const std::size_t old_rows = pb.rows;
   const std::size_t old_cols = pb.cols;
-  if (!append_operand(pb, src, axis, operand_spec(epoch), lut_encoder(), *pool_,
-                      norm_scratch_)) {
+  if (!append_operand(pb, src, axis, operand_spec(), lut_encoder(), *pool_, norm_scratch_)) {
     return false;
   }
   if (!reads_energy() || (pb.rows == old_rows && pb.cols == old_cols)) return true;
@@ -383,22 +378,20 @@ void PhotonicGemm::resume_energy(PreparedOperand& pb, std::size_t old_rows, bool
   pb.energy_rows = pb.rows;
 }
 
-PreparedOperand PhotonicGemm::prepare_b(const Matrix& b, std::uint64_t epoch) const {
-  return prepare(b, GrowAxis::kRows, epoch);
+PreparedOperand PhotonicGemm::prepare_b(const Matrix& b) const {
+  return prepare(b, GrowAxis::kRows);
 }
 
-PreparedOperand PhotonicGemm::prepare_bt(const Matrix& bt, std::uint64_t epoch) const {
-  return prepare(bt, GrowAxis::kCols, epoch);
+PreparedOperand PhotonicGemm::prepare_bt(const Matrix& bt) const {
+  return prepare(bt, GrowAxis::kCols);
 }
 
-bool PhotonicGemm::append_bt_rows(PreparedOperand& pb, const Matrix& bt,
-                                  std::uint64_t epoch) const {
-  return append(pb, bt, GrowAxis::kCols, epoch);
+bool PhotonicGemm::append_bt_rows(PreparedOperand& pb, const Matrix& bt) const {
+  return append(pb, bt, GrowAxis::kCols);
 }
 
-bool PhotonicGemm::append_b_rows(PreparedOperand& pb, const Matrix& b,
-                                 std::uint64_t epoch) const {
-  return append(pb, b, GrowAxis::kRows, epoch);
+bool PhotonicGemm::append_b_rows(PreparedOperand& pb, const Matrix& b) const {
+  return append(pb, b, GrowAxis::kRows);
 }
 
 GemmResult PhotonicGemm::multiply_prepared(const Matrix& a, const PreparedOperand& b) const {

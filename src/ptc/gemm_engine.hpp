@@ -311,32 +311,29 @@ class PhotonicGemm {
   [[nodiscard]] GemmResult multiply(const Matrix& a, const Matrix& b) const;
 
   /// Run the B-side pipeline once: scale, transpose, normalize, encode.
-  /// `epoch` stamps the encoder state (driver/trim/lane epoch) the
-  /// operand was built under; the engine itself is immutable after
-  /// construction, so 0 is fine when the caller tracks no epochs.
-  [[nodiscard]] PreparedOperand prepare_b(const Matrix& b, std::uint64_t epoch = 0) const;
+  /// The engine is immutable after construction, so its operands carry
+  /// epoch 0.
+  [[nodiscard]] PreparedOperand prepare_b(const Matrix& b) const;
 
   /// prepare_b from an already-transposed source: `bt` is Bᵀ (n × k).
   /// Bit-identical to prepare_b(bt.transposed()) — the scale folds the
   /// same element multiset and every element goes through the same
   /// normalize + LUT ops — without materializing the transpose.  The KV
   /// scores operand (B = Kᵀ) hands its K cache straight in.
-  [[nodiscard]] PreparedOperand prepare_bt(const Matrix& bt, std::uint64_t epoch = 0) const;
+  [[nodiscard]] PreparedOperand prepare_bt(const Matrix& bt) const;
 
   /// Append-only extension of a prepared operand along the OUTPUT axis
   /// (new B columns = new rows of Bᵀ): append_operand with this engine's
-  /// spec, so the result is bit-identical to prepare_bt(bt, epoch), or
+  /// spec, so the result is bit-identical to prepare_bt(bt), or
   /// false (operand untouched) and the caller rebuilds.  Operands carrying
   /// faults-layer state (channel packing, codes) never match this engine's
   /// spec.
-  [[nodiscard]] bool append_bt_rows(PreparedOperand& pb, const Matrix& bt,
-                                    std::uint64_t epoch = 0) const;
+  [[nodiscard]] bool append_bt_rows(PreparedOperand& pb, const Matrix& bt) const;
 
   /// Append-only extension along the REDUCTION axis (new B rows = new
   /// rows of `b`, the KV context operand growing one V row per token),
   /// into padded column capacity.  Same contract as append_bt_rows.
-  [[nodiscard]] bool append_b_rows(PreparedOperand& pb, const Matrix& b,
-                                   std::uint64_t epoch = 0) const;
+  [[nodiscard]] bool append_b_rows(PreparedOperand& pb, const Matrix& b) const;
 
   /// C = A·prepared-B, skipping every B-side pass.  Bit-identical to
   /// multiply(a, b) for the same B — numerics and event counts alike:
@@ -360,16 +357,14 @@ class PhotonicGemm {
 
  private:
   /// The operand spec this engine prepares and appends under: amplitudes,
-  /// no packing, stripes when guarded.
-  [[nodiscard]] OperandSpec operand_spec(std::uint64_t epoch) const;
+  /// epoch 0, no packing, stripes when guarded.
+  [[nodiscard]] OperandSpec operand_spec() const;
   /// Encodes Bᵀ rows through the engine's memoized driver LUT.
   [[nodiscard]] RowEncoder lut_encoder() const;
   /// prepare_operand / append_operand under this engine's spec, plus the
   /// column energies when the tier reads them.
-  [[nodiscard]] PreparedOperand prepare(const Matrix& src, GrowAxis axis,
-                                        std::uint64_t epoch) const;
-  [[nodiscard]] bool append(PreparedOperand& pb, const Matrix& src, GrowAxis axis,
-                            std::uint64_t epoch) const;
+  [[nodiscard]] PreparedOperand prepare(const Matrix& src, GrowAxis axis) const;
+  [[nodiscard]] bool append(PreparedOperand& pb, const Matrix& src, GrowAxis axis) const;
   /// True when the tier reads quadratic-form energies (a fast tier under
   /// full optics) — the only engines that stage them.
   [[nodiscard]] bool reads_energy() const;

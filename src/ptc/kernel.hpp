@@ -9,7 +9,7 @@
 // per-element machinery with a cheap closed form; the same move applies
 // here.  At construction the kernel snapshots the lanes' effective
 // real-valued transfer — phase-shifter factor, coupler split (t, j·κ),
-// PD responsivity×scale and dark current — into one coefficient row
+// PD responsivity and dark current — into one coefficient row
 // every wavelength shares, then executes encode → couple → detect →
 // differential readout for whole tiles as one pass over contiguous
 // double arrays, every dot through one reduction (reduce_block).

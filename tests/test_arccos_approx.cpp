@@ -26,34 +26,6 @@ TEST(ArccosTaylor1, WorstErrorIsPaper15Point9Percent) {
   EXPECT_NEAR(err_neg, 0.159, 0.002);
 }
 
-TEST(ArccosTaylor, FirstTermEqualsTaylor1) {
-  for (double r : {-0.9, -0.3, 0.0, 0.4, 0.8}) {
-    EXPECT_DOUBLE_EQ(arccos_taylor(r, 1), arccos_taylor1(r));
-  }
-}
-
-TEST(ArccosTaylor, SecondTermMatchesEq14) {
-  // Eq. 14: arccos(r) ≈ π/2 − (r + r³/6).
-  const double r = 0.5;
-  EXPECT_NEAR(arccos_taylor(r, 2), math::kPi / 2.0 - (r + r * r * r / 6.0), 1e-15);
-}
-
-TEST(ArccosTaylor, ConvergesToExactInsideUnitDisk) {
-  for (double r : {-0.6, -0.2, 0.3, 0.7}) {
-    EXPECT_NEAR(arccos_taylor(r, 40), std::acos(r), 1e-9) << "r=" << r;
-  }
-}
-
-TEST(ArccosTaylor, MoreTermsNeverWorseMidRange) {
-  const double r = 0.6;
-  double prev = std::abs(arccos_taylor(r, 1) - std::acos(r));
-  for (int terms = 2; terms <= 10; ++terms) {
-    const double err = std::abs(arccos_taylor(r, terms) - std::acos(r));
-    EXPECT_LE(err, prev + 1e-15) << "terms=" << terms;
-    prev = err;
-  }
-}
-
 TEST(PiecewiseLinear, PaperCoefficients) {
   // Eq. 18: f(r) = −3.0651 r + 0.07648 on the negative outer segment and
   // f(r) = −3.0651 (r − 1) on the positive outer segment.

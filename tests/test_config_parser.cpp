@@ -46,19 +46,6 @@ bits = 6
   EXPECT_EQ(cfg.bits, 6);
 }
 
-TEST(ConfigParser, RoundTripsThroughText) {
-  AcceleratorConfig cfg;
-  cfg.organization.clusters = 3;
-  cfg.organization.wavelengths = 16;
-  cfg.bits = 4;
-  cfg.memory.hbm_bandwidth_gb_s = 333.5;
-  const auto back = parse_accelerator_config(to_config_text(cfg));
-  EXPECT_EQ(back.organization.clusters, 3u);
-  EXPECT_EQ(back.organization.wavelengths, 16u);
-  EXPECT_EQ(back.bits, 4);
-  EXPECT_DOUBLE_EQ(back.memory.hbm_bandwidth_gb_s, 333.5);
-}
-
 TEST(ConfigParser, ParsedConfigDrivesAccelerator) {
   const auto cfg = parse_accelerator_config("[system]\nbits = 4\n");
   const Accelerator acc(cfg);

@@ -67,30 +67,6 @@ TEST(KvCache, FootprintFormula) {
   EXPECT_EQ(kv_cache_bytes(cfg, 1024, 4), 2ull * 12 * 1024 * 768 / 2);
 }
 
-TEST(Generation, ConcatenatesPrefillAndSteps) {
-  const auto cfg = tiny_transformer(8, 32, 2, 2);
-  const auto t = trace_generation(cfg, 8, 3);
-  const auto prefill = trace_forward([&] {
-    auto c = cfg;
-    c.seq_len = 8;
-    return c;
-  }());
-  EXPECT_EQ(t.gemms.size(), prefill.gemms.size() + 3 * cfg.layers * 8);
-}
-
-TEST(Generation, LaterStepsAttendOverLongerContext) {
-  const auto cfg = tiny_transformer(8, 32, 2, 1);
-  const auto t = trace_generation(cfg, 8, 2);
-  // The two decode QK^T ops attend over 9 then 10 rows.
-  std::vector<std::size_t> score_lens;
-  for (const auto& g : t.gemms) {
-    if (g.label.rfind("D0.QK^T", 0) == 0) score_lens.push_back(g.n);
-  }
-  ASSERT_EQ(score_lens.size(), 2u);
-  EXPECT_EQ(score_lens[0], 9u);
-  EXPECT_EQ(score_lens[1], 10u);
-}
-
 TEST(ArithmeticIntensity, DecodeFarBelowPrefill) {
   const auto cfg = bert_base(128);
   const double prefill_ai = arithmetic_intensity(trace_forward(cfg), 8);

@@ -1,7 +1,7 @@
 // Tests for the fused flat-array compute kernel (ptc/kernel.hpp) and its
 // supporting coefficient tables: the kernel must match the device-graph
 // path BIT FOR BIT — outputs and event counts — across custom device
-// chains, ragged edges and chunks, derated detectors, ADC settings,
+// chains, ragged edges and chunks, mismatched detectors, ADC settings,
 // guard on/off and any thread count — and the faults-layer lane table and
 // encoder must match the live lane models across fault injection.
 #include <gtest/gtest.h>
@@ -93,23 +93,21 @@ double tile_dot(const FusedKernel& kernel, std::span<const double> xe,
 }
 
 /// A deliberately non-default device chain: off-nominal phase, an
-/// imbalanced coupler, mismatched/derated detectors with dark current.
+/// imbalanced coupler, mismatched detectors with dark current.
 Ddot custom_ddot() {
   photonics::PhotodetectorConfig pp;
-  pp.responsivity = 0.9;
+  pp.responsivity = 0.9 * 0.8;
   pp.dark_current = 3e-4;
   photonics::PhotodetectorConfig pm;
   pm.responsivity = 0.85;
   pm.dark_current = 1e-4;
-  photonics::Photodetector pd_plus(pp);
-  pd_plus.derate(0.8);  // TIA/radiation derating on one receive side
-  return Ddot(photonics::PhaseShifter(-1.41), photonics::DirectionalCoupler(0.6), pd_plus,
-              photonics::Photodetector(pm));
+  return Ddot(photonics::PhaseShifter(-1.41), photonics::DirectionalCoupler(0.6),
+              photonics::Photodetector(pp), photonics::Photodetector(pm));
 }
 
 TEST(FusedKernel, MatchesCustomDeviceChainBitForBit) {
   // The closed-form snapshot must replay an arbitrary (imbalanced,
-  // derated, dark-current-carrying) device chain exactly — including
+  // mismatched, dark-current-carrying) device chain exactly — including
   // ragged final chunks (an odd wavelength count).
   const Ddot ddot = custom_ddot();
   Rng rng(17);
@@ -904,17 +902,6 @@ TEST(LaneEncodeTable, MatchesBankEncodesAcrossMutations) {
   faults::LaneEncodeTable golden;
   golden.rebuild(bank);  // pinned before the fault below
 
-  const auto sweep = [&] {
-    for (std::size_t rail = 0; rail < faults::LaneBank::kRails; ++rail) {
-      for (std::size_t ch = 0; ch < bank.wavelengths(); ++ch) {
-        for (double r : {-1.0, -0.73, -0.2, 0.0, 0.31, 0.99, 1.0, 1.7}) {
-          ASSERT_EQ(table.encode(rail, ch, r), bank.encode(rail, ch, r))
-              << "rail=" << rail << " ch=" << ch << " r=" << r;
-        }
-      }
-    }
-  };
-
   // One row covering every quantizer code, pushed through LaneEncoder on
   // every lane: the current amplitudes are the live lane's whatever the
   // table's state (fresh, stale or absent), and the golden ones come
@@ -927,6 +914,14 @@ TEST(LaneEncodeTable, MatchesBankEncodesAcrossMutations) {
     codes.push_back(code);
     ASSERT_EQ(quant.encode(row.back()), code);
   }
+  const auto sweep = [&] {
+    for (std::size_t flat = 0; flat < bank.lanes(); ++flat) {
+      for (const std::int32_t code : codes) {
+        ASSERT_EQ(table.at(flat, code), bank.lane(flat).model.encode_code(code))
+            << "lane=" << flat << " code=" << code;
+      }
+    }
+  };
   const auto encoder_sweep = [&](const faults::LaneEncodeTable* current) {
     std::vector<double> cur(row.size());
     std::vector<double> ref(row.size());

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/matrix.hpp"
@@ -342,7 +343,7 @@ TEST(KvPrepared, AppendRefusesWheneverIdentityCannotHold) {
     const Matrix full = history_rows(4, 6, 31);
     const Matrix base = prefix_rows(full, 2);
 
-    PreparedOperand pb = gemm.prepare_bt(base, /*epoch=*/3);
+    PreparedOperand pb = gemm.prepare_bt(base);
     const PreparedOperand snapshot = pb;
     EXPECT_EQ(snapshot.energy.empty(), !cfg.dot.use_full_optics);
 
@@ -350,66 +351,66 @@ TEST(KvPrepared, AppendRefusesWheneverIdentityCannotHold) {
     // would change the fresh scale, so the append must refuse.
     Matrix louder = prefix_rows(full, 3);
     louder(2, 0) = 10.0 * pb.abs_max;
-    EXPECT_FALSE(gemm.append_bt_rows(pb, louder, 3));
-    expect_same_operand(pb, snapshot);
-
-    // Epoch moved: the encoder state stamp no longer matches.
-    EXPECT_FALSE(gemm.append_bt_rows(pb, prefix_rows(full, 3), 4));
+    EXPECT_FALSE(gemm.append_bt_rows(pb, louder));
     expect_same_operand(pb, snapshot);
 
     // Shrink and width mismatch are structural violations, not appends.
-    EXPECT_FALSE(gemm.append_bt_rows(pb, prefix_rows(full, 1), 3));
-    EXPECT_FALSE(gemm.append_bt_rows(pb, Matrix(3, 7), 3));
+    EXPECT_FALSE(gemm.append_bt_rows(pb, prefix_rows(full, 1)));
+    EXPECT_FALSE(gemm.append_bt_rows(pb, Matrix(3, 7)));
     expect_same_operand(pb, snapshot);
 
     // Same length is a valid no-op append.
-    EXPECT_TRUE(gemm.append_bt_rows(pb, base, 3));
+    EXPECT_TRUE(gemm.append_bt_rows(pb, base));
     expect_same_operand(pb, snapshot);
 
-    // Channel packing: an operand stamped under one lane packing must not
-    // append under another at the same epoch — neither through the faults
-    // layer's packing nor through the engine, whose packing is fixed — on
-    // either axis; under its own packing it appends.
+    // Stamps: an operand stamped under one encoder epoch or lane packing
+    // must not append under another — neither through append_operand
+    // under the moved spec nor through the engine, whose operands carry
+    // epoch 0 and a fixed packing — on either axis; under its own spec it
+    // appends.
     const RowEncoder copy_encoder = [](std::span<const double> norm, std::span<double> encoded) {
       std::copy(norm.begin(), norm.end(), encoded.begin());
     };
     ThreadPool pool(1);
     Matrix stage;
-    const OperandSpec packed{.epoch = 3, .channels = {0, 1, 2}, .checksum_stripe = 4};
+    const OperandSpec stamped{.epoch = 3, .channels = {}, .checksum_stripe = 4};
+    OperandSpec restamped = stamped;
+    restamped.epoch = 4;
+    const OperandSpec packed{.channels = {0, 1, 2}, .checksum_stripe = 4};
     OperandSpec repacked = packed;
     repacked.channels = {0, 2};
-    for (const GrowAxis axis : {GrowAxis::kCols, GrowAxis::kRows}) {
-      const Matrix longer = prefix_rows(full, 3);
-      PreparedOperand pk = prepare_operand(base, axis, packed, copy_encoder, pool, stage);
-      const PreparedOperand ksnap = pk;
-      EXPECT_FALSE(append_operand(pk, longer, axis, repacked, copy_encoder, pool, stage));
-      expect_same_operand(pk, ksnap);
-      EXPECT_FALSE(axis == GrowAxis::kCols ? gemm.append_bt_rows(pk, longer, 3)
-                                           : gemm.append_b_rows(pk, longer, 3));
-      expect_same_operand(pk, ksnap);
-      EXPECT_TRUE(append_operand(pk, longer, axis, packed, copy_encoder, pool, stage));
-      expect_same_operand(pk, prepare_operand(longer, axis, packed, copy_encoder, pool, stage));
+    for (const auto& [spec, moved] : {std::pair{stamped, restamped}, std::pair{packed, repacked}}) {
+      for (const GrowAxis axis : {GrowAxis::kCols, GrowAxis::kRows}) {
+        const Matrix longer = prefix_rows(full, 3);
+        PreparedOperand pk = prepare_operand(base, axis, spec, copy_encoder, pool, stage);
+        const PreparedOperand ksnap = pk;
+        EXPECT_FALSE(append_operand(pk, longer, axis, moved, copy_encoder, pool, stage));
+        expect_same_operand(pk, ksnap);
+        EXPECT_FALSE(axis == GrowAxis::kCols ? gemm.append_bt_rows(pk, longer)
+                                             : gemm.append_b_rows(pk, longer));
+        expect_same_operand(pk, ksnap);
+        EXPECT_TRUE(append_operand(pk, longer, axis, spec, copy_encoder, pool, stage));
+        expect_same_operand(pk, prepare_operand(longer, axis, spec, copy_encoder, pool, stage));
+      }
     }
 
     // The rows axis enforces the same triggers.
-    PreparedOperand pr = gemm.prepare_b(base, 3);
+    PreparedOperand pr = gemm.prepare_b(base);
     const PreparedOperand rsnap = pr;
-    EXPECT_FALSE(gemm.append_b_rows(pr, louder, 3));
-    EXPECT_FALSE(gemm.append_b_rows(pr, prefix_rows(full, 3), 4));
-    EXPECT_FALSE(gemm.append_b_rows(pr, prefix_rows(full, 1), 3));
-    EXPECT_TRUE(gemm.append_b_rows(pr, base, 3));
+    EXPECT_FALSE(gemm.append_b_rows(pr, louder));
+    EXPECT_FALSE(gemm.append_b_rows(pr, prefix_rows(full, 1)));
+    EXPECT_TRUE(gemm.append_b_rows(pr, base));
     expect_same_operand(pr, rsnap);
 
     // Once a reduction-axis append has staged the energies' resume state,
     // refusals leave that untouched too.
-    ASSERT_TRUE(gemm.append_b_rows(pr, prefix_rows(full, 3), 3));
+    ASSERT_TRUE(gemm.append_b_rows(pr, prefix_rows(full, 3)));
     EXPECT_EQ(pr.energy_acc.empty(), !cfg.dot.use_full_optics);
     const PreparedOperand ssnap = pr;
     Matrix louder4 = prefix_rows(full, 4);
     louder4(3, 0) = 10.0 * pr.abs_max;
-    EXPECT_FALSE(gemm.append_b_rows(pr, louder4, 3));
-    EXPECT_FALSE(gemm.append_b_rows(pr, prefix_rows(full, 4), 4));
-    EXPECT_FALSE(gemm.append_b_rows(pr, prefix_rows(full, 2), 3));
+    EXPECT_FALSE(gemm.append_b_rows(pr, louder4));
+    EXPECT_FALSE(gemm.append_b_rows(pr, prefix_rows(full, 2)));
     expect_same_operand(pr, ssnap);
     EXPECT_EQ(pr.energy_acc, ssnap.energy_acc);
 
@@ -417,7 +418,7 @@ TEST(KvPrepared, AppendRefusesWheneverIdentityCannotHold) {
     // direct product — the caller's fallback is always sound.
     Rng arng(9);
     const Matrix a = Matrix::random_gaussian(1, 6, arng);
-    const PreparedOperand rebuilt = gemm.prepare_bt(louder, 4);
+    const PreparedOperand rebuilt = gemm.prepare_bt(louder);
     expect_bit_identical(gemm.multiply_prepared(a, rebuilt).c,
                          gemm.multiply(a, louder.transposed()).c, "rebuild fallback");
   }

@@ -36,27 +36,6 @@ TEST(Laser, RejectsMoreActiveThanConfigured) {
   EXPECT_THROW(laser.emit(9), PreconditionError);
 }
 
-TEST(Laser, DroopScalesOpticalAmplitudeNotElectricalPower) {
-  LaserConfig cfg;
-  cfg.channels = 2;
-  cfg.carrier_amplitude = 2.0;
-  Laser laser(cfg);
-  const double electrical_before = laser.electrical_power().watts();
-  laser.apply_droop(0.25);  // pump aging: quarter the optical power out
-  EXPECT_DOUBLE_EQ(laser.droop(), 0.25);
-  const WdmField f = laser.emit();
-  // Power scale 0.25 is amplitude scale 0.5.
-  EXPECT_DOUBLE_EQ(f.amplitude(0).real(), 1.0);
-  // The pump keeps drawing full current — wall-plug efficiency sags.
-  EXPECT_DOUBLE_EQ(laser.electrical_power().watts(), electrical_before);
-}
-
-TEST(Laser, DroopRejectsUnphysicalScale) {
-  Laser laser(LaserConfig{});
-  EXPECT_THROW(laser.apply_droop(0.0), PreconditionError);
-  EXPECT_THROW(laser.apply_droop(1.5), PreconditionError);
-}
-
 TEST(Laser, ElectricalPowerScalesWithChannelsAndEfficiency) {
   LaserConfig cfg;
   cfg.channels = 8;

@@ -105,22 +105,4 @@ TEST(Microring, AddToBusRejectsChannelMismatch) {
   EXPECT_THROW(mrr.add_to_bus(WdmField(2), WdmField(3)), PreconditionError);
 }
 
-TEST(Microring, StuckRingIgnoresDetuning) {
-  Microring mrr(ring_at(1.0));
-  EXPECT_FALSE(mrr.stuck());
-  mrr.stick_at(0.25);  // latched heater: drop fraction frozen
-  EXPECT_TRUE(mrr.stuck());
-  EXPECT_DOUBLE_EQ(mrr.drop_fraction(1.0), 0.25);
-  EXPECT_DOUBLE_EQ(mrr.drop_fraction(7.0), 0.25);
-  mrr.stick_at(std::nullopt);  // repair
-  EXPECT_FALSE(mrr.stuck());
-  EXPECT_DOUBLE_EQ(mrr.drop_fraction(1.0), 1.0);
-}
-
-TEST(Microring, StickAtRejectsUnphysicalFraction) {
-  Microring mrr(ring_at(1.0));
-  EXPECT_THROW(mrr.stick_at(1.5), PreconditionError);
-  EXPECT_THROW(mrr.stick_at(-0.1), PreconditionError);
-}
-
 }  // namespace

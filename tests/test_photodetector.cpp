@@ -120,43 +120,4 @@ TEST(Tia, NegativeFeedbackInvertsSign) {
   EXPECT_DOUBLE_EQ(tia.amplify(0.002), -1.0);
 }
 
-TEST(Photodetector, DerateScalesResponsivityOnly) {
-  PhotodetectorConfig cfg;
-  cfg.responsivity = 2.0;
-  cfg.dark_current = 0.5;
-  Photodetector pd(cfg);
-  WdmField f(1);
-  f.set_amplitude(0, Complex{2.0, 0.0});  // I = 2.0
-  const double healthy = pd.detect(f);
-  pd.derate(0.5);
-  EXPECT_DOUBLE_EQ(pd.responsivity_scale(), 0.5);
-  EXPECT_FALSE(pd.dead());
-  // Dark current is a junction property, not optical — it survives derating.
-  EXPECT_DOUBLE_EQ(pd.detect(f), (healthy - 0.5) * 0.5 + 0.5);
-  pd.derate(0.0);
-  EXPECT_TRUE(pd.dead());
-  EXPECT_DOUBLE_EQ(pd.detect(f), 0.5);  // dark current only
-}
-
-TEST(Photodetector, DerateRejectsOutOfRangeScale) {
-  Photodetector pd;
-  EXPECT_THROW(pd.derate(1.5), PreconditionError);
-  EXPECT_THROW(pd.derate(-0.5), PreconditionError);
-}
-
-TEST(Tia, GainStepFaultMultipliesFeedback) {
-  Tia tia(1000.0);
-  tia.impose_gain_step(0.8);  // feedback network drifts 20 % low
-  EXPECT_DOUBLE_EQ(tia.feedback(), 800.0);
-  EXPECT_DOUBLE_EQ(tia.amplify(0.001), 0.8);
-  tia.impose_gain_step(1.25);  // compounding: trim restores it the same way
-  EXPECT_DOUBLE_EQ(tia.feedback(), 1000.0);
-}
-
-TEST(Tia, GainStepRejectsNonPositiveFactor) {
-  Tia tia(1000.0);
-  EXPECT_THROW(tia.impose_gain_step(0.0), PreconditionError);
-  EXPECT_THROW(tia.impose_gain_step(-1.0), PreconditionError);
-}
-
 }  // namespace

@@ -91,19 +91,6 @@ TEST(MaxAbsScale, AllZeroFallsBackToOne) {
   EXPECT_DOUBLE_EQ(max_abs_scale({}), 1.0);
 }
 
-TEST(QuantizeVector, RoundTripWithinHalfStep) {
-  Rng rng(6);
-  const Quantizer q(8);
-  const auto values = rng.uniform_vector(100, -3.0, 3.0);
-  double scale = 0.0;
-  const auto codes = quantize_vector(values, q, &scale);
-  const auto back = dequantize_vector(codes, q, scale);
-  const double half_step = 0.5 * scale / static_cast<double>(q.max_code());
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    EXPECT_NEAR(back[i], values[i], half_step + 1e-12) << "i=" << i;
-  }
-}
-
 TEST(Quantizer, NegativeZeroEncodesToZero) {
   const Quantizer q(8);
   EXPECT_EQ(q.encode(-0.0), 0);

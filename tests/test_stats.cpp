@@ -104,32 +104,4 @@ TEST(VectorCompare, RejectsEmpty) {
   EXPECT_THROW((void)stats::compare(e, e), PreconditionError);
 }
 
-TEST(Histogram, BinningAndTotals) {
-  stats::Histogram h(0.0, 10.0, 10);
-  for (int i = 0; i < 10; ++i) h.add(static_cast<double>(i) + 0.5);
-  EXPECT_EQ(h.total(), 10u);
-  for (std::size_t b = 0; b < h.bin_count(); ++b) EXPECT_EQ(h.count(b), 1u);
-}
-
-TEST(Histogram, OutOfRangeClampsToEdgeBins) {
-  stats::Histogram h(0.0, 1.0, 4);
-  h.add(-5.0);
-  h.add(5.0);
-  EXPECT_EQ(h.count(0), 1u);
-  EXPECT_EQ(h.count(3), 1u);
-  EXPECT_EQ(h.total(), 2u);
-}
-
-TEST(Histogram, BinCenters) {
-  stats::Histogram h(0.0, 1.0, 2);
-  EXPECT_DOUBLE_EQ(h.bin_center(0), 0.25);
-  EXPECT_DOUBLE_EQ(h.bin_center(1), 0.75);
-  EXPECT_THROW((void)h.bin_center(2), PreconditionError);
-}
-
-TEST(Histogram, RejectsInvalidConstruction) {
-  EXPECT_THROW((void)stats::Histogram(1.0, 0.0, 4), PreconditionError);
-  EXPECT_THROW((void)stats::Histogram(0.0, 1.0, 0), PreconditionError);
-}
-
 }  // namespace
