@@ -1,12 +1,24 @@
 #include "core/variation.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 
 #include "common/math_utils.hpp"
 #include "common/require.hpp"
 
 namespace pdac::core {
+
+namespace {
+
+/// PerturbedPdacModel's stamp source: every draw is a value no model
+/// state held before.
+std::uint64_t fresh_stamp() {
+  static std::atomic<std::uint64_t> next{1};
+  return next.fetch_add(1);
+}
+
+}  // namespace
 
 PerturbedPdacModel::PerturbedPdacModel(const PdacConfig& cfg, const VariationConfig& var,
                                        Rng& rng)
@@ -24,7 +36,8 @@ PerturbedPdacModel::PerturbedPdacModel(const PdacConfig& cfg, const VariationCon
         return photonics::Mzm(m);
       }()),
       bits_(cfg.bits),
-      quant_(cfg.bits) {
+      quant_(cfg.bits),
+      stamp_(fresh_stamp()) {
   const Segment order[3] = {Segment::kNegativeOuter, Segment::kMiddle,
                             Segment::kPositiveOuter};
   for (int i = 0; i < 3; ++i) {
@@ -103,6 +116,12 @@ void PerturbedPdacModel::apply_correction(Segment seg,
                "apply_correction: weight count mismatch");
   for (std::size_t i = 0; i < b.weights.size(); ++i) b.weights[i] += delta_weights[i];
   b.bias += delta_bias;
+  stamp_ = fresh_stamp();
+}
+
+void PerturbedPdacModel::set_fault_hook(const PdacFaultHook& hook) {
+  fault_hook_ = hook;
+  stamp_ = fresh_stamp();
 }
 
 double VariationReport::yield(double error_budget) const {

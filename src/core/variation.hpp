@@ -82,8 +82,15 @@ class PerturbedPdacModel {
   /// Runtime-fault overlay (fault_hook.hpp).  The default hook is the
   /// identity; encode_code() consults it on every evaluation, so the
   /// fault injector can impose/clear faults without forking the model.
-  void set_fault_hook(const PdacFaultHook& hook) { fault_hook_ = hook; }
+  void set_fault_hook(const PdacFaultHook& hook);
   [[nodiscard]] const PdacFaultHook& fault_hook() const { return fault_hook_; }
+
+  /// State stamp: the constructor, apply_correction and set_fault_hook
+  /// each take a fresh one from one process-wide counter, and a copy
+  /// carries its source's, so two models with equal stamps encode every
+  /// code to the same bits (faults::LaneEncodeTable refreshes only the
+  /// lanes whose stamp moved).
+  [[nodiscard]] std::uint64_t stamp() const { return stamp_; }
 
   [[nodiscard]] int bits() const { return bits_; }
   [[nodiscard]] const SegmentedTiaProgram& nominal_program() const {
@@ -101,6 +108,7 @@ class PerturbedPdacModel {
   double phase_scale_{1.0};
   int bits_;
   converters::Quantizer quant_;
+  std::uint64_t stamp_;
 };
 
 /// Draw `trials` perturbed P-DAC instances and characterize each.

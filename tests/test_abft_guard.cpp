@@ -211,10 +211,11 @@ TEST(AbftGuard, VerifyTileEqualsScalarReferences) {
   // verify_tile computes its references in SIMD lanes; each must keep its
   // serial chain's bits, so every TileCheck field equals the one-loop-per-
   // lane verdict's.  Tiles of 1–8 × 1–8 at a nonzero corner, reduction
-  // lengths 1–800, drift bands 1 and 4, golden B columns as PhotonicGemm
-  // passes them (its whole encodings and cached stripe) or as the lane
-  // executor does (a decoded tile stripe that differs in its first column,
-  // padded rows, and its own sum), over four tile states: clean
+  // lengths 1–800 (with the A stripe sums that feed xsum), drift bands 1
+  // and 4, golden B columns as PhotonicGemm passes them (its whole
+  // encodings and cached stripe) or as the lane executor does (a decoded
+  // tile stripe that differs in its first column, padded rows, and its
+  // own sum), over four tile states: clean
   // (reassociation-scale residuals, since the data sums are blocked
   // dots), one corrupted element (the single-error signature), lanes
   // pushed into the drift band, and a NaN.
@@ -222,12 +223,33 @@ TEST(AbftGuard, VerifyTileEqualsScalarReferences) {
   constexpr std::size_t kStripe = 8;
   Rng rng(83);
   std::size_t singles = 0, drifting = 0, nans = 0, clean = 0;
+  Matrix a_stripes(1, 1);
+  a_stripes(0, 0) = 7.0;
   for (const std::size_t k : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 13u, 31u, 64u, 257u, 768u, 800u}) {
     for (std::size_t h = 1; h <= 8; ++h) {
       for (std::size_t w = 1; w <= 8; ++w) {
         const Tile tile{.row0 = 3, .col0 = kStripe, .rows = h, .cols = w};
         Matrix a_golden(tile.row0 + h, k);
         for (double& v : a_golden.data()) v = rng.uniform(-1.0, 1.0);
+        if (w == 1) {
+          // The A side's stripe checksums (stripe_sums, the fold behind
+          // every xsum): stripes of h = 1–8 rows, the last one short when
+          // h does not divide 3 + h, each from exact zero in ascending row
+          // order — into a buffer the previous shape left holding sums.
+          stripe_sums(a_golden, h, a_stripes);
+          ASSERT_EQ(a_stripes.rows(), (a_golden.rows() + h - 1) / h);
+          ASSERT_EQ(a_stripes.cols(), k);
+          for (std::size_t st = 0; st < a_stripes.rows(); ++st) {
+            for (std::size_t p = 0; p < k; ++p) {
+              double want = 0.0;
+              for (std::size_t i = st * h; i < std::min(a_golden.rows(), (st + 1) * h); ++i) {
+                want += a_golden(i, p);
+              }
+              ASSERT_TRUE(same_bits(a_stripes(st, p), want))
+                  << "k " << k << " stripe " << h << " row " << st << " at " << p;
+            }
+          }
+        }
         PreparedOperand b;
         b.rows = k;
         b.cols = tile.col0 + w;

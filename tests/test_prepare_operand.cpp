@@ -130,6 +130,9 @@ Matrix bt_source(std::size_t n, std::size_t k, GrowAxis axis, Rng& rng) {
 
 const char* axis_name(GrowAxis axis) { return axis == GrowAxis::kCols ? "cols" : "rows"; }
 
+// Stripes of 3, 8 and 12 columns, every one of them ragged somewhere
+// (fewer than 8 columns, or a short last stripe), over reduction lengths
+// that leave 1, 4, 7 or 3 positions past the last 8-position block.
 TEST(PrepareOperand, OnePassEqualsTheElementwiseReference) {
   const RowEncoder encode = value_encode;
   Rng rng(41);
@@ -137,9 +140,9 @@ TEST(PrepareOperand, OnePassEqualsTheElementwiseReference) {
     ThreadPool pool(threads);
     Matrix stage;
     for (const GrowAxis axis : {GrowAxis::kCols, GrowAxis::kRows}) {
-      for (const std::size_t k : {1u, 7u, 131u}) {
+      for (const std::size_t k : {1u, 7u, 20u, 131u}) {
         for (const std::size_t n : {1u, 8u, 33u, 100u}) {
-          for (const std::size_t stripe : {0u, 8u, 12u}) {
+          for (const std::size_t stripe : {0u, 3u, 8u, 12u}) {
             for (const bool codes : {false, true}) {
               if (codes && stripe > 0) continue;  // a code operand carries no stripes
               SCOPED_TRACE(testing::Message()
