@@ -135,23 +135,7 @@ void GuardedBackend::attach_storm(FaultInjector* injector, std::uint64_t steps_p
 
 LaneEncoder GuardedBackend::lane_encoder(std::size_t rail,
                                          const std::vector<std::size_t>& channels) const {
-  return LaneEncoder(bank_, channels, rail, &table_, &golden_);
-}
-
-ptc::OperandSpec GuardedBackend::operand_spec() const {
-  // Code operands: the quantizer codes of the normalized B side, which no
-  // lane state enters — each tile step decodes them through the tables it
-  // runs under, and sums its golden stripe itself.
-  return ptc::OperandSpec{.epoch = bank_.epoch(),
-                          .channels = bank_.surviving_channels(),
-                          .codes = &bank_.quantizer()};
-}
-
-void GuardedBackend::restamp(ptc::PreparedOperand& pb, const ptc::OperandSpec& spec) {
-  // Codes do not depend on lane state, so an operand built under another
-  // epoch or packing holds the codes a build under `spec` would write.
-  pb.epoch = spec.epoch;
-  pb.channels = spec.channels;
+  return LaneEncoder(bank_, channels, rail, table_, &golden_);
 }
 
 std::vector<std::size_t> GuardedBackend::implicated_lanes(
@@ -172,22 +156,18 @@ std::shared_ptr<ptc::PreparedOperand> GuardedBackend::obtain(nn::OperandCache& c
                                                              std::uint64_t version,
                                                              const Matrix& src,
                                                              ptc::GrowAxis axis) {
-  // A fresh entry is grown (a KV append) or confirmed.  One that only an
-  // epoch move — a fault, re-trim or fence — made stale keeps its codes:
-  // it is re-stamped and grown instead of rebuilt.  A fence that landed
-  // without a bump_epoch() changes only the packing; the append refuses
-  // that, and the entry is rebuilt.
-  const ptc::OperandSpec spec = operand_spec();
-  const auto grow = [&](ptc::PreparedOperand& pb) {
-    return ptc::append_operand(pb, src, axis, spec, {}, *pool_, stage_);
-  };
+  // Code operands: the quantizer codes of the normalized B side, which no
+  // lane state enters — each tile step decodes them through the tables it
+  // runs under, and sums its golden stripe itself.  A resident entry is
+  // grown (a KV append) or confirmed, whatever a fault, re-trim or fence
+  // did to the lanes since it was built.
+  const ptc::OperandSpec spec{.codes = &bank_.quantizer()};
   return cache.obtain(
-      id, version, spec.epoch, grow,
-      [&] { return ptc::prepare_operand(src, axis, spec, {}, *pool_, stage_); },
+      id, version,
       [&](ptc::PreparedOperand& pb) {
-        restamp(pb, spec);
-        return grow(pb);
-      });
+        return ptc::append_operand(pb, src, axis, spec, {}, *pool_, stage_);
+      },
+      [&] { return ptc::prepare_operand(src, axis, spec, {}, *pool_, stage_); });
 }
 
 Matrix GuardedBackend::matmul(const Matrix& a, const Matrix& b) {
@@ -280,7 +260,9 @@ std::size_t GuardedBackend::fence_diverged_lanes(const std::vector<std::size_t>&
   // Full calibration-table readback against the golden snapshot: the
   // escalation endpoint can afford to probe every code, which makes the
   // fence decision exact — a lane is fenced iff its transfer diverged
-  // from the state the references were calibrated under.
+  // from the state the references were calibrated under.  The readback
+  // is the current table's row, brought up to the bank first.
+  table_.ensure(bank_);
   const std::int32_t max_code = bank_.quantizer().max_code();
   std::size_t fenced = 0;
   std::size_t probes = 0;
@@ -289,9 +271,8 @@ std::size_t GuardedBackend::fence_diverged_lanes(const std::vector<std::size_t>&
     if (lane.fenced) continue;
     bool diverged = false;
     for (std::int32_t code = -max_code; code <= max_code; ++code) {
-      const double out = lane.model.encode_code(code);
       ++probes;
-      if (!(out == golden_.at(flat, code))) {  // NaN-safe inequality
+      if (!(table_.at(flat, code) == golden_.at(flat, code))) {  // NaN-safe inequality
         diverged = true;
         break;
       }
@@ -322,14 +303,19 @@ Matrix GuardedBackend::run_product(const Matrix& a, const Matrix& bsrc, ptc::Gro
   const std::size_t k = a.cols();
   const std::size_t n = cols_axis ? bsrc.rows() : bsrc.cols();
   if (bank_.usable_channels() == 0) return Matrix(m, n);
-  product_entry();  // may re-trim (and bump the epoch) before obtain
+  product_entry();  // may re-trim (and bump the epoch) before the packing is read
+  // The packing: reduction position p rides channels[p % size].  Read
+  // from the bank here and again after every ladder rung.  A proactive
+  // re-trim that fenced every lane leaves the same outage as above.
+  std::vector<std::size_t> channels = bank_.surviving_channels();
+  if (channels.empty()) return Matrix(m, n);
   table_.ensure(bank_);
   const std::shared_ptr<ptc::PreparedOperand> pb = obtain(cache, id, version, bsrc, baxis);
   const bool guarded = cfg_.guard.enabled;
 
-  // A-side pipeline: normalize once, then encode under the operand's
-  // channel packing — current state, plus golden when guarded — into
-  // backend scratch that every element is written to.
+  // A-side pipeline: normalize once, then encode under the packing —
+  // current state, plus golden when guarded — into backend scratch that
+  // every element is written to.
   const double a_scale = converters::max_abs_scale(a.data());
   Matrix& an = an_;
   an.resize(m, k);
@@ -346,7 +332,7 @@ Matrix GuardedBackend::run_product(const Matrix& a, const Matrix& bsrc, ptc::Gro
   // moved past its stamp (refresh_tile below).  The B side needs no
   // stamps: every tile step decodes its codes under the bank as it is.
   std::vector<std::uint64_t> a_epoch;
-  const auto encode_a = [&](const std::vector<std::size_t>& channels) {
+  const auto encode_a = [&] {
     a_epoch.assign(row_stripes, bank_.epoch());
     const LaneEncoder encode = lane_encoder(0, channels);
     pool_->parallel_for(m, [&](std::size_t begin, std::size_t end, std::size_t) {
@@ -356,7 +342,7 @@ Matrix GuardedBackend::run_product(const Matrix& a, const Matrix& bsrc, ptc::Gro
     });
     if (guarded) ptc::stripe_sums(ae_gold, cfg_.array_rows, xsum);
   };
-  encode_a(pb->channels);
+  encode_a();
 
   Matrix c(m, n);
   const double rescale = a_scale * pb->scale;
@@ -368,51 +354,34 @@ Matrix GuardedBackend::run_product(const Matrix& a, const Matrix& bsrc, ptc::Gro
   outcome.enabled = true;
   outcome.tiles_checked = tiles.size();
 
-  // Bring one serial tile step up to the bank's current state.  Its B
-  // stripe is decoded afresh anyway; a stale A stripe is re-encoded.  An
-  // encode is a pure function of lane state and input, and every
-  // lane-state write bumps the epoch, so a stripe whose stamp equals the
-  // epoch already holds the bits a re-encode would write.  Both read the
-  // current coefficient table when it is fresh and the live lane models
-  // otherwise, the same bits either way.  A rebuild costs lanes · codes
-  // model evaluations and a live conversion one per element, so a stale
-  // table is rebuilt only once the live conversions at the current epoch
-  // (this step's included) reach that count: a discrete fault's steps
-  // soon pay for the table and share it, while a bias walk, which moves
-  // the epoch every step, keeps narrow stripes on the live models.  Storm
-  // steps and retries run serially, so the table may be rebuilt here.
-  const std::size_t table_evals =
-      bank_.lanes() * (2 * static_cast<std::size_t>(bank_.quantizer().max_code()) + 1);
-  std::uint64_t live_epoch = bank_.epoch();
-  std::size_t live_evals = 0;
+  // Bring one serial tile step up to the bank's current state: refresh
+  // the current table (a per-lane refresh evaluates only the lanes whose
+  // model moved), then re-encode a stale A stripe from it; the B stripe
+  // is decoded afresh anyway.  An encode is a pure function of lane state
+  // and input, and every lane-state write bumps the epoch, so a stripe
+  // whose stamp equals the epoch already holds the bits a re-encode would
+  // write.  Storm steps and retries run serially, so the table may be
+  // refreshed here.
   const auto refresh_tile = [&](const ptc::Tile& tile) {
-    const std::uint64_t now = bank_.epoch();
+    table_.ensure(bank_);
     std::uint64_t& ea = a_epoch[tile.row0 / cfg_.array_rows];
-    if (!table_.fresh(bank_)) {
-      if (live_epoch != now) {
-        live_epoch = now;
-        live_evals = 0;
+    if (ea != bank_.epoch()) {
+      const LaneEncoder encode(bank_, channels, 0, table_);
+      for (std::size_t i = tile.row0; i < tile.row0 + tile.rows; ++i) {
+        encode(an.row(i), ae.row(i));
       }
-      live_evals += ((ea != now ? tile.rows : 0) + tile.cols) * k;
-      if (live_evals >= table_evals) table_.rebuild(bank_);
-    }
-    if (ea != now) {
-      const LaneEncoder live(bank_, pb->channels, 0, &table_);
-      for (std::size_t i = tile.row0; i < tile.row0 + tile.rows; ++i) live(an.row(i), ae.row(i));
-      ea = now;
+      ea = bank_.epoch();
     }
   };
   // One serial tile step (storm or retry): refresh, decode, run.  The B
-  // decoder is rebuilt only when the bank, its table or the packing moved.
+  // decoder is rebuilt only when the epoch or the packing moved.
   std::optional<LaneEncoder> serial_lanes;
   std::uint64_t lanes_epoch = 0;
-  bool lanes_fresh = false;
   const auto serial_tile = [&](std::size_t t, const std::vector<DotUpset>* upsets) {
     refresh_tile(tiles[t]);
-    if (!serial_lanes || lanes_epoch != bank_.epoch() || lanes_fresh != table_.fresh(bank_)) {
-      serial_lanes.emplace(lane_encoder(1, pb->channels));
+    if (!serial_lanes || lanes_epoch != bank_.epoch()) {
+      serial_lanes.emplace(lane_encoder(1, channels));
       lanes_epoch = bank_.epoch();
-      lanes_fresh = table_.fresh(bank_);
     }
     decode_stripe(*pb, tiles[t], *serial_lanes, stripes_.front());
     return run_tile(tiles[t], t, ae, ae_gold, xsum, stripes_.front(), rescale, c,
@@ -440,7 +409,7 @@ Matrix GuardedBackend::run_product(const Matrix& a, const Matrix& bsrc, ptc::Gro
   } else {
     // Lane state holds for the whole pass: each worker decodes a column
     // stripe once and runs every tile of it.
-    const LaneEncoder lanes = lane_encoder(1, pb->channels);
+    const LaneEncoder lanes = lane_encoder(1, channels);
     pool_->parallel_for(col_stripes, [&](std::size_t begin, std::size_t end, std::size_t worker) {
       for (std::size_t s = begin; s < end; ++s) {
         decode_stripe(*pb, tiles[s], lanes, stripes_[worker]);
@@ -452,7 +421,7 @@ Matrix GuardedBackend::run_product(const Matrix& a, const Matrix& bsrc, ptc::Gro
     });
   }
   // The executors' rule: B broadcast, one ADC sample per output.
-  const ptc::TileGrid grid{cfg_.array_rows, cfg_.array_cols, pb->channels.size()};
+  const ptc::TileGrid grid{cfg_.array_rows, cfg_.array_cols, channels.size()};
   events_ += ptc::product_events(m, k, n, grid, ptc::Residency::kBroadcast,
                                  ptc::kSamplePerOutput);
   outcome.checksum_events += ptc::checksum_product_events(m, k, n, grid);
@@ -492,7 +461,7 @@ Matrix GuardedBackend::run_product(const Matrix& a, const Matrix& bsrc, ptc::Gro
       }
       if (check.tolerance > 0.0) ratio = std::max(ratio, check.worst_residual / check.tolerance);
     }
-    tracker_.observe_residual(implicated_lanes(pb->channels), ratio);
+    tracker_.observe_residual(implicated_lanes(channels), ratio);
   }
 
   // ---- escalation ladder -------------------------------------------
@@ -517,7 +486,7 @@ Matrix GuardedBackend::run_product(const Matrix& a, const Matrix& bsrc, ptc::Gro
       case GuardAction::kRetrim: {
         ++state.retrims;
         const SelfTestReport report =
-            run_self_test(bank_, implicated_lanes(pb->channels), policy_.config().self_test);
+            run_self_test(bank_, implicated_lanes(channels), policy_.config().self_test);
         monitor_->record_self_test(report);
         observe_probes(report);
         note_retrim();
@@ -527,7 +496,7 @@ Matrix GuardedBackend::run_product(const Matrix& a, const Matrix& bsrc, ptc::Gro
       }
       case GuardAction::kFence: {
         ++state.fences;
-        fence_diverged_lanes(pb->channels);
+        fence_diverged_lanes(channels);
         repacked = true;
         break;
       }
@@ -536,8 +505,8 @@ Matrix GuardedBackend::run_product(const Matrix& a, const Matrix& bsrc, ptc::Gro
     }
 
     if (repacked) {
-      const ptc::OperandSpec spec = operand_spec();
-      if (spec.channels.empty()) {
+      channels = bank_.surviving_channels();
+      if (channels.empty()) {
         // Every channel fenced mid-recovery: the accelerator is offline,
         // so the product gets the outage's zero result.
         monitor_->record_action(GuardAction::kGiveUp);
@@ -545,26 +514,18 @@ Matrix GuardedBackend::run_product(const Matrix& a, const Matrix& bsrc, ptc::Gro
         monitor_->record_product(outcome);
         return Matrix(m, n);
       }
-      // Re-stamp the operand for the repaired/repacked bank — its codes
-      // hold — and refresh the cache so the next product starts warm
-      // again.  The rung moved the epoch, so re-ensure the coefficient
-      // table first (we are between parallel regions here).
+      // The operand in hand still holds the right codes.  The rung moved
+      // the epoch, so re-ensure the current table (we are between parallel
+      // regions here) and re-encode A under the new packing.
       table_.ensure(bank_);
-      restamp(*pb, spec);
       serial_lanes.reset();  // the packing, and after a re-trim golden, moved
-      if (id != 0) {
-        // The resident entry carried the pre-escalation stamp; the next
-        // product reuses (or, for KV, appends onto) the re-stamped one.
-        cache.insert(id, version, pb);
-        cache.record_rebuild();
-      }
-      encode_a(pb->channels);
+      encode_a();
     }
 
     // Re-run the mismatching tiles on their operand slices as the live
     // lanes convert them now.  Only a storm step can leave an A stripe
     // stale here; after a repack every stripe is current.
-    const std::size_t nl = pb->channels.size();
+    const std::size_t nl = channels.size();
     const std::size_t chunks = (k + nl - 1) / nl;
     for (const std::size_t t : bad) {
       const ptc::Tile& tile = tiles[t];

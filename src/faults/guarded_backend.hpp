@@ -38,14 +38,14 @@
 // as quantizer codes with their scale — ptc::prepare_operand /
 // append_operand under a code spec — and every tile step decodes its
 // column stripe into per-worker scratch through the tables it runs
-// under: the current table (the live lane models while it is stale) for
-// the data dots, the golden snapshot for the column-lane references and,
-// summed in ascending column order, the row lanes' stripe checksum.
-// While golden is pinned at the bank's epoch the two tables hold the same
-// bits (every lane-state write moves the epoch), and one decode serves
-// both.  Codes depend on no lane state, so an entry that an epoch move
-// made stale is re-stamped (and grown) rather than rebuilt, and the
-// ladder re-stamps its operand after a re-trim or fence.  A corrupted
+// under: the current table for the data dots, the golden snapshot for
+// the column-lane references and, summed in ascending column order, the
+// row lanes' stripe checksum.  While golden is pinned at the bank's epoch
+// the two tables hold the same bits (every lane-state write moves the
+// epoch), and one decode serves both.  Lane state lives only in the bank
+// and its two tables: codes carry no epoch or packing, a fault, re-trim
+// or fence leaves a resident entry a hit, and the packing is read from
+// the bank at product entry and after every ladder rung.  A corrupted
 // code would decode into data and references alike and pass the guard;
 // the fault model has lane faults and detector upsets only (§12).  The A
 // side encodes golden into its own matrix, since storm steps re-encode
@@ -55,24 +55,20 @@
 // clock advances `steps_per_tile` before every tile step, so faults land
 // between tiles of one product exactly like the hardware timeline.  With
 // a storm attached the tile loop serializes, and each tile step sees its
-// operand slices as the live lanes convert them at that step: its B
-// stripe is decoded anyway, and every A row stripe carries the bank epoch
-// its encodes reflect and is re-encoded only when the epoch has moved
-// past that stamp.  Both read the current coefficient table when it is
-// fresh and the live lane models otherwise; both give the same bits.  A
-// stale table is rebuilt once the live conversions met at the current
-// epoch reach its entry count, so a bias walk, which moves the epoch
-// every step, keeps narrow stripes on the live models.  A conversion is
-// a pure function of lane state and input, and every lane-state write
-// bumps the epoch, so a skipped re-encode would have written the same
-// bits.  The retry rung refreshes its tiles the same way.  Without a
-// storm, A is encoded once per product and the loop is parallel over
+// operand slices as the live lanes convert them at that step: it brings
+// the current table up to the bank (a per-lane refresh), decodes its B
+// stripe from it anyway, and re-encodes an A row stripe only when the
+// bank epoch has moved past the stamp its encodes carry.  A conversion
+// is a pure function of lane state and input, and every lane-state
+// write bumps the epoch, so a skipped re-encode would have written the
+// same bits.  The retry rung refreshes its tiles the same way.  Without
+// a storm, A is encoded once per product and the loop is parallel over
 // column stripes, each decoded once — bit-identical, since lane state
 // cannot change mid-product.
 //
 // Recovery (escalation.hpp): mismatching tiles are re-run per the ladder
 // — retry (re-convert + re-run), targeted self-test + re-trim of the
-// lanes the product uses (then golden re-snapshot + operand re-stamp),
+// lanes the product uses (then golden re-snapshot and A re-encode),
 // fence + full degraded re-run on the surviving channels — bounded per
 // product, with every rung, probe and re-executed event recorded in the
 // HealthMonitor.  events() carries the data-path work actually executed
@@ -108,11 +104,11 @@ struct GuardedBackendConfig {
   /// value.  Storm runs serialize regardless.
   std::size_t threads{1};
   /// Weight-stationary operand cache for matmul_cached products: an
-  /// entry is served while the bank's epoch and channel packing hold.
+  /// entry (quantizer codes) is served while its content version holds,
+  /// whatever the lanes do.
   nn::OperandCacheConfig cache{};
   /// KV-history operand cache for matmul_kv products (DESIGN.md §17):
-  /// per-sequence growing operands, appended in place while the bank's
-  /// epoch and packing hold; an epoch move makes the entry a miss.
+  /// per-sequence growing operands, appended in place across epoch moves.
   nn::OperandCacheConfig kv_cache{nn::kKvCacheCapacityBytes};
   /// Checksum guard band.  Off, the backend is the plain lane executor:
   /// no golden reference, checksum stripes, verdicts, ladder or monitor
@@ -174,19 +170,15 @@ class GuardedBackend final : public nn::GemmBackend {
   [[nodiscard]] Matrix matmul(const Matrix& a, const Matrix& b) override;
 
   /// Same product with the prepared B side (its codes) cached across
-  /// calls, re-stamped when the bank's epoch moves and rebuilt on a
-  /// channel-packing change without one.
+  /// calls; a fault, re-trim or fence leaves the entry a hit.
   [[nodiscard]] Matrix matmul_cached(const Matrix& a, const Matrix& b,
                                      const nn::WeightHandle& weight) override;
 
   /// Guarded product against a GROWING operand (DESIGN.md §17).  The
   /// resident prepared operand (its codes) is extended in place with just
-  /// the new kv rows; an epoch bump — any re-trim or fence — makes the
-  /// entry a miss that is re-stamped and extended the same way, and a
-  /// scale change (or a packing change without a bump) forces a rebuild.
-  /// Outputs, events, and guard verdicts are bit-identical to the
-  /// unprepared matmul at every length; an escalation mid-product
-  /// re-stamps the resident entry like matmul_cached's.
+  /// the new kv rows, across any re-trim or fence; a scale change forces
+  /// a rebuild.  Outputs, events, and guard verdicts are bit-identical to
+  /// the unprepared matmul at every length.
   [[nodiscard]] Matrix matmul_kv(const Matrix& a, const Matrix& kv,
                                  const nn::KvHandle& handle) override;
   void release_kv(std::uint64_t id) override { kv_cache_.erase(id); }
@@ -258,34 +250,25 @@ class GuardedBackend final : public nn::GemmBackend {
   void observe_probes(const SelfTestReport& report);
 
   /// The faults lane encoder for `rail` under `channels`: current state
-  /// from the coefficient table (the live lanes when it is stale), golden
-  /// state from the snapshot.
+  /// from the coefficient table (which must be fresh), golden state from
+  /// the snapshot.
   [[nodiscard]] LaneEncoder lane_encoder(std::size_t rail,
                                          const std::vector<std::size_t>& channels) const;
-
-  /// The spec every operand of this backend is prepared and appended
-  /// under: bank epoch, surviving packing, quantizer codes.
-  [[nodiscard]] ptc::OperandSpec operand_spec() const;
-
-  /// Stamp `pb` with `spec`'s epoch and packing: its codes are what a
-  /// build under `spec` would write.
-  static void restamp(ptc::PreparedOperand& pb, const ptc::OperandSpec& spec);
 
   /// Full pipeline for one product (shared by all matmul entry points):
   /// the outage check, governor entry, obtain, data pass and, when
   /// guarded, verdicts and the ladder.  `bsrc` is the B operand's source
   /// in `baxis` orientation — B itself, or Bᵀ for the KV scores path,
   /// whose history IS the transpose.  The operand comes from `cache`
-  /// under (id, version) (id 0 = uncached); an escalation rung that
-  /// re-stamps it refreshes that entry.
+  /// under (id, version) (id 0 = uncached).
   [[nodiscard]] Matrix run_product(const Matrix& a, const Matrix& bsrc, ptc::GrowAxis baxis,
                                    nn::OperandCache& cache, std::uint64_t id,
                                    std::uint64_t version);
 
-  /// The prepared operand of `src` (`axis` orientation) from `cache`
-  /// under (id, version) and the bank epoch: ptc::append_operand grows or
-  /// confirms a fresh entry, an epoch-stale one is re-stamped and grown,
-  /// ptc::prepare_operand builds otherwise; id 0 builds uncached.
+  /// The prepared operand (quantizer codes) of `src` (`axis` orientation)
+  /// from `cache` under (id, version): ptc::append_operand grows or
+  /// confirms a fresh entry, ptc::prepare_operand builds otherwise; id 0
+  /// builds uncached.
   [[nodiscard]] std::shared_ptr<ptc::PreparedOperand> obtain(nn::OperandCache& cache,
                                                              std::uint64_t id,
                                                              std::uint64_t version,
@@ -308,8 +291,8 @@ class GuardedBackend final : public nn::GemmBackend {
   static constexpr std::size_t kStripePad = 8;
 
   /// Decode tile `tile`'s column stripe of `pb` through `lanes` (y rail,
-  /// pb's packing) into `out`, and when guarded sum its golden rows into
-  /// `out.ysum` (simd::add_rows).
+  /// the product's packing) into `out`, and when guarded sum its golden
+  /// rows into `out.ysum` (simd::add_rows).
   void decode_stripe(const ptc::PreparedOperand& pb, const ptc::Tile& tile,
                      const LaneEncoder& lanes, Stripe& out) const;
 
@@ -331,9 +314,10 @@ class GuardedBackend final : public nn::GemmBackend {
   [[nodiscard]] std::span<double> worker_sums(std::size_t worker);
 
   /// kFence rung: full calibration-table readback of the implicated
-  /// lanes against the golden snapshot, fencing every lane that has
-  /// diverged.  Returns the number of lanes fenced (epoch is bumped iff
-  /// > 0); probe charges land in the health monitor.
+  /// lanes (the current table, ensured first) against the golden
+  /// snapshot, fencing every lane that has diverged.  Returns the number
+  /// of lanes fenced (epoch is bumped iff > 0); probe charges land in the
+  /// health monitor.
   std::size_t fence_diverged_lanes(const std::vector<std::size_t>& channels);
 
   /// Flat lane indices (both rails) of the channels in `channels`.
@@ -370,11 +354,10 @@ class GuardedBackend final : public nn::GemmBackend {
   /// the last trusted calibration point (recalibrate()).
   LaneEncodeTable golden_;
 
-  /// Current-state lane coefficients for A-side encodes, B-side decodes
-  /// and storm re-encodes; re-ensured at product entry and after every
-  /// ladder rung that moves the epoch, and rebuilt by a storm or retry
-  /// tile step once the live conversions met at the current epoch reach
-  /// lanes · codes (until then the step converts through the live lanes).
+  /// Current-state lane coefficients for A-side encodes, B-side decodes,
+  /// storm re-encodes and the fence readback — the only current-state
+  /// source; re-ensured at product entry, by every storm or retry tile
+  /// step and after every ladder rung.
   LaneEncodeTable table_;
 
   FaultInjector* storm_{nullptr};

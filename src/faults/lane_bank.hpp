@@ -73,11 +73,11 @@ class LaneBank {
 
   /// Encode-state epoch: a monotonic stamp every mutator of lane state
   /// (fault injection, re-trim/recalibration, production trim, fencing)
-  /// bumps, so prepared-operand caches built against this bank can
-  /// detect stale encodings (DESIGN.md §10).  Code that mutates lanes
-  /// directly through lane() must call bump_epoch() afterwards; prepared
-  /// operands additionally carry their channel packing as a
-  /// belt-and-braces check against missed fence bumps.
+  /// bumps, so the lane tables and encodes built against this bank can
+  /// detect stale state (DESIGN.md §10).  Code that mutates lanes
+  /// directly through lane() must call bump_epoch() afterwards; a fence
+  /// without a bump still reaches the next product, which reads its
+  /// packing from surviving_channels().
   [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
   void bump_epoch() { ++epoch_; }
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/require.hpp"
+
 namespace pdac::faults {
 
 void LaneEncodeTable::rebuild(const LaneBank& bank) {
@@ -28,13 +30,13 @@ void LaneEncodeTable::rebuild(const LaneBank& bank) {
 }
 
 LaneEncoder::LaneEncoder(const LaneBank& bank, const std::vector<std::size_t>& channels,
-                         std::size_t rail, const LaneEncodeTable* table,
+                         std::size_t rail, const LaneEncodeTable& table,
                          const LaneEncodeTable* golden)
-    : bank_(&bank), live_(table == nullptr || !table->fresh(bank)) {
+    : quant_(&bank.quantizer()) {
+  PDAC_REQUIRE(table.fresh(bank), "LaneEncoder: the current lane table must be fresh");
   for (const std::size_t ch : channels) {
     const std::size_t flat = rail * bank.wavelengths() + ch;
-    flat_.push_back(flat);
-    current_.push_back(live_ ? nullptr : table->row(flat));
+    current_.push_back(table.row(flat));
     golden_.push_back(golden != nullptr ? golden->row(flat) : nullptr);
   }
 }
@@ -43,11 +45,10 @@ void LaneEncoder::operator()(std::span<const double> norm, std::span<double> cur
                              std::span<double> reference) const {
   // One span quantize (clamp_unit's clamp included), then both amplitudes
   // by code; position p rides packed channel p % nl.
-  const std::size_t nl = flat_.size();
-  const converters::Quantizer& quant = bank_->quantizer();
+  const std::size_t nl = current_.size();
   std::size_t ch = 0;
-  quant.encode_each(norm, 1.0, [&](std::size_t i, std::int32_t code) {
-    current[i] = this->current(ch, code);
+  quant_->encode_each(norm, 1.0, [&](std::size_t i, std::int32_t code) {
+    current[i] = current_[ch][code];
     if (!reference.empty()) reference[i] = golden_[ch][code];
     if (++ch == nl) ch = 0;
   });
@@ -95,16 +96,7 @@ void gather(const std::vector<const double*>& rows, std::span<const std::int16_t
 
 void LaneEncoder::decode(std::span<const std::int16_t> codes, std::span<double> current,
                          std::span<double> reference) const {
-  if (live_) {
-    const std::size_t nl = flat_.size();
-    std::size_t ch = 0;
-    for (std::size_t p = 0; p < codes.size(); ++p) {
-      current[p] = this->current(ch, codes[p]);
-      if (++ch == nl) ch = 0;
-    }
-  } else {
-    gather(current_, codes, current);
-  }
+  gather(current_, codes, current);
   if (!reference.empty()) gather(golden_, codes, reference);
 }
 

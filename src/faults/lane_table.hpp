@@ -12,11 +12,13 @@
 //
 // The table serves two roles.  Kept CURRENT through ensure(), it is
 // rebuilt whenever the bank's epoch moves, so injected faults, re-trims
-// and recalibrations are never served stale.  The same caveat as every
-// epoch consumer applies (lane_bank.hpp): code that mutates lanes
-// directly through lane() must bump_epoch() afterwards.  PINNED through
-// rebuild() at a trusted calibration point, it is GuardedBackend's golden
-// snapshot, which must not follow the bank.
+// and recalibrations are never served stale; it is the lane executor's
+// only source of current lane state, and LaneEncoder refuses a stale
+// one.  The same caveat as every epoch consumer applies (lane_bank.hpp):
+// code that mutates lanes directly through lane() must bump_epoch()
+// afterwards.  PINNED through rebuild() at a trusted calibration point,
+// it is GuardedBackend's golden snapshot, which must not follow the
+// bank.
 //
 // A rebuild is per lane: each row remembers the model stamp
 // (core::PerturbedPdacModel::stamp) it was evaluated at, and only a lane
@@ -82,22 +84,20 @@ class LaneEncodeTable {
 /// rail 0 for A, y rail 1 for B).  operator() encodes normalized values
 /// (the A side); decode() turns a code operand's stored quantizer codes
 /// into amplitudes (the B side, per tile step).  The CURRENT amplitude
-/// comes from `table` when it is fresh at construction and from the live
-/// lane model otherwise (no table, or a stale one), bit-identical either
-/// way, so a missed ensure() can cost speed but never correctness.  When a
-/// reference span is asked for, the GOLDEN amplitude comes from the pinned
-/// `golden` snapshot.  Construction makes every choice once: the current
-/// source and each packed channel's table row (current and golden), so a
-/// call only quantizes its span through the span rule
-/// (Quantizer::encode_each, DESIGN.md §18) or reads its codes, and reads
-/// both amplitudes by code, advancing the channel with the position.
-/// Both calls read a row from position 0, and an encode then decode of the
-/// same row gives the same bits.  Build one per use: the bank must not
-/// move its epoch while an encoder built on a fresh table is in use.
+/// comes from `table`, which must be fresh for `bank` at construction
+/// (PDAC_REQUIRE: a missed ensure() throws).  When a reference span is
+/// asked for, the GOLDEN amplitude comes from the pinned `golden`
+/// snapshot.  Construction picks each packed channel's table rows
+/// (current and golden) once, so a call only quantizes its span through
+/// the span rule (Quantizer::encode_each, DESIGN.md §18) or reads its
+/// codes, and reads both amplitudes by code, advancing the channel with
+/// the position.  Both calls read a row from position 0, and an encode
+/// then decode of the same row gives the same bits.  Build one per use:
+/// the bank must not move its epoch while an encoder is in use.
 class LaneEncoder {
  public:
   LaneEncoder(const LaneBank& bank, const std::vector<std::size_t>& channels, std::size_t rail,
-              const LaneEncodeTable* table = nullptr, const LaneEncodeTable* golden = nullptr);
+              const LaneEncodeTable& table, const LaneEncodeTable* golden = nullptr);
 
   /// current[p] (and reference[p] when non-empty) = the amplitude of
   /// norm[p]'s code at position p.
@@ -110,17 +110,9 @@ class LaneEncoder {
               std::span<double> reference = {}) const;
 
  private:
-  /// The current amplitude of `code` on packed channel `c`.
-  [[nodiscard]] double current(std::size_t c, std::int32_t code) const {
-    return live_ ? bank_->lane(flat_[c]).model.encode_code(code) : current_[c][code];
-  }
-
-  const LaneBank* bank_;
-  bool live_;
-  /// Per packed channel: its flat lane and its amplitudes by code — the
-  /// fresh table's row (null on the live models) and the golden row (null
-  /// without a snapshot).
-  std::vector<std::size_t> flat_;
+  const converters::Quantizer* quant_;
+  /// Per packed channel: its amplitudes by code — the current table's row
+  /// and the golden row (null without a snapshot).
   std::vector<const double*> current_;
   std::vector<const double*> golden_;
 };

@@ -52,7 +52,7 @@ Matrix PhotonicBackend::matmul_kv(const Matrix& a, const Matrix& kv,
 Matrix PhotonicBackend::run_cached(const Matrix& a, OperandCache& cache, std::uint64_t id,
                                    std::uint64_t version, const OperandCache::Grow& grow,
                                    const OperandCache::Build& build) {
-  std::shared_ptr<ptc::PreparedOperand> pb = cache.obtain(id, version, 0, grow, build);
+  std::shared_ptr<ptc::PreparedOperand> pb = cache.obtain(id, version, grow, build);
   ptc::GemmResult r = gemm_.multiply_prepared(a, *pb);
   events_ += r.events;
   fold_guard(r.guard);

@@ -117,8 +117,8 @@ class ReferenceBackend final : public GemmBackend {
 /// Execution through the simulated photonic tensor core; owns its
 /// modulator driver and two operand caches, one for weight-stationary
 /// reuse and one for KV history (the driver is immutable after
-/// construction, so the encoder epoch is a constant 0 and cached
-/// encodings only go stale when a weight's contents change).
+/// construction, so cached encodings only go stale when a weight's
+/// contents change).
 class PhotonicBackend final : public GemmBackend {
  public:
   PhotonicBackend(std::unique_ptr<core::ModulatorDriver> driver, ptc::GemmConfig cfg,

@@ -16,13 +16,10 @@ OperandCache::OperandCache(OperandCacheConfig cfg) : cfg_(cfg) {}
 
 std::shared_ptr<ptc::PreparedOperand> OperandCache::obtain(std::uint64_t id,
                                                            std::uint64_t version,
-                                                           std::uint64_t epoch, const Grow& grow,
-                                                           const Build& build,
-                                                           const Restamp& restamp) {
+                                                           const Grow& grow,
+                                                           const Build& build) {
   if (id == 0) return std::make_shared<ptc::PreparedOperand>(build());
-  std::shared_ptr<ptc::PreparedOperand> stale;
-  if (std::shared_ptr<ptc::PreparedOperand> op =
-          find(id, version, epoch, restamp ? &stale : nullptr)) {
+  if (std::shared_ptr<ptc::PreparedOperand> op = lookup(id, version)) {
     const std::size_t rows = op->rows;
     const std::size_t cols = op->cols;
     if (grow(*op)) {
@@ -47,50 +44,33 @@ std::shared_ptr<ptc::PreparedOperand> OperandCache::obtain(std::uint64_t id,
     }
     ++stats_.rebuilds;
   }
-  if (stale != nullptr && restamp(*stale)) {
-    PDAC_REQUIRE(stale->epoch == epoch, "OperandCache: a re-stamped entry must carry the epoch");
-    insert(id, version, stale);
-    return stale;
-  }
   auto op = std::make_shared<ptc::PreparedOperand>(build());
   insert(id, version, op);
   return op;
 }
 
 std::shared_ptr<ptc::PreparedOperand> OperandCache::lookup(std::uint64_t id,
-                                                           std::uint64_t version,
-                                                           std::uint64_t epoch) {
-  return find(id, version, epoch, nullptr);
-}
-
-std::shared_ptr<ptc::PreparedOperand> OperandCache::find(
-    std::uint64_t id, std::uint64_t version, std::uint64_t epoch,
-    std::shared_ptr<ptc::PreparedOperand>* stale) {
+                                                           std::uint64_t version) {
   const auto it = index_.find(id);
   if (it != index_.end()) {
     Entry& e = *it->second;
-    if (e.version == version && e.op->epoch == epoch) {
+    if (e.version == version) {
       lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency
       ++stats_.hits;
       return e.op;
     }
-    // Stale contents or stale encoder state: the entry must never be
-    // served again under its stamp, so erase it on the spot.  Contents
-    // that only an epoch move made stale go to the caller to re-stamp.
+    // Stale contents: the entry must never be served again under its
+    // stamp, so erase it on the spot.
     ++stats_.invalidations;
-    if (stale != nullptr && e.version == version) *stale = e.op;
     drop(it->second);
   }
   ++stats_.misses;
   return nullptr;
 }
 
-bool OperandCache::contains(std::uint64_t id, std::uint64_t version,
-                            std::uint64_t epoch) const {
+bool OperandCache::contains(std::uint64_t id, std::uint64_t version) const {
   const auto it = index_.find(id);
-  if (it == index_.end()) return false;
-  const Entry& e = *it->second;
-  return e.version == version && e.op->epoch == epoch;
+  return it != index_.end() && it->second->version == version;
 }
 
 void OperandCache::insert(std::uint64_t id, std::uint64_t version,

@@ -13,32 +13,24 @@
 // weights and one for KV history, because their id spaces and byte
 // budgets differ.
 //
-// Entries are keyed by id and carry two freshness stamps, checked on
-// every lookup:
-//   * version — bumped whenever a weight's contents may have changed
-//               (Linear assigns ids and versions); KV history is
-//               append-only and always passes 0;
-//   * epoch   — the encoder state (driver trim / fault / lane state) the
-//               operand was prepared under (PreparedOperand::epoch); the
-//               caller passes the current one.
-// A lookup that fails either check erases the entry and misses, so stale
-// encodings can never be returned.  What the stamps do not cover —
-// channel packing, scale growth, shape — the grow step refuses
-// (ptc::append_operand), and obtain() then rebuilds.  An owner whose
-// operands do not depend on the encoder state (faults::GuardedBackend's
-// quantizer codes) hands obtain() a re-stamp step: an entry that only an
-// epoch move made stale — same id and version — is then re-stamped in
-// place (and grown) for the caller's epoch instead of rebuilt.  It still
-// counts as the invalidation and miss it is, and is inserted as a build
-// would be, so it is never served under its old stamp.
+// Entries are keyed by id and carry one freshness stamp, checked on
+// every lookup: the content version, bumped whenever a weight's contents
+// may have changed (Linear assigns ids and versions); KV history is
+// append-only and always passes 0.  A lookup that fails it erases the
+// entry and misses, so stale contents can never be returned.  What the
+// stamp does not cover — scale growth, shape — the grow step refuses
+// (ptc::append_operand), and obtain() then rebuilds.  No entry depends on
+// encoder state: PhotonicGemm's LUT is fixed at engine construction, and
+// faults::GuardedBackend stores quantizer codes that each tile step
+// decodes through the lane tables it runs under, so a fault, re-trim or
+// fence leaves every entry a hit.
 //
 // Accounting, one rule for both uses:
 //   hit          — a fresh entry was found;
 //   miss         — no fresh entry was found;
 //   invalidation — an entry was stale at lookup, or erase() dropped it
 //                  (replacement by insert() and clear() are not);
-//   rebuild      — grow refused a fresh entry, or the owner re-prepared
-//                  it (record_rebuild);
+//   rebuild      — grow refused a fresh entry;
 //   append       — an accepted grow changed the operand's shape;
 //   eviction     — dropped by capacity pressure, least recently used
 //                  first;
@@ -109,32 +101,22 @@ class OperandCache {
   using Grow = std::function<bool(ptc::PreparedOperand&)>;
   /// Prepares the operand from scratch.
   using Build = std::function<ptc::PreparedOperand()>;
-  /// Re-stamps an entry that only an epoch move made stale, in place, for
-  /// the caller's epoch and grows it to the caller's source — or refuses
-  /// it, and obtain() builds.
-  using Restamp = std::function<bool(ptc::PreparedOperand&)>;
 
   explicit OperandCache(OperandCacheConfig cfg = {});
 
   /// The prepared operand for `id`: the fresh resident entry after `grow`
-  /// accepts it (re-accounted when it grew), else — when `restamp` is given
-  /// and accepts it — the entry that only an epoch move made stale,
-  /// re-stamped and stored again, else a `build` stored in place of any
-  /// refused or stale entry.  id 0 builds without touching the cache or
-  /// its counters.
+  /// accepts it (re-accounted when it grew), else a `build` stored in
+  /// place of any refused or stale entry.  id 0 builds without touching
+  /// the cache or its counters.
   [[nodiscard]] std::shared_ptr<ptc::PreparedOperand> obtain(std::uint64_t id,
                                                              std::uint64_t version,
-                                                             std::uint64_t epoch,
                                                              const Grow& grow,
-                                                             const Build& build,
-                                                             const Restamp& restamp = {});
+                                                             const Build& build);
 
-  /// The fresh resident operand for (id, version) under `epoch`
-  /// (LRU-touched), or nullptr.  A stale entry is erased before the miss
-  /// is reported.
+  /// The fresh resident operand for (id, version) (LRU-touched), or
+  /// nullptr.  A stale entry is erased before the miss is reported.
   [[nodiscard]] std::shared_ptr<ptc::PreparedOperand> lookup(std::uint64_t id,
-                                                             std::uint64_t version,
-                                                             std::uint64_t epoch);
+                                                             std::uint64_t version);
 
   /// Store `op` under (id, version), replacing any entry for `id`, then
   /// evict LRU entries over the byte capacity.  An operand larger than
@@ -143,11 +125,10 @@ class OperandCache {
   void insert(std::uint64_t id, std::uint64_t version, std::shared_ptr<ptc::PreparedOperand> op);
 
   /// Pure residency probe for placement affinity (serve::BackendPool):
-  /// true iff (id, version) is resident and fresh under `epoch`.  No LRU
-  /// reordering, no stats mutation, no stale-entry eviction — the
-  /// scheduler may probe many backends without perturbing any of them.
-  [[nodiscard]] bool contains(std::uint64_t id, std::uint64_t version,
-                              std::uint64_t epoch) const;
+  /// true iff (id, version) is resident.  No LRU reordering, no stats
+  /// mutation, no stale-entry eviction — the scheduler may probe many
+  /// backends without perturbing any of them.
+  [[nodiscard]] bool contains(std::uint64_t id, std::uint64_t version) const;
 
   /// Drop one entry if present (counted as an invalidation): sequence
   /// retirement, or a corrupted operand the owner is about to replace.
@@ -155,10 +136,6 @@ class OperandCache {
 
   /// Drop everything (stats are kept; resident bytes/entries reset).
   void clear();
-
-  /// Count a re-prepare the owner performed outside obtain() (the
-  /// escalation ladder's re-stamp after a re-trim or fence).
-  void record_rebuild() { ++stats_.rebuilds; }
 
   [[nodiscard]] const OperandCacheStats& stats() const { return stats_; }
   [[nodiscard]] const OperandCacheConfig& config() const { return cfg_; }
@@ -171,11 +148,6 @@ class OperandCache {
     std::size_t bytes;
   };
 
-  /// lookup()'s rule; an entry that fails only the epoch check is moved
-  /// into `*stale` (when non-null) as it is erased.
-  std::shared_ptr<ptc::PreparedOperand> find(std::uint64_t id, std::uint64_t version,
-                                             std::uint64_t epoch,
-                                             std::shared_ptr<ptc::PreparedOperand>* stale);
   void drop(std::list<Entry>::iterator it);
   void evict_over_capacity();
 

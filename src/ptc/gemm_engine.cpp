@@ -67,17 +67,44 @@ constexpr std::size_t kBlockRows = 32;
 /// same L1 sets, so a block's rows would evict one another.
 constexpr std::size_t kStagePad = 8;
 
-/// Fold encoded columns [j0, j1) over reduction positions [p0, p1) into
-/// their checksum stripes.  Ascending j is the fresh prepare's order, so
-/// an append continuing the running sums lands on the same doubles.
-void fold_stripes(PreparedOperand& pb, std::size_t j0, std::size_t j1, std::size_t p0,
-                  std::size_t p1) {
+/// Normalize Bᵀ rows [j0, j1) over reduction positions [0, k) of a
+/// B-side source (B for kRows, Bᵀ for kCols) into rows of `out` from
+/// `row0` on: out(row0 + j − j0, p) = Bᵀ(j, p) / scale, one division per
+/// element.  `out` must already hold those rows and columns.  The one
+/// normalizer of every prepare and append: none stages a whole
+/// normalized Bᵀ.
+void normalize_bt_rows(const Matrix& src, GrowAxis axis, double scale, std::size_t j0,
+                       std::size_t j1, std::size_t k, Matrix& out, std::size_t row0) {
+  PDAC_ASSERT(out.rows() >= row0 + (j1 - j0) && out.cols() >= k);
+  const std::size_t stride = out.cols();
+  double* const dst = out.data().data() + row0 * stride;
+  if (axis == GrowAxis::kCols) {
+    // The source is Bᵀ: each row is a contiguous run.
+    for (std::size_t j = j0; j < j1; ++j) {
+      const double* const from = src.row(j).data();
+      double* const to = dst + (j - j0) * stride;
+      for (std::size_t p = 0; p < k; ++p) to[p] = from[p] / scale;
+    }
+    return;
+  }
+  // The source is B: each position p is one run of B's row p, written
+  // down a column of the (few, padded) output rows.
+  for (std::size_t p = 0; p < k; ++p) {
+    const double* const from = src.row(p).data();
+    for (std::size_t j = j0; j < j1; ++j) dst[(j - j0) * stride + p] = from[j] / scale;
+  }
+}
+
+/// Fold encoded columns [j0, j1) into their checksum stripes over every
+/// reduction position.  Ascending j is the fresh prepare's order, so an
+/// append continuing the running sums lands on the same doubles.
+void fold_stripes(PreparedOperand& pb, std::size_t j0, std::size_t j1) {
   const std::size_t stripe = pb.checksum_stripe;
   for (std::size_t s = j0 / stripe; s * stripe < j1; ++s) {
     const std::size_t r0 = std::max(j0, s * stripe);
     const std::size_t r1 = std::min(j1, (s + 1) * stripe);
-    simd::add_rows(pb.encoded.row(r0).data() + p0, pb.encoded.cols(), r1 - r0, p1 - p0,
-                   pb.checksum.row(s).data() + p0);
+    simd::add_rows(pb.encoded.row(r0).data(), pb.encoded.cols(), r1 - r0, pb.rows,
+                   pb.checksum.row(s).data());
   }
 }
 
@@ -89,8 +116,8 @@ void quantize_codes(const converters::Quantizer& quant, std::span<const double> 
   });
 }
 
-/// The one blocked pass behind every prepare and append: Bᵀ rows
-/// [j0, j1) over reduction positions [p0, p1), in blocks of whole
+/// The one blocked pass behind every prepare and output-axis append: Bᵀ
+/// rows [j0, j1) over every reduction position, in blocks of whole
 /// checksum stripes spread over `pool`.  Each block is normalized into
 /// its worker's rows of `stage`, then encoded row by row (one `encode`
 /// call per row) and folded into its stripes (ascending j) while still in
@@ -102,28 +129,28 @@ void quantize_codes(const converters::Quantizer& quant, std::span<const double> 
 /// fold continues.
 void build_rows(PreparedOperand& pb, const Matrix& src, GrowAxis axis, const OperandSpec& spec,
                 const RowEncoder& encode, ThreadPool& pool, Matrix& stage, std::size_t j0,
-                std::size_t j1, std::size_t p0, std::size_t p1) {
+                std::size_t j1) {
   const std::size_t stripe = spec.checksum_stripe;
   const std::size_t block = stripe > 0 ? stripe_count(kBlockRows, stripe) * stripe : kBlockRows;
   const std::size_t first = j0 / block;
   const std::size_t blocks = j1 > j0 ? (j1 - 1) / block + 1 - first : 0;
-  const std::size_t len = p1 - p0;
-  stage.resize(pool.size() * block, len + kStagePad);
+  const std::size_t k = pb.rows;
+  stage.resize(pool.size() * block, k + kStagePad);
   pool.parallel_for(blocks, [&](std::size_t begin, std::size_t end, std::size_t worker) {
     for (std::size_t b = first + begin; b < first + end; ++b) {
       const std::size_t lo = std::max(j0, b * block);
       const std::size_t hi = std::min(j1, (b + 1) * block);
       const std::size_t row0 = worker * block;
-      normalize_bt_rows(src, axis, pb.scale, lo, hi, p0, p1, stage, row0);
+      normalize_bt_rows(src, axis, pb.scale, lo, hi, k, stage, row0);
       for (std::size_t j = lo; j < hi; ++j) {
-        const std::span<const double> norm = stage.row(row0 + (j - lo)).first(len);
+        const std::span<const double> norm = stage.row(row0 + (j - lo)).first(k);
         if (spec.codes != nullptr) {
-          quantize_codes(*spec.codes, norm, pb.codes.row(j).subspan(p0, len));
+          quantize_codes(*spec.codes, norm, pb.codes.row(j).first(k));
         } else {
-          encode(norm, pb.encoded.row(j).subspan(p0, len));
+          encode(norm, pb.encoded.row(j).first(k));
         }
       }
-      if (stripe > 0) fold_stripes(pb, lo, hi, p0, p1);
+      if (stripe > 0) fold_stripes(pb, lo, hi);
     }
   });
 }
@@ -150,7 +177,7 @@ void build_positions(PreparedOperand& pb, const Matrix& src, const OperandSpec& 
     const std::span<const double> norm = stage.row(row0).first(n);
     const std::span<double> enc = stage.row(row0 + 1).first(n);
     for (std::size_t p = p0 + begin; p < p0 + end; ++p) {
-      normalize_bt_rows(src, GrowAxis::kCols, pb.scale, p, p + 1, 0, n, stage, row0);
+      normalize_bt_rows(src, GrowAxis::kCols, pb.scale, p, p + 1, n, stage, row0);
       if (spec.codes != nullptr) {
         // Scattered down column p, one code per output column.
         spec.codes->encode_each(norm, 1.0, [&](std::size_t j, std::int32_t code) {
@@ -169,29 +196,6 @@ void build_positions(PreparedOperand& pb, const Matrix& src, const OperandSpec& 
 
 }  // namespace
 
-void normalize_bt_rows(const Matrix& src, GrowAxis axis, double scale, std::size_t j0,
-                       std::size_t j1, std::size_t p0, std::size_t p1, Matrix& out,
-                       std::size_t row0) {
-  PDAC_ASSERT(out.rows() >= row0 + (j1 - j0) && out.cols() >= p1 - p0);
-  const std::size_t stride = out.cols();
-  double* const dst = out.data().data() + row0 * stride;
-  if (axis == GrowAxis::kCols) {
-    // The source is Bᵀ: each row is a contiguous run.
-    for (std::size_t j = j0; j < j1; ++j) {
-      const double* const from = src.row(j).data();
-      double* const to = dst + (j - j0) * stride;
-      for (std::size_t p = p0; p < p1; ++p) to[p - p0] = from[p] / scale;
-    }
-    return;
-  }
-  // The source is B: each position p is one run of B's row p, written
-  // down a column of the (few, padded) output rows.
-  for (std::size_t p = p0; p < p1; ++p) {
-    const double* const from = src.row(p).data();
-    for (std::size_t j = j0; j < j1; ++j) dst[(j - j0) * stride + (p - p0)] = from[j] / scale;
-  }
-}
-
 PreparedOperand prepare_operand(const Matrix& src, GrowAxis axis, const OperandSpec& spec,
                                 const RowEncoder& encode, ThreadPool& pool, Matrix& stage) {
   PDAC_REQUIRE(spec.codes == nullptr || spec.checksum_stripe == 0,
@@ -201,8 +205,6 @@ PreparedOperand prepare_operand(const Matrix& src, GrowAxis axis, const OperandS
   pb.cols = axis == GrowAxis::kCols ? src.rows() : src.cols();
   pb.abs_max = raw_abs_max(src.data());
   pb.scale = pb.abs_max > 0.0 ? pb.abs_max : 1.0;  // == converters::max_abs_scale
-  pb.epoch = spec.epoch;
-  pb.channels = spec.channels;
 
   // Amortized encoding: every B column is encoded (or quantized) exactly
   // once, the software mirror of the hardware broadcasting one modulated
@@ -221,7 +223,7 @@ PreparedOperand prepare_operand(const Matrix& src, GrowAxis axis, const OperandS
     pb.checksum_stripe = spec.checksum_stripe;
     pb.checksum = Matrix(stripe_count(pb.cols, pb.checksum_stripe), pb.rows);
   }
-  build_rows(pb, src, axis, spec, encode, pool, stage, 0, pb.cols, 0, pb.rows);
+  build_rows(pb, src, axis, spec, encode, pool, stage, 0, pb.cols);
   return pb;
 }
 
@@ -229,11 +231,9 @@ bool append_operand(PreparedOperand& pb, const Matrix& src, GrowAxis axis,
                     const OperandSpec& spec, const RowEncoder& encode, ThreadPool& pool,
                     Matrix& stage) {
   const bool cols_axis = axis == GrowAxis::kCols;
-  // Refuse anything the bit-identity proof does not cover.  Stamps: the
-  // encoder state and lane packing the operand was encoded under.
-  if (pb.epoch != spec.epoch || pb.channels != spec.channels) return false;
-  // Shape: the source's columns are the fixed dimension, its rows the
-  // growing one, and it may not shrink.
+  // Refuse anything the bit-identity proof does not cover.  Shape: the
+  // source's columns are the fixed dimension, its rows the growing one,
+  // and it may not shrink.
   const std::size_t fixed = cols_axis ? pb.rows : pb.cols;
   const std::size_t old_len = cols_axis ? pb.cols : pb.rows;
   const std::size_t new_len = src.rows();
@@ -280,7 +280,7 @@ bool append_operand(PreparedOperand& pb, const Matrix& src, GrowAxis axis,
         std::fill(row.begin(), row.end(), 0.0);
       }
     }
-    build_rows(pb, src, axis, spec, encode, pool, stage, old_len, new_len, 0, k);
+    build_rows(pb, src, axis, spec, encode, pool, stage, old_len, new_len);
     pb.cols = new_len;
   } else {
     // New reduction positions = one new column of every Bᵀ row, written
@@ -307,7 +307,7 @@ bool append_operand(PreparedOperand& pb, const Matrix& src, GrowAxis axis,
 }
 
 OperandSpec PhotonicGemm::operand_spec() const {
-  return OperandSpec{.channels = {}, .checksum_stripe = cfg_.guard.enabled ? cfg_.array_cols : 0};
+  return OperandSpec{.checksum_stripe = cfg_.guard.enabled ? cfg_.array_cols : 0};
 }
 
 RowEncoder PhotonicGemm::lut_encoder() const {

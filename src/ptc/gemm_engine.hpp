@@ -114,13 +114,11 @@ enum class ExecutionPath { kKernel, kDeviceGraph, kKernelSimd, kKernelQuant };
 /// The B operand of C = A·B, fully prepared for the photonic array:
 /// transposed into row-major columns and max-abs-normalized, then either
 /// pushed through the encode LUT (an amplitude operand, `encoded`) or
-/// quantized (a code operand, `codes`).  An amplitude operand is valid
-/// only while the encoder state it was built under is unchanged —
-/// `epoch` records that state (driver/trim/lane epoch, owner-defined) so
-/// caches can refuse stale encodings.  A code operand depends on no
-/// encoder state: faults::GuardedBackend decodes each tile's codes through
-/// the lane tables it runs under and re-stamps the operand when the epoch
-/// moves (DESIGN.md §10).
+/// quantized (a code operand, `codes`).  An amplitude operand holds the
+/// encodes of PhotonicGemm's LUT, which is fixed at engine construction.
+/// A code operand depends on no encoder state: faults::GuardedBackend
+/// decodes each tile's codes through the lane tables it runs under, so
+/// the operand carries no lane stamp (DESIGN.md §10).
 ///
 /// Logical vs physical shape (KV appends, DESIGN.md §17): `rows`/`cols`
 /// are the LOGICAL source dimensions.  `encoded`/`codes` always hold
@@ -143,12 +141,6 @@ struct PreparedOperand {
   double abs_max{0.0};
   std::size_t rows{0};    ///< source b.rows() (= k, the reduction length)
   std::size_t cols{0};    ///< source b.cols() (= n)
-  std::uint64_t epoch{0}; ///< encoder state stamp it was encoded under
-  /// Lane-packing snapshot for degraded execution (faults layer): the
-  /// usable channel each reduction position rides.  Empty on
-  /// PhotonicGemm, whose engine packs reduction position i onto channel
-  /// i mod wavelengths.
-  std::vector<std::size_t> channels;
 
   /// ABFT checksum stripes (abft.hpp): row s is Σ_j encoded.row(j) over
   /// the columns of column-stripe s, in ascending j, where stripes are
@@ -187,7 +179,7 @@ struct PreparedOperand {
     return sizeof(PreparedOperand) +
            (encoded.size() + checksum.size() + energy.size() + energy_acc.size()) *
                sizeof(double) +
-           codes.size() * sizeof(std::int16_t) + channels.size() * sizeof(std::size_t);
+           codes.size() * sizeof(std::int16_t);
   }
 };
 
@@ -223,26 +215,14 @@ enum class GrowAxis {
 /// position, possibly from several pool workers at once.
 using RowEncoder = std::function<void(std::span<const double> norm, std::span<double> encoded)>;
 
-/// What an operand is stamped with and what it stores.  An append must be
-/// handed the spec the operand was prepared under, or it refuses.
+/// What an operand stores.  An append must be handed the spec the operand
+/// was prepared under, or it refuses.
 struct OperandSpec {
-  std::uint64_t epoch{0};             ///< encoder-state stamp
-  std::vector<std::size_t> channels;  ///< lane packing (faults layer); empty when fixed
-  std::size_t checksum_stripe{0};     ///< checksum stripe width; 0 = no stripes
+  std::size_t checksum_stripe{0};  ///< checksum stripe width; 0 = no stripes
   /// Non-null: a code operand — `codes` through this quantizer (span rule,
   /// DESIGN.md §18), no encoder, no stripes.  Null: an amplitude operand.
   const converters::Quantizer* codes{nullptr};
 };
-
-/// Normalize Bᵀ rows [j0, j1) over reduction positions [p0, p1) of a
-/// B-side source (B for kRows, Bᵀ for kCols) into rows of `out` from
-/// `row0` on: out(row0 + j − j0, p − p0) = Bᵀ(j, p) / scale, one division
-/// per element.  `out` must already hold those rows and columns.  The
-/// one normalizer of every prepare and append: none stages a whole
-/// normalized Bᵀ.
-void normalize_bt_rows(const Matrix& src, GrowAxis axis, double scale, std::size_t j0,
-                       std::size_t j1, std::size_t p0, std::size_t p1, Matrix& out,
-                       std::size_t row0 = 0);
 
 /// Build an operand from `src` (B for kRows, Bᵀ for kCols): the raw
 /// max-abs and scale, then one blocked pass over Bᵀ rows — each block of
@@ -264,12 +244,12 @@ void normalize_bt_rows(const Matrix& src, GrowAxis axis, double scale, std::size
 /// output column, scattered down their column.  The result is
 /// bit-identical to prepare_operand(src, axis, spec, …), and so is every
 /// output, event count and guard verdict computed from it.  Returns false,
-/// leaving `pb` untouched, whenever that identity cannot hold — epoch or
-/// channel packing differ from `spec`, the source shrank or changed its
-/// fixed dimension, the new elements' max-abs exceeds pb.abs_max (the
-/// fresh scale would differ), the stored parts disagree with `spec`, or a
-/// padded reduction axis would have to grow along the output axis.  The
-/// caller then rebuilds.  A same-length source is an accepted no-op.
+/// leaving `pb` untouched, whenever that identity cannot hold — the source
+/// shrank or changed its fixed dimension, the new elements' max-abs
+/// exceeds pb.abs_max (the fresh scale would differ), the stored parts
+/// disagree with `spec`, or a padded reduction axis would have to grow
+/// along the output axis.  The caller then rebuilds.  A same-length
+/// source is an accepted no-op.
 [[nodiscard]] bool append_operand(PreparedOperand& pb, const Matrix& src, GrowAxis axis,
                                   const OperandSpec& spec, const RowEncoder& encode,
                                   ThreadPool& pool, Matrix& stage);
@@ -311,8 +291,8 @@ class PhotonicGemm {
   [[nodiscard]] GemmResult multiply(const Matrix& a, const Matrix& b) const;
 
   /// Run the B-side pipeline once: scale, transpose, normalize, encode.
-  /// The engine is immutable after construction, so its operands carry
-  /// epoch 0.
+  /// The engine is immutable after construction, so its operands never
+  /// go stale.
   [[nodiscard]] PreparedOperand prepare_b(const Matrix& b) const;
 
   /// prepare_b from an already-transposed source: `bt` is Bᵀ (n × k).
@@ -325,9 +305,8 @@ class PhotonicGemm {
   /// Append-only extension of a prepared operand along the OUTPUT axis
   /// (new B columns = new rows of Bᵀ): append_operand with this engine's
   /// spec, so the result is bit-identical to prepare_bt(bt), or
-  /// false (operand untouched) and the caller rebuilds.  Operands carrying
-  /// faults-layer state (channel packing, codes) never match this engine's
-  /// spec.
+  /// false (operand untouched) and the caller rebuilds.  Code operands
+  /// (the faults layer's) never match this engine's spec.
   [[nodiscard]] bool append_bt_rows(PreparedOperand& pb, const Matrix& bt) const;
 
   /// Append-only extension along the REDUCTION axis (new B rows = new
@@ -357,7 +336,7 @@ class PhotonicGemm {
 
  private:
   /// The operand spec this engine prepares and appends under: amplitudes,
-  /// epoch 0, no packing, stripes when guarded.
+  /// stripes when guarded.
   [[nodiscard]] OperandSpec operand_spec() const;
   /// Encodes Bᵀ rows through the engine's memoized driver LUT.
   [[nodiscard]] RowEncoder lut_encoder() const;

@@ -152,6 +152,7 @@ void BackendPool::tick(std::uint64_t now) {
         slot.backoff = q.probe_backoff;
         slot.next_probe_at = now + slot.backoff;
         slot.clean_probes = 0;
+        slot.unclean_at_max = false;
         ++quarantines_;
         quarantine_log_.push_back({QuarantineEventKind::kQuarantined, i, now, false});
       }
@@ -161,6 +162,7 @@ void BackendPool::tick(std::uint64_t now) {
     const bool clean = canary_probe(i);
     ++canary_probes_;
     quarantine_log_.push_back({QuarantineEventKind::kProbe, i, now, clean});
+    slot.unclean_at_max = !clean && slot.backoff == q.probe_backoff_max;
     if (clean) {
       if (++slot.clean_probes >= q.readmit_clean_probes) {
         slot.probation = false;
@@ -191,6 +193,14 @@ std::uint64_t BackendPool::next_probe_at() const {
     if (slot.probation && alive(i)) next = std::min(next, slot.next_probe_at);
   }
   return next;
+}
+
+bool BackendPool::probation_can_back_off() const {
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    const Slot& slot = slots_[i];
+    if (slot.probation && alive(i) && !slot.unclean_at_max) return true;
+  }
+  return false;
 }
 
 }  // namespace pdac::serve

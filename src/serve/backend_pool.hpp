@@ -134,6 +134,12 @@ class BackendPool {
   /// its probes instead of failing the queue.
   [[nodiscard]] std::uint64_t next_probe_at() const;
 
+  /// True while some alive slot in probation can still back off: its
+  /// last probe was clean, or came back unclean below probe_backoff_max.
+  /// Once none can, waiting for probes is all an idle pool with no slot
+  /// in rotation would do, so the engine fails its queue instead.
+  [[nodiscard]] bool probation_can_back_off() const;
+
   [[nodiscard]] std::size_t quarantines() const { return quarantines_; }
   [[nodiscard]] std::size_t readmissions() const { return readmissions_; }
   [[nodiscard]] std::size_t canary_probes() const { return canary_probes_; }
@@ -175,6 +181,7 @@ class BackendPool {
     std::uint64_t next_probe_at{0};
     std::uint64_t backoff{0};
     std::size_t clean_probes{0};
+    bool unclean_at_max{false};  ///< last probe unclean at probe_backoff_max
     /// Escalation-history baselines: counts already accounted for at the
     /// last clean point (readmission or construction), so the probation
     /// triggers fire on *fresh* damage only.

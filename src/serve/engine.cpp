@@ -342,14 +342,13 @@ ServingReport ServingEngine::run(const std::vector<Request>& requests) {
       std::vector<std::size_t> pressure(models_.size(), 0);
       for (const std::size_t q : eligible) ++pressure[requests[q].model];
       const nn::OperandCache* cache = pool_.backend(b).operand_cache();
-      const std::uint64_t epoch = pool_.bank(b).epoch();
       double best_model_score = -1.0;
       std::size_t model = 0;
       for (std::size_t m = 0; m < models_.size(); ++m) {
         if (pressure[m] == 0) continue;
         double s = static_cast<double>(pressure[m]);
         const nn::WeightHandle h = models_[m].weight_handle();
-        if (cache != nullptr && cache->contains(h.id, h.version, epoch)) {
+        if (cache != nullptr && cache->contains(h.id, h.version)) {
           s += kAffinityBonus * static_cast<double>(pressure[m]);
         }
         if (s > best_model_score) {
@@ -384,8 +383,15 @@ ServingReport ServingEngine::run(const std::vector<Request>& requests) {
     }
     // Pending canary probes are events too: a fully-quarantined pool
     // waits for its probes (and the readmission they can earn) instead
-    // of failing the queue.
-    next = std::min(next, pool_.next_probe_at());
+    // of failing the queue — while a quarantined slot can still back
+    // off.  With no slot in rotation, nothing in flight and no arrival
+    // pending, once every quarantined slot has probed unclean at
+    // probe_backoff_max the queue fails as on an offline pool.
+    bool serving = false;
+    for (std::size_t b = 0; b < pool_n; ++b) serving = serving || pool_.in_rotation(b);
+    if (next != kNever || serving || pool_.probation_can_back_off()) {
+      next = std::min(next, pool_.next_probe_at());
+    }
     if (next != kNever && next > now) {
       now = next;
     } else if (!dispatched) {

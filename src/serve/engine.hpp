@@ -26,8 +26,9 @@
 //    these are fixed constants in engine.cpp, not options.
 //  * Verdicts: every request terminates as completed | shed | failed —
 //    never a silent drop.  Shed carries an explicit reason; failed means
-//    the hardware gave up (ladder exhausted / pool offline) on one of
-//    the request's tokens.
+//    the hardware gave up (ladder exhausted / pool offline, or every
+//    slot quarantined with no probe left to back off) on one of the
+//    request's tokens.
 //
 // Bit-identity contract: activation rows are unit max-abs (workload.hpp)
 // and renormalized per token, so the quantizer scale is 1.0 regardless

@@ -603,7 +603,7 @@ TEST(AbftGuard, PhotonicBackendAutoRepairsCorruptedCacheEntry) {
     const Matrix clean = backend.matmul_cached(a, b, w);
 
     // Flip a bit in the cached operand behind the backend's back.
-    auto pb = backend.cache().lookup(w.id, w.version, 0);
+    auto pb = backend.cache().lookup(w.id, w.version);
     ASSERT_NE(pb, nullptr);
     const_cast<ptc::PreparedOperand*>(pb.get())->encoded.row(4)[2] += 0.5;
     const auto energy_is_fresh = [](const ptc::PreparedOperand& op, std::size_t j) {
@@ -625,7 +625,7 @@ TEST(AbftGuard, PhotonicBackendAutoRepairsCorruptedCacheEntry) {
       EXPECT_EQ(repaired.data()[i], clean.data()[i]) << "element " << i;
     }
     if (cfg.dot.use_full_optics) {
-      const auto fresh = backend.cache().lookup(w.id, w.version, 0);
+      const auto fresh = backend.cache().lookup(w.id, w.version);
       ASSERT_NE(fresh, nullptr);
       EXPECT_TRUE(energy_is_fresh(*fresh, 4));
     }

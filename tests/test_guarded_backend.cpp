@@ -124,11 +124,10 @@ ptc::EventCounter product_events(std::size_t m, std::size_t k, std::size_t n,
 }
 
 /// Resident bytes of a lane operand with `n` columns of reduction length
-/// `k` prepared whole (no capacity padding) over `lanes` channels: its
-/// int16 codes and packing, nothing else.
-std::size_t operand_bytes(std::size_t n, std::size_t k, std::size_t lanes) {
-  return sizeof(ptc::PreparedOperand) + n * k * sizeof(std::int16_t) +
-         lanes * sizeof(std::size_t);
+/// `k` prepared whole (no capacity padding): its int16 codes, nothing
+/// else.
+std::size_t operand_bytes(std::size_t n, std::size_t k) {
+  return sizeof(ptc::PreparedOperand) + n * k * sizeof(std::int16_t);
 }
 
 /// A ladder that may only give up: a detected product stays unrecovered
@@ -165,7 +164,8 @@ void expect_snapshots_equal(const faults::HealthSnapshot& a, const faults::Healt
 /// whole through faults::LaneEncoder — current amplitudes, a golden copy
 /// while golden is not pinned at the bank's epoch, and checksum stripes
 /// summed from the golden columns in ascending order — and a storm step
-/// re-encodes only the stripes the epoch moved past.  The governor, the
+/// refreshes the current table and re-encodes only the stripes the epoch
+/// moved past.  The governor, the
 /// ladder and every monitor record follow the backend's.  Operands are
 /// never cached: a cached or appended operand was bit-identical to this
 /// fresh prepare, so outputs, verdicts, events and health must match the
@@ -320,7 +320,7 @@ Matrix AmplitudeOracle::matmul(const Matrix& a, const Matrix& b) {
     const bool copy = guarded && !golden_.fresh(bank_);
     be = Matrix(n, k);
     bgold = copy ? Matrix(n, k) : Matrix();
-    const faults::LaneEncoder enc(bank_, channels, 1, &table_, &golden_);
+    const faults::LaneEncoder enc(bank_, channels, 1, table_, &golden_);
     for (std::size_t j = 0; j < n; ++j) {
       enc(bn.row(j), be.row(j), copy ? bgold.row(j) : std::span<double>{});
     }
@@ -336,7 +336,7 @@ Matrix AmplitudeOracle::matmul(const Matrix& a, const Matrix& b) {
   std::vector<std::uint64_t> a_epoch;
   const auto encode_a = [&] {
     a_epoch.assign((m + H - 1) / H, bank_.epoch());
-    const faults::LaneEncoder enc(bank_, channels, 0, &table_, &golden_);
+    const faults::LaneEncoder enc(bank_, channels, 0, table_, &golden_);
     for (std::size_t i = 0; i < m; ++i) {
       enc(an.row(i), ae.row(i), guarded ? ag.row(i) : std::span<double>{});
     }
@@ -352,34 +352,22 @@ Matrix AmplitudeOracle::matmul(const Matrix& a, const Matrix& b) {
   outcome.enabled = true;
   outcome.tiles_checked = tiles.size();
   std::vector<double> sums(H + W);
-  const std::size_t table_evals =
-      bank_.lanes() * (2 * static_cast<std::size_t>(bank_.quantizer().max_code()) + 1);
-  std::uint64_t live_epoch = bank_.epoch();
-  std::size_t live_evals = 0;
   // A stale stripe re-encodes from its normalized rows through the
-  // current table or the live lanes (the same bits), on the parent's
-  // rebuild threshold.
+  // refreshed current table.
   const auto refresh = [&](const ptc::Tile& tile) {
     const std::uint64_t now = bank_.epoch();
     std::uint64_t& ea = a_epoch[tile.row0 / H];
     std::uint64_t& eb = b_epoch[tile.col0 / W];
     if (ea == now && eb == now) return;
-    if (!table_.fresh(bank_)) {
-      if (live_epoch != now) {
-        live_epoch = now;
-        live_evals = 0;
-      }
-      live_evals += ((ea != now ? tile.rows : 0) + (eb != now ? tile.cols : 0)) * k;
-      if (live_evals >= table_evals) table_.rebuild(bank_);
-    }
+    table_.ensure(bank_);
     if (ea != now) {
-      const faults::LaneEncoder live(bank_, channels, 0, &table_);
-      for (std::size_t i = tile.row0; i < tile.row0 + tile.rows; ++i) live(an.row(i), ae.row(i));
+      const faults::LaneEncoder enc(bank_, channels, 0, table_);
+      for (std::size_t i = tile.row0; i < tile.row0 + tile.rows; ++i) enc(an.row(i), ae.row(i));
       ea = now;
     }
     if (eb != now) {
-      const faults::LaneEncoder live(bank_, channels, 1, &table_);
-      for (std::size_t j = tile.col0; j < tile.col0 + tile.cols; ++j) live(bn.row(j), be.row(j));
+      const faults::LaneEncoder enc(bank_, channels, 1, table_);
+      for (std::size_t j = tile.col0; j < tile.col0 + tile.cols; ++j) enc(bn.row(j), be.row(j));
       eb = now;
     }
   };
@@ -585,7 +573,7 @@ faults::FaultEvent fault(std::uint64_t step, std::size_t lane, faults::FaultKind
 /// oracle, on both kernel tiers, at 1 and 3 tile workers, guarded and
 /// not: clean products (plain, cached, KV on both axes); a storm with a
 /// hard and a drift-class fault mid-product; a bias walk that moves the
-/// epoch at every tile step (the live-model decode); every ladder rung —
+/// epoch at every tile step (a full table refresh per step); every ladder rung —
 /// retry and re-trim, fence, give-up, and an all-fenced outage —; single
 /// and double upsets; and KV appends across an epoch move, a golden
 /// re-pin at an unchanged epoch, and a fence.  Outputs, events, health
@@ -834,15 +822,15 @@ TEST(GuardedBackend, CleanBankBitIdenticalToLaneReference) {
 
     // Operands are cached as quantizer codes: the cached weight and both
     // KV operands carry no amplitudes and no checksum stripes, and the
-    // caches' resident bytes are the codes and packing alone.
+    // caches' resident bytes are the codes alone.
     const nn::WeightHandle w{21, 1};
     expect_matrices_equal(guarded.matmul_cached(a, b, w), got);
-    const auto weight = guarded.cache().lookup(w.id, w.version, bank.epoch());
+    const auto weight = guarded.cache().lookup(w.id, w.version);
     ASSERT_NE(weight, nullptr);
     EXPECT_EQ(weight->encoded.size(), 0u);
     EXPECT_EQ(weight->checksum.size(), 0u);
     EXPECT_EQ(weight->codes.rows(), 11u);
-    EXPECT_EQ(guarded.cache().stats().resident_bytes, operand_bytes(11, 18, 4));
+    EXPECT_EQ(guarded.cache().stats().resident_bytes, operand_bytes(11, 18));
     const Matrix keys = Matrix::random_gaussian(9, 18, rng, 0.0, 1.0);
     const Matrix probs = Matrix::random_gaussian(13, 9, rng, 0.0, 1.0);
     expect_matrices_equal(guarded.matmul_kv(a, keys, {1, nn::KvAxis::kCols}),
@@ -850,7 +838,7 @@ TEST(GuardedBackend, CleanBankBitIdenticalToLaneReference) {
     expect_matrices_equal(guarded.matmul_kv(probs, keys, {2, nn::KvAxis::kRows}),
                           lane_reference(bank, probs, keys, path));
     EXPECT_EQ(guarded.kv_cache()->stats().resident_bytes,
-              operand_bytes(9, 18, 4) + operand_bytes(18, 9, 4));
+              operand_bytes(9, 18) + operand_bytes(18, 9));
     EXPECT_EQ(guarded.monitor().snapshot().detections, 0u);
 
     if (path == ptc::ExecutionPath::kKernel) {
@@ -1105,17 +1093,12 @@ TEST(GuardedBackend, StormDetectsMidProductFaultInAffectedTile) {
 }
 
 TEST(GuardedBackend, UnguardedStormTilesMatchLaneReferenceOfTheirStep) {
-  // A storm step re-encodes its stale stripes through the live lane
-  // models until the stale elements met at the current epoch reach
-  // lanes · codes (8 · 255 = 2040 here), then rebuilds the current lane
-  // table and reads it.  Every route must give the bits of the lanes as
-  // they stand at that step: with the guard off, every tile before the
-  // strike equals the clean bank's lane reference and every tile from it
-  // on the struck bank's, bit for bit.  On the 3 × 3 tile grid one
-  // strike makes at most 6 stripes stale: k = 16 stays on the live models
-  // (6 · 8 · 16 = 768 elements), k = 96 re-encodes the first stale step
-  // live (1536) and rebuilds at the second (2304), and k = 320 rebuilds
-  // at the first.
+  // A storm step refreshes the current lane table, then decodes its B
+  // stripe and re-encodes its stale A stripe from it, so every tile must
+  // give the bits of the lanes as they stand at that step: with the
+  // guard off, every tile before the strike equals the clean bank's lane
+  // reference and every tile from it on the struck bank's, bit for bit,
+  // on the 3 × 3 tile grid at reduction lengths 16, 96 and 320.
   Rng rng(59);
   for (const ptc::ExecutionPath path :
        {ptc::ExecutionPath::kKernel, ptc::ExecutionPath::kKernelSimd}) {
@@ -1213,11 +1196,12 @@ TEST(GuardedBackend, QuietStormProductEqualsStormFreeProduct) {
   }
 }
 
-TEST(GuardedBackend, EpochBumpInvalidatesCachedOperandAndGuardStillFires) {
-  // Weight-stationary interplay: the injector's epoch bump forces a
-  // re-prepare (no stale encodings escape the cache), and because the
-  // golden snapshot predates the fault, the freshly prepared product is
-  // still caught and recovered.
+TEST(GuardedBackend, EpochBumpKeepsCachedCodesAndGuardStillFires) {
+  // Weight-stationary interplay: the injector's epoch bump leaves the
+  // cached codes resident — no lane state enters them, so the entry is a
+  // hit — and because the golden snapshot predates the fault, the
+  // product decoded through the struck lanes is still caught and
+  // recovered.
   faults::LaneBank bank(small_bank_config());
   faults::production_trim(bank);
   faults::GuardedBackend backend(bank);
@@ -1228,7 +1212,8 @@ TEST(GuardedBackend, EpochBumpInvalidatesCachedOperandAndGuardStillFires) {
 
   (void)backend.matmul_cached(a, b, w);  // miss + insert
   (void)backend.matmul_cached(a, b, w);  // hit
-  EXPECT_EQ(backend.cache().stats().hits, 1u);
+  const nn::OperandCacheStats& st = backend.cache().stats();
+  EXPECT_EQ(st.hits, 1u);
   EXPECT_EQ(backend.monitor().snapshot().detections, 0u);
 
   faults::FaultInjector injector(bank, one_event(bank.lanes(), stuck_mrr(1)));
@@ -1236,7 +1221,8 @@ TEST(GuardedBackend, EpochBumpInvalidatesCachedOperandAndGuardStillFires) {
   const std::uint64_t struck_epoch = bank.epoch();
 
   const Matrix recovered = backend.matmul_cached(a, b, w);
-  EXPECT_GE(backend.cache().stats().invalidations, 1u);
+  EXPECT_EQ(st.hits, 2u);
+  EXPECT_EQ(st.misses, 1u);
   const faults::HealthSnapshot& snap = backend.monitor().snapshot();
   EXPECT_EQ(snap.detections, 1u);
   EXPECT_DOUBLE_EQ(snap.mean_detection_latency(), 1.0);  // the strike precedes tile 0
@@ -1244,34 +1230,31 @@ TEST(GuardedBackend, EpochBumpInvalidatesCachedOperandAndGuardStillFires) {
   const auto err = stats::compare(recovered.data(), matmul_reference(a, b).data());
   EXPECT_GT(err.cosine, 0.99);
 
-  // The re-trim's self-test moved the epoch again; the rung re-stamped
-  // the cached operand there instead of rebuilding it.
+  // The re-trim's self-test moved the epoch again; the operand in hand
+  // was still right, so nothing was invalidated or rebuilt and the entry
+  // stays resident.
   EXPECT_EQ(snap.retrims, 1u);
   EXPECT_EQ(snap.fences, 0u);
   EXPECT_GT(bank.epoch(), struck_epoch);
-  EXPECT_EQ(backend.cache().stats().rebuilds, 1u);  // the rung's re-stamp
-  const auto repinned = backend.cache().lookup(w.id, w.version, bank.epoch());
-  ASSERT_NE(repinned, nullptr);
-  EXPECT_EQ(repinned->epoch, bank.epoch());
+  EXPECT_EQ(st.invalidations, 0u);
+  EXPECT_EQ(st.rebuilds, 0u);
+  EXPECT_TRUE(backend.cache().contains(w.id, w.version));
 
-  // Recovery re-warmed the cache against the repaired bank: the next
-  // product hits and verifies cleanly.
-  const std::uint64_t hits_before = backend.cache().stats().hits;
+  // The next product hits and verifies cleanly against the repaired bank.
   const Matrix again = backend.matmul_cached(a, b, w);
-  EXPECT_EQ(backend.cache().stats().hits, hits_before + 1);
+  EXPECT_EQ(st.hits, 3u);
   EXPECT_EQ(backend.monitor().snapshot().detections, 1u);
   expect_matrices_equal(again, recovered);
 
-  // The entry the strike's miss hands on keeps its codes and is
-  // re-stamped, not rebuilt: golden predates the epoch, so each tile step
-  // decodes golden references beside the data, and the guard fires at
-  // the first tile.  A ladder that may only give up leaves it resident to
-  // be looked at.
+  // The entry built before the strike keeps its codes: golden predates
+  // the epoch, so each tile step decodes golden references beside the
+  // data, and the guard fires at the first tile.  A ladder that may only
+  // give up leaves it resident to be looked at.
   faults::LaneBank held_bank(small_bank_config());
   faults::production_trim(held_bank);
   faults::GuardedBackend held(held_bank, {.escalation = kGiveUpAtOnce});
   (void)held.matmul_cached(a, b, w);
-  const auto built = held.cache().lookup(w.id, w.version, held_bank.epoch());
+  const auto built = held.cache().lookup(w.id, w.version);
   ASSERT_NE(built, nullptr);
   faults::FaultInjector held_injector(held_bank, one_event(held_bank.lanes(), stuck_mrr(1)));
   held_injector.advance_to(8);
@@ -1281,12 +1264,10 @@ TEST(GuardedBackend, EpochBumpInvalidatesCachedOperandAndGuardStillFires) {
   EXPECT_DOUBLE_EQ(held_snap.mean_detection_latency(), 1.0);
   EXPECT_EQ(held_snap.unrecovered, 1u);
   const nn::OperandCacheStats& held_stats = held.cache().stats();
-  EXPECT_EQ(held_stats.invalidations, 1u);
-  EXPECT_EQ(held_stats.misses, 2u);
+  EXPECT_EQ(held_stats.invalidations, 0u);
+  EXPECT_EQ(held_stats.misses, 1u);
   EXPECT_EQ(held_stats.rebuilds, 0u);
-  const auto struck = held.cache().lookup(w.id, w.version, held_bank.epoch());
-  EXPECT_EQ(struck, built);
-  EXPECT_EQ(struck->epoch, held_bank.epoch());
+  EXPECT_EQ(held.cache().lookup(w.id, w.version), built);
 }
 
 TEST(GuardedBackend, GoldenRepinAtTheSameEpochAppendsUnderTheNewGolden) {
@@ -1316,7 +1297,7 @@ TEST(GuardedBackend, GoldenRepinAtTheSameEpochAppendsUnderTheNewGolden) {
   (void)backend.matmul_kv(q, keys, handle);
   const nn::OperandCacheStats built = backend.kv_cache()->stats();
   EXPECT_EQ(built.misses, 1u);
-  EXPECT_EQ(built.resident_bytes, operand_bytes(10, d, 4));
+  EXPECT_EQ(built.resident_bytes, operand_bytes(10, d));
   const std::size_t detections = backend.monitor().snapshot().detections;
   EXPECT_EQ(detections, 1u);
 
@@ -1329,8 +1310,8 @@ TEST(GuardedBackend, GoldenRepinAtTheSameEpochAppendsUnderTheNewGolden) {
   EXPECT_EQ(st.appends, built.appends + 1);
   EXPECT_EQ(st.rebuilds, built.rebuilds);
   EXPECT_EQ(st.misses, built.misses);
-  EXPECT_TRUE(backend.kv_cache()->contains(handle.id, 0, epoch));
-  EXPECT_EQ(st.resident_bytes, operand_bytes(11, d, 4));
+  EXPECT_TRUE(backend.kv_cache()->contains(handle.id, 0));
+  EXPECT_EQ(st.resident_bytes, operand_bytes(11, d));
   EXPECT_EQ(backend.monitor().snapshot().detections, detections);
   expect_matrices_equal(got, backend.matmul(q, grown.transposed()));
 }
@@ -1412,6 +1393,41 @@ TEST(GuardedBackend, FullyFencedBankIsAnOutage) {
   for (double v : out.data()) EXPECT_EQ(v, 0.0);
   EXPECT_EQ(backend.events().cycles, 0u);
   EXPECT_EQ(backend.monitor().snapshot().products, 0u);
+}
+
+TEST(GuardedBackend, ProactiveRetrimThatFencesEveryLaneIsAnOutage) {
+  // Every lane stuck and an excursion on the drift tracker: the
+  // proactive re-trim at product entry fences every lane, so the product
+  // that follows is an outage like a fully fenced bank — all-zero
+  // output, no events, no product recorded — and never encodes through
+  // an empty packing.
+  faults::LaneBank bank(small_bank_config());
+  faults::production_trim(bank);
+  faults::GuardedBackendConfig cfg;
+  cfg.escalation.proactive_retrim = true;
+  faults::GuardedBackend backend(bank, cfg);
+  faults::FaultSchedule sched = one_event(bank.lanes(), stuck_mrr(0));
+  std::vector<std::size_t> lanes{0};
+  for (std::size_t l = 1; l < bank.lanes(); ++l) {
+    sched.events.push_back(stuck_mrr(l));
+    lanes.push_back(l);
+  }
+  faults::FaultInjector injector(bank, sched);
+  injector.advance_to(2);
+  for (int n = 0; n < 4; ++n) backend.drift().observe_residual(lanes, 50.0);
+  ASSERT_TRUE(backend.drift().any_excursion());
+  ASSERT_GT(bank.usable_channels(), 0u);
+
+  Rng rng(3);
+  const Matrix a = Matrix::random_gaussian(2, 8, rng, 0.0, 1.0);
+  const Matrix b = Matrix::random_gaussian(8, 2, rng, 0.0, 1.0);
+  const Matrix out = backend.matmul(a, b);
+  EXPECT_EQ(bank.usable_channels(), 0u);
+  for (double v : out.data()) EXPECT_EQ(v, 0.0);
+  EXPECT_EQ(backend.events().cycles, 0u);
+  const faults::HealthSnapshot& snap = backend.monitor().snapshot();
+  EXPECT_EQ(snap.products, 0u);
+  EXPECT_EQ(snap.proactive_retrims, 1u);
 }
 
 TEST(GuardedBackend, RejectsTheDeviceGraphPath) {

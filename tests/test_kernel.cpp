@@ -1018,9 +1018,9 @@ TEST(LaneEncodeTable, MatchesBankEncodesAcrossMutations) {
   golden.rebuild(bank);  // pinned before the fault below
 
   // One row covering every quantizer code, pushed through LaneEncoder on
-  // every lane: the current amplitudes are the live lane's whatever the
-  // table's state (fresh, stale or absent), and the golden ones come
-  // from the pinned snapshot.
+  // every lane: the current amplitudes are the live lane's, read from the
+  // fresh table, and the golden ones come from the pinned snapshot.  An
+  // encoder refuses a table that is stale or was never built.
   const converters::Quantizer& quant = bank.quantizer();
   std::vector<double> row;
   std::vector<std::int32_t> codes;
@@ -1037,7 +1037,7 @@ TEST(LaneEncodeTable, MatchesBankEncodesAcrossMutations) {
       }
     }
   };
-  const auto encoder_sweep = [&](const faults::LaneEncodeTable* current) {
+  const auto encoder_sweep = [&](const faults::LaneEncodeTable& current) {
     std::vector<double> cur(row.size());
     std::vector<double> ref(row.size());
     for (std::size_t rail = 0; rail < faults::LaneBank::kRails; ++rail) {
@@ -1054,22 +1054,23 @@ TEST(LaneEncodeTable, MatchesBankEncodesAcrossMutations) {
       }
     }
   };
+  const std::vector<std::size_t> all = bank.surviving_channels();
   sweep();
-  encoder_sweep(&table);
-  encoder_sweep(nullptr);
+  encoder_sweep(table);
+  const faults::LaneEncodeTable absent;
+  EXPECT_THROW((void)faults::LaneEncoder(bank, all, 0, absent, &golden), PreconditionError);
 
-  // An injected fault bumps the epoch: the table must report stale, the
-  // encoder must fall back to the live lanes until it is re-ensured, and
-  // after ensure() the table serves the *faulted* transfer.
+  // An injected fault bumps the epoch: the table must report stale, an
+  // encoder must refuse it until it is re-ensured, and after ensure() the
+  // table serves the *faulted* transfer.
   faults::FaultInjector injector(bank, storm_schedule(bank.lanes()));
   injector.advance_to(6);
   EXPECT_FALSE(table.fresh(bank));
-  encoder_sweep(&table);
-  encoder_sweep(nullptr);
+  EXPECT_THROW((void)faults::LaneEncoder(bank, all, 1, table, &golden), PreconditionError);
   table.ensure(bank);
   ASSERT_TRUE(table.fresh(bank));
   sweep();
-  encoder_sweep(&table);
+  encoder_sweep(table);
 
   // Golden stayed pinned: the stuck lane now encodes differently from it.
   bool diverged = false;
@@ -1079,13 +1080,13 @@ TEST(LaneEncodeTable, MatchesBankEncodesAcrossMutations) {
   EXPECT_TRUE(diverged);
 }
 
-// The table path equals the live-model path bit for bit: one encoder
-// built while the table is fresh, one after the epoch moved with the
-// lane state unchanged (a stale table, so the live lane models), over a
-// 5-of-8 channel packing, span lengths 0, 1, 4, 5 and 768, encoding
-// normalized values and decoding their codes, with and without a golden
-// reference — on a bank whose faults make current and golden differ on
-// both rails.
+// The table path equals the live lane models bit for bit, checked
+// against model.encode_code directly: an encoder built on the fresh
+// table, over a 5-of-8 channel packing, span lengths 0, 1, 4, 5 and 768,
+// encoding normalized values and decoding their codes, with and without
+// a golden reference — on a bank whose faults make current and golden
+// differ on both rails.  Once the epoch moves with the lane state
+// unchanged, the stale table is refused.
 TEST(LaneEncodeTable, TablePathEqualsLiveModelsBitForBit) {
   faults::LaneBankConfig cfg = bank_config(23);
   cfg.wavelengths = 8;
@@ -1128,10 +1129,7 @@ TEST(LaneEncodeTable, TablePathEqualsLiveModelsBitForBit) {
   for (std::size_t rail = 0; rail < faults::LaneBank::kRails; ++rail) {
     table.ensure(bank);
     ASSERT_TRUE(table.fresh(bank));
-    const faults::LaneEncoder tabled(bank, channels, rail, &table, &golden);
-    bank.bump_epoch();  // stale table, unchanged lanes
-    ASSERT_FALSE(table.fresh(bank));
-    const faults::LaneEncoder live(bank, channels, rail, &table, &golden);
+    const faults::LaneEncoder tabled(bank, channels, rail, table, &golden);
     std::size_t diverged = 0;
     for (const std::size_t len : {0u, 1u, 4u, 5u, 768u}) {
       for (const bool decode : {false, true}) {
@@ -1143,36 +1141,33 @@ TEST(LaneEncodeTable, TablePathEqualsLiveModelsBitForBit) {
           for (std::size_t i = 0; i < len; ++i) {
             codes[i] = static_cast<std::int16_t>(quant.encode(in[i]));
           }
-          std::vector<double> cur_t(len, 9.0), ref_t(len, 9.0), cur_l(len, 9.0), ref_l(len, 9.0);
+          std::vector<double> cur_t(len, 9.0), ref_t(len, 9.0);
           const std::span<double> ref_ts =
               with_ref ? std::span<double>(ref_t) : std::span<double>{};
-          const std::span<double> ref_ls =
-              with_ref ? std::span<double>(ref_l) : std::span<double>{};
           if (decode) {
             tabled.decode(codes, cur_t, ref_ts);
-            live.decode(codes, cur_l, ref_ls);
           } else {
             tabled(in, cur_t, ref_ts);
-            live(in, cur_l, ref_ls);
           }
           for (std::size_t i = 0; i < len; ++i) {
             const std::size_t flat = rail * bank.wavelengths() + channels[i % 5];
             const std::int32_t code = codes[i];
-            ASSERT_EQ(bits(cur_t[i]), bits(cur_l[i])) << i;
             ASSERT_EQ(bits(cur_t[i]), bits(bank.lane(flat).model.encode_code(code))) << i;
             if (with_ref) {
-              ASSERT_EQ(bits(ref_t[i]), bits(ref_l[i])) << i;
               ASSERT_EQ(bits(ref_t[i]), bits(golden.at(flat, code))) << i;
               diverged += cur_t[i] != ref_t[i];
             } else {
               ASSERT_EQ(ref_t[i], 9.0);  // no reference asked for, none written
-              ASSERT_EQ(ref_l[i], 9.0);
             }
           }
         }
       }
     }
     EXPECT_GT(diverged, 0u) << "the faults must make current and golden differ on rail " << rail;
+    bank.bump_epoch();  // stale table, unchanged lanes
+    ASSERT_FALSE(table.fresh(bank));
+    EXPECT_THROW((void)faults::LaneEncoder(bank, channels, rail, table, &golden),
+                 PreconditionError);
   }
 }
 

@@ -52,8 +52,6 @@ PreparedOperand elementwise_prepare(const Matrix& src, GrowAxis axis, const Oper
   pb.cols = cols_axis ? src.rows() : src.cols();
   for (const double v : src.data()) pb.abs_max = std::max(pb.abs_max, std::abs(v));
   pb.scale = pb.abs_max > 0.0 ? pb.abs_max : 1.0;
-  pb.epoch = spec.epoch;
-  pb.channels = spec.channels;
   if (spec.codes != nullptr) {
     pb.codes = CodeMatrix(pb.cols, pb.rows);
   } else {
@@ -112,8 +110,6 @@ void expect_same_operand(const PreparedOperand& got, const PreparedOperand& want
   EXPECT_TRUE(same_bits(got.scale, want.scale));
   EXPECT_EQ(got.rows, want.rows);
   EXPECT_EQ(got.cols, want.cols);
-  EXPECT_EQ(got.epoch, want.epoch);
-  EXPECT_EQ(got.channels, want.channels);
   EXPECT_EQ(got.checksum_stripe, want.checksum_stripe);
   expect_same_bits(got.encoded, want.encoded, "encoded");
   expect_same_codes(got.codes, want.codes);
@@ -149,9 +145,7 @@ TEST(PrepareOperand, OnePassEqualsTheElementwiseReference) {
                            << "threads " << threads << " axis " << axis_name(axis) << " k " << k
                            << " n " << n << " stripe " << stripe << " codes " << codes);
               const Matrix src = bt_source(n, k, axis, rng);
-              const OperandSpec spec{.epoch = 7,
-                                     .channels = {0, 2, 3},
-                                     .checksum_stripe = stripe,
+              const OperandSpec spec{.checksum_stripe = stripe,
                                      .codes = codes ? &kQuant : nullptr};
               expect_same_operand(prepare_operand(src, axis, spec, encode, pool, stage),
                                   elementwise_prepare(src, axis, spec));
@@ -171,8 +165,8 @@ TEST(PrepareOperand, OnePassEqualsTheElementwiseReference) {
 // payloads, each against a fresh prepare: PhotonicGemm's LUT (with its
 // staged column energies) and the lane executor's codes, which
 // faults::LaneEncoder then decodes — on a bank with a fenced channel, a
-// golden snapshot and a coefficient table both left stale by a fault —
-// into the bits encoding the normalized values gives.
+// golden snapshot left stale by a fault and a coefficient table brought
+// up to it — into the bits encoding the normalized values gives.
 TEST(PrepareOperand, AppendsEqualTheElementwiseReference) {
   const RowEncoder encode = value_encode;
   Rng rng(43);
@@ -185,10 +179,7 @@ TEST(PrepareOperand, AppendsEqualTheElementwiseReference) {
           if (codes && stripe > 0) continue;
           SCOPED_TRACE(testing::Message() << "threads " << threads << " axis " << axis_name(axis)
                                           << " stripe " << stripe << " codes " << codes);
-          const OperandSpec spec{.epoch = 2,
-                                 .channels = {1, 4},
-                                 .checksum_stripe = stripe,
-                                 .codes = codes ? &kQuant : nullptr};
+          const OperandSpec spec{.checksum_stripe = stripe, .codes = codes ? &kQuant : nullptr};
           // The growing axis: Bᵀ rows (output columns) for kCols, source
           // rows (reduction positions) for kRows; the fixed one is 37 or
           // 70 wide.
@@ -255,8 +246,8 @@ TEST(PrepareOperand, AppendsEqualTheElementwiseReference) {
   faults::LaneEncodeTable table;
   table.ensure(bank);
   // Stick a B-rail modulator and fence channel 1: both move the epoch, so
-  // the golden snapshot and the table are stale and every current
-  // amplitude comes from the live lane models.
+  // the golden snapshot and the table are stale; the table is then
+  // refreshed, the only current-state source an encoder takes.
   faults::FaultSchedule sched;
   sched.cfg.lanes = bank.lanes();
   sched.cfg.bits = 8;
@@ -273,15 +264,15 @@ TEST(PrepareOperand, AppendsEqualTheElementwiseReference) {
   bank.bump_epoch();
   ASSERT_FALSE(table.fresh(bank));
   ASSERT_FALSE(golden.fresh(bank));
+  table.ensure(bank);
   const std::vector<std::size_t> channels = bank.surviving_channels();
   ASSERT_EQ(channels, (std::vector<std::size_t>{0, 2, 3}));
-  const faults::LaneEncoder lanes(bank, channels, 1, &table, &golden);
+  const faults::LaneEncoder lanes(bank, channels, 1, table, &golden);
   for (const std::size_t threads : {1u, 3u}) {
     SCOPED_TRACE(testing::Message() << "lane codes, threads " << threads);
     ThreadPool pool(threads);
     Matrix stage;
-    const OperandSpec spec{
-        .epoch = bank.epoch(), .channels = channels, .codes = &bank.quantizer()};
+    const OperandSpec spec{.codes = &bank.quantizer()};
     PreparedOperand pb = prepare_operand(prefix(5), GrowAxis::kRows, spec, {}, pool, stage);
     for (const std::size_t len : {6u, 8u, 17u}) {
       ASSERT_TRUE(append_operand(pb, prefix(len), GrowAxis::kRows, spec, {}, pool, stage))

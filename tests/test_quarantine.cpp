@@ -3,8 +3,9 @@
 // straddling re-trim is charged once, to its origin window), the
 // quarantine/probation state machine — trigger, exponential-backoff
 // canary probes, K-consecutive-clean readmission — and the engine-level
-// guarantee that a quarantined pool still terminates every request with
-// zero failures.
+// guarantees that a quarantined pool still terminates every request with
+// zero failures, and that a probation no probe can end fails the queue
+// explicitly.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "faults/fault_schedule.hpp"
 #include "serve/engine.hpp"
 #include "serve/workload.hpp"
 
@@ -263,6 +265,60 @@ TEST(Serving, QuarantinedPoolStillTerminatesEveryRequestWithZeroFailures) {
   ASSERT_EQ(rep.backends.size(), 1u);
   EXPECT_FALSE(rep.backends[0].quarantined);  // readmitted by run end
   EXPECT_GT(rep.backends[0].tokens, 0u);
+}
+
+TEST(Serving, ProbationThatCannotEndFailsTheQueueExplicitly) {
+  // Engine-level termination: the only backend of the pool enters
+  // probation before the run, and a bias walk moves its lanes at every
+  // tile step, so every canary probe comes back unclean.  Once the slot
+  // has probed unclean at probe_backoff_max — backoffs 32, 64, 128 and
+  // then 256 — no slot is in rotation, nothing is in flight and no
+  // arrival is pending, so the engine fails the queue explicitly, as on
+  // an offline pool, instead of probing forever.
+  serve::BackendPoolConfig cfg = quarantine_pool_config(1);
+  cfg.quarantine.enabled = true;
+  cfg.quarantine.probe_backoff = 32;
+  cfg.quarantine.probe_backoff_max = 256;
+  serve::BackendPool pool(cfg);
+  force_excursion(pool, 0);
+  faults::FaultSchedule walk;
+  walk.cfg.lanes = pool.bank(0).lanes();
+  walk.cfg.bits = 8;
+  walk.cfg.horizon_steps = std::uint64_t{1} << 30;
+  walk.cfg.bias_walk_sigma_per_step = 1e-6;
+  pool.attach_storm(0, walk, 1);
+
+  serve::WorkloadConfig wl;
+  wl.requests = 4;
+  wl.mean_interarrival = 16.0;
+  wl.d_model = 16;
+  wl.models = 2;
+  wl.prompt_min = 2;
+  wl.prompt_max = 8;
+  wl.decode_min = 2;
+  wl.decode_max = 6;
+  wl.deadline_slack = 0.0;  // no deadlines: nothing is shed
+  wl.seed = 91;
+  const std::vector<serve::Request> requests = serve::generate_workload(wl);
+  const std::vector<nn::Linear> models = make_models(2, 16, 17);
+
+  serve::ServingEngine engine(pool, models);
+  const serve::ServingReport rep = engine.run(requests);
+
+  EXPECT_TRUE(rep.reconciled(requests.size()));
+  EXPECT_EQ(rep.failed, requests.size());
+  EXPECT_EQ(rep.completed, 0u);
+  EXPECT_EQ(rep.shed, 0u);
+  for (const serve::RequestRecord& rec : rep.records) {
+    EXPECT_EQ(rec.verdict, serve::Verdict::kFailed);
+    EXPECT_EQ(rec.tokens_done, 0u);
+  }
+  EXPECT_EQ(rep.quarantines, 1u);
+  EXPECT_EQ(rep.readmissions, 0u);
+  EXPECT_EQ(rep.canary_probes, 4u);
+  ASSERT_EQ(rep.backends.size(), 1u);
+  EXPECT_TRUE(rep.backends[0].quarantined);
+  EXPECT_EQ(rep.backends[0].tokens, 0u);
 }
 
 }  // namespace
